@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: verify vet lint lint-json lint-allows lint-guard build test race bench bench-fleet bench-json chaos-smoke metrics-smoke shard-smoke reshard-smoke vclock-smoke fuzz-short FORCE
+.PHONY: verify vet lint lint-json lint-allows lint-guard build test race bench metrics-smoke shard-smoke reshard-smoke fuzz-short FORCE
 
 ## verify: the CI entry point — vet, the roamvet determinism/hygiene
-## analyzers, build, race-enabled tests, a one-iteration fleet
-## throughput smoke (v1/v2/v3 protocol paths), the chaos differential
-## suite under the race detector, the observability endpoint smoke, the
-## sharded control-plane / WAL durability smoke, the live-reshard +
-## WAL-compaction smoke, and the virtual-time engine smoke.
-verify: vet lint lint-guard build race bench-fleet chaos-smoke metrics-smoke shard-smoke reshard-smoke vclock-smoke
+## analyzers, build, every test suite under the race detector (the
+## chaos, shard, reshard and virtual-time differential suites included),
+## then the smokes that drive real binaries: the observability endpoint,
+## the sharded control plane / WAL durability, and live resharding + WAL
+## compaction.
+verify: vet lint lint-guard build race metrics-smoke shard-smoke reshard-smoke
 
 vet:
 	$(GO) vet ./...
@@ -57,63 +57,29 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-## bench-fleet: smoke-run the fleet control-plane throughput benchmark
-## over all three protocols (one iteration, 10k-ME cases skipped via
-## -short).
-bench-fleet:
-	$(GO) test -short -run=^$$ -bench=Fleet -benchtime=1x ./internal/fleet
-
-## bench-json: run the fleet throughput benchmark at 100/1000 MEs for
-## v1/v2/v3 and snapshot results/s into BENCH_fleet.json (uploaded as a
-## CI artifact so regressions are visible per-commit).
-bench-json:
-	bash scripts/bench_fleet.sh BENCH_fleet.json
-
-## chaos-smoke: the fault-injection differential suite under the race
-## detector — a chaos fleet run must ingest the byte-identical dataset a
-## clean run does, and the fault schedule must replay from its seed.
-chaos-smoke:
-	$(GO) test -race -run 'TestFleetChaos|TestChaos' ./internal/fleet
-	$(GO) test -race ./internal/chaos
-
 ## metrics-smoke: boot a real amigo-server, scrape /admin/metrics, and
 ## assert a non-empty, parseable Prometheus exposition that reflects
 ## live server state.
 metrics-smoke:
 	bash scripts/metrics_smoke.sh
 
-## shard-smoke: the sharded control plane end to end — the differential
-## and crash-recovery suites under the race detector, then the real
+## shard-smoke: the sharded control plane end to end with the real
 ## binaries: roam-fleet killing a shard mid-campaign with -crosscheck,
 ## and a roam-gateway process killed and cold-restarted over its WALs.
 shard-smoke:
-	$(GO) test -race -run 'TestSharded|TestShardCrash|TestShardKill' ./internal/fleet
-	$(GO) test -race ./internal/walsink ./internal/shard
 	bash scripts/shard_smoke.sh
 
-## reshard-smoke: WAL lifecycle end to end — compaction + torn-compaction
-## recovery and the reshard differential suites under the race detector,
-## then the real binaries: roam-fleet live-resharding 1→4 mid-campaign
-## with compaction and -crosscheck, and roam-gateway cold-restarting
-## over the resharded, partly compacted WAL set via the manifest.
+## reshard-smoke: WAL lifecycle end to end with the real binaries:
+## roam-fleet live-resharding 1→4 mid-campaign with compaction and
+## -crosscheck, and roam-gateway cold-restarting over the resharded,
+## partly compacted WAL set via the manifest.
 reshard-smoke:
-	$(GO) test -race -run 'TestReshard|TestCompaction|TestMovedMEs|TestRingBalance|TestGatewayPauseResume|TestMergedResults' ./internal/fleet ./internal/shard ./internal/walsink
 	bash scripts/reshard_smoke.sh
-
-## vclock-smoke: the virtual-time engine — the vclock unit suite under
-## the race detector (scheduler, timers, contexts, deadlock/stall
-## guards), then one fleet crosscheck: the clock differential test
-## proving a virtual-time campaign ingests the byte-identical dataset a
-## wall-clock run does, across protocols, chaos, and realized pacing.
-vclock-smoke:
-	$(GO) test -race ./internal/vclock
-	$(GO) test -race -run 'TestVirtualTimeEquivalence' ./internal/fleet
 
 ## fuzz-short: a 10s budget per native fuzz target, on top of the
 ## checked-in seed corpora (which always run as part of plain `go test`).
 fuzz-short:
 	$(GO) test -fuzz=FuzzDemarcate -fuzztime=10s -run=^$$ ./internal/core
-	$(GO) test -fuzz=FuzzLeaseDecode -fuzztime=10s -run=^$$ ./internal/amigo
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=10s -run=^$$ ./internal/wire
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=10s -run=^$$ ./internal/wire
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s -run=^$$ ./internal/walsink

@@ -1,18 +1,12 @@
 // Command amigo-server runs the AmiGo control server: the REST endpoint
 // measurement endpoints (amigo-me, roam-fleet) register with, lease
-// tasks from, and upload results to. It serves the v1
-// one-task-per-poll protocol, the v2 JSON batch lease/upload protocol,
-// and the v3 binary-frame batch protocol (see internal/amigo and
-// internal/wire for the wire formats).
+// tasks from, and upload results to. It serves the v1 JSON control and
+// one-task-per-poll routes and the v3 binary-frame batch lease/upload
+// routes (see internal/amigo and internal/wire for the wire formats).
 //
 // Usage:
 //
-//	amigo-server [-addr :8080] [-proto v2|v3] [-pprof]
-//
-// -proto caps the newest protocol served: v3 (the default) mounts the
-// binary /v3/ routes alongside v1+v2; v2 serves only the JSON
-// protocols, for staged rollouts where binary-frame clients must be
-// turned away with 404 until the fleet is ready.
+//	amigo-server [-addr :8080] [-pprof]
 //
 // Schedule tasks by POSTing to /admin/schedule, either the legacy
 // single-kind form or a task batch:
@@ -54,6 +48,7 @@ import (
 
 	"roamsim/internal/amigo"
 	"roamsim/internal/obs"
+	"roamsim/internal/shard"
 )
 
 // drainGate rejects requests with 503 + Retry-After once draining is
@@ -77,30 +72,13 @@ func (g *drainGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	proto := flag.String("proto", "v3", "newest protocol to serve: v3 (binary + JSON) or v2 (JSON only)")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof profiling handlers under /debug/pprof/")
 	flag.Parse()
 
-	maxProto := 0
-	switch *proto {
-	case "v2":
-		maxProto = 2
-	case "v3":
-		maxProto = 3
-	default:
-		log.Fatalf("amigo-server: unknown -proto %q (want v2 or v3)", *proto)
-	}
-
 	reg := obs.NewRegistry()
-	srv := amigo.NewServer(nil, amigo.WithObs(reg), amigo.WithMaxProto(maxProto))
+	srv := amigo.NewServer(nil, amigo.WithObs(reg))
 	mux := http.NewServeMux()
-	h := srv.Handler()
-	mux.Handle("/v1/", h)
-	mux.Handle("/v2/", h)
-	if maxProto >= 3 {
-		mux.Handle("/v3/", h)
-	}
-	mux.Handle("/admin/", srv.AdminHandler())
+	mux.Handle("/", shard.Mount(srv.Handler(), srv.AdminHandler()))
 	if *pprofOn {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

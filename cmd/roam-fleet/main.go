@@ -12,17 +12,15 @@
 // Usage:
 //
 //	roam-fleet [-server URL] [-mes N] [-countries GEO,DEU,...] [-seed N]
-//	           [-workers N] [-lease K] [-proto v2|v3] [-reps N]
+//	           [-workers N] [-lease K] [-reps N]
 //	           [-configs sim,esim] [-tools speedtest,mtr,...] [-crosscheck]
 //	           [-chaos light|heavy] [-chaos-seed N] [-straggler DUR]
 //	           [-metrics] [-shards N] [-wal-dir DIR] [-kill-shard N]
 //	           [-compact-after N] [-reshard N] [-reshard-after U]
 //	           [-virtual-time] [-realize]
 //
-// -proto selects the lease/upload codec: v2 (JSON, the default) or v3
-// (length-prefixed binary frames, see internal/wire). The codec is an
-// encoding detail — for a fixed seed the ingested dataset and printed
-// tables are byte-identical under either protocol.
+// MEs lease and upload in batches over the v3 binary-frame routes (see
+// internal/wire).
 //
 // With -metrics the whole stack is instrumented — control server,
 // driver, every ME endpoint, and the network simulator's route cache —
@@ -72,9 +70,7 @@
 // would have. With -virtual-time that clock is a discrete-event virtual
 // clock (see internal/vclock): the campaign jumps over every wait at
 // quiescence and finishes as fast as the CPU drains the event queue,
-// with a dataset byte-identical to the real-time run. The run prints a
-// machine-parseable `run-wall-seconds:` line (driver time only) that
-// scripts/bench_fleet.sh uses to compute the virtual-over-real speedup.
+// with a dataset byte-identical to the real-time run.
 package main
 
 import (
@@ -91,6 +87,7 @@ import (
 	"roamsim/internal/chaos"
 	"roamsim/internal/fleet"
 	"roamsim/internal/obs"
+	"roamsim/internal/shard"
 	"roamsim/internal/vclock"
 )
 
@@ -101,7 +98,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "campaign seed (same seed = identical dataset)")
 	workers := flag.Int("workers", 0, "ME worker pool size (0 = GOMAXPROCS; output is identical either way)")
 	lease := flag.Int("lease", 32, "max tasks leased per lease round trip")
-	proto := flag.String("proto", "v2", "lease/upload protocol: v2 (JSON) or v3 (binary frames)")
 	reps := flag.Int("reps", 1, "repetitions per (tool, config)")
 	configs := flag.String("configs", "sim,esim", "comma-separated SIM configurations")
 	tools := flag.String("tools", "", "comma-separated task kinds to keep (speedtest,mtr,cdn,dns,video; empty = all)")
@@ -123,6 +119,9 @@ func main() {
 
 	plan := fleet.DeviceCampaignPlan()
 	plan.Countries = splitList(*countries)
+	if len(plan.Countries) == 0 {
+		fatal(fmt.Errorf("-countries %q names no country", *countries))
+	}
 	plan.MEsPerCountry = max(1, *mes/len(plan.Countries))
 	plan.Configs = splitList(*configs)
 	plan.Reps = *reps
@@ -207,7 +206,6 @@ func main() {
 		Seed:        *seed,
 		Workers:     *workers,
 		LeaseBatch:  *lease,
-		Proto:       *proto,
 		StreamLabel: "table4",
 		Heartbeat:   true,
 		Chaos:       inj,
@@ -248,9 +246,6 @@ func main() {
 		fmt.Printf("virtual: campaign makespan %s of virtual time in %.3fs of wall time\n",
 			st.Elapsed.Round(time.Millisecond), wallSeconds)
 	}
-	// Driver time only — the line bench_fleet.sh parses for the
-	// virtual-over-real speedup; excludes server setup and ingest.
-	fmt.Printf("run-wall-seconds: %.3f\n", wallSeconds)
 	if inj != nil {
 		fmt.Printf("chaos: %s mode, seed %d: injected %d faults; dataset is byte-identical to the clean run\n",
 			*chaosMode, inj.Seed(), len(inj.Events()))
@@ -360,13 +355,7 @@ func selfHost(inj *chaos.Injector, reg *obs.Registry, shards int, walDir string,
 		handler = sf.Handler()
 	} else {
 		srv := amigo.NewServer(nil, amigo.WithObs(reg))
-		mux := http.NewServeMux()
-		h := srv.Handler()
-		mux.Handle("/v1/", h)
-		mux.Handle("/v2/", h)
-		mux.Handle("/v3/", h)
-		mux.Handle("/admin/", srv.AdminHandler())
-		handler = mux
+		handler = shard.Mount(srv.Handler(), srv.AdminHandler())
 	}
 	if inj != nil {
 		handler = inj.Middleware(handler)

@@ -28,10 +28,10 @@ func world(t *testing.T) *airalo.World {
 	return sharedWorld
 }
 
-func testbed(t *testing.T, iso string) (*Server, *Endpoint, func()) {
+func testbed(t *testing.T, iso string, opts ...Option) (*Server, *Endpoint, func()) {
 	t.Helper()
 	fixed := time.Date(2024, 3, 1, 12, 0, 0, 0, time.UTC)
-	srv := NewServer(func() time.Time { return fixed })
+	srv := NewServer(func() time.Time { return fixed }, opts...)
 	hs := httptest.NewServer(srv.Handler())
 	ep := NewEndpoint("me-"+iso, hs.URL, world(t).Deployments[iso], rng.New(5))
 	return srv, ep, hs.Close
@@ -390,27 +390,6 @@ func TestResultsSinceCursor(t *testing.T) {
 	}
 }
 
-func TestOversizedBatchRejectedWith429(t *testing.T) {
-	srv := NewServer(nil, WithSpoolCapacity(2), WithRetryAfter(3*time.Second))
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	batch, _ := json.Marshal([]Result{{ME: "a"}, {ME: "b"}, {ME: "c"}})
-	resp, err := hs.Client().Post(hs.URL+"/v2/results", "application/json", bytes.NewReader(batch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("HTTP %d, want 429", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Retry-After"); got != "3" {
-		t.Errorf("Retry-After = %q, want \"3\"", got)
-	}
-	if len(srv.Results()) != 0 {
-		t.Error("rejected batch must not reach the sink")
-	}
-}
-
 // gateSink blocks Append until its gate closes, simulating a sink that
 // cannot keep up.
 type gateSink struct {
@@ -513,8 +492,7 @@ func TestEndpointUploadRetriesThrough429(t *testing.T) {
 func TestAdminHandlerScheduleAndResults(t *testing.T) {
 	srv := NewServer(nil)
 	mux := http.NewServeMux()
-	mux.Handle("/v1/", srv.Handler())
-	mux.Handle("/v2/", srv.Handler())
+	mux.Handle("/", srv.Handler())
 	mux.Handle("/admin/", srv.AdminHandler())
 	hs := httptest.NewServer(mux)
 	defer hs.Close()

@@ -22,23 +22,23 @@ func TestLeaseAckRedeliversUnacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := srv.LeaseAck("me", 2, 0)
+	first, err := srv.LeaseAckInto("me", 2, 0, nil)
 	if err != nil || len(first) != 2 {
 		t.Fatalf("first lease = %v, %v", first, err)
 	}
 	// The "client" never saw the response: leasing again without an ack
 	// must re-deliver the same two tasks, not advance the queue.
-	again, err := srv.LeaseAck("me", 2, 0)
+	again, err := srv.LeaseAckInto("me", 2, 0, nil)
 	if err != nil || len(again) != 2 || again[0].ID != first[0].ID || again[1].ID != first[1].ID {
 		t.Fatalf("unacked release = %v, %v; want redelivery of %v", again, err, first)
 	}
 	// Acking the batch retires it and hands out fresh work.
-	next, err := srv.LeaseAck("me", 2, first[1].ID)
+	next, err := srv.LeaseAckInto("me", 2, first[1].ID, nil)
 	if err != nil || len(next) != 1 || next[0].ID != ids[2] {
 		t.Fatalf("acked lease = %v, %v; want [%d]", next, err, ids[2])
 	}
 	// Ack the tail; the queue is drained.
-	empty, err := srv.LeaseAck("me", 2, next[0].ID)
+	empty, err := srv.LeaseAckInto("me", 2, next[0].ID, nil)
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("drained lease = %v, %v", empty, err)
 	}
@@ -61,8 +61,8 @@ func TestRequeueRestoresFullSchedule(t *testing.T) {
 	}
 	// Batch 1 leased and acked (done); batch 2 leased, never acked
 	// (outstanding); the rest still queued. Then the ME "crashes".
-	b1, _ := srv.LeaseAck("me", 2, 0)
-	b2, _ := srv.LeaseAck("me", 2, b1[1].ID)
+	b1, _ := srv.LeaseAckInto("me", 2, 0, nil)
+	b2, _ := srv.LeaseAckInto("me", 2, b1[1].ID, nil)
 	if len(b1) != 2 || len(b2) != 2 {
 		t.Fatalf("setup leases: %v / %v", b1, b2)
 	}
@@ -72,7 +72,7 @@ func TestRequeueRestoresFullSchedule(t *testing.T) {
 	if err != nil || n != 4 {
 		t.Fatalf("Requeue = %d, %v; want 4", n, err)
 	}
-	replay, err := srv.LeaseAck("me", 10, 0)
+	replay, err := srv.LeaseAckInto("me", 10, 0, nil)
 	if err != nil || len(replay) != 6 {
 		t.Fatalf("replay lease = %v, %v", replay, err)
 	}
@@ -203,40 +203,6 @@ func TestBackoffDelayClamp(t *testing.T) {
 	}
 }
 
-// TestParseLeaseRequest covers the v2 lease request decoder the fuzz
-// target explores: clamping, missing fields, garbage.
-func TestParseLeaseRequest(t *testing.T) {
-	cases := []struct {
-		name, body string
-		wantErr    bool
-		wantMax    int
-		wantAck    int
-	}{
-		{"normal", `{"me":"m","max":8,"ack":3}`, false, 8, 3},
-		{"missing me", `{"max":8}`, true, 0, 0},
-		{"zero max clamped", `{"me":"m","max":0}`, false, 1, 0},
-		{"negative max clamped", `{"me":"m","max":-5}`, false, 1, 0},
-		{"huge max clamped", `{"me":"m","max":99999}`, false, maxLeaseBatch, 0},
-		{"negative ack clamped", `{"me":"m","max":1,"ack":-7}`, false, 1, 0},
-		{"garbage", `{"me":`, true, 0, 0},
-		{"empty", ``, true, 0, 0},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			req, err := parseLeaseRequest(strings.NewReader(c.body))
-			if (err != nil) != c.wantErr {
-				t.Fatalf("err = %v, wantErr = %v", err, c.wantErr)
-			}
-			if err != nil {
-				return
-			}
-			if req.Max != c.wantMax || req.Ack != c.wantAck {
-				t.Errorf("parsed = %+v, want max=%d ack=%d", req, c.wantMax, c.wantAck)
-			}
-		})
-	}
-}
-
 // TestEndpointLeaseSurvivesLostResponse drives the full client path: a
 // proxy that drops the first lease response mid-body forces the
 // endpoint's decode-failure retry, which must land the same batch.
@@ -245,8 +211,8 @@ func TestEndpointLeaseSurvivesLostResponse(t *testing.T) {
 	inner := srv.Handler()
 	var leases atomic.Int64
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v2/tasks/lease" && leases.Add(1) == 1 {
-			// Claim a body is coming, send half a JSON array, cut it off.
+		if r.URL.Path == "/v3/tasks/lease" && leases.Add(1) == 1 {
+			// Claim a body is coming, send half a tasks frame, cut it off.
 			rec := httptest.NewRecorder()
 			inner.ServeHTTP(rec, r)
 			body := rec.Body.Bytes()

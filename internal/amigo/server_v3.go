@@ -7,9 +7,8 @@ import (
 	"roamsim/internal/wire"
 )
 
-// v3 binary routes. Same protocol semantics as v2 — ack-cursor leases,
-// idempotency-keyed uploads, 429 + Retry-After backpressure — but the
-// bodies are internal/wire frames instead of JSON, and the serving
+// v3 batch routes: ack-cursor leases, idempotency-keyed uploads and
+// 429 + Retry-After backpressure over internal/wire frames. The serving
 // path is allocation-free in steady state: frame buffers, decoders and
 // []Task/[]Result scratch all cycle through pools, and decoded result
 // payloads are detached onto one owned slab per batch before they
@@ -47,9 +46,9 @@ func (s *Server) readV3Frame(w http.ResponseWriter, r *http.Request, want byte, 
 }
 
 // handleV3Lease is POST /v3/tasks/lease: a MsgLeaseRequest frame in, a
-// MsgTasks frame out (204 when nothing is queued). Validation matches
-// parseLeaseRequest: ME required, Max clamped to [1, maxLeaseBatch]
-// (Ack cannot be negative on the wire — uvarints are unsigned).
+// MsgTasks frame out (204 when nothing is queued). The ME is required
+// and Max is clamped to [1, maxLeaseBatch] (Ack cannot be negative on
+// the wire — uvarints are unsigned).
 func (s *Server) handleV3Lease(w http.ResponseWriter, r *http.Request) {
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
@@ -87,9 +86,8 @@ func (s *Server) handleV3Lease(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleV3Results is POST /v3/results: a MsgResults frame in, 204 out
-// (429 + Retry-After when the spool is full, exactly like v2). The
-// Idempotency-Key header works unchanged — keys are codec-independent,
-// so a batch first attempted over v2 and retried over v3 still dedups.
+// (429 + Retry-After when the spool is full). A batch whose
+// Idempotency-Key header was already accepted is dropped (SubmitKeyed).
 func (s *Server) handleV3Results(w http.ResponseWriter, r *http.Request) {
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)

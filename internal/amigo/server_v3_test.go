@@ -3,8 +3,6 @@ package amigo
 import (
 	"bytes"
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,20 +11,10 @@ import (
 	"roamsim/internal/wire"
 )
 
-func v3Testbed(t *testing.T, iso string, opts ...Option) (*Server, *Endpoint, func()) {
-	t.Helper()
-	fixed := time.Date(2024, 3, 1, 12, 0, 0, 0, time.UTC)
-	srv := NewServer(func() time.Time { return fixed }, opts...)
-	hs := httptest.NewServer(srv.Handler())
-	ep := NewEndpoint("me-"+iso, hs.URL, world(t).Deployments[iso], rng.New(5))
-	ep.Proto = ProtoV3
-	return srv, ep, hs.Close
-}
-
 // TestV3EndToEnd runs the full register/lease/execute/upload loop over
 // the binary protocol and checks the results landed server-side.
 func TestV3EndToEnd(t *testing.T) {
-	srv, ep, done := v3Testbed(t, "PAK")
+	srv, ep, done := testbed(t, "PAK")
 	defer done()
 	if err := ep.Register(); err != nil {
 		t.Fatal(err)
@@ -70,10 +58,10 @@ func TestV3EndToEnd(t *testing.T) {
 	}
 }
 
-// TestV3LeaseAckRedelivery checks the ack-cursor semantics survive the
-// codec swap: an unacked lease is re-delivered byte-identically.
+// TestV3LeaseAckRedelivery checks the ack-cursor semantics end to end
+// over the wire: an unacked lease is re-delivered byte-identically.
 func TestV3LeaseAckRedelivery(t *testing.T) {
-	srv, ep, done := v3Testbed(t, "PAK")
+	srv, ep, done := testbed(t, "PAK")
 	defer done()
 	if err := ep.Register(); err != nil {
 		t.Fatal(err)
@@ -94,7 +82,6 @@ func TestV3LeaseAckRedelivery(t *testing.T) {
 	// A second endpoint incarnation that never acked re-leases the same
 	// tasks (fresh ack cursor, server redelivers outstanding).
 	ep2 := NewEndpoint("me-PAK", ep.BaseURL, ep.Dep, rng.New(6))
-	ep2.Proto = ProtoV3
 	again, err := ep2.Lease(2)
 	if err != nil {
 		t.Fatal(err)
@@ -105,9 +92,9 @@ func TestV3LeaseAckRedelivery(t *testing.T) {
 }
 
 // TestV3UploadIdempotency re-uploads the same batch and expects the
-// duplicate to be dropped by the codec-independent idempotency key.
+// duplicate to be dropped by its content-derived idempotency key.
 func TestV3UploadIdempotency(t *testing.T) {
-	srv, ep, done := v3Testbed(t, "PAK")
+	srv, ep, done := testbed(t, "PAK")
 	defer done()
 	batch := []Result{{TaskID: 7, ME: "me-PAK", Kind: "dns", Config: "esim", OK: true,
 		Payload: []byte(`{"rtt_ms":3}`)}}
@@ -120,59 +107,72 @@ func TestV3UploadIdempotency(t *testing.T) {
 	if got := len(srv.Results()); got != 1 {
 		t.Fatalf("server retained %d results, want 1 (dedup)", got)
 	}
-	// The same batch over v2 must also dedup: the key hashes content,
-	// not encoding.
-	ep.Proto = ProtoV2
-	if err := ep.Upload(batch); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(srv.Results()); got != 1 {
-		t.Fatalf("cross-codec duplicate ingested: %d results", got)
-	}
 }
 
-// TestV3Backpressure fills the spool with a blocked sink and expects
-// 429 + Retry-After on the v3 route, like v2.
+// TestV3Backpressure pins the shedding contract on POST /v3/results: a
+// batch the bounded spool cannot absorb — because it alone exceeds the
+// capacity, or because a stalled sink has left the spool full — is
+// answered 429 with the configured Retry-After hint, and never reaches
+// the sink.
 func TestV3Backpressure(t *testing.T) {
-	block := make(chan struct{})
-	sink := &blockingSink{release: block, busy: make(chan struct{})}
-	srv, ep, done := v3Testbed(t, "PAK", WithSink(sink), WithSpoolCapacity(1), WithRetryAfter(2*time.Second))
-	defer done()
-	_ = srv
-	// First upload occupies the sink; its spool slot drains.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = ep.Upload([]Result{{TaskID: 1, ME: "me-PAK", Kind: "dns", Config: "esim"}})
-	}()
-	sink.waitBusy(t)
-
-	// With the sink wedged, fill the spool from a second submitter (it
-	// spools its batch, then parks waiting to drain), then try an
-	// upload over v3: it must see 429 and the Retry-After hint.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = srv.Submit([]Result{{TaskID: 2, ME: "me-PAK"}})
-	}()
-	waitFor(t, func() bool { return srv.SpoolDepth() == 1 })
-	frame := wire.AppendResults(nil, []Result{{TaskID: 3, ME: "me-PAK", Kind: "dns", Config: "sim"}})
-	req, _ := http.NewRequest(http.MethodPost, ep.BaseURL+"/v3/results", bytes.NewReader(frame))
-	req.Header.Set("Content-Type", wire.ContentType)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name       string
+		spoolCap   int
+		batch      int
+		retryAfter time.Duration
+		wantHint   string
+		stall      bool // wedge the sink and fill the spool before uploading
+	}{
+		{"oversized-batch", 2, 3, 3 * time.Second, "3", false},
+		{"stalled-sink", 1, 1, 2 * time.Second, "2", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := &gateSink{entered: make(chan struct{}), gate: make(chan struct{}), inner: NewMemorySink()}
+			srv, ep, done := testbed(t, "PAK", WithSink(sink), WithSpoolCapacity(tc.spoolCap), WithRetryAfter(tc.retryAfter))
+			defer done()
+			var wg sync.WaitGroup
+			sunk := 0
+			if tc.stall {
+				// The first upload occupies the sink (its spool slot
+				// drains); a second submitter then spools its batch and
+				// parks waiting to drain, leaving the spool full.
+				sunk = 2
+				wg.Add(2)
+				go func() {
+					defer wg.Done()
+					_ = ep.Upload([]Result{{TaskID: 1, ME: "me-PAK", Kind: "dns", Config: "esim"}})
+				}()
+				<-sink.entered
+				go func() {
+					defer wg.Done()
+					_ = srv.Submit([]Result{{TaskID: 2, ME: "me-PAK"}})
+				}()
+				waitFor(t, func() bool { return srv.SpoolDepth() == tc.spoolCap })
+			}
+			batch := make([]Result, tc.batch)
+			for i := range batch {
+				batch[i] = Result{TaskID: 3 + i, ME: "me-PAK", Kind: "dns", Config: "sim"}
+			}
+			req, _ := http.NewRequest(http.MethodPost, ep.BaseURL+"/v3/results", bytes.NewReader(wire.AppendResults(nil, batch)))
+			req.Header.Set("Content-Type", wire.ContentType)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer drainClose(resp)
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("status = %d, want 429", resp.StatusCode)
+			}
+			if got := resp.Header.Get("Retry-After"); got != tc.wantHint {
+				t.Fatalf("Retry-After = %q, want %q", got, tc.wantHint)
+			}
+			close(sink.gate)
+			wg.Wait()
+			if got := sink.inner.Len(); got != sunk {
+				t.Errorf("sink holds %d results, want %d: a rejected batch must not reach it", got, sunk)
+			}
+		})
 	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") != "2" {
-		t.Fatalf("Retry-After = %q, want 2", resp.Header.Get("Retry-After"))
-	}
-	close(block)
-	wg.Wait()
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -187,35 +187,11 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// blockingSink parks the first Append until released, wedging the
-// spool behind it.
-type blockingSink struct {
-	release <-chan struct{}
-	busy    chan struct{}
-	once    sync.Once
-}
-
-func (s *blockingSink) Append(batch []Result) {
-	s.once.Do(func() {
-		close(s.busy)
-		<-s.release
-	})
-}
-
-func (s *blockingSink) waitBusy(t *testing.T) {
-	t.Helper()
-	select {
-	case <-s.busy:
-	case <-time.After(5 * time.Second):
-		t.Fatal("sink never engaged")
-	}
-}
-
 // TestV3RejectsBadRequests covers the negotiation and validation
 // surface: wrong content type (415), garbage frames, wrong message
 // type, and unknown MEs (404).
 func TestV3RejectsBadRequests(t *testing.T) {
-	_, ep, done := v3Testbed(t, "PAK")
+	_, ep, done := testbed(t, "PAK")
 	defer done()
 
 	post := func(path, ct string, body []byte) *http.Response {
@@ -260,10 +236,10 @@ func TestV3RejectsBadRequests(t *testing.T) {
 	}
 }
 
-// TestV3LeaseClampsMax mirrors the v2 clamp: a huge Max must not drain
-// more than maxLeaseBatch tasks in one response.
+// TestV3LeaseClampsMax: a huge Max must not drain more than
+// maxLeaseBatch tasks in one response.
 func TestV3LeaseClampsMax(t *testing.T) {
-	srv, ep, done := v3Testbed(t, "PAK")
+	srv, ep, done := testbed(t, "PAK")
 	defer done()
 	if err := ep.Register(); err != nil {
 		t.Fatal(err)
@@ -281,35 +257,6 @@ func TestV3LeaseClampsMax(t *testing.T) {
 	}
 	if len(tasks) != maxLeaseBatch {
 		t.Fatalf("leased %d tasks, want clamp at %d", len(tasks), maxLeaseBatch)
-	}
-}
-
-// TestWithMaxProtoV2 pins that WithMaxProto(2) leaves the v3 routes
-// unmounted.
-func TestWithMaxProtoV2(t *testing.T) {
-	srv := NewServer(nil, WithMaxProto(2))
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	frame := wire.AppendLeaseRequest(nil, wire.LeaseRequest{ME: "me-X", Max: 1})
-	req, _ := http.NewRequest(http.MethodPost, hs.URL+"/v3/tasks/lease", bytes.NewReader(frame))
-	req.Header.Set("Content-Type", wire.ContentType)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("v3 route with WithMaxProto(2): %d, want 404", resp.StatusCode)
-	}
-	// The v2 routes still work.
-	resp2, err := http.Post(hs.URL+"/v1/register", "application/json",
-		strings.NewReader(`{"me":"me-X","country":"PAK"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer drainClose(resp2)
-	if resp2.StatusCode != http.StatusNoContent {
-		t.Fatalf("v1 register under WithMaxProto(2): %d", resp2.StatusCode)
 	}
 }
 

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"roamsim/internal/amigo"
 	"roamsim/internal/chaos"
+	"roamsim/internal/shard"
 )
 
 // newChaosControlServer is newControlServer with the injector's storm
@@ -18,13 +18,7 @@ import (
 func newChaosControlServer(t testing.TB, inj *chaos.Injector) (*amigo.Server, *httptest.Server) {
 	t.Helper()
 	srv := amigo.NewServer(nil)
-	mux := http.NewServeMux()
-	h := srv.Handler()
-	mux.Handle("/v1/", h)
-	mux.Handle("/v2/", h)
-	mux.Handle("/v3/", h)
-	mux.Handle("/admin/", srv.AdminHandler())
-	hs := httptest.NewServer(inj.Middleware(mux))
+	hs := httptest.NewServer(inj.Middleware(shard.Mount(srv.Handler(), srv.AdminHandler())))
 	t.Cleanup(hs.Close)
 	return srv, hs
 }
@@ -37,6 +31,37 @@ func chaosTestPlan() Plan {
 		},
 		Configs: []string{"sim", "esim"}, Reps: 2,
 	}
+}
+
+// artifacts ingests a chaosTestPlan campaign and returns what the
+// differential tests compare: the dataset as JSON, Table 4, and the RTT
+// summary.
+func artifacts(t *testing.T, camp *Campaign) (dsBlob []byte, table4, rtt string) {
+	t.Helper()
+	plan := chaosTestPlan()
+	ds, err := Ingest(testWorld(t).Reg, camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob, Table4(ds, plan).String(), RTTSummary(ds, plan).String()
+}
+
+// serialOracle runs chaosTestPlan the way the paper's campaign ran —
+// RunInProcess: one ME at a time, one task per v1 poll, encoding/json
+// end to end — under the stream label and heartbeat setting the run*
+// helpers use. It is the baseline the fleet differential tests compare
+// every batched, sharded, faulted or virtual-time run against.
+func serialOracle(t *testing.T) (dsBlob []byte, table4, rtt string) {
+	t.Helper()
+	camp, err := RunInProcess(testWorld(t), chaosTestPlan(), testSeed, "chaos-eq", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return artifacts(t, camp)
 }
 
 // runChaosCampaign runs the plan under the given injector (nil = clean
@@ -57,15 +82,7 @@ func runChaosCampaign(t *testing.T, inj *chaos.Injector, workers int) (dsBlob []
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := Ingest(w.Reg, camp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := json.Marshal(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob, Table4(ds, plan).String(), RTTSummary(ds, plan).String()
+	return artifacts(t, camp)
 }
 
 // TestFleetChaosEquivalence is the headline differential test: a

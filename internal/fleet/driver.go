@@ -25,8 +25,8 @@ import (
 // Driver runs a fleet campaign against a live AmiGo control server.
 type Driver struct {
 	// BaseURL is the control server ("http://127.0.0.1:8080"). The
-	// server must expose both the /v1+/v2 Handler and the
-	// AdminHandler routes.
+	// server must expose both the amigo Handler and AdminHandler routes
+	// (shard.Mount).
 	BaseURL string
 	// Client is the HTTP client shared by every ME; nil gets a
 	// keep-alive-tuned default (the fleet would otherwise exhaust
@@ -40,12 +40,12 @@ type Driver struct {
 	// ME-to-worker assignment — and with it the quiescence schedule and
 	// final virtual timestamp — depend on scheduling instead of the seed.
 	Workers int
-	// LeaseBatch is the max tasks leased per v2 round trip (default 32).
+	// LeaseBatch is the max tasks leased per lease round trip (default
+	// 32).
 	LeaseBatch int
-	// Proto selects the batch protocol every ME speaks: "v2" (JSON, the
-	// default — "" means v2) or "v3" (binary wire frames). The ingested
-	// dataset is identical either way (TestFleetProtoEquivalence); v3
-	// exists to cut control-plane CPU at fleet scale.
+	// Proto must be "" or amigo.ProtoV3; Run rejects anything else.
+	//
+	// Deprecated: see amigo.ProtoV3.
 	Proto string
 	// StreamLabel names the campaign's parent rng fork (default
 	// "fleet"; "table4" reproduces the in-process device campaign's
@@ -217,10 +217,8 @@ func (d *Driver) Run(w *airalo.World, plan Plan) (*Campaign, error) {
 			return nil, fmt.Errorf("fleet: no deployment for country %q", sc.ISO)
 		}
 	}
-	switch d.Proto {
-	case "", amigo.ProtoV2, amigo.ProtoV3:
-	default:
-		return nil, fmt.Errorf("fleet: unknown protocol %q (want v2 or v3)", d.Proto)
+	if d.Proto != "" && d.Proto != amigo.ProtoV3 {
+		return nil, fmt.Errorf("fleet: unknown protocol %q (the batch protocol is v3)", d.Proto)
 	}
 	d.initObs()
 	client := d.client()
@@ -374,7 +372,6 @@ func (d *Driver) runIncarnation(client *http.Client, sc MESchedule, dep *airalo.
 	ep.Client = client
 	ep.Ctx = ctx
 	ep.Obs = d.Obs
-	ep.Proto = d.Proto
 	ep.Clock = d.clock()
 	ep.Realize = d.Realize
 	if d.Chaos != nil {
@@ -388,7 +385,8 @@ func (d *Driver) runIncarnation(client *http.Client, sc MESchedule, dep *airalo.
 	if err := ep.Register(); err != nil {
 		return false, err
 	}
-	if !*scheduled {
+	redelivered := *scheduled
+	if !redelivered {
 		ids, err := d.scheduleBatch(client, sc.Name, tasks)
 		if err != nil {
 			return false, err
@@ -413,6 +411,13 @@ func (d *Driver) runIncarnation(client *http.Client, sc MESchedule, dep *airalo.
 			return false, err
 		}
 		if n == 0 {
+			if round == 0 && redelivered && len(tasks) > 0 {
+				// Requeue restores the whole schedule, so an empty first
+				// lease means the server had none: the shard died and this
+				// incarnation's Register re-created the ME on its blank
+				// replacement before any request could answer "unknown ME".
+				return false, fmt.Errorf("fleet: %s: schedule lost on re-delivery: %w", sc.Name, amigo.ErrUnknownME)
+			}
 			return false, nil
 		}
 		d.met.tasksExecuted.Add(int64(n))

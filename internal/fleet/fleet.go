@@ -2,7 +2,7 @@
 // over the real HTTP control plane. The paper's testbed topped out at
 // ten rooted phones; fleet drives thousands of concurrent simulated
 // measurement endpoints (MEs) through the same register → lease →
-// execute → upload protocol (internal/amigo, v2 batch endpoints) and
+// execute → upload protocol (internal/amigo, v3 batch routes) and
 // folds the uploaded payloads back into core dataset records, so Table
 // 4 counts and Figure 11-style RTT aggregates can be regenerated from
 // fleet output and cross-checked against the in-process campaign.

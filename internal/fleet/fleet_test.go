@@ -3,13 +3,13 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"roamsim/internal/airalo"
 	"roamsim/internal/amigo"
 	"roamsim/internal/experiments"
+	"roamsim/internal/shard"
 )
 
 const testSeed = 21
@@ -28,18 +28,12 @@ func testWorld(t testing.TB) *airalo.World {
 	return sharedWorld
 }
 
-// newControlServer stands up a full control server (v1+v2+v3 + admin)
+// newControlServer stands up a full control server (protocol + admin)
 // the way cmd/amigo-server wires it.
 func newControlServer(t testing.TB, opts ...amigo.Option) (*amigo.Server, *httptest.Server) {
 	t.Helper()
 	srv := amigo.NewServer(nil, opts...)
-	mux := http.NewServeMux()
-	h := srv.Handler()
-	mux.Handle("/v1/", h)
-	mux.Handle("/v2/", h)
-	mux.Handle("/v3/", h)
-	mux.Handle("/admin/", srv.AdminHandler())
-	hs := httptest.NewServer(mux)
+	hs := httptest.NewServer(shard.Mount(srv.Handler(), srv.AdminHandler()))
 	t.Cleanup(hs.Close)
 	return srv, hs
 }

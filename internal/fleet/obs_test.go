@@ -14,6 +14,7 @@ import (
 	"roamsim/internal/amigo"
 	"roamsim/internal/chaos"
 	"roamsim/internal/obs"
+	"roamsim/internal/shard"
 )
 
 // newObsControlServer is the full control-server wiring with an
@@ -22,12 +23,7 @@ import (
 func newObsControlServer(t testing.TB, reg *obs.Registry, inj *chaos.Injector) *httptest.Server {
 	t.Helper()
 	srv := amigo.NewServer(nil, amigo.WithObs(reg))
-	mux := http.NewServeMux()
-	h := srv.Handler()
-	mux.Handle("/v1/", h)
-	mux.Handle("/v2/", h)
-	mux.Handle("/admin/", srv.AdminHandler())
-	var root http.Handler = mux
+	root := shard.Mount(srv.Handler(), srv.AdminHandler())
 	if inj != nil {
 		root = inj.Middleware(root)
 	}

@@ -2,78 +2,42 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"testing"
 
-	"roamsim/internal/amigo"
 	"roamsim/internal/chaos"
 )
 
-// runProtoCampaign is runChaosCampaign with the endpoint protocol
-// pinned: the same plan, seed, and stream label driven over the v2
-// JSON codec or the v3 binary codec, clean or under fault injection.
-func runProtoCampaign(t *testing.T, proto string, inj *chaos.Injector, workers int) (dsBlob []byte, table4, rtt string) {
-	t.Helper()
-	w := testWorld(t)
-	plan := chaosTestPlan()
-	var hs *httptest.Server
-	if inj != nil {
-		_, hs = newChaosControlServer(t, inj)
-	} else {
-		_, hs = newControlServer(t)
-	}
-	d := &Driver{BaseURL: hs.URL, Seed: testSeed, Workers: workers,
-		LeaseBatch: 4, StreamLabel: "chaos-eq", Heartbeat: true,
-		Chaos: inj, Proto: proto}
-	camp, err := d.Run(w, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := Ingest(w.Reg, camp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := json.Marshal(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob, Table4(ds, plan).String(), RTTSummary(ds, plan).String()
-}
-
-// TestFleetProtoEquivalence is the codec differential test: the same
+// TestFleetProtoEquivalence is the protocol differential test: the same
 // seeded campaign must ingest the byte-identical dataset, Table 4, and
-// RTT summary whether the fleet talks v2 JSON or v3 binary frames,
+// RTT summary whether it runs serially over the v1 JSON poll protocol
+// (the oracle) or through the fleet driver over v3 binary batch frames,
 // serially or in parallel, on a clean network or under chaos.Heavy.
 // The wire format is an encoding detail; it must never change data.
 func TestFleetProtoEquivalence(t *testing.T) {
-	wantDS, wantT4, wantRTT := runProtoCampaign(t, amigo.ProtoV2, nil, 1)
+	wantDS, wantT4, wantRTT := serialOracle(t)
 	if len(wantDS) == 0 || wantT4 == "" || wantRTT == "" {
 		t.Fatal("empty baseline artifacts")
 	}
 	cases := []struct {
-		proto   string
 		chaos   bool
 		workers int
 	}{
-		{amigo.ProtoV3, false, 1},
-		{amigo.ProtoV3, false, 4},
-		{amigo.ProtoV2, false, 4},
-		{amigo.ProtoV2, true, 4},
-		{amigo.ProtoV3, true, 1},
-		{amigo.ProtoV3, true, 4},
+		{false, 1},
+		{false, 4},
+		{true, 1},
+		{true, 4},
 	}
 	for _, tc := range cases {
-		name := fmt.Sprintf("%s/chaos=%v/workers=%d", tc.proto, tc.chaos, tc.workers)
+		name := fmt.Sprintf("v3/chaos=%v/workers=%d", tc.chaos, tc.workers)
 		t.Run(name, func(t *testing.T) {
 			var inj *chaos.Injector
 			if tc.chaos {
 				inj = chaos.NewInjector(7, chaos.Heavy())
 			}
-			gotDS, gotT4, gotRTT := runProtoCampaign(t, tc.proto, inj, tc.workers)
+			gotDS, gotT4, gotRTT := runChaosCampaign(t, inj, tc.workers)
 			if !bytes.Equal(gotDS, wantDS) {
-				msg := "dataset differs from v2 serial clean baseline"
+				msg := "dataset differs from the v1 serial oracle"
 				if inj != nil {
 					msg += "\nfault trace:\n" + inj.TraceString()
 				}
@@ -92,13 +56,15 @@ func TestFleetProtoEquivalence(t *testing.T) {
 	}
 }
 
-// TestDriverRejectsUnknownProto pins the flag-validation contract so a
-// typo'd -proto fails fast instead of silently running v2.
+// TestDriverRejectsUnknownProto pins that a stale protocol selector
+// fails loudly instead of silently running the one batch protocol.
 func TestDriverRejectsUnknownProto(t *testing.T) {
 	w := testWorld(t)
 	_, hs := newControlServer(t)
-	d := &Driver{BaseURL: hs.URL, Seed: testSeed, Proto: "v9"}
-	if _, err := d.Run(w, chaosTestPlan()); err == nil {
-		t.Fatal("Run accepted unknown protocol v9")
+	for _, proto := range []string{"v2", "v9"} {
+		d := &Driver{BaseURL: hs.URL, Seed: testSeed, Proto: proto}
+		if _, err := d.Run(w, chaosTestPlan()); err == nil {
+			t.Errorf("Run accepted protocol %q", proto)
+		}
 	}
 }

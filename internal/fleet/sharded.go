@@ -280,7 +280,7 @@ func (f *ShardedFleet) backend(i int, srv *amigo.Server) http.Handler {
 }
 
 func isUploadPath(path string) bool {
-	return path == "/v1/results" || path == "/v2/results" || path == "/v3/results"
+	return path == "/v1/results" || path == "/v3/results"
 }
 
 type statusRecorder struct {

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"roamsim/internal/amigo"
 	"roamsim/internal/chaos"
 	"roamsim/internal/obs"
 	"roamsim/internal/shard"
@@ -18,7 +17,7 @@ import (
 // sharded control plane and returns the ingested artifacts plus the
 // harness and driver for post-run assertions. The WAL lives in a test
 // tempdir with a tiny segment size so rotation is exercised.
-func runShardedCampaign(t *testing.T, proto string, cfg ShardedConfig, inj *chaos.Injector, reg *obs.Registry, workers int, clk vclock.Clock) (dsBlob []byte, table4, rtt string, f *ShardedFleet) {
+func runShardedCampaign(t *testing.T, cfg ShardedConfig, inj *chaos.Injector, reg *obs.Registry, workers int, clk vclock.Clock) (dsBlob []byte, table4, rtt string, f *ShardedFleet) {
 	t.Helper()
 	w := testWorld(t)
 	plan := chaosTestPlan()
@@ -35,71 +34,61 @@ func runShardedCampaign(t *testing.T, proto string, cfg ShardedConfig, inj *chao
 	t.Cleanup(hs.Close)
 	d := &Driver{BaseURL: hs.URL, Seed: testSeed, Workers: workers,
 		LeaseBatch: 4, StreamLabel: "chaos-eq", Heartbeat: true,
-		Chaos: inj, Proto: proto, Obs: reg, Clock: clk}
+		Chaos: inj, Obs: reg, Clock: clk}
 	camp, err := d.Run(w, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := Ingest(w.Reg, camp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := json.Marshal(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob, Table4(ds, plan).String(), RTTSummary(ds, plan).String(), f
+	dsBlob, table4, rtt = artifacts(t, camp)
+	return dsBlob, table4, rtt, f
 }
 
 // TestShardedFleetEquivalence is the sharding differential test: the
-// same seeded campaign, driven over v2 JSON or v3 binary frames,
-// against 1 shard or 4 shards with durable WAL sinks, must ingest the
-// byte-identical dataset, Table 4, and RTT summary as the clean
-// single-server run. Placement is a pure function of ME name, so
-// sharding — like the wire codec — is a deployment detail that must
-// never change data.
+// same seeded campaign against 1 shard or 4 shards with durable WAL
+// sinks must ingest the byte-identical dataset, Table 4, and RTT
+// summary as the serial single-server oracle. Placement is a pure
+// function of ME name, so sharding — like the wire codec — is a
+// deployment detail that must never change data.
 func TestShardedFleetEquivalence(t *testing.T) {
-	wantDS, wantT4, wantRTT := runProtoCampaign(t, amigo.ProtoV2, nil, 1)
+	wantDS, wantT4, wantRTT := serialOracle(t)
 	if len(wantDS) == 0 || wantT4 == "" || wantRTT == "" {
 		t.Fatal("empty baseline artifacts")
 	}
-	for _, proto := range []string{amigo.ProtoV2, amigo.ProtoV3} {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", proto, shards), func(t *testing.T) {
-				cfg := ShardedConfig{
-					Shards: shards, WALDir: t.TempDir(),
-					SegmentBytes: 4096, // force rotation mid-campaign
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("v3/shards=%d", shards), func(t *testing.T) {
+			cfg := ShardedConfig{
+				Shards: shards, WALDir: t.TempDir(),
+				SegmentBytes: 4096, // force rotation mid-campaign
+			}
+			gotDS, gotT4, gotRTT, f := runShardedCampaign(t, cfg, nil, nil, 4, nil)
+			if !bytes.Equal(gotDS, wantDS) {
+				t.Error("sharded dataset differs from single-server baseline")
+			}
+			if gotT4 != wantT4 {
+				t.Errorf("Table 4 differs:\nsharded:\n%s\nbaseline:\n%s", gotT4, wantT4)
+			}
+			if gotRTT != wantRTT {
+				t.Errorf("RTT summary differs:\nsharded:\n%s\nbaseline:\n%s", gotRTT, wantRTT)
+			}
+			// The WALs must actually have been written and rotated, or
+			// the durability half of this test proved nothing.
+			records, segments := 0, 0
+			for i := 0; i < shards; i++ {
+				wal := f.WAL(i)
+				if err := wal.Err(); err != nil {
+					t.Fatalf("shard %d WAL error: %v", i, err)
 				}
-				gotDS, gotT4, gotRTT, f := runShardedCampaign(t, proto, cfg, nil, nil, 4, nil)
-				if !bytes.Equal(gotDS, wantDS) {
-					t.Error("sharded dataset differs from single-server baseline")
-				}
-				if gotT4 != wantT4 {
-					t.Errorf("Table 4 differs:\nsharded:\n%s\nbaseline:\n%s", gotT4, wantT4)
-				}
-				if gotRTT != wantRTT {
-					t.Errorf("RTT summary differs:\nsharded:\n%s\nbaseline:\n%s", gotRTT, wantRTT)
-				}
-				// The WALs must actually have been written and rotated, or
-				// the durability half of this test proved nothing.
-				records, segments := 0, 0
-				for i := 0; i < shards; i++ {
-					wal := f.WAL(i)
-					if err := wal.Err(); err != nil {
-						t.Fatalf("shard %d WAL error: %v", i, err)
-					}
-					records += wal.Len()
-					n, _ := wal.Segments()
-					segments += n
-				}
-				if records == 0 {
-					t.Error("no results reached any WAL")
-				}
-				if segments <= shards {
-					t.Errorf("no WAL rotated (%d segments over %d shards) — shrink SegmentBytes", segments, shards)
-				}
-			})
-		}
+				records += wal.Len()
+				n, _ := wal.Segments()
+				segments += n
+			}
+			if records == 0 {
+				t.Error("no results reached any WAL")
+			}
+			if segments <= shards {
+				t.Errorf("no WAL rotated (%d segments over %d shards) — shrink SegmentBytes", segments, shards)
+			}
+		})
 	}
 }
 
@@ -123,7 +112,7 @@ func TestShardCrashRecoveryVirtual(t *testing.T) {
 }
 
 func runShardCrashRecoveryCases(t *testing.T, mkClock func() vclock.Clock) {
-	wantDS, wantT4, _ := runProtoCampaign(t, amigo.ProtoV2, nil, 1)
+	wantDS, wantT4, _ := serialOracle(t)
 
 	cases := []struct {
 		name string
@@ -165,7 +154,7 @@ func runShardCrashRecoveryCases(t *testing.T, mkClock func() vclock.Clock) {
 			walDir := t.TempDir()
 			cfg := ShardedConfig{Shards: 4, WALDir: walDir, SegmentBytes: 4096, Chaos: inj}
 			tc.mod(&cfg)
-			gotDS, gotT4, _, f := runShardedCampaign(t, amigo.ProtoV3, cfg, inj, reg, 4, mkClock())
+			gotDS, gotT4, _, f := runShardedCampaign(t, cfg, inj, reg, 4, mkClock())
 
 			if f.Kills() == 0 {
 				t.Fatal("no shard was killed; the test proved nothing")
@@ -174,7 +163,7 @@ func runShardCrashRecoveryCases(t *testing.T, mkClock func() vclock.Clock) {
 				t.Error("no ME ran shard recovery despite a kill")
 			}
 			if !bytes.Equal(gotDS, wantDS) {
-				t.Error("dataset after shard kill differs from clean single-server baseline")
+				t.Error("dataset after shard kill differs from the serial single-server baseline")
 			}
 			if gotT4 != wantT4 {
 				t.Errorf("Table 4 after shard kill differs:\ngot:\n%s\nwant:\n%s", gotT4, wantT4)
@@ -213,7 +202,11 @@ func runShardCrashRecoveryCases(t *testing.T, mkClock func() vclock.Clock) {
 // fault trace — kills included — replays exactly. With concurrent
 // workers the Nth upload at a shard depends on goroutine interleaving,
 // so the kill lands at a varying campaign moment; the dataset must be
-// byte-identical regardless.
+// byte-identical regardless — and equal to the serial oracle's, so that
+// two runs losing the same results cannot agree their way to a pass
+// (the serial schedule at this seed crashes an ME right after the
+// upload that kills its shard; see runIncarnation's empty-first-lease
+// check).
 func TestShardKillDeterminism(t *testing.T) {
 	mkInj := func() *chaos.Injector {
 		cfg := chaos.Heavy()
@@ -226,7 +219,7 @@ func TestShardKillDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 1, 4} {
 		inj := mkInj()
 		shardCfg := ShardedConfig{Shards: 4, WALDir: t.TempDir(), Chaos: inj}
-		blob, _, _, _ := runShardedCampaign(t, amigo.ProtoV2, shardCfg, inj, nil, workers, nil)
+		blob, _, _, _ := runShardedCampaign(t, shardCfg, inj, nil, workers, nil)
 		traces = append(traces, inj.TraceString())
 		blobs = append(blobs, blob)
 	}
@@ -238,5 +231,8 @@ func TestShardKillDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(blobs[0], blobs[2]) {
 		t.Error("dataset changed with worker count under shard kills")
+	}
+	if want, _, _ := serialOracle(t); !bytes.Equal(blobs[0], want) {
+		t.Error("serial dataset under shard kills differs from the serial oracle")
 	}
 }

@@ -2,23 +2,21 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"runtime"
 	"testing"
 	"time"
 
-	"roamsim/internal/amigo"
 	"roamsim/internal/chaos"
 	"roamsim/internal/vclock"
 )
 
-// runClockCampaign is runProtoCampaign with the campaign clock, pacing,
+// runClockCampaign is runChaosCampaign with the campaign clock, pacing,
 // and straggler watchdog under test control. It also returns the run's
 // Stats.Elapsed — on a virtual clock, the campaign's final virtual
 // timestamp, which the determinism test pins across worker counts.
-func runClockCampaign(t *testing.T, proto string, inj *chaos.Injector, workers int,
+func runClockCampaign(t *testing.T, inj *chaos.Injector, workers int,
 	clk vclock.Clock, realize bool, straggler time.Duration) (dsBlob []byte, table4, rtt string, elapsed time.Duration) {
 	t.Helper()
 	if v, ok := clk.(*vclock.Virtual); ok {
@@ -38,57 +36,48 @@ func runClockCampaign(t *testing.T, proto string, inj *chaos.Injector, workers i
 	}
 	d := &Driver{BaseURL: hs.URL, Seed: testSeed, Workers: workers,
 		LeaseBatch: 4, StreamLabel: "chaos-eq", Heartbeat: true,
-		Chaos: inj, Proto: proto, Clock: clk, Realize: realize, Straggler: straggler}
+		Chaos: inj, Clock: clk, Realize: realize, Straggler: straggler}
 	camp, err := d.Run(w, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := Ingest(w.Reg, camp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := json.Marshal(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob, Table4(ds, plan).String(), RTTSummary(ds, plan).String(), camp.Stats.Elapsed
+	dsBlob, table4, rtt = artifacts(t, camp)
+	return dsBlob, table4, rtt, camp.Stats.Elapsed
 }
 
 // TestVirtualTimeEquivalence is the clock differential test — the PR's
 // headline contract: a campaign driven on discrete-event virtual time
 // must ingest the byte-identical dataset, Table 4, and RTT summary as
-// the wall-clock run, across protocol (v2 JSON / v3 binary), scheduling
-// (serial / parallel), fault injection (clean / chaos.Heavy), and
-// pacing (instant / realized netsim durations). Time is plumbing; it
-// must never touch data.
+// the serial wall-clock oracle, across scheduling (serial / parallel),
+// fault injection (clean / chaos.Heavy), and pacing (instant / realized
+// netsim durations). Time is plumbing; it must never touch data.
 func TestVirtualTimeEquivalence(t *testing.T) {
-	wantDS, wantT4, wantRTT, _ := runClockCampaign(t, amigo.ProtoV2, nil, 1, nil, false, 0)
+	wantDS, wantT4, wantRTT := serialOracle(t)
 	if len(wantDS) == 0 || wantT4 == "" || wantRTT == "" {
 		t.Fatal("empty real-clock baseline artifacts")
 	}
 	cases := []struct {
-		proto   string
 		chaos   bool
 		workers int
 		realize bool
 	}{
-		{amigo.ProtoV2, false, 1, false},
-		{amigo.ProtoV2, false, 4, true}, // realized pacing, jumped over
-		{amigo.ProtoV2, true, 4, false},
-		{amigo.ProtoV3, false, 4, false},
-		{amigo.ProtoV3, true, 1, false},
-		{amigo.ProtoV3, true, 4, true}, // the full stack at once
+		{false, 1, false},
+		{false, 4, true}, // realized pacing, jumped over
+		{true, 4, false},
+		{false, 4, false},
+		{true, 1, false},
+		{true, 4, true}, // the full stack at once
 	}
 	for _, tc := range cases {
-		name := fmt.Sprintf("virtual/%s/chaos=%v/workers=%d/realize=%v",
-			tc.proto, tc.chaos, tc.workers, tc.realize)
+		name := fmt.Sprintf("virtual/v3/chaos=%v/workers=%d/realize=%v",
+			tc.chaos, tc.workers, tc.realize)
 		t.Run(name, func(t *testing.T) {
 			var inj *chaos.Injector
 			if tc.chaos {
 				inj = chaos.NewInjector(7, chaos.Heavy())
 			}
 			clk := vclock.NewVirtual()
-			gotDS, gotT4, gotRTT, elapsed := runClockCampaign(t, tc.proto, inj, tc.workers, clk, tc.realize, 30*time.Minute)
+			gotDS, gotT4, gotRTT, elapsed := runClockCampaign(t, inj, tc.workers, clk, tc.realize, 30*time.Minute)
 			if !bytes.Equal(gotDS, wantDS) {
 				msg := "virtual-clock dataset differs from real-clock baseline"
 				if inj != nil {
@@ -135,7 +124,7 @@ func TestVirtualDeterminism(t *testing.T) {
 			defer runtime.GOMAXPROCS(prev)
 			inj := chaos.NewInjector(7, chaos.Heavy())
 			clk := vclock.NewVirtual()
-			ds, _, _, elapsed := runClockCampaign(t, amigo.ProtoV3, inj, rc.workers, clk, true, 30*time.Minute)
+			ds, _, _, elapsed := runClockCampaign(t, inj, rc.workers, clk, true, 30*time.Minute)
 			if elapsed <= 0 {
 				t.Fatal("virtual campaign reports non-positive makespan")
 			}

@@ -21,13 +21,30 @@ import (
 // refused before a byte reaches a shard.
 const maxBody = 64 << 20
 
-// routes the gateway understands, in the order they appear in the
-// per-shard request counters.
-var routeNames = []string{
-	"v1/register", "v1/status", "v1/tasks", "v1/results",
-	"v2/lease", "v2/requeue", "v2/results",
-	"v3/lease", "v3/results",
-	"admin/schedule",
+// The data-plane routes the gateway forwards. A route's constant indexes
+// the per-shard request counters, and routeNames gives it its
+// gateway_requests_total{route=...} label.
+const (
+	routeV1Register = iota
+	routeV1Status
+	routeV1Tasks
+	routeV1Results
+	routeV2Requeue
+	routeV3Lease
+	routeV3Results
+	routeAdminSchedule
+	numRoutes
+)
+
+var routeNames = [numRoutes]string{
+	routeV1Register:    "v1/register",
+	routeV1Status:      "v1/status",
+	routeV1Tasks:       "v1/tasks",
+	routeV1Results:     "v1/results",
+	routeV2Requeue:     "v2/requeue",
+	routeV3Lease:       "v3/lease",
+	routeV3Results:     "v3/results",
+	routeAdminSchedule: "admin/schedule",
 }
 
 // Options configures a Gateway.
@@ -55,7 +72,7 @@ func newTopology(backends []http.Handler, reg *obs.Registry) *topology {
 	}
 	t.reqs = make([][]*obs.Counter, len(backends))
 	for s := range t.reqs {
-		t.reqs[s] = make([]*obs.Counter, len(routeNames))
+		t.reqs[s] = make([]*obs.Counter, numRoutes)
 		for rt, name := range routeNames {
 			// Counter handles are shared per (name, labels), so a swap to
 			// the same shard count reuses the existing series.
@@ -106,8 +123,8 @@ func NewGateway(backends []http.Handler, opts Options) *Gateway {
 }
 
 // Mount composes one amigo server's protocol and admin handlers into a
-// single backend the way cmd/roam-fleet self-hosting does: /v1/, /v2/,
-// /v3/ from the protocol handler, /admin/ from the admin handler.
+// single backend: /v1/, /v3/ and /v2/ (the requeue control route) from
+// the protocol handler, /admin/ from the admin handler.
 func Mount(protocol, admin http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", protocol)
@@ -181,18 +198,16 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) buildMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	// Data plane: peek the ME, forward whole to its shard.
-	mux.HandleFunc("POST /v1/register", g.routeJSON(0, jsonObjectME))
-	mux.HandleFunc("POST /v1/status", g.routeJSON(1, jsonObjectME))
+	mux.HandleFunc("POST /v1/register", g.routeJSON(routeV1Register))
+	mux.HandleFunc("POST /v1/status", g.routeJSON(routeV1Status))
 	mux.HandleFunc("GET /v1/tasks", func(w http.ResponseWriter, r *http.Request) {
-		g.forward(w, r, r.URL.Query().Get("me"), 2)
+		g.forward(w, r, r.URL.Query().Get("me"), routeV1Tasks)
 	})
-	mux.HandleFunc("POST /v1/results", g.routeJSON(3, jsonObjectME))
-	mux.HandleFunc("POST /v2/tasks/lease", g.routeJSON(4, jsonObjectME))
-	mux.HandleFunc("POST /v2/tasks/requeue", g.routeJSON(5, jsonObjectME))
-	mux.HandleFunc("POST /v2/results", g.routeJSON(6, jsonArrayME))
-	mux.HandleFunc("POST /v3/tasks/lease", g.routeV3(7))
-	mux.HandleFunc("POST /v3/results", g.routeV3(8))
-	mux.HandleFunc("POST /admin/schedule", g.routeJSON(9, jsonObjectME))
+	mux.HandleFunc("POST /v1/results", g.routeJSON(routeV1Results))
+	mux.HandleFunc("POST /v2/tasks/requeue", g.routeJSON(routeV2Requeue))
+	mux.HandleFunc("POST /v3/tasks/lease", g.routeV3(routeV3Lease))
+	mux.HandleFunc("POST /v3/results", g.routeV3(routeV3Results))
+	mux.HandleFunc("POST /admin/schedule", g.routeJSON(routeAdminSchedule))
 	// Admin read surface: merged views.
 	mux.HandleFunc("GET /admin/results", g.handleMergedResults)
 	mux.HandleFunc("GET /admin/mes", g.handleMergedMEs)
@@ -241,34 +256,17 @@ func jsonObjectME(body []byte) (string, error) {
 	return obj.ME, nil
 }
 
-// jsonArrayME peeks the first element's "me" out of a JSON array body
-// (the v2 upload batch; one batch always belongs to a single ME). An
-// empty batch routes to shard 0 — it carries no data, any shard can
-// no-op it.
-func jsonArrayME(body []byte) (string, error) {
-	var arr []struct {
-		ME string `json:"me"`
-	}
-	if err := json.Unmarshal(body, &arr); err != nil {
-		return "", err
-	}
-	if len(arr) == 0 {
-		return "", nil
-	}
-	return arr[0].ME, nil
-}
-
-// routeJSON buffers the body, peeks the ME with the given peek
-// function, and forwards. A body the peek cannot parse is rejected here
-// with 400 — the shard would reject it identically, so nothing
-// observable changes versus a single server.
-func (g *Gateway) routeJSON(route int, peek func([]byte) (string, error)) http.HandlerFunc {
+// routeJSON buffers the body, peeks the ME out of the JSON object, and
+// forwards. A body the peek cannot parse is rejected here with 400 —
+// the shard would reject it identically, so nothing observable changes
+// versus a single server.
+func (g *Gateway) routeJSON(route int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, ok := bufferBody(w, r)
 		if !ok {
 			return
 		}
-		me, err := peek(body)
+		me, err := jsonObjectME(body)
 		if err != nil {
 			http.Error(w, "bad request", http.StatusBadRequest)
 			return

@@ -2,9 +2,9 @@
 // consistent-hash Ring assigns each measurement endpoint (ME) to one of
 // N shards — each shard a full amigo.Server with its own registry,
 // queues and result sink — and a thin Gateway routes every protocol
-// request (v1/v2 JSON and v3 binary) to the owning shard by peeking the
-// ME name out of the request, merging only the admin read surface
-// across shards.
+// request (JSON control and v1 poll calls, v3 binary batch frames) to
+// the owning shard by peeking the ME name out of the request, merging
+// only the admin read surface across shards.
 //
 // Placement is a pure function of (ME name, shard count): the vnode
 // layout is fixed, the hash is FNV-1a finished with a splitmix64

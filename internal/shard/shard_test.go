@@ -68,9 +68,9 @@ func shardSet(t *testing.T, n int) (*Gateway, []*amigo.Server, *httptest.Server)
 
 // driveME runs one ME through the full protocol via the gateway and
 // returns its uploaded results.
-func driveME(t *testing.T, baseURL, me, proto string) []amigo.Result {
+func driveME(t *testing.T, baseURL, me string) []amigo.Result {
 	t.Helper()
-	ep := &amigo.Endpoint{Name: me, BaseURL: baseURL, Proto: proto}
+	ep := &amigo.Endpoint{Name: me, BaseURL: baseURL}
 	reg, _ := json.Marshal(map[string]string{"me": me, "country": me[:3]})
 	resp0, err := http.Post(baseURL+"/v1/register", "application/json", bytes.NewReader(reg))
 	if err != nil {
@@ -114,16 +114,15 @@ func driveME(t *testing.T, baseURL, me, proto string) []amigo.Result {
 	return out
 }
 
+// TestGatewayRoutesBothProtocols drives MEs through both body formats
+// the gateway peeks — JSON objects (register, schedule) and v3 frames
+// (lease, upload) — and checks each ME stayed on its ring shard.
 func TestGatewayRoutesBothProtocols(t *testing.T) {
 	gw, servers, hs := shardSet(t, 4)
 	mes := []string{"PAK-00", "PAK-01", "GEO-00", "GEO-01", "USA-00", "USA-01"}
 	want := 0
-	for i, me := range mes {
-		proto := amigo.ProtoV2
-		if i%2 == 1 {
-			proto = amigo.ProtoV3
-		}
-		want += len(driveME(t, hs.URL, me, proto))
+	for _, me := range mes {
+		want += len(driveME(t, hs.URL, me))
 	}
 	// Every ME's results must have landed wholly on its ring shard.
 	totalByShard := 0
@@ -162,7 +161,7 @@ func TestGatewayMergedResultsPagination(t *testing.T) {
 	mes := []string{"PAK-00", "GEO-00", "USA-00", "FRA-00", "JPN-00"}
 	uploaded := 0
 	for _, me := range mes {
-		uploaded += len(driveME(t, hs.URL, me, amigo.ProtoV2))
+		uploaded += len(driveME(t, hs.URL, me))
 	}
 
 	// cursor=-1 returns just the global cursor.
@@ -255,14 +254,14 @@ func TestGatewaySetBackendSwapsLive(t *testing.T) {
 	gw, _, hs := shardSet(t, 2)
 	me := "PAK-00"
 	shard := gw.Ring().Shard(me)
-	driveME(t, hs.URL, me, amigo.ProtoV2)
+	driveME(t, hs.URL, me)
 
 	// Swap the owning shard for a fresh empty server: the ME is now
 	// unknown there, and the lease route must answer 404.
 	fresh := amigo.NewServer(nil)
 	gw.SetBackend(shard, Mount(fresh.Handler(), fresh.AdminHandler()))
-	body, _ := json.Marshal(map[string]any{"me": me, "max": 1})
-	resp, err := http.Post(hs.URL+"/v2/tasks/lease", "application/json", bytes.NewReader(body))
+	frame := wire.AppendLeaseRequest(nil, wire.LeaseRequest{ME: me, Max: 1})
+	resp, err := http.Post(hs.URL+"/v3/tasks/lease", wire.ContentType, bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,6 +289,71 @@ func TestGatewayV3BadFrames(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: HTTP %d, want 400", tc.name, resp.StatusCode)
+		}
+	}
+}
+
+// TestGatewayRouteCounters sends one request per mounted data-plane
+// route through a 1-shard gateway and requires exactly that route's
+// gateway_requests_total series to move: a route constant filed under
+// another route's label would otherwise go unnoticed.
+func TestGatewayRouteCounters(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv := amigo.NewServer(nil)
+	gw := NewGateway([]http.Handler{Mount(srv.Handler(), srv.AdminHandler())}, Options{Obs: reg})
+	hs := httptest.NewServer(gw)
+	defer hs.Close()
+
+	const jsonCT = "application/json"
+	lease := wire.AppendLeaseRequest(nil, wire.LeaseRequest{ME: "m", Max: 1})
+	results := wire.AppendResults(nil, []wire.Result{{TaskID: 1, ME: "m"}})
+	cases := []struct {
+		method, path, contentType string
+		body                      []byte
+		label                     string
+	}{
+		{"POST", "/v1/register", jsonCT, []byte(`{"me":"m","country":"PAK"}`), "v1/register"},
+		{"POST", "/v1/status", jsonCT, []byte(`{"me":"m","vitals":{}}`), "v1/status"},
+		{"GET", "/v1/tasks?me=m", "", nil, "v1/tasks"},
+		{"POST", "/v1/results", jsonCT, []byte(`{"me":"m"}`), "v1/results"},
+		{"POST", "/v2/tasks/requeue", jsonCT, []byte(`{"me":"m"}`), "v2/requeue"},
+		{"POST", "/v3/tasks/lease", wire.ContentType, lease, "v3/lease"},
+		{"POST", "/v3/results", wire.ContentType, results, "v3/results"},
+		{"POST", "/admin/schedule", jsonCT, []byte(`{"me":"m","kind":"dns","config":"sim"}`), "admin/schedule"},
+	}
+	if len(cases) != numRoutes {
+		t.Fatalf("table covers %d routes, gateway mounts %d", len(cases), numRoutes)
+	}
+	counts := func() map[string]int64 {
+		out := map[string]int64{}
+		for _, name := range routeNames {
+			out[name] = reg.Counter("gateway_requests_total", obs.L("shard", "0"), obs.L("route", name)).Value()
+		}
+		return out
+	}
+	for _, tc := range cases {
+		before := counts()
+		req, err := http.NewRequest(tc.method, hs.URL+tc.path, bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", tc.contentType)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode >= 300 {
+			t.Fatalf("%s %s: HTTP %d", tc.method, tc.path, resp.StatusCode)
+		}
+		for name, after := range counts() {
+			want := before[name]
+			if name == tc.label {
+				want++
+			}
+			if after != want {
+				t.Errorf("%s %s: route=%q counter = %d, want %d", tc.method, tc.path, name, after, want)
+			}
 		}
 	}
 }

@@ -1,13 +1,14 @@
 // Package wire is the v3 binary wire protocol for the AmiGo control
-// plane: a length-prefixed, versioned frame codec for the lease
-// request/response and result-batch payloads that the v2 JSON protocol
-// ships as text. At fleet scale (10k+ MEs) `encoding/json` dominates
-// the control-plane CPU profile on both ends; wire replaces it with
-// `binary.BigEndian` field packing in the style of internal/gtp —
-// varint-packed integers and strings, explicit single-byte field tags —
-// while leaving the protocol *semantics* (ack-cursor leases,
-// idempotency keys, 429/Retry-After backpressure) untouched, so v2
-// remains the byte-identical compatibility oracle.
+// plane: a length-prefixed, versioned frame codec for the batch lease
+// request/response and result-batch payloads. At fleet scale (10k+ MEs)
+// `encoding/json` would dominate the control-plane CPU profile on both
+// ends; wire packs fields with `binary.BigEndian` in the style of
+// internal/gtp — varint-packed integers and strings, explicit
+// single-byte field tags. The codec carries data only: the protocol
+// semantics (ack-cursor leases, idempotency keys, 429/Retry-After
+// backpressure) live in internal/amigo, and the serial v1 JSON campaign
+// (fleet.RunInProcess) is the byte-identical oracle a v3 campaign's
+// dataset is checked against.
 //
 // # Frame layout
 //
@@ -57,7 +58,7 @@ import (
 )
 
 // Task is one instrumentation command for an ME. It is defined here —
-// rather than in internal/amigo, which aliases it — so the JSON (v1/v2)
+// rather than in internal/amigo, which aliases it — so the JSON (v1)
 // and binary (v3) codecs share one canonical struct.
 type Task struct {
 	ID   int    `json:"id"`
@@ -243,7 +244,7 @@ func uploadedNano(t time.Time) uint64 {
 
 // AppendLeaseRequest appends a complete MsgLeaseRequest frame to dst
 // and returns the extended slice. Negative Max/Ack must be clamped by
-// the caller (the amigo handlers clamp exactly as v2 does).
+// the caller (the amigo handler clamps Max to its lease-batch bound).
 func AppendLeaseRequest(dst []byte, req LeaseRequest) []byte {
 	dst, start := beginFrame(dst, MsgLeaseRequest)
 	dst = appendFieldString(dst, tagLeaseME, req.ME)

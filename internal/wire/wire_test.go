@@ -240,8 +240,7 @@ func TestReadFrame(t *testing.T) {
 	}
 
 	// Truncation mid-header and mid-payload must both fail loudly —
-	// this is what makes chaos truncation equivalent to v2's JSON
-	// decode error.
+	// this is what turns a chaos-truncated response into a retry.
 	for cut := 1; cut < len(frame); cut++ {
 		if _, _, err := ReadFrame(bytes.NewReader(frame[:cut]), nil); err == nil {
 			t.Fatalf("ReadFrame accepted a frame truncated at %d/%d bytes", cut, len(frame))

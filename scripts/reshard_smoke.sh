@@ -28,7 +28,7 @@ go build -o "$TMP/roam-gateway" ./cmd/roam-gateway
 
 # --- Part 1: live 1→4 reshard + compaction under -crosscheck. ---
 OUT="$TMP/fleet.txt"
-"$TMP/roam-fleet" -mes 12 -reps 1 -proto v3 \
+"$TMP/roam-fleet" -mes 12 -reps 1 \
     -shards 1 -wal-dir "$TMP/wal" -wal-segment-bytes 2048 \
     -reshard 4 -reshard-after 3 -compact-after 2 -crosscheck > "$OUT"
 

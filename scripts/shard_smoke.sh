@@ -2,6 +2,8 @@
 # shard_smoke.sh — end-to-end smoke for the sharded control plane and
 # the WAL result sink, via the real binaries. Run via `make shard-smoke`.
 #
+# Part 0: roam-fleet rejects an empty -countries list cleanly.
+#
 # Part 1: roam-fleet self-hosts a 4-shard plane with durable WALs, kills
 # a shard mid-campaign, and must still crosscheck byte-identical against
 # the serial in-process run.
@@ -24,9 +26,21 @@ trap cleanup EXIT INT TERM
 go build -o "$TMP/roam-fleet" ./cmd/roam-fleet
 go build -o "$TMP/roam-gateway" ./cmd/roam-gateway
 
+# --- Part 0: flag validation. An empty country list is refused with a
+# message and exit 1, not a divide-by-zero panic. ---
+set +e
+"$TMP/roam-fleet" -countries ",," > "$TMP/empty.txt" 2>&1
+RC=$?
+set -e
+if [ "$RC" -ne 1 ] || grep -q 'panic' "$TMP/empty.txt"; then
+    echo "shard-smoke: roam-fleet -countries ',,' exited $RC, want a clean exit 1" >&2
+    cat "$TMP/empty.txt" >&2
+    exit 1
+fi
+
 # --- Part 1: sharded self-host, one forced shard kill, crosscheck. ---
 OUT="$TMP/fleet.txt"
-"$TMP/roam-fleet" -mes 12 -reps 1 -proto v3 \
+"$TMP/roam-fleet" -mes 12 -reps 1 \
     -shards 4 -wal-dir "$TMP/wal-fleet" -kill-shard 0 -crosscheck > "$OUT"
 
 grep -q '^shards: 4 shards (WAL epoch 0), 1 killed and recovered' "$OUT" || {
@@ -53,7 +67,7 @@ until curl -sf "http://127.0.0.1:$PORT/admin/mes" >/dev/null 2>&1; do
     sleep 0.1
 done
 
-"$TMP/roam-fleet" -mes 12 -reps 1 -proto v2 \
+"$TMP/roam-fleet" -mes 12 -reps 1 \
     -server "http://127.0.0.1:$PORT" -crosscheck > "$TMP/drive.txt"
 grep -q '^crosscheck: fleet output matches' "$TMP/drive.txt" || {
     echo "shard-smoke: crosscheck failed against external gateway" >&2
