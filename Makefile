@@ -1,14 +1,18 @@
 GO ?= go
 
-.PHONY: verify vet lint lint-json lint-allows lint-guard build test race bench metrics-smoke shard-smoke reshard-smoke fuzz-short FORCE
+.PHONY: verify fmt-check vet lint lint-json lint-allows lint-guard build test race bench metrics-smoke shard-smoke reshard-smoke fuzz-short FORCE
 
-## verify: the CI entry point — vet, the roamvet determinism/hygiene
+## verify: the CI entry point — gofmt, vet, the roamvet determinism/hygiene
 ## analyzers, build, every test suite under the race detector (the
 ## chaos, shard, reshard and virtual-time differential suites included),
 ## then the smokes that drive real binaries: the observability endpoint,
 ## the sharded control plane / WAL durability, and live resharding + WAL
 ## compaction.
-verify: vet lint lint-guard build race metrics-smoke shard-smoke reshard-smoke
+verify: fmt-check vet lint lint-guard build race metrics-smoke shard-smoke reshard-smoke
+
+## fmt-check: fail, naming the files, if anything is not gofmt-clean.
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
 
 vet:
 	$(GO) vet ./...

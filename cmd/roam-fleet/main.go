@@ -53,10 +53,13 @@
 // shard and re-register, and the ingested dataset must still be
 // byte-identical (pair with -crosscheck to prove it end to end).
 //
-// -compact-after N compacts a shard's WAL whenever its sealed-segment
-// count reaches N: the replayed history is folded into one canonical
-// segment and the sources are retired, bounding on-disk growth without
-// losing a record. -reshard N live-reshards the running control plane
+// -compact-after N compacts a shard's WAL whenever N plain sealed
+// segments have accumulated since its last compaction artifact: they
+// are merged into one new canonical artifact and retired, without
+// losing a record. Artifacts are never merged again, so each byte is
+// rewritten at most once and a shard keeps about log bytes / (N x
+// segment bytes) artifacts, at most N plain sealed segments and the
+// active one. -reshard N live-reshards the running control plane
 // onto N shards after the fleet's -reshard-after-th accepted upload:
 // the gateway quiesces, every durable result is re-routed into a fresh
 // per-shard WAL set under the next epoch directory, and the campaign
@@ -109,7 +112,7 @@ func main() {
 	shards := flag.Int("shards", 1, "self-hosted control-plane shard count (>1 = consistent-hash gateway over N servers)")
 	walDir := flag.String("wal-dir", "", "durable WAL directory for shard result sinks (empty = in-memory sinks)")
 	killShard := flag.Int("kill-shard", -1, "kill this shard once after its first accepted upload (-1 = off); requires -shards > 1")
-	compactAfter := flag.Int("compact-after", 0, "compact a shard's WAL when its sealed-segment count reaches N (0 = never); requires -wal-dir")
+	compactAfter := flag.Int("compact-after", 0, "compact a shard's WAL when N plain sealed segments have accumulated since its last compaction artifact (0 = never); artifacts are never re-merged, so a shard keeps about log bytes / (N x segment bytes) of them; requires -wal-dir")
 	walSegBytes := flag.Int("wal-segment-bytes", 0, "WAL segment rotation size in bytes (0 = walsink default); small values force rotation so -compact-after has prey")
 	reshardTo := flag.Int("reshard", 0, "live-reshard the control plane onto N shards mid-campaign (0 = off); requires -wal-dir")
 	reshardAfter := flag.Int("reshard-after", 1, "fire -reshard after the fleet's Uth accepted upload")

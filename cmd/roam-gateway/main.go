@@ -15,10 +15,13 @@
 // Admin reads (/admin/results, /admin/mes) are merged across shards by
 // the gateway; /admin/schedule routes to the owning shard. With
 // -metrics the gateway serves its per-shard routing counters and every
-// WAL's durability metrics at /admin/metrics. With -compact-after a
-// shard's WAL is compacted — its replayed history folded into one
-// canonical segment, the sources retired — whenever its sealed-segment
-// count reaches the threshold, bounding on-disk growth.
+// WAL's durability metrics at /admin/metrics. With -compact-after N a
+// shard's WAL is compacted whenever N plain sealed segments have
+// accumulated since its last compaction artifact: they are merged into
+// one new canonical artifact and retired. Artifacts are never merged
+// again, so each byte is rewritten at most once and a shard keeps about
+// log bytes / (N x segment bytes) artifacts, at most N plain sealed
+// segments and the active one.
 //
 // On SIGINT/SIGTERM the gateway shuts down cleanly, syncing and closing
 // every shard WAL; restarting over the same -wal-dir replays the logs
@@ -47,7 +50,7 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:8431", "listen address")
 	shards := flag.Int("shards", 4, "control-plane shard count")
 	walDir := flag.String("wal-dir", "", "durable WAL directory; every shard logs results under <dir>/shard-<i> (empty = in-memory sinks)")
-	compactAfter := flag.Int("compact-after", 0, "compact a shard's WAL when its sealed-segment count reaches N (0 = never); requires -wal-dir")
+	compactAfter := flag.Int("compact-after", 0, "compact a shard's WAL when N plain sealed segments have accumulated since its last compaction artifact (0 = never); artifacts are never re-merged, so a shard keeps about log bytes / (N x segment bytes) of them; requires -wal-dir")
 	metrics := flag.Bool("metrics", false, "instrument the gateway and WALs; exposition at /admin/metrics")
 	flag.Parse()
 

@@ -192,15 +192,15 @@ type Injector struct {
 	seed int64
 	cfg  Config
 
-	mu         sync.Mutex
-	events     []Event
-	meSeq      map[string]int // per-ME append order, for canonical sorting
-	crashes    map[string]int // injected crashes so far, per ME
-	mwSeen     map[string]int // per-(ME, op) middleware attempt counters
-	faults     map[string]int // injected faults so far, per kind
-	shardKills   int          // injected shard kills so far, fleet-wide
-	compactKills int          // injected compaction kills so far, fleet-wide
-	clk          vclock.Clock // latency-spike time source (nil = wall)
+	mu           sync.Mutex
+	events       []Event
+	meSeq        map[string]int // per-ME append order, for canonical sorting
+	crashes      map[string]int // injected crashes so far, per ME
+	mwSeen       map[string]int // per-(ME, op) middleware attempt counters
+	faults       map[string]int // injected faults so far, per kind
+	shardKills   int            // injected shard kills so far, fleet-wide
+	compactKills int            // injected compaction kills so far, fleet-wide
+	clk          vclock.Clock   // latency-spike time source (nil = wall)
 }
 
 // FaultKinds are the fault labels an Injector can record, in canonical

@@ -168,32 +168,36 @@ func ReplayLatestWALs(root string) ([]amigo.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []amigo.Result
-	for i := 0; i < shards; i++ {
-		if out, err = replayDirInto(out, EpochWALDir(root, epoch, i)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return replayEpoch(root, epoch, shards)
 }
 
-// replayDirInto opens one shard WAL read-only in spirit, appends its
-// full replay to out, and closes it.
-func replayDirInto(out []amigo.Result, dir string) ([]amigo.Result, error) {
-	wal, err := walsink.Open(dir, walsink.Options{})
-	if err != nil {
-		return nil, err
+// replayEpoch opens every shard WAL of one epoch read-only in spirit,
+// streams their full replays into one slice sized up front from the
+// opened logs' lengths, and closes them.
+func replayEpoch(root string, epoch, shards int) ([]amigo.Result, error) {
+	wals := make([]*walsink.Sink, 0, shards)
+	defer func() {
+		for _, wal := range wals {
+			wal.Close() // nothing was appended, so there is nothing to flush
+		}
+	}()
+	total := 0
+	for i := 0; i < shards; i++ {
+		wal, err := walsink.Open(EpochWALDir(root, epoch, i), walsink.Options{})
+		if err != nil {
+			return nil, err
+		}
+		wals = append(wals, wal)
+		total += wal.Len()
 	}
-	_, err = wal.Replay(0, func(r amigo.Result) error {
-		out = append(out, r)
-		return nil
-	})
-	closeErr := wal.Close()
-	if err != nil {
-		return nil, err
-	}
-	if closeErr != nil {
-		return nil, closeErr
+	out := make([]amigo.Result, 0, total)
+	for _, wal := range wals {
+		if _, err := wal.Replay(0, func(r amigo.Result) error {
+			out = append(out, r)
+			return nil
+		}); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -238,8 +242,11 @@ func (f *ShardedFleet) compactCrashFn(i int) func(string) bool {
 	}
 }
 
-// maybeCompact compacts shard i's WAL once its sealed-segment count
-// reaches CompactAfter. It runs synchronously inside the upload request
+// maybeCompact compacts shard i's WAL once CompactAfter plain sealed
+// segments have accumulated since its last compaction artifact (counting
+// every segment would, with several artifacts alive, fire on every
+// upload). The check runs on every accepted upload and allocates
+// nothing. It runs synchronously inside the upload request
 // on purpose: the gateway's Pause() drains in-flight requests, so a
 // reshard can never swap the WAL set out from under a running
 // compaction. A compaction that dies at an injected crash point
@@ -251,7 +258,7 @@ func (f *ShardedFleet) maybeCompact(i int, wal *walsink.Sink) {
 	if f.cfg.CompactAfter <= 0 || wal == nil {
 		return
 	}
-	if n, _ := wal.Segments(); n-1 < f.cfg.CompactAfter {
+	if wal.SealedSinceCompact() < f.cfg.CompactAfter {
 		return
 	}
 	if _, err := wal.Compact(wal.Len()); err != nil {

@@ -167,9 +167,9 @@ func TestCompactionCrashRecovery(t *testing.T) {
 	walDir := t.TempDir()
 	cfg := ShardedConfig{
 		Shards: 2, WALDir: walDir,
-		SegmentBytes: 1024, // many small segments: compaction fires early
-		CompactAfter: 2,
-		Obs:          reg,
+		SegmentBytes:     1024, // many small segments: compaction fires early
+		CompactAfter:     2,
+		Obs:              reg,
 		ForceCompactKill: true,
 		// Crash the shard that owns an ME in this small plan; placement
 		// is a pure function of the name.

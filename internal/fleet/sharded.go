@@ -39,10 +39,14 @@ type ShardedConfig struct {
 	// ReshardStep); requires WALDir — resharding replays the durable
 	// log, so there is nothing to reshard from with in-memory sinks.
 	Reshards []ReshardStep
-	// CompactAfter, when > 0, compacts a shard's WAL whenever its
-	// sealed-segment count reaches CompactAfter, folding the replayed
-	// history into one canonical segment and retiring the sources.
-	// Requires WALDir.
+	// CompactAfter, when > 0, compacts a shard's WAL whenever
+	// CompactAfter plain sealed segments have accumulated since its last
+	// compaction artifact, merging them into one new canonical artifact
+	// and retiring the sources. Artifacts are never merged again, so
+	// every appended byte is rewritten at most once and a shard holds
+	// about log bytes ÷ (CompactAfter × SegmentBytes) artifacts, at most
+	// CompactAfter plain sealed segments and the active one. Requires
+	// WALDir.
 	CompactAfter int
 	// ForceCompactKill kills shard ForceCompactKillShard at its first
 	// compaction's post-rename crash point (compacted segment committed,
@@ -83,18 +87,18 @@ type ShardedFleet struct {
 	kills   int             // shard kills performed; guarded by mu
 	forced  bool            // the ForceKill one-shot has fired; guarded by mu
 
-	epoch         int               // live WAL epoch, bumped per reshard; guarded by mu
-	total         int               // accepted uploads fleet-wide, across epochs; guarded by mu
-	nextReshard   int               // next cfg.Reshards step to fire; guarded by mu
-	resharding    bool              // a reshard is in flight; guarded by mu
-	reshards      int               // reshards completed; guarded by mu
+	epoch         int                // live WAL epoch, bumped per reshard; guarded by mu
+	total         int                // accepted uploads fleet-wide, across epochs; guarded by mu
+	nextReshard   int                // next cfg.Reshards step to fire; guarded by mu
+	resharding    bool               // a reshard is in flight; guarded by mu
+	reshards      int                // reshards completed; guarded by mu
 	lastReshard   shard.ReshardStats // stats of the latest reshard; guarded by mu
-	reshardErr    error             // first reshard failure; guarded by mu
-	compactPoints map[int]int       // compaction crash points seen per shard; guarded by mu
-	compactForced bool              // the ForceCompactKill one-shot has fired; guarded by mu
-	compactKills  int               // compact-kills performed; guarded by mu
-	compactErr    error             // first non-crash compaction failure; guarded by mu
-	wg            sync.WaitGroup    // in-flight reshard goroutine
+	reshardErr    error              // first reshard failure; guarded by mu
+	compactPoints map[int]int        // compaction crash points seen per shard; guarded by mu
+	compactForced bool               // the ForceCompactKill one-shot has fired; guarded by mu
+	compactKills  int                // compact-kills performed; guarded by mu
+	compactErr    error              // first non-crash compaction failure; guarded by mu
+	wg            sync.WaitGroup     // in-flight reshard goroutine
 }
 
 // NewShardedFleet builds the shard servers, their sinks, and the
@@ -368,12 +372,5 @@ func (f *ShardedFleet) Close() error {
 // the post-crash recovery read. The sinks are opened read-only in
 // spirit (nothing is appended) and closed before returning.
 func ReplayWALs(dir string, shards int) ([]amigo.Result, error) {
-	var out []amigo.Result
-	var err error
-	for i := 0; i < shards; i++ {
-		if out, err = replayDirInto(out, ShardWALDir(dir, i)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return replayEpoch(dir, 0, shards)
 }

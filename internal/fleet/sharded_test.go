@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"roamsim/internal/amigo"
 	"roamsim/internal/chaos"
 	"roamsim/internal/obs"
 	"roamsim/internal/shard"
@@ -234,5 +235,44 @@ func TestShardKillDeterminism(t *testing.T) {
 	}
 	if want, _, _ := serialOracle(t); !bytes.Equal(blobs[0], want) {
 		t.Error("serial dataset under shard kills differs from the serial oracle")
+	}
+}
+
+// TestMaybeCompactAllocFreeWhenNothingIsDue: the compaction check runs
+// inside every accepted upload, so while nothing is due — here with two
+// artifacts already alive and one plain segment short of the threshold —
+// it must cost no allocation (and so parse no segment name).
+func TestMaybeCompactAllocFreeWhenNothingIsDue(t *testing.T) {
+	const compactAfter = 3
+	f, err := NewShardedFleet(ShardedConfig{Shards: 1, WALDir: t.TempDir(), SegmentBytes: 512, CompactAfter: compactAfter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	wal := f.WAL(0)
+	batch := 0
+	fill := func(sealed int) {
+		for wal.SealedSinceCompact() < sealed {
+			wal.Append([]amigo.Result{mkDNSResult("me-PAK-0", batch, "example.org")})
+			batch++
+		}
+	}
+	for artifacts := 1; artifacts <= 2; artifacts++ {
+		fill(compactAfter)
+		f.maybeCompact(0, wal)
+		if n, _ := wal.Segments(); n != artifacts+1 {
+			t.Fatalf("after compaction %d: %d segments, want %d artifacts + active", artifacts, n, artifacts)
+		}
+	}
+	fill(compactAfter - 1)
+	before := wal.Retired()
+	if a := testing.AllocsPerRun(200, func() { f.maybeCompact(0, wal) }); a != 0 {
+		t.Fatalf("maybeCompact with nothing due allocates %.0f times per upload", a)
+	}
+	if wal.Retired() != before {
+		t.Fatal("maybeCompact compacted below the CompactAfter threshold")
+	}
+	if err := f.CompactErr(); err != nil {
+		t.Fatal(err)
 	}
 }

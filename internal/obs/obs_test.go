@@ -112,9 +112,9 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	r := NewRegistry()
 	h := r.Histogram("hb_ms")
-	h.Observe(0)            // below the first bound -> bucket 0
-	h.Observe(0.001)        // exactly the first bound -> bucket 0 (le semantics)
-	h.Observe(0.0011)       // just above -> bucket 1
+	h.Observe(0)               // below the first bound -> bucket 0
+	h.Observe(0.001)           // exactly the first bound -> bucket 0 (le semantics)
+	h.Observe(0.0011)          // just above -> bucket 1
 	h.Observe(math.MaxFloat64) // beyond every bound -> +Inf bucket
 	s := h.Snapshot()
 	if s.Buckets[0] != 2 || s.Buckets[1] != 1 || s.Buckets[histBuckets] != 1 {

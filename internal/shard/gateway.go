@@ -3,9 +3,11 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -15,10 +17,11 @@ import (
 	"roamsim/internal/wire"
 )
 
-// maxBody bounds how much of a request body the gateway buffers for the
-// routing peek. It matches the largest legitimate upload (a full
+// maxBody bounds how much of a JSON request body the gateway buffers for
+// the routing peek. It matches the largest legitimate upload (a full
 // campaign's worth of payloads is far smaller); anything bigger is
-// refused before a byte reaches a shard.
+// refused before a byte reaches a shard. v3 bodies are one frame, and
+// bounded by wire.MaxFrame from the frame header instead.
 const maxBody = 64 << 20
 
 // The data-plane routes the gateway forwards. A route's constant indexes
@@ -218,9 +221,9 @@ func (g *Gateway) buildMux() *http.ServeMux {
 	return mux
 }
 
-// forward dispatches the (body-rewound) request to me's shard. One
-// topology load covers both the placement and the backend, so a
-// concurrent swap can never route by one ring and serve from another.
+// forward dispatches the request to me's shard. One topology load
+// covers both the placement and the backend, so a concurrent swap can
+// never route by one ring and serve from another.
 func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, me string, route int) {
 	t := g.topo.Load()
 	shard := t.ring.Shard(me)
@@ -228,21 +231,80 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, me string, rou
 	t.backends[shard].ServeHTTP(w, r)
 }
 
-// bufferBody reads the whole request body (bounded) and rewinds the
-// request so the backend sees it untouched.
-func bufferBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
-	if err != nil {
-		http.Error(w, "reading body", http.StatusBadRequest)
-		return nil, false
-	}
-	if len(body) > maxBody {
+// pooledBody is the request body the backend reads: a reader over the
+// pooled buffer the gateway read the upload into. The gateway touches
+// each uploaded byte once — socket to buffer — and the shard decodes
+// straight out of that buffer's reader into its own pooled frame.
+type pooledBody struct {
+	bytes.Reader
+	buf *[]byte
+}
+
+func (*pooledBody) Close() error { return nil }
+
+var bodyPool = sync.Pool{New: func() any { return new(pooledBody) }}
+
+// takeBody borrows a body with an empty wire.GetBuf buffer.
+func takeBody() *pooledBody {
+	b := bodyPool.Get().(*pooledBody)
+	b.buf = wire.GetBuf()
+	return b
+}
+
+// release re-pools the buffer and the body. The routes defer it, so it
+// runs once the backend has returned: nothing may alias the buffer
+// afterwards.
+func (b *pooledBody) release() {
+	b.Reset(nil)
+	wire.PutBuf(b.buf)
+	b.buf = nil
+	bodyPool.Put(b)
+}
+
+// forwardBody hands the buffered body to me's shard as the request's
+// body.
+func (g *Gateway) forwardBody(w http.ResponseWriter, r *http.Request, b *pooledBody, me string, route int) {
+	b.Reset(*b.buf)
+	r.Body = b
+	r.ContentLength = int64(len(*b.buf))
+	g.forward(w, r, me, route)
+}
+
+// maxPresize is how much of a declared Content-Length the gateway
+// allocates before the bytes arrive; a longer body grows the buffer as
+// it is read, so a client cannot reserve 64 MiB with a header.
+const maxPresize = 1 << 20
+
+// readJSONBody reads the whole (bounded) request body into b's buffer,
+// sized from Content-Length when the client declared one. It answers
+// 400 / 413 itself and reports whether the body is ready.
+func readJSONBody(w http.ResponseWriter, r *http.Request, b *pooledBody) bool {
+	if r.ContentLength > maxBody {
 		http.Error(w, "body too large", http.StatusRequestEntityTooLarge)
-		return nil, false
+		return false
 	}
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	r.ContentLength = int64(len(body))
-	return body, true
+	// One spare byte lets the read that discovers EOF land without
+	// growing the buffer.
+	buf := slices.Grow((*b.buf)[:0], int(min(r.ContentLength, maxPresize))+1)
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 1)
+		}
+		n, err := r.Body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		*b.buf = buf // keep any growth pooled
+		if len(buf) > maxBody {
+			http.Error(w, "body too large", http.StatusRequestEntityTooLarge)
+			return false
+		}
+		if err == io.EOF {
+			return true
+		}
+		if err != nil {
+			http.Error(w, "reading body", http.StatusBadRequest)
+			return false
+		}
+	}
 }
 
 // jsonObjectME peeks {"me": ...} out of a JSON object body.
@@ -256,24 +318,52 @@ func jsonObjectME(body []byte) (string, error) {
 	return obj.ME, nil
 }
 
-// routeJSON buffers the body, peeks the ME out of the JSON object, and
-// forwards. A body the peek cannot parse is rejected here with 400 —
-// the shard would reject it identically, so nothing observable changes
-// versus a single server.
+// routeJSON reads the body into a pooled buffer, peeks the ME out of
+// the JSON object, and forwards. A body the peek cannot parse is
+// rejected here with 400 — the shard would reject it identically, so
+// nothing observable changes versus a single server.
 func (g *Gateway) routeJSON(route int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, ok := bufferBody(w, r)
-		if !ok {
+		b := takeBody()
+		defer b.release()
+		if !readJSONBody(w, r, b) {
 			return
 		}
-		me, err := jsonObjectME(body)
+		me, err := jsonObjectME(*b.buf)
 		if err != nil {
 			http.Error(w, "bad request", http.StatusBadRequest)
 			return
 		}
-		g.forward(w, r, me, route)
+		g.forwardBody(w, r, b, me, route)
 	}
 }
+
+// readFrame reads the one v3 frame that must be the whole body into
+// b's buffer, sized from the frame header — so a header declaring more
+// than wire.MaxFrame is refused before any payload is read. It returns
+// the parsed header; the buffer then holds header and payload.
+func readFrame(body io.Reader, b *pooledBody) (wire.Header, error) {
+	buf := slices.Grow((*b.buf)[:0], wire.HeaderLen)[:wire.HeaderLen]
+	if _, err := io.ReadFull(body, buf); err != nil {
+		return wire.Header{}, errNotOneFrame
+	}
+	h, err := wire.ParseHeader(buf)
+	if err != nil {
+		return h, err
+	}
+	// Ask for one byte more than the header declares: the frame is the
+	// whole body exactly when that read comes back one byte short at EOF.
+	frame := wire.HeaderLen + int(h.N)
+	buf = slices.Grow(buf, int(h.N)+1)[:frame+1]
+	n, err := io.ReadFull(body, buf[wire.HeaderLen:])
+	*b.buf = buf[:frame] // keep any growth pooled
+	if n != int(h.N) || (err != io.EOF && err != io.ErrUnexpectedEOF) {
+		return h, errNotOneFrame
+	}
+	return h, nil
+}
+
+var errNotOneFrame = errors.New("shard: body is not exactly one v3 frame")
 
 // routeV3 peeks the ME out of a binary wire frame: the header names the
 // message type, and LeaseRequest.ME / the first upload record's ME
@@ -282,20 +372,14 @@ func (g *Gateway) routeJSON(route int) http.HandlerFunc {
 // frame as usual.
 func (g *Gateway) routeV3(route int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, ok := bufferBody(w, r)
-		if !ok {
-			return
-		}
-		if len(body) < wire.HeaderLen {
-			http.Error(w, "short frame", http.StatusBadRequest)
-			return
-		}
-		h, err := wire.ParseHeader(body[:wire.HeaderLen])
-		if err != nil || len(body) != wire.HeaderLen+int(h.N) {
+		b := takeBody()
+		defer b.release()
+		h, err := readFrame(r.Body, b)
+		if err != nil {
 			http.Error(w, "bad frame", http.StatusBadRequest)
 			return
 		}
-		payload := body[wire.HeaderLen:]
+		payload := (*b.buf)[wire.HeaderLen:]
 		dec := wire.GetDecoder()
 		var me string
 		switch h.Type {
@@ -313,7 +397,7 @@ func (g *Gateway) routeV3(route int) http.HandlerFunc {
 			http.Error(w, "bad frame", http.StatusBadRequest)
 			return
 		}
-		g.forward(w, r, me, route)
+		g.forwardBody(w, r, b, me, route)
 	}
 }
 

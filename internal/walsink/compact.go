@@ -1,12 +1,26 @@
 package walsink
 
-// WAL compaction: Compact rewrites the log's fully-replayed head
-// segments into a single compacted segment and retires the originals,
-// bounding the file count (and the per-frame overhead) for campaigns
-// that outlive SegmentBytes × N. Compaction never drops or reorders a
-// result — the compacted segment carries the byte-equivalent record
-// stream re-batched into dense canonical frames with fresh CRCs, so
-// Replay before and after a compaction yields the identical sequence.
+// WAL compaction: Compact merges the plain sealed segments that follow
+// the newest compacted artifact into one new compacted segment and
+// retires the originals, bounding the file count (and the per-frame
+// overhead) for campaigns that outlive SegmentBytes × N. Compaction
+// never drops or reorders a result — the compacted segment carries the
+// byte-equivalent record stream re-batched into dense canonical frames
+// with fresh CRCs, so Replay before and after a compaction yields the
+// identical sequence.
+//
+// # Linear rewrite, more files
+//
+// An artifact is sealed for good: no later compaction reads, decodes or
+// rewrites it, so each appended byte is rewritten at most once and the
+// total rewrite cost is linear in the log (folding the previous
+// artifact into every new one made it quadratic). The trade is the file
+// count: a caller that compacts every k sealed segments holds about
+// log bytes ÷ (k × SegmentBytes) artifacts, at most k plain sealed
+// segments and the active one — 64 artifacts for a 1 GiB log at k = 4
+// and 4 MiB segments — instead of one ever-growing artifact. There is no
+// second tier that merges artifacts; none is built until a workload
+// needs one.
 //
 // # Crash safety
 //
@@ -112,14 +126,15 @@ func segRange(name string) (a, b int, compacted, ok bool) {
 	return 0, 0, false, false
 }
 
-// Compact merges the log's head segments — every sealed segment whose
-// results all lie below keepCursor — into one compacted segment and
-// retires the originals. keepCursor is the caller's replay watermark:
-// segments at or above it may still be paged record-by-record and are
-// left untouched; pass Len() to compact everything sealed. The active
-// (append) segment is never a source. Compact is safe concurrently
-// with Append, Since and Replay; concurrent Compact calls coalesce
-// (the second returns a zero CompactStats).
+// Compact merges the plain sealed segments that follow the newest
+// compacted artifact — as many of them as lie wholly below keepCursor —
+// into one new compacted segment and retires the originals. keepCursor
+// is the caller's replay watermark: segments at or above it may still
+// be paged record-by-record and are left untouched; pass Len() to
+// compact everything sealed. Neither the active (append) segment nor an
+// existing artifact is ever a source. Compact is safe concurrently with
+// Append, Since and Replay; concurrent Compact calls coalesce (the
+// second returns a zero CompactStats).
 func (s *Sink) Compact(keepCursor int) (CompactStats, error) {
 	var st CompactStats
 	s.mu.Lock()
@@ -136,18 +151,21 @@ func (s *Sink) Compact(keepCursor int) (CompactStats, error) {
 		s.mu.Unlock()
 		return st, nil
 	}
-	// Sources: the longest sealed prefix entirely below keepCursor.
-	k := 0
+	// Sources: the run of sealed segments after the newest artifact that
+	// lies entirely below keepCursor.
+	j := len(s.segs) - 1
+	for j > 0 && !s.segs[j-1].compacted {
+		j--
+	}
+	k := j
 	for k < len(s.segs)-1 && s.segs[k].first+s.segs[k].count <= keepCursor {
 		k++
 	}
-	if k == 0 || (k == 1 && isCompacted(s.segs[0].name)) {
-		// Nothing to merge: no eligible segment, or just the previous
-		// compaction's output (re-wrapping it would be pure churn).
+	if k == j {
 		s.mu.Unlock()
 		return st, nil
 	}
-	sources := append([]segment(nil), s.segs[:k]...)
+	sources := append([]segment(nil), s.segs[j:k]...)
 	s.compacting = true
 	s.mu.Unlock()
 	done := false
@@ -159,9 +177,8 @@ func (s *Sink) Compact(keepCursor int) (CompactStats, error) {
 		}
 	}()
 
-	firstNum, _, _, ok1 := segRange(sources[0].name)
-	_, lastNum, _, ok2 := segRange(sources[len(sources)-1].name)
-	if !ok1 || !ok2 {
+	firstNum, lastNum := sources[0].a, sources[len(sources)-1].b
+	if firstNum < 1 || lastNum < firstNum {
 		return st, fmt.Errorf("walsink: compact: unparseable segment name %q", sources[0].name)
 	}
 	for _, seg := range sources {
@@ -210,8 +227,9 @@ func (s *Sink) Compact(keepCursor int) (CompactStats, error) {
 	// just the recorded sources.
 	s.rd.Lock()
 	s.mu.Lock()
-	newSeg := segment{name: name, first: sources[0].first, count: st.Records, size: st.OutBytes}
-	s.segs = append([]segment{newSeg}, s.segs[k:]...)
+	s.segs[j] = segment{name: name, first: sources[0].first, count: st.Records, size: st.OutBytes,
+		a: firstNum, b: lastNum, compacted: true}
+	s.segs = append(s.segs[:j+1], s.segs[k:]...)
 	s.retired += len(sources)
 	s.compacting = false
 	done = true
@@ -253,11 +271,25 @@ func (s *Sink) crashAt(stage string) bool {
 	return s.opts.CompactCrash != nil && s.opts.CompactCrash(stage)
 }
 
+// compactScratch is what a rewrite reuses from one compaction to the
+// next: the read buffer every source is streamed through, the encode
+// buffer, the decoder and the re-batching slices. It grows to the
+// largest source segment and the largest output frame and stays there.
+type compactScratch struct {
+	rbuf    []byte
+	ebuf    []byte
+	dec     *wire.Decoder
+	scratch []wire.Result
+	batch   []wire.Result
+}
+
 // rewrite streams the source segments' records into path, re-batched
 // into dense frames of up to compactBatch results, and fsyncs the
 // result. It returns the bytes written and the number of results
 // rewritten. Sources are immutable sealed files, so no lock is needed
-// to read them.
+// to read them. Every source is read through the one scratch buffer, and
+// decoded results alias it, so the batch is flushed at each source
+// boundary before the buffer is reused: a frame never spans two sources.
 func (s *Sink) rewrite(path string, sources []segment) (int64, int, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -265,50 +297,50 @@ func (s *Sink) rewrite(path string, sources []segment) (int64, int, error) {
 	}
 	defer f.Close()
 
+	cs := &s.cs
+	if cs.dec == nil {
+		cs.dec = wire.NewDecoder()
+	}
+	cs.batch = cs.batch[:0] // a rewrite that failed midway leaves its tail here
 	var (
 		out   int64
 		wrote int
-		batch []wire.Result
-		ebuf  []byte
 	)
 	flush := func() error {
-		if len(batch) == 0 {
+		if len(cs.batch) == 0 {
 			return nil
 		}
-		ebuf = wire.AppendResults(ebuf[:0], batch)
+		cs.ebuf = wire.AppendResults(cs.ebuf[:0], cs.batch)
 		var crcb [crcLen]byte
-		binary.BigEndian.PutUint32(crcb[:], crc32.ChecksumIEEE(ebuf))
-		ebuf = append(ebuf, crcb[:]...)
-		if _, err := f.Write(ebuf); err != nil {
+		binary.BigEndian.PutUint32(crcb[:], crc32.ChecksumIEEE(cs.ebuf))
+		cs.ebuf = append(cs.ebuf, crcb[:]...)
+		if _, err := f.Write(cs.ebuf); err != nil {
 			return fmt.Errorf("walsink: compact: %w", err)
 		}
-		out += int64(len(ebuf))
-		wrote += len(batch)
-		batch = batch[:0]
+		out += int64(len(cs.ebuf))
+		wrote += len(cs.batch)
+		cs.batch = cs.batch[:0]
 		return nil
 	}
-	dec := wire.NewDecoder()
-	var scratch []wire.Result
 	for _, seg := range sources {
-		data, err := readCommitted(filepath.Join(s.dir, seg.name), seg.size)
+		data, err := readFileInto(cs.rbuf[:0], filepath.Join(s.dir, seg.name), seg.size)
 		if err != nil {
 			return 0, 0, err
 		}
+		cs.rbuf = data
 		off := 0
 		for off < len(data) {
 			_, payload, tot, err := verifyRecord(data[off:])
 			if err != nil {
 				return 0, 0, fmt.Errorf("walsink: compact: %s at offset %d: %w", seg.name, off, err)
 			}
-			scratch, err = dec.Results(payload, scratch[:0])
+			cs.scratch, err = cs.dec.Results(payload, cs.scratch[:0])
 			if err != nil {
 				return 0, 0, fmt.Errorf("walsink: compact: %s at offset %d: %w", seg.name, off, err)
 			}
-			// Decoded results alias data; batch may span segment files,
-			// and each backing buffer stays reachable until flushed.
-			for i := range scratch {
-				batch = append(batch, scratch[i])
-				if len(batch) >= compactBatch {
+			for i := range cs.scratch {
+				cs.batch = append(cs.batch, cs.scratch[i])
+				if len(cs.batch) >= compactBatch {
 					if err := flush(); err != nil {
 						return 0, 0, err
 					}
@@ -316,9 +348,9 @@ func (s *Sink) rewrite(path string, sources []segment) (int64, int, error) {
 			}
 			off += tot
 		}
-	}
-	if err := flush(); err != nil {
-		return 0, 0, err
+		if err := flush(); err != nil {
+			return 0, 0, err
+		}
 	}
 	if err := f.Sync(); err != nil {
 		return 0, 0, fmt.Errorf("walsink: compact: fsync: %w", err)
@@ -332,11 +364,6 @@ func (s *Sink) Retired() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.retired
-}
-
-func isCompacted(name string) bool {
-	_, _, compacted, ok := segRange(name)
-	return ok && compacted
 }
 
 // fsyncDir makes a rename/unlink in dir durable.

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -116,87 +117,118 @@ func FuzzWALReplay(f *testing.F) {
 
 // compactCorpus seeds FuzzCompactRecovery: contents for the compacted
 // segment in the torn-compaction crash layout (compacted artifact and
-// its intact sources coexisting on disk) — the faithful rewrite, a torn
-// copy, a CRC flip, and garbage.
+// its intact sources coexisting on disk) — the faithful rewrite as one
+// dense frame and as rewrite writes it today (flushed at the source
+// boundary, one frame per source), a torn copy, a CRC flip, garbage,
+// and two shapes that only matter once a second artifact sits beside
+// the slot: a clean copy of that older artifact's records (valid, but
+// the wrong count for the slot's sources) and a rewrite that lost its
+// second source.
 func compactCorpus() map[string][]byte {
 	b1, b2 := mkResults(0, 2), mkResults(1, 3)
 	faithful := walRecord(append(append([]wire.Result(nil), b1...), b2...))
+	perSource := append(walRecord(b1), walRecord(b2)...)
 	torn := append([]byte(nil), faithful[:len(faithful)/2]...)
 	flipped := append([]byte(nil), faithful...)
 	flipped[len(flipped)-1] ^= 0xff
 	return map[string][]byte{
-		"seed-faithful-rewrite": faithful,
-		"seed-torn-artifact":    torn,
-		"seed-flipped-crc":      flipped,
-		"seed-garbage":          []byte("renamed but never fsynced?! \x00\xff"),
-		"seed-empty":            {},
+		"seed-faithful-rewrite":      faithful,
+		"seed-per-source-frames":     perSource,
+		"seed-torn-artifact":         torn,
+		"seed-flipped-crc":           flipped,
+		"seed-garbage":               []byte("renamed but never fsynced?! \x00\xff"),
+		"seed-empty":                 {},
+		"seed-older-artifact-copy":   walRecord(priorArtifact()),
+		"seed-second-source-missing": walRecord(b1),
 	}
 }
 
+// priorArtifact is the content of the older, source-less artifact the
+// two-artifact layout of FuzzCompactRecovery puts ahead of the slot.
+func priorArtifact() []wire.Result { return mkResults(9, 5) }
+
 // FuzzCompactRecovery drops arbitrary bytes into the compacted-segment
-// slot of the torn-compaction crash layout — wal-00000001-00000002.seg
-// next to its intact sources wal-00000001.seg / wal-00000002.seg and an
-// active tail segment — and pins the resolution invariants: Open never
-// panics and never errors (the intact sources always cover the range),
-// Replay yields exactly Len() results, no overlapping segment files
-// survive, and a second Open agrees with the first.
+// slot of the torn-compaction crash layout — an artifact next to its
+// two intact sources and an active tail segment — and pins the
+// resolution invariants: Open never panics and never errors (the intact
+// sources always cover the range), Replay yields exactly Len() results,
+// no overlapping segment files survive, and a second Open agrees with
+// the first. Every input is resolved twice: in a log whose only
+// artifact is the slot (wal-1-2 beside wal-1, wal-2, tail wal-3), and
+// in a log that already holds an older, fully retired artifact ahead of
+// it (wal-1-2 intact, then the slot wal-3-4 beside wal-3, wal-4, tail
+// wal-5) — the steady state now that artifacts are never merged again.
 func FuzzCompactRecovery(f *testing.F) {
 	for _, name := range sortedKeys(compactCorpus()) {
 		f.Add(compactCorpus()[name])
 	}
 	b1, b2, b3 := mkResults(0, 2), mkResults(1, 3), mkResults(2, 1)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		for i, batch := range [][]wire.Result{b1, b2, b3} {
-			if err := os.WriteFile(filepath.Join(dir, segName(i+1)), walRecord(batch), 0o644); err != nil {
+		for _, prior := range [][]wire.Result{nil, priorArtifact()} {
+			dir := t.TempDir()
+			base := 0
+			if prior != nil {
+				base = 2
+				if err := os.WriteFile(filepath.Join(dir, compactedName(1, 2)), walRecord(prior), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, batch := range [][]wire.Result{b1, b2, b3} {
+				if err := os.WriteFile(filepath.Join(dir, segName(base+i+1)), walRecord(batch), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.WriteFile(filepath.Join(dir, compactedName(base+1, base+2)), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := os.WriteFile(filepath.Join(dir, compactedName(1, 2)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := Open(dir, Options{})
-		if err != nil {
-			// The sources tile the artifact's range, so resolution must
-			// always find a consistent log.
-			t.Fatalf("Open on torn-compaction layout: %v", err)
-		}
-		count := 0
-		if _, err := s.Replay(0, func(wire.Result) error { count++; return nil }); err != nil {
-			t.Fatalf("Replay over resolved log: %v", err)
-		}
-		if count != s.Len() {
-			t.Fatalf("Replay yielded %d, Len says %d", count, s.Len())
-		}
-		// Whichever side won, the tail segment's records survive, and
-		// the head holds one generation, never both.
-		if count < len(b3) || count > len(b1)+len(b2)+len(b3) {
-			t.Fatalf("resolved log has %d results", count)
-		}
-		names, err := segmentNames(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prevB := -1
-		for _, name := range names {
-			if a, b, _, ok := segRange(name); ok {
-				if a <= prevB {
-					t.Fatalf("overlapping segments after resolution: %v", names)
-				}
-				prevB = b
+			s, err := Open(dir, Options{})
+			if err != nil {
+				// The sources tile the artifact's range, so resolution must
+				// always find a consistent log.
+				t.Fatalf("Open on torn-compaction layout (older artifact: %v): %v", prior != nil, err)
 			}
+			var got []wire.Result
+			if _, err := s.Replay(0, func(r wire.Result) error { got = append(got, r); return nil }); err != nil {
+				t.Fatalf("Replay over resolved log: %v", err)
+			}
+			count := len(got)
+			if count != s.Len() {
+				t.Fatalf("Replay yielded %d, Len says %d", count, s.Len())
+			}
+			// Whichever side won, the older artifact's and the tail
+			// segment's records survive, and the slot's range holds one
+			// generation, never both.
+			if count < len(prior)+len(b3) || count > len(prior)+len(b1)+len(b2)+len(b3) {
+				t.Fatalf("resolved log has %d results", count)
+			}
+			if prior != nil && !reflect.DeepEqual(got[:len(prior)], prior) {
+				t.Fatalf("the older artifact's records did not survive resolution at the head of the log")
+			}
+			names, err := segmentNames(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prevB := -1
+			for _, name := range names {
+				if a, b, _, ok := segRange(name); ok {
+					if a <= prevB {
+						t.Fatalf("overlapping segments after resolution: %v", names)
+					}
+					prevB = b
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			s2, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatalf("second Open: %v", err)
+			}
+			if s2.Len() != count {
+				t.Fatalf("reopen Len = %d, first resolution yielded %d", s2.Len(), count)
+			}
+			s2.Close()
 		}
-		if err := s.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		s2, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatalf("second Open: %v", err)
-		}
-		if s2.Len() != count {
-			t.Fatalf("reopen Len = %d, first resolution yielded %d", s2.Len(), count)
-		}
-		s2.Close()
 	})
 }
 

@@ -32,9 +32,14 @@
 // Replay never yields a record past the first corruption.
 //
 // Compact (see compact.go) bounds the segment count for long campaigns:
-// it rewrites the fully-replayed head of the log into one compacted
-// segment (wal-<first>-<last>.seg) with the identical result sequence
-// and retires the originals, crash-safely at every step.
+// it merges the plain sealed segments that follow the newest compacted
+// artifact into one new artifact (wal-<first>-<last>.seg) with the
+// identical result sequence and retires the originals, crash-safely at
+// every step. An artifact is never a source again, so every appended
+// byte is rewritten at most once; the price is one artifact per
+// compaction instead of one per log — a log of B bytes compacted every
+// k sealed segments is B ÷ (k × SegmentBytes) artifacts, at most k
+// plain sealed segments and the active one.
 //
 // walsink.Sink implements amigo.Sink and amigo.CursorSink, so it drops
 // into the server behind WithSink and the paged /admin/results route
@@ -101,12 +106,17 @@ type Options struct {
 	CompactCrash func(stage string) bool
 }
 
-// segment is one WAL file's metadata.
+// segment is one WAL file's metadata. The source-number range and the
+// compacted flag are parsed from the name once, when the segment is
+// scanned at Open or created, so nothing on the upload path parses a
+// file name.
 type segment struct {
-	name  string // file name within dir
-	first int    // global cursor of this segment's first result
-	count int    // results in this segment
-	size  int64  // committed bytes (records fully written and accounted)
+	name      string // file name within dir
+	first     int    // global cursor of this segment's first result
+	count     int    // results in this segment
+	size      int64  // committed bytes (records fully written and accounted)
+	a, b      int    // source segment numbers covered: [N,N] plain, [A,B] compacted
+	compacted bool   // a compaction artifact (wal-A-B.seg): sealed, never a source again
 }
 
 // Sink is the WAL. It is safe for concurrent use: the server serializes
@@ -133,6 +143,10 @@ type Sink struct {
 	closed     bool      // guarded by mu
 	compacting bool      // a Compact is in flight; guarded by mu
 	retired    int       // source segments compacted away; guarded by mu
+
+	// cs is the rewrite scratch. Compactions are serialized by the
+	// compacting flag, and only the one in flight touches it.
+	cs compactScratch
 
 	met metrics
 }
@@ -177,11 +191,12 @@ func Open(dir string, opts Options) (*Sink, error) {
 		if err != nil {
 			return nil, err
 		}
+		a, b, compacted, _ := segRange(name)
 		if !clean {
 			if i != len(names)-1 {
 				return nil, fmt.Errorf("walsink: segment %s is corrupt mid-log; only the final segment may carry a torn tail", name)
 			}
-			if isCompacted(name) {
+			if compacted {
 				// A compacted segment is written whole and renamed into
 				// place after an fsync — it can never carry a torn
 				// tail. Damage here is real data loss, not a crash
@@ -192,14 +207,14 @@ func Open(dir string, opts Options) (*Sink, error) {
 				return nil, fmt.Errorf("walsink: truncating torn tail of %s: %w", name, err)
 			}
 		}
-		s.segs = append(s.segs, segment{name: name, first: cursor, count: count, size: valid})
+		s.segs = append(s.segs, segment{name: name, first: cursor, count: count, size: valid, a: a, b: b, compacted: compacted})
 		cursor += count
-		if _, b, _, ok := segRange(name); ok && b >= s.nextSeg {
+		if b >= s.nextSeg {
 			s.nextSeg = b + 1
 		}
 	}
 	s.total = cursor
-	if len(s.segs) == 0 || isCompacted(s.segs[len(s.segs)-1].name) {
+	if len(s.segs) == 0 || s.segs[len(s.segs)-1].compacted {
 		// No segments yet, or the newest file is a sealed compacted
 		// segment: appends need a fresh plain segment.
 		if err := s.addSegmentLocked(); err != nil {
@@ -342,9 +357,9 @@ func (s *Sink) addSegmentLocked() error {
 	if err != nil {
 		return fmt.Errorf("walsink: creating segment: %w", err)
 	}
+	s.segs = append(s.segs, segment{name: name, first: s.total, a: s.nextSeg, b: s.nextSeg})
 	s.nextSeg++
 	s.f = f
-	s.segs = append(s.segs, segment{name: name, first: s.total})
 	return nil
 }
 
@@ -430,6 +445,20 @@ func (s *Sink) Segments() (n int, bytes int64) {
 	return len(s.segs), bytes
 }
 
+// SealedSinceCompact reports how many plain sealed segments follow the
+// newest compacted artifact — what the next Compact(Len()) would merge.
+// It is the compaction trigger's input and runs on every upload, so it
+// reads recorded flags only: no name parsing, no allocation.
+func (s *Sink) SealedSinceCompact() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for i := len(s.segs) - 2; i >= 0 && !s.segs[i].compacted; i-- {
+		n++
+	}
+	return n
+}
+
 // errPageFull stops a Replay early once Since has filled its page.
 var errPageFull = errors.New("walsink: page full")
 
@@ -493,7 +522,9 @@ func (s *Sink) Replay(cursor int, fn func(wire.Result) error) (int, error) {
 		if seg.count == 0 || seg.first+seg.count <= cursor {
 			continue
 		}
-		data, err := readCommitted(filepath.Join(s.dir, seg.name), seg.size)
+		// A fresh buffer per segment: fn may keep what it is handed (Since
+		// does), and decoded payloads alias the read buffer.
+		data, err := readFileInto(nil, filepath.Join(s.dir, seg.name), seg.size)
 		if err != nil {
 			return next, err
 		}
@@ -549,25 +580,40 @@ func verifyRecord(data []byte) (frame, payload []byte, tot int, err error) {
 	return frame, frame[wire.HeaderLen:], tot, nil
 }
 
-// readCommitted reads exactly the first size bytes of path — the
-// committed prefix; a concurrent appender may have written more.
-func readCommitted(path string, size int64) ([]byte, error) {
+// readFileInto reads exactly the first size bytes of path — the
+// committed prefix; a concurrent appender may have written more — or
+// the whole file when size < 0, into buf, which is grown only when its
+// capacity is short. The returned slice aliases buf.
+func readFileInto(buf []byte, path string, size int64) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("walsink: %w", err)
 	}
 	defer f.Close()
-	buf := make([]byte, size)
+	if size < 0 {
+		st, err := f.Stat()
+		if err != nil {
+			return nil, fmt.Errorf("walsink: %w", err)
+		}
+		size = st.Size()
+	}
+	if int64(cap(buf)) < size {
+		buf = make([]byte, size)
+	}
+	buf = buf[:size]
 	if _, err := io.ReadFull(f, buf); err != nil {
 		return nil, fmt.Errorf("walsink: reading %s: %w", filepath.Base(path), err)
 	}
 	return buf, nil
 }
 
-// scanner validates segments at Open time.
+// scanner validates segments at Open time. One read buffer serves every
+// segment it scans: a scan only counts, so nothing it decodes outlives
+// the next read.
 type scanner struct {
 	dec     *wire.Decoder
 	scratch []wire.Result
+	buf     []byte
 }
 
 // scan walks a segment file record by record. It returns the number of
@@ -577,10 +623,11 @@ type scanner struct {
 // (clean=false); the caller decides whether that is a truncatable torn
 // tail (final segment) or unacceptable mid-log corruption.
 func (sc *scanner) scan(path string) (count int, valid int64, clean bool, err error) {
-	data, err := os.ReadFile(path)
+	data, err := readFileInto(sc.buf[:0], path, -1)
 	if err != nil {
-		return 0, 0, false, fmt.Errorf("walsink: %w", err)
+		return 0, 0, false, err
 	}
+	sc.buf = data
 	off := 0
 	for off < len(data) {
 		_, payload, tot, err := verifyRecord(data[off:])
