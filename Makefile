@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet lint lint-json lint-allows lint-guard build test race bench metrics-smoke shard-smoke reshard-smoke fuzz-short FORCE
+.PHONY: verify fmt-check vet lint lint-json lint-allows lint-guard build test race bench metrics-smoke shard-smoke reshard-smoke profile-campaign fuzz-short FORCE
 
 ## verify: the CI entry point — gofmt, vet, the roamvet determinism/hygiene
 ## analyzers, build, every test suite under the race detector (the
@@ -80,10 +80,25 @@ shard-smoke:
 reshard-smoke:
 	bash scripts/reshard_smoke.sh
 
+## profile-campaign: where a campaign's bytes and cycles go, in one
+## command: run the self-hosted fleet campaign (MES endpoints, 1000 by
+## default; FLEET_FLAGS adds roam-fleet flags, e.g. FLEET_FLAGS='-chaos
+## light -virtual-time -realize') under -cpuprofile and -memprofile, then
+## print the top of both profiles. The allocation listing ignores the
+## world build; the profiles stay in bin/ for `go tool pprof -list`.
+MES ?= 1000
+FLEET_FLAGS ?=
+profile-campaign:
+	$(GO) build -o bin/roam-fleet ./cmd/roam-fleet
+	./bin/roam-fleet -mes $(MES) $(FLEET_FLAGS) -cpuprofile bin/campaign.cpu.prof -memprofile bin/campaign.mem.prof | grep '^fleet:'
+	$(GO) tool pprof -top -nodecount=25 -sample_index=alloc_space -ignore='airalo\.Build' bin/roam-fleet bin/campaign.mem.prof
+	$(GO) tool pprof -top -nodecount=25 bin/roam-fleet bin/campaign.cpu.prof
+
 ## fuzz-short: a 10s budget per native fuzz target, on top of the
 ## checked-in seed corpora (which always run as part of plain `go test`).
 fuzz-short:
 	$(GO) test -fuzz=FuzzDemarcate -fuzztime=10s -run=^$$ ./internal/core
+	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run=^$$ ./internal/ipaddr
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=10s -run=^$$ ./internal/wire
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=10s -run=^$$ ./internal/wire
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s -run=^$$ ./internal/walsink

@@ -20,7 +20,9 @@
 // /admin/results?cursor=N[&limit=M], which returns
 // {"cursor":NEXT,"results":[...]}; poll with the returned cursor to
 // stream only new uploads. cursor=-1 peeks at the current cursor
-// without returning results.
+// without returning results. A request carrying Accept:
+// application/vnd.amigo.v3 (the fleet driver's) gets the same page as a
+// v3 results frame, with NEXT in the X-Amigo-Cursor header.
 //
 // Observability: /admin/metrics serves control-plane metrics (request
 // counts and latencies per route, lease/ack/redelivery/dedup counters,

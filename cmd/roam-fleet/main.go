@@ -18,6 +18,7 @@
 //	           [-metrics] [-shards N] [-wal-dir DIR] [-kill-shard N]
 //	           [-compact-after N] [-reshard N] [-reshard-after U]
 //	           [-virtual-time] [-realize]
+//	           [-cpuprofile FILE] [-memprofile FILE]
 //
 // MEs lease and upload in batches over the v3 binary-frame routes (see
 // internal/wire).
@@ -74,6 +75,15 @@
 // clock (see internal/vclock): the campaign jumps over every wait at
 // quiescence and finishes as fast as the CPU drains the event queue,
 // with a dataset byte-identical to the real-time run.
+//
+// -cpuprofile and -memprofile write pprof profiles to the named files.
+// The CPU profile covers the campaign: the driver's run plus the ingest,
+// not the world build. The allocation profile covers the process — the
+// runtime wants its sampling rate set once, at start-up — so read the
+// campaign out of it by ignoring the build: `go tool pprof -top
+// -sample_index=alloc_space -ignore='airalo\.Build' FILE`. Both observe
+// the run and select nothing; `make profile-campaign` runs the
+// self-hosted campaign with both and prints the two listings.
 package main
 
 import (
@@ -82,6 +92,8 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -118,7 +130,14 @@ func main() {
 	reshardAfter := flag.Int("reshard-after", 1, "fire -reshard after the fleet's Uth accepted upload")
 	virtualTime := flag.Bool("virtual-time", false, "run the campaign on a discrete-event virtual clock (identical dataset, no real waiting)")
 	realize := flag.Bool("realize", false, "spend each task's simulated network duration on the campaign clock")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the campaign (run + ingest) to this file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the process to this file (pprof -ignore='airalo\\.Build' leaves the campaign)")
 	flag.Parse()
+	if *memProfile != "" {
+		// One sample per 4 KiB allocated: the default, one per 512 KiB,
+		// is too coarse to rank the allocators of a two-second campaign.
+		runtime.MemProfileRate = 4096
+	}
 
 	plan := fleet.DeviceCampaignPlan()
 	plan.Countries = splitList(*countries)
@@ -219,6 +238,10 @@ func main() {
 	if *virtualTime {
 		d.Clock = vclock.NewVirtual()
 	}
+	stopCPUProfile, err := startCPUProfile(*cpuProfile)
+	if err != nil {
+		fatal(err)
+	}
 	wallStart := vclock.Wall.Now()
 	camp, err := d.Run(w, plan)
 	wallSeconds := vclock.Wall.Now().Sub(wallStart).Seconds()
@@ -227,6 +250,12 @@ func main() {
 	}
 	ds, err := fleet.Ingest(w.Reg, camp)
 	if err != nil {
+		fatal(err)
+	}
+	if err := stopCPUProfile(); err != nil {
+		fatal(err)
+	}
+	if err := writeAllocProfile(*memProfile); err != nil {
 		fatal(err)
 	}
 	if sf != nil {
@@ -379,6 +408,45 @@ func selfHost(inj *chaos.Injector, reg *obs.Registry, shards int, walDir string,
 		}
 	}
 	return "http://" + ln.Addr().String(), shutdown, sf, nil
+}
+
+// startCPUProfile starts a CPU profile into path ("" = none) and returns
+// the function that stops it and closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}
+
+// writeAllocProfile writes everything the process has allocated so far,
+// live or collected, to path ("" = none) — what a pprof
+// -sample_index=alloc_space listing reads.
+func writeAllocProfile(path string) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // the profile is as of the last completed cycle
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func splitList(s string) []string {

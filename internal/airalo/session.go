@@ -336,18 +336,17 @@ func defaultHit(v float64) float64 {
 	return v
 }
 
-// PathTo composes the session's pinned private leg (UE -> assigned PGW)
-// with the routed public leg (PGW -> target).
+// PathTo returns the session's path to target: the pinned private leg
+// (UE -> assigned PGW) joined to the routed public leg (PGW -> target).
+// The result is the network's cached composition (netsim.RouteVia) —
+// the same *Path for every call and every session with this PGW, so
+// callers read it and never write to it.
 func (s *Session) PathTo(target netsim.NodeID) (*netsim.Path, error) {
-	private, err := s.D.world.Net.Route(s.UE, s.PGWNode)
+	p, err := s.D.world.Net.RouteVia(s.UE, s.PGWNode, target)
 	if err != nil {
-		return nil, fmt.Errorf("airalo: private leg: %w", err)
+		return nil, fmt.Errorf("airalo: path via PGW %s: %w", s.PGWAddr, err)
 	}
-	public, err := s.D.world.Net.Route(s.PGWNode, target)
-	if err != nil {
-		return nil, fmt.Errorf("airalo: public leg: %w", err)
-	}
-	return netsim.ConcatPaths(private, public)
+	return p, nil
 }
 
 // World returns the world this session lives in.

@@ -1,11 +1,13 @@
 package airalo
 
 import (
+	"reflect"
 	"testing"
 
 	"roamsim/internal/core"
 	"roamsim/internal/ipx"
 	"roamsim/internal/mno"
+	"roamsim/internal/netsim"
 	"roamsim/internal/rng"
 )
 
@@ -377,5 +379,76 @@ func TestDNSConfigPerArchitecture(t *testing.T) {
 	}
 	if effective.Country != ihbo.Site.Country {
 		t.Errorf("anycast resolver in %s, PGW in %s", effective.Country, ihbo.Site.Country)
+	}
+}
+
+// TestPathToSharedAndAllocFree pins the path-immutability contract from
+// the caller's side: PathTo hands out the network's cached composition —
+// one shared *Path, no per-call copy — and a topology change drops it.
+func TestPathToSharedAndAllocFree(t *testing.T) {
+	w := world(t)
+	d := w.Deployments["PAK"]
+	s, err := d.AttachESIM(rng.New(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge, _ := w.SPs["Google"].NearestEdge(s.Site.Loc)
+	first, err := s.PathTo(edge.Server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := s.PathTo(edge.Server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != again {
+		t.Error("two PathTo calls on a warm session returned different *Path values")
+	}
+	private, _ := w.Net.Route(s.UE, s.PGWNode)
+	public, _ := w.Net.Route(s.PGWNode, edge.Server)
+	want, err := netsim.ConcatPaths(private, public)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, want) {
+		t.Error("cached composition differs from ConcatPaths(private leg, public leg)")
+	}
+	if a := testing.AllocsPerRun(200, func() {
+		if _, err := s.PathTo(edge.Server); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("warm PathTo allocates %.1f times per call, want 0", a)
+	}
+
+	// The world's network is frozen; a hand-built session over a network
+	// still in its build phase shows the invalidation: ue - a - pgw - srv,
+	// then a faster public leg pgw - b - srv appears.
+	n := netsim.New()
+	add := func(name string) netsim.NodeID { return n.AddNode(netsim.Node{Name: name}) }
+	ue, a, pgw, srv, b := add("ue"), add("a"), add("pgw"), add("srv"), add("b")
+	n.Connect(ue, a, netsim.Link{DelayMs: 1})
+	n.Connect(a, pgw, netsim.Link{DelayMs: 1})
+	n.Connect(pgw, srv, netsim.Link{DelayMs: 50})
+	hand := &Session{D: &Deployment{world: &World{Net: n}}, UE: ue, PGWNode: pgw}
+	before, err := hand.PathTo(srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Hops() != 3 {
+		t.Fatalf("hand-built path has %d hops, want 3", before.Hops())
+	}
+	n.Connect(pgw, b, netsim.Link{DelayMs: 1})
+	n.Connect(b, srv, netsim.Link{DelayMs: 1})
+	after, err := hand.PathTo(srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after == before || after.Hops() != 4 {
+		t.Errorf("after a topology change PathTo returned %d hops (same pointer: %v), want the new 4-hop path",
+			after.Hops(), after == before)
+	}
+	if before.Hops() != 3 {
+		t.Error("the path handed out before the change was written to")
 	}
 }

@@ -368,21 +368,21 @@ func TestResultsSinceCursor(t *testing.T) {
 		}
 	}
 	upload(3)
-	rs, cursor := srv.ResultsSince(0)
+	rs, cursor := srv.ResultsSince(0, 0)
 	if len(rs) != 3 || cursor != 3 {
 		t.Fatalf("ResultsSince(0) = %d results, cursor %d", len(rs), cursor)
 	}
-	rs, cursor = srv.ResultsSince(cursor)
+	rs, cursor = srv.ResultsSince(cursor, 0)
 	if len(rs) != 0 || cursor != 3 {
 		t.Fatalf("incremental read = %d results, cursor %d", len(rs), cursor)
 	}
 	upload(2)
-	rs, cursor = srv.ResultsSince(3)
+	rs, cursor = srv.ResultsSince(3, 0)
 	if len(rs) != 2 || cursor != 5 {
 		t.Fatalf("ResultsSince(3) = %d results, cursor %d", len(rs), cursor)
 	}
 	// Out-of-range cursors clamp instead of panicking.
-	if rs, c := srv.ResultsSince(99); len(rs) != 0 || c != 5 {
+	if rs, c := srv.ResultsSince(99, 0); len(rs) != 0 || c != 5 {
 		t.Fatalf("ResultsSince(99) = %d results, cursor %d", len(rs), c)
 	}
 	if srv.Cursor() != 5 {
@@ -605,5 +605,34 @@ func TestConcurrentLeaseUploadManyMEs(t *testing.T) {
 	}
 	if got := len(srv.MEs()); got != mes {
 		t.Fatalf("MEs = %d, want %d", got, mes)
+	}
+}
+
+// TestUploadKeyGolden pins the idempotency key: a server that accepted a
+// batch under one build must recognise the same batch retried by the
+// next. The keys were produced by the fmt.Fprintf-into-hash/fnv version
+// this one replaced.
+func TestUploadKeyGolden(t *testing.T) {
+	for _, tc := range []struct {
+		me      string
+		results []Result
+		want    string
+	}{
+		{"me-PAK-3", nil, "e357ffe8bd968ade"},
+		{"me-PAK-3", []Result{{TaskID: 1, Kind: "speedtest", Config: "sim"}}, "6af0a14d75cdf699"},
+		{"me-GEO", []Result{
+			{TaskID: 17, Kind: "mtr", Config: "esim"},
+			{TaskID: 18, Kind: "cdn", Config: "esim"},
+			{TaskID: -4, Kind: "", Config: "x"},
+		}, "bffa940b775a32d3"},
+		{"", []Result{{TaskID: 9007199254740993, Kind: "video", Config: "sim"}}, "94eb01c9eae170fb"},
+	} {
+		if got := uploadKey(tc.me, tc.results); got != tc.want {
+			t.Errorf("uploadKey(%q, %d results) = %s, want %s", tc.me, len(tc.results), got, tc.want)
+		}
+	}
+	batch := []Result{{TaskID: 17, Kind: "mtr", Config: "esim"}, {TaskID: 18, Kind: "cdn", Config: "esim"}}
+	if a := testing.AllocsPerRun(100, func() { uploadKey("me-GEO", batch) }); a > 1 {
+		t.Errorf("uploadKey allocates %.0f times, want 1 (the key)", a)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptrace"
@@ -530,13 +529,33 @@ func (e *Endpoint) Upload(results []Result) error {
 // duplicated batch hashes identically, so the server keeps only the
 // first copy; distinct batches differ because task IDs are unique per
 // ME schedule.
+//
+// The hash is FNV-1a (64-bit) over me followed by "|<id>/<kind>/<config>"
+// per result, folded in place: one key is one allocation, the string.
 func uploadKey(me string, results []Result) string {
-	h := fnv.New64a()
-	io.WriteString(h, me)
-	for _, r := range results {
-		fmt.Fprintf(h, "|%d/%s/%s", r.TaskID, r.Kind, r.Config)
+	h := fnv1a(fnvOffset64, me)
+	var num [20]byte // a decimal int64, sign included
+	for i := range results {
+		r := &results[i]
+		h = fnv1a(h, "|")
+		h = fnv1a(h, strconv.AppendInt(num[:0], int64(r.TaskID), 10))
+		h = fnv1a(h, "/")
+		h = fnv1a(h, r.Kind)
+		h = fnv1a(h, "/")
+		h = fnv1a(h, r.Config)
 	}
-	return strconv.FormatUint(h.Sum64(), 16)
+	return strconv.FormatUint(h, 16)
+}
+
+const fnvOffset64, fnvPrime64 = 14695981039346656037, 1099511628211
+
+// fnv1a folds s into the running 64-bit FNV-1a hash h (start it at
+// fnvOffset64).
+func fnv1a[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
 }
 
 // retryAfter reads a Retry-After header as whole seconds. The backoff
@@ -576,101 +595,91 @@ func (e *Endpoint) Execute(task Task) Result {
 		h = m.exec["other"]
 	}
 	start := e.clock().Now()
-	res := e.execute(task)
+	res, spent := e.execute(task)
 	if e.Realize {
 		// Spend the task's simulated network time on the clock, after
 		// the payload is sealed: pacing can never perturb the dataset.
-		e.sleep(realizeDuration(task.Kind, res))
+		e.sleep(spent)
 	}
 	h.Observe(float64(e.clock().Now().Sub(start)) / float64(time.Millisecond))
 	return res
 }
 
-// realizeDuration maps a finished result to the network time an actual
-// ME would have spent producing it, derived only from the uploaded
-// payload so the pacing is as deterministic as the dataset itself.
-func realizeDuration(kind string, res Result) time.Duration {
-	if !res.OK {
-		return 0
-	}
-	var ms float64
-	switch kind {
-	case "speedtest":
-		var p SpeedtestPayload
-		if json.Unmarshal(res.Payload, &p) != nil {
-			return 0
-		}
-		ms = 2 * p.LatencyMs // probe round trips
-		if p.DownMbps > 0 {
-			ms += 8 * 16 / p.DownMbps * 1e3 // 16 MB down at the observed rate
-		}
-		if p.UpMbps > 0 {
-			ms += 8 * 8 / p.UpMbps * 1e3 // 8 MB up
-		}
-	case "mtr":
-		var p MTRPayload
-		if json.Unmarshal(res.Payload, &p) != nil {
-			return 0
-		}
-		for _, h := range p.Hops {
-			if h.RTTms > 0 {
-				ms += 3 * h.RTTms // three probes per TTL
-			} else {
-				ms += 500 // timed-out hop: one probe-timeout window
-			}
-		}
-	case "cdn":
-		var p CDNPayload
-		if json.Unmarshal(res.Payload, &p) != nil {
-			return 0
-		}
-		ms = p.TotalMs
-	case "dns":
-		var p DNSPayload
-		if json.Unmarshal(res.Payload, &p) != nil {
-			return 0
-		}
-		ms = p.DurationMs
-	case "video":
-		ms = 120 * 1e3 // the fixed stats-for-nerds watch window
-	}
-	return time.Duration(ms * float64(time.Millisecond))
+// payload is what a task kind uploads: a JSON-marshalled observation
+// that also knows the network time an actual ME would have spent
+// producing it. The time is derived only from the uploaded fields, so
+// the pacing is as deterministic as the dataset itself.
+type payload interface {
+	networkMs() float64
 }
 
-func (e *Endpoint) execute(task Task) Result {
+func (p SpeedtestPayload) networkMs() float64 {
+	ms := 2 * p.LatencyMs // probe round trips
+	if p.DownMbps > 0 {
+		ms += 8 * 16 / p.DownMbps * 1e3 // 16 MB down at the observed rate
+	}
+	if p.UpMbps > 0 {
+		ms += 8 * 8 / p.UpMbps * 1e3 // 8 MB up
+	}
+	return ms
+}
+
+func (p MTRPayload) networkMs() float64 {
+	var ms float64
+	for _, h := range p.Hops {
+		if h.RTTms > 0 {
+			ms += 3 * h.RTTms // three probes per TTL
+		} else {
+			ms += 500 // timed-out hop: one probe-timeout window
+		}
+	}
+	return ms
+}
+
+func (p CDNPayload) networkMs() float64 { return p.TotalMs }
+
+func (p DNSPayload) networkMs() float64 { return p.DurationMs }
+
+// networkMs is the fixed stats-for-nerds watch window.
+func (p VideoPayload) networkMs() float64 { return 120 * 1e3 }
+
+// execute runs the task and seals its payload. It also returns the
+// task's simulated network time (zero for a failed task), computed from
+// the typed payload before it is marshalled.
+func (e *Endpoint) execute(task Task) (Result, time.Duration) {
 	res := Result{TaskID: task.ID, ME: e.Name, Kind: task.Kind, Config: task.Config}
 	session, err := e.attach(task.Config)
 	if err != nil {
 		res.Error = err.Error()
-		return res
+		return res, 0
 	}
-	var payload any
+	var p payload
 	switch task.Kind {
 	case "speedtest":
-		payload, err = runSpeedtest(session, e.Src)
+		p, err = runSpeedtest(session, e.Src)
 	case "mtr":
-		payload, err = runMTR(session, task.Target, e.Src)
+		p, err = runMTR(session, task.Target, e.Src)
 	case "cdn":
-		payload, err = runCDN(session, task.Target, e.Src)
+		p, err = runCDN(session, task.Target, e.Src)
 	case "dns":
-		payload, err = runDNS(session, e.Src)
+		p, err = runDNS(session, e.Src)
 	case "video":
-		payload, err = runVideo(session, e.Src)
+		p, err = runVideo(session, e.Src)
 	default:
 		err = fmt.Errorf("amigo: unknown task kind %q", task.Kind)
 	}
 	if err != nil {
 		res.Error = err.Error()
-		return res
+		return res, 0
 	}
-	raw, err := json.Marshal(payload)
+	raw, err := json.Marshal(p)
 	if err != nil {
 		res.Error = err.Error()
-		return res
+		return res, 0
 	}
 	res.OK = true
 	res.Payload = raw
-	return res
+	return res, time.Duration(p.networkMs() * float64(time.Millisecond))
 }
 
 func (e *Endpoint) attach(config string) (*airalo.Session, error) {

@@ -65,6 +65,7 @@ import (
 	"hash/fnv"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -518,7 +519,7 @@ func (s *Server) Results() []Result {
 	var out []Result
 	cursor := 0
 	for {
-		rs, next := s.ResultsSince(cursor)
+		rs, next := s.ResultsSince(cursor, 0)
 		if len(rs) == 0 || next <= cursor {
 			return out
 		}
@@ -527,16 +528,17 @@ func (s *Server) Results() []Result {
 	}
 }
 
-// ResultsSince returns the retained results at positions >= cursor and
-// the cursor one past the last returned result (which may trail the
-// newest: a disk-backed sink serves bounded pages — loop until the
-// cursor stops advancing). It returns nothing when the installed sink
-// is not a CursorSink; HTTP callers get 501 instead (SupportsCursor).
-func (s *Server) ResultsSince(cursor int) ([]Result, int) {
+// ResultsSince returns the retained results at positions >= cursor —
+// at most limit of them when limit > 0 — and the cursor one past the
+// last returned result (which may trail the newest even when limit <= 0:
+// a disk-backed sink serves bounded pages — loop until the cursor stops
+// advancing). It returns nothing when the installed sink is not a
+// CursorSink; HTTP callers get 501 instead (SupportsCursor).
+func (s *Server) ResultsSince(cursor, limit int) ([]Result, int) {
 	if s.cur == nil {
 		return nil, 0
 	}
-	return s.cur.Since(cursor)
+	return s.cur.Since(cursor, limit)
 }
 
 // Cursor returns the current result cursor (see ResultsSince).
@@ -779,12 +781,74 @@ func (s *Server) Handler() http.Handler {
 // queue into one response.
 const maxLeaseBatch = 1024
 
+// handleAdminResults is GET /admin/results?cursor=N[&limit=M]: one page
+// of the result log, in one of two representations of the same page.
+// JSON — {"cursor": next, "results": [...]} — is the default, for
+// operators and curl. A request carrying Accept: application/vnd.amigo.v3
+// gets the codec the results were uploaded in: one wire.MsgResults frame
+// (no body when the page is empty) encoded into a pooled buffer, with
+// next in the X-Amigo-Cursor header; a page whose frame would exceed
+// wire.MaxFrame is cut to the results that fit, and next says so.
+// cursor=-1 returns just the current cursor either way.
+func (s *Server) handleAdminResults(w http.ResponseWriter, r *http.Request) {
+	if !s.SupportsCursor() {
+		http.Error(w, "results not readable: installed sink has no cursor support", http.StatusNotImplemented)
+		return
+	}
+	q := r.URL.Query()
+	// Missing parameters default to zero; malformed ones are 400s —
+	// silently reading garbage as cursor 0 would replay the whole log as
+	// a "successful" page.
+	cursor, err := atoiParam(q.Get("cursor"))
+	if err != nil {
+		http.Error(w, "bad cursor", http.StatusBadRequest)
+		return
+	}
+	limit, err := atoiParam(q.Get("limit"))
+	if err != nil {
+		http.Error(w, "bad limit", http.StatusBadRequest)
+		return
+	}
+	var rs []Result
+	next := s.Cursor()
+	if cursor >= 0 {
+		rs, next = s.ResultsSince(cursor, limit)
+	}
+	if r.Header.Get("Accept") != wire.ContentType {
+		if rs == nil {
+			rs = []Result{}
+		}
+		s.writeJSON(w, map[string]any{"cursor": next, "results": rs})
+		return
+	}
+	n, size := wire.ResultsFrameLen(rs)
+	if n < len(rs) {
+		if n == 0 {
+			http.Error(w, "result exceeds the v3 frame bound; read it as JSON", http.StatusInternalServerError)
+			return
+		}
+		next -= len(rs) - n
+		rs = rs[:n]
+	}
+	w.Header().Set(wire.CursorHeader, strconv.Itoa(next))
+	if len(rs) == 0 {
+		w.Header().Set("Content-Type", wire.ContentType)
+		return
+	}
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	*buf = wire.AppendResults(slices.Grow(*buf, size), rs)
+	s.writeFrame(w, *buf)
+}
+
 // AdminHandler exposes the operator API:
 //
 //	POST /admin/schedule  {"me":..., "kind":..., "target":..., "config":..., "count":N}
 //	                      or {"me":..., "tasks":[Task, ...]} for a batch
 //	GET  /admin/results?cursor=N[&limit=M] -> {"cursor": next, "results": [...]}
-//	                      cursor=-1 returns just the current cursor
+//	                      cursor=-1 returns just the current cursor; with
+//	                      Accept: application/vnd.amigo.v3 the page is one
+//	                      MsgResults frame and next is in X-Amigo-Cursor
 //	GET  /admin/mes
 //	GET  /admin/metrics        -> Prometheus text exposition (see WithObs)
 //	GET  /admin/trace?n=K      -> newest K trace events as JSON
@@ -819,41 +883,7 @@ func (s *Server) AdminHandler() http.Handler {
 		}
 		s.writeJSON(w, map[string]any{"task_ids": ids})
 	})
-	s.instrument(mux, "GET /admin/results", func(w http.ResponseWriter, r *http.Request) {
-		if !s.SupportsCursor() {
-			http.Error(w, "results not readable: installed sink has no cursor support", http.StatusNotImplemented)
-			return
-		}
-		q := r.URL.Query()
-		// Missing parameters default to zero; malformed ones are 400s —
-		// silently reading garbage as cursor 0 would replay the whole
-		// log as a "successful" page.
-		cursor, err := atoiParam(q.Get("cursor"))
-		if err != nil {
-			http.Error(w, "bad cursor", http.StatusBadRequest)
-			return
-		}
-		limit, err := atoiParam(q.Get("limit"))
-		if err != nil {
-			http.Error(w, "bad limit", http.StatusBadRequest)
-			return
-		}
-		var rs []Result
-		var next int
-		if cursor < 0 {
-			rs, next = nil, s.Cursor()
-		} else {
-			rs, next = s.ResultsSince(cursor)
-			if limit > 0 && len(rs) > limit {
-				rs = rs[:limit]
-				next = cursor + limit
-			}
-		}
-		if rs == nil {
-			rs = []Result{}
-		}
-		s.writeJSON(w, map[string]any{"cursor": next, "results": rs})
-	})
+	s.instrument(mux, "GET /admin/results", s.handleAdminResults)
 	s.instrument(mux, "GET /admin/mes", func(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, s.MEs())
 	})

@@ -18,11 +18,15 @@ type Sink interface {
 // serving an empty page.
 type CursorSink interface {
 	Sink
-	// Since returns results at positions >= cursor plus the cursor one
-	// past the last returned result. Implementations MAY return a
-	// bounded page rather than everything retained (a disk-backed sink
-	// does); callers must loop until the cursor stops advancing.
-	Since(cursor int) ([]Result, int)
+	// Since returns a page of the results at positions >= cursor — never
+	// more than limit of them when limit > 0 — plus the cursor one past
+	// the last returned result. The page is the caller's: the sink does
+	// only a page's worth of work to produce it and keeps no reference.
+	// Implementations MAY return fewer than limit, and bound the page
+	// when limit <= 0, rather than serve everything retained (a
+	// disk-backed sink does); callers must loop until the cursor stops
+	// advancing. An out-of-range cursor is clamped into [0, Len()].
+	Since(cursor, limit int) ([]Result, int)
 	// Len is the cursor one past the newest retained result.
 	Len() int
 }
@@ -53,16 +57,17 @@ func (m *MemorySink) Len() int {
 	return len(m.results)
 }
 
-// Since returns a copy of the results at positions >= cursor and the
-// cursor one past the newest result. Out-of-range cursors are clamped.
-func (m *MemorySink) Since(cursor int) ([]Result, int) {
+// Since implements CursorSink: a copy of the results at positions
+// >= cursor — everything retained when limit <= 0, else at most limit of
+// them, so a paged read copies each result once rather than the whole
+// tail per page — and the cursor one past the last of them.
+func (m *MemorySink) Since(cursor, limit int) ([]Result, int) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if cursor < 0 {
-		cursor = 0
+	cursor = max(0, min(cursor, len(m.results)))
+	end := len(m.results)
+	if limit > 0 && end-cursor > limit {
+		end = cursor + limit
 	}
-	if cursor > len(m.results) {
-		cursor = len(m.results)
-	}
-	return append([]Result(nil), m.results[cursor:]...), len(m.results)
+	return append([]Result(nil), m.results[cursor:end]...), end
 }

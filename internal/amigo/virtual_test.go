@@ -1,6 +1,7 @@
 package amigo
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -54,5 +55,91 @@ func TestUploadRetryAfterClampedVirtual(t *testing.T) {
 	if got := v.Now(); got != want {
 		t.Errorf("virtual elapsed = %v, want exactly %v (the clamped backoff schedule)",
 			got.Duration(), want.Duration())
+	}
+}
+
+// realizeFromJSON is how task durations were derived before execute
+// computed them from the typed payload: by parsing the uploaded JSON
+// back. It is the reference TestNetworkTimeMatchesUploadedPayload holds
+// the typed computation to.
+func realizeFromJSON(kind string, res Result) time.Duration {
+	if !res.OK {
+		return 0
+	}
+	var ms float64
+	switch kind {
+	case "speedtest":
+		var p SpeedtestPayload
+		if json.Unmarshal(res.Payload, &p) != nil {
+			return 0
+		}
+		ms = 2 * p.LatencyMs
+		if p.DownMbps > 0 {
+			ms += 8 * 16 / p.DownMbps * 1e3
+		}
+		if p.UpMbps > 0 {
+			ms += 8 * 8 / p.UpMbps * 1e3
+		}
+	case "mtr":
+		var p MTRPayload
+		if json.Unmarshal(res.Payload, &p) != nil {
+			return 0
+		}
+		for _, h := range p.Hops {
+			if h.RTTms > 0 {
+				ms += 3 * h.RTTms
+			} else {
+				ms += 500
+			}
+		}
+	case "cdn":
+		var p CDNPayload
+		if json.Unmarshal(res.Payload, &p) != nil {
+			return 0
+		}
+		ms = p.TotalMs
+	case "dns":
+		var p DNSPayload
+		if json.Unmarshal(res.Payload, &p) != nil {
+			return 0
+		}
+		ms = p.DurationMs
+	case "video":
+		ms = 120 * 1e3
+	}
+	return time.Duration(ms * float64(time.Millisecond))
+}
+
+// TestNetworkTimeMatchesUploadedPayload: the time a realized task spends
+// on the clock is a function of the payload it uploads and nothing else
+// — to the nanosecond what parsing the uploaded JSON back would give, so
+// a virtual campaign's makespan did not move when the re-parse went.
+func TestNetworkTimeMatchesUploadedPayload(t *testing.T) {
+	_, ep, done := testbed(t, "PAK")
+	defer done()
+	tasks := []Task{
+		{Kind: "speedtest", Config: "esim"}, {Kind: "speedtest", Config: "sim"},
+		{Kind: "mtr", Target: "Facebook", Config: "esim"}, {Kind: "mtr", Target: "Google", Config: "sim"},
+		{Kind: "cdn", Target: "Cloudflare", Config: "esim"}, {Kind: "dns", Config: "esim"},
+		{Kind: "video", Config: "esim"},
+		{Kind: "dns", Config: "no-such-config"}, {Kind: "no-such-kind", Config: "esim"},
+	}
+	nonzero := 0
+	for rep := 0; rep < 5; rep++ {
+		for _, task := range tasks {
+			res, spent := ep.execute(task)
+			if want := realizeFromJSON(task.Kind, res); spent != want {
+				t.Errorf("%s/%s: execute spends %v, the uploaded payload says %v", task.Kind, task.Config, spent, want)
+			}
+			if spent > 0 {
+				nonzero++
+			}
+			if !res.OK && spent != 0 {
+				t.Errorf("%s/%s: failed task spends %v", task.Kind, task.Config, spent)
+			}
+		}
+	}
+	if nonzero < 5*7 {
+		t.Errorf("only %d of the successful tasks spent any network time", nonzero)
 	}
 }

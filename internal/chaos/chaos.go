@@ -34,7 +34,8 @@
 // # Determinism
 //
 // Every decision is drawn from a stateless labeled stream
-// (rng.Stream(seed, label)) whose label encodes the ME name, its
+// (rng.Stream(seed, label), replayed on a pooled source — see stream)
+// whose label encodes the ME name, its
 // incarnation (restart count), the operation ("POST /v3/tasks/lease"),
 // and the per-operation wire attempt. An ME issues its requests
 // sequentially, so its label sequence — and therefore its fault
@@ -224,6 +225,31 @@ func NewInjector(seed int64, cfg Config) *Injector {
 // Seed returns the fault-schedule seed.
 func (inj *Injector) Seed() int64 { return inj.seed }
 
+// sources recycles the rng.Source every decision draws from. A decision
+// needs rng.Stream(seed, label) for a handful of draws, and a fresh
+// math/rand source costs ≈ 5 KB to allocate and seed — per request, on
+// both sides of the wire. Reseeding a recycled source yields the same
+// stream draw for draw; the pool is lock-free on the request path.
+var sources = sync.Pool{New: func() any { return rng.New(0) }}
+
+// stream returns rng.Stream(inj.seed, label) on a pooled source. The
+// caller draws its whole decision and hands the source back with
+// sources.Put before doing anything that can block.
+func (inj *Injector) stream(label string) *rng.Source {
+	src := sources.Get().(*rng.Source)
+	src.Reseed(inj.seed, label)
+	return src
+}
+
+// decide draws one yes/no decision of probability p from the stream for
+// label.
+func (inj *Injector) decide(label string, p float64) bool {
+	src := inj.stream(label)
+	yes := src.Bool(p)
+	sources.Put(src)
+	return yes
+}
+
 // SetClock routes latency-spike stalls through c — the fleet driver
 // injects its clock here so a virtual-time campaign jumps over spikes
 // instead of really sleeping them. The spike durations and the fault
@@ -304,8 +330,7 @@ func (inj *Injector) MaybeCrash(me string, inc, round int) bool {
 	if !budget {
 		return false
 	}
-	src := rng.Stream(inj.seed, fmt.Sprintf("chaos/crash/%s/%d/%d", me, inc, round))
-	if !src.Bool(inj.cfg.Crash) {
+	if !inj.decide(fmt.Sprintf("chaos/crash/%s/%d/%d", me, inc, round), inj.cfg.Crash) {
 		return false
 	}
 	inj.mu.Lock()
@@ -340,8 +365,7 @@ func (inj *Injector) MaybeKillShard(shard, upload int) bool {
 	}
 	inj.shardKills++
 	inj.mu.Unlock()
-	src := rng.Stream(inj.seed, fmt.Sprintf("chaos/shardkill/%d/%d", shard, upload))
-	if !src.Bool(inj.cfg.ShardKill) {
+	if !inj.decide(fmt.Sprintf("chaos/shardkill/%d/%d", shard, upload), inj.cfg.ShardKill) {
 		inj.mu.Lock()
 		inj.shardKills--
 		inj.mu.Unlock()
@@ -369,8 +393,7 @@ func (inj *Injector) MaybeKillCompaction(shard, n int) bool {
 	}
 	inj.compactKills++
 	inj.mu.Unlock()
-	src := rng.Stream(inj.seed, fmt.Sprintf("chaos/compactkill/%d/%d", shard, n))
-	if !src.Bool(inj.cfg.CompactKill) {
+	if !inj.decide(fmt.Sprintf("chaos/compactkill/%d/%d", shard, n), inj.cfg.CompactKill) {
 		inj.mu.Lock()
 		inj.compactKills--
 		inj.mu.Unlock()
@@ -411,7 +434,7 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	op := req.Method + " " + req.URL.Path
 	t.attempts[op]++
 	attempt := t.attempts[op]
-	src := rng.Stream(t.inj.seed, fmt.Sprintf("chaos/%s/%d/%s/%d", t.me, t.inc, op, attempt))
+	src := t.inj.stream(fmt.Sprintf("chaos/%s/%d/%s/%d", t.me, t.inc, op, attempt))
 
 	// Draw the whole decision vector up front in a fixed order so the
 	// schedule for (me, inc, op, attempt) is a pure function of the seed.
@@ -422,6 +445,7 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	resetAfter := src.Bool(cfg.ResetAfter)
 	truncate := src.Bool(cfg.Truncate)
 	truncateAt := src.Float64()
+	sources.Put(src)
 
 	ev := func(fault string) {
 		t.inj.record(Event{ME: t.me, Inc: t.inc, Op: op, Attempt: attempt, Fault: fault})
@@ -540,9 +564,10 @@ func (inj *Injector) Middleware(next http.Handler) http.Handler {
 		inj.mwSeen[key]++
 		attempt := inj.mwSeen[key]
 		inj.mu.Unlock()
-		src := rng.Stream(inj.seed, fmt.Sprintf("chaos/mw/%s/%s/%d", me, op, attempt))
+		src := inj.stream(fmt.Sprintf("chaos/mw/%s/%s/%d", me, op, attempt))
 		storm5xx := src.Bool(cfg.Err5xx)
 		storm429 := src.Bool(cfg.Err429)
+		sources.Put(src)
 		switch {
 		case storm5xx:
 			inj.record(Event{ME: me, Op: "mw " + op, Attempt: attempt, Fault: "503"})

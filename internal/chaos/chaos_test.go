@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"roamsim/internal/rng"
 )
 
 func countingServer(t *testing.T) (*httptest.Server, *struct {
@@ -244,4 +247,39 @@ func TestLatencySpikeRespectsContext(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v", elapsed)
 	}
+}
+
+// TestPooledDecisionsMatchStream: decisions drawn on recycled, reseeded
+// sources are the ones rng.Stream(seed, label) gives, also while many
+// goroutines share the pool (run under -race) — the fault schedule is a
+// function of the seed and the labels, not of which source drew it.
+func TestPooledDecisionsMatchStream(t *testing.T) {
+	const seed, p = 77, 0.5
+	inj := NewInjector(seed, Config{Crash: p, MaxCrashes: 1 << 30, Err5xx: p})
+	storm := inj.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			me := fmt.Sprintf("me-%d", g)
+			for round := 0; round < 200; round++ {
+				want := rng.Stream(seed, fmt.Sprintf("chaos/crash/%s/0/%d", me, round)).Bool(p)
+				if got := inj.MaybeCrash(me, 0, round); got != want {
+					t.Errorf("%s round %d: MaybeCrash = %v, the unpooled stream says %v", me, round, got, want)
+					return
+				}
+				req := httptest.NewRequest(http.MethodPost, "/v3/results", nil)
+				req.Header.Set(MEHeader, me)
+				rec := httptest.NewRecorder()
+				storm.ServeHTTP(rec, req)
+				want = rng.Stream(seed, fmt.Sprintf("chaos/mw/%s/POST /v3/results/%d", me, round+1)).Bool(p)
+				if got := rec.Code == http.StatusServiceUnavailable; got != want {
+					t.Errorf("%s request %d: stormed = %v, the unpooled stream says %v", me, round+1, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

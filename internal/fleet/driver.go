@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,6 +21,7 @@ import (
 	"roamsim/internal/obs"
 	"roamsim/internal/rng"
 	"roamsim/internal/vclock"
+	"roamsim/internal/wire"
 )
 
 // Driver runs a fleet campaign against a live AmiGo control server.
@@ -464,48 +466,67 @@ func (d *Driver) scheduleBatch(client *http.Client, me string, tasks []amigo.Tas
 	return out.TaskIDs, nil
 }
 
-type resultsPage struct {
-	Cursor  int            `json:"cursor"`
-	Results []amigo.Result `json:"results"`
-}
-
-func (d *Driver) fetchPage(client *http.Client, cursor, limit int) (resultsPage, error) {
-	var page resultsPage
-	url := fmt.Sprintf("%s/admin/results?cursor=%d", d.BaseURL, cursor)
+// fetchPage GETs one page of /admin/results in the codec the results
+// were uploaded in — MsgResults frames, the next cursor in a header —
+// and decodes it onto dst; the decoded payloads alias the page's own
+// frame buffers (wire.Decoder.ReadResults), which live as long as they
+// do. limit <= 0 leaves the page size to the server; cursor -1 asks for
+// just the current cursor.
+func (d *Driver) fetchPage(client *http.Client, cursor, limit int, dst []amigo.Result) ([]amigo.Result, int, error) {
+	url := d.BaseURL + "/admin/results?cursor=" + strconv.Itoa(cursor)
 	if limit > 0 {
-		url += fmt.Sprintf("&limit=%d", limit)
+		url += "&limit=" + strconv.Itoa(limit)
 	}
-	resp, err := client.Get(url)
+	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
-		return page, err
+		return dst, 0, err
+	}
+	req.Header.Set("Accept", wire.ContentType)
+	resp, err := client.Do(req)
+	if err != nil {
+		return dst, 0, err
 	}
 	defer drainBody(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		return page, fmt.Errorf("fleet: results: HTTP %d", resp.StatusCode)
+		return dst, 0, fmt.Errorf("fleet: results: HTTP %d", resp.StatusCode)
 	}
-	err = json.NewDecoder(resp.Body).Decode(&page)
-	return page, err
+	next, err := strconv.Atoi(resp.Header.Get(wire.CursorHeader))
+	if err != nil {
+		return dst, 0, fmt.Errorf("fleet: results: no %s header (server does not serve v3 result pages): %w", wire.CursorHeader, err)
+	}
+	dec := wire.GetDecoder()
+	defer wire.PutDecoder(dec)
+	if dst, err = dec.ReadResults(resp.Body, dst); err != nil {
+		return dst, 0, fmt.Errorf("fleet: results: page at cursor %d: %w", cursor, err)
+	}
+	return dst, next, nil
 }
 
 func (d *Driver) fetchCursor(client *http.Client) (int, error) {
-	page, err := d.fetchPage(client, -1, 0)
-	return page.Cursor, err
+	_, cursor, err := d.fetchPage(client, -1, 0, nil)
+	return cursor, err
 }
 
-// fetchResults pages through /admin/results from the given cursor.
+// fetchResults pages through /admin/results from the given cursor to
+// the end of the log, into one slice sized up front from the log's
+// current cursor.
 func (d *Driver) fetchResults(client *http.Client, cursor int) ([]amigo.Result, error) {
 	const pageSize = 5000
-	var out []amigo.Result
+	end, err := d.fetchCursor(client)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]amigo.Result, 0, max(end-cursor, 0))
 	for {
-		page, err := d.fetchPage(client, cursor, pageSize)
-		if err != nil {
+		n := len(out)
+		var next int
+		if out, next, err = d.fetchPage(client, cursor, pageSize, out); err != nil {
 			return nil, err
 		}
-		out = append(out, page.Results...)
-		if len(page.Results) == 0 || page.Cursor <= cursor {
+		if len(out) == n || next <= cursor {
 			return out, nil
 		}
-		cursor = page.Cursor
+		cursor = next
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"roamsim/internal/amigo"
 	"roamsim/internal/core"
@@ -92,6 +94,14 @@ type FailureRecord struct {
 // server-assigned fields (task IDs, upload stamps) are dropped, making
 // the dataset byte-identical across worker counts — and across chaos
 // configurations — for a fixed seed.
+//
+// Decoding the payloads is the expensive part and runs on every core:
+// the canonical sequence is cut into GOMAXPROCS contiguous chunks at ME
+// boundaries, each folded into a partial dataset by its own goroutine,
+// and the parts are concatenated in chunk order. Every chunk stops at
+// its own first bad result and the lowest chunk's error is reported, so
+// the dataset and the error are those of a serial fold at any
+// GOMAXPROCS.
 func Ingest(reg *ipreg.Registry, c *Campaign) (*Dataset, error) {
 	meISO := make(map[string]string, len(c.Schedules))
 	for _, sc := range c.Schedules {
@@ -104,15 +114,91 @@ func Ingest(reg *ipreg.Registry, c *Campaign) (*Dataset, error) {
 		}
 		return rs[i].TaskID < rs[j].TaskID
 	})
-
-	ds := &Dataset{}
-	for i, res := range rs {
-		if i > 0 && res.ME == rs[i-1].ME && res.TaskID == rs[i-1].TaskID {
+	uniq := rs[:0]
+	for i := range rs {
+		if i > 0 && rs[i].ME == rs[i-1].ME && rs[i].TaskID == rs[i-1].TaskID {
 			continue // duplicate upload of the same task
 		}
+		uniq = append(uniq, rs[i])
+	}
+
+	chunks := cutAtMEs(uniq, runtime.GOMAXPROCS(0))
+	parts := make([]Dataset, len(chunks))
+	errs := make([]error, len(chunks))
+	var wg sync.WaitGroup
+	for i := range chunks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = parts[i].fold(reg, meISO, chunks[i])
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	if len(parts) == 1 {
+		return &parts[0], nil
+	}
+	return &Dataset{
+		Speed:    joinParts(parts, func(p *Dataset) []SpeedRecord { return p.Speed }),
+		Traces:   joinParts(parts, func(p *Dataset) []TraceRecord { return p.Traces }),
+		CDN:      joinParts(parts, func(p *Dataset) []CDNRecord { return p.CDN }),
+		DNS:      joinParts(parts, func(p *Dataset) []DNSRecord { return p.DNS }),
+		Video:    joinParts(parts, func(p *Dataset) []VideoRecord { return p.Video }),
+		Failures: joinParts(parts, func(p *Dataset) []FailureRecord { return p.Failures }),
+	}, nil
+}
+
+// joinParts concatenates one record kind across the partial datasets,
+// in chunk order, into a slice of exactly the joined length (nil when
+// there is nothing to join, as a serial fold would leave it).
+func joinParts[T any](parts []Dataset, of func(*Dataset) []T) []T {
+	total := 0
+	for i := range parts {
+		total += len(of(&parts[i]))
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]T, 0, total)
+	for i := range parts {
+		out = append(out, of(&parts[i])...)
+	}
+	return out
+}
+
+// cutAtMEs splits the (ME, task)-sorted results into at most n
+// contiguous chunks of about equal length, moving each cut forward to
+// the next ME boundary so no ME's results straddle two chunks.
+func cutAtMEs(rs []amigo.Result, n int) [][]amigo.Result {
+	var chunks [][]amigo.Result
+	for start := 0; start < len(rs); {
+		end := len(rs)
+		if left := n - len(chunks); left > 1 {
+			end = start + (len(rs)-start+left-1)/left
+			for end < len(rs) && rs[end].ME == rs[end-1].ME {
+				end++
+			}
+		}
+		chunks = append(chunks, rs[start:end])
+		start = end
+	}
+	return chunks
+}
+
+// fold appends the typed records of rs — sorted and deduplicated by
+// Ingest — to ds, stopping at the first result it cannot ingest.
+func (ds *Dataset) fold(reg *ipreg.Registry, meISO map[string]string, rs []amigo.Result) error {
+	// hops is the mtr decode scratch: ingestTrace copies what it keeps,
+	// so one backing array serves every traceroute of the chunk.
+	var hops []amigo.MTRHop
+	for _, res := range rs {
 		iso, ok := meISO[res.ME]
 		if !ok {
-			return nil, fmt.Errorf("fleet: result from ME %q outside the campaign", res.ME)
+			return fmt.Errorf("fleet: result from ME %q outside the campaign", res.ME)
 		}
 		if !res.OK {
 			ds.Failures = append(ds.Failures, FailureRecord{
@@ -124,42 +210,46 @@ func Ingest(reg *ipreg.Registry, c *Campaign) (*Dataset, error) {
 		case "speedtest":
 			var p amigo.SpeedtestPayload
 			if err := json.Unmarshal(res.Payload, &p); err != nil {
-				return nil, fmt.Errorf("fleet: bad speedtest payload from %s: %w", res.ME, err)
+				return fmt.Errorf("fleet: bad speedtest payload from %s: %w", res.ME, err)
 			}
 			ds.Speed = append(ds.Speed, SpeedRecord{ME: res.ME, ISO: iso, Config: res.Config, Payload: p})
 		case "mtr":
-			var p amigo.MTRPayload
+			// encoding/json decodes into the recycled elements as they
+			// are: zero them, or an omitted field keeps the last hop's.
+			clear(hops[:cap(hops)])
+			p := amigo.MTRPayload{Hops: hops[:0]}
 			if err := json.Unmarshal(res.Payload, &p); err != nil {
-				return nil, fmt.Errorf("fleet: bad mtr payload from %s: %w", res.ME, err)
+				return fmt.Errorf("fleet: bad mtr payload from %s: %w", res.ME, err)
 			}
+			hops = p.Hops
 			rec, err := ingestTrace(reg, res, iso, p)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			ds.Traces = append(ds.Traces, rec)
 		case "cdn":
 			var p amigo.CDNPayload
 			if err := json.Unmarshal(res.Payload, &p); err != nil {
-				return nil, fmt.Errorf("fleet: bad cdn payload from %s: %w", res.ME, err)
+				return fmt.Errorf("fleet: bad cdn payload from %s: %w", res.ME, err)
 			}
 			ds.CDN = append(ds.CDN, CDNRecord{ME: res.ME, ISO: iso, Config: res.Config, Payload: p})
 		case "dns":
 			var p amigo.DNSPayload
 			if err := json.Unmarshal(res.Payload, &p); err != nil {
-				return nil, fmt.Errorf("fleet: bad dns payload from %s: %w", res.ME, err)
+				return fmt.Errorf("fleet: bad dns payload from %s: %w", res.ME, err)
 			}
 			ds.DNS = append(ds.DNS, DNSRecord{ME: res.ME, ISO: iso, Config: res.Config, Payload: p})
 		case "video":
 			var p amigo.VideoPayload
 			if err := json.Unmarshal(res.Payload, &p); err != nil {
-				return nil, fmt.Errorf("fleet: bad video payload from %s: %w", res.ME, err)
+				return fmt.Errorf("fleet: bad video payload from %s: %w", res.ME, err)
 			}
 			ds.Video = append(ds.Video, VideoRecord{ME: res.ME, ISO: iso, Config: res.Config, Payload: p})
 		default:
-			return nil, fmt.Errorf("fleet: unknown result kind %q from %s", res.Kind, res.ME)
+			return fmt.Errorf("fleet: unknown result kind %q from %s", res.Kind, res.ME)
 		}
 	}
-	return ds, nil
+	return nil
 }
 
 // ingestTrace rebuilds the mtr hop list and re-runs the core

@@ -23,26 +23,46 @@ func MustParse(s string) Addr {
 	return a
 }
 
-// Parse parses a dotted-quad IPv4 address.
+// Parse parses a dotted-quad IPv4 address: exactly four octets of one to
+// three decimal digits, each at most 255 and without a leading zero,
+// separated by dots. Signs, spaces and empty octets are errors. It scans
+// s in place and allocates only to report an error.
 func Parse(s string) (Addr, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("ipaddr: %q is not dotted-quad", s)
-	}
 	var v uint32
-	for _, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil || n < 0 || n > 255 || (len(p) > 1 && p[0] == '0') {
-			return 0, fmt.Errorf("ipaddr: bad octet %q in %q", p, s)
+	octets, digits, n := 0, 0, 0
+	for i := 0; i <= len(s); i++ {
+		if i < len(s) && s[i] >= '0' && s[i] <= '9' {
+			if digits == 1 && n == 0 || digits == 3 {
+				return 0, fmt.Errorf("ipaddr: bad octet in %q (leading zero or too long)", s)
+			}
+			n = n*10 + int(s[i]-'0')
+			digits++
+			continue
+		}
+		// An octet ends here, at a dot or at the end of s.
+		if i < len(s) && s[i] != '.' || digits == 0 || n > 255 || octets == 4 {
+			return 0, fmt.Errorf("ipaddr: %q is not a dotted quad of octets 0-255", s)
 		}
 		v = v<<8 | uint32(n)
+		octets, digits, n = octets+1, 0, 0
+	}
+	if octets != 4 {
+		return 0, fmt.Errorf("ipaddr: %q is not dotted-quad", s)
 	}
 	return Addr(v), nil
 }
 
 // String renders the address as a dotted quad.
 func (a Addr) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+	var buf [15]byte // "255.255.255.255"
+	b := buf[:0]
+	for shift := 24; shift >= 0; shift -= 8 {
+		b = strconv.AppendUint(b, uint64(byte(a>>shift)), 10)
+		if shift > 0 {
+			b = append(b, '.')
+		}
+	}
+	return string(b)
 }
 
 // IsPrivate reports whether the address falls in RFC 1918 or CGN

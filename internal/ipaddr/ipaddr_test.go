@@ -1,6 +1,8 @@
 package ipaddr
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -18,11 +20,84 @@ func TestParseRoundTrip(t *testing.T) {
 }
 
 func TestParseRejectsBadInput(t *testing.T) {
-	for _, s := range []string{"", "1.2.3", "1.2.3.4.5", "256.1.1.1", "-1.2.3.4", "a.b.c.d", "01.2.3.4", "1.2.3.4/24"} {
-		if _, err := Parse(s); err == nil {
-			t.Errorf("Parse(%q) should fail", s)
+	for _, s := range []string{
+		"", "1.2.3", "1.2.3.4.5", "256.1.1.1", "-1.2.3.4", "a.b.c.d", "01.2.3.4", "1.2.3.4/24",
+		// Empty octets, wherever they sit.
+		".1.2.3", "1..2.3", "1.2.3.", "...", "1.2.3.4.",
+		// Leading zeros and over-long or over-range octets.
+		"00.0.0.0", "1.2.3.04", "1.2.3.0000", "1.2.3.256", "1.2.3.1000", "1.2.3.99999999999999999999",
+		// Signs: strconv.Atoi let "+1" and "-0" through the old Parse.
+		"+1.2.3.4", "1.+2.3.4", "-0.1.2.3", "1.2.3.-0",
+		// Anything that is not a digit or a dot.
+		" 1.2.3.4", "1.2.3.4 ", "1.2.3.4\n", "1,2,3,4", "1.2.3.4e0", "0x1.2.3.4", "1_0.2.3.4", "١.2.3.4",
+	} {
+		if a, err := Parse(s); err == nil {
+			t.Errorf("Parse(%q) = %s, should fail", s, a)
 		}
 	}
+}
+
+// TestParseStringAllocs: rendering an address is the one allocation its
+// string needs, and parsing a well-formed one allocates nothing.
+func TestParseStringAllocs(t *testing.T) {
+	a := MustParse("202.166.126.4")
+	if n := testing.AllocsPerRun(100, func() { _ = a.String() }); n > 1 {
+		t.Errorf("String allocates %.0f times, want <= 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { Parse("202.166.126.4") }); n != 0 {
+		t.Errorf("Parse allocates %.0f times, want 0", n)
+	}
+}
+
+// parseOld is the Parse this package had before it stopped splitting
+// and Atoi-ing: the reference FuzzParse compares against.
+func parseOld(s string) (Addr, bool) {
+	parts := strings.Split(s, ".")
+	if len(parts) != 4 {
+		return 0, false
+	}
+	var v uint32
+	for _, p := range parts {
+		n, err := strconv.Atoi(p)
+		if err != nil || n < 0 || n > 255 || (len(p) > 1 && p[0] == '0') {
+			return 0, false
+		}
+		v = v<<8 | uint32(n)
+	}
+	return Addr(v), true
+}
+
+// FuzzParse holds the rewrite to the old implementation: on every input
+// without a sign the two agree on accept/reject and on the value, a
+// signed input is always rejected, and whatever parses renders back to
+// an address that parses to itself.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{"0.0.0.0", "255.255.255.255", "202.166.126.4", "1.2.3", "01.2.3.4",
+		"1..2.3", "256.1.1.1", "+1.2.3.4", "-0.1.2.3", "1.2.3.4.5", "", "a.b.c.d", "1.2.3.0000"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := Parse(s)
+		if strings.ContainsAny(s, "+-") {
+			if err == nil {
+				t.Fatalf("Parse(%q) = %s, want an error for a signed octet", s, got)
+			}
+			return
+		}
+		want, ok := parseOld(s)
+		if (err == nil) != ok || got != want {
+			t.Fatalf("Parse(%q) = %s, %v; the old Parse gave %s, ok=%v", s, got, err, want, ok)
+		}
+		if err != nil {
+			return
+		}
+		if back, err := Parse(got.String()); err != nil || back != got {
+			t.Fatalf("Parse(%q.String()) = %s, %v", got, back, err)
+		}
+		if got.String() != s {
+			t.Fatalf("Parse accepted %q, a non-canonical form of %s", s, got)
+		}
+	})
 }
 
 func TestParseStringPropertyRoundTrip(t *testing.T) {

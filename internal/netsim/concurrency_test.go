@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -182,5 +183,65 @@ func TestSingleFlightSharesComputation(t *testing.T) {
 		if paths[g] != paths[0] {
 			t.Fatalf("goroutine %d got a different *Path than goroutine 0", g)
 		}
+	}
+}
+
+// TestConcurrentRouteViaSharesOnePath races many goroutines on the same
+// missing composed route: every one of them must come back with the
+// identical *Path (the first store wins), equal to the concatenation of
+// the two legs, and the lookups must show up in RouteCacheStats.
+func TestConcurrentRouteViaSharesOnePath(t *testing.T) {
+	net := tieGraph(rng.New(37).Fork("via"), 100)
+	net.Freeze()
+	first, err := net.Route(0, 50)
+	if err != nil {
+		t.Fatalf("no route 0->50 in this graph: %v", err)
+	}
+	second, err := net.Route(50, 99)
+	if err != nil {
+		t.Fatalf("no route 50->99 in this graph: %v", err)
+	}
+	want, err := ConcatPaths(first, second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits0, misses0, _ := net.RouteCacheStats()
+
+	const goroutines = 32
+	paths := make([]*Path, goroutines)
+	errs := make([]error, goroutines)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			start.Wait()
+			paths[g], errs[g] = net.RouteVia(0, 50, 99)
+		}(g)
+	}
+	start.Done()
+	wg.Wait()
+	for g := 0; g < goroutines; g++ {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if paths[g] != paths[0] {
+			t.Fatalf("goroutine %d got a different *Path than goroutine 0", g)
+		}
+	}
+	if !reflect.DeepEqual(paths[0], want) {
+		t.Error("composed route differs from ConcatPaths of its legs")
+	}
+	warm, _ := net.RouteVia(0, 50, 99)
+	if warm != paths[0] {
+		t.Error("warm RouteVia returned a different *Path")
+	}
+	hits, misses, _ := net.RouteCacheStats()
+	if misses == misses0 || hits == hits0 {
+		t.Errorf("RouteCacheStats did not move: hits %d->%d, misses %d->%d", hits0, hits, misses0, misses)
+	}
+	if _, err := net.RouteVia(0, 50, NodeID(net.NumNodes())); err == nil {
+		t.Error("RouteVia to a node outside the network must fail")
 	}
 }

@@ -12,6 +12,11 @@ import (
 
 // Path is a routed path: the node sequence and the traversed links
 // (len(Links) == len(Nodes)-1).
+//
+// Paths returned by Route and RouteVia are the cache's own entries,
+// shared by every caller and every goroutine that asks for the same
+// pair: they are immutable. A caller that needs a variant builds a new
+// Path (ConcatPaths copies) and never writes to one it was handed.
 type Path struct {
 	Nodes []Node
 	Links []Link
@@ -83,6 +88,10 @@ type routeTable struct {
 type routeShard struct {
 	mu sync.RWMutex
 	m  map[[2]NodeID]*Path // guarded by mu
+	// via holds composed routes keyed by (src, via, dst); see RouteVia.
+	// It is created on first store, so a shard that never composes
+	// carries no second map.
+	via map[[3]NodeID]*Path // guarded by mu
 }
 
 type routeFlight struct {
@@ -107,6 +116,7 @@ func (t *routeTable) invalidate() {
 		sh := &t.shards[i]
 		sh.mu.Lock()
 		sh.m = make(map[[2]NodeID]*Path)
+		sh.via = nil
 		sh.mu.Unlock()
 	}
 }
@@ -115,6 +125,11 @@ func shardOf(key [2]NodeID) uint64 {
 	// Fibonacci-style mix of both endpoints so (src, dst) and (dst, src)
 	// land on different shards and sequential IDs spread out.
 	h := uint64(key[0])*0x9E3779B97F4A7C15 + uint64(key[1])*0xC2B2AE3D27D4EB4F
+	return (h >> 32) % routeShards
+}
+
+func viaShardOf(key [3]NodeID) uint64 {
+	h := uint64(key[0])*0x9E3779B97F4A7C15 + uint64(key[1])*0xC2B2AE3D27D4EB4F + uint64(key[2])*0x165667B19E3779F9
 	return (h >> 32) % routeShards
 }
 
@@ -143,10 +158,56 @@ func (n *Network) Route(src, dst NodeID) (*Path, error) {
 	})
 }
 
+// RouteVia returns the path src → via → dst: the shortest route to via
+// joined to the shortest route on from it. It is how a session's traffic
+// is modelled — pinned private leg to the assigned PGW, routed public
+// leg beyond it — since tunnelled traffic cannot pick its breakout. The
+// composition is cached like a plain route: built once with ConcatPaths,
+// returned as the same shared, immutable *Path on every later call,
+// dropped with every other route when the topology changes, and counted
+// in RouteCacheStats (a composed hit is one hit; a composed miss is one
+// miss plus whatever its two legs' own lookups cost).
+func (n *Network) RouteVia(src, via, dst NodeID) (*Path, error) {
+	key := [3]NodeID{src, via, dst}
+	sh := &n.routes.shards[viaShardOf(key)]
+	sh.mu.RLock()
+	p, ok := sh.via[key]
+	sh.mu.RUnlock()
+	if ok {
+		n.routes.hits.Add(1)
+		return p, nil
+	}
+	n.routes.misses.Add(1)
+	first, err := n.Route(src, via)
+	if err != nil {
+		return nil, fmt.Errorf("netsim: route via %d, first leg: %w", via, err)
+	}
+	second, err := n.Route(via, dst)
+	if err != nil {
+		return nil, fmt.Errorf("netsim: route via %d, second leg: %w", via, err)
+	}
+	p, err = ConcatPaths(first, second)
+	if err != nil {
+		return nil, err
+	}
+	// Concurrent misses each compose the same legs; the first store wins
+	// so every caller gets the one shared pointer.
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if won, ok := sh.via[key]; ok {
+		return won, nil
+	}
+	if sh.via == nil {
+		sh.via = make(map[[3]NodeID]*Path)
+	}
+	sh.via[key] = p
+	return p, nil
+}
+
 // RouteCacheStats reports cumulative route-cache effectiveness: cache
 // hits, misses, and how many Dijkstra runs the misses actually cost
 // (single-flight collapses concurrent misses for one pair into one run,
-// so dijkstraRuns <= misses).
+// so dijkstraRuns <= misses). Composed routes (RouteVia) count too.
 func (n *Network) RouteCacheStats() (hits, misses, dijkstraRuns uint64) {
 	return n.routes.hits.Load(), n.routes.misses.Load(), n.routes.dijkstras.Load()
 }
@@ -319,11 +380,9 @@ func (n *Network) RTTms(p *Path, src *rng.Source) float64 {
 	return 2 * d * queueInflation(n.loadFactor())
 }
 
-// ConcatPaths joins consecutive path segments into one path. Each
-// segment must start at the node the previous segment ended at. It is
-// how sessions compose their pinned private leg (UE → assigned PGW) with
-// the routed public leg (PGW → target), mirroring the fact that tunneled
-// traffic cannot pick its breakout.
+// ConcatPaths joins consecutive path segments into one new path (the
+// segments are copied, never aliased). Each segment must start at the
+// node the previous segment ended at. RouteVia is its cached form.
 func ConcatPaths(segments ...*Path) (*Path, error) {
 	var out *Path
 	for _, seg := range segments {

@@ -29,7 +29,6 @@
 package rng
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"strconv"
@@ -75,10 +74,24 @@ func Stream(seed int64, label string) *Source {
 	return New(labelHash(label) ^ seed)
 }
 
+// Reseed rewinds s to the first draw of Stream(seed, label): afterwards
+// the source is exactly the one Stream would have returned, whatever it
+// drew before. It is Stream without the allocation — a fresh math/rand
+// source is ≈ 5 KB — for code that draws a few values per decision from
+// many labelled streams and can keep, or pool, one Source to do it.
+func (s *Source) Reseed(seed int64, label string) {
+	s.r.Seed(labelHash(label) ^ seed)
+}
+
+// labelHash is FNV-1a (64-bit) of label, computed in place so hashing a
+// label allocates nothing.
 func labelHash(label string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	return int64(h.Sum64())
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(label); i++ {
+		h = (h ^ uint64(label[i])) * prime64
+	}
+	return int64(h)
 }
 
 // ForkN pre-forks n children labeled "label/0" … "label/n-1" in one

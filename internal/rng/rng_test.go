@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"hash/fnv"
 	"math"
 	"sort"
 	"testing"
@@ -264,5 +265,60 @@ func TestStreamIsStatelessAndLabeled(t *testing.T) {
 	if Stream(7, "a").Float64() == Stream(7, "b").Float64() &&
 		Stream(7, "a").Float64() == Stream(8, "a").Float64() {
 		t.Error("Stream streams are not independent")
+	}
+}
+
+// TestReseedEqualsStream: whatever a source drew before — every helper,
+// Normal and Exponential (the ziggurat draws) included — after Reseed it
+// replays Stream(seed, label) draw for draw, through every kind of draw.
+func TestReseedEqualsStream(t *testing.T) {
+	s := New(99)
+	for round, label := range []string{"chaos/me-PAK-3/0/POST /v3/results/1", "", "chaos/mw/me-GEO/POST /v3/tasks/lease/12"} {
+		seed := int64(42 + round)
+		// Disturb the source differently each round.
+		for i := 0; i < 17*(round+1); i++ {
+			s.Float64()
+			s.Normal(0, 1)
+			s.Exponential(2)
+			s.Intn(10)
+			s.Perm(3)
+		}
+		s.Reseed(seed, label)
+		want := Stream(seed, label)
+		for i := 0; i < 200; i++ {
+			if g, w := s.Float64(), want.Float64(); g != w {
+				t.Fatalf("round %d draw %d: Float64 %v, Stream gives %v", round, i, g, w)
+			}
+			if g, w := s.Normal(3, 2), want.Normal(3, 2); g != w {
+				t.Fatalf("round %d draw %d: Normal %v, Stream gives %v", round, i, g, w)
+			}
+			if g, w := s.Bool(0.3), want.Bool(0.3); g != w {
+				t.Fatalf("round %d draw %d: Bool diverged", round, i)
+			}
+			if g, w := s.Intn(1000), want.Intn(1000); g != w {
+				t.Fatalf("round %d draw %d: Intn %d, Stream gives %d", round, i, g, w)
+			}
+			if g, w := s.Exponential(0.5), want.Exponential(0.5); g != w {
+				t.Fatalf("round %d draw %d: Exponential %v, Stream gives %v", round, i, g, w)
+			}
+			if g, w := s.ForkSeed("child"), want.ForkSeed("child"); g != w {
+				t.Fatalf("round %d draw %d: ForkSeed diverged", round, i)
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { s.Reseed(7, "chaos/crash/me-PAK-3/0/2") }); a != 0 {
+		t.Errorf("Reseed allocates %.0f times, want 0", a)
+	}
+}
+
+// TestLabelHashIsFNV1a pins the in-place label hash to hash/fnv, which
+// every forked stream in the repository was seeded through before.
+func TestLabelHashIsFNV1a(t *testing.T) {
+	for _, label := range []string{"", "a", "table4", "PAK/3", "chaos/me-PAK-3/0/POST /v3/results/1", "ünïcode"} {
+		h := fnv.New64a()
+		h.Write([]byte(label))
+		if got, want := labelHash(label), int64(h.Sum64()); got != want {
+			t.Errorf("labelHash(%q) = %d, hash/fnv gives %d", label, got, want)
+		}
 	}
 }

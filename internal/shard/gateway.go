@@ -430,28 +430,41 @@ func (m *memResponse) Write(p []byte) (int, error) {
 	return m.body.Write(p)
 }
 
-// adminGet issues a synthetic GET against shard i's backend in the
-// given topology snapshot and decodes the JSON response into out.
-// Non-2xx statuses are returned as errors carrying the status code.
-func adminGet(t *topology, i int, path string, out any) (int, error) {
+// shardGet issues a synthetic GET against shard i's backend in the
+// given topology snapshot, asking for the representation accept names
+// ("" = the backend's default, JSON). The body is appended to resp, so
+// one memResponse can collect several shards' bodies back to back.
+// Non-200 statuses are returned as errors carrying the status code.
+func shardGet(t *topology, i int, path, accept string, resp *memResponse) (int, error) {
 	req, err := http.NewRequest(http.MethodGet, path, nil)
 	if err != nil {
 		return 0, err
 	}
-	var resp memResponse
-	t.backends[i].ServeHTTP(&resp, req)
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp.code = 0
+	t.backends[i].ServeHTTP(resp, req)
 	if resp.code == 0 {
 		resp.code = http.StatusOK
 	}
 	if resp.code != http.StatusOK {
 		return resp.code, fmt.Errorf("shard %d: %s: HTTP %d", i, path, resp.code)
 	}
-	if out != nil {
-		if err := json.Unmarshal(resp.body.Bytes(), out); err != nil {
-			return resp.code, fmt.Errorf("shard %d: %s: %w", i, path, err)
-		}
-	}
 	return resp.code, nil
+}
+
+// adminGet is shardGet for a JSON response, decoded into out.
+func adminGet(t *topology, i int, path string, out any) (int, error) {
+	var resp memResponse
+	code, err := shardGet(t, i, path, "", &resp)
+	if err != nil {
+		return code, err
+	}
+	if err := json.Unmarshal(resp.body.Bytes(), out); err != nil {
+		return code, fmt.Errorf("shard %d: %s: %w", i, path, err)
+	}
+	return code, nil
 }
 
 // resultsPage mirrors the amigo admin results response.
@@ -460,10 +473,95 @@ type resultsPage struct {
 	Results []json.RawMessage `json:"results"`
 }
 
+// mergedPage accumulates one merged results page in the representation
+// the client asked for: raw JSON results, or (v3) the shards' own
+// MsgResults frames back to back, passed through undecoded.
+type mergedPage struct {
+	v3     bool
+	n      int // results merged so far
+	json   []json.RawMessage
+	frames memResponse
+}
+
+// read merges shard i's results [local, local+want) into the page and
+// returns how many the shard served (fewer when it serves bounded
+// pages). A shard that appended past the probe must not leak
+// post-snapshot results into the page: want is what the snapshot has
+// left, and a shard serving more than it is cut back (JSON) or refused
+// (v3 — its frame would have to be re-encoded to be cut).
+func (m *mergedPage) read(t *topology, i, local, want int) (int, error) {
+	path := fmt.Sprintf("/admin/results?cursor=%d&limit=%d", local, want)
+	if !m.v3 {
+		var page resultsPage
+		if _, err := adminGet(t, i, path, &page); err != nil {
+			return 0, err
+		}
+		got := min(len(page.Results), want)
+		m.json = append(m.json, page.Results[:got]...)
+		m.n += got
+		return got, nil
+	}
+	off := m.frames.body.Len()
+	if _, err := shardGet(t, i, path, wire.ContentType, &m.frames); err != nil {
+		return 0, err
+	}
+	got, err := countResults(m.frames.body.Bytes()[off:])
+	if err == nil && got > want {
+		err = fmt.Errorf("served %d results for limit %d", got, want)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("shard %d: %s: %w", i, path, err)
+	}
+	m.n += got
+	return got, nil
+}
+
+// countResults sums the record counts of back-to-back MsgResults
+// frames, reading each frame's header and leading count and nothing
+// else — the client decodes (and validates) the records.
+func countResults(frames []byte) (int, error) {
+	total := 0
+	for len(frames) > 0 {
+		h, err := wire.ParseHeader(frames)
+		if err != nil {
+			return 0, err
+		}
+		end := wire.HeaderLen + int(h.N)
+		if h.Type != wire.MsgResults || end > len(frames) {
+			return 0, errors.New("shard: body is not a sequence of results frames")
+		}
+		n, err := wire.ResultCount(frames[wire.HeaderLen:end])
+		if err != nil {
+			return 0, err
+		}
+		total += n
+		frames = frames[end:]
+	}
+	return total, nil
+}
+
+// write answers the merged request: next is the global cursor one past
+// the page.
+func (m *mergedPage) write(w http.ResponseWriter, next int) {
+	if !m.v3 {
+		if m.json == nil {
+			m.json = []json.RawMessage{}
+		}
+		writeJSON(w, map[string]any{"cursor": next, "results": m.json})
+		return
+	}
+	w.Header().Set(wire.CursorHeader, strconv.Itoa(next))
+	w.Header().Set("Content-Type", wire.ContentType)
+	w.Write(m.frames.body.Bytes()) // a failed write means the client is gone
+}
+
 // handleMergedResults serves GET /admin/results with the single-server
-// contract — {"cursor": next, "results": [...]} paged by cursor and
-// limit, cursor=-1 returning just the current cursor — over the
-// concatenation of all shards' logs in shard-index order.
+// contract — a page of results by cursor and limit, cursor=-1 returning
+// just the current cursor, as JSON {"cursor": next, "results": [...]} or,
+// for Accept: application/vnd.amigo.v3, as MsgResults frames with next
+// in X-Amigo-Cursor — over the concatenation of all shards' logs in
+// shard-index order. A v3 page is the shards' own frames passed through:
+// the gateway reads each frame's record count and decodes nothing.
 //
 // The global cursor maps onto per-shard cursors via a prefix-sum
 // snapshot of the shard log lengths, probed once up front. Within one
@@ -488,13 +586,20 @@ func (g *Gateway) handleMergedResults(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	page := mergedPage{v3: r.Header.Get("Accept") == wire.ContentType}
 
 	t := g.topo.Load()
 	n := t.ring.Shards()
 	lens := make([]int, n)
-	for i := 0; i < n; i++ {
-		var page resultsPage
-		code, err := adminGet(t, i, "/admin/results?cursor=-1", &page)
+	total := 0
+	for i := range lens {
+		var probe memResponse
+		code, err := shardGet(t, i, "/admin/results?cursor=-1", wire.ContentType, &probe)
+		if err == nil {
+			if lens[i], err = strconv.Atoi(probe.Header().Get(wire.CursorHeader)); err != nil {
+				err = fmt.Errorf("shard %d: cursor probe: %w", i, err)
+			}
+		}
 		if err != nil {
 			if code == http.StatusNotImplemented {
 				http.Error(w, "results not readable: a shard's sink has no cursor support", http.StatusNotImplemented)
@@ -503,59 +608,38 @@ func (g *Gateway) handleMergedResults(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
-		lens[i] = page.Cursor
-	}
-	total := 0
-	for _, l := range lens {
-		total += l
+		total += lens[i]
 	}
 
 	if cursor < 0 {
-		writeJSON(w, map[string]any{"cursor": total, "results": []json.RawMessage{}})
+		page.write(w, total)
 		return
 	}
 	if limit <= 0 {
 		limit = total // "no limit": one page covers everything
 	}
 
-	merged := make([]json.RawMessage, 0, min(limit, 4096))
 	prefix := 0
-	for i := 0; i < n && len(merged) < limit; i++ {
-		segEnd := prefix + lens[i]
-		local := 0
-		if cursor > prefix {
-			local = cursor - prefix
-		}
+	for i := 0; i < n && page.n < limit; i++ {
 		// Page through this shard's log; shards may serve bounded pages
 		// (walsink does), so loop until the snapshot length is covered.
-		for local < lens[i] && len(merged) < limit {
-			want := lens[i] - local
-			if rem := limit - len(merged); rem < want {
-				want = rem
-			}
-			var page resultsPage
-			path := fmt.Sprintf("/admin/results?cursor=%d&limit=%d", local, want)
-			if _, err := adminGet(t, i, path, &page); err != nil {
+		// Advance by what was actually merged, not the shard's own
+		// cursor: a post-snapshot append must not skip ahead.
+		for local := max(cursor-prefix, 0); local < lens[i] && page.n < limit; {
+			got, err := page.read(t, i, local, min(lens[i]-local, limit-page.n))
+			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadGateway)
 				return
 			}
-			if len(page.Results) > want {
-				// The shard appended past the probe and served more than
-				// asked; keep the merge inside the snapshot.
-				page.Results = page.Results[:want]
-			}
-			if len(page.Results) == 0 {
+			if got == 0 {
 				break // shard shrank?! — serve what we have rather than spin
 			}
-			// Advance by what was actually merged, not the shard's own
-			// cursor: a post-snapshot append must not skip ahead.
-			merged = append(merged, page.Results...)
-			local += len(page.Results)
+			local += got
 		}
-		prefix = segEnd
+		prefix += lens[i]
 	}
 	g.obs.Counter("gateway_admin_merges_total").Inc()
-	writeJSON(w, map[string]any{"cursor": cursor + len(merged), "results": merged})
+	page.write(w, cursor+page.n)
 }
 
 // intParam parses an optional integer query parameter. A missing value

@@ -264,8 +264,8 @@ func TestCompactedPagingMatchesUncompacted(t *testing.T) {
 		t.Fatalf("Len: plain %d, compacted %d", plain.Len(), compacted.Len())
 	}
 	for cursor := 0; cursor <= plain.Len(); cursor++ {
-		want, wantNext := plain.Since(cursor)
-		got, gotNext := compacted.Since(cursor)
+		want, wantNext := plain.Since(cursor, 0)
+		got, gotNext := compacted.Since(cursor, 0)
 		if gotNext != wantNext || !bytes.Equal(wire.AppendResults(nil, got), wire.AppendResults(nil, want)) {
 			t.Fatalf("Since(%d): compacted log returned %d results (next %d), plain log %d (next %d), or their bytes differ",
 				cursor, len(got), gotNext, len(want), wantNext)

@@ -76,9 +76,10 @@ const (
 	// unsynced appends); rotation and Close always sync regardless.
 	DefaultSyncBytes = 256 << 10
 
-	// sincePage bounds how many results one Since call returns, so
-	// admin pagination over a large on-disk log reads bounded chunks
-	// instead of the whole tail per page.
+	// sincePage bounds how many results one Since call returns when the
+	// caller's own limit is larger or absent, so admin pagination over a
+	// large on-disk log reads bounded chunks instead of the whole tail
+	// per page.
 	sincePage = 5000
 )
 
@@ -462,24 +463,26 @@ func (s *Sink) SealedSinceCompact() int {
 // errPageFull stops a Replay early once Since has filled its page.
 var errPageFull = errors.New("walsink: page full")
 
-// Since implements amigo.CursorSink: it returns up to sincePage results
-// at positions >= cursor, read back from disk, plus the cursor one past
-// the last returned result. Decoded payloads are backed by the
-// per-segment read buffer, which the caller exclusively owns.
-func (s *Sink) Since(cursor int) ([]wire.Result, int) {
-	if cursor < 0 {
-		cursor = 0
+// Since implements amigo.CursorSink: it returns up to min(limit,
+// sincePage) results (sincePage when limit <= 0) at positions >= cursor,
+// read back from disk, plus the cursor one past the last returned
+// result. The replay stops at the record that fills the page, so a small
+// limit decodes a page's worth, not the tail. Decoded payloads are
+// backed by the per-segment read buffer, which the caller exclusively
+// owns.
+func (s *Sink) Since(cursor, limit int) ([]wire.Result, int) {
+	total := s.Len()
+	cursor = max(0, min(cursor, total)) // clamp out-of-range cursors the way MemorySink does
+	if limit <= 0 || limit > sincePage {
+		limit = sincePage
 	}
-	if n := s.Len(); cursor > n {
-		cursor = n // clamp out-of-range cursors the way MemorySink does
-	}
-	var out []wire.Result
+	out := make([]wire.Result, 0, min(limit, total-cursor))
 	next, err := s.Replay(cursor, func(r wire.Result) error {
 		// Check the bound before consuming: Replay only counts results
 		// fn accepted, so next must cover exactly the appended records
 		// or a full page would hand back a cursor one short and the
 		// boundary result would be re-read as a duplicate.
-		if len(out) >= sincePage {
+		if len(out) >= limit {
 			return errPageFull
 		}
 		out = append(out, r)

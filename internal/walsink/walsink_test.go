@@ -273,7 +273,7 @@ func TestSincePaging(t *testing.T) {
 	var got []wire.Result
 	cursor := 0
 	for {
-		rs, next := s.Since(cursor)
+		rs, next := s.Since(cursor, 0)
 		if len(rs) == 0 || next <= cursor {
 			break
 		}
@@ -283,7 +283,7 @@ func TestSincePaging(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Since paging diverged: got %d results, want %d", len(got), len(want))
 	}
-	if _, next := s.Since(len(want) + 100); next != len(want) {
+	if _, next := s.Since(len(want)+100, 0); next != len(want) {
 		t.Fatalf("Since past end: next = %d, want %d", next, len(want))
 	}
 }
@@ -314,7 +314,7 @@ func TestSincePageBoundary(t *testing.T) {
 
 	// The first page must be exactly full and its cursor must count
 	// every yielded result — cursor+sincePage, not one short.
-	first, next := s.Since(0)
+	first, next := s.Since(0, 0)
 	if len(first) != sincePage {
 		t.Fatalf("first page = %d results, want %d", len(first), sincePage)
 	}
@@ -325,7 +325,7 @@ func TestSincePageBoundary(t *testing.T) {
 	var got []wire.Result
 	cursor := 0
 	for {
-		rs, n := s.Since(cursor)
+		rs, n := s.Since(cursor, 0)
 		if len(rs) == 0 {
 			if n != cursor {
 				t.Fatalf("empty page moved cursor: %d -> %d", cursor, n)
@@ -448,5 +448,60 @@ func TestRecordFormat(t *testing.T) {
 	want := crc32.ChecksumIEEE(frame)
 	if got := binary.BigEndian.Uint32(data[len(frame):]); got != want {
 		t.Fatalf("crc = %08x, want %08x", got, want)
+	}
+}
+
+// TestSinceStopsDecodingAtPage: Since(cursor, limit) reads its log only
+// as far as the page goes. The last record of a six-record log is
+// damaged on disk after it was written: a limit=1 read from the front —
+// and every bounded read that ends before the damage — returns its page
+// and counts no error, while a read that has to cross the damage stops
+// there and counts one.
+func TestSinceStopsDecodingAtPage(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	s, err := Open(dir, Options{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const records, perRecord = 6, 4
+	for b := 0; b < records; b++ {
+		s.Append(mkResults(b, perRecord))
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, segName(1))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-crcLen-1] ^= 0xff // inside the last record's payload
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	readErrors := func() int64 { return reg.Counter("walsink_errors_total").Value() }
+
+	rs, next := s.Since(0, 1)
+	if len(rs) != 1 || next != 1 || rs[0].TaskID != 1 {
+		t.Fatalf("Since(0, 1) = %d results, next %d; want the first result and cursor 1", len(rs), next)
+	}
+	// A page that ends inside the fourth record reads no further than it.
+	rs, next = s.Since(perRecord, 2*perRecord+1)
+	if len(rs) != 2*perRecord+1 || next != 3*perRecord+1 {
+		t.Fatalf("Since(%d, %d) = %d results, next %d", perRecord, 2*perRecord+1, len(rs), next)
+	}
+	if n := readErrors(); n != 0 {
+		t.Fatalf("bounded reads that end before the damage counted %d read errors", n)
+	}
+	// The unbounded read has to cross the damage: it serves the intact
+	// prefix and counts the error.
+	rs, next = s.Since(0, 0)
+	if want := (records - 1) * perRecord; len(rs) != want || next != want {
+		t.Fatalf("Since(0, 0) over the damaged log = %d results, next %d; want the %d before the damage", len(rs), next, want)
+	}
+	if n := readErrors(); n != 1 {
+		t.Fatalf("the read that crossed the damage counted %d read errors, want 1", n)
 	}
 }

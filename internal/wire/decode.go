@@ -373,6 +373,14 @@ func (d *Decoder) result(rec []byte, res *Result) error {
 	return nil
 }
 
+// ResultCount returns the record count a MsgResults payload declares,
+// reading nothing past it — how the shard gateway accounts for the
+// result pages it passes through undecoded.
+func ResultCount(payload []byte) (int, error) {
+	r := reader{b: payload}
+	return r.count()
+}
+
 // FirstResultME returns the ME name of the first record in a
 // MsgResults payload without decoding the whole batch — the shard
 // gateway's routing peek: one upload batch always belongs to a single
@@ -400,12 +408,38 @@ func (d *Decoder) FirstResultME(payload []byte) (string, error) {
 	return res.ME, nil
 }
 
+// ReadResults reads the body of a v3 results page — MsgResults frames
+// back to back until a clean end of stream — decoding every frame onto
+// dst. Each frame is read into a fresh buffer of exactly its length,
+// which the decoded payloads alias and thereby own: nothing is pooled,
+// so the results stay valid for as long as the caller keeps them.
+func (d *Decoder) ReadResults(rd io.Reader, dst []Result) ([]Result, error) {
+	for {
+		h, frame, err := ReadFrame(rd, nil)
+		if errors.Is(err, io.EOF) {
+			return dst, nil // no byte of a next frame: the previous one was the last
+		}
+		if err == nil && h.Type != MsgResults {
+			err = fmt.Errorf("wire: unexpected message type 0x%02x in a results page", h.Type)
+		}
+		if err == nil {
+			dst, err = d.Results(frame, dst)
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+}
+
 // ReadFrame reads exactly one frame from rd: the fixed header, then a
 // payload of the header-declared length into buf (grown once if its
 // capacity is short — pass a pooled buffer re-sliced to [:0] and the
 // steady state reads allocation-free). It returns the parsed header
 // and the buffer with len == payload length; the caller keeps
-// ownership of (and should re-pool) the returned buffer.
+// ownership of (and should re-pool) the returned buffer. The error
+// wraps io.EOF only when rd ended before the frame's first byte — a
+// clean end of a frame sequence; a stream torn anywhere inside a frame
+// wraps io.ErrUnexpectedEOF.
 func ReadFrame(rd io.Reader, buf []byte) (Header, []byte, error) {
 	// The header is read into buf (not a local array) so that nothing
 	// escapes into the heap through the io.Reader interface; the
@@ -426,6 +460,11 @@ func ReadFrame(rd io.Reader, buf []byte) (Header, []byte, error) {
 	}
 	buf = buf[:n]
 	if _, err := io.ReadFull(rd, buf); err != nil {
+		if err == io.EOF {
+			// The header promised a payload: a stream that ends here is
+			// torn, and must not read as the io.EOF of a clean end.
+			err = io.ErrUnexpectedEOF
+		}
 		return Header{}, buf[:0], fmt.Errorf("wire: reading payload: %w", err)
 	}
 	return h, buf, nil

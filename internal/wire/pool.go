@@ -7,10 +7,13 @@ import "sync"
 // (SA6002); callers re-slice to [:0] on Get and hand the same pointer
 // back on Put.
 
-// bufCap is the initial capacity of pooled buffers: comfortably one
-// max-size lease batch (1024 tasks × tens of bytes) or a typical
-// result batch without growth.
-const bufCap = 64 << 10
+// bufCap is the initial capacity of pooled buffers: a 32-result upload
+// (≈ 10.5 KB, the largest frame a campaign ME sends) fits without
+// growth. A larger frame — a 1024-task lease response, a results page —
+// grows its buffer once, and the grown buffer is re-pooled. The cap is
+// what every parked ME holds while it executes a batch, so it is sized
+// to the common frame, not the largest.
+const bufCap = 16 << 10
 
 var bufPool = sync.Pool{
 	New: func() any {

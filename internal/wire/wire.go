@@ -105,13 +105,18 @@ const (
 const (
 	MsgLeaseRequest byte = 0x01 // client -> server: LeaseRequest
 	MsgTasks        byte = 0x02 // server -> client: []Task lease response
-	MsgResults      byte = 0x03 // client -> server: []Result batch upload
+	MsgResults      byte = 0x03 // []Result: batch upload (client -> server), results page (server -> client)
 )
 
 // ContentType is the media type v3 frames travel under; the v3 HTTP
 // handlers negotiate on it (anything else is 415) so a misdirected JSON
 // client gets a typed refusal instead of a decode error.
 const ContentType = "application/vnd.amigo.v3"
+
+// CursorHeader is the response header that carries the next cursor of a
+// results page served as v3 frames (GET /admin/results with Accept:
+// ContentType); the JSON page carries it in its body.
+const CursorHeader = "X-Amigo-Cursor"
 
 // Field tags. Tags are per-message-type namespaces; within a record
 // they must appear in strictly ascending order.
@@ -290,8 +295,29 @@ func resultRecordLen(r *Result) int {
 	return n
 }
 
-// AppendResults appends a complete MsgResults frame (the batch upload)
-// to dst and returns the extended slice.
+// ResultsFrameLen sizes the MsgResults frame for the longest prefix of
+// rs whose payload stays within MaxFrame: n is how many results that
+// prefix holds (len(rs) unless the bound cut it short) and size is the
+// exact byte length AppendResults(nil, rs[:n]) produces, header
+// included — so a caller can cut a page to one legal frame and grow its
+// buffer once.
+func ResultsFrameLen(rs []Result) (n, size int) {
+	records := 0
+	for i := range rs {
+		rec := resultRecordLen(&rs[i])
+		rec += uvarintLen(uint64(rec))
+		if uvarintLen(uint64(i+1))+records+rec > MaxFrame {
+			break
+		}
+		records += rec
+		n++
+	}
+	return n, HeaderLen + uvarintLen(uint64(n)) + records
+}
+
+// AppendResults appends a complete MsgResults frame (the batch upload,
+// and a page of the v3 results read-back) to dst and returns the
+// extended slice.
 func AppendResults(dst []byte, rs []Result) []byte {
 	dst, start := beginFrame(dst, MsgResults)
 	dst = binary.AppendUvarint(dst, uint64(len(rs)))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -331,5 +332,84 @@ func TestInternCap(t *testing.T) {
 	}
 	if len(d.intern) > maxIntern {
 		t.Fatalf("intern table grew to %d, cap is %d", len(d.intern), maxIntern)
+	}
+}
+
+// TestResultsFrameLen: the size it reports is the size AppendResults
+// writes, the count it reports is what ResultCount reads back, and a
+// page that cannot fit one frame is cut to the longest prefix that can.
+func TestResultsFrameLen(t *testing.T) {
+	many := make([]Result, 300) // a two-byte record count
+	for i := range many {
+		many[i] = sampleResults()[i%3]
+		many[i].TaskID = i + 1
+	}
+	for name, rs := range map[string][]Result{
+		"nil": nil, "one": sampleResults()[:1], "three": sampleResults(), "three hundred": many,
+	} {
+		n, size := ResultsFrameLen(rs)
+		frame := AppendResults(nil, rs)
+		if n != len(rs) || size != len(frame) {
+			t.Errorf("%s: ResultsFrameLen = (%d, %d), AppendResults wrote %d results in %d bytes", name, n, size, len(rs), len(frame))
+		}
+		if got, err := ResultCount(frame[HeaderLen:]); err != nil || got != len(rs) {
+			t.Errorf("%s: ResultCount = %d, %v; want %d", name, got, err, len(rs))
+		}
+	}
+
+	big := make([]Result, 5)
+	for i := range big {
+		big[i] = Result{TaskID: i + 1, ME: "me", Payload: make([]byte, MaxFrame/4)}
+	}
+	n, size := ResultsFrameLen(big)
+	if n != 3 {
+		t.Fatalf("five quarter-frame results: %d fit one frame, want 3", n)
+	}
+	frame := AppendResults(nil, big[:n])
+	if size != len(frame) {
+		t.Errorf("cut page: size %d, AppendResults wrote %d", size, len(frame))
+	}
+	if h, err := ParseHeader(frame); err != nil || h.N > MaxFrame {
+		t.Errorf("cut page does not parse as a legal frame: %+v, %v", h, err)
+	}
+	if _, err := ParseHeader(AppendResults(nil, big[:n+1])); err == nil {
+		t.Error("one more result would still have fit: the cut is not maximal")
+	}
+	if n, _ := ResultsFrameLen([]Result{{TaskID: 1, Payload: make([]byte, MaxFrame)}}); n != 0 {
+		t.Errorf("a result larger than a frame: %d fit, want 0", n)
+	}
+	if _, err := ResultCount(nil); err == nil {
+		t.Error("ResultCount accepted an empty payload")
+	}
+}
+
+// TestReadResults: a results page is zero or more frames up to a clean
+// end of stream; payloads alias per-frame buffers that outlive the read;
+// a torn frame or a frame of another type is an error, not an end.
+func TestReadResults(t *testing.T) {
+	rs := sampleResults()
+	page := AppendResults(AppendResults(nil, rs[:2]), rs[2:])
+	dec := NewDecoder()
+	got, err := dec.ReadResults(bytes.NewReader(page), nil)
+	if err != nil || !reflect.DeepEqual(got, rs) {
+		t.Fatalf("two-frame page: %+v, %v; want %+v", got, err, rs)
+	}
+	for i := range page {
+		page[i] = 0xff // the source is gone; the results must not notice
+	}
+	if !reflect.DeepEqual(got, rs) {
+		t.Error("decoded results alias the stream's buffer, not their own")
+	}
+	if got, err := dec.ReadResults(bytes.NewReader(nil), got[:1]); err != nil || len(got) != 1 {
+		t.Errorf("empty page onto one result: %d results, %v", len(got), err)
+	}
+	whole := AppendResults(nil, rs)
+	for _, cut := range []int{3, HeaderLen, len(whole) - 1} {
+		if _, err := dec.ReadResults(bytes.NewReader(whole[:cut]), nil); err == nil {
+			t.Errorf("page torn at byte %d of %d read as complete", cut, len(whole))
+		}
+	}
+	if _, err := dec.ReadResults(bytes.NewReader(AppendTasks(nil, sampleTasks())), nil); err == nil {
+		t.Error("a tasks frame read as a results page")
 	}
 }
