@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet lint lint-json lint-allows lint-guard build test race bench metrics-smoke shard-smoke reshard-smoke profile-campaign fuzz-short FORCE
+.PHONY: verify fmt-check vet lint lint-json lint-allows lint-guard build test race bench metrics-smoke shard-smoke reshard-smoke profile-campaign fuzz-short loc FORCE
 
 ## verify: the CI entry point — gofmt, vet, the roamvet determinism/hygiene
 ## analyzers, build, every test suite under the race detector (the
@@ -93,6 +93,12 @@ profile-campaign:
 	./bin/roam-fleet -mes $(MES) $(FLEET_FLAGS) -cpuprofile bin/campaign.cpu.prof -memprofile bin/campaign.mem.prof | grep '^fleet:'
 	$(GO) tool pprof -top -nodecount=25 -sample_index=alloc_space -ignore='airalo\.Build' bin/roam-fleet bin/campaign.mem.prof
 	$(GO) tool pprof -top -nodecount=25 bin/roam-fleet bin/campaign.cpu.prof
+
+## loc: non-test Go lines per package outside bench/ and testdata/, plus
+## the total — the count ROADMAP item 7 tracks and every PR's CHANGES.md
+## entry reports the delta of.
+loc:
+	@bash scripts/loc.sh
 
 ## fuzz-short: a 10s budget per native fuzz target, on top of the
 ## checked-in seed corpora (which always run as part of plain `go test`).

@@ -30,10 +30,11 @@
 // /admin/metrics. Metrics never change the dataset: for a fixed seed
 // the output is byte-identical with or without -metrics.
 //
-// With -crosscheck the same plan is also run serially in-process over
-// the v1 protocol and the two Table 4 / RTT renderings are compared;
-// any mismatch exits nonzero. For a fixed seed the fleet output is
-// byte-identical regardless of -workers or -lease.
+// With -crosscheck the same plan is also run serially in-process — one
+// task per lease on direct calls into a private server, no socket and
+// no codec (fleet.RunInProcess) — and the two Table 4 / RTT renderings
+// are compared; any mismatch exits nonzero. For a fixed seed the fleet
+// output is byte-identical regardless of -workers or -lease.
 //
 // With -chaos the run is subjected to seeded deterministic fault
 // injection (connection resets, truncation, duplicate deliveries,

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"roamsim/internal/airalo"
+	"roamsim/internal/obs"
 	"roamsim/internal/rng"
 )
 
@@ -450,42 +451,32 @@ func TestBackpressureShedsWhenSinkStalls(t *testing.T) {
 	}
 }
 
+// TestEndpointUploadRetriesThrough429: an upload shed by a full spool —
+// 429 over HTTP, ErrSpoolFull in-process — is retried until the sink
+// recovers, and then lands exactly once.
 func TestEndpointUploadRetriesThrough429(t *testing.T) {
-	sink := &gateSink{entered: make(chan struct{}), gate: make(chan struct{}), inner: NewMemorySink()}
-	srv := NewServer(nil, WithSink(sink), WithSpoolCapacity(1), WithRetryAfter(0))
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	ep := NewEndpoint("me-PAK", hs.URL, world(t).Deployments["PAK"], rng.New(5))
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // stalls in the sink
-		defer wg.Done()
-		srv.Submit([]Result{{ME: "x", OK: true}})
-	}()
-	<-sink.entered
-	go func() { // fills the spool
-		defer wg.Done()
-		srv.Submit([]Result{{ME: "y", OK: true}})
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.SpoolDepth() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("spool never filled")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Release the sink shortly after the endpoint starts retrying.
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		close(sink.gate)
-	}()
-	if err := ep.Upload([]Result{{ME: "me-PAK", Kind: "dns", Config: "esim", OK: true}}); err != nil {
-		t.Fatalf("upload through backpressure: %v", err)
-	}
-	wg.Wait()
-	if got := sink.inner.Len(); got != 3 {
-		t.Fatalf("results = %d, want 3", got)
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			srv, sink, release := stallSpool(t, WithRetryAfter(0))
+			reg := obs.NewRegistry()
+			ep := &Endpoint{Name: "me-PAK", Obs: reg}
+			tr.bind(t, srv, ep)
+			// Release the sink shortly after the endpoint starts retrying.
+			go func() {
+				time.Sleep(100 * time.Millisecond)
+				release()
+			}()
+			if err := ep.Upload([]Result{{ME: "me-PAK", Kind: "dns", Config: "esim", OK: true}}); err != nil {
+				t.Fatalf("upload through backpressure: %v", err)
+			}
+			release()
+			if got := sink.inner.Len(); got != 3 {
+				t.Fatalf("results = %d, want 3", got)
+			}
+			if retries(reg, "results") == 0 {
+				t.Error("the upload was never shed: the fixture did not exercise backpressure")
+			}
+		})
 	}
 }
 

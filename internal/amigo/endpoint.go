@@ -1,7 +1,6 @@
 package amigo
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -21,7 +20,6 @@ import (
 	"roamsim/internal/rng"
 	"roamsim/internal/vclock"
 	"roamsim/internal/video"
-	"roamsim/internal/wire"
 )
 
 // ProtoV3 is the only value (besides "") Endpoint.Proto and
@@ -87,33 +85,26 @@ func (b Backoff) delay(attempt int, hint time.Duration) time.Duration {
 	return d
 }
 
-// ErrUnknownME is wrapped into any control-plane error caused by an
-// HTTP 404: the server does not know this ME. In a sharded deployment
-// that is the signature of a control-shard crash — the replacement
-// shard lost every registration — and the fleet driver treats it as
-// recoverable (re-register, re-schedule under the original task IDs,
-// replay). Test with errors.Is.
+// ErrUnknownME is wrapped into every error that means the server does
+// not know this ME — by the Server methods themselves, and by the HTTP
+// transport for a 404. In a sharded deployment that is the signature of
+// a control-shard crash — the replacement shard lost every registration
+// — and the fleet driver treats it as recoverable (re-register,
+// re-schedule under the original task IDs, replay). Test with errors.Is.
 var ErrUnknownME = errors.New("amigo: server does not know this ME")
-
-// httpStatusErr builds the error for a non-2xx control-plane response,
-// wrapping ErrUnknownME for 404 so callers can detect lost
-// registrations with errors.Is instead of parsing messages.
-func httpStatusErr(op string, code int) error {
-	if code == http.StatusNotFound {
-		return fmt.Errorf("amigo: %s: HTTP %d: %w", op, code, ErrUnknownME)
-	}
-	return fmt.Errorf("amigo: %s: HTTP %d", op, code)
-}
 
 // Endpoint is a measurement endpoint: the rooted-phone replacement that
 // executes instrumentation against the simulated world and talks to the
-// control server over HTTP.
+// control server through a Transport.
 type Endpoint struct {
 	Name    string
 	BaseURL string
 	Client  *http.Client
 	Dep     *airalo.Deployment
 	Src     *rng.Source
+	// Transport carries the control-plane operations; nil means HTTP to
+	// BaseURL through Client.
+	Transport Transport
 	// Retry is the control-plane retry policy (zero value = defaults).
 	Retry Backoff
 	// Ctx, when set, bounds every request and backoff sleep — the
@@ -213,8 +204,7 @@ func (m *epMetrics) request(path string) {
 
 // reqContext is the request context, instrumented to observe connection
 // reuse when a registry is attached.
-func (e *Endpoint) reqContext() context.Context {
-	ctx := e.ctx()
+func (e *Endpoint) reqContext(ctx context.Context) context.Context {
 	if t := e.metrics().connTrace; t != nil {
 		ctx = httptrace.WithClientTrace(ctx, t)
 	}
@@ -256,40 +246,40 @@ func (e *Endpoint) sleep(d time.Duration) error {
 	return vclock.SleepCtx(e.clock(), e.ctx(), d)
 }
 
-// retry runs attempt under the endpoint's backoff policy. attempt
-// returns done=true to stop (success or permanent failure), done=false
-// to back off and try again; hint carries a server Retry-After to honour
-// (clamped by the policy).
-func (e *Endpoint) retry(op string, attempt func() (done bool, hint time.Duration, err error)) error {
+// retry runs attempt — one Transport call — under the backoff policy: nil
+// or a permanent error ends the operation, a Retryable backs off (its
+// After hint clamped by the policy) and tries again. Every operation is
+// idempotent on the server (uploads by their key), so resending is safe.
+func (e *Endpoint) retry(op string, attempt func(context.Context, Transport) error) error {
 	b := e.Retry.withDefaults()
-	var lastErr error
-	var lastHint time.Duration
+	ctx, t := e.ctx(), e.Transport
+	if t == nil {
+		t = (*httpTransport)(e)
+	}
+	var last Retryable
 	for i := 0; i < b.MaxAttempts; i++ {
 		if i > 0 {
 			e.Obs.Counter("amigo_endpoint_retries_total", obs.L("op", op)).Add(1)
-			if err := e.sleep(b.delay(i-1, lastHint)); err != nil {
+			if err := e.sleep(b.delay(i-1, last.After)); err != nil {
 				return err
 			}
 		}
-		done, hint, err := attempt()
-		if done {
+		err := attempt(ctx, t)
+		if err == nil {
+			return nil
+		}
+		var r Retryable // declared past the success return: errors.As moves it to the heap
+		if !errors.As(err, &r) {
 			return err
 		}
-		lastErr, lastHint = err, hint
-		if ctxErr := e.ctx().Err(); ctxErr != nil {
+		last = r
+		if ctxErr := ctx.Err(); ctxErr != nil {
 			return ctxErr
 		}
 	}
 	e.Obs.Counter("amigo_endpoint_retry_giveups_total", obs.L("op", op)).Add(1)
 	e.Obs.Trace().Record("retry-giveup", obs.L("me", e.Name), obs.L("op", op))
-	return fmt.Errorf("amigo: %s: giving up after %d attempts: %w", op, b.MaxAttempts, lastErr)
-}
-
-// retryableStatus reports whether a response status is worth retrying:
-// backpressure (429) and server-side failures (5xx). Client errors are
-// permanent.
-func retryableStatus(code int) bool {
-	return code == http.StatusTooManyRequests || code >= 500
+	return fmt.Errorf("amigo: %s: giving up after %d attempts: %w", op, b.MaxAttempts, last.Err)
 }
 
 // drainLimit bounds how many leftover body bytes drainClose will read
@@ -307,57 +297,10 @@ func drainClose(resp *http.Response) {
 	resp.Body.Close()
 }
 
-// post sends a JSON body and retries transport errors, 429s, and 5xx
-// under the backoff policy. Control-plane posts (register, status,
-// requeue) are idempotent on the server, so resending is always safe.
-func (e *Endpoint) post(path string, body any) error {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	return e.retry(path, func() (bool, time.Duration, error) {
-		resp, err := e.postRaw(path, "application/json", buf, nil)
-		if err != nil {
-			return false, 0, err
-		}
-		wait := retryAfter(resp)
-		drainClose(resp)
-		switch {
-		case resp.StatusCode < 300:
-			return true, 0, nil
-		case retryableStatus(resp.StatusCode):
-			return false, wait, fmt.Errorf("amigo: %s: HTTP %d", path, resp.StatusCode)
-		default:
-			return true, 0, httpStatusErr(path, resp.StatusCode)
-		}
-	})
-}
-
-// postRaw sends pre-encoded bytes — the shared tail of the JSON control
-// posts and the binary batch posts (request metrics, connection tracing,
-// 429 counting).
-func (e *Endpoint) postRaw(path, contentType string, body []byte, header map[string]string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(e.reqContext(), http.MethodPost, e.BaseURL+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", contentType)
-	for k, v := range header {
-		req.Header.Set(k, v)
-	}
-	m := e.metrics()
-	m.request(path)
-	resp, err := e.httpClient().Do(req)
-	if err == nil && resp.StatusCode == http.StatusTooManyRequests {
-		m.c429.Add(1)
-	}
-	return resp, err
-}
-
 // Register announces the ME to the control server.
 func (e *Endpoint) Register() error {
-	return e.post("/v1/register", map[string]string{
-		"me": e.Name, "country": e.Dep.Country.ISO3,
+	return e.retry("/v1/register", func(ctx context.Context, t Transport) error {
+		return t.Register(ctx, e.Name, e.Dep.Country.ISO3)
 	})
 }
 
@@ -368,19 +311,20 @@ func (e *Endpoint) Heartbeat() error {
 		e.battery = 1 // the volunteer charged the phone
 	}
 	radio := e.Dep.Spec.RadioESIM.Sample(e.Src)
-	return e.post("/v1/status", map[string]any{
-		"me": e.Name,
-		"vitals": Vitals{
-			Battery: e.battery, RSSI: radio.RSSI, SNR: radio.SNR,
-			CQI: radio.CQI, RAT: string(radio.RAT), ActiveID: "esim",
-		},
+	v := Vitals{
+		Battery: e.battery, RSSI: radio.RSSI, SNR: radio.SNR,
+		CQI: radio.CQI, RAT: string(radio.RAT), ActiveID: "esim",
+	}
+	return e.retry("/v1/status", func(ctx context.Context, t Transport) error {
+		return t.Heartbeat(ctx, e.Name, v)
 	})
 }
 
-// RunOnce polls for one task, executes it, and uploads the result.
-// It returns false when the queue is empty.
+// RunOnce polls for one task, executes it, and uploads the result. It
+// returns false when the queue is empty. This is the v1 poll loop of the
+// standalone amigo-me and speaks HTTP only: it ignores Transport.
 func (e *Endpoint) RunOnce() (bool, error) {
-	req, err := http.NewRequestWithContext(e.reqContext(), http.MethodGet,
+	req, err := http.NewRequestWithContext(e.reqContext(e.ctx()), http.MethodGet,
 		e.BaseURL+"/v1/tasks?me="+url.QueryEscape(e.Name), nil)
 	if err != nil {
 		return false, err
@@ -396,9 +340,9 @@ func (e *Endpoint) RunOnce() (bool, error) {
 		return false, nil
 	case http.StatusOK:
 	default:
-		code := resp.StatusCode
+		err := statusErr("tasks", resp)
 		drainClose(resp)
-		return false, httpStatusErr("tasks", code)
+		return false, err
 	}
 	var task Task
 	err = json.NewDecoder(resp.Body).Decode(&task)
@@ -411,75 +355,26 @@ func (e *Endpoint) RunOnce() (bool, error) {
 		return false, err
 	}
 	result := e.Execute(task)
-	if err := e.post("/v1/results", result); err != nil {
-		return false, err
-	}
-	return true, nil
+	err = e.retry("/v1/results", func(ctx context.Context, _ Transport) error {
+		return (*httpTransport)(e).postJSON(ctx, "/v1/results", result)
+	})
+	return err == nil, err
 }
 
-// Lease asks the server for up to max tasks over POST /v3/tasks/lease,
-// acknowledging everything leased so far (the server retires acked
-// tasks and re-delivers unacked ones, so a lease response lost to a
-// fault is recovered on the next call). An empty slice means the queue
-// is drained. Transport errors, truncated responses, 429s, and 5xx are
-// retried under the backoff policy; the request frame is encoded once
-// into a pooled buffer and reused across retries.
+// Lease asks the server for up to max tasks, acknowledging everything
+// leased so far (the server retires acked tasks and re-delivers unacked
+// ones, so a lease response lost to a fault is recovered on the next
+// call). An empty slice means the queue is drained.
 func (e *Endpoint) Lease(max int) ([]Task, error) {
-	ebuf := wire.GetBuf()
-	defer wire.PutBuf(ebuf)
-	*ebuf = wire.AppendLeaseRequest((*ebuf)[:0],
-		wire.LeaseRequest{ME: e.Name, Max: max, Ack: e.acked})
 	var tasks []Task
-	err := e.retry("lease", func() (bool, time.Duration, error) {
-		resp, err := e.postRaw("/v3/tasks/lease", wire.ContentType, *ebuf, nil)
-		if err != nil {
-			return false, 0, err
-		}
-		switch resp.StatusCode {
-		case http.StatusNoContent:
-			drainClose(resp)
-			tasks = nil
-			return true, 0, nil
-		case http.StatusOK:
-		default:
-			wait := retryAfter(resp)
-			drainClose(resp)
-			if retryableStatus(resp.StatusCode) {
-				return false, wait, fmt.Errorf("amigo: lease: HTTP %d", resp.StatusCode)
-			}
-			return true, 0, httpStatusErr("lease", resp.StatusCode)
-		}
-		rbuf := wire.GetBuf()
-		h, payload, err := wire.ReadFrame(resp.Body, (*rbuf)[:0])
-		*rbuf = payload
-		drainClose(resp)
-		if err == nil && h.Type != wire.MsgTasks {
-			err = fmt.Errorf("wire: unexpected message type 0x%02x", h.Type)
-		}
-		var got []Task
-		if err == nil {
-			dec := wire.GetDecoder()
-			// Tasks carry no byte fields, so the decoded batch owns all
-			// its data and rbuf can go straight back to the pool.
-			got, err = dec.Tasks(payload, nil)
-			wire.PutDecoder(dec)
-		}
-		wire.PutBuf(rbuf)
-		if err != nil {
-			// Truncated or garbled frame: the batch stays unacked on the
-			// server and the retry re-delivers the same tasks.
-			return false, 0, fmt.Errorf("amigo: lease: decoding response: %w", err)
-		}
-		tasks = got
-		return true, 0, nil
+	err := e.retry("lease", func(ctx context.Context, t Transport) (err error) {
+		tasks, err = t.Lease(ctx, e.Name, max, e.acked)
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	if n := len(tasks); n > 0 {
+	if n := len(tasks); n > 0 && err == nil {
 		e.acked = tasks[n-1].ID
 	}
-	return tasks, nil
+	return tasks, err
 }
 
 // Redeliver asks the server to restore this ME's full schedule — done,
@@ -489,38 +384,22 @@ func (e *Endpoint) Lease(max int) ([]Task, error) {
 // the re-uploaded duplicates out of the dataset.
 func (e *Endpoint) Redeliver() error {
 	e.acked = 0
-	return e.post("/v2/tasks/requeue", map[string]string{"me": e.Name})
+	return e.retry("/v2/tasks/requeue", func(ctx context.Context, t Transport) error {
+		return t.Requeue(ctx, e.Name)
+	})
 }
 
-// Upload posts a result batch to POST /v3/results under an
-// Idempotency-Key derived from the batch content, retrying transport
-// errors, 429 + Retry-After backpressure (clamped by the backoff
-// policy), and 5xx. The key makes resending always safe: if the server
+// Upload submits a result batch under an idempotency key derived from
+// its content. The key makes resending always safe: if the server
 // processed a batch but the response was lost, the retry is dropped as
 // a duplicate rather than double-ingested.
 func (e *Endpoint) Upload(results []Result) error {
 	if len(results) == 0 {
 		return nil
 	}
-	header := map[string]string{"Idempotency-Key": uploadKey(e.Name, results)}
-	ebuf := wire.GetBuf()
-	defer wire.PutBuf(ebuf)
-	*ebuf = wire.AppendResults((*ebuf)[:0], results)
-	return e.retry("results", func() (bool, time.Duration, error) {
-		resp, err := e.postRaw("/v3/results", wire.ContentType, *ebuf, header)
-		if err != nil {
-			return false, 0, err
-		}
-		wait := retryAfter(resp)
-		drainClose(resp)
-		switch {
-		case resp.StatusCode < 300:
-			return true, 0, nil
-		case retryableStatus(resp.StatusCode):
-			return false, wait, fmt.Errorf("amigo: results: HTTP %d", resp.StatusCode)
-		default:
-			return true, 0, httpStatusErr("results", resp.StatusCode)
-		}
+	key := uploadKey(e.Name, results)
+	return e.retry("results", func(ctx context.Context, t Transport) error {
+		return t.Upload(ctx, key, results)
 	})
 }
 
@@ -556,17 +435,6 @@ func fnv1a[T string | []byte](h uint64, s T) uint64 {
 		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
 	return h
-}
-
-// retryAfter reads a Retry-After header as whole seconds. The backoff
-// policy clamps the hint before sleeping, so a bogus huge value cannot
-// stall an ME.
-func retryAfter(resp *http.Response) time.Duration {
-	secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
 }
 
 // RunBatch leases up to max tasks, executes them in order, and uploads

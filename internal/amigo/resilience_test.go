@@ -167,7 +167,7 @@ func TestPostRetriesTransient5xx(t *testing.T) {
 	defer hs.Close()
 	ep := &Endpoint{Name: "me", BaseURL: hs.URL, Client: hs.Client(),
 		Retry: Backoff{MaxAttempts: 5, Base: time.Millisecond, Max: 5 * time.Millisecond}}
-	if err := ep.post("/v1/register", map[string]string{"me": "me"}); err != nil {
+	if err := ep.Redeliver(); err != nil {
 		t.Fatalf("post after transient 5xx: %v", err)
 	}
 	if got := hits.Load(); got != 3 {
@@ -175,7 +175,7 @@ func TestPostRetriesTransient5xx(t *testing.T) {
 	}
 	// A permanent client error must NOT be retried.
 	hits.Store(100)
-	if err := ep.post("/v1/register", map[string]string{"me": "me"}); err != nil {
+	if err := ep.Redeliver(); err != nil {
 		t.Fatalf("unexpected: %v", err)
 	}
 }

@@ -6,14 +6,17 @@
 // The paper's MEs were rooted Samsung S21+ phones running termux; here
 // the ME drives sessions of the simulated world instead of a radio, but
 // the control-plane protocol — register, heartbeat with vitals, poll for
-// tasks, upload observations — is the same shape, over real HTTP.
+// tasks, upload observations — is the same shape, over real HTTP. An
+// Endpoint reaches the server through a Transport: the routes below, or
+// DirectTransport calling the Server methods behind them — what the
+// serial reference campaign (fleet.RunInProcess) runs on, so the oracle
+// shares no socket and no codec with the path it judges.
 //
 // # Protocol
 //
 // The v1 surface is JSON: the per-incarnation control calls every ME
 // makes, plus the one-task-per-round-trip poll loop that a handful of
-// phones needs and that the serial reference campaign
-// (fleet.RunInProcess) runs on:
+// phones needs (the standalone amigo-me, Endpoint.RunOnce):
 //
 //	POST /v1/register   {"me": ..., "country": ...}
 //	POST /v1/status     {"me": ..., "vitals": {...}}
@@ -281,6 +284,23 @@ func (s *Server) Register(me, country string) {
 	sh.mes[me].LastSeen = s.clock()
 }
 
+// unknownME is every registry method's error for an ME not registered here.
+func unknownME(me string) error { return fmt.Errorf("amigo: unknown ME %q: %w", me, ErrUnknownME) }
+
+// ReportVitals records a heartbeat: the ME's latest vitals and when it
+// was last seen.
+func (s *Server) ReportVitals(me string, v Vitals) error {
+	sh := s.shardFor(me)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	st, ok := sh.mes[me]
+	if !ok {
+		return unknownME(me)
+	}
+	st.LastVitals, st.LastSeen = v, s.clock()
+	return nil
+}
+
 // Schedule queues a task for the named ME and returns its ID.
 func (s *Server) Schedule(me string, task Task) (int, error) {
 	ids, err := s.ScheduleBatch(me, []Task{task})
@@ -304,7 +324,7 @@ func (s *Server) ScheduleBatch(me string, tasks []Task) ([]int, error) {
 	defer sh.mu.Unlock()
 	st, ok := sh.mes[me]
 	if !ok {
-		return nil, fmt.Errorf("amigo: unknown ME %q", me)
+		return nil, unknownME(me)
 	}
 	ids := make([]int, len(tasks))
 	for i, t := range tasks {
@@ -343,7 +363,7 @@ func (s *Server) Lease(me string, max int) ([]Task, error) {
 	defer sh.mu.Unlock()
 	st, ok := sh.mes[me]
 	if !ok {
-		return nil, fmt.Errorf("amigo: unknown ME %q", me)
+		return nil, unknownME(me)
 	}
 	n := min(max, len(st.queue))
 	leased := append([]Task(nil), st.queue[:n]...)
@@ -374,7 +394,7 @@ func (s *Server) LeaseAckInto(me string, max, ack int, dst []Task) ([]Task, erro
 	defer sh.mu.Unlock()
 	st, ok := sh.mes[me]
 	if !ok {
-		return dst, fmt.Errorf("amigo: unknown ME %q", me)
+		return dst, unknownME(me)
 	}
 	// Retire acknowledged deliveries into the done log (kept for Requeue).
 	for len(st.outstanding) > 0 && st.outstanding[0].ID <= ack {
@@ -411,7 +431,7 @@ func (s *Server) Requeue(me string) (int, error) {
 	defer sh.mu.Unlock()
 	st, ok := sh.mes[me]
 	if !ok {
-		return 0, fmt.Errorf("amigo: unknown ME %q", me)
+		return 0, unknownME(me)
 	}
 	restored := len(st.done) + len(st.outstanding)
 	if restored == 0 {
@@ -580,14 +600,24 @@ func (s *Server) Vitals(me string) (Vitals, bool) {
 	return st.LastVitals, true
 }
 
+// busyHint is the backpressure hint as Retry-After carries it: whole seconds.
+func (s *Server) busyHint() time.Duration {
+	return max(0, time.Duration(math.Ceil(s.retryAfter.Seconds()))*time.Second)
+}
+
 // rejectBusy writes the 429 + Retry-After backpressure response.
 func (s *Server) rejectBusy(w http.ResponseWriter) {
-	secs := 0
-	if s.retryAfter > 0 {
-		secs = int(math.Ceil(s.retryAfter.Seconds()))
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	w.Header().Set("Retry-After", strconv.Itoa(int(s.busyHint()/time.Second)))
 	http.Error(w, "result spool full", http.StatusTooManyRequests)
+}
+
+// rejectErr answers a registry error: ErrUnknownME is 404 on the wire.
+func rejectErr(w http.ResponseWriter, err error) {
+	code := http.StatusInternalServerError
+	if errors.Is(err, ErrUnknownME) {
+		code = http.StatusNotFound
+	}
+	http.Error(w, err.Error(), code)
 }
 
 // writeJSON encodes v as the JSON response body. Encode failures here
@@ -719,16 +749,8 @@ func (s *Server) Handler() http.Handler {
 			http.Error(w, "bad status", http.StatusBadRequest)
 			return
 		}
-		sh := s.shardFor(req.ME)
-		sh.mu.Lock()
-		st, ok := sh.mes[req.ME]
-		if ok {
-			st.LastVitals = req.Vitals
-			st.LastSeen = s.clock()
-		}
-		sh.mu.Unlock()
-		if !ok {
-			http.Error(w, "unknown me", http.StatusNotFound)
+		if err := s.ReportVitals(req.ME, req.Vitals); err != nil {
+			rejectErr(w, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -736,7 +758,7 @@ func (s *Server) Handler() http.Handler {
 	s.instrument(mux, "GET /v1/tasks", func(w http.ResponseWriter, r *http.Request) {
 		tasks, err := s.Lease(r.URL.Query().Get("me"), 1)
 		if err != nil {
-			http.Error(w, "unknown me", http.StatusNotFound)
+			rejectErr(w, err)
 			return
 		}
 		if len(tasks) == 0 {
@@ -766,7 +788,7 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		if _, err := s.Requeue(req.ME); err != nil {
-			http.Error(w, "unknown me", http.StatusNotFound)
+			rejectErr(w, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -878,7 +900,7 @@ func (s *Server) AdminHandler() http.Handler {
 		}
 		ids, err := s.ScheduleBatch(req.ME, tasks)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
+			rejectErr(w, err)
 			return
 		}
 		s.writeJSON(w, map[string]any{"task_ids": ids})

@@ -74,7 +74,7 @@ func (s *Server) handleV3Lease(w http.ResponseWriter, r *http.Request) {
 	*tp = tasks
 	defer taskSlicePool.Put(tp)
 	if err != nil {
-		http.Error(w, "unknown me", http.StatusNotFound)
+		rejectErr(w, err)
 		return
 	}
 	if len(tasks) == 0 {

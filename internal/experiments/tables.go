@@ -155,13 +155,11 @@ func (r *Runner) Table3() (*report.Table, error) {
 	return t, nil
 }
 
-// Table4 reruns the device-based campaign through the AmiGo control
-// server: per country, the number of successful tests per tool and
-// configuration, formatted <SIM> // <eSIM> like the paper.
+// Table4 reruns the device-based campaign through an in-process AmiGo
+// control server: per country, the number of successful tests per tool
+// and configuration, formatted <SIM> // <eSIM> like the paper.
 func (r *Runner) Table4() (*report.Table, error) {
 	srv := amigo.NewServer(nil)
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
 	src := rng.New(r.Cfg.Seed).Fork("table4")
 
 	kinds := []amigo.Task{
@@ -182,7 +180,8 @@ func (r *Runner) Table4() (*report.Table, error) {
 	const perTool = 4
 
 	for _, iso := range deviceCountries {
-		ep := amigo.NewEndpoint("me-"+iso, hs.URL, r.W.Deployments[iso], src.Fork(iso))
+		ep := amigo.NewEndpoint("me-"+iso, "", r.W.Deployments[iso], src.Fork(iso))
+		ep.Transport = amigo.DirectTransport{Server: srv}
 		if err := ep.Register(); err != nil {
 			return nil, err
 		}
@@ -201,11 +200,11 @@ func (r *Runner) Table4() (*report.Table, error) {
 			}
 		}
 		for {
-			more, err := ep.RunOnce()
+			n, err := ep.RunBatch(1)
 			if err != nil {
 				return nil, err
 			}
-			if !more {
+			if n == 0 {
 				break
 			}
 		}

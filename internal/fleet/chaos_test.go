@@ -51,10 +51,11 @@ func artifacts(t *testing.T, camp *Campaign) (dsBlob []byte, table4, rtt string)
 }
 
 // serialOracle runs chaosTestPlan the way the paper's campaign ran —
-// RunInProcess: one ME at a time, one task per v1 poll, encoding/json
-// end to end — under the stream label and heartbeat setting the run*
-// helpers use. It is the baseline the fleet differential tests compare
-// every batched, sharded, faulted or virtual-time run against.
+// RunInProcess: one ME at a time, one task per lease, on direct calls
+// into a private server with no socket or codec in between — under the
+// stream label and heartbeat setting the run* helpers use. It is the
+// baseline the fleet differential tests compare every batched, sharded,
+// faulted or virtual-time run against.
 func serialOracle(t *testing.T) (dsBlob []byte, table4, rtt string) {
 	t.Helper()
 	camp, err := RunInProcess(testWorld(t), chaosTestPlan(), testSeed, "chaos-eq", true)

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"sync"
@@ -148,16 +147,6 @@ type Campaign struct {
 	Stats     Stats
 }
 
-func (d *Driver) client() *http.Client {
-	if d.Client != nil {
-		return d.Client
-	}
-	return &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        256,
-		MaxIdleConnsPerHost: 256,
-	}}
-}
-
 func (d *Driver) workers() int {
 	if d.Workers > 0 {
 		return d.Workers
@@ -223,7 +212,14 @@ func (d *Driver) Run(w *airalo.World, plan Plan) (*Campaign, error) {
 		return nil, fmt.Errorf("fleet: unknown protocol %q (the batch protocol is v3)", d.Proto)
 	}
 	d.initObs()
-	client := d.client()
+	client := d.Client
+	if client == nil {
+		// The driver's own client: its idle keep-alive connections (and
+		// their goroutine pairs) go with the campaign. A caller's client
+		// is the caller's to close.
+		client = &http.Client{Transport: &http.Transport{MaxIdleConns: 256, MaxIdleConnsPerHost: 256}}
+		defer client.CloseIdleConnections()
+	}
 	if d.Chaos != nil {
 		// Latency spikes stall on the campaign clock, not the wall.
 		d.Chaos.SetClock(d.clock())
@@ -531,16 +527,14 @@ func (d *Driver) fetchResults(client *http.Client, cursor int) ([]amigo.Result, 
 }
 
 // RunInProcess executes the same plan the way the paper's campaign ran:
-// serially, one ME at a time, over the v1 one-task-per-poll protocol
-// against a private control server. It is the oracle the fleet driver
-// is cross-checked against: for equal (seed, label, heartbeat, plan) it
-// produces byte-identical ingested datasets.
+// serially, one ME at a time and one task per lease, on direct calls
+// into a private control server (amigo.DirectTransport) — no socket, no
+// codec. It is the oracle the fleet driver is cross-checked against: for
+// equal (seed, label, heartbeat, plan) it ingests byte-identical datasets.
 func RunInProcess(w *airalo.World, plan Plan, seed int64, label string, heartbeat bool) (*Campaign, error) {
 	plan = plan.withDefaults()
 	scheds := plan.Schedules()
 	srv := amigo.NewServer(nil)
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
 
 	parent := rng.New(seed).Fork(label)
 	start := vclock.Wall.Now()
@@ -549,7 +543,8 @@ func RunInProcess(w *airalo.World, plan Plan, seed int64, label string, heartbea
 		if dep == nil {
 			return nil, fmt.Errorf("fleet: no deployment for country %q", sc.ISO)
 		}
-		ep := amigo.NewEndpoint(sc.Name, hs.URL, dep, parent.Fork(sc.Label))
+		ep := amigo.NewEndpoint(sc.Name, "", dep, parent.Fork(sc.Label))
+		ep.Transport = amigo.DirectTransport{Server: srv}
 		if err := ep.Register(); err != nil {
 			return nil, err
 		}
@@ -562,11 +557,11 @@ func RunInProcess(w *airalo.World, plan Plan, seed int64, label string, heartbea
 			}
 		}
 		for {
-			more, err := ep.RunOnce()
+			n, err := ep.RunBatch(1)
 			if err != nil {
 				return nil, err
 			}
-			if !more {
+			if n == 0 {
 				break
 			}
 		}

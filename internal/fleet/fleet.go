@@ -22,9 +22,9 @@
 //     sorting results into canonical (ME, task) order, making the
 //     ingested dataset deterministic even though uploads interleave.
 //
-// RunInProcess executes the same plan serially through the v1
-// one-task-per-poll protocol — the shape of the paper's original
-// campaign — which is what the equivalence tests compare against.
+// RunInProcess executes the same plan serially, one task per lease, on
+// direct calls into a private server — the shape of the paper's original
+// campaign, and the socket-free oracle the equivalence tests compare against.
 package fleet
 
 import (

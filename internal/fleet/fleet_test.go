@@ -155,7 +155,7 @@ func TestFleetDeterminismAcrossWorkers(t *testing.T) {
 }
 
 // TestFleetMatchesInProcessCampaign cross-checks the HTTP fleet driver
-// against the serial v1 in-process campaign for the same seed: the
+// against the serial in-process campaign for the same seed: the
 // ingested datasets, Table 4 counts, and RTT aggregates must be
 // byte-identical.
 func TestFleetMatchesInProcessCampaign(t *testing.T) {

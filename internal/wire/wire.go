@@ -6,9 +6,9 @@
 // internal/gtp — varint-packed integers and strings, explicit
 // single-byte field tags. The codec carries data only: the protocol
 // semantics (ack-cursor leases, idempotency keys, 429/Retry-After
-// backpressure) live in internal/amigo, and the serial v1 JSON campaign
-// (fleet.RunInProcess) is the byte-identical oracle a v3 campaign's
-// dataset is checked against.
+// backpressure) live in internal/amigo, and the serial direct-call
+// campaign (fleet.RunInProcess), which crosses no codec at all, is the
+// byte-identical oracle a v3 campaign's dataset is checked against.
 //
 // # Frame layout
 //
