@@ -84,13 +84,15 @@ reshard-smoke:
 ## command: run the self-hosted fleet campaign (MES endpoints, 1000 by
 ## default; FLEET_FLAGS adds roam-fleet flags, e.g. FLEET_FLAGS='-chaos
 ## light -virtual-time -realize') under -cpuprofile and -memprofile, then
-## print the top of both profiles. The allocation listing ignores the
-## world build; the profiles stay in bin/ for `go tool pprof -list`.
+## print the campaign's fleet: line (and, on the virtual clock, its
+## virtual: line with the quiescence-advance count) and the top of both
+## profiles. The allocation listing ignores the world build; the profiles
+## stay in bin/ for `go tool pprof -list`.
 MES ?= 1000
 FLEET_FLAGS ?=
 profile-campaign:
 	$(GO) build -o bin/roam-fleet ./cmd/roam-fleet
-	./bin/roam-fleet -mes $(MES) $(FLEET_FLAGS) -cpuprofile bin/campaign.cpu.prof -memprofile bin/campaign.mem.prof | grep '^fleet:'
+	./bin/roam-fleet -mes $(MES) $(FLEET_FLAGS) -cpuprofile bin/campaign.cpu.prof -memprofile bin/campaign.mem.prof | grep -E '^(fleet|virtual):'
 	$(GO) tool pprof -top -nodecount=25 -sample_index=alloc_space -ignore='airalo\.Build' bin/roam-fleet bin/campaign.mem.prof
 	$(GO) tool pprof -top -nodecount=25 bin/roam-fleet bin/campaign.cpu.prof
 

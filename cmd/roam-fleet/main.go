@@ -275,9 +275,10 @@ func main() {
 	perSec := float64(st.Results) / st.Elapsed.Seconds()
 	fmt.Printf("fleet: %d MEs, %d tasks scheduled, %d results in %s (%.0f results/s), %d failures\n",
 		st.MEs, st.TasksScheduled, st.Results, st.Elapsed.Round(time.Millisecond), perSec, len(ds.Failures))
-	if *virtualTime {
-		fmt.Printf("virtual: campaign makespan %s of virtual time in %.3fs of wall time\n",
-			st.Elapsed.Round(time.Millisecond), wallSeconds)
+	if v, ok := d.Clock.(*vclock.Virtual); ok {
+		vs := v.Stats()
+		fmt.Printf("virtual: campaign makespan %s of virtual time in %.3fs of wall time; %d quiescence advances, %d parks\n",
+			st.Elapsed.Round(time.Millisecond), wallSeconds, vs.Advances, vs.Parks)
 	}
 	if inj != nil {
 		fmt.Printf("chaos: %s mode, seed %d: injected %d faults; dataset is byte-identical to the clean run\n",

@@ -125,12 +125,13 @@ type Endpoint struct {
 	// realized task durations, and execution metrics (nil = wall clock).
 	// On a vclock.Virtual the ME's goroutine must be a registered waiter.
 	Clock vclock.Clock
-	// Realize, when set, makes Execute sleep each task's simulated
-	// network duration on Clock — the netsim delay realization. A real
-	// ME spends the observed latencies and transfer times; with Realize
-	// a simulated campaign spends them too (and a virtual-clock campaign
-	// skips over them). Payloads are computed before the sleep, so the
-	// dataset is byte-identical with Realize on or off.
+	// Realize, when set, makes the ME spend each task's simulated network
+	// duration on Clock — the netsim delay realization: RunBatch waits out
+	// a leased batch's summed durations in one wait before uploading it, a
+	// lone Execute its own task's. A real ME spends the observed latencies
+	// and transfer times; a simulated campaign then spends them too (and a
+	// virtual-clock one skips over them). Payloads are sealed before the
+	// wait, so the dataset is byte-identical with Realize on or off.
 	Realize bool
 
 	battery float64
@@ -440,14 +441,28 @@ func fnv1a[T string | []byte](h uint64, s T) uint64 {
 // RunBatch leases up to max tasks, executes them in order, and uploads
 // the results as one batch. It returns the number of tasks executed;
 // zero means the queue is drained.
+//
+// With Realize the batch's summed network time is spent in one wait before
+// the upload: nothing of an ME is observable between two tasks of a lease
+// (no request, no heartbeat, no crash point), and on a vclock.Virtual one
+// wait is one trip through the quiescence barrier instead of one per task.
+// A wait cut short by Ctx returns its error at once; nothing is uploaded.
 func (e *Endpoint) RunBatch(max int) (int, error) {
 	tasks, err := e.Lease(max)
 	if err != nil || len(tasks) == 0 {
 		return 0, err
 	}
 	results := make([]Result, len(tasks))
+	var spent time.Duration
 	for i, task := range tasks {
-		results[i] = e.Execute(task)
+		var d time.Duration
+		results[i], d = e.run(task)
+		spent += d
+	}
+	if e.Realize {
+		if err := e.sleep(spent); err != nil {
+			return 0, err
+		}
 	}
 	if err := e.Upload(results); err != nil {
 		return 0, err
@@ -455,8 +470,21 @@ func (e *Endpoint) RunBatch(max int) (int, error) {
 	return len(tasks), nil
 }
 
-// Execute runs the instrumentation for a task against the right session.
+// Execute runs the instrumentation for a task against the right session
+// and, with Realize, waits out the task's network time. A cancelled Ctx
+// cuts the wait short; the next control-plane operation reports it.
 func (e *Endpoint) Execute(task Task) Result {
+	res, spent := e.run(task)
+	if e.Realize {
+		_ = e.sleep(spent) // see the doc comment
+	}
+	return res
+}
+
+// run executes one task and returns its sealed result and network time,
+// which the caller spends. The per-kind histogram observes execution plus,
+// with Realize, that network time — whoever waits it out.
+func (e *Endpoint) run(task Task) (Result, time.Duration) {
 	m := e.metrics()
 	h, ok := m.exec[task.Kind]
 	if !ok {
@@ -464,13 +492,12 @@ func (e *Endpoint) Execute(task Task) Result {
 	}
 	start := e.clock().Now()
 	res, spent := e.execute(task)
+	took := e.clock().Now().Sub(start)
 	if e.Realize {
-		// Spend the task's simulated network time on the clock, after
-		// the payload is sealed: pacing can never perturb the dataset.
-		e.sleep(spent)
+		took += spent
 	}
-	h.Observe(float64(e.clock().Now().Sub(start)) / float64(time.Millisecond))
-	return res
+	h.Observe(float64(took) / float64(time.Millisecond))
+	return res, spent
 }
 
 // payload is what a task kind uploads: a JSON-marshalled observation

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"roamsim/internal/rng"
 	"roamsim/internal/vclock"
 )
 
@@ -141,5 +142,70 @@ func TestNetworkTimeMatchesUploadedPayload(t *testing.T) {
 	}
 	if nonzero < 5*7 {
 		t.Errorf("only %d of the successful tasks spent any network time", nonzero)
+	}
+}
+
+// TestRunBatchRealizesOnce: a realized batch spends the sum of its tasks'
+// network times — to the nanosecond — in one parking wait before its one
+// upload, and a lone Execute still spends exactly its own task's.
+func TestRunBatchRealizesOnce(t *testing.T) {
+	srv, ep, done := testbed(t, "PAK")
+	defer done()
+	tasks := []Task{
+		{Kind: "speedtest", Config: "esim"}, {Kind: "mtr", Target: "Google", Config: "sim"},
+		{Kind: "cdn", Target: "Cloudflare", Config: "esim"}, {Kind: "dns", Config: "no-such-config"},
+		{Kind: "dns", Config: "esim"}, {Kind: "video", Config: "esim"},
+	}
+	lone := Task{Kind: "speedtest", Config: "sim"}
+	// The reference draws the same stream (testbed seeds it with 5) and
+	// adds up what each task says it spent.
+	ref := NewEndpoint(ep.Name, "", ep.Dep, rng.New(5))
+	var wantBatch time.Duration
+	for _, task := range tasks {
+		_, d := ref.execute(task)
+		wantBatch += d
+	}
+	_, wantLone := ref.execute(lone)
+	if wantBatch < 120*time.Second || wantLone <= 0 {
+		t.Fatalf("reference network times %v and %v are implausible", wantBatch, wantLone)
+	}
+
+	v := vclock.NewVirtual()
+	ep.Clock, ep.Realize = v, true
+	if err := ep.Register(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.ScheduleBatch(ep.Name, tasks); err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		n   int
+		err error
+	}
+	ran := make(chan outcome, 1)
+	v.Go(func() {
+		n, err := ep.RunBatch(len(tasks))
+		ran <- outcome{n, err}
+	})
+	if got := <-ran; got.err != nil || got.n != len(tasks) {
+		t.Fatalf("RunBatch = %d, %v; want %d tasks", got.n, got.err, len(tasks))
+	}
+	if got := v.Now().Duration(); got != wantBatch {
+		t.Errorf("batch advanced the clock by %v, its tasks' network times add up to %v", got, wantBatch)
+	}
+	if st := v.Stats(); st.Parks != 1 || st.Advances != 1 {
+		t.Errorf("batch of %d tasks: %d parks, %d advances; want one wait", len(tasks), st.Parks, st.Advances)
+	}
+	if got := len(srv.Results()); got != len(tasks) {
+		t.Errorf("server holds %d results, want %d", got, len(tasks))
+	}
+
+	executed := make(chan Result, 1)
+	v.Go(func() { executed <- ep.Execute(lone) })
+	if res := <-executed; !res.OK {
+		t.Fatalf("Execute: %s", res.Error)
+	}
+	if got := v.Now().Duration() - wantBatch; got != wantLone {
+		t.Errorf("lone Execute advanced the clock by %v, want its own task's %v", got, wantLone)
 	}
 }

@@ -451,12 +451,18 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		t.inj.record(Event{ME: t.me, Inc: t.inc, Op: op, Attempt: attempt, Fault: fault})
 	}
 
-	// Buffer the body so the request can be re-sent for duplicates.
+	// Buffer the body so the request can be re-sent for duplicates — in
+	// one exactly-sized buffer when the request states its length.
 	var body []byte
 	if req.Body != nil {
 		var err error
-		//lint:allow bodyhygiene request bodies are built in-process by amigo.Endpoint (tiny JSON), not read off the network; bounding here would corrupt the replayed duplicate
-		body, err = io.ReadAll(req.Body)
+		if req.ContentLength > 0 {
+			body = make([]byte, req.ContentLength)
+			_, err = io.ReadFull(req.Body, body)
+		} else {
+			//lint:allow bodyhygiene request bodies are built in-process by amigo.Endpoint (tiny JSON), not read off the network; bounding here would corrupt the replayed duplicate
+			body, err = io.ReadAll(req.Body)
+		}
 		req.Body.Close()
 		if err != nil {
 			return nil, err

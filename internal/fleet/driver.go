@@ -83,9 +83,11 @@ type Driver struct {
 	// virtual makespan, and the ingested dataset is byte-identical to a
 	// real-clock run (TestVirtualTimeEquivalence).
 	Clock vclock.Clock
-	// Realize makes every ME spend each task's simulated network
-	// duration on Clock (see amigo.Endpoint.Realize) — realistic pacing
-	// on a real clock, free on a virtual one. Datasets are unaffected.
+	// Realize makes every ME spend its tasks' simulated network durations
+	// on Clock, each leased batch's in one wait before its upload (see
+	// amigo.Endpoint.Realize) — realistic pacing on a real clock, one trip
+	// through the quiescence barrier per batch on a virtual one. Datasets
+	// never depend on LeaseBatch, nor does a clean run's virtual makespan.
 	Realize bool
 	// Obs, when set, records fleet-level metrics (incarnations, task
 	// throughput, watchdog kills, chaos fault counts) and trace events
@@ -109,7 +111,7 @@ type driverMetrics struct {
 }
 
 // initObs creates the metric handles (nil no-ops when no registry is
-// attached) and registers the chaos fault-count gauges.
+// attached) and registers the chaos fault-count and virtual-clock gauges.
 func (d *Driver) initObs() {
 	d.met = driverMetrics{
 		incarnations:    d.Obs.Counter("fleet_incarnations_total"),
@@ -127,6 +129,10 @@ func (d *Driver) initObs() {
 				return float64(inj.Counts()[kind])
 			}, obs.L("kind", kind))
 		}
+	}
+	if v, ok := d.Clock.(*vclock.Virtual); ok && d.Obs != nil {
+		d.Obs.CounterFunc("fleet_vclock_advances_total", func() float64 { return float64(v.Stats().Advances) })
+		d.Obs.CounterFunc("fleet_vclock_parks_total", func() float64 { return float64(v.Stats().Parks) })
 	}
 }
 

@@ -36,14 +36,29 @@ import (
 
 // Source is a deterministic random stream with distribution helpers.
 // It is NOT safe for concurrent use; fork one Source per goroutine.
+//
+// Its math/rand state (≈ 5 KB, ≈ 11 µs to seed) is built on the first draw:
+// a stream never drawn from — an ME's unused retry jitter — costs two words.
 type Source struct {
-	r *rand.Rand
+	seed int64
+	r    *rand.Rand // nil until the first draw
 }
 
 // New returns a Source seeded with seed.
 func New(seed int64) *Source {
-	return &Source{r: rand.New(rand.NewSource(seed))}
+	return &Source{seed: seed}
 }
+
+// rand returns the generator, seeding it on first use; init is split out
+// so that rand inlines into every draw.
+func (s *Source) rand() *rand.Rand {
+	if s.r == nil {
+		s.init()
+	}
+	return s.r
+}
+
+func (s *Source) init() { s.r = rand.New(rand.NewSource(s.seed)) }
 
 // Fork derives an independent, deterministic child stream identified by
 // label. Forking consumes one draw from the parent, so the order of Fork
@@ -59,7 +74,7 @@ func (s *Source) Fork(label string) *Source {
 // e.g. to replay a crashed measurement endpoint from the top — store the
 // seed instead of the (non-copyable) Source.
 func (s *Source) ForkSeed(label string) int64 {
-	return labelHash(label) ^ s.r.Int63()
+	return labelHash(label) ^ s.rand().Int63()
 }
 
 // Stream derives a deterministic Source from (seed, label) without any
@@ -80,7 +95,10 @@ func Stream(seed int64, label string) *Source {
 // source is ≈ 5 KB — for code that draws a few values per decision from
 // many labelled streams and can keep, or pool, one Source to do it.
 func (s *Source) Reseed(seed int64, label string) {
-	s.r.Seed(labelHash(label) ^ seed)
+	s.seed = labelHash(label) ^ seed
+	if s.r != nil {
+		s.r.Seed(s.seed)
+	}
 }
 
 // labelHash is FNV-1a (64-bit) of label, computed in place so hashing a
@@ -107,30 +125,30 @@ func (s *Source) ForkN(label string, n int) []*Source {
 }
 
 // Float64 returns a uniform draw in [0, 1).
-func (s *Source) Float64() float64 { return s.r.Float64() }
+func (s *Source) Float64() float64 { return s.rand().Float64() }
 
 // Uniform returns a uniform draw in [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.r.Float64()
+	return lo + (hi-lo)*s.rand().Float64()
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
-func (s *Source) Intn(n int) int { return s.r.Intn(n) }
+func (s *Source) Intn(n int) int { return s.rand().Intn(n) }
 
 // IntBetween returns a uniform int in [lo, hi] inclusive.
 func (s *Source) IntBetween(lo, hi int) int {
 	if hi < lo {
 		lo, hi = hi, lo
 	}
-	return lo + s.r.Intn(hi-lo+1)
+	return lo + s.rand().Intn(hi-lo+1)
 }
 
 // Bool returns true with probability p.
-func (s *Source) Bool(p float64) bool { return s.r.Float64() < p }
+func (s *Source) Bool(p float64) bool { return s.rand().Float64() < p }
 
 // Normal returns a draw from N(mean, stddev²).
 func (s *Source) Normal(mean, stddev float64) float64 {
-	return mean + stddev*s.r.NormFloat64()
+	return mean + stddev*s.rand().NormFloat64()
 }
 
 // PositiveNormal returns a draw from N(mean, stddev²) truncated at a small
@@ -167,15 +185,15 @@ func (s *Source) LogNormalMeanMedian(median, sigma float64) float64 {
 
 // Exponential returns a draw from Exp(rate). Mean is 1/rate.
 func (s *Source) Exponential(rate float64) float64 {
-	return s.r.ExpFloat64() / rate
+	return s.rand().ExpFloat64() / rate
 }
 
 // Pareto returns a draw from a Pareto distribution with scale xm and
 // shape alpha. Used for heavy-tailed per-user traffic volumes.
 func (s *Source) Pareto(xm, alpha float64) float64 {
-	u := s.r.Float64()
+	u := s.rand().Float64()
 	for u == 0 {
-		u = s.r.Float64()
+		u = s.rand().Float64()
 	}
 	return xm / math.Pow(u, 1/alpha)
 }
@@ -193,7 +211,7 @@ func (s *Source) WeightedIndex(weights []float64) int {
 	if total == 0 {
 		panic("rng: all weights zero")
 	}
-	target := s.r.Float64() * total
+	target := s.rand().Float64() * total
 	var acc float64
 	for i, w := range weights {
 		acc += w
@@ -211,11 +229,11 @@ func Pick[T any](s *Source, items []T) T {
 
 // Shuffle permutes items in place.
 func Shuffle[T any](s *Source, items []T) {
-	s.r.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+	s.rand().Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
 }
 
 // Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
+func (s *Source) Perm(n int) []int { return s.rand().Perm(n) }
 
 // Jitter returns v multiplied by a factor uniform in [1-frac, 1+frac].
 // It is the standard way the simulator perturbs deterministic baselines.

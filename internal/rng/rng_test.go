@@ -3,6 +3,8 @@ package rng
 import (
 	"hash/fnv"
 	"math"
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -320,5 +322,101 @@ func TestLabelHashIsFNV1a(t *testing.T) {
 		if got, want := labelHash(label), int64(h.Sum64()); got != want {
 			t.Errorf("labelHash(%q) = %d, hash/fnv gives %d", label, got, want)
 		}
+	}
+}
+
+// eager is New as it was before seeding became lazy: the math/rand
+// generator built at construction.
+func eager(seed int64) *Source {
+	return &Source{seed: seed, r: rand.New(rand.NewSource(seed))}
+}
+
+// helpers is every way to draw from a Source, each returning what it drew.
+var helpers = []struct {
+	name string
+	draw func(s *Source) any
+}{
+	{"Float64", func(s *Source) any { return s.Float64() }},
+	{"Uniform", func(s *Source) any { return s.Uniform(-3, 11) }},
+	{"Intn", func(s *Source) any { return s.Intn(1000) }},
+	{"IntBetween", func(s *Source) any { return s.IntBetween(-5, 5) }},
+	{"Bool", func(s *Source) any { return s.Bool(0.3) }},
+	{"Normal", func(s *Source) any { return s.Normal(3, 2) }},
+	{"PositiveNormal", func(s *Source) any { return s.PositiveNormal(1, 4) }},
+	{"LogNormal", func(s *Source) any { return s.LogNormal(0.5, 1.5) }},
+	{"LogNormalMeanMedian", func(s *Source) any { return s.LogNormalMeanMedian(40, 0.7) }},
+	{"Exponential", func(s *Source) any { return s.Exponential(0.5) }},
+	{"Pareto", func(s *Source) any { return s.Pareto(2, 1.3) }},
+	{"WeightedIndex", func(s *Source) any { return s.WeightedIndex([]float64{1, 0, 5, 2}) }},
+	{"Jitter", func(s *Source) any { return s.Jitter(100, 0.2) }},
+	{"Perm", func(s *Source) any { return s.Perm(7) }},
+	{"Pick", func(s *Source) any { return Pick(s, []string{"a", "b", "c", "d", "e"}) }},
+	{"Shuffle", func(s *Source) any {
+		items := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
+		Shuffle(s, items)
+		return items
+	}},
+	{"ForkSeed", func(s *Source) any { return s.ForkSeed("child") }},
+	{"Fork", func(s *Source) any { return s.Fork("child").Float64() }},
+	{"ForkN", func(s *Source) any { return s.ForkN("pool", 3)[2].Intn(1 << 30) }},
+}
+
+// TestLazySeedingMatchesMathRand: however a Source comes to be — New,
+// Stream, Fork, Reseed of a fresh or of a used source — and whichever
+// helper draws from it first, it is draw for draw the
+// rand.New(rand.NewSource(seed)) it used to build at construction.
+func TestLazySeedingMatchesMathRand(t *testing.T) {
+	const label = "jitter/me-PAK-3/0"
+	for _, seed := range []int64{0, 1, 42, -7, math.MaxInt64} {
+		streamSeed := labelHash(label) ^ seed
+		makers := []struct {
+			name string
+			lazy func() *Source
+			want int64 // the seed the source must behave as built from
+		}{
+			{"New", func() *Source { return New(seed) }, seed},
+			{"Stream", func() *Source { return Stream(seed, label) }, streamSeed},
+			{"Fork", func() *Source { return New(seed).Fork(label) }, eager(seed).ForkSeed(label)},
+			{"Reseed/fresh", func() *Source {
+				s := New(999)
+				s.Reseed(seed, label)
+				if s.r != nil {
+					t.Fatal("Reseed seeded a source nothing has drawn from")
+				}
+				return s
+			}, streamSeed},
+			{"Reseed/used", func() *Source {
+				s := New(999)
+				s.Normal(0, 1)
+				s.Reseed(seed, label)
+				return s
+			}, streamSeed},
+		}
+		for _, mk := range makers {
+			for first, h := range helpers {
+				got, want := mk.lazy(), eager(mk.want)
+				// h draws first, then every helper in turn, twice over.
+				for i := 0; i < 1+2*len(helpers); i++ {
+					if i > 0 {
+						h = helpers[(first+i)%len(helpers)]
+					}
+					if g, w := h.draw(got), h.draw(want); !reflect.DeepEqual(g, w) {
+						t.Fatalf("seed %d, %s, %s first: draw %d (%s) = %v, math/rand gives %v",
+							seed, mk.name, helpers[first].name, i, h.name, g, w)
+					}
+				}
+			}
+		}
+		// Anchor the reference itself: the first draws are math/rand's.
+		s, r := New(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < 10; i++ {
+			if g, w := s.Float64(), r.Float64(); g != w {
+				t.Fatalf("seed %d draw %d: Float64 %v, math/rand gives %v", seed, i, g, w)
+			}
+		}
+	}
+	// An undrawn stream is its two words: one allocation, no generator.
+	if a := testing.AllocsPerRun(100, func() { Stream(7, label) }); a > 1 {
+		t.Errorf("Stream allocates %.0f times, want at most 1", a)
 	}
 }

@@ -541,3 +541,36 @@ func TestFinalInstantDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// Stats counts quiescence jumps, parking waits and timers; a manual
+// Advance is a test driver's doing, not a jump.
+func TestStatsCountsSchedulerWork(t *testing.T) {
+	v := NewVirtual()
+	var wg sync.WaitGroup
+	cohort := [][]time.Duration{
+		{10 * time.Millisecond, 30 * time.Millisecond}, // wakes at 10 and 40 ms
+		{10 * time.Millisecond, 15 * time.Millisecond}, // wakes at 10 and 25 ms
+	}
+	v.Add(len(cohort))
+	wg.Add(len(cohort))
+	for _, naps := range cohort {
+		naps := naps
+		go func() {
+			defer wg.Done()
+			defer v.Done()
+			for _, d := range naps {
+				v.Sleep(d)
+			}
+		}()
+	}
+	wg.Wait()
+	// Four sleeps, three distinct deadlines: the 10 ms jump wakes both.
+	if got, want := v.Stats(), (Stats{Advances: 3, Parks: 4, Timers: 4}); got != want {
+		t.Errorf("after the cohort: %+v, want %+v", got, want)
+	}
+	v.NewTimer(time.Second)
+	v.Advance(2 * time.Second)
+	if got, want := v.Stats(), (Stats{Advances: 3, Parks: 4, Timers: 5}); got != want {
+		t.Errorf("after a manual Advance: %+v, want %+v", got, want)
+	}
+}

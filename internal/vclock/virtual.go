@@ -21,6 +21,8 @@ type Virtual struct {
 	waiters int             // guarded by mu; registered via Go/Add
 	parked  map[*parker]int // guarded by mu; value is the park sequence
 
+	stats Stats // guarded by mu
+
 	onDeadlock func(string) // guarded by mu; nil = panic
 
 	// stall-guard state (real time, never feeds the virtual timeline)
@@ -101,6 +103,21 @@ func (v *Virtual) Done() {
 	v.activity++
 	v.maybeAdvanceLocked()
 	v.mu.Unlock()
+}
+
+// Stats counts the scheduler's work since NewVirtual; with the waiters
+// registered as one cohort it is a pure function of (seed, plan).
+type Stats struct {
+	Advances uint64 // quiescence jumps, each a serial step of the run (manual Advance calls excluded)
+	Parks    uint64 // parking waits entered (Sleep, SleepCtx)
+	Timers   uint64 // timers created, parking waits' included
+}
+
+// Stats returns the scheduler's counters.
+func (v *Virtual) Stats() Stats {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.stats
 }
 
 // Waiters reports the registered and parked waiter counts.
@@ -288,6 +305,7 @@ func (v *Virtual) addTimerLocked(when Instant, fire func(Instant)) *vtimer {
 		when = v.now
 	}
 	t := &vtimer{when: when, seq: v.nextSeqLocked(), fire: fire}
+	v.stats.Timers++
 	heap.Push(&v.timers, t)
 	return t
 }
@@ -304,6 +322,7 @@ func (v *Virtual) stopTimerLocked(t *vtimer) bool {
 // advances time inline — the last goroutine to park is the scheduler.
 func (v *Virtual) parkLocked(p *parker) {
 	v.parked[p] = int(v.nextSeqLocked())
+	v.stats.Parks++
 	v.activity++
 	if len(v.parked) > v.waiters {
 		dump := v.dumpLocked("unregistered park")
@@ -350,6 +369,7 @@ func (v *Virtual) maybeAdvanceLocked() {
 			panic("vclock: deadlock: every registered waiter is parked and no timer is pending\n" + dump)
 		}
 		v.fireNextLocked()
+		v.stats.Advances++
 		v.activity++
 	}
 }
