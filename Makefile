@@ -111,3 +111,4 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=10s -run=^$$ ./internal/wire
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s -run=^$$ ./internal/walsink
 	$(GO) test -fuzz=FuzzCompactRecovery -fuzztime=10s -run=^$$ ./internal/walsink
+	$(GO) test -fuzz=FuzzSourceMatchesMathRand -fuzztime=10s -run=^$$ ./internal/rng

@@ -2,9 +2,12 @@ package airalo
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"roamsim/internal/core"
+	"roamsim/internal/geo"
+	"roamsim/internal/inet"
 	"roamsim/internal/ipx"
 	"roamsim/internal/mno"
 	"roamsim/internal/netsim"
@@ -450,5 +453,68 @@ func TestPathToSharedAndAllocFree(t *testing.T) {
 	}
 	if before.Hops() != 3 {
 		t.Error("the path handed out before the change was written to")
+	}
+}
+
+// TestNearestMemoMatchesDirect: the memoised nearest-PoP answers are the
+// direct haversine scan's — first edge in slice order on a tie — for
+// every provider, CDN and the DNS anycast group against every PGW site
+// and visited location of the seed-42 world, asked from 8 goroutines at
+// once on a fresh (cold-memo) world.
+func TestNearestMemoMatchesDirect(t *testing.T) {
+	w, err := Build(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var locs []geo.Point
+	for _, p := range w.Providers {
+		for _, s := range p.Sites {
+			locs = append(locs, s.Loc)
+		}
+	}
+	for _, d := range w.Deployments {
+		locs = append(locs, d.Loc)
+	}
+	direct := func(p geo.Point, n int, loc func(int) geo.Point) int {
+		best := 0
+		for i := 1; i < n; i++ {
+			if geo.DistanceKm(p, loc(i)) < geo.DistanceKm(p, loc(best)) {
+				best = i
+			}
+		}
+		return best
+	}
+	sps := []*inet.ServiceProvider{}
+	for _, sp := range w.SPs {
+		sps = append(sps, sp)
+	}
+	for _, c := range w.CDNs {
+		sps = append(sps, c.SP)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range locs {
+				p := locs[(k+g*len(locs)/8)%len(locs)] // each goroutine starts elsewhere
+				for _, sp := range sps {
+					want := sp.Edges[direct(p, len(sp.Edges), func(i int) geo.Point { return sp.Edges[i].Loc })]
+					if got, err := sp.NearestEdge(p); err != nil || got != want {
+						t.Errorf("%s from %v: NearestEdge = %s, %v; direct scan gives %s", sp.Name, p, got.City, err, want.City)
+					}
+				}
+				dns := w.GoogleDNS
+				want := dns.Instances[direct(p, len(dns.Instances), func(i int) geo.Point { return dns.Instances[i].Loc })]
+				if got, err := dns.Nearest(p); err != nil || got != want {
+					t.Errorf("GoogleDNS from %v: Nearest = %s, %v; direct scan gives %s", p, got.City, err, want.City)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	google := w.SPs["Google"]
+	if a := testing.AllocsPerRun(100, func() { _, _ = google.NearestEdge(locs[0]) }); a != 0 {
+		t.Errorf("a memoised NearestEdge allocates %.0f times, want 0", a)
 	}
 }

@@ -451,6 +451,70 @@ func TestBackpressureShedsWhenSinkStalls(t *testing.T) {
 	}
 }
 
+// TestSubmitAdoptsBatchIntoEmptySpool: Submit hands its own stamped copy
+// to an empty spool instead of copying it a second time, and appends
+// only when another submitter got there first. Two submitters racing a
+// stalled sink exercise both branches; every result still lands exactly
+// once and in each submitter's own order, the caller's slice is never
+// the one the sink sees, and the copy saved is one allocation.
+func TestSubmitAdoptsBatchIntoEmptySpool(t *testing.T) {
+	sink := &gateSink{entered: make(chan struct{}), gate: make(chan struct{}), inner: NewMemorySink()}
+	srv := NewServer(nil, WithSink(sink), WithRetryAfter(0))
+	const batches, per = 20, 3
+	var wg sync.WaitGroup
+	submit := func(me string) {
+		defer wg.Done()
+		for b := 0; b < batches; b++ {
+			batch := make([]Result, per)
+			for i := range batch {
+				batch[i] = Result{ME: me, TaskID: b*per + i, OK: true}
+			}
+			if err := srv.Submit(batch); err != nil {
+				t.Errorf("%s batch %d: %v", me, b, err)
+			}
+			for i := range batch { // the caller's slice stays the caller's
+				if !batch[i].Uploaded.IsZero() {
+					t.Errorf("%s batch %d: Submit stamped the caller's slice", me, b)
+				}
+				batch[i].ME = "scribbled"
+			}
+		}
+	}
+	wg.Add(1)
+	go submit("a") // its first batch stalls in the sink, holding the drain lock
+	<-sink.entered
+	wg.Add(2)
+	go submit("b") // one of these adopts into the empty spool,
+	go submit("c") // the other appends behind it
+	for deadline := time.Now().Add(5 * time.Second); srv.SpoolDepth() < 2*per; {
+		if time.Now().After(deadline) {
+			t.Fatal("both batches never parked in the spool")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(sink.gate)
+	wg.Wait()
+	next := map[string]int{}
+	sunk, _ := sink.inner.Since(0, 0)
+	for _, r := range sunk {
+		if r.TaskID != next[r.ME] {
+			t.Fatalf("%s: result %d sunk where %d was due", r.ME, r.TaskID, next[r.ME])
+		}
+		next[r.ME]++
+	}
+	for _, me := range []string{"a", "b", "c"} {
+		if next[me] != batches*per {
+			t.Errorf("%s: %d results sunk, want %d", me, next[me], batches*per)
+		}
+	}
+
+	quiet := NewServer(nil, WithSink(writeOnlySink{}))
+	batch := make([]Result, 32)
+	if a := testing.AllocsPerRun(100, func() { _ = quiet.Submit(batch) }); a != 1 {
+		t.Errorf("Submit of 32 results allocates %.0f times, want 1 (2 at dd40cbb)", a)
+	}
+}
+
 // TestEndpointUploadRetriesThrough429: an upload shed by a full spool —
 // 429 over HTTP, ErrSpoolFull in-process — is retried until the sink
 // recovers, and then lands exactly once.

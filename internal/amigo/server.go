@@ -469,7 +469,11 @@ func (s *Server) Submit(batch []Result) error {
 		s.obs.Trace().Record("spool-full", obs.L("batch", strconv.Itoa(len(stamped))))
 		return ErrSpoolFull
 	}
-	s.spool = append(s.spool, stamped...)
+	if len(s.spool) == 0 {
+		s.spool = stamped // ours alone, and drain left the spool nil: no second copy
+	} else {
+		s.spool = append(s.spool, stamped...)
+	}
 	s.spoolMu.Unlock()
 	s.drain()
 	s.met.submitted.Add(int64(len(stamped)))

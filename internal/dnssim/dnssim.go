@@ -39,22 +39,19 @@ type Resolver struct {
 type AnycastGroup struct {
 	Name      string
 	VIP       ipaddr.Addr
-	Instances []Resolver
+	Instances []Resolver // fixed once Nearest has been asked
+
+	nearest geo.NearestMemo
 }
 
-// Nearest returns the instance closest to the given point.
+// Nearest returns the instance closest to the given point, the first in
+// Instances on a tie. It is safe for concurrent use.
 func (g *AnycastGroup) Nearest(p geo.Point) (Resolver, error) {
 	if len(g.Instances) == 0 {
 		return Resolver{}, fmt.Errorf("dnssim: anycast group %s empty", g.Name)
 	}
-	best := g.Instances[0]
-	bestD := geo.DistanceKm(p, best.Loc)
-	for _, r := range g.Instances[1:] {
-		if d := geo.DistanceKm(p, r.Loc); d < bestD {
-			best, bestD = r, d
-		}
-	}
-	return best, nil
+	i := g.nearest.Index(p, len(g.Instances), func(i int) geo.Point { return g.Instances[i].Loc })
+	return g.Instances[i], nil
 }
 
 // Config is a session's DNS configuration.

@@ -11,6 +11,7 @@ package geo
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // EarthRadiusKm is the mean Earth radius used by the haversine formula.
@@ -55,6 +56,39 @@ func DistanceKm(a, b Point) float64 {
 		h = 1
 	}
 	return 2 * EarthRadiusKm * math.Asin(math.Sqrt(h))
+}
+
+// NearestMemo remembers, per query point, which of a fixed list of sites
+// is nearest: anycast asks that of the same few vantage points on every
+// task, and each answer is a haversine per site. The zero value is ready
+// and safe for concurrent use; the list must not change once queried.
+type NearestMemo struct {
+	mu  sync.RWMutex
+	idx map[Point]int // guarded by mu
+}
+
+// Index returns the i in [0, n) whose loc(i) is nearest p, the lowest
+// such i on a tie. n must be positive.
+func (m *NearestMemo) Index(p Point, n int, loc func(i int) Point) int {
+	m.mu.RLock()
+	best, ok := m.idx[p]
+	m.mu.RUnlock()
+	if ok {
+		return best
+	}
+	bestD := DistanceKm(p, loc(0))
+	for i := 1; i < n; i++ {
+		if d := DistanceKm(p, loc(i)); d < bestD {
+			best, bestD = i, d
+		}
+	}
+	m.mu.Lock()
+	if m.idx == nil {
+		m.idx = make(map[Point]int)
+	}
+	m.idx[p] = best
+	m.mu.Unlock()
+	return best
 }
 
 // FiberKmPerMs is the approximate one-way propagation speed of light in

@@ -224,3 +224,24 @@ func TestPointStringAndValid(t *testing.T) {
 		t.Error("out-of-range point reported valid")
 	}
 }
+
+func TestNearestMemoTiesAndRepeats(t *testing.T) {
+	sites := []Point{{Lat: 10, Lon: 0}, {Lat: -10, Lon: 0}, {Lat: 10, Lon: 0}, {Lat: 1, Lon: 1}}
+	loc := func(i int) Point { return sites[i] }
+	var m NearestMemo
+	for round := 0; round < 2; round++ { // computed, then remembered
+		if got := m.Index(Point{}, 3, loc); got != 0 {
+			t.Errorf("round %d: equidistant sites: index %d, want the first", round, got)
+		}
+		if got := m.Index(Point{Lat: 9, Lon: 0}, 3, loc); got != 0 {
+			t.Errorf("round %d: duplicate site: index %d, want the first copy", round, got)
+		}
+		if got := m.Index(Point{Lat: -9, Lon: 0}, 3, loc); got != 1 {
+			t.Errorf("round %d: index %d, want 1", round, got)
+		}
+	}
+	var one NearestMemo
+	if got := one.Index(Point{Lat: 5, Lon: 5}, 1, loc); got != 0 {
+		t.Errorf("single site: index %d", got)
+	}
+}

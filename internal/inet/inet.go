@@ -42,22 +42,19 @@ type ServiceProvider struct {
 	Name  string
 	ASN   ipreg.ASN
 	Kind  ipreg.OrgKind
-	Edges []Edge
+	Edges []Edge // fixed once NearestEdge has been asked
+
+	nearest geo.NearestMemo
 }
 
-// NearestEdge returns the edge closest to loc (anycast routing).
+// NearestEdge returns the edge closest to loc (anycast routing), the
+// first in Edges on a tie. It is safe for concurrent use.
 func (sp *ServiceProvider) NearestEdge(loc geo.Point) (Edge, error) {
 	if len(sp.Edges) == 0 {
 		return Edge{}, fmt.Errorf("inet: %s has no edges", sp.Name)
 	}
-	best := sp.Edges[0]
-	bestD := geo.DistanceKm(loc, best.Loc)
-	for _, e := range sp.Edges[1:] {
-		if d := geo.DistanceKm(loc, e.Loc); d < bestD {
-			best, bestD = e, d
-		}
-	}
-	return best, nil
+	i := sp.nearest.Index(loc, len(sp.Edges), func(i int) geo.Point { return sp.Edges[i].Loc })
+	return sp.Edges[i], nil
 }
 
 // EdgeIn returns the edge in the given city, if any.

@@ -28,6 +28,14 @@ func goodSeededRand() *rand.Rand {
 	return rand.New(rand.NewSource(42))
 }
 
+// Source64 names a seeded generator exactly as Source does: holding one
+// or asserting to it draws nothing; the package-level Uint64 still does.
+type goodHolder struct{ src rand.Source64 }
+
+func goodSource64(src rand.Source) (goodHolder, uint64) {
+	return goodHolder{src.(rand.Source64)}, rand.Uint64() // want `global rand\.Uint64`
+}
+
 // Fixed dates are constants, not clock reads.
 func goodFixedDate() time.Time {
 	return time.Date(2024, 2, 14, 0, 0, 0, 0, time.UTC)

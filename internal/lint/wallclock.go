@@ -18,8 +18,8 @@ import (
 //   - any package-level math/rand or math/rand/v2 function or variable
 //     (rand.Intn, rand.Float64, rand.Seed, ...). Constructing explicit
 //     seeded generators (rand.New, rand.NewSource, rand.NewZipf, and
-//     the rand.Rand/Source/Zipf types) stays legal: that is exactly how
-//     internal/rng wraps math/rand.
+//     the rand.Rand/Source/Source64/Zipf types) stays legal: that is
+//     exactly how internal/rng wraps math/rand.
 var wallclockAnalyzer = &Analyzer{
 	Name: "wallclock",
 	Code: "ROAM001",
@@ -40,7 +40,7 @@ var wallclockTimeFuncs = map[string]bool{
 var mathRandAllowed = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true,
 	"NewPCG": true, "NewChaCha8": true, // math/rand/v2 constructors
-	"Rand": true, "Source": true, "Zipf": true, "PCG": true, "ChaCha8": true,
+	"Rand": true, "Source": true, "Source64": true, "Zipf": true, "PCG": true, "ChaCha8": true,
 }
 
 func runWallclock(p *Package) []Diagnostic {

@@ -26,6 +26,18 @@
 // results are independent of scheduling and of GOMAXPROCS. This is the
 // scheme the parallel campaign engine in internal/experiments uses (with
 // descriptive per-unit labels instead of ForkN indices).
+//
+// # What a seed costs
+//
+// A Source is math/rand's seeded generator bit for bit, paying for state
+// on demand. math/rand's Seed walks 1 841 steps of x ← 48271·x mod 2³¹−1 to
+// fill a 607-word register (≈ 9.4 µs, 4.9 KB), three chain values XOR a
+// fixed table per word; a draw is vec[feed] += vec[tap], indices walking
+// down 273 apart. A multiplicative LCG's k-th value is 48271ᵏ·seed — a word
+// is three multiplies against a power table — and draws 0…272 add two words
+// no draw has yet written. So seeding keeps the reduced seed (≈ 2 ns), the
+// first 273 draws are closed-form (≈ 16 ns each), the 274th fills the
+// register (≈ 5.4 µs, once), and then a draw costs math/rand's ≈ 3 ns.
 package rng
 
 import (
@@ -37,19 +49,21 @@ import (
 // Source is a deterministic random stream with distribution helpers.
 // It is NOT safe for concurrent use; fork one Source per goroutine.
 //
-// Its math/rand state (≈ 5 KB, ≈ 11 µs to seed) is built on the first draw:
-// a stream never drawn from — an ME's unused retry jitter — costs two words.
+// It costs what it draws (package doc, "What a seed costs"): 40 bytes until
+// the first draw adds the rand.Rand, 4.9 KB more only from draw closedDraws+1.
 type Source struct {
-	seed int64
-	r    *rand.Rand // nil until the first draw
+	gen lfg
+	r   *rand.Rand // over &gen; nil until the first draw
 }
 
 // New returns a Source seeded with seed.
 func New(seed int64) *Source {
-	return &Source{seed: seed}
+	s := &Source{}
+	s.gen.Seed(seed)
+	return s
 }
 
-// rand returns the generator, seeding it on first use; init is split out
+// rand returns the generator, building it on first use; init is split out
 // so that rand inlines into every draw.
 func (s *Source) rand() *rand.Rand {
 	if s.r == nil {
@@ -58,7 +72,7 @@ func (s *Source) rand() *rand.Rand {
 	return s.r
 }
 
-func (s *Source) init() { s.r = rand.New(rand.NewSource(s.seed)) }
+func (s *Source) init() { s.r = rand.New(&s.gen) }
 
 // Fork derives an independent, deterministic child stream identified by
 // label. Forking consumes one draw from the parent, so the order of Fork
@@ -91,15 +105,10 @@ func Stream(seed int64, label string) *Source {
 
 // Reseed rewinds s to the first draw of Stream(seed, label): afterwards
 // the source is exactly the one Stream would have returned, whatever it
-// drew before. It is Stream without the allocation — a fresh math/rand
-// source is ≈ 5 KB — for code that draws a few values per decision from
-// many labelled streams and can keep, or pool, one Source to do it.
-func (s *Source) Reseed(seed int64, label string) {
-	s.seed = labelHash(label) ^ seed
-	if s.r != nil {
-		s.r.Seed(s.seed)
-	}
-}
+// drew before. It is Stream without the allocations (Source, rand.Rand,
+// a register if s ever filled one) for code that draws a few values per
+// decision from many labelled streams and can keep, or pool, one Source.
+func (s *Source) Reseed(seed int64, label string) { s.gen.Seed(labelHash(label) ^ seed) }
 
 // labelHash is FNV-1a (64-bit) of label, computed in place so hashing a
 // label allocates nothing.

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -325,10 +326,10 @@ func TestLabelHashIsFNV1a(t *testing.T) {
 	}
 }
 
-// eager is New as it was before seeding became lazy: the math/rand
-// generator built at construction.
+// eager is the oracle: a Source over the toolchain's own math/rand
+// generator, seeded at construction as New did before PR 24.
 func eager(seed int64) *Source {
-	return &Source{seed: seed, r: rand.New(rand.NewSource(seed))}
+	return &Source{r: rand.New(rand.NewSource(seed))}
 }
 
 // helpers is every way to draw from a Source, each returning what it drew.
@@ -361,13 +362,48 @@ var helpers = []struct {
 	{"ForkN", func(s *Source) any { return s.ForkN("pool", 3)[2].Intn(1 << 30) }},
 }
 
-// TestLazySeedingMatchesMathRand: however a Source comes to be — New,
-// Stream, Fork, Reseed of a fresh or of a used source — and whichever
-// helper draws from it first, it is draw for draw the
-// rand.New(rand.NewSource(seed)) it used to build at construction.
+// edgeSeeds are the edges of Seed's reduction: 0 and its stand-in
+// 89482311, the modulus, its neighbours and its multiples, both ends of
+// int64.
+var edgeSeeds = []int64{0, 1, -1, 7, 42, -7, lcgMod, lcgMod - 1, lcgMod + 1, 2 * lcgMod, -lcgMod,
+	89482311, math.MinInt64, math.MaxInt64}
+
+// diffSeeds are the differential's seeds: the edges and 200 arbitrary ones.
+func diffSeeds() []int64 {
+	seeds := append([]int64(nil), edgeSeeds...)
+	r := rand.New(rand.NewSource(24))
+	for i := 0; i < 200; i++ {
+		seeds = append(seeds, int64(r.Uint64()))
+	}
+	return seeds
+}
+
+// boundaries are the draw counts at which the generator changes state or
+// the register wraps: either side of the closed-form threshold, of the
+// tap distance and of the register length.
+var boundaries = []int{0, 7, closedDraws - 1, closedDraws, closedDraws + 1, regTap, regTap + 1, regLen - 1, regLen, regLen + 1}
+
+// sameDraws fails unless got and want agree on every helper, drawn in
+// turn starting from helper first, n draws in all.
+func sameDraws(t *testing.T, got, want *Source, first, n int, ctx string) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		h := helpers[(first+i)%len(helpers)]
+		if g, w := h.draw(got), h.draw(want); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: draw %d (%s) = %v, math/rand gives %v", ctx, i, h.name, g, w)
+		}
+	}
+}
+
+// TestLazySeedingMatchesMathRand is the differential of record: however
+// a Source comes to be — New, Stream, Fork, Reseed of a fresh or of a
+// used source — and whichever helper draws from it first, it is draw for
+// draw the rand.New(rand.NewSource(seed)) it used to build at
+// construction: over 2 000 mixed helper calls, raw value by raw value
+// across the fill, and through every helper from each boundary count.
 func TestLazySeedingMatchesMathRand(t *testing.T) {
 	const label = "jitter/me-PAK-3/0"
-	for _, seed := range []int64{0, 1, 42, -7, math.MaxInt64} {
+	for _, seed := range diffSeeds() {
 		streamSeed := labelHash(label) ^ seed
 		makers := []struct {
 			name string
@@ -381,7 +417,7 @@ func TestLazySeedingMatchesMathRand(t *testing.T) {
 				s := New(999)
 				s.Reseed(seed, label)
 				if s.r != nil {
-					t.Fatal("Reseed seeded a source nothing has drawn from")
+					t.Fatal("Reseed built the generator of a source nothing has drawn from")
 				}
 				return s
 			}, streamSeed},
@@ -393,30 +429,133 @@ func TestLazySeedingMatchesMathRand(t *testing.T) {
 			}, streamSeed},
 		}
 		for _, mk := range makers {
-			for first, h := range helpers {
-				got, want := mk.lazy(), eager(mk.want)
-				// h draws first, then every helper in turn, twice over.
-				for i := 0; i < 1+2*len(helpers); i++ {
-					if i > 0 {
-						h = helpers[(first+i)%len(helpers)]
-					}
-					if g, w := h.draw(got), h.draw(want); !reflect.DeepEqual(g, w) {
-						t.Fatalf("seed %d, %s, %s first: draw %d (%s) = %v, math/rand gives %v",
-							seed, mk.name, helpers[first].name, i, h.name, g, w)
-					}
-				}
+			for first := range helpers {
+				sameDraws(t, mk.lazy(), eager(mk.want), first, 1+2*len(helpers),
+					fmt.Sprintf("seed %d, %s, %s first", seed, mk.name, helpers[first].name))
 			}
 		}
-		// Anchor the reference itself: the first draws are math/rand's.
-		s, r := New(seed), rand.New(rand.NewSource(seed))
-		for i := 0; i < 10; i++ {
-			if g, w := s.Float64(), r.Float64(); g != w {
-				t.Fatalf("seed %d draw %d: Float64 %v, math/rand gives %v", seed, i, g, w)
+		sameDraws(t, New(seed), eager(seed), int(uint64(seed)%7), 2000, fmt.Sprintf("seed %d, mixed", seed))
+
+		// The reference itself, unwrapped: the raw 64-bit values are
+		// math/rand's across the closed form, the fill and two laps of
+		// the register.
+		var g lfg
+		g.Seed(seed)
+		ref := rand.NewSource(seed).(rand.Source64)
+		for i := 0; i < 2*regLen+closedDraws+10; i++ {
+			if got, want := g.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("seed %d: raw draw %d = %#x, math/rand gives %#x", seed, i, got, want)
 			}
+		}
+		for _, c := range boundaries {
+			got, want := New(seed), eager(seed)
+			for i := 0; i < c; i++ {
+				got.rand().Int63()
+				want.rand().Int63()
+			}
+			sameDraws(t, got, want, c, len(helpers), fmt.Sprintf("seed %d, after %d raw draws", seed, c))
 		}
 	}
-	// An undrawn stream is its two words: one allocation, no generator.
+	// An undrawn stream is its few words: one allocation, no generator.
 	if a := testing.AllocsPerRun(100, func() { Stream(7, label) }); a > 1 {
 		t.Errorf("Stream allocates %.0f times, want at most 1", a)
+	}
+}
+
+// TestReseedAcrossStates: Reseed equals a fresh Stream from every state
+// a source can be in — undrawn, mid closed form, at the threshold, on a
+// live register, and live a second time on the register it kept.
+func TestReseedAcrossStates(t *testing.T) {
+	const label = "chaos/me-GEO-1/2/POST /v3/tasks/lease/4"
+	s := New(999)
+	for round, c := range append(boundaries, 2000, 3) {
+		for i := 0; i < c; i++ {
+			s.Float64()
+		}
+		seed := int64(42 + round)
+		s.Reseed(seed, label)
+		sameDraws(t, s, Stream(seed, label), round, 40, fmt.Sprintf("after %d draws, against Stream", c))
+		s.Reseed(seed, label)
+		sameDraws(t, s, eager(labelHash(label)^seed), round, 3*regLen, fmt.Sprintf("after %d draws, against math/rand", c))
+	}
+}
+
+// FuzzSourceMatchesMathRand: for any seed, any number of raw draws in,
+// the generator and every helper after it are math/rand's.
+func FuzzSourceMatchesMathRand(f *testing.F) {
+	for _, seed := range edgeSeeds {
+		f.Add(seed, uint16(closedDraws))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, draws uint16) {
+		got, want := New(seed), eager(seed)
+		for i := 0; i < int(draws); i++ {
+			if g, w := got.rand().Uint64(), want.rand().Uint64(); g != w {
+				t.Fatalf("seed %d: raw draw %d = %#x, math/rand gives %#x", seed, i, g, w)
+			}
+		}
+		sameDraws(t, got, want, int(draws), len(helpers), fmt.Sprintf("seed %d, after %d raw draws", seed, draws))
+	})
+}
+
+// TestSourceAllocations: a stream pays for what it draws. A chaos
+// decision's seven draws build the Source and its rand.Rand and no
+// register; a long stream adds the register and nothing else — the three
+// objects (Source, Rand, rngSource) a drawn-from source cost at the
+// parent commit dd40cbb, in 4 960 bytes where that took 5 440.
+func TestSourceAllocations(t *testing.T) {
+	var s *Source
+	if a := testing.AllocsPerRun(100, func() {
+		s = Stream(7, "chaos/me-PAK-3/0/POST /v3/results/1")
+		for i := 0; i < 7; i++ {
+			s.Float64()
+		}
+	}); a > 2 || s.gen.vec != nil {
+		t.Errorf("a 7-draw stream allocates %.0f objects (register: %v), want 2 and none", a, s.gen.vec != nil)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		s = New(42)
+		for i := 0; i < 1000; i++ {
+			s.Float64()
+		}
+	}); a > 3 {
+		t.Errorf("a 1000-draw source allocates %.0f objects, want at most the parent's 3", a)
+	}
+	s.Float64()
+	if a := testing.AllocsPerRun(100, func() {
+		s.Reseed(7, "x")
+		for i := 0; i < 1000; i++ {
+			s.Float64()
+		}
+	}); a != 0 {
+		t.Errorf("refilling a kept register allocates %.0f objects, want 0", a)
+	}
+}
+
+var sink float64
+
+// BenchmarkReseedDraw7 is one chaos decision: a pooled source reseeded to
+// a labelled stream and drawn from seven times (≈ 9 400 ns at dd40cbb,
+// which filled a register per reseed).
+func BenchmarkReseedDraw7(b *testing.B) {
+	s := New(1)
+	s.Float64()
+	for i := 0; i < b.N; i++ {
+		s.Reseed(int64(i), "chaos/me-PAK-3/0/POST /v3/results/1")
+		for j := 0; j < 7; j++ {
+			sink += s.Float64()
+		}
+	}
+}
+
+// BenchmarkDrawLong is the steady state of a stream on its register
+// (4.3–5.3 ns per Float64 at dd40cbb).
+func BenchmarkDrawLong(b *testing.B) {
+	s := New(1)
+	for i := 0; i <= closedDraws; i++ {
+		s.Float64()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += s.Float64()
 	}
 }
