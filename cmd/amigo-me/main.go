@@ -1,11 +1,16 @@
 // Command amigo-me runs a measurement endpoint: it registers with an
 // amigo-server, heartbeats with device vitals, and executes whatever
 // instrumentation the server queues, measuring against the simulated
-// Airalo world (the rooted-phone substitute).
+// Airalo world (the rooted-phone substitute). It speaks the protocol the
+// fleet does: it leases tasks in batches of up to leaseBatch over v3
+// frames, runs them, and uploads each batch's results as one v3 frame.
 //
 // Usage:
 //
 //	amigo-me [-server http://localhost:8080] [-country PAK] [-seed 1] [-poll 500ms] [-once]
+//
+// -once exits at the first empty lease; otherwise -poll is the wait
+// before leasing again after an empty one.
 package main
 
 import (
@@ -20,11 +25,14 @@ import (
 	"roamsim/internal/rng"
 )
 
+// leaseBatch is the most tasks one lease asks for: the fleet driver's default.
+const leaseBatch = 32
+
 func main() {
 	server := flag.String("server", "http://localhost:8080", "control server base URL")
 	country := flag.String("country", "PAK", "deployment country (ISO3)")
 	seed := flag.Int64("seed", 1, "world seed")
-	poll := flag.Duration("poll", 500*time.Millisecond, "task poll interval")
+	poll := flag.Duration("poll", 500*time.Millisecond, "wait after an empty lease")
 	once := flag.Bool("once", false, "drain the queue once and exit")
 	flag.Parse()
 
@@ -43,19 +51,19 @@ func main() {
 	}
 	fmt.Printf("me-%s registered with %s\n", iso, *server)
 
-	heartbeatEvery := 10
-	for cycle := 0; ; cycle++ {
-		if cycle%heartbeatEvery == 0 {
+	heartbeatEvery := 10 // leases
+	for batch := 0; ; batch++ {
+		if batch%heartbeatEvery == 0 {
 			if err := ep.Heartbeat(); err != nil {
 				fatal(err)
 			}
 		}
-		ran, err := ep.RunOnce()
+		n, err := ep.RunBatch(leaseBatch)
 		if err != nil {
 			fatal(err)
 		}
-		if ran {
-			fmt.Println("task executed and uploaded")
+		if n > 0 {
+			fmt.Printf("%d tasks executed and uploaded\n", n)
 			continue
 		}
 		if *once {

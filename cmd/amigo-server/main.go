@@ -1,8 +1,9 @@
 // Command amigo-server runs the AmiGo control server: the REST endpoint
 // measurement endpoints (amigo-me, roam-fleet) register with, lease
-// tasks from, and upload results to. It serves the v1 JSON control and
-// one-task-per-poll routes and the v3 binary-frame batch lease/upload
-// routes (see internal/amigo and internal/wire for the wire formats).
+// tasks from, and upload results to. It serves the JSON control routes
+// (register, status, requeue) and the v3 binary-frame batch lease and
+// upload routes, the only way tasks and results travel (see
+// internal/amigo and internal/wire for the wire formats).
 //
 // Usage:
 //

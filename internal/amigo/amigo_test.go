@@ -91,11 +91,11 @@ func TestTaskRoundTripAllKinds(t *testing.T) {
 		}
 	}
 	for {
-		more, err := ep.RunOnce()
+		n, err := ep.RunBatch(3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !more {
+		if n == 0 {
 			break
 		}
 	}
@@ -143,7 +143,7 @@ func TestUnknownTaskKindReported(t *testing.T) {
 	defer done()
 	ep.Register()
 	srv.Schedule("me-PAK", Task{Kind: "teleport", Config: "esim"})
-	if _, err := ep.RunOnce(); err != nil {
+	if _, err := ep.RunBatch(1); err != nil {
 		t.Fatal(err)
 	}
 	rs := srv.Results()
@@ -157,7 +157,7 @@ func TestSIMTaskOnWebOnlyCountryFails(t *testing.T) {
 	defer done()
 	ep.Register()
 	srv.Schedule("me-FRA", Task{Kind: "speedtest", Config: "sim"})
-	if _, err := ep.RunOnce(); err != nil {
+	if _, err := ep.RunBatch(1); err != nil {
 		t.Fatal(err)
 	}
 	rs := srv.Results()
@@ -170,12 +170,12 @@ func TestEmptyQueueReturnsNoTask(t *testing.T) {
 	_, ep, done := testbed(t, "PAK")
 	defer done()
 	ep.Register()
-	more, err := ep.RunOnce()
+	n, err := ep.RunBatch(32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if more {
-		t.Error("empty queue should report no more tasks")
+	if n != 0 {
+		t.Errorf("empty queue ran %d tasks", n)
 	}
 }
 
@@ -183,15 +183,7 @@ func TestBadRequests(t *testing.T) {
 	srv := NewServer(nil)
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
-	resp, err := hs.Client().Get(hs.URL + "/v1/tasks?me=ghost")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 404 {
-		t.Errorf("unknown ME tasks: HTTP %d, want 404", resp.StatusCode)
-	}
-	resp, err = hs.Client().Post(hs.URL+"/v1/register", "application/json", nil)
+	resp, err := hs.Client().Post(hs.URL+"/v1/register", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,12 +216,12 @@ func TestConcurrentEndpoints(t *testing.T) {
 		}
 		go func(e *Endpoint) {
 			for {
-				more, err := e.RunOnce()
+				n, err := e.RunBatch(2)
 				if err != nil {
 					done <- err
 					return
 				}
-				if !more {
+				if n == 0 {
 					done <- nil
 					return
 				}
@@ -259,29 +251,6 @@ func TestConcurrentEndpoints(t *testing.T) {
 		if perME["me-"+iso] != tasksPer {
 			t.Errorf("me-%s results = %d", iso, perME["me-"+iso])
 		}
-	}
-}
-
-func TestMENameWithSpacesSurvivesPolling(t *testing.T) {
-	// RunOnce must query-escape the ME name; "vol 7" would otherwise
-	// break the /v1/tasks URL.
-	srv := NewServer(nil)
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	ep := NewEndpoint("me PAK 1", hs.URL, world(t).Deployments["PAK"], rng.New(7))
-	if err := ep.Register(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Schedule("me PAK 1", Task{Kind: "dns", Config: "esim"}); err != nil {
-		t.Fatal(err)
-	}
-	more, err := ep.RunOnce()
-	if err != nil || !more {
-		t.Fatalf("RunOnce = %v, %v", more, err)
-	}
-	rs := srv.Results()
-	if len(rs) != 1 || rs[0].ME != "me PAK 1" || !rs[0].OK {
-		t.Fatalf("results = %+v", rs)
 	}
 }
 

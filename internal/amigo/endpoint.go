@@ -2,13 +2,11 @@ package amigo
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptrace"
-	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -162,8 +160,7 @@ type epMetrics struct {
 
 var (
 	epPaths = []string{
-		"/v1/register", "/v1/status", "/v1/tasks", "/v1/results",
-		"/v2/tasks/requeue", "/v3/tasks/lease", "/v3/results",
+		"/v1/register", "/v1/status", "/v2/tasks/requeue", "/v3/tasks/lease", "/v3/results",
 	}
 	taskKinds = []string{"speedtest", "mtr", "cdn", "dns", "video", "other"}
 )
@@ -325,47 +322,6 @@ func (e *Endpoint) Heartbeat() error {
 	return e.retry("/v1/status", func(ctx context.Context, t Transport) error {
 		return t.Heartbeat(ctx, e.Name, v)
 	})
-}
-
-// RunOnce polls for one task, executes it, and uploads the result. It
-// returns false when the queue is empty. This is the v1 poll loop of the
-// standalone amigo-me and speaks HTTP only: it ignores Transport.
-func (e *Endpoint) RunOnce() (bool, error) {
-	req, err := http.NewRequestWithContext(e.reqContext(e.ctx()), http.MethodGet,
-		e.BaseURL+"/v1/tasks?me="+url.QueryEscape(e.Name), nil)
-	if err != nil {
-		return false, err
-	}
-	e.metrics().request("/v1/tasks")
-	resp, err := e.httpClient().Do(req)
-	if err != nil {
-		return false, err
-	}
-	switch resp.StatusCode {
-	case http.StatusNoContent:
-		drainClose(resp)
-		return false, nil
-	case http.StatusOK:
-	default:
-		err := statusErr("tasks", resp)
-		drainClose(resp)
-		return false, err
-	}
-	var task Task
-	err = json.NewDecoder(resp.Body).Decode(&task)
-	// Drain now, not after the task runs: a deferred close would pin
-	// the connection out of the keep-alive pool for the whole task
-	// execution plus the result upload, forcing the next poll onto a
-	// fresh dial.
-	drainClose(resp)
-	if err != nil {
-		return false, err
-	}
-	result := e.Execute(task)
-	err = e.retry("/v1/results", func(ctx context.Context, _ Transport) error {
-		return (*httpTransport)(e).postJSON(ctx, "/v1/results", result)
-	})
-	return err == nil, err
 }
 
 // Lease asks the server for up to max tasks, acknowledging everything

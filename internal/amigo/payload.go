@@ -4,9 +4,10 @@ package amigo
 // upload. The endpoint encodes with appendJSON and fleet.Ingest decodes
 // with the Decode functions; encoding/json touches a payload only in
 // tests, as the oracle. Encoding writes exactly json.Marshal's bytes, so
-// the WAL, both results pages and any replay see what they always saw;
-// decoding accepts exactly what json.Unmarshal accepts for the payload's
-// type, to equal values, and has no fallback (DESIGN.md "Payload codec").
+// the WAL, both results pages and any replay see what they always saw.
+// Decoding is canonical-only: it succeeds exactly when appendJSON of the
+// decoded value writes the input back byte for byte, and has no fallback
+// (DESIGN.md "Payload codec").
 
 import (
 	"bytes"
@@ -15,7 +16,6 @@ import (
 	"math"
 	"slices"
 	"strconv"
-	"unicode/utf16"
 	"unicode/utf8"
 
 	"roamsim/internal/ipaddr"
@@ -24,8 +24,9 @@ import (
 
 // field is one member of a payload object: its key and a pointer to the
 // value it is written from and read into — *string, *float64, *int,
-// *bool, *map[string]float64 or *quoteAt — or hopsField. A payload lists
-// its fields in struct order, which is json.Marshal's key order.
+// *bool or *map[string]float64 — or, for an mtr payload's hops, the
+// *MTRDecoder they are read into. A payload lists its fields in struct
+// order, which is json.Marshal's key order.
 type field struct {
 	key string
 	ptr any
@@ -171,6 +172,12 @@ const hexDigits = "0123456789abcdef"
 // shortEscape is the escape letter of a control byte that has one.
 var shortEscape = [' ']byte{'\b': 'b', '\f': 'f', '\n': 'n', '\r': 'r', '\t': 't'}
 
+// verbatim reports whether appendString writes c as itself: printable
+// ASCII other than the quote, the backslash and the HTML characters.
+func verbatim(c byte) bool {
+	return c >= ' ' && c < utf8.RuneSelf && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+}
+
 // appendString appends s as json.Marshal writes a string: <, > and &
 // escaped for HTML, control bytes as \b \f \n \r \t or \u00XX, U+2028
 // and U+2029 escaped, each byte of invalid UTF-8 as \ufffd.
@@ -180,7 +187,7 @@ func appendString(b []byte, s string) []byte {
 	for i := 0; i < len(s); {
 		c := s[i]
 		if c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+			if verbatim(c) {
 				i++
 				continue
 			}
@@ -213,106 +220,50 @@ func appendString(b []byte, s string) []byte {
 }
 
 // DecodeSpeedtest decodes an uploaded speedtest payload.
-func DecodeSpeedtest(data []byte) (SpeedtestPayload, error) {
-	var p SpeedtestPayload
+func DecodeSpeedtest(data []byte) (p SpeedtestPayload, err error) {
 	f := p.fields()
-	d := decoder{data: data}
-	err := d.decode(f[:])
+	err = (&decoder{data: data}).decode(f[:])
 	return p, err
 }
 
 // DecodeCDN decodes an uploaded CDN fetch payload.
-func DecodeCDN(data []byte) (CDNPayload, error) {
-	var p CDNPayload
+func DecodeCDN(data []byte) (p CDNPayload, err error) {
 	f := p.fields()
-	d := decoder{data: data}
-	err := d.decode(f[:])
+	err = (&decoder{data: data}).decode(f[:])
 	return p, err
 }
 
 // DecodeDNS decodes an uploaded resolver identification payload.
-func DecodeDNS(data []byte) (DNSPayload, error) {
-	var p DNSPayload
+func DecodeDNS(data []byte) (p DNSPayload, err error) {
 	f := p.fields()
-	d := decoder{data: data}
-	err := d.decode(f[:])
+	err = (&decoder{data: data}).decode(f[:])
 	return p, err
 }
 
 // DecodeVideo decodes an uploaded stats-for-nerds payload.
-func DecodeVideo(data []byte) (VideoPayload, error) {
-	var p VideoPayload
+func DecodeVideo(data []byte) (p VideoPayload, err error) {
 	f := p.fields()
-	d := decoder{data: data}
-	err := d.decode(f[:])
+	err = (&decoder{data: data}).decode(f[:])
 	return p, err
 }
 
 // MTRDecoder decodes mtr payloads back into the traceroute they record:
-// a hop with a non-empty address responded, from that address at its
-// rtt_ms; any other hop timed out. The zero value is ready; it keeps its
-// scratch between calls, so the hops Decode returns are valid until the
-// next Decode.
+// a hop with an address responded, from that address at its rtt_ms (0
+// when absent); any other hop timed out. The zero value is ready; it
+// keeps its scratch between calls, so the hops Decode returns are valid
+// until the next Decode.
 type MTRDecoder struct {
-	list hopList
 	hops []netsim.HopRecord
-}
-
-// hopList is the "hops" array as decoded so far. As json.Unmarshal does
-// with the []MTRHop it fills, a repeated "hops" decodes element i on top
-// of what an earlier array left there, unless a null or an empty array
-// dropped them in between.
-type hopList struct {
-	hops    []mtrHop
-	n, kept int // elements in the last array; elements an earlier one left
-}
-
-// hopsField is the field the decoder fills its hopList from.
-type hopsField struct{}
-
-// quoteAt is the offset of a string in the payload (0: none), for text
-// read only once it is known to be wanted: a hop's address.
-type quoteAt int
-
-type mtrHop struct {
-	ttl  int
-	addr quoteAt
-	rtt  float64
-}
-
-// elem readies element i: on top of what an earlier array left, else zero.
-func (l *hopList) elem(i int) *mtrHop {
-	if i == len(l.hops) {
-		l.hops = append(l.hops, mtrHop{})
-	}
-	if i >= l.kept {
-		l.hops[i], l.kept = mtrHop{}, i+1
-	}
-	return &l.hops[i]
+	buf  []byte
 }
 
 // Decode decodes one mtr payload into its target and traceroute.
 func (m *MTRDecoder) Decode(data []byte) (target string, tr netsim.TracerouteResult, err error) {
-	m.list.n, m.list.kept = 0, 0
-	d := decoder{data: data, hops: &m.list}
-	if err = d.decode([]field{{"target", &target}, {"hops", hopsField{}}}); err != nil {
-		return "", tr, err
-	}
 	m.hops = m.hops[:0]
-	for i, h := range m.list.hops[:m.list.n] {
-		hop := netsim.HopRecord{TTL: h.ttl}
-		var addr []byte
-		if d.off = int(h.addr); d.off > 0 {
-			addr, _ = d.str() // checked by decode
-		}
-		if len(addr) > 0 {
-			a, err := ipaddr.Parse(addr)
-			if err != nil {
-				return "", tr, fmt.Errorf("amigo: mtr hop %d: %w", i+1, err)
-			}
-			hop.Responded, hop.Addr, hop.BestRTTms = true, a, h.rtt
-		}
-		m.hops = append(m.hops, hop)
+	d := decoder{data: data, buf: m.buf}
+	err = d.decode([]field{{"target", &target}, {"hops", m}})
+	if m.buf = d.buf; err != nil {
+		return "", tr, err
 	}
 	if n := len(m.hops); n > 0 {
 		tr.DestReached = m.hops[n-1].Responded
@@ -321,330 +272,236 @@ func (m *MTRDecoder) Decode(data []byte) (target string, tr netsim.TracerouteRes
 	return target, tr, nil
 }
 
-// maxDepth is encoding/json's nesting limit: a payload nested deeper is
-// invalid, even inside a key no field reads.
-const maxDepth = 10000
-
-// decoder is one pass over one payload: the syntax check and the decode
-// into typed fields at once.
+// decoder is one pass over one payload, which must be byte for byte what
+// the encoder writes for the value it decodes to: the fields of the
+// payload's table in order, each key exactly once, no whitespace, and
+// every token one that re-appending the decoded value writes back.
 type decoder struct {
 	data []byte
 	off  int
-	buf  []byte   // unquoting scratch
-	hops *hopList // what a hopsField decodes into
+	buf  []byte // unquoting and re-encoding scratch
 }
 
-// decode decodes the whole payload — one object of fields, or null —
-// with nothing but whitespace after it.
+// decode decodes the whole payload: one object of fields.
 func (d *decoder) decode(fields []field) error {
-	if err := d.value(1, &fields); err != nil {
-		return err
+	sep := byte('{')
+	for _, f := range fields {
+		if !d.key(sep, f.key) {
+			return d.fail()
+		}
+		sep = ','
+		if err := d.value(f.ptr); err != nil {
+			return err
+		}
 	}
-	if d.peek(); d.off < len(d.data) {
+	if !d.eat("}") || d.off != len(d.data) {
 		return d.fail()
 	}
 	return nil
+}
+
+// failAt fails the decode at offset off.
+func (d *decoder) failAt(off int) error {
+	d.off = off
+	return d.fail()
 }
 
 func (d *decoder) fail() error {
 	if d.off >= len(d.data) {
 		return errors.New("amigo: payload: unexpected end of input")
 	}
-	return fmt.Errorf("amigo: payload: unexpected %q at offset %d", d.data[d.off], d.off)
+	return fmt.Errorf("amigo: payload: not the canonical encoding at offset %d (%q)", d.off, d.data[d.off])
 }
 
-func mismatch(off int) error {
-	return fmt.Errorf("amigo: payload: the value at offset %d is of the wrong type", off)
-}
-
-// peek skips whitespace and returns the next byte, 0 at the end.
-func (d *decoder) peek() byte {
-	for ; d.off < len(d.data); d.off++ {
-		if c := d.data[d.off]; c != ' ' && c != '\t' && c != '\n' && c != '\r' {
-			return c
-		}
+// eat consumes lit if the payload continues with it.
+func (d *decoder) eat(lit string) bool {
+	n := d.off + len(lit)
+	if n > len(d.data) || string(d.data[d.off:n]) != lit {
+		return false
 	}
-	return 0
+	d.off = n
+	return true
 }
 
-func (d *decoder) literal(lit string) error {
-	if !bytes.HasPrefix(d.data[d.off:], []byte(lit)) {
-		return d.fail()
+// key consumes sep — the opening brace or a comma — then "key":, or
+// nothing if the payload does not continue with them.
+func (d *decoder) key(sep byte, key string) bool {
+	n := d.off + len(key) + 4
+	if n > len(d.data) || d.data[d.off] != sep || d.data[d.off+1] != '"' ||
+		string(d.data[d.off+2:n-2]) != key || d.data[n-2] != '"' || d.data[n-1] != ':' {
+		return false
 	}
-	d.off += len(lit)
-	return nil
+	d.off = n
+	return true
 }
 
-// value decodes the value at off, at nesting depth depth, into dst (see
-// field), or checks and skips it when dst is nil. It fails wherever
-// json.Unmarshal would fail the input, a value of the wrong type for dst
-// included; null leaves dst alone, except that it drops a map or hops.
-func (d *decoder) value(depth int, dst any) error {
-	c := d.peek()
-	start := d.off
-	switch {
-	case (c == '{' || c == '[') && depth > maxDepth:
-		return errors.New("amigo: payload: nested deeper than encoding/json allows")
-	case c == '{':
-		return d.object(depth, dst)
-	case c == '[':
-		return d.array(depth, dst)
-	case c == '"':
-		text, err := d.str()
-		switch v := dst.(type) {
-		case nil:
-		case *string:
-			*v = string(text)
-		case *quoteAt:
-			*v = quoteAt(start)
-		default:
-			return mismatch(start)
+// value decodes the value at off into dst (see field).
+func (d *decoder) value(dst any) (err error) {
+	switch v := dst.(type) {
+	case *string:
+		*v, err = d.str()
+	case *int, *float64:
+		err = d.number(v)
+	case *bool:
+		if *v = d.eat("true"); !*v && !d.eat("false") {
+			err = d.fail()
 		}
-		return err
-	case c == 't' || c == 'f':
-		if v, ok := dst.(*bool); ok {
-			*v = c == 't'
-		} else if dst != nil {
-			return mismatch(start)
-		}
-		if c == 't' {
-			return d.literal("true")
-		}
-		return d.literal("false")
-	case c == 'n':
-		switch v := dst.(type) {
-		case *map[string]float64:
-			*v = nil
-		case hopsField:
-			d.hops.n, d.hops.kept = 0, 0
-		}
-		return d.literal("null")
-	case c == '-' || '0' <= c && c <= '9':
-		num, err := d.number()
-		if err != nil {
-			return err
-		}
-		switch v := dst.(type) {
-		case nil:
-		case *float64:
-			*v, err = strconv.ParseFloat(string(num), 64)
-		case *int:
-			var n int64
-			n, err = strconv.ParseInt(string(num), 10, 0)
-			*v = int(n)
-		default:
-			return mismatch(start)
-		}
-		if err != nil {
-			return fmt.Errorf("amigo: payload: number %s does not fit its field", num)
-		}
+	case *map[string]float64:
+		err = d.shares(v)
+	case *MTRDecoder:
+		err = d.hops(v)
+	}
+	return err
+}
+
+// shares decodes a map as appendShares writes it: null for nil, else its
+// keys strictly increasing.
+func (d *decoder) shares(m *map[string]float64) error {
+	if d.eat("null") {
 		return nil
 	}
-	return d.fail()
-}
-
-// object decodes the object at off into a struct's fields — each member
-// to the field its key names as encoding/json matches names, exactly or
-// else under Unicode case folding — or into a map, or skips it (nil).
-func (d *decoder) object(depth int, dst any) error {
-	var fields []field
-	m, isMap := dst.(*map[string]float64)
-	switch v := dst.(type) {
-	case nil, *map[string]float64:
-	case *[]field:
-		fields = *v
-	default:
-		return mismatch(d.off)
+	if !d.eat("{") {
+		return d.fail()
 	}
-	if isMap && *m == nil {
-		*m = map[string]float64{}
-	}
-	var share float64 // outside the loop, so that it stays on the stack
-	d.off++           // '{'
-	for n := 0; ; n++ {
-		if c := d.peek(); c == '}' && n == 0 {
-			d.off++
-			return nil
-		} else if c != '"' {
+	*m = map[string]float64{}
+	for i, prev := 0, ""; !d.eat("}"); i++ {
+		if i > 0 && !d.eat(",") {
 			return d.fail()
 		}
-		key, err := d.str()
+		start := d.off
+		k, err := d.str()
 		if err != nil {
 			return err
 		}
-		if d.peek() != ':' {
-			return d.fail()
+		if i > 0 && k <= prev || !d.eat(":") {
+			return d.failAt(start)
 		}
-		d.off++
-		if isMap {
-			share = 0 // null stores 0
-			if err = d.value(depth+1, &share); err == nil {
-				(*m)[string(key)] = share
-			}
-		} else {
-			err = d.value(depth+1, match(fields, key))
-		}
-		if err != nil {
+		var share float64
+		if err := d.number(&share); err != nil {
 			return err
 		}
-		if c := d.peek(); c == '}' {
-			d.off++
-			return nil
-		} else if c != ',' {
-			return d.fail()
-		}
-		d.off++
-	}
-}
-
-// match returns the pointer of the field key names, or nil.
-func match(fields []field, key []byte) any {
-	for _, f := range fields {
-		if string(key) == f.key {
-			return f.ptr
-		}
-	}
-	for _, f := range fields {
-		if bytes.EqualFold(key, []byte(f.key)) {
-			return f.ptr
-		}
+		(*m)[k], prev = share, k
 	}
 	return nil
 }
 
-// array decodes the array at off into mtr hops, or skips it (nil).
-func (d *decoder) array(depth int, dst any) error {
-	_, isHops := dst.(hopsField)
-	if dst != nil && !isHops {
-		return mismatch(d.off)
+// hops decodes the "hops" array as mtrTrace.appendJSON writes it into m's
+// scratch: null for none, else per hop its ttl, then for a responding hop
+// its address and, when nonzero, its RTT.
+func (d *decoder) hops(m *MTRDecoder) error {
+	if d.eat("null") {
+		return nil
 	}
-	var hop [3]field // outside the loop, so that it stays on the stack
-	fields := hop[:]
-	d.off++ // '['
-	n := 0
-	for ; ; n++ {
-		if d.peek() == ']' && n == 0 {
-			d.off++
-			break
-		}
-		var elem any
-		if isHops {
-			h := d.hops.elem(n)
-			hop = [...]field{{"ttl", &h.ttl}, {"addr", &h.addr}, {"rtt_ms", &h.rtt}}
-			elem = &fields
-		}
-		if err := d.value(depth+1, elem); err != nil {
-			return err
-		}
-		if c := d.peek(); c == ']' {
-			d.off++
-			n++
-			break
-		} else if c != ',' {
+	for sep := "["; sep == "[" || !d.eat("]"); sep = "," {
+		var hop netsim.HopRecord
+		if !d.eat(sep) || !d.key('{', "ttl") {
 			return d.fail()
 		}
-		d.off++
-	}
-	if isHops {
-		if d.hops.n = n; n == 0 {
-			d.hops.kept = 0
+		if err := d.number(&hop.TTL); err != nil {
+			return err
 		}
-	}
-	return nil
-}
-
-// unescape maps the letter of a one-letter escape to its byte.
-var unescape = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
-
-// str scans the string at off and returns its text as encoding/json
-// decodes it: the input bytes themselves when plain ASCII, else unquoted
-// into the scratch — escapes resolved, a surrogate pair joined, a lone
-// surrogate and each byte of invalid UTF-8 replaced by U+FFFD.
-func (d *decoder) str() ([]byte, error) {
-	start := d.off + 1
-	i := start
-	for i < len(d.data) && d.data[i] >= ' ' && d.data[i] < utf8.RuneSelf && d.data[i] != '"' && d.data[i] != '\\' {
-		i++
-	}
-	if i < len(d.data) && d.data[i] == '"' {
-		d.off = i + 1
-		return d.data[start:i], nil
-	}
-	b := append(d.buf[:0], d.data[start:i]...)
-	for i < len(d.data) {
-		switch c := d.data[i]; {
-		case c == '"':
-			d.off, d.buf = i+1, b
-			return b, nil
-		case c == '\\' && i+1 < len(d.data) && unescape[d.data[i+1]] != 0:
-			b = append(b, unescape[d.data[i+1]])
-			i += 2
-		case c == '\\':
-			r, ok := d.u4(i)
-			if !ok {
-				d.off = i
-				return nil, d.fail()
+		if d.key(',', "addr") {
+			var err error
+			if hop.Addr, err = d.addr(); err != nil {
+				return fmt.Errorf("amigo: mtr hop %d: %w", len(m.hops)+1, err)
 			}
-			if i += 6; utf16.IsSurrogate(r) {
-				if r2, ok := d.u4(i); ok && utf16.DecodeRune(r, r2) != utf8.RuneError {
-					r, i = utf16.DecodeRune(r, r2), i+6
-				} else {
-					r = utf8.RuneError
+			hop.Responded = true
+			if start := d.off; d.key(',', "rtt_ms") {
+				if err := d.number(&hop.BestRTTms); err != nil {
+					return err
+				}
+				if hop.BestRTTms == 0 { // omitempty: the encoder leaves a zero out
+					return d.failAt(start)
 				}
 			}
-			b = utf8.AppendRune(b, r)
-		case c < ' ':
-			d.off = i
-			return nil, d.fail()
-		default:
-			r, size := utf8.DecodeRune(d.data[i:]) // RuneError for an invalid byte
-			b = utf8.AppendRune(b, r)
-			i += size
 		}
+		if !d.eat("}") {
+			return d.fail()
+		}
+		m.hops = append(m.hops, hop)
 	}
-	d.off = len(d.data)
-	return nil, d.fail()
+	return nil
 }
 
-// u4 reads the escape \uXXXX at i.
-func (d *decoder) u4(i int) (rune, bool) {
-	if i+6 > len(d.data) || d.data[i] != '\\' || d.data[i+1] != 'u' {
-		return 0, false
+// addr decodes a hop address: a quoted dotted quad AppendTo writes back.
+func (d *decoder) addr() (ipaddr.Addr, error) {
+	if !d.eat(`"`) {
+		return 0, d.fail()
 	}
-	r, err := strconv.ParseUint(string(d.data[i+2:i+6]), 16, 16)
-	return rune(r), err == nil
+	end := bytes.IndexByte(d.data[d.off:], '"')
+	if end < 0 {
+		return 0, d.failAt(len(d.data))
+	}
+	text := d.data[d.off : d.off+end]
+	a, err := ipaddr.Parse(text)
+	if err != nil {
+		return 0, err
+	}
+	var buf [15]byte
+	if !bytes.Equal(a.AppendTo(buf[:0]), text) {
+		return 0, d.fail()
+	}
+	d.off += end + 1
+	return a, nil
 }
 
-// number scans the JSON number at off and returns its text.
-func (d *decoder) number() ([]byte, error) {
-	start, i := d.off, d.off
-	digits := func() int {
-		from := i
-		for i < len(d.data) && '0' <= d.data[i] && d.data[i] <= '9' {
+// number decodes the number at off into dst, an *int or a *float64, if
+// the encoder writes the value back as the same token.
+func (d *decoder) number(dst any) error {
+	start := d.off
+	for ; d.off < len(d.data); d.off++ {
+		if c := d.data[d.off]; (c < '0' || c > '9') && c != '-' && c != '.' && c != 'e' && c != 'E' && c != '+' {
+			break
+		}
+	}
+	tok := d.data[start:d.off]
+	var buf [32]byte
+	var again []byte
+	var err error
+	switch v := dst.(type) {
+	case *int:
+		var n int64
+		n, err = strconv.ParseInt(string(tok), 10, 0)
+		*v, again = int(n), strconv.AppendInt(buf[:0], n, 10)
+	case *float64:
+		*v, err = strconv.ParseFloat(string(tok), 64)
+		again = appendFloat(buf[:0], *v, &err)
+	}
+	if err != nil || !bytes.Equal(again, tok) {
+		return d.failAt(start)
+	}
+	return nil
+}
+
+// str decodes the string at off, which must be what appendString writes
+// for its text. A string of verbatim bytes is its own text. Anything else
+// strconv.Unquote reads, as JSON does each escape appendString emits, and
+// the text is re-appended into the scratch to compare, so no other
+// escape, no raw control or HTML byte and no invalid UTF-8 passes.
+func (d *decoder) str() (string, error) {
+	if !d.eat(`"`) {
+		return "", d.fail()
+	}
+	start, i, plain := d.off-1, d.off, true
+	for ; i < len(d.data) && d.data[i] != '"'; i++ {
+		c := d.data[i]
+		if c == '\\' {
 			i++
 		}
-		return i - from
+		plain = plain && verbatim(c)
 	}
-	if d.data[i] == '-' {
-		i++
+	if i >= len(d.data) {
+		return "", d.failAt(len(d.data))
 	}
-	ok := true
-	if n := digits(); n == 0 || n > 1 && d.data[i-n] == '0' {
-		ok = false
+	tok := d.data[start : i+1]
+	if plain {
+		d.off = i + 1
+		return string(tok[1 : len(tok)-1]), nil
 	}
-	if ok && i < len(d.data) && d.data[i] == '.' {
-		i++
-		ok = digits() > 0
+	s, err := strconv.Unquote(string(tok))
+	if d.buf = appendString(d.buf[:0], s); err != nil || !bytes.Equal(d.buf, tok) {
+		return "", d.failAt(start)
 	}
-	if ok && i < len(d.data) && d.data[i]|0x20 == 'e' {
-		if i++; i < len(d.data) && (d.data[i] == '+' || d.data[i] == '-') {
-			i++
-		}
-		ok = digits() > 0
-	}
-	d.off = i
-	if !ok {
-		return nil, d.fail()
-	}
-	return d.data[start:i], nil
+	d.off = i + 1
+	return s, nil
 }

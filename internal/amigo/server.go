@@ -5,7 +5,7 @@
 //
 // The paper's MEs were rooted Samsung S21+ phones running termux; here
 // the ME drives sessions of the simulated world instead of a radio, but
-// the control-plane protocol — register, heartbeat with vitals, poll for
+// the control-plane protocol — register, heartbeat with vitals, lease
 // tasks, upload observations — is the same shape, over real HTTP. An
 // Endpoint reaches the server through a Transport: the routes below, or
 // DirectTransport calling the Server methods behind them — what the
@@ -14,20 +14,17 @@
 //
 // # Protocol
 //
-// The v1 surface is JSON: the per-incarnation control calls every ME
-// makes, plus the one-task-per-round-trip poll loop that a handful of
-// phones needs (the standalone amigo-me, Endpoint.RunOnce):
+// The control calls every ME makes once per incarnation are JSON:
 //
 //	POST /v1/register   {"me": ..., "country": ...}
 //	POST /v1/status     {"me": ..., "vitals": {...}}
-//	GET  /v1/tasks?me=X          -> next queued task (204 if none)
-//	POST /v1/results    Result
 //
-// The v3 batch surface is the fleet-scale path (see internal/fleet): an
-// ME leases up to K tasks in one round trip and uploads results in
-// batches, cutting control-plane round trips by ~K×. Bodies are
-// internal/wire frames (see DESIGN.md "v3 wire format") and requests
-// must carry Content-Type application/vnd.amigo.v3 (else 415):
+// Tasks and results travel only over the v3 batch surface, which the
+// fleet (see internal/fleet) and the standalone amigo-me both speak: an
+// ME leases up to K tasks in one round trip and uploads their results as
+// one batch (Endpoint.RunBatch). Bodies are internal/wire frames (see
+// DESIGN.md "v3 wire format") and requests must carry Content-Type
+// application/vnd.amigo.v3 (else 415):
 //
 //	POST /v3/tasks/lease   MsgLeaseRequest frame -> MsgTasks frame (204 if none)
 //	POST /v3/results       MsgResults frame      -> 204, or 429 + Retry-After
@@ -162,7 +159,7 @@ type Server struct {
 // registry lock).
 type serverMetrics struct {
 	scheduled     *obs.Counter // tasks queued via Schedule/ScheduleBatch
-	leased        *obs.Counter // fresh task deliveries (v1 poll + v3 lease)
+	leased        *obs.Counter // fresh task deliveries
 	redelivered   *obs.Counter // unacked tasks re-sent after a lost lease response
 	acked         *obs.Counter // tasks retired by a lease ack
 	requeued      *obs.Counter // tasks restored by /v2/tasks/requeue
@@ -349,30 +346,6 @@ func (s *Server) reserveID(id int64) {
 			return
 		}
 	}
-}
-
-// Lease pops up to max queued tasks for the named ME, in queue order.
-// It returns an empty slice when the queue is empty and an error when
-// the ME is unknown.
-func (s *Server) Lease(me string, max int) ([]Task, error) {
-	if max < 1 {
-		max = 1
-	}
-	sh := s.shardFor(me)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.mes[me]
-	if !ok {
-		return nil, unknownME(me)
-	}
-	n := min(max, len(st.queue))
-	leased := append([]Task(nil), st.queue[:n]...)
-	st.queue = st.queue[n:]
-	if len(st.queue) == 0 {
-		st.queue = nil // release the drained backing array
-	}
-	s.met.leased.Add(int64(n))
-	return leased, nil
 }
 
 // LeaseAckInto is the at-least-once batch lease: ack acknowledges every
@@ -794,29 +767,6 @@ func (s *Server) Handler() http.Handler {
 		}
 		w.WriteHeader(http.StatusNoContent)
 	})
-	s.instrument(mux, "GET /v1/tasks", func(w http.ResponseWriter, r *http.Request) {
-		tasks, err := s.Lease(r.URL.Query().Get("me"), 1)
-		if err != nil {
-			rejectErr(w, err)
-			return
-		}
-		if len(tasks) == 0 {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		s.writeJSON(w, tasks[0], nil)
-	})
-	s.instrument(mux, "POST /v1/results", func(w http.ResponseWriter, r *http.Request) {
-		var res Result
-		if !decodeJSON(w, r, &res, "bad result") {
-			return
-		}
-		if err := s.Submit([]Result{res}); err != nil {
-			s.rejectBusy(w)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
 	s.instrument(mux, "POST /v2/tasks/requeue", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			ME string `json:"me"`
@@ -844,9 +794,10 @@ func (s *Server) Handler() http.Handler {
 // queue into one response.
 const maxLeaseBatch = 1024
 
-// maxScheduleCount bounds the count of one single-kind POST
-// /admin/schedule: the handler builds that many tasks, so without it a
-// 40-byte request could ask for 2³¹ of them.
+// maxScheduleCount bounds the tasks one POST /admin/schedule queues, in
+// either form: the single-kind form builds count tasks, so without it a
+// 40-byte request could ask for 2³¹ of them, and a batch of {} tasks
+// costs 3 bytes each.
 const maxScheduleCount = 1 << 16
 
 // handleAdminResults is GET /admin/results?cursor=N[&limit=M]: one page
@@ -922,9 +873,10 @@ func (s *Server) handleAdminResults(w http.ResponseWriter, r *http.Request) {
 //
 //	POST /admin/schedule  {"me":..., "kind":..., "target":..., "config":..., "count":N}
 //	                      or {"me":..., "tasks":[Task, ...]} for a batch;
-//	                      a count over maxScheduleCount is 400, checked
-//	                      before the ME (unknown: 404), both before any
-//	                      task is built
+//	                      a count or batch over maxScheduleCount is 400,
+//	                      checked before the ME (unknown: 404), both
+//	                      before any task is built; decoding the batch is
+//	                      bounded only by wire.MaxJSONBody
 //	GET  /admin/results?cursor=N[&limit=M] -> {"cursor": next, "results": [...]}
 //	                      cursor=-1 returns just the current cursor; with
 //	                      Accept: application/vnd.amigo.v3 the page is one
@@ -947,11 +899,15 @@ func (s *Server) AdminHandler() http.Handler {
 			return
 		}
 		tasks := req.Tasks
+		n := len(tasks)
+		if n == 0 {
+			n = req.Count
+		}
+		if n > maxScheduleCount {
+			http.Error(w, fmt.Sprintf("%d tasks is over the limit of %d", n, maxScheduleCount), http.StatusBadRequest)
+			return
+		}
 		if len(tasks) == 0 {
-			if req.Count > maxScheduleCount {
-				http.Error(w, fmt.Sprintf("count %d is over the limit of %d", req.Count, maxScheduleCount), http.StatusBadRequest)
-				return
-			}
 			if _, ok := s.Vitals(req.ME); !ok {
 				rejectErr(w, unknownME(req.ME))
 				return

@@ -16,7 +16,8 @@ import (
 // when unknown), and builds tasks only after both. The 40-byte request
 // that made the parent try to allocate 2³¹ tasks answers 400, and a count
 // at the limit for an unknown ME answers 404, each having allocated under
-// 1 MB; a count in bounds for a known ME is still scheduled.
+// 1 MB. A batch of maxScheduleCount+1 tasks for a known ME answers 400
+// and queues nothing; a count in bounds for a known ME is still scheduled.
 func TestScheduleCountBounded(t *testing.T) {
 	srv := NewServer(nil)
 	srv.Register("me-PAK", "PAK")
@@ -47,10 +48,18 @@ func TestScheduleCountBounded(t *testing.T) {
 			t.Errorf("%s: the refusal allocated %d bytes", c.body, allocated)
 		}
 	}
+	// The batch form is held to the same cap; decoding it is bounded by
+	// wire.MaxJSONBody alone, so its allocation is not checked.
+	if code, _ := post(`{"me":"me-PAK","tasks":[{}` + strings.Repeat(`,{}`, maxScheduleCount) + `]}`); code != http.StatusBadRequest {
+		t.Errorf("batch of %d tasks: HTTP %d, want 400", maxScheduleCount+1, code)
+	}
+	if tasks, err := srv.LeaseAckInto("me-PAK", 10, 0, nil); err != nil || len(tasks) != 0 {
+		t.Fatalf("the refused batch queued %d tasks (%v)", len(tasks), err)
+	}
 	if code, _ := post(`{"me":"me-PAK","kind":"speedtest","config":"esim","count":3}`); code != http.StatusOK {
 		t.Fatalf("in-bounds schedule: HTTP %d", code)
 	}
-	if tasks, err := srv.Lease("me-PAK", 10); err != nil || len(tasks) != 3 {
+	if tasks, err := srv.LeaseAckInto("me-PAK", 10, 0, nil); err != nil || len(tasks) != 3 {
 		t.Fatalf("queued %d tasks (%v), want 3", len(tasks), err)
 	}
 }
@@ -63,7 +72,7 @@ func TestJSONRoutesBoundBodies(t *testing.T) {
 		h    http.Handler
 		path string
 	}{
-		{srv.Handler(), "/v1/register"}, {srv.Handler(), "/v1/status"}, {srv.Handler(), "/v1/results"},
+		{srv.Handler(), "/v1/register"}, {srv.Handler(), "/v1/status"},
 		{srv.Handler(), "/v2/tasks/requeue"}, {srv.AdminHandler(), "/admin/schedule"},
 	} {
 		req := httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(`{"me":"me-PAK"}`))

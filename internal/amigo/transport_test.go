@@ -88,11 +88,10 @@ func TestTransportUnknownME(t *testing.T) {
 func TestServerMethodsWrapErrUnknownME(t *testing.T) {
 	srv := NewServer(nil)
 	_, errSchedule := srv.ScheduleBatch("ghost", []Task{{Kind: "dns"}})
-	_, errLease := srv.Lease("ghost", 1)
 	_, errLeaseAck := srv.LeaseAckInto("ghost", 1, 0, nil)
 	_, errRequeue := srv.Requeue("ghost")
 	for name, err := range map[string]error{
-		"ScheduleBatch": errSchedule, "Lease": errLease, "LeaseAckInto": errLeaseAck,
+		"ScheduleBatch": errSchedule, "LeaseAckInto": errLeaseAck,
 		"Requeue": errRequeue, "ReportVitals": srv.ReportVitals("ghost", Vitals{}),
 	} {
 		if !errors.Is(err, ErrUnknownME) || !strings.Contains(err.Error(), `"ghost"`) {

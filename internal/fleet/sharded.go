@@ -271,7 +271,7 @@ func (f *ShardedFleet) WaitIdle() { f.wg.Wait() }
 func (f *ShardedFleet) backend(i int, srv *amigo.Server) http.Handler {
 	mounted := shard.Mount(srv.Handler(), srv.AdminHandler())
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost || !isUploadPath(r.URL.Path) {
+		if r.Method != http.MethodPost || r.URL.Path != "/v3/results" {
 			mounted.ServeHTTP(w, r)
 			return
 		}
@@ -281,10 +281,6 @@ func (f *ShardedFleet) backend(i int, srv *amigo.Server) http.Handler {
 			f.afterUpload(i)
 		}
 	})
-}
-
-func isUploadPath(path string) bool {
-	return path == "/v1/results" || path == "/v3/results"
 }
 
 type statusRecorder struct {

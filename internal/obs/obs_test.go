@@ -135,7 +135,7 @@ func TestPrometheusGolden(t *testing.T) {
 	r.Counter("aa_total", L("op", `qu"ote`)).Add(1)
 	r.Gauge("depth").Set(7)
 	r.GaugeFunc("spool", func() float64 { return 1.5 })
-	h := r.Histogram("dur_ms", L("route", "/v1/tasks"))
+	h := r.Histogram("dur_ms", L("route", "/v3/tasks/lease"))
 	h.Observe(0.0005)
 	h.Observe(0.01)
 	h.Observe(1e12)
@@ -157,11 +157,11 @@ func TestPrometheusGolden(t *testing.T) {
 		case i == 0, i == 4: // 0.0005 <= 0.001; 0.01 <= 0.016
 			cum++
 		}
-		fmt.Fprintf(&want, "dur_ms_bucket{route=\"/v1/tasks\",le=\"%s\"} %d\n", formatValue(bound), cum)
+		fmt.Fprintf(&want, "dur_ms_bucket{route=\"/v3/tasks/lease\",le=\"%s\"} %d\n", formatValue(bound), cum)
 	}
-	want.WriteString("dur_ms_bucket{route=\"/v1/tasks\",le=\"+Inf\"} 3\n")
-	fmt.Fprintf(&want, "dur_ms_sum{route=\"/v1/tasks\"} %s\n", formatValue(0.0005+0.01+1e12))
-	want.WriteString("dur_ms_count{route=\"/v1/tasks\"} 3\n")
+	want.WriteString("dur_ms_bucket{route=\"/v3/tasks/lease\",le=\"+Inf\"} 3\n")
+	fmt.Fprintf(&want, "dur_ms_sum{route=\"/v3/tasks/lease\"} %s\n", formatValue(0.0005+0.01+1e12))
+	want.WriteString("dur_ms_count{route=\"/v3/tasks/lease\"} 3\n")
 	want.WriteString("# TYPE spool gauge\nspool 1.5\n")
 	want.WriteString("# TYPE zz_total counter\nzz_total 3\n")
 

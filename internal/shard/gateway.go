@@ -23,8 +23,6 @@ import (
 const (
 	routeV1Register = iota
 	routeV1Status
-	routeV1Tasks
-	routeV1Results
 	routeV2Requeue
 	routeV3Lease
 	routeV3Results
@@ -35,8 +33,6 @@ const (
 var routeNames = [numRoutes]string{
 	routeV1Register:    "v1/register",
 	routeV1Status:      "v1/status",
-	routeV1Tasks:       "v1/tasks",
-	routeV1Results:     "v1/results",
 	routeV2Requeue:     "v2/requeue",
 	routeV3Lease:       "v3/lease",
 	routeV3Results:     "v3/results",
@@ -196,10 +192,6 @@ func (g *Gateway) buildMux() *http.ServeMux {
 	// Data plane: peek the ME, forward whole to its shard.
 	mux.HandleFunc("POST /v1/register", g.routeJSON(routeV1Register))
 	mux.HandleFunc("POST /v1/status", g.routeJSON(routeV1Status))
-	mux.HandleFunc("GET /v1/tasks", func(w http.ResponseWriter, r *http.Request) {
-		g.forward(w, r, r.URL.Query().Get("me"), routeV1Tasks)
-	})
-	mux.HandleFunc("POST /v1/results", g.routeJSON(routeV1Results))
 	mux.HandleFunc("POST /v2/tasks/requeue", g.routeJSON(routeV2Requeue))
 	mux.HandleFunc("POST /v3/tasks/lease", g.routeV3(routeV3Lease))
 	mux.HandleFunc("POST /v3/results", g.routeV3(routeV3Results))
@@ -212,16 +204,6 @@ func (g *Gateway) buildMux() *http.ServeMux {
 	mux.Handle("GET /admin/metrics", g.obs.MetricsHandler())
 	mux.Handle("GET /admin/trace", g.obs.TraceHandler())
 	return mux
-}
-
-// forward dispatches the request to me's shard. One topology load
-// covers both the placement and the backend, so a concurrent swap can
-// never route by one ring and serve from another.
-func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, me string, route int) {
-	t := g.topo.Load()
-	shard := t.ring.Shard(me)
-	t.reqs[shard][route].Inc()
-	t.backends[shard].ServeHTTP(w, r)
 }
 
 // pooledBody is the request body the backend reads: a reader over the
@@ -255,12 +237,16 @@ func (b *pooledBody) release() {
 }
 
 // forwardBody hands the buffered body to me's shard as the request's
-// body.
+// body. One topology load covers both the placement and the backend, so
+// a concurrent swap can never route by one ring and serve from another.
 func (g *Gateway) forwardBody(w http.ResponseWriter, r *http.Request, b *pooledBody, me string, route int) {
 	b.Reset(*b.buf)
 	r.Body = b
 	r.ContentLength = int64(len(*b.buf))
-	g.forward(w, r, me, route)
+	t := g.topo.Load()
+	shard := t.ring.Shard(me)
+	t.reqs[shard][route].Inc()
+	t.backends[shard].ServeHTTP(w, r)
 }
 
 // maxPresize is how much of a declared Content-Length the gateway

@@ -2,7 +2,7 @@
 // consistent-hash Ring assigns each measurement endpoint (ME) to one of
 // N shards — each shard a full amigo.Server with its own registry,
 // queues and result sink — and a thin Gateway routes every protocol
-// request (JSON control and v1 poll calls, v3 binary batch frames) to
+// request (JSON control calls, v3 binary batch frames) to
 // the owning shard by peeking the ME name out of the request, merging
 // only the admin read surface across shards.
 //

@@ -314,8 +314,6 @@ func TestGatewayRouteCounters(t *testing.T) {
 	}{
 		{"POST", "/v1/register", jsonCT, []byte(`{"me":"m","country":"PAK"}`), "v1/register"},
 		{"POST", "/v1/status", jsonCT, []byte(`{"me":"m","vitals":{}}`), "v1/status"},
-		{"GET", "/v1/tasks?me=m", "", nil, "v1/tasks"},
-		{"POST", "/v1/results", jsonCT, []byte(`{"me":"m"}`), "v1/results"},
 		{"POST", "/v2/tasks/requeue", jsonCT, []byte(`{"me":"m"}`), "v2/requeue"},
 		{"POST", "/v3/tasks/lease", wire.ContentType, lease, "v3/lease"},
 		{"POST", "/v3/results", wire.ContentType, results, "v3/results"},

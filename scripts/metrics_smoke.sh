@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # metrics_smoke.sh — boot a real amigo-server, scrape /admin/metrics,
 # and assert the exposition is non-empty, parseable Prometheus text that
-# covers the control-server metric family. Run via `make metrics-smoke`.
+# covers the control-server metric family; then drain a scheduled queue
+# with a real amigo-me and assert its results arrived over the v3 routes.
+# Run via `make metrics-smoke`.
 set -euo pipefail
 
 TMPDIR_SMOKE="$(mktemp -d)"
 BIN="$TMPDIR_SMOKE/amigo-server"
+ME_BIN="$TMPDIR_SMOKE/amigo-me"
 OUT="$TMPDIR_SMOKE/metrics.txt"
 PORT="${METRICS_SMOKE_PORT:-18931}"
 
@@ -16,6 +19,7 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 go build -o "$BIN" ./cmd/amigo-server
+go build -o "$ME_BIN" ./cmd/amigo-me
 "$BIN" -addr "127.0.0.1:$PORT" &
 SRV_PID=$!
 
@@ -66,4 +70,33 @@ if ! grep -q '^amigo_server_registered_mes 1$' "$OUT"; then
     exit 1
 fi
 
-echo "metrics-smoke: OK ($(grep -c . "$OUT") exposition lines)"
+LINES="$(grep -c . "$OUT")"
+
+# The ME binary: register me-DEU, queue 5 tasks with the curl the
+# amigo-server docs give, and let one amigo-me drain them.
+URL="http://127.0.0.1:$PORT"
+curl -sf -X POST "$URL/v1/register" -d '{"me":"me-DEU","country":"DEU"}' >/dev/null
+curl -sf -X POST "$URL/admin/schedule" \
+    -d '{"me":"me-DEU","kind":"speedtest","config":"esim","count":5}' >/dev/null
+"$ME_BIN" -server "$URL" -country DEU -once
+
+RESULTS="$(curl -sf "$URL/admin/results?cursor=0")"
+got="$(printf '%s' "$RESULTS" | grep -o '"task_id":' | wc -l)"
+if [ "$got" -ne 5 ]; then
+    echo "metrics-smoke: amigo-me uploaded $got results, want 5: $RESULTS" >&2
+    exit 1
+fi
+
+curl -sf "$URL/admin/metrics" -o "$OUT"
+for route in /v3/tasks/lease /v3/results; do
+    if ! grep -Eq "^amigo_server_requests_total\{class=\"2xx\",route=\"$route\"\} [1-9]" "$OUT"; then
+        echo "metrics-smoke: amigo-me did not use POST $route" >&2
+        exit 1
+    fi
+done
+if grep -q '/v1/tasks' "$OUT"; then
+    echo "metrics-smoke: a /v1/tasks route is still served" >&2
+    exit 1
+fi
+
+echo "metrics-smoke: OK ($LINES exposition lines; amigo-me uploaded $got results over v3)"
