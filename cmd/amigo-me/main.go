@@ -9,8 +9,10 @@
 //
 //	amigo-me [-server http://localhost:8080] [-country PAK] [-seed 1] [-poll 500ms] [-once]
 //
-// -once exits at the first empty lease; otherwise -poll is the wait
-// before leasing again after an empty one.
+// -once exits after the first empty or short lease — a lease of fewer
+// than leaseBatch tasks held the queue's last ones, so once they are
+// uploaded the queue is drained without asking again; otherwise -poll is
+// the wait before leasing again after either.
 package main
 
 import (
@@ -32,7 +34,7 @@ func main() {
 	server := flag.String("server", "http://localhost:8080", "control server base URL")
 	country := flag.String("country", "PAK", "deployment country (ISO3)")
 	seed := flag.Int64("seed", 1, "world seed")
-	poll := flag.Duration("poll", 500*time.Millisecond, "wait after an empty lease")
+	poll := flag.Duration("poll", 500*time.Millisecond, "wait after an empty or short lease")
 	once := flag.Bool("once", false, "drain the queue once and exit")
 	flag.Parse()
 

@@ -135,7 +135,8 @@ type Endpoint struct {
 	Realize bool
 
 	battery float64
-	acked   int // highest task ID leased so far (the lease ack cursor)
+	acked   int  // highest task ID leased so far (the lease ack cursor)
+	drained bool // RunBatch uploaded a short lease: the next call returns 0 unasked
 	// scratch is the pooled buffer the payloads of the batch being run are
 	// encoded into, one after another in task order; seal moves them onto
 	// the batch's own slab and hands it back (nil between batches).
@@ -346,7 +347,7 @@ func (e *Endpoint) Lease(max int) ([]Task, error) {
 // full replay re-leases every task; server-side idempotency keys keep
 // the re-uploaded duplicates out of the dataset.
 func (e *Endpoint) Redeliver() error {
-	e.acked = 0
+	e.acked, e.drained = 0, false
 	return e.retry("/v2/tasks/requeue", func(ctx context.Context, t Transport) error {
 		return t.Requeue(ctx, e.Name)
 	})
@@ -404,12 +405,21 @@ func fnv1a[T string | []byte](h uint64, s T) uint64 {
 // the results as one batch. It returns the number of tasks executed;
 // zero means the queue is drained.
 //
+// A lease shorter than max held the ME's last tasks (Transport.Lease), so
+// once they are uploaded the next call returns 0 without a request, and
+// the one after leases again — how a polling ME sees new work. The
+// skipped lease would only have acked the final batch (Server.LeaseAckInto).
+//
 // With Realize the batch's summed network time is spent in one wait before
 // the upload: nothing of an ME is observable between two tasks of a lease
 // (no request, no heartbeat, no crash point), and on a vclock.Virtual one
 // wait is one trip through the quiescence barrier instead of one per task.
 // A wait cut short by Ctx returns its error at once; nothing is uploaded.
 func (e *Endpoint) RunBatch(max int) (int, error) {
+	if e.drained {
+		e.drained = false
+		return 0, nil
+	}
 	tasks, err := e.Lease(max)
 	if err != nil || len(tasks) == 0 {
 		return 0, err
@@ -430,6 +440,8 @@ func (e *Endpoint) RunBatch(max int) (int, error) {
 	if err := e.Upload(results); err != nil {
 		return 0, err
 	}
+	// Short of max as transports clamp it, to [1, maxLeaseBatch] (tasks is non-empty).
+	e.drained = len(tasks) < min(max, maxLeaseBatch)
 	return len(tasks), nil
 }
 

@@ -33,9 +33,11 @@
 // Ack acknowledges every previously delivered task ID <= Ack, and
 // unacked deliveries are re-sent before fresh work is popped, so a lease
 // response lost or truncated on a flaky link is simply re-fetched
-// (LeaseAckInto). Uploads may carry an Idempotency-Key header; a batch
-// whose key was already accepted is dropped server-side (SubmitKeyed),
-// so retried and duplicated uploads never double-count results.
+// (LeaseAckInto); a short lease holds the ME's last tasks, so RunBatch
+// stops after uploading it, its last batch unacked. Uploads may carry an
+// Idempotency-Key header; a batch whose key was already accepted is
+// dropped server-side (SubmitKeyed), so retried and duplicated uploads
+// never double-count results.
 //
 // One more JSON control route sits beside them: a crashed batch ME calls
 // it after re-registering to get its entire schedule back, original task
@@ -357,7 +359,10 @@ func (s *Server) reserveID(id int64) {
 // acknowledges nothing. The leased tasks are appended onto dst — the
 // handler passes a pooled slice re-sliced to [:0] so the steady-state
 // lease copies into recycled capacity instead of allocating per
-// response.
+// response. Re-sent deliveries are topped up from the queue, so fewer than
+// max tasks come back only when they are all the ME has left: RunBatch
+// then stops without a confirming lease, leaving its last batch unacked,
+// which costs nothing — Requeue restores done and outstanding tasks alike.
 func (s *Server) LeaseAckInto(me string, max, ack int, dst []Task) ([]Task, error) {
 	if max < 1 {
 		max = 1
@@ -379,7 +384,8 @@ func (s *Server) LeaseAckInto(me string, max, ack int, dst []Task) ([]Task, erro
 		// Unacked deliveries: the previous response was lost — re-deliver.
 		n := min(max, len(st.outstanding))
 		s.met.redelivered.Add(int64(n))
-		return append(dst, st.outstanding[:n]...), nil
+		dst = append(dst, st.outstanding[:n]...)
+		max -= n
 	}
 	n := min(max, len(st.queue))
 	dst = append(dst, st.queue[:n]...)
@@ -739,10 +745,7 @@ func (s *Server) instrument(mux *http.ServeMux, pattern string, h http.HandlerFu
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	s.instrument(mux, "POST /v1/register", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			ME      string `json:"me"`
-			Country string `json:"country"`
-		}
+		var req registerBody
 		if !decodeJSON(w, r, &req, "bad register") {
 			return
 		}
@@ -754,10 +757,7 @@ func (s *Server) Handler() http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	s.instrument(mux, "POST /v1/status", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			ME     string `json:"me"`
-			Vitals Vitals `json:"vitals"`
-		}
+		var req statusBody
 		if !decodeJSON(w, r, &req, "bad status") {
 			return
 		}
@@ -768,9 +768,7 @@ func (s *Server) Handler() http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	s.instrument(mux, "POST /v2/tasks/requeue", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			ME string `json:"me"`
-		}
+		var req requeueBody
 		if !decodeJSON(w, r, &req, "bad requeue") {
 			return
 		}
@@ -924,7 +922,9 @@ func (s *Server) AdminHandler() http.Handler {
 			rejectErr(w, err)
 			return
 		}
-		s.writeJSON(w, map[string]any{"task_ids": ids}, nil)
+		s.writeJSON(w, struct {
+			TaskIDs []int `json:"task_ids"`
+		}{ids}, nil)
 	})
 	s.instrument(mux, "GET /admin/results", s.handleAdminResults)
 	s.instrument(mux, "GET /admin/mes", func(w http.ResponseWriter, r *http.Request) {

@@ -23,7 +23,9 @@ type Transport interface {
 	Register(ctx context.Context, me, country string) error
 	Heartbeat(ctx context.Context, me string, v Vitals) error
 	// Lease acknowledges every delivered task ID <= ack and returns up to
-	// max tasks, none once the queue is drained (Server.LeaseAckInto).
+	// max tasks (max clamped to [1, maxLeaseBatch]), none once the queue is
+	// drained, and fewer than max only when they are all the ME has left
+	// (Server.LeaseAckInto).
 	Lease(ctx context.Context, me string, max, ack int) ([]Task, error)
 	// Upload submits a batch under its idempotency key (Server.SubmitKeyed).
 	Upload(ctx context.Context, key string, results []Result) error
@@ -79,16 +81,33 @@ func (d DirectTransport) Requeue(_ context.Context, me string) error {
 // BaseURL, Client and Obs are read per call: callers assign them late.
 type httpTransport Endpoint
 
+// The JSON control bodies, one type per route for both ends. Fields are in
+// sorted key order: chaos draws truncation offsets into these bytes, so
+// their layout is part of a seed's fault schedule.
+type (
+	registerBody struct {
+		Country string `json:"country"`
+		ME      string `json:"me"`
+	}
+	statusBody struct {
+		ME     string `json:"me"`
+		Vitals Vitals `json:"vitals"`
+	}
+	requeueBody struct {
+		ME string `json:"me"`
+	}
+)
+
 func (t *httpTransport) Register(ctx context.Context, me, country string) error {
-	return t.postJSON(ctx, "/v1/register", map[string]string{"me": me, "country": country})
+	return t.postJSON(ctx, "/v1/register", registerBody{country, me})
 }
 
 func (t *httpTransport) Heartbeat(ctx context.Context, me string, v Vitals) error {
-	return t.postJSON(ctx, "/v1/status", map[string]any{"me": me, "vitals": v})
+	return t.postJSON(ctx, "/v1/status", statusBody{me, v})
 }
 
 func (t *httpTransport) Requeue(ctx context.Context, me string) error {
-	return t.postJSON(ctx, "/v2/tasks/requeue", map[string]string{"me": me})
+	return t.postJSON(ctx, "/v2/tasks/requeue", requeueBody{me})
 }
 
 func (t *httpTransport) postJSON(ctx context.Context, path string, body any) error {

@@ -1,7 +1,12 @@
 package amigo
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -221,6 +226,68 @@ func TestUploadResendIsDeduped(t *testing.T) {
 				t.Errorf("dedup-dropped batches = %d, want 1", got)
 			}
 		})
+	}
+}
+
+// TestJSONBodiesMatchMapMarshal: the JSON control bodies are structs with
+// their fields in sorted key order, byte for byte what json.Marshal made
+// of the maps they replaced — chaos truncation offsets depend on the
+// bytes. The ME name carries characters json.Marshal escapes.
+func TestJSONBodiesMatchMapMarshal(t *testing.T) {
+	var mu sync.Mutex
+	bodies := map[string][]byte{}
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		bodies[r.URL.Path] = b
+		mu.Unlock()
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer hs.Close()
+	const me = "me-<&>\"é\u2028"
+	v := Vitals{Battery: 0.998, RSSI: -91.25, SNR: 3.5, CQI: 7, RAT: "5G", ActiveID: "esim"}
+	tr := &httpTransport{BaseURL: hs.URL, Client: hs.Client()}
+	ctx := context.Background()
+	for _, err := range []error{tr.Register(ctx, me, "PAK"), tr.Heartbeat(ctx, me, v), tr.Requeue(ctx, me)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv := NewServer(nil)
+	srv.Register(me, "PAK")
+	admin := httptest.NewServer(srv.AdminHandler())
+	defer admin.Close()
+	req, _ := json.Marshal(map[string]any{"me": me, "kind": "dns", "count": 3})
+	resp, err := admin.Client().Post(admin.URL+"/admin/schedule", "application/json", bytes.NewReader(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheduled, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	for _, tc := range []struct {
+		name string
+		got  []byte
+		old  any
+	}{
+		{"register", bodies["/v1/register"], map[string]string{"me": me, "country": "PAK"}},
+		{"heartbeat", bodies["/v1/status"], map[string]any{"me": me, "vitals": v}},
+		{"requeue", bodies["/v2/tasks/requeue"], map[string]string{"me": me}},
+		{"schedule response", bytes.TrimSuffix(scheduled, []byte("\n")), map[string]any{"task_ids": []int{1, 2, 3}}},
+	} {
+		want, err := json.Marshal(tc.old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(tc.got, want) {
+			t.Errorf("%s body = %s, want the map's %s", tc.name, tc.got, want)
+		}
 	}
 }
 

@@ -395,10 +395,8 @@ func (d *Driver) runIncarnation(client *http.Client, sc MESchedule, dep *airalo.
 		if err != nil {
 			return false, err
 		}
-		if len(ids) == len(tasks) {
-			for i := range tasks {
-				tasks[i].ID = ids[i]
-			}
+		for i := range tasks {
+			tasks[i].ID = ids[i]
 		}
 		*scheduled = true
 	} else if err := ep.Redeliver(); err != nil {
@@ -440,9 +438,13 @@ func drainBody(body io.ReadCloser) {
 }
 
 // scheduleBatch POSTs the ME's schedule and returns the task IDs the
-// server assigned (or honored, when the tasks carried pinned IDs).
+// server assigned (or honored, when the tasks carried pinned IDs), one
+// per task: a recovery re-schedule pins them so replayed uploads dedup.
 func (d *Driver) scheduleBatch(client *http.Client, me string, tasks []amigo.Task) ([]int, error) {
-	buf, err := json.Marshal(map[string]any{"me": me, "tasks": tasks})
+	buf, err := json.Marshal(struct {
+		ME    string       `json:"me"`
+		Tasks []amigo.Task `json:"tasks"`
+	}{me, tasks})
 	if err != nil {
 		return nil, err
 	}
@@ -464,6 +466,9 @@ func (d *Driver) scheduleBatch(client *http.Client, me string, tasks []amigo.Tas
 	drainBody(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: schedule %s: decoding response: %w", me, err)
+	}
+	if len(out.TaskIDs) != len(tasks) {
+		return nil, fmt.Errorf("fleet: schedule %s: server assigned %d IDs for %d tasks", me, len(out.TaskIDs), len(tasks))
 	}
 	return out.TaskIDs, nil
 }
