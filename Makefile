@@ -17,7 +17,7 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-## lint: run the nine roamvet analyzers (ROAM001-009) over the whole
+## lint: run the eight roamvet analyzers (ROAM002-009) over the whole
 ## module; nonzero exit on any finding. The binary is rebuilt
 ## unconditionally — the Go build cache makes that cheap, and a
 ## prerequisite list built from $(wildcard) goes quietly stale when a

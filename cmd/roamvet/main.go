@@ -1,12 +1,11 @@
-// Command roamvet runs the repo's static-analysis suite: nine
+// Command roamvet runs the repo's static-analysis suite: eight
 // analyzers that enforce the determinism, hygiene, crash-safety, and
 // concurrency contracts the byte-identical-dataset guarantee rests on
 // (see internal/lint and the "Determinism contract" section of
 // DESIGN.md).
 //
 //	roamvet                     # analyze every package in the module
-//	roamvet -only wallclock     # run a subset
-//	roamvet -skip bodyhygiene   # run everything but
+//	roamvet -only clockpurity   # run a subset
 //	roamvet -json               # machine-readable report (editors, CI)
 //	roamvet -allows             # print the //lint:allow waiver inventory
 //	roamvet -C /path/to/module  # analyze another checkout
@@ -37,7 +36,6 @@ type report struct {
 func main() {
 	var (
 		only      = flag.String("only", "", "comma-separated analyzers to run (default: all)")
-		skip      = flag.String("skip", "", "comma-separated analyzers to skip")
 		jsonOut   = flag.Bool("json", false, "emit findings and the allow inventory as JSON")
 		showAllow = flag.Bool("allows", false, "print active //lint:allow directives and exit")
 		dir       = flag.String("C", ".", "module directory to analyze")
@@ -45,7 +43,7 @@ func main() {
 	)
 	flag.Parse()
 
-	analyzers, err := lint.Select(*only, *skip)
+	analyzers, err := lint.Select(*only)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "roamvet:", err)
 		os.Exit(2)

@@ -3,7 +3,7 @@ package lint
 import "testing"
 
 // BenchmarkRoamvet measures a full-module run of the whole suite —
-// load + type-check + all nine analyzers including the module-wide
+// load + type-check + all eight analyzers including the module-wide
 // lock graph — which is exactly what `make lint` pays on every push.
 // scripts/lint_guard.sh enforces the wall-clock budget in CI; this
 // benchmark is where a regression gets localized.

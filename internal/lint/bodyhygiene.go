@@ -66,7 +66,7 @@ func unboundedBodyRead(p *Package, call *ast.CallExpr) (Diagnostic, bool) {
 	if !ok || sel.Sel.Name != "ReadAll" || len(call.Args) != 1 {
 		return Diagnostic{}, false
 	}
-	if pkgPath, _ := importedPkg(p, sel); pkgPath != "io" && pkgPath != "io/ioutil" {
+	if pkgPath := importedPkg(p, sel); pkgPath != "io" && pkgPath != "io/ioutil" {
 		return Diagnostic{}, false
 	}
 	arg, ok := call.Args[0].(*ast.SelectorExpr)
@@ -74,27 +74,11 @@ func unboundedBodyRead(p *Package, call *ast.CallExpr) (Diagnostic, bool) {
 		return Diagnostic{}, false
 	}
 	t := p.Info.Types[arg.X].Type
-	if t == nil || !isHTTPReqOrResp(t) {
+	if !isNamedPtr(t, "net/http", "Request", "Response") {
 		return Diagnostic{}, false
 	}
 	return diag(p, bodyhygieneAnalyzer, call.Pos(),
 		"io.ReadAll on a network body without a bound: wrap it in io.LimitReader (repo bound: 256 KiB)"), true
-}
-
-func isHTTPReqOrResp(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "net/http" {
-		return false
-	}
-	return obj.Name() == "Request" || obj.Name() == "Response"
 }
 
 // responseLifecycles tracks each *http.Response-typed variable assigned
@@ -128,7 +112,7 @@ func responseLifecycles(p *Package, fd *ast.FuncDecl) []Diagnostic {
 				obj = p.Info.Uses[id]
 			}
 			v, ok := obj.(*types.Var)
-			if !ok || v.IsField() || !isHTTPResponsePtr(v.Type()) {
+			if !ok || v.IsField() || !isNamedPtr(v.Type(), "net/http", "Response") {
 				continue
 			}
 			if _, seen := resps[v]; !seen {
@@ -184,7 +168,7 @@ func responseLifecycles(p *Package, fd *ast.FuncDecl) []Diagnostic {
 			}
 			// Drains: io.Copy/CopyN/ReadAll with resp.Body in the args.
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-				if pkgPath, _ := importedPkg(p, sel); pkgPath == "io" &&
+				if importedPkg(p, sel) == "io" &&
 					(sel.Sel.Name == "Copy" || sel.Sel.Name == "CopyN" || sel.Sel.Name == "ReadAll") {
 					for _, a := range n.Args {
 						if v := bodyOf(a); v != nil {
@@ -205,14 +189,16 @@ func responseLifecycles(p *Package, fd *ast.FuncDecl) []Diagnostic {
 					}
 				}
 			}
-			// resp.Body handed to a module-local helper (drainBody,
-			// ingest, ...): the helper owns the lifecycle. Stdlib
-			// wrappers (json.NewDecoder, bufio.NewReader) do not count.
-			if moduleLocalCall(p, n) {
-				for _, a := range n.Args {
-					if v := bodyOf(a); v != nil {
-						if st := resps[v]; st != nil {
-							st.handled = true
+			// resp.Body handed to a module-local helper that can close
+			// it (drainBody(io.ReadCloser), ...): the helper owns the
+			// lifecycle. Stdlib wrappers (json.NewDecoder, bufio.NewReader)
+			// and helpers that only read (a parameter with no Close, like
+			// wire.Decoder.ReadResults) do not count.
+			if fn := calleeFunc(p, n); fn != nil && fn.Pkg() != nil {
+				if _, local := moduleRel(fn.Pkg().Path()); local {
+					for i, a := range n.Args {
+						if v := bodyOf(a); v != nil && resps[v] != nil && closesParam(fn, i) {
+							resps[v].handled = true
 						}
 					}
 				}
@@ -271,37 +257,19 @@ func responseLifecycles(p *Package, fd *ast.FuncDecl) []Diagnostic {
 	return out
 }
 
-// moduleLocalCall reports whether the call's callee is a function or
-// method defined in this module (as opposed to the standard library).
-func moduleLocalCall(p *Package, call *ast.CallExpr) bool {
-	var obj types.Object
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		obj = p.Info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = p.Info.Uses[fun.Sel]
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
+// closesParam reports whether fn's i-th argument has a Close method, so
+// a body passed there can be closed by fn.
+func closesParam(fn *types.Func, i int) bool {
+	sig := fn.Type().(*types.Signature)
+	params := sig.Params()
+	if params.Len() == 0 {
 		return false
 	}
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return false
+	t := params.At(min(i, params.Len()-1)).Type()
+	if sig.Variadic() && i >= params.Len()-1 {
+		t = t.(*types.Slice).Elem()
 	}
-	_, isModule := moduleRel(pkg.Path())
-	return isModule
-}
-
-func isHTTPResponsePtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Response" && obj.Pkg() != nil && obj.Pkg().Path() == "net/http"
+	obj, _, _ := types.LookupFieldOrMethod(t, true, nil, "Close")
+	_, isFunc := obj.(*types.Func)
+	return isFunc
 }

@@ -1,51 +1,64 @@
 package lint
 
-import (
-	"go/ast"
-)
+import "go/ast"
 
-// ROAM007 clockpurity: packages migrated onto the injectable campaign
-// clock (PR 8's internal/vclock) must not construct wall-clock timers
-// or deadline contexts behind its back. ROAM001 already rejects the
-// direct reads and sleeps (time.Now/Since/Sleep/After/Tick); this
-// analyzer closes the constructor-shaped loopholes that slip past a
-// call-site check:
+// ROAM007 clockpurity: dataset-producing code and everything migrated
+// onto the injectable campaign clock (internal/vclock) must take time
+// only from an injected vclock.Clock, and randomness only from a seeded
+// stream. Every run of a campaign must be a pure function of its seed;
+// a time.Now() or rand.Intn() on a dataset path silently couples output
+// to the machine, the scheduler, or the process-global rng and shows up
+// later as an unexplainable byte-diff between "identical" runs. Under
+// virtual time a wall-clock wait is worse still: it stalls a campaign
+// that finishes in milliseconds, or expires mid-quiescence and perturbs
+// the advance sequence.
 //
-//   - context.WithTimeout / context.WithDeadline — a wall-clock
-//     deadline buried in a context silently stalls a virtual-time
-//     campaign: virtual time finishes the run in milliseconds while
-//     the context still measures real seconds (or, worse, expires real
-//     timeouts mid-quiescence and perturbs the advance sequence).
-//     vclock.ContextWithTimeout is the sanctioned replacement.
-//   - time.NewTimer / time.NewTicker / time.AfterFunc — a timer built
-//     here fires on the runtime's wall scheduler, invisible to the
-//     Virtual clock's quiescence detection. vclock.Clock.NewTimer /
-//     After are the replacements.
+// Forbidden inside deterministic scope, each with its replacement:
+//   - wall-clock reads and waits: time.Now, Since, Until, Sleep, After,
+//     Tick;
+//   - wall-clock timers: time.NewTimer, NewTicker, AfterFunc — a timer
+//     on the runtime's scheduler is invisible to the Virtual clock's
+//     quiescence detection;
+//   - deadline contexts: context.WithTimeout, WithDeadline — use
+//     vclock.ContextWithTimeout;
+//   - any package-level math/rand or math/rand/v2 function or variable
+//     (rand.Intn, rand.Float64, rand.Seed, ...). Constructing explicit
+//     seeded generators (rand.New, rand.NewSource, rand.NewZipf, and
+//     the rand.Rand/Source/Source64/Zipf types) stays legal: that is
+//     exactly how internal/rng wraps math/rand.
 //
-// The scope is the same deterministic map ROAM001 uses: every package
-// whose waits were migrated in PR 8, plus vclock itself — whose Real
-// implementation is the one sanctioned home of these constructors and
-// carries visible //lint:allow directives.
+// vclock's Real implementation is the one sanctioned home of the wall
+// clock and carries visible //lint:allow directives.
 var clockpurityAnalyzer = &Analyzer{
 	Name: "clockpurity",
 	Code: "ROAM007",
-	Doc:  "no wall-clock timer or deadline-context constructors bypass the injected vclock.Clock in migrated packages",
+	Doc:  "no wall clock, wall-clock timer, deadline context, or global math/rand bypasses the injected vclock.Clock and seeded rng",
 	// Run is wired in init to avoid an initialization cycle
 	// (the run function references the analyzer for diagnostics).
 }
 
 func init() { clockpurityAnalyzer.Run = runClockpurity }
 
-var clockpurityBanned = map[string]map[string]string{
+// clockBanned maps each banned package member to its sanctioned
+// replacement.
+var clockBanned = map[string]map[string]string{
 	"context": {
 		"WithTimeout":  "vclock.ContextWithTimeout",
-		"WithDeadline": "vclock.ContextWithDeadline",
+		"WithDeadline": "vclock.ContextWithTimeout",
 	},
 	"time": {
-		"NewTimer":  "Clock.NewTimer",
-		"NewTicker": "Clock.NewTimer (re-armed)",
-		"AfterFunc": "Clock.After",
+		"Now": "Clock.Now", "Since": "Clock.Now", "Until": "Clock.Now",
+		"Sleep": "Clock.Sleep", "After": "Clock.After", "Tick": "Clock.After",
+		"NewTimer": "Clock.NewTimer", "NewTicker": "Clock.NewTimer (re-armed)", "AfterFunc": "Clock.After",
 	},
+}
+
+// mathRandAllowed lists math/rand members that construct or name
+// explicitly-seeded generators rather than touching the global stream.
+var mathRandAllowed = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true,
+	"NewPCG": true, "NewChaCha8": true, // math/rand/v2 constructors
+	"Rand": true, "Source": true, "Source64": true, "Zipf": true, "PCG": true, "ChaCha8": true,
 }
 
 func runClockpurity(p *Package) []Diagnostic {
@@ -60,14 +73,21 @@ func runClockpurity(p *Package) []Diagnostic {
 			if !ok {
 				return true
 			}
-			pkgPath, obj := importedPkg(p, sel)
-			if obj == nil {
-				return true
-			}
-			if repl, ok := clockpurityBanned[pkgPath][sel.Sel.Name]; ok {
-				out = append(out, diag(p, clockpurityAnalyzer, sel.Pos(),
-					"%s.%s in deterministic package %s bypasses the injected vclock.Clock: use %s",
-					pkgBase(pkgPath), sel.Sel.Name, p.Path, repl))
+			pkgPath := importedPkg(p, sel)
+			name := sel.Sel.Name
+			switch pkgPath {
+			case "math/rand", "math/rand/v2":
+				if !mathRandAllowed[name] {
+					out = append(out, diag(p, clockpurityAnalyzer, sel.Pos(),
+						"global rand.%s in deterministic package %s: draw from a seeded rng.Source instead",
+						name, p.Path))
+				}
+			default:
+				if repl, ok := clockBanned[pkgPath][name]; ok {
+					out = append(out, diag(p, clockpurityAnalyzer, sel.Pos(),
+						"%s.%s in deterministic package %s bypasses the injected vclock.Clock: use %s",
+						pkgPath, name, p.Path, repl))
+				}
 			}
 			return true
 		})

@@ -59,7 +59,7 @@ func TestRoamvetExitCodes(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("seeded module: exit %d, want 1\n%s", code, out)
 	}
-	for _, want := range []string{"ROAM001", "ROAM003", "ROAM004", "ROAM007"} {
+	for _, want := range []string{"ROAM003", "ROAM004", "ROAM007"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("seeded module output missing %s:\n%s", want, out)
 		}
@@ -91,7 +91,7 @@ func TestRoamvetExitCodes(t *testing.T) {
 	if len(rep.Allows) != 1 {
 		t.Fatalf("-json reported %d allows, want 1:\n%s", len(rep.Allows), out)
 	}
-	if a := rep.Allows[0]; a.Analyzer != "wallclock" || a.Reason == "" || a.File == "" || a.Line == 0 {
+	if a := rep.Allows[0]; a.Analyzer != "clockpurity" || a.Reason == "" || a.File == "" || a.Line == 0 {
 		t.Errorf("malformed JSON allow entry: %+v", a)
 	}
 
@@ -99,85 +99,151 @@ func TestRoamvetExitCodes(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-allows on seeded module: exit %d, want 0\n%s", code, out)
 	}
-	if !strings.Contains(out, "allow wallclock:") || !strings.Contains(out, "exercises the allow inventory") {
+	if !strings.Contains(out, "allow clockpurity:") || !strings.Contains(out, "exercises the allow inventory") {
 		t.Errorf("-allows output missing the seeded waiver:\n%s", out)
 	}
 }
 
-// TestFsyncrenameFiresOnCompactMutant is the crash-safety proof the
-// analyzer exists for: take the REAL walsink.Compact, strip the
-// directory fsync after the compacted-segment rename, and assert
-// ROAM006 fires on the rename — and that the unmutated package is
-// clean, so the finding is the mutation's, not noise.
-func TestFsyncrenameFiresOnCompactMutant(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join("..", "walsink", "compact.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const guard = "if err := fsyncDir(s.dir); err != nil {\n\t\treturn st, err\n\t}\n\t"
-	mutant := strings.Replace(string(src), guard, "", 1)
-	if mutant == string(src) {
-		t.Fatalf("mutation target not found: walsink.Compact no longer fsyncs the dir with the expected shape")
+// TestAnalyzersFireOnRealMutants is the proof each analyzer earns its
+// lines: for every analyzer, take one REAL file of the module, apply
+// the one-line bug class the analyzer exists for, and assert that the
+// unmutated package is clean under that analyzer (so the finding is the
+// mutation's, not noise), that the mutant still type-checks under its
+// real import path, and that the analyzer fires in the mutated file.
+func TestAnalyzersFireOnRealMutants(t *testing.T) {
+	rows := []struct {
+		analyzer string
+		pkg      string // module-relative package directory
+		file     string
+		old, new string // the mutation: old must occur exactly once
+		want     string // substring of the expected diagnostic
+	}{
+		{
+			analyzer: "rngfork", pkg: "internal/experiments", file: "parallel.go",
+			old:  "results[i], errs[i] = units[i].run(srcs[i])",
+			new:  "results[i], errs[i] = units[i].run(parent.Fork(units[i].label))",
+			want: `*rng.Source "parent" captured by go closure`,
+		},
+		{
+			analyzer: "maporder", pkg: "internal/obs", file: "prometheus.go",
+			old:  "sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })\n",
+			new:  "",
+			want: `append to "fams" inside range over map`,
+		},
+		{
+			analyzer: "bodyhygiene", pkg: "internal/fleet", file: "driver.go",
+			old:  "defer drainBody(resp.Body)\n",
+			new:  "",
+			want: `response body of "resp" is never closed in fetchPage`,
+		},
+		{
+			analyzer: "guardedfield", pkg: "internal/experiments", file: "experiments.go",
+			old:  "Traces() ([]TraceObs, error) {\n\tr.mu.Lock()\n\tdefer r.mu.Unlock()\n",
+			new:  "Traces() ([]TraceObs, error) {\n",
+			want: `field r.traces is guarded by "mu" but Traces does not acquire r.mu`,
+		},
+		{
+			analyzer: "fsyncrename", pkg: "internal/walsink", file: "compact.go",
+			old:  "if err := fsyncDir(s.dir); err != nil {\n\t\treturn st, err\n\t}\n\t",
+			new:  "",
+			want: "os.Rename in Compact is not followed on every successful path by a directory fsync",
+		},
+		{
+			analyzer: "clockpurity", pkg: "internal/amigo", file: "endpoint.go",
+			old:  "return vclock.SleepCtx(e.clock(), e.ctx(), d)",
+			new:  "time.Sleep(d)\n\treturn nil",
+			want: "time.Sleep in deterministic package roamsim/internal/amigo",
+		},
+		{
+			analyzer: "gojoin", pkg: "internal/experiments", file: "parallel.go",
+			old:  "wg.Add(1)\n\t\tgo func() {\n\t\t\tdefer wg.Done()\n\t\t\tfor {\n\t\t\t\ti := int(next.Add(1)) - 1\n\t\t\t\tif i >= len(units) {",
+			new:  "go func() {\n\t\t\tdefer wg.Done()\n\t\t\tfor {\n\t\t\t\ti := int(next.Add(1)) - 1\n\t\t\t\tif i >= len(units) {",
+			want: "go statement in runUnits has no join path",
+		},
+		{
+			// Append takes s.rd under s.mu; Compact takes s.mu under s.rd.
+			analyzer: "lockorder", pkg: "internal/walsink", file: "walsink.go",
+			old:  "s.mu.Lock()\n\tdefer s.mu.Unlock()\n\tif s.err != nil || s.closed {\n\t\ts.met.errors.Add(1)",
+			new:  "s.mu.Lock()\n\tdefer s.mu.Unlock()\n\ts.rd.RLock()\n\tdefer s.rd.RUnlock()\n\tif s.err != nil || s.closed {\n\t\ts.met.errors.Add(1)",
+			want: "walsink.Sink.mu → walsink.Sink.rd (Append at",
+		},
 	}
 
-	scratch := t.TempDir()
-	for _, name := range []string{"walsink.go"} {
-		data, err := os.ReadFile(filepath.Join("..", "walsink", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(scratch, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(filepath.Join(scratch, "compact.go"), []byte(mutant), 0o644); err != nil {
+	base, err := NewLoader(".")
+	if err != nil {
 		t.Fatal(err)
 	}
+	covered := map[string]bool{}
+	for _, row := range rows {
+		covered[row.analyzer] = true
+		t.Run(row.analyzer, func(t *testing.T) {
+			analyzers, err := Select(row.analyzer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			importPath := base.ModPath + "/" + row.pkg
+			real, err := base.Load(importPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range CheckModule([]*Package{real}, analyzers) {
+				t.Errorf("unmutated %s has a finding: %s", row.pkg, d)
+			}
 
-	analyzers, err := Select("fsyncrename", "")
-	if err != nil {
-		t.Fatal(err)
+			// The mutant: the package's files in a scratch dir, one of
+			// them mutated, loaded under the real import path so the
+			// analyzer's scope applies. A fresh loader (sharing only the
+			// standard-library importer) keeps the real package out.
+			scratch := t.TempDir()
+			dir := filepath.Join(base.ModRoot, filepath.FromSlash(row.pkg))
+			ents, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ents {
+				name := e.Name()
+				if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+					continue
+				}
+				src, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if name == row.file {
+					if n := strings.Count(string(src), row.old); n != 1 {
+						t.Fatalf("mutation target occurs %d times in %s/%s, want exactly once", n, row.pkg, row.file)
+					}
+					src = []byte(strings.Replace(string(src), row.old, row.new, 1))
+				}
+				if err := os.WriteFile(filepath.Join(scratch, name), src, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mloader := &Loader{ModRoot: base.ModRoot, ModPath: base.ModPath, fset: base.fset, std: base.std,
+				pkgs: map[string]*Package{}, loading: map[string]bool{}}
+			p, err := mloader.LoadDir(scratch, importPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, terr := range p.TypeErrs {
+				t.Fatalf("mutant does not type-check: %v", terr)
+			}
+			diags := CheckModule([]*Package{p}, analyzers)
+			for _, d := range diags {
+				if d.Analyzer == row.analyzer && filepath.Base(d.File) == row.file && strings.Contains(d.Message, row.want) {
+					return
+				}
+			}
+			t.Errorf("%s did not fire on the mutant of %s/%s (want %q); got %d diagnostics:",
+				row.analyzer, row.pkg, row.file, row.want, len(diags))
+			for _, d := range diags {
+				t.Logf("  %s", d)
+			}
+		})
 	}
-
-	// The real package first: clean, proving the baseline.
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	real, err := loader.Load("roamsim/internal/walsink")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range Check(real, analyzers) {
-		t.Errorf("unmutated walsink has a fsyncrename finding: %s", d)
-	}
-
-	// The mutant: loaded from the scratch dir under the walsink import
-	// path so the durability scope applies; module-local imports still
-	// resolve through the real module.
-	mloader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := mloader.LoadDir(scratch, "roamsim/internal/walsink")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, terr := range p.TypeErrs {
-		t.Fatalf("mutant package does not type-check: %v", terr)
-	}
-	diags := Check(p, analyzers)
-	found := false
-	for _, d := range diags {
-		if d.Code == "ROAM006" && strings.HasSuffix(d.File, "compact.go") &&
-			strings.Contains(d.Message, "directory fsync") && strings.Contains(d.Message, "Compact") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("ROAM006 did not fire on the rename-without-dir-fsync mutant of walsink.Compact; got %d diagnostics:", len(diags))
-		for _, d := range diags {
-			t.Logf("  %s", d)
+	for _, a := range Analyzers() {
+		if !covered[a.Name] {
+			t.Errorf("analyzer %s has no mutant row", a.Name)
 		}
 	}
 }

@@ -63,7 +63,7 @@ func runFsyncrename(p *Package) []Diagnostic {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			renames := renameCalls(fd.Body)
+			renames := renameCalls(p, fd.Body)
 			if len(renames) == 0 {
 				continue
 			}
@@ -75,27 +75,15 @@ func runFsyncrename(p *Package) []Diagnostic {
 
 // renameCalls collects every os.Rename call in body, excluding nested
 // function literals (they are separate flow universes).
-func renameCalls(body *ast.BlockStmt) []*ast.CallExpr {
+func renameCalls(p *Package, body *ast.BlockStmt) []*ast.CallExpr {
 	var out []*ast.CallExpr
 	inspectShallow(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isPkgCall(call, "os", "Rename") {
+		if call, ok := n.(*ast.CallExpr); ok && isPkgCall(p, call, "os", "Rename") {
 			out = append(out, call)
 		}
 		return true
 	})
 	return out
-}
-
-// isPkgCall reports whether call is pkg.Name(...) purely syntactically
-// — used only where the package identifier is unambiguous (os, fmt,
-// errors). Type-resolved variants below use importedPkg.
-func isPkgCall(call *ast.CallExpr, pkg, name string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && id.Name == pkg
 }
 
 func checkRenameProtocol(p *Package, fd *ast.FuncDecl, renames []*ast.CallExpr,
@@ -111,7 +99,7 @@ func checkRenameProtocol(p *Package, fd *ast.FuncDecl, renames []*ast.CallExpr,
 			if !ok {
 				return true
 			}
-			if isFileSyncCall(p, call) || callsHelper(p, call, fileSyncers) {
+			if isFileSyncCall(p, call) || fileSyncers[calleeFunc(p, call)] {
 				in[factFileSynced] = true
 			}
 			return true
@@ -128,7 +116,7 @@ func checkRenameProtocol(p *Package, fd *ast.FuncDecl, renames []*ast.CallExpr,
 			synced := false
 			inspectShallow(ret, func(m ast.Node) bool {
 				if call, ok := m.(*ast.CallExpr); ok &&
-					(isDirSyncCall(p, call, dirOpened) || callsHelper(p, call, dirSyncers)) {
+					(isDirSyncCall(p, call, dirOpened) || dirSyncers[calleeFunc(p, call)]) {
 					synced = true
 				}
 				return true
@@ -147,7 +135,7 @@ func checkRenameProtocol(p *Package, fd *ast.FuncDecl, renames []*ast.CallExpr,
 			if !ok {
 				return true
 			}
-			if isDirSyncCall(p, call, dirOpened) || callsHelper(p, call, dirSyncers) {
+			if isDirSyncCall(p, call, dirOpened) || dirSyncers[calleeFunc(p, call)] {
 				gen = true
 			}
 			if isTerminalCall(call) {
@@ -209,21 +197,7 @@ func isFileSyncCall(p *Package, call *ast.CallExpr) bool {
 	if !ok || sel.Sel.Name != "Sync" {
 		return false
 	}
-	t := p.Info.Types[sel.X].Type
-	return t != nil && isOSFilePtr(t)
-}
-
-func isOSFilePtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "File" && obj.Pkg() != nil && obj.Pkg().Path() == "os"
+	return isNamedPtr(p.Info.Types[sel.X].Type, "os", "File")
 }
 
 // dirHandles returns the set of variables in fd assigned from os.Open
@@ -237,7 +211,7 @@ func dirHandles(p *Package, fd *ast.FuncDecl) map[*types.Var]bool {
 			return true
 		}
 		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok || !isPkgCall(call, "os", "Open") {
+		if !ok || !isPkgCall(p, call, "os", "Open") {
 			return true
 		}
 		if id, ok := as.Lhs[0].(*ast.Ident); ok {
@@ -266,20 +240,6 @@ func isDirSyncCall(p *Package, call *ast.CallExpr, dirOpened map[*types.Var]bool
 	return v != nil && dirOpened[v]
 }
 
-// callsHelper reports whether call's callee is one of the classified
-// module-local helper functions.
-func callsHelper(p *Package, call *ast.CallExpr, helpers map[*types.Func]bool) bool {
-	var obj types.Object
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		obj = p.Info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = p.Info.Uses[fun.Sel]
-	}
-	fn, ok := obj.(*types.Func)
-	return ok && helpers[fn]
-}
-
 // classifySyncHelpers partitions this package's functions into file
 // syncers (the body, transitively, calls Sync on an *os.File) and dir
 // syncers (the body, transitively, syncs a handle opened with os.Open
@@ -287,37 +247,22 @@ func callsHelper(p *Package, call *ast.CallExpr, helpers map[*types.Func]bool) b
 func classifySyncHelpers(p *Package) (fileSyncers, dirSyncers map[*types.Func]bool) {
 	fileSyncers = map[*types.Func]bool{}
 	dirSyncers = map[*types.Func]bool{}
-	type declInfo struct {
-		fn *types.Func
-		fd *ast.FuncDecl
-	}
-	var decls []declInfo
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := p.Info.Defs[fd.Name].(*types.Func)
+	decls := funcDecls(p)
+	for _, d := range decls {
+		dirOpened := dirHandles(p, d.fd)
+		ast.Inspect(d.fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
 			if !ok {
-				continue
-			}
-			decls = append(decls, declInfo{fn, fd})
-			dirOpened := dirHandles(p, fd)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if isFileSyncCall(p, call) {
-					fileSyncers[fn] = true
-				}
-				if isDirSyncCall(p, call, dirOpened) {
-					dirSyncers[fn] = true
-				}
 				return true
-			})
-		}
+			}
+			if isFileSyncCall(p, call) {
+				fileSyncers[d.fn] = true
+			}
+			if isDirSyncCall(p, call, dirOpened) {
+				dirSyncers[d.fn] = true
+			}
+			return true
+		})
 	}
 	// Propagate through module-local calls to a fixed point (helpers
 	// that delegate to helpers).
@@ -329,11 +274,11 @@ func classifySyncHelpers(p *Package) (fileSyncers, dirSyncers map[*types.Func]bo
 				if !ok {
 					return true
 				}
-				if !fileSyncers[d.fn] && callsHelper(p, call, fileSyncers) {
+				if !fileSyncers[d.fn] && fileSyncers[calleeFunc(p, call)] {
 					fileSyncers[d.fn] = true
 					changed = true
 				}
-				if !dirSyncers[d.fn] && callsHelper(p, call, dirSyncers) {
+				if !dirSyncers[d.fn] && dirSyncers[calleeFunc(p, call)] {
 					dirSyncers[d.fn] = true
 					changed = true
 				}
@@ -362,7 +307,7 @@ func errorBail(p *Package, ret *ast.ReturnStmt) bool {
 		case *ast.Ident, *ast.SelectorExpr:
 			return true
 		case *ast.CallExpr:
-			if isPkgCall(e, "fmt", "Errorf") || isPkgCall(e, "errors", "New") || isPkgCall(e, "errors", "Join") {
+			if isPkgCall(p, e, "fmt", "Errorf") || isPkgCall(p, e, "errors", "New") || isPkgCall(p, e, "errors", "Join") {
 				return true
 			}
 		}

@@ -49,7 +49,10 @@ var gojoinAnalyzer = &Analyzer{
 func init() { gojoinAnalyzer.Run = runGojoin }
 
 func runGojoin(p *Package) []Diagnostic {
-	declByFunc := moduleFuncDecls(p)
+	declByFunc := map[*types.Func]*ast.FuncDecl{}
+	for _, d := range funcDecls(p) {
+		declByFunc[d.fn] = d.fd
+	}
 	var out []Diagnostic
 	for _, f := range p.Files {
 		filename := p.Fset.Position(f.Pos()).Filename
@@ -141,7 +144,7 @@ func checkOneSpawn(p *Package, fd *ast.FuncDecl, body *ast.BlockStmt, g *funcCFG
 			if !ok {
 				return true
 			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Add" && isWaitGroupExpr(p, sel.X) {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Add" && isWaitGroup(p, sel.X) {
 				out = append(out, diag(p, gojoinAnalyzer, call.Pos(),
 					"%s.Add inside the spawned goroutine races Wait: by the time the goroutine runs, the parent may already be past Wait — call Add before the go statement",
 					types.ExprString(sel.X)))
@@ -304,49 +307,15 @@ func receivesFrom(body *ast.BlockStmt, spawned *ast.FuncLit, ch string) bool {
 	return found
 }
 
-// calleeFunc resolves a call's callee to its *types.Func, if any.
-func calleeFunc(p *Package, call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		obj = p.Info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = p.Info.Uses[fun.Sel]
-	}
-	fn, _ := obj.(*types.Func)
-	return fn
-}
-
-// isWaitGroupExpr reports whether e's type is sync.WaitGroup (or a
-// pointer to it).
-func isWaitGroupExpr(p *Package, e ast.Expr) bool {
+// isWaitGroup reports whether e's type is sync.WaitGroup or a pointer
+// to it.
+func isWaitGroup(p *Package, e ast.Expr) bool {
 	t := p.Info.Types[e].Type
 	if t == nil {
 		return false
 	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
+	if _, ok := t.(*types.Pointer); !ok {
+		t = types.NewPointer(t)
 	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "WaitGroup" && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
-}
-
-// moduleFuncDecls maps each function object declared in this package
-// to its declaration, for spawned-method body lookup.
-func moduleFuncDecls(p *Package) map[*types.Func]*ast.FuncDecl {
-	out := map[*types.Func]*ast.FuncDecl{}
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-					out[fn] = fd
-				}
-			}
-		}
-	}
-	return out
+	return isNamedPtr(t, "sync", "WaitGroup")
 }

@@ -5,8 +5,6 @@
 // on/off — rests on a handful of coding contracts that are otherwise
 // only checked by expensive end-to-end equivalence tests:
 //
-//	ROAM001 wallclock    no wall clock or global math/rand in
-//	                     dataset-producing packages
 //	ROAM002 rngfork      rng streams are forked before goroutine spawn,
 //	                     never captured by a go closure
 //	ROAM003 maporder     map iteration never feeds ordered output
@@ -17,25 +15,34 @@
 //	                     touched with <mu> held
 //	ROAM006 fsyncrename  durable renames are fenced: tmp → File.Sync →
 //	                     os.Rename → directory fsync, on every path
-//	ROAM007 clockpurity  no wall-clock timer/deadline-context
-//	                     constructors bypass the injected vclock.Clock
+//	ROAM007 clockpurity  no wall clock, wall-clock timer, deadline
+//	                     context, or global math/rand bypasses the
+//	                     injected vclock.Clock and seeded rng
 //	ROAM008 gojoin       every control-plane go statement has a join
 //	                     path (WaitGroup pairing or channel collector)
 //	ROAM009 lockorder    the module-wide mutex acquisition graph is
 //	                     acyclic
 //
-// ROAM001–005 are syntactic; ROAM006–009 are flow-aware and run on the
-// shared CFG + dataflow engine in cfg.go. Most analyzers work on one
-// type-checked package at a time and emit file:line diagnostics;
+// ROAM001 (wallclock) is retired: its reads, sleeps and global-rand
+// checks are part of ROAM007, so the determinism contract is one
+// analyzer over one banned table. Codes are never reused.
+//
+// rngfork, maporder, bodyhygiene, guardedfield and clockpurity are
+// syntactic; fsyncrename, gojoin and lockorder are flow-aware and run
+// on the shared CFG + dataflow engine in cfg.go. Most analyzers work on
+// one type-checked package at a time and emit file:line diagnostics;
 // lockorder sees the whole module at once (Analyzer.RunModule).
 // Violations that are intentional carry an explicit escape hatch on
 // the same or the preceding line:
 //
-//	//lint:allow wallclock <reason>
+//	//lint:allow clockpurity <reason>
 //
 // The reason string is mandatory: a bare directive is itself reported
 // (ROAM000), so every suppression in the tree documents why the
-// contract does not apply.
+// contract does not apply. A directive naming no analyzer, or one for
+// an analyzer that ran and found nothing to suppress, is reported as
+// ROAM000 too: a waiver that waives nothing only hides the next real
+// finding.
 //
 // The suite is stdlib-only (go/parser, go/ast, go/types plus the source
 // importer) so go.mod stays dependency-free.
@@ -45,7 +52,9 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -56,8 +65,8 @@ type Diagnostic struct {
 	File     string         `json:"file"`
 	Line     int            `json:"line"`
 	Col      int            `json:"col"`
-	Code     string         `json:"code"`     // "ROAM001"
-	Analyzer string         `json:"analyzer"` // "wallclock"
+	Code     string         `json:"code"`     // "ROAM007"
+	Analyzer string         `json:"analyzer"` // "clockpurity"
 	Message  string         `json:"message"`
 }
 
@@ -74,8 +83,8 @@ func (d Diagnostic) String() string {
 // (nil entries in Info maps) — analyzers degrade to reporting nothing
 // rather than panicking.
 type Analyzer struct {
-	Name      string // short selector name, e.g. "wallclock"
-	Code      string // stable diagnostic code, e.g. "ROAM001"
+	Name      string // short selector name, e.g. "clockpurity"
+	Code      string // stable diagnostic code, e.g. "ROAM007"
 	Doc       string // one-line contract statement
 	Run       func(p *Package) []Diagnostic
 	RunModule func(pkgs []*Package) []Diagnostic
@@ -84,7 +93,6 @@ type Analyzer struct {
 // Analyzers is the full suite in code order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		wallclockAnalyzer,
 		rngforkAnalyzer,
 		maporderAnalyzer,
 		bodyhygieneAnalyzer,
@@ -96,48 +104,33 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// Select resolves -only / -skip comma lists against the suite. An
-// unknown name in either list is an error so typos fail loudly.
-func Select(only, skip string) ([]*Analyzer, error) {
+// Select resolves an -only comma list against the suite (empty: the
+// whole suite). An unknown name is an error so typos fail loudly.
+func Select(only string) ([]*Analyzer, error) {
 	all := Analyzers()
 	known := make(map[string]*Analyzer, len(all))
 	for _, a := range all {
 		known[a.Name] = a
 	}
-	names := func(csv string) (map[string]bool, error) {
-		set := map[string]bool{}
-		if csv == "" {
-			return set, nil
+	want := map[string]bool{}
+	for _, n := range strings.Split(only, ",") {
+		n = strings.TrimSpace(n)
+		if n == "" {
+			continue
 		}
-		for _, n := range strings.Split(csv, ",") {
-			n = strings.TrimSpace(n)
-			if n == "" {
-				continue
-			}
-			if known[n] == nil {
-				return nil, fmt.Errorf("unknown analyzer %q (have %s)", n, analyzerNames(all))
-			}
-			set[n] = true
+		if known[n] == nil {
+			return nil, fmt.Errorf("unknown analyzer %q (have %s)", n, analyzerNames(all))
 		}
-		return set, nil
+		want[n] = true
 	}
-	onlySet, err := names(only)
-	if err != nil {
-		return nil, err
-	}
-	skipSet, err := names(skip)
-	if err != nil {
-		return nil, err
+	if len(want) == 0 {
+		return all, nil
 	}
 	var out []*Analyzer
 	for _, a := range all {
-		if len(onlySet) > 0 && !onlySet[a.Name] {
-			continue
+		if want[a.Name] {
+			out = append(out, a)
 		}
-		if skipSet[a.Name] {
-			continue
-		}
-		out = append(out, a)
 	}
 	return out, nil
 }
@@ -150,21 +143,17 @@ func analyzerNames(as []*Analyzer) string {
 	return strings.Join(names, ", ")
 }
 
-// Check runs the given analyzers over one package, applies
-// //lint:allow suppression, and returns the surviving diagnostics
-// sorted by position. Module analyzers see just this package.
-func Check(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	return CheckModule([]*Package{pkg}, analyzers)
-}
-
 // CheckModule runs the given analyzers over the loaded packages:
 // per-package analyzers on each package, module analyzers once over
-// the whole set. //lint:allow suppression applies across all of them,
-// and bare allow directives (no reason) are reported as ROAM000. The
-// result is sorted by position.
+// the whole set. //lint:allow suppression applies across all of them.
+// Waiver hygiene is reported as ROAM000: a directive without a reason,
+// one naming no analyzer, and one for a selected analyzer that
+// suppressed nothing. The result is sorted by position.
 func CheckModule(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
+	selected := map[string]bool{}
 	for _, a := range analyzers {
+		selected[a.Name] = true
 		if a.Run == nil {
 			continue
 		}
@@ -177,20 +166,37 @@ func CheckModule(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			diags = append(diags, a.RunModule(pkgs)...)
 		}
 	}
-	allows := allowSet{}
+	// used records, per well-formed directive, whether it suppressed a
+	// finding; a directive covers its own line and the one below.
+	used := map[allowKey]bool{}
+	var allows []Allow
 	var out []Diagnostic
 	for _, p := range pkgs {
 		list, malformed := collectAllows(p)
 		for _, al := range list {
-			allows[allowKey{al.File, al.Line, al.Analyzer}] = true
+			used[allowKey{al.File, al.Line, al.Analyzer}] = false
 		}
+		allows = append(allows, list...)
 		out = append(out, malformed...)
 	}
 	for _, d := range diags {
-		if allows.covers(d.File, d.Line, d.Analyzer) {
-			continue
+		suppressed := false
+		for _, line := range []int{d.Line, d.Line - 1} {
+			k := allowKey{d.File, line, d.Analyzer}
+			if _, ok := used[k]; ok {
+				used[k] = true
+				suppressed = true
+			}
 		}
-		out = append(out, d)
+		if !suppressed {
+			out = append(out, d)
+		}
+	}
+	for _, al := range allows {
+		if selected[al.Analyzer] && !used[allowKey{al.File, al.Line, al.Analyzer}] {
+			out = append(out, allowDiag(al.File, al.Line, al.col,
+				"lint:allow %s suppresses nothing: remove the stale waiver", al.Analyzer))
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].File != out[j].File {
@@ -212,11 +218,14 @@ type Allow struct {
 	Line     int    `json:"line"`
 	Analyzer string `json:"analyzer"`
 	Reason   string `json:"reason"`
+
+	col int // the directive's column, for ROAM000 reports
 }
 
 // Allows returns every well-formed allow directive in the given
-// packages, sorted by position. Malformed (reasonless) directives are
-// excluded — those are ROAM000 findings, not waivers.
+// packages, sorted by position. Malformed directives (no reason, or no
+// such analyzer) are excluded — those are ROAM000 findings, not
+// waivers.
 func Allows(pkgs []*Package) []Allow {
 	var out []Allow
 	for _, p := range pkgs {
@@ -246,7 +255,7 @@ func diag(p *Package, a *Analyzer, pos token.Pos, format string, args ...any) Di
 	}
 }
 
-// allowDirective is the source escape hatch: //lint:allow <analyzer> <reason>.
+// allowRe matches the source escape hatch: //lint:allow <analyzer> <reason>.
 // It suppresses that analyzer's diagnostics on its own line and on the
 // line directly below it (so it can sit above the offending statement).
 var allowRe = regexp.MustCompile(`^//lint:allow\s+([a-z]+)\b[ \t]*(.*)$`)
@@ -257,18 +266,17 @@ type allowKey struct {
 	analyzer string
 }
 
-type allowSet map[allowKey]bool
-
-func (s allowSet) covers(file string, line int, analyzer string) bool {
-	return s[allowKey{file, line, analyzer}] || s[allowKey{file, line - 1, analyzer}]
-}
-
 // collectAllows scans every comment in the package for allow
-// directives and returns them with their reasons. A directive with an
-// empty reason is returned as a malformed-directive diagnostic
-// (ROAM000) instead of a suppression: the justification is part of the
-// contract.
+// directives and returns them with their reasons. A directive naming
+// no analyzer, or with an empty reason, is returned as a ROAM000
+// diagnostic instead of a suppression: the justification is part of
+// the contract.
 func collectAllows(p *Package) ([]Allow, []Diagnostic) {
+	all := Analyzers()
+	known := map[string]bool{}
+	for _, a := range all {
+		known[a.Name] = true
+	}
 	var allows []Allow
 	var malformed []Diagnostic
 	for _, f := range p.Files {
@@ -279,28 +287,34 @@ func collectAllows(p *Package) ([]Allow, []Diagnostic) {
 					continue
 				}
 				pos := p.Fset.Position(c.Pos())
-				if strings.TrimSpace(m[2]) == "" {
-					malformed = append(malformed, Diagnostic{
-						Pos:      pos,
-						File:     pos.Filename,
-						Line:     pos.Line,
-						Col:      pos.Column,
-						Code:     "ROAM000",
-						Analyzer: "allow",
-						Message:  fmt.Sprintf("lint:allow %s directive needs a reason string", m[1]),
-					})
-					continue
+				name, reason := m[1], strings.TrimSpace(m[2])
+				switch {
+				case !known[name]:
+					malformed = append(malformed, allowDiag(pos.Filename, pos.Line, pos.Column,
+						"lint:allow names unknown analyzer %q (have %s)", name, analyzerNames(all)))
+				case reason == "":
+					malformed = append(malformed, allowDiag(pos.Filename, pos.Line, pos.Column,
+						"lint:allow %s directive needs a reason string", name))
+				default:
+					allows = append(allows, Allow{File: pos.Filename, Line: pos.Line, Analyzer: name, Reason: reason, col: pos.Column})
 				}
-				allows = append(allows, Allow{
-					File:     pos.Filename,
-					Line:     pos.Line,
-					Analyzer: m[1],
-					Reason:   strings.TrimSpace(m[2]),
-				})
 			}
 		}
 	}
 	return allows, malformed
+}
+
+// allowDiag builds a ROAM000 waiver-hygiene diagnostic.
+func allowDiag(file string, line, col int, format string, args ...any) Diagnostic {
+	return Diagnostic{
+		Pos:      token.Position{Filename: file, Line: line, Column: col},
+		File:     file,
+		Line:     line,
+		Col:      col,
+		Code:     "ROAM000",
+		Analyzer: "allow",
+		Message:  fmt.Sprintf(format, args...),
+	}
 }
 
 // inspect walks every file in the package, calling fn for each node.
@@ -309,4 +323,82 @@ func inspect(p *Package, fn func(ast.Node) bool) {
 	for _, f := range p.Files {
 		ast.Inspect(f, fn)
 	}
+}
+
+// importedPkg returns the import path of the package sel's base names,
+// or "" if sel is not a package-qualified selector.
+func importedPkg(p *Package, sel *ast.SelectorExpr) string {
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	pn, ok := p.Info.Uses[id].(*types.PkgName)
+	if !ok {
+		return ""
+	}
+	return pn.Imported().Path()
+}
+
+// isPkgCall reports whether call is pkgPath.name(...), with the package
+// resolved through the type checker (so renamed imports and shadowing
+// locals are judged correctly).
+func isPkgCall(p *Package, call *ast.CallExpr, pkgPath, name string) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == name && importedPkg(p, sel) == pkgPath
+}
+
+// calleeFunc resolves a call's callee to its *types.Func, if any.
+func calleeFunc(p *Package, call *ast.CallExpr) *types.Func {
+	var obj types.Object
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		obj = p.Info.Uses[fun]
+	case *ast.SelectorExpr:
+		obj = p.Info.Uses[fun.Sel]
+	}
+	fn, _ := obj.(*types.Func)
+	return fn
+}
+
+// isNamedPtr reports whether t is a pointer to the named type
+// pkgPath.name for one of the given names.
+func isNamedPtr(t types.Type, pkgPath string, names ...string) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && slices.Contains(names, obj.Name())
+}
+
+// funcDecl is one declared function with a body and its type-checker
+// object.
+type funcDecl struct {
+	p  *Package
+	fd *ast.FuncDecl
+	fn *types.Func
+}
+
+// funcDecls lists the function declarations with bodies in the given
+// packages, in package, file and declaration order.
+func funcDecls(pkgs ...*Package) []funcDecl {
+	var out []funcDecl
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
+					out = append(out, funcDecl{p, fd, fn})
+				}
+			}
+		}
+	}
+	return out
 }

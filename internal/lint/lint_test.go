@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -61,8 +62,8 @@ func collectWants(t *testing.T, p *Package) []*wantEntry {
 }
 
 // checkGolden loads testdata/src/<dir> under the import path asPath,
-// runs the named analyzers plus allow-suppression through Check, and
-// diffs diagnostics against want comments.
+// runs the named analyzers plus allow-suppression through CheckModule,
+// and diffs diagnostics against want comments.
 func checkGolden(t *testing.T, loader *Loader, dir, asPath string, analyzerNames ...string) {
 	t.Helper()
 	p, err := loader.LoadDir(filepath.Join("testdata", "src", dir), asPath)
@@ -72,11 +73,11 @@ func checkGolden(t *testing.T, loader *Loader, dir, asPath string, analyzerNames
 	for _, terr := range p.TypeErrs {
 		t.Errorf("%s: type error: %v", dir, terr)
 	}
-	analyzers, err := Select(strings.Join(analyzerNames, ","), "")
+	analyzers, err := Select(strings.Join(analyzerNames, ","))
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Check(p, analyzers)
+	diags := CheckModule([]*Package{p}, analyzers)
 	wants := collectWants(t, p)
 
 	for _, d := range diags {
@@ -114,12 +115,10 @@ func TestGoldenDiagnostics(t *testing.T) {
 	const det = "roamsim/internal/measure"
 	const nonDet = "roamsim/internal/amigo"
 
-	t.Run("wallclock", func(t *testing.T) {
-		checkGolden(t, loader, "wallclock", det+"/wallclockgolden", "wallclock")
-	})
 	t.Run("wallclock-scope", func(t *testing.T) {
-		// Same violations under a control-plane path: nothing reported.
-		checkGolden(t, loader, "wallclockscope", nonDet+"/scopegolden", "wallclock", "maporder")
+		// Wall-clock reads, global rand and map order under a
+		// control-plane path: nothing reported.
+		checkGolden(t, loader, "wallclockscope", nonDet+"/scopegolden", "clockpurity", "maporder")
 	})
 	t.Run("rngfork", func(t *testing.T) {
 		checkGolden(t, loader, "rngfork", det+"/rngforkgolden", "rngfork")
@@ -138,6 +137,11 @@ func TestGoldenDiagnostics(t *testing.T) {
 		// Loaded under walsink so the durability scope applies.
 		checkGolden(t, loader, "fsyncrename", "roamsim/internal/walsink/fsyncgolden", "fsyncrename")
 	})
+	t.Run("wallclock", func(t *testing.T) {
+		// The retired ROAM001 cases on their own: wall-clock reads and
+		// global rand draws are clockpurity findings.
+		checkGolden(t, loader, "wallclock", det+"/wallgolden", "clockpurity")
+	})
 	t.Run("clockpurity", func(t *testing.T) {
 		checkGolden(t, loader, "clockpurity", det+"/clockgolden", "clockpurity")
 	})
@@ -149,6 +153,11 @@ func TestGoldenDiagnostics(t *testing.T) {
 		// lockorder is scope-free (module-wide); any path works.
 		checkGolden(t, loader, "lockorder", "roamsim/internal/shard/lockgolden", "lockorder")
 	})
+	t.Run("allow-hygiene", func(t *testing.T) {
+		// Unknown and stale waivers are ROAM000; a waiver for an
+		// analyzer outside the selection is not judged.
+		checkGolden(t, loader, "allowhygiene", det+"/allowgolden", "maporder")
+	})
 	t.Run("flow-scope", func(t *testing.T) {
 		// The same violation shapes under a path outside every flow
 		// analyzer's scope: nothing reported.
@@ -158,19 +167,45 @@ func TestGoldenDiagnostics(t *testing.T) {
 }
 
 func TestSelect(t *testing.T) {
-	all, err := Select("", "")
-	if err != nil || len(all) != 9 {
-		t.Fatalf("Select(all) = %d analyzers, err %v; want 9", len(all), err)
+	all, err := Select("")
+	if err != nil || len(all) != 8 {
+		t.Fatalf("Select(all) = %d analyzers, err %v; want 8", len(all), err)
 	}
-	only, err := Select("wallclock,maporder", "")
+	only, err := Select("clockpurity,maporder")
 	if err != nil || len(only) != 2 {
 		t.Fatalf("Select(only) = %d analyzers, err %v; want 2", len(only), err)
 	}
-	skip, err := Select("", "bodyhygiene")
-	if err != nil || len(skip) != 8 {
-		t.Fatalf("Select(skip) = %d analyzers, err %v; want 8", len(skip), err)
-	}
-	if _, err := Select("nosuch", ""); err == nil {
+	if _, err := Select("nosuch"); err == nil {
 		t.Fatal("Select with unknown analyzer did not error")
+	}
+}
+
+// TestScopeTablesNameRealPaths: every scope entry must name a
+// directory or file that exists, or the analyzers it scopes silently
+// lose that coverage when a package or file is moved or renamed.
+func TestScopeTablesNameRealPaths(t *testing.T) {
+	root := filepath.Join("..", "..")
+	for name, subtrees := range map[string][]string{
+		"detSubtrees":          detSubtrees,
+		"durabilitySubtrees":   durabilitySubtrees,
+		"controlPlaneSubtrees": controlPlaneSubtrees,
+	} {
+		for _, dir := range subtrees {
+			if fi, err := os.Stat(filepath.Join(root, dir)); err != nil || !fi.IsDir() {
+				t.Errorf("%s entry %q is not a directory of the module", name, dir)
+			}
+		}
+	}
+	for name, files := range map[string]map[string][]string{
+		"detFiles":        detFiles,
+		"durabilityFiles": durabilityFiles,
+	} {
+		for dir, bases := range files {
+			for _, base := range bases {
+				if fi, err := os.Stat(filepath.Join(root, dir, base)); err != nil || fi.IsDir() {
+					t.Errorf("%s entry %s/%s is not a file of the module", name, dir, base)
+				}
+			}
+		}
 	}
 }

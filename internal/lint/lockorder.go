@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -294,59 +295,39 @@ func fieldMutexID(recv types.Type, field *types.Var) string {
 // module-local callees — as a transitive fixed point. Spawned (go)
 // calls are excluded.
 func lockSummaries(pkgs []*Package) map[*types.Func]map[string]bool {
-	type declOf struct {
-		p  *Package
-		fd *ast.FuncDecl
-	}
-	var decls []declOf
+	decls := funcDecls(pkgs...)
 	summaries := map[*types.Func]map[string]bool{}
-	fnOf := map[*ast.FuncDecl]*types.Func{}
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				decls = append(decls, declOf{p, fd})
-				fnOf[fd] = fn
-				direct := map[string]bool{}
-				walkNoGo(fd.Body, func(n ast.Node) {
-					if call, ok := n.(*ast.CallExpr); ok {
-						if id, _, kind := mutexCall(p, call); kind == lockAcquire {
-							direct[id] = true
-						}
-					}
-				})
-				if len(direct) > 0 {
-					summaries[fn] = direct
+	for _, d := range decls {
+		direct := map[string]bool{}
+		walkNoGo(d.fd.Body, func(n ast.Node) {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if id, _, kind := mutexCall(d.p, call); kind == lockAcquire {
+					direct[id] = true
 				}
 			}
+		})
+		if len(direct) > 0 {
+			summaries[d.fn] = direct
 		}
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, d := range decls {
-			fn := fnOf[d.fd]
 			walkNoGo(d.fd.Body, func(n ast.Node) {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return
 				}
 				callee := calleeFunc(d.p, call)
-				if callee == nil || callee == fn {
+				if callee == nil || callee == d.fn {
 					return
 				}
 				for id := range summaries[callee] {
-					if !summaries[fn][id] {
-						if summaries[fn] == nil {
-							summaries[fn] = map[string]bool{}
+					if !summaries[d.fn][id] {
+						if summaries[d.fn] == nil {
+							summaries[d.fn] = map[string]bool{}
 						}
-						summaries[fn][id] = true
+						summaries[d.fn][id] = true
 						changed = true
 					}
 				}
@@ -436,59 +417,39 @@ func resolveGuardPath(recv types.Type, path string) string {
 	return ""
 }
 
-// reportLockCycles finds strongly connected components of the
-// acquisition graph and reports one diagnostic per cyclic component,
-// carrying the full witness chain.
+// reportLockCycles reports one diagnostic per cyclic strongly connected
+// component of the acquisition graph, carrying the full witness chain
+// of its shortest cycle through the component's first node. One BFS per
+// node (successors in sorted order) gives both that node's reachable
+// set — u and v share a component exactly when each reaches the other —
+// and its shortest way back to itself.
 func reportLockCycles(g *lockGraph) []Diagnostic {
-	var nodes []string
-	seen := map[string]bool{}
-	addNode := func(n string) {
-		if !seen[n] {
-			seen[n] = true
-			nodes = append(nodes, n)
-		}
-	}
+	all := map[string]bool{}
 	for from, tos := range g.edges {
-		addNode(from)
+		all[from] = true
 		for to := range tos {
-			addNode(to)
+			all[to] = true
 		}
 	}
-	sort.Strings(nodes)
+	nodes := sortedKeys(all)
+	reach := map[string]map[string]bool{}
+	cycle := map[string][]string{}
+	for _, n := range nodes {
+		reach[n], cycle[n] = bfsCycle(g, n)
+	}
 
-	sccs := tarjanSCC(nodes, g)
 	var out []Diagnostic
-	for _, scc := range sccs {
-		if len(scc) < 2 {
+	reported := map[string]bool{}
+	for _, v := range nodes {
+		if reported[v] || cycle[v] == nil {
 			continue
 		}
-		sort.Strings(scc)
-		cycle := shortestCycle(scc[0], scc, g)
-		if len(cycle) == 0 {
-			continue
-		}
-		var chain []string
-		var first lockWitness
-		for i := 0; i < len(cycle); i++ {
-			from, to := cycle[i], cycle[(i+1)%len(cycle)]
-			w := g.edges[from][to]
-			if i == 0 {
-				first = w
+		for u := range reach[v] {
+			if reach[u][v] {
+				reported[u] = true
 			}
-			pos := w.pkg.Fset.Position(w.pos)
-			chain = append(chain, fmt.Sprintf("%s → %s (%s at %s:%d)",
-				from, to, w.fn, shortPath(pos.Filename), pos.Line))
 		}
-		out = append(out, Diagnostic{
-			Pos:      first.pkg.Fset.Position(first.pos),
-			File:     first.pkg.Fset.Position(first.pos).Filename,
-			Line:     first.pkg.Fset.Position(first.pos).Line,
-			Col:      first.pkg.Fset.Position(first.pos).Column,
-			Code:     lockorderAnalyzer.Code,
-			Analyzer: lockorderAnalyzer.Name,
-			Message: fmt.Sprintf("lock-order cycle (potential deadlock): %s",
-				strings.Join(chain, ", ")),
-		})
+		out = append(out, lockCycleDiag(g, cycle[v]))
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].File != out[j].File {
@@ -499,6 +460,65 @@ func reportLockCycles(g *lockGraph) []Diagnostic {
 	return out
 }
 
+// bfsCycle walks the graph breadth-first from start, successors in
+// sorted order, and returns every node it reaches and the shortest
+// cycle back to start (start first, closing edge implied; nil if none).
+func bfsCycle(g *lockGraph, start string) (map[string]bool, []string) {
+	reach := map[string]bool{}
+	parent := map[string]string{}
+	var cycle []string
+	for queue := []string{start}; len(queue) > 0; queue = queue[1:] {
+		cur := queue[0]
+		for _, to := range sortedKeys(g.edges[cur]) {
+			if to == start && cycle == nil {
+				for n := cur; n != start; n = parent[n] {
+					cycle = append(cycle, n)
+				}
+				cycle = append(cycle, start)
+				slices.Reverse(cycle)
+			}
+			if !reach[to] {
+				reach[to] = true
+				parent[to] = cur
+				queue = append(queue, to)
+			}
+		}
+	}
+	return reach, cycle
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// lockCycleDiag renders one cycle, positioned at its first edge.
+func lockCycleDiag(g *lockGraph, cycle []string) Diagnostic {
+	var chain []string
+	for i, from := range cycle {
+		to := cycle[(i+1)%len(cycle)]
+		w := g.edges[from][to]
+		pos := w.pkg.Fset.Position(w.pos)
+		chain = append(chain, fmt.Sprintf("%s → %s (%s at %s:%d)",
+			from, to, w.fn, shortPath(pos.Filename), pos.Line))
+	}
+	first := g.edges[cycle[0]][cycle[1]]
+	pos := first.pkg.Fset.Position(first.pos)
+	return Diagnostic{
+		Pos:      pos,
+		File:     pos.Filename,
+		Line:     pos.Line,
+		Col:      pos.Column,
+		Code:     lockorderAnalyzer.Code,
+		Analyzer: lockorderAnalyzer.Name,
+		Message:  "lock-order cycle (potential deadlock): " + strings.Join(chain, ", "),
+	}
+}
+
 func shortPath(filename string) string {
 	if i := strings.LastIndexByte(filename, '/'); i >= 0 {
 		if j := strings.LastIndexByte(filename[:i], '/'); j >= 0 {
@@ -506,104 +526,4 @@ func shortPath(filename string) string {
 		}
 	}
 	return filename
-}
-
-// tarjanSCC computes strongly connected components over the sorted
-// node list (iteration order is deterministic).
-func tarjanSCC(nodes []string, g *lockGraph) [][]string {
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	var sccs [][]string
-	next := 0
-
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-
-		var succs []string
-		for to := range g.edges[v] {
-			succs = append(succs, to)
-		}
-		sort.Strings(succs)
-		for _, w := range succs {
-			if _, ok := index[w]; !ok {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var scc []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			sccs = append(sccs, scc)
-		}
-	}
-	for _, v := range nodes {
-		if _, ok := index[v]; !ok {
-			strongconnect(v)
-		}
-	}
-	return sccs
-}
-
-// shortestCycle BFSes within the SCC from start back to itself and
-// returns the node sequence (start first, cycle implied closed).
-func shortestCycle(start string, scc []string, g *lockGraph) []string {
-	inSCC := map[string]bool{}
-	for _, n := range scc {
-		inSCC[n] = true
-	}
-	type path struct {
-		node  string
-		trail []string
-	}
-	queue := []path{{start, []string{start}}}
-	visited := map[string]bool{}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		var succs []string
-		for to := range g.edges[cur.node] {
-			succs = append(succs, to)
-		}
-		sort.Strings(succs)
-		for _, to := range succs {
-			if to == start && len(cur.trail) > 1 {
-				return cur.trail
-			}
-			if !inSCC[to] || visited[to] {
-				continue
-			}
-			visited[to] = true
-			trail := append(append([]string{}, cur.trail...), to)
-			queue = append(queue, path{to, trail})
-		}
-	}
-	// A 2-cycle start→x→start where x was visited on a longer first
-	// path can slip the guard above; fall back to any direct back edge.
-	for to := range g.edges[start] {
-		if inSCC[to] {
-			if _, ok := g.edges[to][start]; ok {
-				return []string{start, to}
-			}
-		}
-	}
-	return nil
 }

@@ -150,8 +150,7 @@ func sortedAfter(p *Package, fd *ast.FuncDecl, rs *ast.RangeStmt, v *types.Var) 
 		if !ok {
 			return true
 		}
-		pkgPath, _ := importedPkg(p, sel)
-		if pkgPath != "sort" && pkgPath != "slices" {
+		if pkgPath := importedPkg(p, sel); pkgPath != "sort" && pkgPath != "slices" {
 			return true
 		}
 		for _, arg := range call.Args {
@@ -197,7 +196,7 @@ func orderedWriteCall(p *Package, call *ast.CallExpr) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	if pkgPath, _ := importedPkg(p, sel); pkgPath == "fmt" && orderedWriteFuncs[sel.Sel.Name] {
+	if importedPkg(p, sel) == "fmt" && orderedWriteFuncs[sel.Sel.Name] {
 		return "fmt." + sel.Sel.Name, true
 	}
 	if !orderedWriteMethods[sel.Sel.Name] {

@@ -67,7 +67,7 @@ func capturedSources(p *Package, lit *ast.FuncLit) []Diagnostic {
 		if !ok || v.IsField() || seen[v] {
 			return true
 		}
-		if !isRngSourcePtr(v.Type()) {
+		if !isNamedPtr(v.Type(), "roamsim/internal/rng", "Source") {
 			return true
 		}
 		// Declared inside the literal (parameter or local): the
@@ -86,19 +86,4 @@ func capturedSources(p *Package, lit *ast.FuncLit) []Diagnostic {
 
 func within(lit *ast.FuncLit, pos token.Pos) bool {
 	return pos >= lit.Pos() && pos <= lit.End()
-}
-
-// isRngSourcePtr reports whether t is *roamsim/internal/rng.Source.
-func isRngSourcePtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Source" && obj.Pkg() != nil &&
-		obj.Pkg().Path() == "roamsim/internal/rng"
 }

@@ -7,7 +7,7 @@ import (
 
 // Deterministic package scope.
 //
-// The wallclock and maporder contracts apply only where code produces
+// The clockpurity and maporder contracts apply only where code produces
 // or transforms campaign datasets: the simulation core, the measurement
 // campaigns, the table/figure emitters, and the fleet ingest path that
 // canonicalizes uploads back into datasets — plus everything migrated
@@ -23,6 +23,10 @@ import (
 // carry visible, justified //lint:allow directives instead of silently
 // expanding — as does vclock itself, whose Real implementation is the
 // one sanctioned home of the wall clock.
+//
+// Every entry in the scope tables below must name a directory or file
+// that exists (TestScopeTablesNameRealPaths): a stale entry silently
+// drops the coverage it was added for.
 
 // detSubtrees are module-relative package prefixes (after "roamsim" /
 // "roamsim/") whose whole subtree is dataset-producing.

@@ -70,6 +70,21 @@ func drainBody(body io.ReadCloser) {
 	body.Close()
 }
 
+// A module-local helper that only reads the body cannot close it: no
+// delegation (the wire.Decoder.ReadResults shape).
+func badReaderHelper(client *http.Client) error {
+	resp, err := client.Get("http://example") // want `response body of "resp" is never closed`
+	if err != nil {
+		return err
+	}
+	return readSome(resp.Body)
+}
+
+func readSome(r io.Reader) error {
+	_, err := r.Read(make([]byte, 1))
+	return err
+}
+
 // Returning the response hands the lifecycle to the caller.
 func goodEscapes(client *http.Client) (*http.Response, error) {
 	resp, err := client.Get("http://example")

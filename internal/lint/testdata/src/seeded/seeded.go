@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-func seededWallclock() time.Time {
+func seededWallclockRead() time.Time {
 	return time.Now()
 }
 
@@ -21,8 +21,8 @@ func seededClockpurity(parent context.Context) (context.Context, context.CancelF
 
 // One reasoned waiver, so the driver test can assert the -allows
 // inventory reports it with its reason.
-func allowedWallclock() time.Time {
-	//lint:allow wallclock seeded scratch module: exercises the allow inventory
+func allowedWallclockRead() time.Time {
+	//lint:allow clockpurity seeded scratch module: exercises the allow inventory
 	return time.Now()
 }
 

@@ -1,6 +1,7 @@
-// Package wallclock is golden-test input for the ROAM001 analyzer. It
-// is loaded under a deterministic import path, so every wall-clock and
-// global-rand touch must be flagged unless escaped.
+// Package wallclock is golden-test input for the wall-clock-read half
+// of the ROAM007 analyzer. It is loaded under a deterministic import
+// path, so every wall-clock read and global-rand draw must be flagged
+// unless escaped.
 package wallclock
 
 import (
@@ -42,11 +43,11 @@ func goodFixedDate() time.Time {
 }
 
 func allowedClock() time.Time {
-	//lint:allow wallclock golden-test case: justified escape hatch suppresses the finding
+	//lint:allow clockpurity golden-test case: justified escape hatch suppresses the finding
 	return time.Now()
 }
 
 func bareAllow() time.Time {
-	//lint:allow wallclock
+	//lint:allow clockpurity
 	return time.Now() // want `time\.Now in deterministic package`
 }

@@ -1,4 +1,4 @@
-// Package wallclockscope is golden-test input proving the ROAM001 and
+// Package wallclockscope is golden-test input proving the ROAM007 and
 // ROAM003 scope rule: loaded under a NON-deterministic import path
 // (the control plane), wall-clock reads and unsorted map iteration are
 // legitimate and nothing may be reported.

@@ -1,9 +1,6 @@
 package vclock
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Wall is the process-wide Real clock: the default every layer falls
 // back to when no clock is injected. Using one shared instance keeps
@@ -13,7 +10,7 @@ var Wall = NewReal()
 // Real is the wall clock behind the Clock interface: a thin stdlib
 // wrapper whose Instants count from the instance's creation. It is the
 // one sanctioned place dataset-path code touches real time — which is
-// why its few time.* calls carry ROAM001 allow directives instead of
+// why its few time.* calls carry ROAM007 allow directives instead of
 // the packages that use it.
 type Real struct {
 	epoch time.Time
@@ -21,19 +18,19 @@ type Real struct {
 
 // NewReal returns a wall clock whose epoch is now.
 func NewReal() *Real {
-	//lint:allow wallclock the Real clock IS the sanctioned wall-clock implementation; everything above it injects a Clock
+	//lint:allow clockpurity the Real clock IS the sanctioned wall-clock implementation; everything above it injects a Clock
 	return &Real{epoch: time.Now()}
 }
 
 // Now returns the wall time as an offset from the clock's epoch.
 func (r *Real) Now() Instant {
-	//lint:allow wallclock see NewReal: Real is the one place wall time is read
+	//lint:allow clockpurity see NewReal: Real is the one place wall time is read
 	return Instant(time.Since(r.epoch))
 }
 
 // Sleep blocks the goroutine in real time.
 func (r *Real) Sleep(d time.Duration) {
-	//lint:allow wallclock see NewReal: Real is the one place real sleeps happen
+	//lint:allow clockpurity see NewReal: Real is the one place real sleeps happen
 	time.Sleep(d)
 }
 
@@ -61,45 +58,5 @@ func (r *Real) NewTimer(d time.Duration) *Timer {
 		C:     ch,
 		stop:  t.Stop,
 		reset: t.Reset,
-	}
-}
-
-// NewTicker returns a repeating wall ticker.
-func (r *Real) NewTicker(d time.Duration) *Ticker {
-	if d <= 0 {
-		panic("vclock: non-positive ticker period")
-	}
-	ch := make(chan Instant, 1)
-	var mu sync.Mutex
-	period := d
-	var t *time.Timer
-	mu.Lock() // hold until t is assigned: the first tick may fire at once
-	//lint:allow clockpurity see NewReal: Real is the one place wall timers are built
-	t = time.AfterFunc(d, func() {
-		select {
-		case ch <- r.Now():
-		default: // ticks are dropped while C is full, like time.Ticker
-		}
-		mu.Lock()
-		t.Reset(period)
-		mu.Unlock()
-	})
-	mu.Unlock()
-	return &Ticker{
-		C: ch,
-		stop: func() {
-			mu.Lock()
-			t.Stop()
-			mu.Unlock()
-		},
-		reset: func(nd time.Duration) {
-			if nd <= 0 {
-				panic("vclock: non-positive ticker period")
-			}
-			mu.Lock()
-			period = nd
-			t.Reset(nd)
-			mu.Unlock()
-		},
 	}
 }

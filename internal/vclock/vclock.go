@@ -74,9 +74,6 @@ type Clock interface {
 	// time.Timer-like Stop and Reset. The same non-parking caveat as
 	// After applies to its channel.
 	NewTimer(d time.Duration) *Timer
-	// NewTicker returns a repeating ticker with period d (which must be
-	// positive). The same non-parking caveat as After applies.
-	NewTicker(d time.Duration) *Ticker
 }
 
 // Timer is a one-shot clock timer. Like time.Timer, C is buffered with
@@ -96,19 +93,3 @@ func (t *Timer) Stop() bool { return t.stop() }
 // Reset re-arms the timer to fire d from now; it reports whether the
 // timer was still pending.
 func (t *Timer) Reset(d time.Duration) bool { return t.reset(d) }
-
-// Ticker is a repeating clock timer. Like time.Ticker, C is buffered
-// with capacity 1 and ticks are dropped while C is full.
-type Ticker struct {
-	// C delivers the tick instants.
-	C <-chan Instant
-
-	stop  func()
-	reset func(time.Duration)
-}
-
-// Stop stops the ticker. It does not close C.
-func (t *Ticker) Stop() { t.stop() }
-
-// Reset changes the period to d and re-arms from now.
-func (t *Ticker) Reset(d time.Duration) { t.reset(d) }

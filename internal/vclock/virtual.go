@@ -182,59 +182,6 @@ func (v *Virtual) NewTimer(d time.Duration) *Timer {
 	}
 }
 
-// NewTicker returns a repeating virtual ticker.
-func (v *Virtual) NewTicker(d time.Duration) *Ticker {
-	if d <= 0 {
-		panic("vclock: non-positive ticker period")
-	}
-	ch := make(chan Instant, 1)
-	v.mu.Lock()
-	tk := &vticker{v: v, ch: ch, period: d}
-	tk.armLocked(v.now.Add(d))
-	v.mu.Unlock()
-	return &Ticker{
-		C: ch,
-		stop: func() {
-			v.mu.Lock()
-			defer v.mu.Unlock()
-			if tk.t != nil {
-				v.stopTimerLocked(tk.t)
-				tk.t = nil
-			}
-		},
-		reset: func(nd time.Duration) {
-			if nd <= 0 {
-				panic("vclock: non-positive ticker period")
-			}
-			v.mu.Lock()
-			defer v.mu.Unlock()
-			if tk.t != nil {
-				v.stopTimerLocked(tk.t)
-			}
-			tk.period = nd
-			tk.armLocked(v.now.Add(nd))
-		},
-	}
-}
-
-type vticker struct {
-	v      *Virtual
-	ch     chan Instant
-	period time.Duration
-	t      *vtimer // guarded by v.mu
-}
-
-// armLocked schedules the next tick; called with v.mu held.
-func (tk *vticker) armLocked(when Instant) {
-	tk.t = tk.v.addTimerLocked(when, func(now Instant) {
-		select {
-		case tk.ch <- now:
-		default:
-		}
-		tk.armLocked(now.Add(tk.period))
-	})
-}
-
 // Advance manually moves time forward by d, firing everything due on
 // the way, regardless of waiter state. It is the test-driver entry
 // point; fleet code never calls it — quiescence advances time there.

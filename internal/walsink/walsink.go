@@ -368,10 +368,10 @@ func (s *Sink) syncLocked() error {
 	if s.unsynced == 0 {
 		return nil
 	}
-	//lint:allow wallclock fsync latency is operator telemetry (a histogram), never an input to any dataset
+	//lint:allow clockpurity fsync latency is operator telemetry (a histogram), never an input to any dataset
 	start := time.Now()
 	err := s.f.Sync()
-	//lint:allow wallclock see above: measuring a real disk sync requires the real clock
+	//lint:allow clockpurity see above: measuring a real disk sync requires the real clock
 	s.met.fsyncMs.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	if err != nil {
 		return fmt.Errorf("walsink: fsync: %w", err)

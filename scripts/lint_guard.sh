@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
-# lint_guard.sh: asserts a full-module roamvet run (all nine analyzers,
+# lint_guard.sh: asserts a full-module roamvet run (all eight analyzers,
 # including the CFG-based flow analyzers and the module-wide lock
 # graph) finishes inside its wall-clock budget. A blowup here means an
 # analyzer went super-linear on real code — the suite must stay cheap
 # enough to run on every push.
 #
 # Usage: lint_guard.sh [path-to-roamvet]
-# Budget override: LINT_GUARD_BUDGET_S (default 30).
+# Budget: 30 s.
 set -euo pipefail
 
-BUDGET_S="${LINT_GUARD_BUDGET_S:-30}"
+BUDGET_S=30
 BIN="${1:-bin/roamvet}"
 
 if [ ! -x "$BIN" ]; then
