@@ -86,14 +86,17 @@ reshard-smoke:
 ## light -virtual-time -realize') under -cpuprofile and -memprofile, then
 ## print the campaign's fleet: line (and, on the virtual clock, its
 ## virtual: line with the quiescence-advance count) and the top of both
-## profiles. The allocation listing ignores the world build; the profiles
-## stay in bin/ for `go tool pprof -list`.
+## profiles — allocations ranked by bytes and by count (net/http's buffers
+## lead the first, small per-task objects the second). The allocation
+## listings ignore the world build; the profiles stay in bin/ for
+## `go tool pprof -list`.
 MES ?= 1000
 FLEET_FLAGS ?=
 profile-campaign:
 	$(GO) build -o bin/roam-fleet ./cmd/roam-fleet
 	./bin/roam-fleet -mes $(MES) $(FLEET_FLAGS) -cpuprofile bin/campaign.cpu.prof -memprofile bin/campaign.mem.prof | grep -E '^(fleet|virtual):'
 	$(GO) tool pprof -top -nodecount=25 -sample_index=alloc_space -ignore='airalo\.Build' bin/roam-fleet bin/campaign.mem.prof
+	$(GO) tool pprof -top -nodecount=25 -sample_index=alloc_objects -ignore='airalo\.Build' bin/roam-fleet bin/campaign.mem.prof
 	$(GO) tool pprof -top -nodecount=25 bin/roam-fleet bin/campaign.cpu.prof
 
 ## loc: non-test Go lines per package outside bench/ and testdata/, plus

@@ -121,7 +121,7 @@ func (w *World) buildOperatorNetworks() error {
 		})
 		w.Net.Connect(cg, resNode, netsim.Link{DelayMs: 0.3, BandwidthMbps: 100000})
 		w.resolverNodes[resAddr] = resNode
-		w.opResolvers[name] = dnssim.Resolver{
+		w.opResolvers[name] = &dnssim.Resolver{
 			Name: name + "-dns", Addr: resAddr, ASN: op.ASN,
 			City: country.Capital, Country: op.Country, Loc: country.Center,
 			SupportsDoH: false,
@@ -145,7 +145,7 @@ func (w *World) buildOperatorNetworks() error {
 	w.Net.Connect(w.cgnatNodes[providerSiteKey("Singtel", "Singapore")], resNode,
 		netsim.Link{DelayMs: 0.3, BandwidthMbps: 100000})
 	w.resolverNodes[resAddr] = resNode
-	w.opResolvers["Singtel"] = dnssim.Resolver{
+	w.opResolvers["Singtel"] = &dnssim.Resolver{
 		Name: "Singtel-dns", Addr: resAddr, ASN: singtel.ASN,
 		City: "Singapore", Country: "SGP", Loc: sgCity.Loc, SupportsDoH: false,
 	}

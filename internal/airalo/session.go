@@ -142,7 +142,11 @@ func (w *World) buildDeployment(spec DeploymentSpec, key string) error {
 				return err
 			}
 		}
-		d.simProvider = opNet.provider
+		for _, site := range opNet.provider.Sites {
+			d.simOptions = append(d.simOptions, ipx.AgreementOption{
+				Provider: opNet.provider, SiteCity: site.City, Weight: float64(len(site.Addrs)),
+			})
+		}
 		pub, err := opNet.natAlloc.NextAddr()
 		if err != nil {
 			return err
@@ -291,7 +295,7 @@ func (d *Deployment) AttachESIM(src *rng.Source) (*Session, error) {
 		if !ok {
 			return nil, fmt.Errorf("airalo: no resolver for issuer %s", d.BMNO.Name)
 		}
-		s.DNS = dnssim.Config{Resolver: &res, UseDoH: true} // falls back: MNO DNS lacks DoH
+		s.DNS = dnssim.Config{Resolver: res, UseDoH: true} // falls back: MNO DNS lacks DoH
 	}
 	return s, nil
 }
@@ -301,11 +305,7 @@ func (d *Deployment) AttachSIM(src *rng.Source) (*Session, error) {
 	if d.SIMProfile == nil {
 		return nil, fmt.Errorf("airalo: deployment %s has no physical SIM", d.Key)
 	}
-	opts := make([]ipx.AgreementOption, 0, len(d.simProvider.Sites))
-	for _, site := range d.simProvider.Sites {
-		opts = append(opts, ipx.AgreementOption{Provider: d.simProvider, SiteCity: site.City, Weight: float64(len(site.Addrs))})
-	}
-	bk, err := ipx.PickBreakout(ipx.Native, opts, d.SIMProfile.Issuer.Name, src)
+	bk, err := ipx.PickBreakout(ipx.Native, d.simOptions, d.SIMProfile.Issuer.Name, src)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +325,7 @@ func (d *Deployment) AttachSIM(src *rng.Source) (*Session, error) {
 		DownCapMbps: d.Spec.SIMDown, UpCapMbps: d.Spec.SIMUp,
 		YouTubeCapMbps: d.Spec.YouTubeCapSIM,
 		CDNHitRate:     defaultHit(d.Spec.CDNHitSIM),
-		DNS:            dnssim.Config{Resolver: &res},
+		DNS:            dnssim.Config{Resolver: res},
 	}, nil
 }
 
@@ -382,7 +382,7 @@ func (w *World) DeploymentKeys(web, device bool) []string {
 // the commercial throttling. It requires a deployment whose v-MNO has a
 // modeled network (the device-campaign countries).
 func (d *Deployment) AttachHypotheticalLBO(src *rng.Source) (*Session, error) {
-	if d.SIMProfile == nil || d.simProvider == nil {
+	if d.SIMProfile == nil {
 		return nil, fmt.Errorf("airalo: %s has no modeled v-MNO network for LBO", d.Key)
 	}
 	s, err := d.AttachSIM(src)

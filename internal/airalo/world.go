@@ -37,8 +37,8 @@ type World struct {
 	pgwNodes       map[ipaddr.Addr]netsim.NodeID
 	cgnatNodes     map[string]netsim.NodeID // provider|city -> CG-NAT node
 	resolverNodes  map[ipaddr.Addr]netsim.NodeID
-	opResolvers    map[string]dnssim.Resolver // operator name -> resolver
-	opNetworks     map[string]*opNetwork      // operator name -> local network
+	opResolvers    map[string]*dnssim.Resolver // operator name -> resolver, shared by its sessions
+	opNetworks     map[string]*opNetwork       // operator name -> local network
 	transitAllocs  map[string]*ipaddr.Allocator
 	inetB          *inet.Builder
 }
@@ -61,9 +61,11 @@ type Deployment struct {
 	sgw         netsim.NodeID
 	esimOptions []ipx.AgreementOption
 	esimArch    ipx.Architecture
+	// simOptions are the physical SIM's breakout options: every PGW site of
+	// its operator, weighted by the site's address count.
+	simOptions []ipx.AgreementOption
 	// esimPublicIP is the session public IP per provider|city key.
 	esimPublicIP map[string]ipaddr.Addr
-	simProvider  *ipx.PGWProvider
 	simPublicIP  ipaddr.Addr
 }
 
@@ -134,7 +136,7 @@ func Build(seed int64) (*World, error) {
 		pgwNodes:      map[ipaddr.Addr]netsim.NodeID{},
 		cgnatNodes:    map[string]netsim.NodeID{},
 		resolverNodes: map[ipaddr.Addr]netsim.NodeID{},
-		opResolvers:   map[string]dnssim.Resolver{},
+		opResolvers:   map[string]*dnssim.Resolver{},
 	}
 	w.GTP = gtp.NewManager(w.Net)
 
@@ -181,8 +183,9 @@ func Build(seed int64) (*World, error) {
 	// End of the build phase: from here the topology is immutable and
 	// every query — Attach*, PathTo, routing, the measurement tools — is
 	// safe for concurrent use, provided each goroutine gets its own
-	// rng.Source (see internal/rng). GTP state and the IP registry have
-	// their own locks; the one remaining world-level mutation,
+	// rng.Source (see internal/rng). GTP TEIDs come from an atomic
+	// counter and the IP registry has its own lock; the one remaining
+	// world-level mutation,
 	// Net.SetLoadModel, stays legal after Freeze.
 	w.Net.Freeze()
 	return w, nil

@@ -2,6 +2,7 @@ package airalo
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -382,6 +383,38 @@ func TestDNSConfigPerArchitecture(t *testing.T) {
 	}
 	if effective.Country != ihbo.Site.Country {
 		t.Errorf("anycast resolver in %s, PGW in %s", effective.Country, ihbo.Site.Country)
+	}
+}
+
+// TestAttachRetainsNothing: a session is the only owner of what its attach
+// built. Ten thousand roaming eSIM attaches, each session dropped, leave
+// the heap as they found it — no tunnel registry, route or resolver copy
+// grows with the number of sessions a world has served.
+func TestAttachRetainsNothing(t *testing.T) {
+	d := world(t).Deployments["PAK"]
+	src := rng.New(8)
+	attach := func(n int) {
+		for i := 0; i < n; i++ {
+			s, err := d.AttachESIM(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Tunnel == nil {
+				t.Fatal("a PAK eSIM session must roam through a GTP tunnel")
+			}
+		}
+	}
+	attach(100) // every breakout's tunnel route composed and cached
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	attach(10000)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grew := int64(after.HeapObjects) - int64(before.HeapObjects)
+	t.Logf("live heap objects after 10000 attaches: %+d", grew)
+	if grew > 200 {
+		t.Errorf("10000 dropped sessions left %d more live heap objects, want at most 200", grew)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 
 var sharedWorld *airalo.World
 
-func world(t *testing.T) *airalo.World {
+func world(t testing.TB) *airalo.World {
 	t.Helper()
 	if sharedWorld == nil {
 		w, err := airalo.Build(21)

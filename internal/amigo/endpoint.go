@@ -529,21 +529,32 @@ func (e *Endpoint) execute(task Task) (Result, time.Duration) {
 		res.Error = err.Error()
 		return res, 0
 	}
-	var p payload
 	switch task.Kind {
 	case "speedtest":
-		p, err = runSpeedtest(session, e.Src)
+		p, err := runSpeedtest(session, e.Src)
+		return encode(e, res, p, err)
 	case "mtr":
-		p, err = runMTR(session, task.Target, e.Src)
+		p, err := runMTR(session, task.Target, e.Src)
+		return encode(e, res, p, err)
 	case "cdn":
-		p, err = runCDN(session, task.Target, e.Src)
+		p, err := runCDN(session, task.Target, e.Src)
+		return encode(e, res, p, err)
 	case "dns":
-		p, err = runDNS(session, e.Src)
+		p, err := runDNS(session, e.Src)
+		return encode(e, res, p, err)
 	case "video":
-		p, err = runVideo(session, e.Src)
-	default:
-		err = fmt.Errorf("amigo: unknown task kind %q", task.Kind)
+		p, err := runVideo(session, e.Src)
+		return encode(e, res, p, err)
 	}
+	res.Error = fmt.Sprintf("amigo: unknown task kind %q", task.Kind)
+	return res, 0
+}
+
+// encode completes execute with the measurement's outcome: the error it
+// failed with, or its payload appended to the scratch. It is generic so
+// the payload is used as its concrete type — assigning it to the payload
+// interface would box it, one allocation per task.
+func encode[P payload](e *Endpoint, res Result, p P, err error) (Result, time.Duration) {
 	if err != nil {
 		res.Error = err.Error()
 		return res, 0

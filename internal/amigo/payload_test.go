@@ -141,6 +141,27 @@ func measureTyped(e *Endpoint, task Task) (payload, error) {
 	return nil, fmt.Errorf("amigo: unknown task kind %q", task.Kind)
 }
 
+// measureUnboxed is measureTyped as execute runs it: every payload kept
+// as its concrete type, never assigned to the payload interface.
+func measureUnboxed(e *Endpoint, task Task) {
+	s, err := e.attach(task.Config)
+	if err != nil {
+		return
+	}
+	switch task.Kind {
+	case "speedtest":
+		_, _ = runSpeedtest(s, e.Src)
+	case "mtr":
+		_, _ = runMTR(s, task.Target, e.Src)
+	case "cdn":
+		_, _ = runCDN(s, task.Target, e.Src)
+	case "dns":
+		_, _ = runDNS(s, e.Src)
+	case "video":
+		_, _ = runVideo(s, e.Src)
+	}
+}
+
 // deviceSchedule is the device campaign's per-ME schedule — Table 4's nine
 // tools × both configurations × four reps, in fleet.Plan's nesting
 // (fleet.DeviceCampaignPlan, which this package cannot import).
@@ -404,15 +425,15 @@ func TestDecodeRoundTripsEncoder(t *testing.T) {
 	}
 }
 
-// Parent (65796a9) allocation counts, measured with these tests' bodies
-// in a scratch copy of that tree: RunBatch of the 18 tasks below on a
-// fresh endpoint took 379 allocations, 29 of them above the tasks' own
-// measurements (350, every mtr hop address a string among them) where a
-// batch of one took 12; json.Unmarshal of mtr12 into a recycled []MTRHop
-// plus ingestTrace's conversion took 20.
+// Earlier allocation counts, measured with these tests' bodies in a copy
+// of each tree. At 212d635 RunBatch of the 18 tasks below on a fresh
+// endpoint took 119 allocations, 31 of them above the tasks' unboxed
+// measurements where a batch of one took 13: execute boxed every payload
+// into the payload interface. At 65796a9 json.Unmarshal of mtr12 into a
+// recycled []MTRHop plus ingestTrace's conversion took 20.
 const (
-	parentBatch18Allocs    = 379
-	parentBatch18Overhead  = 29
+	parentBatch18Allocs    = 119
+	parentBatch18Overhead  = 31
 	parentMTRDecode12Alloc = 20
 )
 
@@ -443,7 +464,7 @@ func batchAllocs(t *testing.T, tasks []Task) (batch, measured float64) {
 	i = 0
 	measured = testing.AllocsPerRun(runs, func() {
 		for _, task := range tasks {
-			measureTyped(twins[i], task)
+			measureUnboxed(twins[i], task)
 		}
 		i++
 	})
@@ -453,8 +474,8 @@ func batchAllocs(t *testing.T, tasks []Task) (batch, measured float64) {
 // TestRunBatchPayloadAllocs: a leased batch's payloads cost one
 // allocation, the batch's slab, however many tasks it holds — beyond its
 // tasks' own measurements a batch of 18 allocates exactly what a batch of
-// one does. At the parent every payload was its own json.Marshal buffer
-// and every mtr hop address its own string.
+// one does. The measurements are taken on execute's own path, payloads
+// unboxed, so a per-payload box counts as overhead.
 func TestRunBatchPayloadAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers at random under -race")

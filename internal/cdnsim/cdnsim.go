@@ -11,6 +11,7 @@ package cdnsim
 
 import (
 	"fmt"
+	"strconv"
 
 	"roamsim/internal/inet"
 	"roamsim/internal/rng"
@@ -57,14 +58,25 @@ func (p *Provider) Validate() error {
 // FetchResult is one measured CDN download, matching the curl timings
 // and headers Table 1 lists.
 type FetchResult struct {
-	Provider    string
-	EdgeCity    string
-	Cache       CacheStatus
-	DNSMs       float64 // resolution time, supplied by the DNS layer
-	TransferMs  float64 // connect + TLS + object transfer
-	TotalMs     float64
-	SizeBytes   int
-	HTTPHeaders map[string]string
+	Provider   string
+	EdgeCity   string
+	Cache      CacheStatus
+	DNSMs      float64 // resolution time, supplied by the DNS layer
+	TransferMs float64 // connect + TLS + object transfer
+	TotalMs    float64
+	SizeBytes  int
+}
+
+// HTTPHeaders returns the response headers the fetch carried, built on
+// request: the fetch itself records only the fields they derive from.
+func (r FetchResult) HTTPHeaders() map[string]string {
+	return map[string]string{
+		"Server":         r.Provider,
+		"X-Cache":        string(r.Cache),
+		"X-Served-By":    r.EdgeCity,
+		"Content-Length": strconv.Itoa(r.SizeBytes),
+		"Content-Type":   "application/javascript; charset=utf-8",
+	}
 }
 
 // Fetch assembles a fetch result from its measured parts. transferMs is
@@ -85,13 +97,6 @@ func (p *Provider) Fetch(edge inet.Edge, dnsMs, transferMs float64, src *rng.Sou
 		res.TransferMs += src.LogNormalMeanMedian(p.OriginPenaltyMedianMs, 0.4)
 	}
 	res.TotalMs = res.DNSMs + res.TransferMs
-	res.HTTPHeaders = map[string]string{
-		"Server":         res.Provider,
-		"X-Cache":        string(res.Cache),
-		"X-Served-By":    edge.City,
-		"Content-Length": fmt.Sprintf("%d", ObjectBytes),
-		"Content-Type":   "application/javascript; charset=utf-8",
-	}
 	return res
 }
 

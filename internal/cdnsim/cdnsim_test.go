@@ -75,14 +75,18 @@ func TestFetchHeaders(t *testing.T) {
 	src := rng.New(4)
 	p, edge := cloudflare(t, 1)
 	r := p.Fetch(edge, 5, 50, src)
-	if r.HTTPHeaders["X-Cache"] != "HIT" {
-		t.Errorf("X-Cache = %s", r.HTTPHeaders["X-Cache"])
+	h := r.HTTPHeaders()
+	if h["X-Cache"] != "HIT" {
+		t.Errorf("X-Cache = %s", h["X-Cache"])
 	}
-	if r.HTTPHeaders["Server"] != "Cloudflare" {
-		t.Errorf("Server = %s", r.HTTPHeaders["Server"])
+	if h["Server"] != "Cloudflare" {
+		t.Errorf("Server = %s", h["Server"])
 	}
-	if r.HTTPHeaders["Content-Length"] != "30288" {
-		t.Errorf("Content-Length = %s", r.HTTPHeaders["Content-Length"])
+	if h["Content-Length"] != "30288" {
+		t.Errorf("Content-Length = %s", h["Content-Length"])
+	}
+	if h["X-Served-By"] != edge.City {
+		t.Errorf("X-Served-By = %s", h["X-Served-By"])
 	}
 	if r.EdgeCity != edge.City {
 		t.Errorf("EdgeCity = %s", r.EdgeCity)

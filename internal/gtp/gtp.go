@@ -8,7 +8,7 @@ package gtp
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"roamsim/internal/geo"
 	"roamsim/internal/netsim"
@@ -56,24 +56,22 @@ func (t *Tunnel) SpanKm() float64 {
 	return geo.DistanceKm(t.Path.Nodes[0].Loc, t.Path.Nodes[n-1].Loc)
 }
 
-// Manager creates and tracks tunnels over a network.
-// It is safe for concurrent use.
+// Manager creates tunnels over a network. It keeps no registry: a tunnel
+// lives as long as the session holding it, and the manager only hands out
+// TEIDs. It is safe for concurrent use.
 type Manager struct {
-	net *netsim.Network
-
-	mu     sync.Mutex
-	next   TEID
-	active map[TEID]*Tunnel
+	net  *netsim.Network
+	last atomic.Uint32 // the last TEID handed out
 }
 
 // NewManager returns a Manager over the given network.
 func NewManager(n *netsim.Network) *Manager {
-	return &Manager{net: n, next: 1, active: make(map[TEID]*Tunnel)}
+	return &Manager{net: n}
 }
 
 // Create establishes a tunnel from sgw to pgw, routing through the
 // network. It fails if no path exists or if either endpoint has the
-// wrong node kind.
+// wrong node kind. TEIDs are unique per manager and start at 1.
 func (m *Manager) Create(sgw, pgw netsim.NodeID) (*Tunnel, error) {
 	if k := m.net.Node(sgw).Kind; k != netsim.KindSGW {
 		return nil, fmt.Errorf("gtp: node %d is %s, not an SGW", sgw, k)
@@ -85,37 +83,5 @@ func (m *Manager) Create(sgw, pgw netsim.NodeID) (*Tunnel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gtp: %w", err)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := &Tunnel{TEID: m.next, SGW: sgw, PGW: pgw, Path: path}
-	m.next++
-	m.active[t.TEID] = t
-	return t, nil
-}
-
-// Teardown removes a tunnel. Tearing down an unknown TEID is an error:
-// it means session bookkeeping has gone wrong.
-func (m *Manager) Teardown(id TEID) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.active[id]; !ok {
-		return fmt.Errorf("gtp: unknown TEID %d", id)
-	}
-	delete(m.active, id)
-	return nil
-}
-
-// Lookup returns an active tunnel by TEID.
-func (m *Manager) Lookup(id TEID) (*Tunnel, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t, ok := m.active[id]
-	return t, ok
-}
-
-// ActiveCount returns the number of live tunnels.
-func (m *Manager) ActiveCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.active)
+	return &Tunnel{TEID: TEID(m.last.Add(1)), SGW: sgw, PGW: pgw, Path: path}, nil
 }

@@ -37,9 +37,6 @@ func TestCreateTunnel(t *testing.T) {
 	if d := tun.OneWayDelayMs(); d < 50 || d > 90 {
 		t.Errorf("one-way delay = %f ms", d)
 	}
-	if m.ActiveCount() != 1 {
-		t.Errorf("ActiveCount = %d", m.ActiveCount())
-	}
 }
 
 func TestCreateRejectsWrongKinds(t *testing.T) {
@@ -62,27 +59,6 @@ func TestCreateNoRoute(t *testing.T) {
 	m := NewManager(n)
 	if _, err := m.Create(sgw, pgw); err == nil {
 		t.Error("disconnected endpoints should fail")
-	}
-}
-
-func TestTeardownAndLookup(t *testing.T) {
-	n, sgw, pgw := testNet(t)
-	m := NewManager(n)
-	tun, _ := m.Create(sgw, pgw)
-	if _, ok := m.Lookup(tun.TEID); !ok {
-		t.Error("lookup of active tunnel failed")
-	}
-	if err := m.Teardown(tun.TEID); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m.Lookup(tun.TEID); ok {
-		t.Error("lookup after teardown should miss")
-	}
-	if err := m.Teardown(tun.TEID); err == nil {
-		t.Error("double teardown should error")
-	}
-	if m.ActiveCount() != 0 {
-		t.Errorf("ActiveCount = %d after teardown", m.ActiveCount())
 	}
 }
 

@@ -12,6 +12,7 @@ package ipx
 
 import (
 	"fmt"
+	"slices"
 
 	"roamsim/internal/geo"
 	"roamsim/internal/ipaddr"
@@ -192,14 +193,7 @@ func (s *StaticSelector) Select(bMNO string, _ geo.Point, src *rng.Source) (Brea
 	if !ok {
 		return Breakout{}, fmt.Errorf("ipx: no agreement for b-MNO %q", bMNO)
 	}
-	weights := make([]float64, len(a.Options))
-	for i, opt := range a.Options {
-		weights[i] = opt.Weight
-		if weights[i] == 0 {
-			weights[i] = 1
-		}
-	}
-	opt := a.Options[src.WeightedIndex(weights)]
+	opt := pickOption(a.Options, src)
 	site, addrs := siteOf(opt.Provider, opt.SiteCity)
 	addr, err := pickAddr(opt.Provider, bMNO, addrs, src)
 	if err != nil {
@@ -261,14 +255,7 @@ func PickBreakout(arch Architecture, options []AgreementOption, bMNO string, src
 	if len(options) == 0 {
 		return Breakout{}, fmt.Errorf("ipx: no breakout options")
 	}
-	weights := make([]float64, len(options))
-	for i, opt := range options {
-		weights[i] = opt.Weight
-		if weights[i] == 0 {
-			weights[i] = 1
-		}
-	}
-	opt := options[src.WeightedIndex(weights)]
+	opt := pickOption(options, src)
 	site, addrs := siteOf(opt.Provider, opt.SiteCity)
 	if len(addrs) == 0 {
 		return Breakout{}, fmt.Errorf("ipx: provider %s has no site %q", opt.Provider.Name, opt.SiteCity)
@@ -278,6 +265,22 @@ func PickBreakout(arch Architecture, options []AgreementOption, bMNO string, src
 		return Breakout{}, err
 	}
 	return Breakout{Arch: arch, Provider: opt.Provider, Site: site, Addr: addr}, nil
+}
+
+// pickOption draws one option by weight, a zero weight counting as 1.
+// The weights live on the stack for the handful of options an agreement
+// lists, so a session's draw allocates nothing.
+func pickOption(options []AgreementOption, src *rng.Source) AgreementOption {
+	var stack [8]float64
+	weights := stack[:0]
+	for _, opt := range options {
+		w := opt.Weight
+		if w == 0 {
+			w = 1
+		}
+		weights = append(weights, w)
+	}
+	return options[src.WeightedIndex(weights)]
 }
 
 func siteOf(p *PGWProvider, city string) (PGWSite, []ipaddr.Addr) {
@@ -298,22 +301,18 @@ func pickAddr(p *PGWProvider, bMNO string, addrs []ipaddr.Addr, src *rng.Source)
 	case AssignSticky:
 		return addrs[0], nil
 	case AssignPerBMNO:
-		if pinned, ok := p.Assignments[bMNO]; ok && len(pinned) > 0 {
-			// Intersect the pinned set with the site's addresses so the
-			// assignment respects the chosen site.
-			inSite := make(map[ipaddr.Addr]bool, len(addrs))
-			for _, a := range addrs {
-				inSite[a] = true
+		// Intersect the pinned set with the site's addresses so the
+		// assignment respects the chosen site; a pinned set is a few
+		// addresses, so the intersection lives on the stack.
+		var stack [8]ipaddr.Addr
+		usable := stack[:0]
+		for _, a := range p.Assignments[bMNO] {
+			if slices.Contains(addrs, a) {
+				usable = append(usable, a)
 			}
-			usable := make([]ipaddr.Addr, 0, len(pinned))
-			for _, a := range pinned {
-				if inSite[a] {
-					usable = append(usable, a)
-				}
-			}
-			if len(usable) > 0 {
-				return rng.Pick(src, usable), nil
-			}
+		}
+		if len(usable) > 0 {
+			return rng.Pick(src, usable), nil
 		}
 		return rng.Pick(src, addrs), nil
 	default: // AssignUniform

@@ -84,11 +84,14 @@ type Stats struct {
 	StartupDelaySec float64
 }
 
-// Share returns the fraction of playback time at the given rung.
+// Share returns the fraction of playback time at the given rung. The
+// total is summed in ladder order, not map order: float addition is not
+// associative, so a map-order sum could differ from call to call. Keys
+// that name no YouTubeLadder rung (Play writes none) are not in the total.
 func (s Stats) Share(rungName string) float64 {
 	var total float64
-	for _, v := range s.SecondsAt {
-		total += v
+	for _, r := range YouTubeLadder {
+		total += s.SecondsAt[r.Name]
 	}
 	if total == 0 {
 		return 0
@@ -108,7 +111,12 @@ func Play(cfg Config, throughput ThroughputFunc, src *rng.Source) (Stats, error)
 	if throughput == nil {
 		return Stats{}, fmt.Errorf("video: nil throughput function")
 	}
-	ladder := usableLadder(cfg.MaxHeight)
+	// The ladder is sorted by height, so the usable rungs are a prefix.
+	n := 0
+	for n < len(YouTubeLadder) && YouTubeLadder[n].Height <= cfg.MaxHeight {
+		n++
+	}
+	ladder := YouTubeLadder[:n]
 	if len(ladder) == 0 {
 		return Stats{}, fmt.Errorf("video: MaxHeight %d below lowest rung", cfg.MaxHeight)
 	}
@@ -190,16 +198,6 @@ func fetchSegment(r Rung, throughput ThroughputFunc, src *rng.Source) (sec, tput
 	tput = src.Jitter(tput, 0.15)
 	bits := r.BitrateKbps * 1000 * SegmentSeconds
 	return bits / (tput * 1e6), tput
-}
-
-func usableLadder(maxHeight int) []Rung {
-	var out []Rung
-	for _, r := range YouTubeLadder {
-		if r.Height <= maxHeight {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // pickRung returns the index of the highest rung whose bitrate fits the

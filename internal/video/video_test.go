@@ -136,6 +136,23 @@ func TestShare(t *testing.T) {
 	}
 }
 
+// TestShareSumsInLadderOrder: three rungs whose total depends on the
+// order they are added in — 1e16 + 1 rounds back to 1e16, while 1 + 1
+// first survives — so a map-order sum returns different shares on
+// repeated calls. Share sums in ladder order, every time.
+func TestShareSumsInLadderOrder(t *testing.T) {
+	st := Stats{SecondsAt: map[string]float64{"144p": 1e16, "240p": 1, "360p": 1}}
+	total := st.SecondsAt["144p"]
+	total += st.SecondsAt["240p"]
+	total += st.SecondsAt["360p"]
+	want := 1 / total
+	for i := 0; i < 1000; i++ {
+		if got := st.Share("240p"); got != want {
+			t.Fatalf("call %d: Share = %g, want %g (the ladder-order sum)", i, got, want)
+		}
+	}
+}
+
 func TestPickRung(t *testing.T) {
 	if got := pickRung(YouTubeLadder, 3); YouTubeLadder[got].Name != "720p" {
 		t.Errorf("3 Mbps budget -> %s", YouTubeLadder[got].Name)
