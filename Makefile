@@ -83,18 +83,21 @@ reshard-smoke:
 ## profile-campaign: where a campaign's bytes and cycles go, in one
 ## command: run the self-hosted fleet campaign (MES endpoints, 1000 by
 ## default; FLEET_FLAGS adds roam-fleet flags, e.g. FLEET_FLAGS='-chaos
-## light -virtual-time -realize') under -cpuprofile and -memprofile, then
-## print the campaign's fleet: line (and, on the virtual clock, its
-## virtual: line with the quiescence-advance count) and the top of both
-## profiles — allocations ranked by bytes and by count (net/http's buffers
-## lead the first, small per-task objects the second). The allocation
-## listings ignore the world build; the profiles stay in bin/ for
-## `go tool pprof -list`.
+## light -virtual-time -realize') once under -cpuprofile and once under
+## -memprofile, then print each run's fleet: line (and, on the virtual
+## clock, its virtual: line with the quiescence-advance count) and the
+## top of both profiles — allocations ranked by bytes and by count
+## (net/http's buffers lead the first, small per-task objects the
+## second). -memprofile records every allocation, so the count listing
+## is exact; it also slows the run severalfold, which is why the CPU
+## profile comes from a run of its own. The allocation listings ignore
+## the world build; the profiles stay in bin/ for `go tool pprof -list`.
 MES ?= 1000
 FLEET_FLAGS ?=
 profile-campaign:
 	$(GO) build -o bin/roam-fleet ./cmd/roam-fleet
-	./bin/roam-fleet -mes $(MES) $(FLEET_FLAGS) -cpuprofile bin/campaign.cpu.prof -memprofile bin/campaign.mem.prof | grep -E '^(fleet|virtual):'
+	./bin/roam-fleet -mes $(MES) $(FLEET_FLAGS) -cpuprofile bin/campaign.cpu.prof | grep -E '^(fleet|virtual):'
+	./bin/roam-fleet -mes $(MES) $(FLEET_FLAGS) -memprofile bin/campaign.mem.prof | grep -E '^(fleet|virtual):'
 	$(GO) tool pprof -top -nodecount=25 -sample_index=alloc_space -ignore='airalo\.Build' bin/roam-fleet bin/campaign.mem.prof
 	$(GO) tool pprof -top -nodecount=25 -sample_index=alloc_objects -ignore='airalo\.Build' bin/roam-fleet bin/campaign.mem.prof
 	$(GO) tool pprof -top -nodecount=25 bin/roam-fleet bin/campaign.cpu.prof

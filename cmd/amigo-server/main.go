@@ -9,13 +9,14 @@
 //
 //	amigo-server [-addr :8080] [-pprof]
 //
-// Schedule tasks by POSTing to /admin/schedule, either the legacy
-// single-kind form or a task batch:
+// Schedule tasks of one kind by POSTing to /admin/schedule; the answer
+// lists their IDs:
 //
 //	curl -X POST localhost:8080/admin/schedule \
 //	  -d '{"me":"me-PAK","kind":"speedtest","config":"esim","count":3}'
-//	curl -X POST localhost:8080/admin/schedule \
-//	  -d '{"me":"me-PAK","tasks":[{"kind":"mtr","target":"Google","config":"sim"}]}'
+//
+// A schedule of mixed tasks is one v3 MsgSchedule frame (what roam-fleet
+// sends), answered with a MsgTasks frame of the queued tasks.
 //
 // Results are readable incrementally at
 // /admin/results?cursor=N[&limit=M], which returns

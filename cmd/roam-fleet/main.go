@@ -79,12 +79,15 @@
 //
 // -cpuprofile and -memprofile write pprof profiles to the named files.
 // The CPU profile covers the campaign: the driver's run plus the ingest,
-// not the world build. The allocation profile covers the process — the
-// runtime wants its sampling rate set once, at start-up — so read the
+// not the world build. The allocation profile records every allocation
+// of the process — the runtime wants its sampling rate set once, at
+// start-up, and at rate 1 alloc_objects is an exact count — so read the
 // campaign out of it by ignoring the build: `go tool pprof -top
 // -sample_index=alloc_space -ignore='airalo\.Build' FILE`. Both observe
-// the run and select nothing; `make profile-campaign` runs the
-// self-hosted campaign with both and prints the two listings.
+// the run and select nothing. Recording every allocation slows the run
+// severalfold and would crowd a CPU profile taken beside it, so `make
+// profile-campaign` runs the self-hosted campaign once with each and
+// prints the listings.
 package main
 
 import (
@@ -135,9 +138,9 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write an allocation profile of the process to this file (pprof -ignore='airalo\\.Build' leaves the campaign)")
 	flag.Parse()
 	if *memProfile != "" {
-		// One sample per 4 KiB allocated: the default, one per 512 KiB,
-		// is too coarse to rank the allocators of a two-second campaign.
-		runtime.MemProfileRate = 4096
+		// Record every allocation, so the alloc_objects listing is an
+		// exact count rather than a sampled estimate.
+		runtime.MemProfileRate = 1
 	}
 
 	plan := fleet.DeviceCampaignPlan()

@@ -13,6 +13,7 @@ import (
 	"roamsim/internal/airalo"
 	"roamsim/internal/obs"
 	"roamsim/internal/rng"
+	"roamsim/internal/wire"
 )
 
 var sharedWorld *airalo.World
@@ -65,7 +66,7 @@ func TestRegisterAndHeartbeat(t *testing.T) {
 func TestScheduleRequiresRegistration(t *testing.T) {
 	srv, _, done := testbed(t, "PAK")
 	defer done()
-	if _, err := srv.Schedule("ghost", Task{Kind: "speedtest", Config: "esim"}); err == nil {
+	if _, err := srv.ScheduleBatch("ghost", []Task{{Kind: "speedtest", Config: "esim"}}); err == nil {
 		t.Error("scheduling to unknown ME should fail")
 	}
 }
@@ -86,7 +87,7 @@ func TestTaskRoundTripAllKinds(t *testing.T) {
 		{Kind: "video", Config: "esim"},
 	}
 	for _, task := range tasks {
-		if _, err := srv.Schedule("me-DEU", task); err != nil {
+		if _, err := srv.ScheduleBatch("me-DEU", []Task{task}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,7 +143,7 @@ func TestUnknownTaskKindReported(t *testing.T) {
 	srv, ep, done := testbed(t, "PAK")
 	defer done()
 	ep.Register()
-	srv.Schedule("me-PAK", Task{Kind: "teleport", Config: "esim"})
+	srv.ScheduleBatch("me-PAK", []Task{{Kind: "teleport", Config: "esim"}})
 	if _, err := ep.RunBatch(1); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestSIMTaskOnWebOnlyCountryFails(t *testing.T) {
 	srv, ep, done := testbed(t, "FRA") // web campaign: eSIM only
 	defer done()
 	ep.Register()
-	srv.Schedule("me-FRA", Task{Kind: "speedtest", Config: "sim"})
+	srv.ScheduleBatch("me-FRA", []Task{{Kind: "speedtest", Config: "sim"}})
 	if _, err := ep.RunBatch(1); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestConcurrentEndpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := 0; j < tasksPer; j++ {
-			if _, err := srv.Schedule("me-"+iso, Task{Kind: "speedtest", Config: "esim"}); err != nil {
+			if _, err := srv.ScheduleBatch("me-"+iso, []Task{{Kind: "speedtest", Config: "esim"}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -306,7 +307,7 @@ func TestRunBatchDrainsQueue(t *testing.T) {
 	defer done()
 	ep.Register()
 	for i := 0; i < 7; i++ {
-		srv.Schedule("me-DEU", Task{Kind: "speedtest", Config: "esim"})
+		srv.ScheduleBatch("me-DEU", []Task{{Kind: "speedtest", Config: "esim"}})
 	}
 	total := 0
 	for {
@@ -524,23 +525,19 @@ func TestAdminHandlerScheduleAndResults(t *testing.T) {
 	if err := ep.Register(); err != nil {
 		t.Fatal(err)
 	}
-	body, _ := json.Marshal(map[string]any{
-		"me":    "me-PAK",
-		"tasks": []Task{{Kind: "dns", Config: "esim"}, {Kind: "speedtest", Config: "esim"}},
-	})
-	resp, err := hs.Client().Post(hs.URL+"/admin/schedule", "application/json", bytes.NewReader(body))
+	body := wire.AppendSchedule(nil, "me-PAK", []Task{{Kind: "dns", Config: "esim"}, {Kind: "speedtest", Config: "esim"}})
+	resp, err := hs.Client().Post(hs.URL+"/admin/schedule", wire.ContentType, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sched struct {
-		TaskIDs []int `json:"task_ids"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&sched); err != nil {
-		t.Fatal(err)
-	}
+	h, payload, err := wire.ReadFrame(resp.Body, nil)
 	resp.Body.Close()
-	if len(sched.TaskIDs) != 2 {
-		t.Fatalf("task_ids = %v", sched.TaskIDs)
+	if err != nil || h.Type != wire.MsgTasks {
+		t.Fatalf("schedule reply: %+v, %v", h, err)
+	}
+	sched, err := wire.NewDecoder().Tasks(payload, nil)
+	if err != nil || len(sched) != 2 || sched[0].ID == 0 || sched[1].ID <= sched[0].ID || sched[1].Kind != "speedtest" {
+		t.Fatalf("scheduled tasks = %+v (%v)", sched, err)
 	}
 	for {
 		n, err := ep.RunBatch(8)

@@ -300,15 +300,6 @@ func (s *Server) ReportVitals(me string, v Vitals) error {
 	return nil
 }
 
-// Schedule queues a task for the named ME and returns its ID.
-func (s *Server) Schedule(me string, task Task) (int, error) {
-	ids, err := s.ScheduleBatch(me, []Task{task})
-	if err != nil {
-		return 0, err
-	}
-	return ids[0], nil
-}
-
 // ScheduleBatch queues tasks for the named ME in order and returns their
 // IDs. Tasks with ID 0 get fresh server-assigned IDs (globally unique,
 // monotonically increasing per ME); a task carrying a positive ID keeps
@@ -792,11 +783,55 @@ func (s *Server) Handler() http.Handler {
 // queue into one response.
 const maxLeaseBatch = 1024
 
-// maxScheduleCount bounds the tasks one POST /admin/schedule queues, in
-// either form: the single-kind form builds count tasks, so without it a
-// 40-byte request could ask for 2³¹ of them, and a batch of {} tasks
-// costs 3 bytes each.
-const maxScheduleCount = 1 << 16
+// kindlessSchedule refuses what every ME would execute into errors.
+const kindlessSchedule = "a schedule needs at least one task, each with a kind"
+
+// handleSchedule is POST /admin/schedule (see AdminHandler). The JSON
+// form checks its kind and count, then its ME, before building tasks.
+func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
+	if r.Header.Get("Content-Type") == wire.ContentType {
+		s.handleV3Schedule(w, r)
+		return
+	}
+	var req struct {
+		ME     string          `json:"me"`
+		Kind   string          `json:"kind"`
+		Target string          `json:"target"`
+		Config string          `json:"config"`
+		Count  int             `json:"count"`
+		Tasks  json.RawMessage `json:"tasks"`
+	}
+	if !decodeJSON(w, r, &req, "bad request") {
+		return
+	}
+	switch {
+	case req.Tasks != nil:
+		http.Error(w, "a batch schedule is one wire.MsgSchedule frame sent as "+wire.ContentType, http.StatusBadRequest)
+		return
+	case req.Kind == "":
+		http.Error(w, kindlessSchedule, http.StatusBadRequest)
+		return
+	case req.Count > wire.MaxScheduleCount:
+		http.Error(w, fmt.Sprintf("%d tasks is over the limit of %d", req.Count, wire.MaxScheduleCount), http.StatusBadRequest)
+		return
+	}
+	if _, ok := s.Vitals(req.ME); !ok {
+		rejectErr(w, unknownME(req.ME))
+		return
+	}
+	tasks := make([]Task, max(req.Count, 1))
+	for i := range tasks {
+		tasks[i] = Task{Kind: req.Kind, Target: req.Target, Config: req.Config}
+	}
+	ids, err := s.ScheduleBatch(req.ME, tasks)
+	if err != nil {
+		rejectErr(w, err)
+		return
+	}
+	s.writeJSON(w, struct {
+		TaskIDs []int `json:"task_ids"`
+	}{ids}, nil)
+}
 
 // handleAdminResults is GET /admin/results?cursor=N[&limit=M]: one page
 // of the result log, in one of two representations of the same page.
@@ -869,12 +904,12 @@ func (s *Server) handleAdminResults(w http.ResponseWriter, r *http.Request) {
 
 // AdminHandler exposes the operator API:
 //
-//	POST /admin/schedule  {"me":..., "kind":..., "target":..., "config":..., "count":N}
-//	                      or {"me":..., "tasks":[Task, ...]} for a batch;
-//	                      a count or batch over maxScheduleCount is 400,
-//	                      checked before the ME (unknown: 404), both
-//	                      before any task is built; decoding the batch is
-//	                      bounded only by wire.MaxJSONBody
+//	POST /admin/schedule  a wire.MsgSchedule frame -> a MsgTasks frame of
+//	                      the queued tasks, or {"me":..., "kind":...,
+//	                      "target":..., "config":..., "count":N} -> {"task_ids":[...]};
+//	                      over wire.MaxScheduleCount tasks, none, or one
+//	                      without a kind is 400, an unknown ME 404, and
+//	                      either queues nothing
 //	GET  /admin/results?cursor=N[&limit=M] -> {"cursor": next, "results": [...]}
 //	                      cursor=-1 returns just the current cursor; with
 //	                      Accept: application/vnd.amigo.v3 the page is one
@@ -884,48 +919,7 @@ func (s *Server) handleAdminResults(w http.ResponseWriter, r *http.Request) {
 //	GET  /admin/trace?n=K      -> newest K trace events as JSON
 func (s *Server) AdminHandler() http.Handler {
 	mux := http.NewServeMux()
-	s.instrument(mux, "POST /admin/schedule", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			ME     string `json:"me"`
-			Kind   string `json:"kind"`
-			Target string `json:"target"`
-			Config string `json:"config"`
-			Count  int    `json:"count"`
-			Tasks  []Task `json:"tasks"`
-		}
-		if !decodeJSON(w, r, &req, "bad request") {
-			return
-		}
-		tasks := req.Tasks
-		n := len(tasks)
-		if n == 0 {
-			n = req.Count
-		}
-		if n > maxScheduleCount {
-			http.Error(w, fmt.Sprintf("%d tasks is over the limit of %d", n, maxScheduleCount), http.StatusBadRequest)
-			return
-		}
-		if len(tasks) == 0 {
-			if _, ok := s.Vitals(req.ME); !ok {
-				rejectErr(w, unknownME(req.ME))
-				return
-			}
-			if req.Count <= 0 {
-				req.Count = 1
-			}
-			for i := 0; i < req.Count; i++ {
-				tasks = append(tasks, Task{Kind: req.Kind, Target: req.Target, Config: req.Config})
-			}
-		}
-		ids, err := s.ScheduleBatch(req.ME, tasks)
-		if err != nil {
-			rejectErr(w, err)
-			return
-		}
-		s.writeJSON(w, struct {
-			TaskIDs []int `json:"task_ids"`
-		}{ids}, nil)
-	})
+	s.instrument(mux, "POST /admin/schedule", s.handleSchedule)
 	s.instrument(mux, "GET /admin/results", s.handleAdminResults)
 	s.instrument(mux, "GET /admin/mes", func(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, s.MEs(), nil)

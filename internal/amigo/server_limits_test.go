@@ -2,6 +2,7 @@ package amigo
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -12,18 +13,20 @@ import (
 )
 
 // TestScheduleCountBounded: POST /admin/schedule's single-kind form
-// checks its count first (400 past maxScheduleCount), then its ME (404
+// checks its count first (400 past wire.MaxScheduleCount), then its ME (404
 // when unknown), and builds tasks only after both. The 40-byte request
 // that made the parent try to allocate 2³¹ tasks answers 400, and a count
 // at the limit for an unknown ME answers 404, each having allocated under
-// 1 MB. A batch of maxScheduleCount+1 tasks for a known ME answers 400
-// and queues nothing; a count in bounds for a known ME is still scheduled.
+// 1 MB. A schedule frame of wire.MaxScheduleCount+1 tasks for a known ME
+// answers 400 the same way and queues nothing; a count in bounds for a
+// known ME is still scheduled.
 func TestScheduleCountBounded(t *testing.T) {
 	srv := NewServer(nil)
 	srv.Register("me-PAK", "PAK")
 	h := srv.AdminHandler()
-	post := func(body string) (code int, allocated uint64) {
+	post := func(contentType, body string) (code int, allocated uint64) {
 		req := httptest.NewRequest(http.MethodPost, "/admin/schedule", strings.NewReader(body))
+		req.Header.Set("Content-Type", contentType)
 		rec := httptest.NewRecorder()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -40,7 +43,7 @@ func TestScheduleCountBounded(t *testing.T) {
 		{`{"me":"ghost","kind":"dns","count":65536}`, http.StatusNotFound},
 		{`{"me":"ghost","kind":"dns","count":3}`, http.StatusNotFound},
 	} {
-		code, allocated := post(c.body)
+		code, allocated := post("application/json", c.body)
 		if code != c.want {
 			t.Errorf("%s: HTTP %d, want %d", c.body, code, c.want)
 		}
@@ -48,19 +51,74 @@ func TestScheduleCountBounded(t *testing.T) {
 			t.Errorf("%s: the refusal allocated %d bytes", c.body, allocated)
 		}
 	}
-	// The batch form is held to the same cap; decoding it is bounded by
-	// wire.MaxJSONBody alone, so its allocation is not checked.
-	if code, _ := post(`{"me":"me-PAK","tasks":[{}` + strings.Repeat(`,{}`, maxScheduleCount) + `]}`); code != http.StatusBadRequest {
-		t.Errorf("batch of %d tasks: HTTP %d, want 400", maxScheduleCount+1, code)
+	batch := make([]Task, wire.MaxScheduleCount+1)
+	for i := range batch {
+		batch[i].Kind = "dns"
+	}
+	if code, allocated := post(wire.ContentType, string(wire.AppendSchedule(nil, "me-PAK", batch))); code != http.StatusBadRequest || allocated >= 1<<20 {
+		t.Errorf("frame of %d tasks: HTTP %d having allocated %d bytes, want 400 under 1 MB", len(batch), code, allocated)
 	}
 	if tasks, err := srv.LeaseAckInto("me-PAK", 10, 0, nil); err != nil || len(tasks) != 0 {
 		t.Fatalf("the refused batch queued %d tasks (%v)", len(tasks), err)
 	}
-	if code, _ := post(`{"me":"me-PAK","kind":"speedtest","config":"esim","count":3}`); code != http.StatusOK {
+	if code, _ := post("application/json", `{"me":"me-PAK","kind":"speedtest","config":"esim","count":3}`); code != http.StatusOK {
 		t.Fatalf("in-bounds schedule: HTTP %d", code)
 	}
 	if tasks, err := srv.LeaseAckInto("me-PAK", 10, 0, nil); err != nil || len(tasks) != 3 {
 		t.Fatalf("queued %d tasks (%v), want 3", len(tasks), err)
+	}
+}
+
+// TestScheduleRejectsKindless: a schedule that names no task, or a task
+// without a kind, answers 400 in both forms and queues nothing — queued,
+// every such task executes into an "unknown task kind" error result.
+func TestScheduleRejectsKindless(t *testing.T) {
+	srv := NewServer(nil)
+	srv.Register("m", "PAK")
+	h := srv.AdminHandler()
+	for _, c := range []struct{ name, contentType, body string }{
+		{"json-batch", "application/json", `{"me":"m","tasks":[]}`},
+		{"json-no-kind", "application/json", `{"me":"m"}`},
+		{"json-empty-kind", "application/json", `{"me":"m","kind":"","count":2}`},
+		{"frame-empty", wire.ContentType, string(wire.AppendSchedule(nil, "m", nil))},
+		{"frame-kindless", wire.ContentType, string(wire.AppendSchedule(nil, "m", []Task{{Kind: "dns"}, {Config: "sim"}}))},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/admin/schedule", strings.NewReader(c.body))
+		req.Header.Set("Content-Type", c.contentType)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d, want 400", c.name, rec.Code)
+		}
+	}
+	if tasks, err := srv.LeaseAckInto("m", 10, 0, nil); err != nil || len(tasks) != 0 {
+		t.Fatalf("the refused schedules queued %+v (%v)", tasks, err)
+	}
+}
+
+// TestV3ResultsBoundedBeforeDecode: an upload frame declaring more
+// results than the spool holds is refused as over capacity (429 +
+// Retry-After) from its count alone. A 4 MiB frame of empty records
+// declares ≈ 4 M results; sizing a []Result for them costs ≈ 1 GiB.
+func TestV3ResultsBoundedBeforeDecode(t *testing.T) {
+	srv := NewServer(nil)
+	const n = 4<<20 - 4 // a 4-byte count, then n one-byte records: 4 MiB
+	frame := []byte{wire.Magic0, wire.Magic1, wire.Version, wire.MsgResults, 0, 0, 0, 0}
+	frame = binary.AppendUvarint(frame, n)
+	frame = append(frame, make([]byte, n)...)
+	binary.BigEndian.PutUint32(frame[4:], uint32(len(frame)-wire.HeaderLen))
+	req := httptest.NewRequest(http.MethodPost, "/v3/results", bytes.NewReader(frame))
+	req.Header.Set("Content-Type", wire.ContentType)
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	srv.Handler().ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" {
+		t.Errorf("HTTP %d, Retry-After %q: want 429 with a hint", rec.Code, rec.Header().Get("Retry-After"))
+	}
+	if allocated := after.TotalAlloc - before.TotalAlloc; allocated >= 16<<20 {
+		t.Errorf("refusing a %d-byte frame allocated %d MiB", len(frame), allocated>>20)
 	}
 }
 

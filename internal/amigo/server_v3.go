@@ -2,6 +2,7 @@ package amigo
 
 import (
 	"net/http"
+	"slices"
 	"sync"
 
 	"roamsim/internal/wire"
@@ -86,13 +87,20 @@ func (s *Server) handleV3Lease(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleV3Results is POST /v3/results: a MsgResults frame in, 204 out
-// (429 + Retry-After when the spool is full). A batch whose
-// Idempotency-Key header was already accepted is dropped (SubmitKeyed).
+// (429 + Retry-After when the spool is full or smaller than the batch).
+// A batch whose Idempotency-Key header was already accepted is dropped
+// (SubmitKeyed).
 func (s *Server) handleV3Results(w http.ResponseWriter, r *http.Request) {
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
 	payload, ok := s.readV3Frame(w, r, wire.MsgResults, buf)
 	if !ok {
+		return
+	}
+	// Refuse a batch the spool can never hold before its count sizes a []Result.
+	if n, err := wire.ResultCount(payload); err == nil && n > s.spoolCap {
+		s.met.spoolRejected.Add(1)
+		s.rejectBusy(w)
 		return
 	}
 	dec := wire.GetDecoder()
@@ -114,6 +122,41 @@ func (s *Server) handleV3Results(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// handleV3Schedule is POST /admin/schedule's frame form: a MsgSchedule in,
+// a MsgTasks of the queued tasks under their IDs (see ScheduleBatch) out.
+func (s *Server) handleV3Schedule(w http.ResponseWriter, r *http.Request) {
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	payload, ok := s.readV3Frame(w, r, wire.MsgSchedule, buf)
+	if !ok {
+		return
+	}
+	tp := taskSlicePool.Get().(*[]Task)
+	defer taskSlicePool.Put(tp)
+	dec := wire.GetDecoder()
+	me, tasks, err := dec.Schedule(payload, (*tp)[:0])
+	*tp = tasks
+	wire.PutDecoder(dec)
+	if err != nil {
+		http.Error(w, "bad schedule", http.StatusBadRequest)
+		return
+	}
+	if len(tasks) == 0 || slices.ContainsFunc(tasks, func(t Task) bool { return t.Kind == "" }) {
+		http.Error(w, kindlessSchedule, http.StatusBadRequest)
+		return
+	}
+	ids, err := s.ScheduleBatch(me, tasks)
+	if err != nil {
+		rejectErr(w, err)
+		return
+	}
+	for i := range tasks {
+		tasks[i].ID = ids[i]
+	}
+	*buf = wire.AppendTasks((*buf)[:0], tasks)
+	s.writeFrame(w, *buf)
 }
 
 // detachPayloads copies every payload in the batch onto one freshly

@@ -193,7 +193,7 @@ func (r *Runner) Table4() (*report.Table, error) {
 				for i := 0; i < perTool; i++ {
 					task := base
 					task.Config = config
-					if _, err := srv.Schedule("me-"+iso, task); err != nil {
+					if _, err := srv.ScheduleBatch("me-"+iso, []amigo.Task{task}); err != nil {
 						return nil, err
 					}
 				}

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -391,12 +390,8 @@ func (d *Driver) runIncarnation(client *http.Client, sc MESchedule, dep *airalo.
 	}
 	redelivered := *scheduled
 	if !redelivered {
-		ids, err := d.scheduleBatch(client, sc.Name, tasks)
-		if err != nil {
+		if err := d.scheduleBatch(client, sc.Name, tasks); err != nil {
 			return false, err
-		}
-		for i := range tasks {
-			tasks[i].ID = ids[i]
 		}
 		*scheduled = true
 	} else if err := ep.Redeliver(); err != nil {
@@ -437,40 +432,45 @@ func drainBody(body io.ReadCloser) {
 	body.Close()
 }
 
-// scheduleBatch POSTs the ME's schedule and returns the task IDs the
-// server assigned (or honored, when the tasks carried pinned IDs), one
-// per task: a recovery re-schedule pins them so replayed uploads dedup.
-func (d *Driver) scheduleBatch(client *http.Client, me string, tasks []amigo.Task) ([]int, error) {
-	buf, err := json.Marshal(struct {
-		ME    string       `json:"me"`
-		Tasks []amigo.Task `json:"tasks"`
-	}{me, tasks})
+// scheduleBatch POSTs the ME's schedule as one MsgSchedule frame and
+// reads the server's MsgTasks reply back over tasks: the same tasks under
+// the IDs the server assigned, or honored when they carried pinned ones —
+// a recovery re-schedule pins them so replayed uploads dedup.
+func (d *Driver) scheduleBatch(client *http.Client, me string, tasks []amigo.Task) error {
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	*buf = wire.AppendSchedule(*buf, me, tasks)
+	resp, err := client.Post(d.BaseURL+"/admin/schedule", wire.ContentType, bytes.NewReader(*buf))
 	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Post(d.BaseURL+"/admin/schedule", "application/json", bytes.NewReader(buf))
-	if err != nil {
-		return nil, err
+		return err
 	}
 	if resp.StatusCode >= 300 {
 		drainBody(resp.Body)
 		if resp.StatusCode == http.StatusNotFound {
-			return nil, fmt.Errorf("fleet: schedule %s: HTTP %d: %w", me, resp.StatusCode, amigo.ErrUnknownME)
+			return fmt.Errorf("fleet: schedule %s: HTTP %d: %w", me, resp.StatusCode, amigo.ErrUnknownME)
 		}
-		return nil, fmt.Errorf("fleet: schedule %s: HTTP %d", me, resp.StatusCode)
+		return fmt.Errorf("fleet: schedule %s: HTTP %d", me, resp.StatusCode)
 	}
-	var out struct {
-		TaskIDs []int `json:"task_ids"`
-	}
-	err = json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&out)
+	h, payload, err := wire.ReadFrame(resp.Body, (*buf)[:0])
+	*buf = payload // keep any growth pooled
 	drainBody(resp.Body)
+	var got []amigo.Task
+	if err == nil && h.Type != wire.MsgTasks {
+		err = fmt.Errorf("unexpected message type 0x%02x", h.Type)
+	} else if err == nil {
+		dec := wire.GetDecoder()
+		// The capacity bound keeps a reply longer than the schedule from
+		// writing past it.
+		got, err = dec.Tasks(payload, tasks[:0:len(tasks)])
+		wire.PutDecoder(dec)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("fleet: schedule %s: decoding response: %w", me, err)
+		return fmt.Errorf("fleet: schedule %s: decoding response: %w", me, err)
 	}
-	if len(out.TaskIDs) != len(tasks) {
-		return nil, fmt.Errorf("fleet: schedule %s: server assigned %d IDs for %d tasks", me, len(out.TaskIDs), len(tasks))
+	if len(got) != len(tasks) {
+		return fmt.Errorf("fleet: schedule %s: server assigned %d IDs for %d tasks", me, len(got), len(tasks))
 	}
-	return out.TaskIDs, nil
+	return nil
 }
 
 // fetchPage GETs one page of /admin/results in the codec the results

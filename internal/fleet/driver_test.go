@@ -1,11 +1,10 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +12,7 @@ import (
 	"roamsim/internal/amigo"
 	"roamsim/internal/obs"
 	"roamsim/internal/shard"
+	"roamsim/internal/wire"
 )
 
 // TestCampaignLeasesOncePerME: in a clean campaign whose schedules fit one
@@ -49,7 +49,7 @@ func TestScheduleRejectsWrongIDCount(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.Handle("/", shard.Mount(srv.Handler(), srv.AdminHandler()))
 	mux.HandleFunc("POST /admin/schedule", func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, `{"task_ids":[]}`)
+		w.Write(wire.AppendTasks(nil, nil))
 	})
 	hs := httptest.NewServer(mux)
 	defer hs.Close()
@@ -62,33 +62,42 @@ func TestScheduleRejectsWrongIDCount(t *testing.T) {
 	}
 }
 
-// TestScheduleBodyMatchesMapMarshal: the schedule POST body is a struct
-// with its fields in sorted key order, byte for byte what json.Marshal
-// made of the map it replaced.
-func TestScheduleBodyMatchesMapMarshal(t *testing.T) {
+// TestScheduleFrameCarriesTasks: the schedule POST body is one
+// MsgSchedule frame that decodes to exactly the ME and tasks given, pinned
+// IDs included, and the reply's IDs land in the tasks in place.
+func TestScheduleFrameCarriesTasks(t *testing.T) {
 	var mu sync.Mutex
 	var body []byte
+	var contentType string
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		b, _ := io.ReadAll(r.Body)
 		mu.Lock()
-		body = b
+		body, contentType = b, r.Header.Get("Content-Type")
 		mu.Unlock()
-		io.WriteString(w, `{"task_ids":[7,9]}`)
+		w.Write(wire.AppendTasks(nil, []amigo.Task{{ID: 7, Kind: "mtr", Target: "Google", Config: "esim"}, {ID: 9, Kind: "dns", Config: "sim"}}))
 	}))
 	defer hs.Close()
 	const me = "me-<&>\"é\u2028"
-	tasks := []amigo.Task{{ID: 7, Kind: "mtr", Target: "Google", Config: "esim"}, {Kind: "dns", Config: "sim"}}
+	want := []amigo.Task{{ID: 7, Kind: "mtr", Target: "Google", Config: "esim"}, {Kind: "dns", Config: "sim"}}
+	tasks := slices.Clone(want)
 	d := &Driver{BaseURL: hs.URL}
-	if _, err := d.scheduleBatch(hs.Client(), me, tasks); err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(map[string]any{"me": me, "tasks": tasks})
-	if err != nil {
+	if err := d.scheduleBatch(hs.Client(), me, tasks); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if !bytes.Equal(body, want) {
-		t.Errorf("schedule body = %s, want the map's %s", body, want)
+	if contentType != wire.ContentType {
+		t.Errorf("Content-Type = %q, want %q", contentType, wire.ContentType)
+	}
+	h, err := wire.ParseHeader(body)
+	if err != nil || h.Type != wire.MsgSchedule || int(h.N) != len(body)-wire.HeaderLen {
+		t.Fatalf("schedule body %x is not one MsgSchedule frame (%+v, %v)", body, h, err)
+	}
+	gotME, got, err := wire.NewDecoder().Schedule(body[wire.HeaderLen:], nil)
+	if err != nil || gotME != me || !slices.Equal(got, want) {
+		t.Errorf("schedule frame decodes to %q %+v (%v), want %q %+v", gotME, got, err, me, want)
+	}
+	if tasks[0].ID != 7 || tasks[1].ID != 9 {
+		t.Errorf("tasks after the reply: %+v, want IDs 7 and 9", tasks)
 	}
 }

@@ -195,7 +195,15 @@ func (g *Gateway) buildMux() *http.ServeMux {
 	mux.HandleFunc("POST /v2/tasks/requeue", g.routeJSON(routeV2Requeue))
 	mux.HandleFunc("POST /v3/tasks/lease", g.routeV3(routeV3Lease))
 	mux.HandleFunc("POST /v3/results", g.routeV3(routeV3Results))
-	mux.HandleFunc("POST /admin/schedule", g.routeJSON(routeAdminSchedule))
+	// A schedule is a v3 frame (the fleet driver's) or JSON (curl's).
+	v3Schedule, jsonSchedule := g.routeV3(routeAdminSchedule), g.routeJSON(routeAdminSchedule)
+	mux.HandleFunc("POST /admin/schedule", func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("Content-Type") == wire.ContentType {
+			v3Schedule(w, r)
+			return
+		}
+		jsonSchedule(w, r)
+	})
 	// Admin read surface: merged views.
 	mux.HandleFunc("GET /admin/results", g.handleMergedResults)
 	mux.HandleFunc("GET /admin/mes", g.handleMergedMEs)
@@ -345,9 +353,9 @@ func readFrame(body io.Reader, b *pooledBody) (wire.Header, error) {
 var errNotOneFrame = errors.New("shard: body is not exactly one v3 frame")
 
 // routeV3 peeks the ME out of a binary wire frame: the header names the
-// message type, and LeaseRequest.ME / the first upload record's ME
-// names the owning shard. Only the routing-relevant prefix is decoded
-// strictly here; the shard's handler decodes (and rejects) the full
+// message type, and LeaseRequest.ME / the first upload record's ME /
+// the schedule's ME names the owning shard. Only the routing-relevant
+// prefix is decoded strictly here; the shard's handler decodes (and rejects) the full
 // frame as usual.
 func (g *Gateway) routeV3(route int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -368,6 +376,8 @@ func (g *Gateway) routeV3(route int) http.HandlerFunc {
 			me = req.ME
 		case wire.MsgResults:
 			me, err = dec.FirstResultME(payload)
+		case wire.MsgSchedule:
+			me, err = dec.ScheduleME(payload)
 		default:
 			err = fmt.Errorf("shard: unroutable frame type 0x%02x", h.Type)
 		}

@@ -80,12 +80,12 @@ func driveME(t *testing.T, baseURL, me string) []amigo.Result {
 	if resp0.StatusCode != http.StatusNoContent {
 		t.Fatalf("%s register via gateway: HTTP %d", me, resp0.StatusCode)
 	}
-	// Schedule through the gateway's admin route.
-	body, _ := json.Marshal(map[string]any{"me": me, "tasks": []amigo.Task{
+	// Schedule through the gateway's admin route, as the fleet driver does.
+	body := wire.AppendSchedule(nil, me, []amigo.Task{
 		{Kind: "speedtest", Config: "esim"},
 		{Kind: "dns", Target: "8.8.8.8", Config: "sim"},
-	}})
-	resp, err := http.Post(baseURL+"/admin/schedule", "application/json", bytes.NewReader(body))
+	})
+	resp, err := http.Post(baseURL+"/admin/schedule", wire.ContentType, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +115,8 @@ func driveME(t *testing.T, baseURL, me string) []amigo.Result {
 }
 
 // TestGatewayRoutesBothProtocols drives MEs through both body formats
-// the gateway peeks — JSON objects (register, schedule) and v3 frames
-// (lease, upload) — and checks each ME stayed on its ring shard.
+// the gateway peeks — JSON objects (register) and v3 frames (schedule,
+// lease, upload) — and checks each ME stayed on its ring shard.
 func TestGatewayRoutesBothProtocols(t *testing.T) {
 	gw, servers, hs := shardSet(t, 4)
 	mes := []string{"PAK-00", "PAK-01", "GEO-00", "GEO-01", "USA-00", "USA-01"}
@@ -153,6 +153,74 @@ func TestGatewayRoutesBothProtocols(t *testing.T) {
 	sort.Strings(wantMEs)
 	if !reflect.DeepEqual(gotMEs, wantMEs) {
 		t.Fatalf("merged /admin/mes = %v, want %v", gotMEs, wantMEs)
+	}
+}
+
+// TestGatewayRoutesScheduleForms: POST /admin/schedule reaches the ME's
+// ring shard in both forms — a MsgSchedule frame by its ME, the JSON
+// single-kind form by "me" — even though every shard knows every ME, and
+// a schedule frame whose ME cannot be read is refused with 400 before
+// any shard sees it.
+func TestGatewayRoutesScheduleForms(t *testing.T) {
+	reg := obs.NewRegistry()
+	servers := make([]*amigo.Server, 4)
+	backends := make([]http.Handler, len(servers))
+	for i := range servers {
+		servers[i] = amigo.NewServer(nil)
+		backends[i] = Mount(servers[i].Handler(), servers[i].AdminHandler())
+	}
+	gw := NewGateway(backends, Options{Obs: reg})
+	hs := httptest.NewServer(gw)
+	defer hs.Close()
+	post := func(contentType string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(hs.URL+"/admin/schedule", contentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	mes := []string{"PAK-00", "GEO-00", "USA-00", "USA-01", "DEU-00", "DEU-01"}
+	for i, me := range mes {
+		for _, srv := range servers {
+			srv.Register(me, "PAK")
+		}
+		body, contentType := wire.AppendSchedule(nil, me, []amigo.Task{{Kind: "dns", Config: "sim"}}), wire.ContentType
+		if i%2 == 1 {
+			body, contentType = []byte(`{"me":"`+me+`","kind":"dns","config":"sim"}`), "application/json"
+		}
+		if code := post(contentType, body); code != http.StatusOK {
+			t.Fatalf("%s (%s): HTTP %d", me, contentType, code)
+		}
+		for s, srv := range servers {
+			want := 0
+			if s == gw.Ring().Shard(me) {
+				want = 1
+			}
+			tasks, err := srv.LeaseAckInto(me, 8, 0, nil)
+			if err != nil || len(tasks) != want {
+				t.Fatalf("%s (%s): shard %d queued %d tasks (%v), want %d", me, contentType, s, len(tasks), err, want)
+			}
+		}
+	}
+	routed := func() (n int64) {
+		for s := range servers {
+			n += reg.Counter("gateway_requests_total", obs.L("shard", fmt.Sprint(s)), obs.L("route", "admin/schedule")).Value()
+		}
+		return n
+	}
+	before := routed()
+	for name, body := range map[string][]byte{
+		"empty-me":     wire.AppendSchedule(nil, "", []amigo.Task{{Kind: "dns"}}),
+		"truncated-me": {wire.Magic0, wire.Magic1, wire.Version, wire.MsgSchedule, 0, 0, 0, 2, 0x05, 'm'},
+	} {
+		if code := post(wire.ContentType, body); code != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d, want 400", name, code)
+		}
+	}
+	if n := routed() - before; n != 0 {
+		t.Errorf("%d malformed schedule frames reached a shard", n)
 	}
 }
 

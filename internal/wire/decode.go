@@ -21,6 +21,7 @@ var (
 	errTrailing     = errors.New("wire: trailing bytes after payload")
 	errBadBool      = errors.New("wire: boolean field value is not 1")
 	errCountTooBig  = errors.New("wire: record count exceeds payload size")
+	errCountBound   = errors.New("wire: task count exceeds MaxScheduleCount")
 	errIntOverflow  = errors.New("wire: varint overflows int")
 	errRecordLength = errors.New("wire: record length exceeds payload")
 )
@@ -219,12 +220,16 @@ func growResults(dst []Result, n int) []Result {
 }
 
 // Tasks decodes a MsgTasks payload, appending onto dst (pass a
-// recycled slice re-sliced to [:0] to decode allocation-free).
+// recycled slice re-sliced to [:0] to decode allocation-free). A
+// declared count over MaxScheduleCount is refused before dst grows.
 func (d *Decoder) Tasks(payload []byte, dst []Task) ([]Task, error) {
 	r := reader{b: payload}
 	n, err := r.count()
 	if err != nil {
 		return dst, err
+	}
+	if n > MaxScheduleCount {
+		return dst, errCountBound
 	}
 	base := len(dst)
 	dst = growTasks(dst, n)
@@ -241,6 +246,23 @@ func (d *Decoder) Tasks(payload []byte, dst []Task) ([]Task, error) {
 		return dst[:base], errTrailing
 	}
 	return dst, nil
+}
+
+// ScheduleME is the shard gateway's routing peek: the ME a MsgSchedule
+// payload names, its tasks left to the owning shard's handler.
+func (d *Decoder) ScheduleME(payload []byte) (string, error) {
+	me, err := (&reader{b: payload}).bytes()
+	return d.str(me), err
+}
+
+// Schedule decodes a MsgSchedule payload: the ME, and the tasks after it
+// appended onto dst as Tasks decodes them.
+func (d *Decoder) Schedule(payload []byte, dst []Task) (string, []Task, error) {
+	me, err := d.ScheduleME(payload)
+	if err == nil {
+		dst, err = d.Tasks(payload[uvarintLen(uint64(len(me)))+len(me):], dst)
+	}
+	return me, dst, err
 }
 
 func (d *Decoder) task(rec []byte, t *Task) error {

@@ -30,6 +30,12 @@ func decodeFrame(d *Decoder, frame []byte) (reencoded []byte, err error) {
 			return nil, err
 		}
 		return AppendTasks(nil, tasks), nil
+	case MsgSchedule:
+		me, tasks, err := d.Schedule(payload, nil)
+		if err != nil {
+			return nil, err
+		}
+		return AppendSchedule(nil, me, tasks), nil
 	default: // MsgResults; ParseHeader admits no other type
 		rs, err := d.Results(payload, nil)
 		if err != nil {
@@ -45,10 +51,14 @@ func fuzzSeeds(f *testing.F) {
 	f.Add(AppendTasks(nil, sampleTasks()))
 	f.Add(AppendTasks(nil, nil))
 	f.Add(AppendResults(nil, sampleResults()))
-	f.Add([]byte("R3\x03\x01\x00\x00\x00\x02\x02\x00"))     // zero-valued field
-	f.Add([]byte("R3\x03\x02\x00\x00\x00\x02\x05\x00"))     // count > payload
-	f.Add([]byte("R3\x03\x03\x00\x00\x00\x03\x01\x81\x00")) // non-minimal varint
-	f.Add([]byte("R3\x02\x01\x00\x00\x00\x00"))             // wrong version
+	f.Add(AppendSchedule(nil, "me-PAK", sampleTasks()))
+	f.Add(AppendSchedule(nil, "m", nil))
+	f.Add([]byte("R3\x03\x04\x00\x00\x00\x02\x00\x00"))      // empty ME
+	f.Add([]byte("R3\x03\x04\x00\x00\x00\x04\x01m\x05\x00")) // count > payload
+	f.Add([]byte("R3\x03\x01\x00\x00\x00\x02\x02\x00"))      // zero-valued field
+	f.Add([]byte("R3\x03\x02\x00\x00\x00\x02\x05\x00"))      // count > payload
+	f.Add([]byte("R3\x03\x03\x00\x00\x00\x03\x01\x81\x00"))  // non-minimal varint
+	f.Add([]byte("R3\x02\x01\x00\x00\x00\x00"))              // wrong version
 	f.Add([]byte{})
 }
 
@@ -82,6 +92,7 @@ func FuzzFrameDecode(f *testing.F) {
 			_, _ = d.LeaseRequest(payload)
 			_, _ = d.Tasks(payload, nil)
 			_, _ = d.Results(payload, nil)
+			_, _, _ = d.Schedule(payload, nil)
 		}
 		h, buf, err := ReadFrame(bytes.NewReader(data), nil)
 		if err != nil {

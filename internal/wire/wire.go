@@ -1,9 +1,9 @@
 // Package wire is the v3 binary wire protocol for the AmiGo control
 // plane: a length-prefixed, versioned frame codec for the batch lease
-// request/response and result-batch payloads. At fleet scale (10k+ MEs)
-// `encoding/json` would dominate the control-plane CPU profile on both
-// ends; wire packs fields with `binary.BigEndian` in the style of
-// internal/gtp — varint-packed integers and strings, explicit
+// request/response, schedule and result-batch payloads. At fleet scale
+// (10k+ MEs) `encoding/json` would dominate the control-plane CPU
+// profile on both ends; wire packs fields with `binary.BigEndian` in the
+// style of internal/gtp — varint-packed integers and strings, explicit
 // single-byte field tags. The codec carries data only: the protocol
 // semantics (ack-cursor leases, idempotency keys, 429/Retry-After
 // backpressure) live in internal/amigo, and the serial direct-call
@@ -16,7 +16,7 @@
 //	0       1      magic 'R' (0x52)
 //	1       1      magic '3' (0x33)
 //	2       1      protocol version (0x03)
-//	3       1      message type (MsgLeaseRequest / MsgTasks / MsgResults)
+//	3       1      message type (MsgLeaseRequest / MsgTasks / MsgResults / MsgSchedule)
 //	4       4      payload length, uint32 big-endian (<= MaxFrame)
 //	8       N      payload
 //
@@ -27,7 +27,8 @@
 // uvarint byte-length followed by its fields; each field is a
 // single-byte tag followed by its value. The lease-request payload is
 // one bare field sequence (no record prefix); the tasks and results
-// payloads are a uvarint record count followed by that many records.
+// payloads are a uvarint record count followed by that many records; a
+// schedule is the ME (a non-empty string) followed by the tasks payload.
 //
 // # Canonical form
 //
@@ -106,7 +107,13 @@ const (
 	MsgLeaseRequest byte = 0x01 // client -> server: LeaseRequest
 	MsgTasks        byte = 0x02 // server -> client: []Task lease response
 	MsgResults      byte = 0x03 // []Result: batch upload (client -> server), results page (server -> client)
+	MsgSchedule     byte = 0x04 // operator -> server: an ME and the []Task to queue for it
 )
+
+// MaxScheduleCount bounds the tasks of a schedule, and so of any task
+// batch; decoding refuses a larger declared count before its []Task
+// grows, so a 16 MiB frame cannot buy a 900 MB slice.
+const MaxScheduleCount = 1 << 16
 
 // ContentType is the media type v3 frames travel under; the v3 HTTP
 // handlers negotiate on it (anything else is 415) so a misdirected JSON
@@ -119,7 +126,7 @@ const ContentType = "application/vnd.amigo.v3"
 const CursorHeader = "X-Amigo-Cursor"
 
 // MaxJSONBody bounds the request body of every JSON control route
-// (register, status, the v1 result upload, requeue, admin schedule): the
+// (register, status, requeue, the single-kind admin schedule): the
 // server answers 413 past it, and the shard gateway refuses to buffer
 // more for its routing peek. v3 bodies are one frame, bounded by MaxFrame
 // from the frame header instead.
@@ -169,7 +176,7 @@ func ParseHeader(b []byte) (Header, error) {
 		return Header{}, fmt.Errorf("wire: unsupported version %d", b[2])
 	}
 	typ := b[3]
-	if typ != MsgLeaseRequest && typ != MsgTasks && typ != MsgResults {
+	if typ < MsgLeaseRequest || typ > MsgSchedule {
 		return Header{}, fmt.Errorf("wire: unknown message type 0x%02x", typ)
 	}
 	n := binary.BigEndian.Uint32(b[4:8])
@@ -272,10 +279,23 @@ func taskRecordLen(t *Task) int {
 		fieldBytesLen(len(t.Config))
 }
 
-// AppendTasks appends a complete MsgTasks frame (the lease response)
-// to dst and returns the extended slice.
+// AppendTasks appends a complete MsgTasks frame (the lease response,
+// and the schedule's reply) to dst and returns the extended slice.
 func AppendTasks(dst []byte, tasks []Task) []byte {
 	dst, start := beginFrame(dst, MsgTasks)
+	return endFrame(appendTaskRecords(dst, tasks), start)
+}
+
+// AppendSchedule appends a complete MsgSchedule frame (me's tasks) to dst.
+func AppendSchedule(dst []byte, me string, tasks []Task) []byte {
+	dst, start := beginFrame(dst, MsgSchedule)
+	dst = binary.AppendUvarint(dst, uint64(len(me)))
+	dst = append(dst, me...)
+	return endFrame(appendTaskRecords(dst, tasks), start)
+}
+
+// appendTaskRecords appends a tasks payload: a count, then the records.
+func appendTaskRecords(dst []byte, tasks []Task) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(tasks)))
 	for i := range tasks {
 		t := &tasks[i]
@@ -285,7 +305,7 @@ func AppendTasks(dst []byte, tasks []Task) []byte {
 		dst = appendFieldString(dst, tagTaskTarget, t.Target)
 		dst = appendFieldString(dst, tagTaskConfig, t.Config)
 	}
-	return endFrame(dst, start)
+	return dst
 }
 
 func resultRecordLen(r *Result) int {

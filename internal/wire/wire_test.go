@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -33,6 +34,51 @@ func TestGoldenLeaseFrame(t *testing.T) {
 	}
 	if req != (LeaseRequest{ME: "me-PAK", Max: 32, Ack: 7}) {
 		t.Fatalf("decoded %+v", req)
+	}
+}
+
+// goldenSchedule is the hand-computed frame for me-PAK's schedule of
+// one task {ID 7, dns, sim}: header R 3 0x03 0x04 len=21, then len 6 +
+// "me-PAK", count 1, and a 12-byte record: tag 1 + 0x07, tag 2 + len 3 +
+// "dns", tag 4 + len 3 + "sim".
+var goldenSchedule = []byte("R3\x03\x04\x00\x00\x00\x15" + "\x06me-PAK" + "\x01" + "\x0c" + "\x01\x07" + "\x02\x03dns" + "\x04\x03sim")
+
+func TestGoldenScheduleFrame(t *testing.T) {
+	want := []Task{{ID: 7, Kind: "dns", Config: "sim"}}
+	got := AppendSchedule(nil, "me-PAK", want)
+	if !bytes.Equal(got, goldenSchedule) {
+		t.Fatalf("golden frame mismatch:\n got %x\nwant %x", got, goldenSchedule)
+	}
+	h, err := ParseHeader(got)
+	if err != nil || h.Type != MsgSchedule || int(h.N) != len(got)-HeaderLen {
+		t.Fatalf("header = %+v (%v)", h, err)
+	}
+	d := NewDecoder()
+	me, tasks, err := d.Schedule(got[HeaderLen:], nil)
+	if err != nil || me != "me-PAK" || len(tasks) != 1 || tasks[0] != want[0] {
+		t.Fatalf("decoded %q %+v (%v)", me, tasks, err)
+	}
+	if me, err := d.ScheduleME(got[HeaderLen:]); err != nil || me != "me-PAK" {
+		t.Fatalf("ScheduleME = %q (%v)", me, err)
+	}
+}
+
+func TestScheduleRoundTrip(t *testing.T) {
+	d := NewDecoder()
+	for _, want := range [][]Task{nil, sampleTasks()} {
+		frame := AppendSchedule(nil, "me-USA-000041", want)
+		me, got, err := d.Schedule(frame[HeaderLen:], nil)
+		if err != nil || me != "me-USA-000041" || len(got) != len(want) {
+			t.Fatalf("%+v: decoded %q %+v (%v)", want, me, got, err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("task %d: got %+v want %+v", i, got[i], want[i])
+			}
+		}
+		if re := AppendSchedule(nil, me, got); !bytes.Equal(re, frame) {
+			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", re, frame)
+		}
 	}
 }
 
@@ -198,6 +244,8 @@ func TestStrictDecodeRejects(t *testing.T) {
 	lease := func(payload []byte) error { _, err := d.LeaseRequest(payload); return err }
 	tasks := func(payload []byte) error { _, err := d.Tasks(payload, nil); return err }
 	results := func(payload []byte) error { _, err := d.Results(payload, nil); return err }
+	schedule := func(payload []byte) error { _, _, err := d.Schedule(payload, nil); return err }
+	overBound := append(binary.AppendUvarint(nil, MaxScheduleCount+1), make([]byte, MaxScheduleCount+1)...)
 
 	cases := []struct {
 		name    string
@@ -218,9 +266,14 @@ func TestStrictDecodeRejects(t *testing.T) {
 		{"tasks/record-overrun", tasks, []byte{0x01, 0x09, 0x01, 0x01}, errRecordLength},
 		{"tasks/trailing", tasks, []byte{0x01, 0x00, 0xff}, errTrailing},
 		{"tasks/bad-record", tasks, []byte{0x01, 0x02, 0x01, 0x00}, errZeroField},
+		{"tasks/count-over-bound", tasks, overBound, errCountBound},
 		{"results/bad-bool", results, []byte{0x01, 0x02, 0x05, 0x02}, errBadBool},
 		{"results/zero-uploaded", results, []byte{0x01, 0x02, 0x08, 0x00}, errZeroField},
 		{"results/unknown-tag", results, []byte{0x01, 0x02, 0x09, 0x01}, errUnknownTag},
+		{"schedule/empty-me", schedule, []byte{0x00, 0x00}, errZeroField},
+		{"schedule/count-too-big", schedule, []byte{0x01, 'm', 0x05, 0x00}, errCountTooBig},
+		{"schedule/count-over-bound", schedule, append([]byte{0x01, 'm'}, overBound...), errCountBound},
+		{"schedule/trailing", schedule, []byte{0x01, 'm', 0x00, 0xff}, errTrailing},
 	}
 	for _, tc := range cases {
 		err := tc.dec(tc.payload)
@@ -268,6 +321,7 @@ func TestCodecZeroAlloc(t *testing.T) {
 	leaseFrame := AppendLeaseRequest(nil, LeaseRequest{ME: "me-PAK-000001", Max: 32, Ack: 7})
 	taskFrame := AppendTasks(nil, tasks)
 	resultFrame := AppendResults(nil, results)
+	scheduleFrame := AppendSchedule(nil, "me-PAK-000001", tasks)
 
 	d := NewDecoder()
 	// Warm the intern table and scratch capacity once.
@@ -293,6 +347,7 @@ func TestCodecZeroAlloc(t *testing.T) {
 	})
 	check("AppendTasks", func() { buf = AppendTasks(buf[:0], tasks) })
 	check("AppendResults", func() { buf = AppendResults(buf[:0], results) })
+	check("AppendSchedule", func() { buf = AppendSchedule(buf[:0], "me-PAK-000001", tasks) })
 	check("DecodeLeaseRequest", func() {
 		if _, err := d.LeaseRequest(leaseFrame[HeaderLen:]); err != nil {
 			t.Fatal(err)
@@ -300,6 +355,11 @@ func TestCodecZeroAlloc(t *testing.T) {
 	})
 	check("DecodeTasks", func() {
 		if taskDst, err = d.Tasks(taskFrame[HeaderLen:], taskDst[:0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	check("DecodeSchedule", func() {
+		if _, taskDst, err = d.Schedule(scheduleFrame[HeaderLen:], taskDst[:0]); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -76,8 +76,23 @@ LINES="$(grep -c . "$OUT")"
 # amigo-server docs give, and let one amigo-me drain them.
 URL="http://127.0.0.1:$PORT"
 curl -sf -X POST "$URL/v1/register" -d '{"me":"me-DEU","country":"DEU"}' >/dev/null
-curl -sf -X POST "$URL/admin/schedule" \
-    -d '{"me":"me-DEU","kind":"speedtest","config":"esim","count":5}' >/dev/null
+SCHED="$(curl -sf -X POST "$URL/admin/schedule" \
+    -d '{"me":"me-DEU","kind":"speedtest","config":"esim","count":5}')"
+ids="$(printf '%s' "$SCHED" | tr ',' '\n' | grep -c '[0-9]')"
+if [ "$ids" -ne 5 ]; then
+    echo "metrics-smoke: the single-kind schedule assigned $ids IDs, want 5: $SCHED" >&2
+    exit 1
+fi
+
+# A batch travels only as a v3 frame, and a schedule must name a kind:
+# both JSON bodies are refused, and queue nothing for amigo-me to run.
+for body in '{"me":"me-DEU","tasks":[{"kind":"dns","config":"sim"}]}' '{"me":"me-DEU","count":2}'; do
+    code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$URL/admin/schedule" -d "$body")"
+    if [ "$code" != 400 ]; then
+        echo "metrics-smoke: /admin/schedule answered $code to $body, want 400" >&2
+        exit 1
+    fi
+done
 "$ME_BIN" -server "$URL" -country DEU -once
 
 RESULTS="$(curl -sf "$URL/admin/results?cursor=0")"
