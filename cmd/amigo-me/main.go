@@ -1,9 +1,11 @@
 // Command amigo-me runs a measurement endpoint: it registers with an
-// amigo-server, heartbeats with device vitals, and executes whatever
+// amigo-server, reports device vitals, and executes whatever
 // instrumentation the server queues, measuring against the simulated
 // Airalo world (the rooted-phone substitute). It speaks the protocol the
 // fleet does: it leases tasks in batches of up to leaseBatch over v3
 // frames, runs them, and uploads each batch's results as one v3 frame.
+// Every tenth lease carries a heartbeat's vitals; there is no separate
+// status request.
 //
 // Usage:
 //
@@ -56,9 +58,7 @@ func main() {
 	heartbeatEvery := 10 // leases
 	for batch := 0; ; batch++ {
 		if batch%heartbeatEvery == 0 {
-			if err := ep.Heartbeat(); err != nil {
-				fatal(err)
-			}
+			ep.Heartbeat() // rides this batch's lease
 		}
 		n, err := ep.RunBatch(leaseBatch)
 		if err != nil {

@@ -48,8 +48,14 @@ func TestRegisterAndHeartbeat(t *testing.T) {
 	if got := srv.MEs(); len(got) != 1 || got[0] != "me-PAK" {
 		t.Fatalf("MEs = %v", got)
 	}
-	if err := ep.Heartbeat(); err != nil {
-		t.Fatal(err)
+	// A heartbeat is no request: its vitals reach the server on the next
+	// lease, an empty one included.
+	ep.Heartbeat()
+	if v, _ := srv.Vitals("me-PAK"); v != (Vitals{}) {
+		t.Fatalf("vitals %+v reported before any lease", v)
+	}
+	if tasks, err := ep.Lease(4); err != nil || len(tasks) != 0 {
+		t.Fatalf("lease of an empty queue = %v, %v", tasks, err)
 	}
 	v, ok := srv.Vitals("me-PAK")
 	if !ok {

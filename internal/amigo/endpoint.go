@@ -135,8 +135,9 @@ type Endpoint struct {
 	Realize bool
 
 	battery float64
-	acked   int  // highest task ID leased so far (the lease ack cursor)
-	drained bool // RunBatch uploaded a short lease: the next call returns 0 unasked
+	vitals  Vitals // sampled by Heartbeat, sent with every lease attempt until one succeeds
+	acked   int    // highest task ID leased so far (the lease ack cursor)
+	drained bool   // RunBatch uploaded a short lease: the next call returns 0 unasked
 	// scratch is the pooled buffer the payloads of the batch being run are
 	// encoded into, one after another in task order; seal moves them onto
 	// the batch's own slab and hands it back (nil between batches).
@@ -161,7 +162,7 @@ type epMetrics struct {
 
 var (
 	epPaths = []string{
-		"/v1/register", "/v1/status", "/v2/tasks/requeue", "/v3/tasks/lease", "/v3/results",
+		"/v1/register", "/v2/tasks/requeue", "/v3/tasks/lease", "/v3/results",
 	}
 	taskKinds = []string{"speedtest", "mtr", "cdn", "dns", "video", "other"}
 )
@@ -171,6 +172,9 @@ var (
 // exactly once even with concurrent first calls.
 func (e *Endpoint) metrics() *epMetrics {
 	e.metOnce.Do(func() {
+		if e.Obs == nil {
+			return // the zero epMetrics: every lookup misses into a nil no-op handle
+		}
 		m := &e.met
 		m.requests = make(map[string]*obs.Counter, len(epPaths))
 		for _, p := range epPaths {
@@ -182,18 +186,16 @@ func (e *Endpoint) metrics() *epMetrics {
 		for _, k := range taskKinds {
 			m.exec[k] = e.Obs.Histogram("amigo_endpoint_task_exec_ms", obs.L("kind", k))
 		}
-		if e.Obs != nil {
-			connNew := e.Obs.Counter("amigo_endpoint_connections_total", obs.L("reused", "false"))
-			connReused := e.Obs.Counter("amigo_endpoint_connections_total", obs.L("reused", "true"))
-			m.connTrace = &httptrace.ClientTrace{
-				GotConn: func(info httptrace.GotConnInfo) {
-					if info.Reused {
-						connReused.Add(1)
-					} else {
-						connNew.Add(1)
-					}
-				},
-			}
+		connNew := e.Obs.Counter("amigo_endpoint_connections_total", obs.L("reused", "false"))
+		connReused := e.Obs.Counter("amigo_endpoint_connections_total", obs.L("reused", "true"))
+		m.connTrace = &httptrace.ClientTrace{
+			GotConn: func(info httptrace.GotConnInfo) {
+				if info.Reused {
+					connReused.Add(1)
+				} else {
+					connNew.Add(1)
+				}
+			},
 		}
 	})
 	return &e.met
@@ -309,34 +311,36 @@ func (e *Endpoint) Register() error {
 	})
 }
 
-// Heartbeat reports current vitals, sampling the radio of the eSIM side.
-func (e *Endpoint) Heartbeat() error {
+// Heartbeat samples current vitals, the radio of the eSIM side, and keeps
+// them for the next lease to report.
+func (e *Endpoint) Heartbeat() {
 	e.battery -= 0.002 // measurement drains the battery
 	if e.battery < 0.05 {
 		e.battery = 1 // the volunteer charged the phone
 	}
 	radio := e.Dep.Spec.RadioESIM.Sample(e.Src)
-	v := Vitals{
+	e.vitals = Vitals{
 		Battery: e.battery, RSSI: radio.RSSI, SNR: radio.SNR,
 		CQI: radio.CQI, RAT: string(radio.RAT), ActiveID: "esim",
 	}
-	return e.retry("/v1/status", func(ctx context.Context, t Transport) error {
-		return t.Heartbeat(ctx, e.Name, v)
-	})
 }
 
 // Lease asks the server for up to max tasks, acknowledging everything
 // leased so far (the server retires acked tasks and re-delivers unacked
 // ones, so a lease response lost to a fault is recovered on the next
-// call). An empty slice means the queue is drained.
+// call), and reports the vitals of the last Heartbeat if no lease has
+// yet. An empty slice means the queue is drained.
 func (e *Endpoint) Lease(max int) ([]Task, error) {
 	var tasks []Task
 	err := e.retry("lease", func(ctx context.Context, t Transport) (err error) {
-		tasks, err = t.Lease(ctx, e.Name, max, e.acked)
+		tasks, err = t.Lease(ctx, e.Name, max, e.acked, e.vitals)
 		return err
 	})
-	if n := len(tasks); n > 0 && err == nil {
-		e.acked = tasks[n-1].ID
+	if err == nil {
+		e.vitals = Vitals{}
+		if n := len(tasks); n > 0 {
+			e.acked = tasks[n-1].ID
+		}
 	}
 	return tasks, err
 }
@@ -409,6 +413,7 @@ func fnv1a[T string | []byte](h uint64, s T) uint64 {
 // once they are uploaded the next call returns 0 without a request, and
 // the one after leases again — how a polling ME sees new work. The
 // skipped lease would only have acked the final batch (Server.LeaseAckInto).
+// Vitals from a Heartbeat in between are never skipped: they ride a lease.
 //
 // With Realize the batch's summed network time is spent in one wait before
 // the upload: nothing of an ME is observable between two tasks of a lease
@@ -418,7 +423,9 @@ func fnv1a[T string | []byte](h uint64, s T) uint64 {
 func (e *Endpoint) RunBatch(max int) (int, error) {
 	if e.drained {
 		e.drained = false
-		return 0, nil
+		if e.vitals.IsZero() {
+			return 0, nil
+		}
 	}
 	tasks, err := e.Lease(max)
 	if err != nil || len(tasks) == 0 {

@@ -95,9 +95,9 @@ type countingTransport struct {
 	leases, uploads int
 }
 
-func (c *countingTransport) Lease(ctx context.Context, me string, max, ack int) ([]Task, error) {
+func (c *countingTransport) Lease(ctx context.Context, me string, max, ack int, v Vitals) ([]Task, error) {
 	c.leases++
-	return c.Transport.Lease(ctx, me, max, ack)
+	return c.Transport.Lease(ctx, me, max, ack, v)
 }
 
 func (c *countingTransport) Upload(ctx context.Context, key string, results []Result) error {
@@ -187,6 +187,38 @@ func TestRunBatchSkipsConfirmingLease(t *testing.T) {
 			}
 			if n, err := ep.RunBatch(32); n != 0 || err != nil || ct.leases != 2 {
 				t.Fatalf("RunBatch after the re-leased short batch = %d, %v after %d leases; want 0 unasked", n, err, ct.leases)
+			}
+		})
+	}
+}
+
+// TestRunBatchDrainedCarriesVitals: the drained shortcut never drops a
+// heartbeat. After a short lease, vitals sampled in between make the next
+// RunBatch lease once — reporting them — and return 0; the call after
+// that leases normally again, as it would have without vitals.
+func TestRunBatchDrainedCarriesVitals(t *testing.T) {
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			srv := NewServer(nil)
+			ep := &Endpoint{Name: "me", Dep: world(t).Deployments["PAK"], Src: rng.New(5), Retry: fastRetry, battery: 1}
+			ct := countRequests(t, tr.bind, srv, ep)
+			srv.Register("me", "PAK")
+			if _, err := srv.ScheduleBatch("me", make([]Task, 3)); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := ep.RunBatch(32); n != 3 || err != nil || ct.leases != 1 {
+				t.Fatalf("RunBatch = %d, %v after %d leases; want the 3 in one lease", n, err, ct.leases)
+			}
+			ep.Heartbeat()
+			want := ep.vitals
+			if n, err := ep.RunBatch(32); n != 0 || err != nil || ct.leases != 2 {
+				t.Fatalf("drained RunBatch with vitals pending = %d, %v after %d leases; want 0 after one more lease", n, err, ct.leases)
+			}
+			if got, _ := srv.Vitals("me"); got != want || !ep.vitals.IsZero() {
+				t.Fatalf("server vitals %+v, pending %+v; want %+v reported and none pending", got, ep.vitals, want)
+			}
+			if n, err := ep.RunBatch(32); n != 0 || err != nil || ct.leases != 3 {
+				t.Fatalf("RunBatch after the vitals lease = %d, %v after %d leases; want an ordinary lease", n, err, ct.leases)
 			}
 		})
 	}

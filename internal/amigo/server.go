@@ -5,8 +5,8 @@
 //
 // The paper's MEs were rooted Samsung S21+ phones running termux; here
 // the ME drives sessions of the simulated world instead of a radio, but
-// the control-plane protocol — register, heartbeat with vitals, lease
-// tasks, upload observations — is the same shape, over real HTTP. An
+// the control-plane protocol — register, report vitals, lease tasks,
+// upload observations — is the same shape, over real HTTP. An
 // Endpoint reaches the server through a Transport: the routes below, or
 // DirectTransport calling the Server methods behind them — what the
 // serial reference campaign (fleet.RunInProcess) runs on, so the oracle
@@ -14,20 +14,23 @@
 //
 // # Protocol
 //
-// The control calls every ME makes once per incarnation are JSON:
+// The one control call every ME makes once per incarnation is JSON:
 //
 //	POST /v1/register   {"me": ..., "country": ...}
-//	POST /v1/status     {"me": ..., "vitals": {...}}
 //
-// Tasks and results travel only over the v3 batch surface, which the
-// fleet (see internal/fleet) and the standalone amigo-me both speak: an
-// ME leases up to K tasks in one round trip and uploads their results as
-// one batch (Endpoint.RunBatch). Bodies are internal/wire frames (see
+// Tasks, results and vitals travel only over the v3 batch surface, which
+// the fleet (see internal/fleet) and the standalone amigo-me both speak:
+// an ME leases up to K tasks in one round trip and uploads their results
+// as one batch (Endpoint.RunBatch). Bodies are internal/wire frames (see
 // DESIGN.md "v3 wire format") and requests must carry Content-Type
 // application/vnd.amigo.v3 (else 415):
 //
 //	POST /v3/tasks/lease   MsgLeaseRequest frame -> MsgTasks frame (204 if none)
 //	POST /v3/results       MsgResults frame      -> 204, or 429 + Retry-After
+//
+// A heartbeat is not a request: Endpoint.Heartbeat samples the ME's
+// vitals and its next lease carries them (ReportVitals, then the lease;
+// 404 for an unknown ME, which leases nothing).
 //
 // Batch delivery is at-least-once and loss-tolerant: the lease request's
 // Ack acknowledges every previously delivered task ID <= Ack, and
@@ -79,16 +82,6 @@ import (
 	"roamsim/internal/wire"
 )
 
-// Vitals are the device-health metrics an ME reports with heartbeats.
-type Vitals struct {
-	Battery  float64 `json:"battery"`   // 0..1
-	RSSI     float64 `json:"rssi"`      // dBm
-	SNR      float64 `json:"snr"`       // dB
-	CQI      int     `json:"cqi"`       //
-	RAT      string  `json:"rat"`       // "4G" / "5G"
-	ActiveID string  `json:"active_id"` // active SIM profile ("sim"/"esim")
-}
-
 // Task is one instrumentation command for an ME. The struct lives in
 // internal/wire (aliased here) so the JSON (v1) and binary (v3) codecs
 // share one canonical definition.
@@ -97,6 +90,10 @@ type Task = wire.Task
 // Result is an uploaded observation (canonical struct in
 // internal/wire, see Task).
 type Result = wire.Result
+
+// Vitals are the device-health metrics an ME reports on its next lease
+// (canonical struct in internal/wire, see Task).
+type Vitals = wire.Vitals
 
 // ErrSpoolFull is returned by Submit when the bounded result spool has
 // no room for a batch; HTTP handlers translate it to 429 + Retry-After.
@@ -287,7 +284,8 @@ func (s *Server) Register(me, country string) {
 func unknownME(me string) error { return fmt.Errorf("amigo: unknown ME %q: %w", me, ErrUnknownME) }
 
 // ReportVitals records a heartbeat: the ME's latest vitals and when it
-// was last seen.
+// was last seen. A lease carries them here (leaseVitals); reporting the
+// same vitals again changes nothing.
 func (s *Server) ReportVitals(me string, v Vitals) error {
 	sh := s.shardFor(me)
 	sh.mu.Lock()
@@ -387,6 +385,18 @@ func (s *Server) LeaseAckInto(me string, max, ack int, dst []Task) ([]Task, erro
 	}
 	s.met.leased.Add(int64(n))
 	return dst, nil
+}
+
+// leaseVitals is a lease as both transports serve it: the vitals it
+// carries, unless zero, are reported first (an unknown ME fails there,
+// leasing nothing), then LeaseAckInto.
+func (s *Server) leaseVitals(me string, max, ack int, v Vitals, dst []Task) ([]Task, error) {
+	if !v.IsZero() {
+		if err := s.ReportVitals(me, v); err != nil {
+			return dst, err
+		}
+	}
+	return s.LeaseAckInto(me, max, ack, dst)
 }
 
 // Requeue restores the ME's full schedule — acknowledged, outstanding
@@ -745,17 +755,6 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		s.Register(req.ME, req.Country)
-		w.WriteHeader(http.StatusNoContent)
-	})
-	s.instrument(mux, "POST /v1/status", func(w http.ResponseWriter, r *http.Request) {
-		var req statusBody
-		if !decodeJSON(w, r, &req, "bad status") {
-			return
-		}
-		if err := s.ReportVitals(req.ME, req.Vitals); err != nil {
-			rejectErr(w, err)
-			return
-		}
 		w.WriteHeader(http.StatusNoContent)
 	})
 	s.instrument(mux, "POST /v2/tasks/requeue", func(w http.ResponseWriter, r *http.Request) {

@@ -130,8 +130,8 @@ func TestJSONRoutesBoundBodies(t *testing.T) {
 		h    http.Handler
 		path string
 	}{
-		{srv.Handler(), "/v1/register"}, {srv.Handler(), "/v1/status"},
-		{srv.Handler(), "/v2/tasks/requeue"}, {srv.AdminHandler(), "/admin/schedule"},
+		{srv.Handler(), "/v1/register"}, {srv.Handler(), "/v2/tasks/requeue"},
+		{srv.AdminHandler(), "/admin/schedule"},
 	} {
 		req := httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(`{"me":"me-PAK"}`))
 		req.ContentLength = wire.MaxJSONBody + 1

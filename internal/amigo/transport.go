@@ -13,7 +13,7 @@ import (
 	"roamsim/internal/wire"
 )
 
-// Transport carries one attempt of each of the ME's five control-plane
+// Transport carries one attempt of each of the ME's four control-plane
 // operations. An attempt returns nil, a Retryable, or a permanent error
 // (one wrapping ErrUnknownME when the server does not know the ME);
 // Endpoint.retry is the one backoff, give-up and idempotency layer above
@@ -21,12 +21,11 @@ import (
 // protocols: HTTP (a nil Endpoint.Transport) and DirectTransport.
 type Transport interface {
 	Register(ctx context.Context, me, country string) error
-	Heartbeat(ctx context.Context, me string, v Vitals) error
-	// Lease acknowledges every delivered task ID <= ack and returns up to
-	// max tasks (max clamped to [1, maxLeaseBatch]), none once the queue is
-	// drained, and fewer than max only when they are all the ME has left
-	// (Server.LeaseAckInto).
-	Lease(ctx context.Context, me string, max, ack int) ([]Task, error)
+	// Lease reports v unless it is zero, then acknowledges every
+	// delivered task ID <= ack and returns up to max tasks (max clamped to
+	// [1, maxLeaseBatch]), none once the queue is drained, and fewer than
+	// max only when they are all the ME has left (Server.leaseVitals).
+	Lease(ctx context.Context, me string, max, ack int, v Vitals) ([]Task, error)
 	// Upload submits a batch under its idempotency key (Server.SubmitKeyed).
 	Upload(ctx context.Context, key string, results []Result) error
 	Requeue(ctx context.Context, me string) error
@@ -54,12 +53,8 @@ func (d DirectTransport) Register(_ context.Context, me, country string) error {
 	return nil
 }
 
-func (d DirectTransport) Heartbeat(_ context.Context, me string, v Vitals) error {
-	return d.Server.ReportVitals(me, v)
-}
-
-func (d DirectTransport) Lease(_ context.Context, me string, max, ack int) ([]Task, error) {
-	return d.Server.LeaseAckInto(me, min(max, maxLeaseBatch), ack, nil)
+func (d DirectTransport) Lease(_ context.Context, me string, max, ack int, v Vitals) ([]Task, error) {
+	return d.Server.leaseVitals(me, min(max, maxLeaseBatch), ack, v, nil)
 }
 
 // Upload reports a full spool as the Retryable its 429 is over HTTP.
@@ -89,10 +84,6 @@ type (
 		Country string `json:"country"`
 		ME      string `json:"me"`
 	}
-	statusBody struct {
-		ME     string `json:"me"`
-		Vitals Vitals `json:"vitals"`
-	}
 	requeueBody struct {
 		ME string `json:"me"`
 	}
@@ -100,10 +91,6 @@ type (
 
 func (t *httpTransport) Register(ctx context.Context, me, country string) error {
 	return t.postJSON(ctx, "/v1/register", registerBody{country, me})
-}
-
-func (t *httpTransport) Heartbeat(ctx context.Context, me string, v Vitals) error {
-	return t.postJSON(ctx, "/v1/status", statusBody{me, v})
 }
 
 func (t *httpTransport) Requeue(ctx context.Context, me string) error {
@@ -133,10 +120,10 @@ func (t *httpTransport) Upload(ctx context.Context, key string, results []Result
 	return err
 }
 
-func (t *httpTransport) Lease(ctx context.Context, me string, max, ack int) ([]Task, error) {
+func (t *httpTransport) Lease(ctx context.Context, me string, max, ack int, v Vitals) ([]Task, error) {
 	ebuf := wire.GetBuf()
 	defer wire.PutBuf(ebuf)
-	*ebuf = wire.AppendLeaseRequest((*ebuf)[:0], wire.LeaseRequest{ME: me, Max: max, Ack: ack})
+	*ebuf = wire.AppendLeaseRequest((*ebuf)[:0], wire.LeaseRequest{ME: me, Max: max, Ack: ack, Vitals: v})
 	resp, err := t.post(ctx, "/v3/tasks/lease", wire.ContentType, *ebuf, "")
 	if err != nil {
 		return nil, err

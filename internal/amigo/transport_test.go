@@ -47,10 +47,11 @@ func retries(reg *obs.Registry, op string) int64 {
 
 // TestTransportUnknownME: against a server that has never heard of the
 // ME, every operation that consults the registry fails with ErrUnknownME
-// after exactly one attempt, on both transports. Register and Upload
-// cannot report it — registering is what makes an ME known, and the
-// result spool is not keyed by the registry — so for those the test pins
-// that both transports agree on success.
+// after exactly one attempt, on both transports — a lease carrying vitals
+// too, which keeps them pending. Register and Upload cannot report it —
+// registering is what makes an ME known, and the result spool is not
+// keyed by the registry — so for those the test pins that both
+// transports agree on success.
 func TestTransportUnknownME(t *testing.T) {
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
@@ -58,17 +59,17 @@ func TestTransportUnknownME(t *testing.T) {
 			ep := &Endpoint{Name: "ghost", Dep: world(t).Deployments["PAK"], Src: rng.New(5), Obs: reg, Retry: fastRetry}
 			tr.bind(t, srv, ep)
 			for _, op := range []struct {
-				label string
-				run   func() error
+				label, op string
+				run       func() error
 			}{
-				{"/v1/status", ep.Heartbeat},
-				{"lease", func() error { _, err := ep.Lease(4); return err }},
-				{"/v2/tasks/requeue", ep.Redeliver},
+				{"lease", "lease", func() error { _, err := ep.Lease(4); return err }},
+				{"lease with vitals", "lease", func() error { ep.Heartbeat(); _, err := ep.Lease(4); return err }},
+				{"requeue", "/v2/tasks/requeue", ep.Redeliver},
 			} {
 				if err := op.run(); !errors.Is(err, ErrUnknownME) {
 					t.Errorf("%s by an unregistered ME: %v, want ErrUnknownME", op.label, err)
 				}
-				if n := retries(reg, op.label); n != 0 {
+				if n := retries(reg, op.op); n != 0 {
 					t.Errorf("%s: unknown ME was retried %d times; it is permanent", op.label, n)
 				}
 			}
@@ -81,8 +82,14 @@ func TestTransportUnknownME(t *testing.T) {
 			if err := ep.Register(); err != nil {
 				t.Fatal(err)
 			}
-			if err := ep.Heartbeat(); err != nil {
-				t.Errorf("heartbeat once registered: %v", err)
+			if ep.vitals.IsZero() {
+				t.Fatal("vitals dropped by a failed lease")
+			}
+			if _, err := ep.Lease(4); err != nil {
+				t.Errorf("lease once registered: %v", err)
+			}
+			if _, ok := srv.Vitals("ghost"); !ok || !ep.vitals.IsZero() {
+				t.Errorf("vitals not reported by the lease once registered")
 			}
 		})
 	}
@@ -245,10 +252,9 @@ func TestJSONBodiesMatchMapMarshal(t *testing.T) {
 	}))
 	defer hs.Close()
 	const me = "me-<&>\"é\u2028"
-	v := Vitals{Battery: 0.998, RSSI: -91.25, SNR: 3.5, CQI: 7, RAT: "5G", ActiveID: "esim"}
 	tr := &httpTransport{BaseURL: hs.URL, Client: hs.Client()}
 	ctx := context.Background()
-	for _, err := range []error{tr.Register(ctx, me, "PAK"), tr.Heartbeat(ctx, me, v), tr.Requeue(ctx, me)} {
+	for _, err := range []error{tr.Register(ctx, me, "PAK"), tr.Requeue(ctx, me)} {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +283,6 @@ func TestJSONBodiesMatchMapMarshal(t *testing.T) {
 		old  any
 	}{
 		{"register", bodies["/v1/register"], map[string]string{"me": me, "country": "PAK"}},
-		{"heartbeat", bodies["/v1/status"], map[string]any{"me": me, "vitals": v}},
 		{"requeue", bodies["/v2/tasks/requeue"], map[string]string{"me": me}},
 		{"schedule response", bytes.TrimSuffix(scheduled, []byte("\n")), map[string]any{"task_ids": []int{1, 2, 3}}},
 	} {
@@ -296,19 +301,24 @@ func TestJSONBodiesMatchMapMarshal(t *testing.T) {
 // net/http included, allocates no more than it did before the Transport
 // seam went in under Endpoint. The bounds were measured at the parent
 // commit b342c6f (170 without a registry, 172 with one); this tree
-// measures one fewer, the same in 30 runs of 30. Not under -race: there
-// sync.Pool drops entries at random and the count wanders by ±1.
+// measures 168 and 170. A lease carrying vitals costs what a bare lease
+// costs: the row "vitals" must not count more than "bare". Not under
+// -race: there sync.Pool drops entries at random and the count wanders
+// by ±1.
 func TestEndpointHTTPAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not deterministic under the race detector")
 	}
+	var bare float64
 	for _, tc := range []struct {
-		name  string
-		reg   *obs.Registry
-		bound float64
+		name   string
+		reg    *obs.Registry
+		bound  float64
+		vitals Vitals
 	}{
-		{"bare", nil, 170},
-		{"obs", obs.NewRegistry(), 172},
+		{"bare", nil, 170, Vitals{}},
+		{"obs", obs.NewRegistry(), 172, Vitals{}},
+		{"vitals", nil, 170, Vitals{Battery: 0.998, RSSI: -91.25, SNR: 3.5, CQI: 7, RAT: "5G", ActiveID: "esim"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const runs, batch = 300, 8
@@ -324,6 +334,7 @@ func TestEndpointHTTPAllocs(t *testing.T) {
 			results := make([]Result, 0, batch)
 			payload := []byte(`{"resolver":"8.8.8.8"}`)
 			allocs := testing.AllocsPerRun(runs, func() {
+				ep.vitals = tc.vitals
 				leased, err := ep.Lease(batch)
 				if err != nil || len(leased) != batch {
 					t.Fatalf("lease: %d tasks, %v", len(leased), err)
@@ -340,6 +351,31 @@ func TestEndpointHTTPAllocs(t *testing.T) {
 			if allocs > tc.bound {
 				t.Errorf("lease+upload over HTTP allocates %.0f times, want <= %.0f (the parent commit)", allocs, tc.bound)
 			}
+			switch tc.name {
+			case "bare":
+				bare = allocs
+			case "vitals":
+				if v, _ := srv.Vitals("me"); v != tc.vitals {
+					t.Errorf("server holds vitals %+v, want %+v", v, tc.vitals)
+				}
+				if allocs > bare {
+					t.Errorf("a lease carrying vitals allocates %.0f times, a bare one %.0f", allocs, bare)
+				}
+			}
 		})
+	}
+}
+
+// TestEndpointWithoutRegistryBuildsNoMetrics: with Obs nil every metric
+// handle is a nil no-op, so an Endpoint builds none of its handle maps —
+// a fleet campaign makes a fresh Endpoint per ME incarnation.
+func TestEndpointWithoutRegistryBuildsNoMetrics(t *testing.T) {
+	eps := make([]Endpoint, 101)
+	i := 0
+	if n := testing.AllocsPerRun(100, func() { eps[i].metrics(); i++ }); n != 0 {
+		t.Errorf("first metrics() of an Endpoint without a registry allocates %v times, want 0", n)
+	}
+	if m := eps[0].metrics(); m.requests != nil || m.exec != nil || m.connTrace != nil {
+		t.Errorf("handles built without a registry: %+v", m)
 	}
 }

@@ -22,7 +22,6 @@ import (
 // gateway_requests_total{route=...} label.
 const (
 	routeV1Register = iota
-	routeV1Status
 	routeV2Requeue
 	routeV3Lease
 	routeV3Results
@@ -32,7 +31,6 @@ const (
 
 var routeNames = [numRoutes]string{
 	routeV1Register:    "v1/register",
-	routeV1Status:      "v1/status",
 	routeV2Requeue:     "v2/requeue",
 	routeV3Lease:       "v3/lease",
 	routeV3Results:     "v3/results",
@@ -191,7 +189,6 @@ func (g *Gateway) buildMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	// Data plane: peek the ME, forward whole to its shard.
 	mux.HandleFunc("POST /v1/register", g.routeJSON(routeV1Register))
-	mux.HandleFunc("POST /v1/status", g.routeJSON(routeV1Status))
 	mux.HandleFunc("POST /v2/tasks/requeue", g.routeJSON(routeV2Requeue))
 	mux.HandleFunc("POST /v3/tasks/lease", g.routeV3(routeV3Lease))
 	mux.HandleFunc("POST /v3/results", g.routeV3(routeV3Results))
@@ -257,11 +254,6 @@ func (g *Gateway) forwardBody(w http.ResponseWriter, r *http.Request, b *pooledB
 	t.backends[shard].ServeHTTP(w, r)
 }
 
-// maxPresize is how much of a declared Content-Length the gateway
-// allocates before the bytes arrive; a longer body grows the buffer as
-// it is read, so a client cannot reserve 64 MiB with a header.
-const maxPresize = 1 << 20
-
 // readJSONBody reads the whole (bounded) request body into b's buffer,
 // sized from Content-Length when the client declared one. It answers
 // 400 / 413 itself and reports whether the body is ready.
@@ -272,7 +264,7 @@ func readJSONBody(w http.ResponseWriter, r *http.Request, b *pooledBody) bool {
 	}
 	// One spare byte lets the read that discovers EOF land without
 	// growing the buffer.
-	buf := slices.Grow((*b.buf)[:0], int(min(r.ContentLength, maxPresize))+1)
+	buf := slices.Grow((*b.buf)[:0], int(r.ContentLength)+1)
 	for {
 		if len(buf) == cap(buf) {
 			buf = slices.Grow(buf, 1)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -156,7 +157,7 @@ func TestGatewayV3BodyShapes(t *testing.T) {
 // declaring more than wire.MaxFrame is refused from the header alone —
 // the body here is nothing but that header, so a gateway that went on to
 // read the payload would block or fail differently — and a JSON body
-// declaring more than the 64 MiB cap is refused from Content-Length.
+// declaring more than wire.MaxJSONBody is refused from Content-Length.
 func TestGatewayOversizedBodiesRefusedFromTheirLength(t *testing.T) {
 	gw, _, _ := shardSet(t, 1)
 	frame := wire.AppendResults(nil, []wire.Result{{TaskID: 1, ME: "m"}})
@@ -180,15 +181,43 @@ func TestGatewayOversizedBodiesRefusedFromTheirLength(t *testing.T) {
 	}
 }
 
+// TestJSONControlBodyBound: a 1 MiB register — a body actually sent,
+// declared or chunked, not just a Content-Length — answers 413 from a
+// bare server and through the gateway, and registers nothing.
+func TestJSONControlBodyBound(t *testing.T) {
+	body := []byte(`{"me":"` + strings.Repeat("x", 1<<20) + `","country":"PAK"}`)
+	for _, chunked := range []bool{false, true} {
+		srv := amigo.NewServer(nil)
+		bare := httptest.NewServer(srv.Handler())
+		_, servers, gwHS := shardSet(t, 2)
+		for _, c := range []struct {
+			name string
+			url  string
+			mes  func() int
+		}{
+			{"server", bare.URL, func() int { return len(srv.MEs()) }},
+			{"gateway", gwHS.URL, func() int { return len(servers[0].MEs()) + len(servers[1].MEs()) }},
+		} {
+			if got := post(t, c.url+"/v1/register", "application/json", body, chunked); got != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s (chunked %v): a 1 MiB register answered %d, want 413", c.name, chunked, got)
+			}
+			if n := c.mes(); n != 0 {
+				t.Errorf("%s (chunked %v): %d MEs registered by a refused body", c.name, chunked, n)
+			}
+		}
+		bare.Close()
+	}
+}
+
 // TestGatewayJSONBodyShapes: the JSON routes' pooled read hands the
 // shard the client's exact bytes whether or not the length was
-// declared, including a body that outgrows the pooled buffer and one
-// longer than the gateway presizes from a declared length.
+// declared, including a body that outgrows the pooled buffer and one of
+// exactly wire.MaxJSONBody bytes, the longest accepted.
 func TestGatewayJSONBodyShapes(t *testing.T) {
 	padded := func(n int) []byte {
 		return []byte(`{"me":"PAK-00","country":"` + string(bytes.Repeat([]byte{'x'}, n)) + `"}`)
 	}
-	big, huge := padded(100<<10), padded(maxPresize+maxPresize/2)
+	big, atBound := padded(48<<10), padded(wire.MaxJSONBody-len(padded(0)))
 	for _, tc := range []struct {
 		name    string
 		body    []byte
@@ -199,7 +228,8 @@ func TestGatewayJSONBodyShapes(t *testing.T) {
 		{"chunked", []byte(`{"me":"PAK-00","country":"PAK"}`), true, http.StatusNoContent},
 		{"declared-over-pooled-buffer", big, false, http.StatusNoContent},
 		{"chunked-over-pooled-buffer", big, true, http.StatusNoContent},
-		{"declared-over-presize", huge, false, http.StatusNoContent},
+		{"declared-at-bound", atBound, false, http.StatusNoContent},
+		{"chunked-at-bound", atBound, true, http.StatusNoContent},
 		{"empty", nil, false, http.StatusBadRequest},
 		{"not-json", []byte("me=PAK-00"), false, http.StatusBadRequest},
 	} {

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"roamsim/internal/amigo"
@@ -224,6 +225,56 @@ func TestGatewayRoutesScheduleForms(t *testing.T) {
 	}
 }
 
+// TestGatewayRoutesLeaseVitals: a lease carrying vitals reaches the ME's
+// ring shard, which records them, even though every shard knows every ME;
+// POST /v1/status, which vitals replaced, is not routed to any shard.
+func TestGatewayRoutesLeaseVitals(t *testing.T) {
+	gw, servers, hs := shardSet(t, 4)
+	mes := []string{"PAK-00", "GEO-00", "USA-00", "USA-01", "DEU-00", "DEU-01"}
+	for i, me := range mes {
+		for _, srv := range servers {
+			srv.Register(me, "PAK")
+		}
+		v := amigo.Vitals{Battery: 0.5, RSSI: -90 - float64(i), CQI: 9, RAT: "5G", ActiveID: "esim"}
+		lease := wire.AppendLeaseRequest(nil, wire.LeaseRequest{ME: me, Max: 1, Vitals: v})
+		resp, err := http.Post(hs.URL+"/v3/tasks/lease", wire.ContentType, bytes.NewReader(lease))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("%s: lease with vitals: HTTP %d, want 204", me, resp.StatusCode)
+		}
+		for s, srv := range servers {
+			want := amigo.Vitals{}
+			if s == gw.Ring().Shard(me) {
+				want = v
+			}
+			if got, _ := srv.Vitals(me); got != want {
+				t.Fatalf("%s: shard %d holds vitals %+v, want %+v", me, s, got, want)
+			}
+		}
+	}
+	reg := gw.obs
+	routed := func() (n int64) {
+		for s := range servers {
+			for _, name := range routeNames {
+				n += reg.Counter("gateway_requests_total", obs.L("shard", fmt.Sprint(s)), obs.L("route", name)).Value()
+			}
+		}
+		return n
+	}
+	before := routed()
+	resp, err := http.Post(hs.URL+"/v1/status", "application/json", strings.NewReader(`{"me":"PAK-00","vitals":{"cqi":1}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || routed() != before {
+		t.Errorf("POST /v1/status: HTTP %d, %d requests routed; want 404 and none", resp.StatusCode, routed()-before)
+	}
+}
+
 func TestGatewayMergedResultsPagination(t *testing.T) {
 	gw, servers, hs := shardSet(t, 3)
 	mes := []string{"PAK-00", "GEO-00", "USA-00", "FRA-00", "JPN-00"}
@@ -381,7 +432,6 @@ func TestGatewayRouteCounters(t *testing.T) {
 		label                     string
 	}{
 		{"POST", "/v1/register", jsonCT, []byte(`{"me":"m","country":"PAK"}`), "v1/register"},
-		{"POST", "/v1/status", jsonCT, []byte(`{"me":"m","vitals":{}}`), "v1/status"},
 		{"POST", "/v2/tasks/requeue", jsonCT, []byte(`{"me":"m"}`), "v2/requeue"},
 		{"POST", "/v3/tasks/lease", wire.ContentType, lease, "v3/lease"},
 		{"POST", "/v3/results", wire.ContentType, results, "v3/results"},

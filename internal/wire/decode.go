@@ -63,20 +63,34 @@ func (r *reader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-// uint reads a uvarint that must fit in a non-negative int and must
-// not be zero (canonical form omits zero fields).
-func (r *reader) uint() (int, error) {
+// nonzero reads a uvarint field value, which must not be zero
+// (canonical form omits zero fields).
+func (r *reader) nonzero() (uint64, error) {
 	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
+	if err == nil && v == 0 {
+		err = errZeroField
 	}
-	if v == 0 {
-		return 0, errZeroField
+	return v, err
+}
+
+// uint reads a non-zero uvarint that must fit in a non-negative int.
+func (r *reader) uint() (int, error) {
+	v, err := r.nonzero()
+	if err == nil && v > math.MaxInt64 {
+		err = errIntOverflow
 	}
-	if v > math.MaxInt64 {
-		return 0, errIntOverflow
+	return int(v), err
+}
+
+// tag reads the next field tag, which must be above the last one read.
+func (r *reader) tag(last *byte) (byte, error) {
+	tag := r.b[r.off]
+	r.off++
+	if tag <= *last {
+		return 0, errTagOrder
 	}
-	return int(v), nil
+	*last = tag
+	return tag, nil
 }
 
 // bytes reads a uvarint length followed by that many raw bytes,
@@ -116,21 +130,22 @@ func NewDecoder() *Decoder {
 	return &Decoder{intern: make(map[string]string, 64)}
 }
 
-// str interns b as a string. The map lookup keyed by string(b) does
-// not allocate (the compiler elides the conversion); only the first
-// sighting of a distinct string pays for a copy.
-func (d *Decoder) str(b []byte) string {
+// str reads a string field and interns it. The map lookup keyed by
+// string(b) does not allocate (the compiler elides the conversion); only
+// the first sighting of a distinct string pays for a copy.
+func (d *Decoder) str(r *reader) (string, error) {
+	b, err := r.bytes()
 	if len(b) == 0 {
-		return ""
+		return "", err
 	}
 	if s, ok := d.intern[string(b)]; ok {
-		return s
+		return s, nil
 	}
 	s := string(b)
 	if len(d.intern) < maxIntern {
 		d.intern[s] = s
 	}
-	return s
+	return s, nil
 }
 
 // LeaseRequest decodes a MsgLeaseRequest payload. Strings are
@@ -138,25 +153,23 @@ func (d *Decoder) str(b []byte) string {
 func (d *Decoder) LeaseRequest(payload []byte) (LeaseRequest, error) {
 	r := reader{b: payload}
 	var req LeaseRequest
-	last := byte(0)
-	for r.rem() > 0 {
-		tag := r.b[r.off]
-		r.off++
-		if tag <= last {
-			return LeaseRequest{}, errTagOrder
+	for last := byte(0); r.rem() > 0; {
+		tag, err := r.tag(&last)
+		if err != nil {
+			return LeaseRequest{}, err
 		}
-		last = tag
-		var err error
+		var b []byte
 		switch tag {
 		case tagLeaseME:
-			var b []byte
-			if b, err = r.bytes(); err == nil {
-				req.ME = d.str(b)
-			}
+			req.ME, err = d.str(&r)
 		case tagLeaseMax:
 			req.Max, err = r.uint()
 		case tagLeaseAck:
 			req.Ack, err = r.uint()
+		case tagLeaseVitals:
+			if b, err = r.record(); err == nil {
+				err = d.vitals(b, &req.Vitals)
+			}
 		default:
 			return LeaseRequest{}, errUnknownTag
 		}
@@ -165,6 +178,46 @@ func (d *Decoder) LeaseRequest(payload []byte) (LeaseRequest, error) {
 		}
 	}
 	return req, nil
+}
+
+// vitals decodes a lease's vitals record into v. The record cannot be
+// empty: zero Vitals are omitted, not encoded.
+func (d *Decoder) vitals(rec []byte, v *Vitals) error {
+	if len(rec) == 0 {
+		return errZeroField
+	}
+	r := reader{b: rec}
+	for last := byte(0); r.rem() > 0; {
+		tag, err := r.tag(&last)
+		if err != nil {
+			return err
+		}
+		var u uint64
+		switch tag {
+		case tagVitalsBattery:
+			u, err = r.nonzero()
+			v.Battery = math.Float64frombits(u)
+		case tagVitalsRSSI:
+			u, err = r.nonzero()
+			v.RSSI = math.Float64frombits(u)
+		case tagVitalsSNR:
+			u, err = r.nonzero()
+			v.SNR = math.Float64frombits(u)
+		case tagVitalsCQI:
+			u, err = r.nonzero()
+			v.CQI = int(u)
+		case tagVitalsRAT:
+			v.RAT, err = d.str(&r)
+		case tagVitalsActiveID:
+			v.ActiveID, err = d.str(&r)
+		default:
+			return errUnknownTag
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // record reads one length-prefixed record and returns it as a
@@ -197,24 +250,14 @@ func (r *reader) count() (int, error) {
 	return int(v), nil
 }
 
-// growTasks extends dst by n decodable slots without zeroing recycled
+// grow extends dst by n decodable slots without zeroing recycled
 // capacity.
-func growTasks(dst []Task, n int) []Task {
+func grow[T Task | Result](dst []T, n int) []T {
 	need := len(dst) + n
 	if cap(dst) >= need {
 		return dst[:need]
 	}
-	grown := make([]Task, need)
-	copy(grown, dst)
-	return grown
-}
-
-func growResults(dst []Result, n int) []Result {
-	need := len(dst) + n
-	if cap(dst) >= need {
-		return dst[:need]
-	}
-	grown := make([]Result, need)
+	grown := make([]T, need)
 	copy(grown, dst)
 	return grown
 }
@@ -232,7 +275,7 @@ func (d *Decoder) Tasks(payload []byte, dst []Task) ([]Task, error) {
 		return dst, errCountBound
 	}
 	base := len(dst)
-	dst = growTasks(dst, n)
+	dst = grow(dst, n)
 	for i := 0; i < n; i++ {
 		rec, err := r.record()
 		if err != nil {
@@ -251,8 +294,7 @@ func (d *Decoder) Tasks(payload []byte, dst []Task) ([]Task, error) {
 // ScheduleME is the shard gateway's routing peek: the ME a MsgSchedule
 // payload names, its tasks left to the owning shard's handler.
 func (d *Decoder) ScheduleME(payload []byte) (string, error) {
-	me, err := (&reader{b: payload}).bytes()
-	return d.str(me), err
+	return d.str(&reader{b: payload})
 }
 
 // Schedule decodes a MsgSchedule payload: the ME, and the tasks after it
@@ -268,31 +310,20 @@ func (d *Decoder) Schedule(payload []byte, dst []Task) (string, []Task, error) {
 func (d *Decoder) task(rec []byte, t *Task) error {
 	*t = Task{}
 	r := reader{b: rec}
-	last := byte(0)
-	for r.rem() > 0 {
-		tag := r.b[r.off]
-		r.off++
-		if tag <= last {
-			return errTagOrder
+	for last := byte(0); r.rem() > 0; {
+		tag, err := r.tag(&last)
+		if err != nil {
+			return err
 		}
-		last = tag
-		var err error
-		var b []byte
 		switch tag {
 		case tagTaskID:
 			t.ID, err = r.uint()
 		case tagTaskKind:
-			if b, err = r.bytes(); err == nil {
-				t.Kind = d.str(b)
-			}
+			t.Kind, err = d.str(&r)
 		case tagTaskTarget:
-			if b, err = r.bytes(); err == nil {
-				t.Target = d.str(b)
-			}
+			t.Target, err = d.str(&r)
 		case tagTaskConfig:
-			if b, err = r.bytes(); err == nil {
-				t.Config = d.str(b)
-			}
+			t.Config, err = d.str(&r)
 		default:
 			return errUnknownTag
 		}
@@ -318,7 +349,7 @@ func (d *Decoder) Results(payload []byte, dst []Result) ([]Result, error) {
 		return dst, err
 	}
 	base := len(dst)
-	dst = growResults(dst, n)
+	dst = grow(dst, n)
 	for i := 0; i < n; i++ {
 		rec, err := r.record()
 		if err != nil {
@@ -337,31 +368,21 @@ func (d *Decoder) Results(payload []byte, dst []Result) ([]Result, error) {
 func (d *Decoder) result(rec []byte, res *Result) error {
 	*res = Result{}
 	r := reader{b: rec}
-	last := byte(0)
-	for r.rem() > 0 {
-		tag := r.b[r.off]
-		r.off++
-		if tag <= last {
-			return errTagOrder
+	for last := byte(0); r.rem() > 0; {
+		tag, err := r.tag(&last)
+		if err != nil {
+			return err
 		}
-		last = tag
-		var err error
 		var b []byte
 		switch tag {
 		case tagResultTaskID:
 			res.TaskID, err = r.uint()
 		case tagResultME:
-			if b, err = r.bytes(); err == nil {
-				res.ME = d.str(b)
-			}
+			res.ME, err = d.str(&r)
 		case tagResultKind:
-			if b, err = r.bytes(); err == nil {
-				res.Kind = d.str(b)
-			}
+			res.Kind, err = d.str(&r)
 		case tagResultConfig:
-			if b, err = r.bytes(); err == nil {
-				res.Config = d.str(b)
-			}
+			res.Config, err = d.str(&r)
 		case tagResultOK:
 			var v uint64
 			if v, err = r.uvarint(); err == nil && v != 1 {
@@ -369,21 +390,15 @@ func (d *Decoder) result(rec []byte, res *Result) error {
 			}
 			res.OK = true
 		case tagResultError:
-			if b, err = r.bytes(); err == nil {
-				res.Error = d.str(b)
-			}
+			res.Error, err = d.str(&r)
 		case tagResultPayload:
 			if b, err = r.bytes(); err == nil {
 				res.Payload = b // aliases the payload buffer; see Results
 			}
 		case tagResultUploaded:
 			var v uint64
-			if v, err = r.uvarint(); err == nil {
-				if v == 0 {
-					err = errZeroField
-				} else {
-					res.Uploaded = time.Unix(0, int64(v)).UTC()
-				}
+			if v, err = r.nonzero(); err == nil {
+				res.Uploaded = time.Unix(0, int64(v)).UTC()
 			}
 		default:
 			return errUnknownTag

@@ -26,7 +26,8 @@
 // fields are a uvarint length followed by raw bytes. A record is a
 // uvarint byte-length followed by its fields; each field is a
 // single-byte tag followed by its value. The lease-request payload is
-// one bare field sequence (no record prefix); the tasks and results
+// one bare field sequence (no record prefix) whose optional vitals field
+// is itself a record; the tasks and results
 // payloads are a uvarint record count followed by that many records; a
 // schedule is the ME (a non-empty string) followed by the tasks payload.
 //
@@ -55,6 +56,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -82,12 +84,29 @@ type Result struct {
 	Uploaded time.Time       `json:"uploaded"`
 }
 
+// Vitals are the device-health metrics an ME reports. They ride its next
+// lease (LeaseRequest.Vitals); the zero value is "none to report".
+type Vitals struct {
+	Battery  float64 // 0..1
+	RSSI     float64 // dBm
+	SNR      float64 // dB
+	CQI      int
+	RAT      string // "4G" / "5G"
+	ActiveID string // active SIM profile ("sim"/"esim")
+}
+
+// IsZero reports whether v carries nothing: every field, and every float's
+// IEEE-754 bits, zero. Exactly the non-zero Vitals travel (-0 included).
+func (v Vitals) IsZero() bool { return vitalsRecordLen(&v) == 0 }
+
 // LeaseRequest is the v3 lease body: lease up to Max tasks,
-// acknowledging every previously delivered task ID <= Ack.
+// acknowledging every previously delivered task ID <= Ack, and report
+// Vitals when they are not zero.
 type LeaseRequest struct {
-	ME  string
-	Max int
-	Ack int
+	ME     string
+	Max    int
+	Ack    int
+	Vitals Vitals
 }
 
 // Frame constants.
@@ -126,11 +145,11 @@ const ContentType = "application/vnd.amigo.v3"
 const CursorHeader = "X-Amigo-Cursor"
 
 // MaxJSONBody bounds the request body of every JSON control route
-// (register, status, requeue, the single-kind admin schedule): the
-// server answers 413 past it, and the shard gateway refuses to buffer
-// more for its routing peek. v3 bodies are one frame, bounded by MaxFrame
-// from the frame header instead.
-const MaxJSONBody = 64 << 20
+// (register, requeue, the single-kind admin schedule — each well under
+// 1 KiB): the server answers 413 past it, and the shard gateway refuses
+// to buffer more for its routing peek. v3 bodies are one frame, bounded
+// by MaxFrame from the frame header instead.
+const MaxJSONBody = 64 << 10
 
 // Field tags. Tags are per-message-type namespaces; within a record
 // they must appear in strictly ascending order.
@@ -139,6 +158,18 @@ const (
 	tagLeaseME  = 0x01 // string
 	tagLeaseMax = 0x02 // uvarint
 	tagLeaseAck = 0x03 // uvarint
+	// tagLeaseVitals is a record (uvarint byte-length, then the fields
+	// below), omitted when the Vitals are zero. A float is the uvarint of
+	// its IEEE-754 bits, CQI the uvarint of its two's-complement bits.
+	tagLeaseVitals = 0x04
+
+	// Vitals fields.
+	tagVitalsBattery  = 0x01
+	tagVitalsRSSI     = 0x02
+	tagVitalsSNR      = 0x03
+	tagVitalsCQI      = 0x04
+	tagVitalsRAT      = 0x05 // string
+	tagVitalsActiveID = 0x06 // string
 
 	// Task fields.
 	tagTaskID     = 0x01 // uvarint
@@ -221,16 +252,7 @@ func appendFieldUint(dst []byte, tag byte, v uint64) []byte {
 	return binary.AppendUvarint(dst, v)
 }
 
-func appendFieldString(dst []byte, tag byte, s string) []byte {
-	if s == "" {
-		return dst
-	}
-	dst = append(dst, tag)
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendFieldBytes(dst []byte, tag byte, b []byte) []byte {
+func appendFieldBytes[T ~string | ~[]byte](dst []byte, tag byte, b T) []byte {
 	if len(b) == 0 {
 		return dst
 	}
@@ -266,10 +288,29 @@ func uploadedNano(t time.Time) uint64 {
 // the caller (the amigo handler clamps Max to its lease-batch bound).
 func AppendLeaseRequest(dst []byte, req LeaseRequest) []byte {
 	dst, start := beginFrame(dst, MsgLeaseRequest)
-	dst = appendFieldString(dst, tagLeaseME, req.ME)
+	dst = appendFieldBytes(dst, tagLeaseME, req.ME)
 	dst = appendFieldUint(dst, tagLeaseMax, uint64(req.Max))
 	dst = appendFieldUint(dst, tagLeaseAck, uint64(req.Ack))
+	if v := &req.Vitals; !v.IsZero() {
+		dst = append(dst, tagLeaseVitals)
+		dst = binary.AppendUvarint(dst, uint64(vitalsRecordLen(v)))
+		dst = appendFieldUint(dst, tagVitalsBattery, math.Float64bits(v.Battery))
+		dst = appendFieldUint(dst, tagVitalsRSSI, math.Float64bits(v.RSSI))
+		dst = appendFieldUint(dst, tagVitalsSNR, math.Float64bits(v.SNR))
+		dst = appendFieldUint(dst, tagVitalsCQI, uint64(v.CQI))
+		dst = appendFieldBytes(dst, tagVitalsRAT, v.RAT)
+		dst = appendFieldBytes(dst, tagVitalsActiveID, v.ActiveID)
+	}
 	return endFrame(dst, start)
+}
+
+func vitalsRecordLen(v *Vitals) int {
+	return fieldUintLen(math.Float64bits(v.Battery)) +
+		fieldUintLen(math.Float64bits(v.RSSI)) +
+		fieldUintLen(math.Float64bits(v.SNR)) +
+		fieldUintLen(uint64(v.CQI)) +
+		fieldBytesLen(len(v.RAT)) +
+		fieldBytesLen(len(v.ActiveID))
 }
 
 func taskRecordLen(t *Task) int {
@@ -301,9 +342,9 @@ func appendTaskRecords(dst []byte, tasks []Task) []byte {
 		t := &tasks[i]
 		dst = binary.AppendUvarint(dst, uint64(taskRecordLen(t)))
 		dst = appendFieldUint(dst, tagTaskID, uint64(t.ID))
-		dst = appendFieldString(dst, tagTaskKind, t.Kind)
-		dst = appendFieldString(dst, tagTaskTarget, t.Target)
-		dst = appendFieldString(dst, tagTaskConfig, t.Config)
+		dst = appendFieldBytes(dst, tagTaskKind, t.Kind)
+		dst = appendFieldBytes(dst, tagTaskTarget, t.Target)
+		dst = appendFieldBytes(dst, tagTaskConfig, t.Config)
 	}
 	return dst
 }
@@ -352,13 +393,13 @@ func AppendResults(dst []byte, rs []Result) []byte {
 		r := &rs[i]
 		dst = binary.AppendUvarint(dst, uint64(resultRecordLen(r)))
 		dst = appendFieldUint(dst, tagResultTaskID, uint64(r.TaskID))
-		dst = appendFieldString(dst, tagResultME, r.ME)
-		dst = appendFieldString(dst, tagResultKind, r.Kind)
-		dst = appendFieldString(dst, tagResultConfig, r.Config)
+		dst = appendFieldBytes(dst, tagResultME, r.ME)
+		dst = appendFieldBytes(dst, tagResultKind, r.Kind)
+		dst = appendFieldBytes(dst, tagResultConfig, r.Config)
 		if r.OK {
 			dst = appendFieldUint(dst, tagResultOK, 1)
 		}
-		dst = appendFieldString(dst, tagResultError, r.Error)
+		dst = appendFieldBytes(dst, tagResultError, r.Error)
 		dst = appendFieldBytes(dst, tagResultPayload, r.Payload)
 		dst = appendFieldUint(dst, tagResultUploaded, uploadedNano(r.Uploaded))
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -34,6 +35,75 @@ func TestGoldenLeaseFrame(t *testing.T) {
 	}
 	if req != (LeaseRequest{ME: "me-PAK", Max: 32, Ack: 7}) {
 		t.Fatalf("decoded %+v", req)
+	}
+}
+
+// goldenLeaseVitals is goldenLease carrying vitals {Battery 0.5, RSSI
+// -91.25, CQI 9, RAT 5G, ActiveID esim}: header len=47, the same three
+// fields, then tag 4 + len 33 + the record — tag 1 + uvarint of 0.5's
+// bits 0x3fe0000000000000, tag 2 + uvarint of -91.25's bits
+// 0xc056d00000000000, (SNR 0 omitted), tag 4 + 0x09, tag 5 + len 2 + "5G",
+// tag 6 + len 4 + "esim".
+var goldenLeaseVitals = []byte("R3\x03\x01\x00\x00\x00\x2f" + "\x01\x06me-PAK" + "\x02\x20" + "\x03\x07" +
+	"\x04\x21" + "\x01\x80\x80\x80\x80\x80\x80\x80\xf0\x3f" + "\x02\x80\x80\x80\x80\x80\x80\xb4\xab\xc0\x01" +
+	"\x04\x09" + "\x05\x025G" + "\x06\x04esim")
+
+var sampleVitals = Vitals{Battery: 0.5, RSSI: -91.25, CQI: 9, RAT: "5G", ActiveID: "esim"}
+
+func TestGoldenLeaseVitalsFrame(t *testing.T) {
+	want := LeaseRequest{ME: "me-PAK", Max: 32, Ack: 7, Vitals: sampleVitals}
+	got := AppendLeaseRequest(nil, want)
+	if !bytes.Equal(got, goldenLeaseVitals) {
+		t.Fatalf("golden frame mismatch:\n got %x\nwant %x", got, goldenLeaseVitals)
+	}
+	h, err := ParseHeader(got)
+	if err != nil || h.Type != MsgLeaseRequest || int(h.N) != len(got)-HeaderLen {
+		t.Fatalf("header = %+v (%v)", h, err)
+	}
+	req, err := NewDecoder().LeaseRequest(got[HeaderLen:])
+	if err != nil || req != want {
+		t.Fatalf("decoded %+v (%v)", req, err)
+	}
+}
+
+// TestLeaseVitalsRoundTrip: vitals survive the frame bit for bit — a
+// negative RSSI, -0 (whose bits are not zero, so it travels), a NaN's
+// payload, a negative CQI — and only Vitals with no bit set are omitted.
+func TestLeaseVitalsRoundTrip(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	nan := math.Float64frombits(0x7ff8_0000_0000_0abc)
+	d := NewDecoder()
+	for _, v := range []Vitals{
+		sampleVitals,
+		{RSSI: -120.5},
+		{RSSI: negZero},
+		{Battery: math.SmallestNonzeroFloat64, SNR: nan, CQI: -1},
+		{Battery: 1, RSSI: -67.125, SNR: 21.75, CQI: 15, RAT: "4G", ActiveID: "sim"},
+		{ActiveID: "esim"},
+	} {
+		frame := AppendLeaseRequest(nil, LeaseRequest{ME: "me", Max: 1, Vitals: v})
+		if v.IsZero() || len(frame) == len(AppendLeaseRequest(nil, LeaseRequest{ME: "me", Max: 1})) {
+			t.Fatalf("%+v: not carried", v)
+		}
+		req, err := d.LeaseRequest(frame[HeaderLen:])
+		if err != nil {
+			t.Fatalf("%+v: %v", v, err)
+		}
+		got := req.Vitals
+		for i, pair := range [][2]float64{{got.Battery, v.Battery}, {got.RSSI, v.RSSI}, {got.SNR, v.SNR}} {
+			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+				t.Errorf("%+v: float %d decoded as bits %#x, want %#x", v, i, math.Float64bits(pair[0]), math.Float64bits(pair[1]))
+			}
+		}
+		if got.CQI != v.CQI || got.RAT != v.RAT || got.ActiveID != v.ActiveID {
+			t.Errorf("round trip: got %+v want %+v", got, v)
+		}
+		if re := AppendLeaseRequest(nil, req); !bytes.Equal(re, frame) {
+			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", re, frame)
+		}
+	}
+	if !(Vitals{}).IsZero() || (Vitals{RSSI: negZero}).IsZero() {
+		t.Error("IsZero must read the bits: zero Vitals are zero, -0 is not")
 	}
 }
 
@@ -262,6 +332,17 @@ func TestStrictDecodeRejects(t *testing.T) {
 		{"lease/truncated-varint", lease, []byte{0x02, 0x80}, errTruncated},
 		{"lease/non-minimal", lease, []byte{0x02, 0x81, 0x00}, errNonMinimal},
 		{"lease/overflow", lease, []byte{0x02, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, errIntOverflow},
+		{"vitals/tag-order", lease, []byte{0x01, 0x01, 'm', 0x04, 0x04, 0x04, 0x01, 0x01, 0x01}, errTagOrder},
+		{"vitals/repeated-tag", lease, []byte{0x04, 0x04, 0x04, 0x01, 0x04, 0x02}, errTagOrder},
+		{"vitals/unknown-tag", lease, []byte{0x04, 0x02, 0x07, 0x01}, errUnknownTag},
+		{"vitals/zero-float", lease, []byte{0x04, 0x02, 0x02, 0x00}, errZeroField},
+		{"vitals/zero-cqi", lease, []byte{0x04, 0x02, 0x04, 0x00}, errZeroField},
+		{"vitals/empty-rat", lease, []byte{0x04, 0x02, 0x05, 0x00}, errZeroField},
+		{"vitals/empty-record", lease, []byte{0x01, 0x01, 'm', 0x04, 0x00}, errZeroField},
+		{"vitals/truncated-record", lease, []byte{0x04, 0x05, 0x04, 0x01}, errRecordLength},
+		{"vitals/truncated-field", lease, []byte{0x04, 0x03, 0x06, 0x04, 'e'}, errTruncated},
+		{"vitals/truncated-float", lease, []byte{0x04, 0x02, 0x01, 0x80}, errTruncated},
+		{"vitals/after-record", lease, []byte{0x04, 0x02, 0x04, 0x01, 0x03, 0x01}, errTagOrder},
 		{"tasks/count-too-big", tasks, []byte{0x05, 0x00}, errCountTooBig},
 		{"tasks/record-overrun", tasks, []byte{0x01, 0x09, 0x01, 0x01}, errRecordLength},
 		{"tasks/trailing", tasks, []byte{0x01, 0x00, 0xff}, errTrailing},
@@ -319,6 +400,8 @@ func TestCodecZeroAlloc(t *testing.T) {
 	tasks := sampleTasks()
 	results := sampleResults()
 	leaseFrame := AppendLeaseRequest(nil, LeaseRequest{ME: "me-PAK-000001", Max: 32, Ack: 7})
+	vitalsLease := LeaseRequest{ME: "me-PAK-000001", Max: 32, Ack: 7, Vitals: sampleVitals}
+	vitalsFrame := AppendLeaseRequest(nil, vitalsLease)
 	taskFrame := AppendTasks(nil, tasks)
 	resultFrame := AppendResults(nil, results)
 	scheduleFrame := AppendSchedule(nil, "me-PAK-000001", tasks)
@@ -334,6 +417,9 @@ func TestCodecZeroAlloc(t *testing.T) {
 	if resDst, err = d.Results(resultFrame[HeaderLen:], resDst[:0]); err != nil {
 		t.Fatal(err)
 	}
+	if _, err = d.LeaseRequest(vitalsFrame[HeaderLen:]); err != nil {
+		t.Fatal(err)
+	}
 	buf := make([]byte, 0, bufCap)
 
 	check := func(name string, f func()) {
@@ -345,12 +431,18 @@ func TestCodecZeroAlloc(t *testing.T) {
 	check("AppendLeaseRequest", func() {
 		buf = AppendLeaseRequest(buf[:0], LeaseRequest{ME: "me-PAK-000001", Max: 32, Ack: 7})
 	})
+	check("AppendLeaseRequestVitals", func() { buf = AppendLeaseRequest(buf[:0], vitalsLease) })
 	check("AppendTasks", func() { buf = AppendTasks(buf[:0], tasks) })
 	check("AppendResults", func() { buf = AppendResults(buf[:0], results) })
 	check("AppendSchedule", func() { buf = AppendSchedule(buf[:0], "me-PAK-000001", tasks) })
 	check("DecodeLeaseRequest", func() {
 		if _, err := d.LeaseRequest(leaseFrame[HeaderLen:]); err != nil {
 			t.Fatal(err)
+		}
+	})
+	check("DecodeLeaseRequestVitals", func() {
+		if req, err := d.LeaseRequest(vitalsFrame[HeaderLen:]); err != nil || req != vitalsLease {
+			t.Fatal(req, err)
 		}
 	})
 	check("DecodeTasks", func() {

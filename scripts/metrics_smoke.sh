@@ -72,6 +72,16 @@ fi
 
 LINES="$(grep -c . "$OUT")"
 
+# The JSON control bodies are bounded at 64 KiB (wire.MaxJSONBody): a
+# 1 MiB register is refused with 413 and registers nothing.
+BIG="$TMPDIR_SMOKE/big-register.json"
+{ printf '{"me":"'; head -c 1048576 /dev/zero | tr '\0' x; printf '","country":"PAK"}'; } >"$BIG"
+code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://127.0.0.1:$PORT/v1/register" --data-binary @"$BIG")"
+if [ "$code" != 413 ]; then
+    echo "metrics-smoke: a 1 MiB register answered $code, want 413" >&2
+    exit 1
+fi
+
 # The ME binary: register me-DEU, queue 5 tasks with the curl the
 # amigo-server docs give, and let one amigo-me drain them.
 URL="http://127.0.0.1:$PORT"
@@ -115,6 +125,22 @@ for route in /v3/tasks/lease /v3/results; do
 done
 if grep -q '/v1/tasks' "$OUT"; then
     echo "metrics-smoke: a /v1/tasks route is still served" >&2
+    exit 1
+fi
+
+# amigo-me heartbeats before its first lease and the vitals ride that
+# lease — the one lease counted above is all it sent besides the upload.
+# There is no status route: POST /v1/status is not served and no
+# /v1/status series exists.
+code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$URL/v1/status" -d '{"me":"me-DEU","vitals":{"cqi":9}}')"
+if [ "$code" != 404 ] && [ "$code" != 405 ]; then
+    echo "metrics-smoke: POST /v1/status answered $code, want it not served (404)" >&2
+    exit 1
+fi
+curl -sf "$URL/admin/metrics" -o "$OUT"
+if grep -q '/v1/status' "$OUT"; then
+    echo "metrics-smoke: a /v1/status series appears:" >&2
+    grep '/v1/status' "$OUT" >&2
     exit 1
 fi
 
