@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptrace"
 	"strconv"
@@ -99,9 +98,10 @@ var ErrUnknownME = errors.New("amigo: server does not know this ME")
 type Endpoint struct {
 	Name    string
 	BaseURL string
-	Client  *http.Client
-	Dep     *airalo.Deployment
-	Src     *rng.Source
+	// Only Client's Transport is used (Send): deadlines come from Ctx.
+	Client *http.Client
+	Dep    *airalo.Deployment
+	Src    *rng.Source
 	// Transport carries the control-plane operations; nil means HTTP to
 	// BaseURL through Client.
 	Transport Transport
@@ -209,15 +209,6 @@ func (m *epMetrics) request(path string) {
 	m.other.Add(1)
 }
 
-// reqContext is the request context, instrumented to observe connection
-// reuse when a registry is attached.
-func (e *Endpoint) reqContext(ctx context.Context) context.Context {
-	if t := e.metrics().connTrace; t != nil {
-		ctx = httptrace.WithClientTrace(ctx, t)
-	}
-	return ctx
-}
-
 // NewEndpoint creates an ME bound to a deployment.
 func NewEndpoint(name, baseURL string, dep *airalo.Deployment, src *rng.Source) *Endpoint {
 	return &Endpoint{
@@ -231,13 +222,6 @@ func (e *Endpoint) ctx() context.Context {
 		return e.Ctx
 	}
 	return context.Background()
-}
-
-func (e *Endpoint) httpClient() *http.Client {
-	if e.Client != nil {
-		return e.Client
-	}
-	return http.DefaultClient
 }
 
 func (e *Endpoint) clock() vclock.Clock {
@@ -287,21 +271,6 @@ func (e *Endpoint) retry(op string, attempt func(context.Context, Transport) err
 	e.Obs.Counter("amigo_endpoint_retry_giveups_total", obs.L("op", op)).Add(1)
 	e.Obs.Trace().Record("retry-giveup", obs.L("me", e.Name), obs.L("op", op))
 	return fmt.Errorf("amigo: %s: giving up after %d attempts: %w", op, b.MaxAttempts, last.Err)
-}
-
-// drainLimit bounds how many leftover body bytes drainClose will read
-// to recycle a connection. Control-plane responses are tiny; a body
-// bigger than this (a confused proxy, a fault-truncated stream that
-// never ends) is cheaper to abandon than to drain.
-const drainLimit = 256 << 10
-
-// drainClose discards any unread body bytes (up to drainLimit) before
-// closing, so the underlying connection goes back into the keep-alive
-// pool instead of being torn down (a fleet of MEs would otherwise churn
-// one TCP connection per request).
-func drainClose(resp *http.Response) {
-	io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
-	resp.Body.Close()
 }
 
 // Register announces the ME to the control server.

@@ -661,7 +661,7 @@ func atoiParam(raw string) (int, error) {
 // writeFrame writes an encoded v3 frame, counting short/failed writes
 // like writeJSON counts encode failures.
 func (s *Server) writeFrame(w http.ResponseWriter, frame []byte) {
-	w.Header().Set("Content-Type", wire.ContentType)
+	w.Header()["Content-Type"] = frameType
 	if _, err := w.Write(frame); err != nil {
 		s.met.encodeErrors.Add(1)
 	}
@@ -892,7 +892,7 @@ func (s *Server) handleAdminResults(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(wire.CursorHeader, strconv.Itoa(next))
 	if len(rs) == 0 {
-		w.Header().Set("Content-Type", wire.ContentType)
+		w.Header()["Content-Type"] = frameType
 		return
 	}
 	buf := wire.GetBuf()

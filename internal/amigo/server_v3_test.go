@@ -159,7 +159,7 @@ func TestV3Backpressure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer drainClose(resp)
+			defer DrainClose(resp)
 			if resp.StatusCode != http.StatusTooManyRequests {
 				t.Fatalf("status = %d, want 429", resp.StatusCode)
 			}
@@ -202,7 +202,7 @@ func TestV3RejectsBadRequests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		drainClose(resp)
+		DrainClose(resp)
 		return resp
 	}
 

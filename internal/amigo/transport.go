@@ -6,8 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptrace"
+	"net/url"
 	"strconv"
+	"strings"
+	"sync"
 	"time"
 
 	"roamsim/internal/wire"
@@ -102,9 +107,9 @@ func (t *httpTransport) postJSON(ctx context.Context, path string, body any) err
 	if err != nil {
 		return err
 	}
-	resp, err := t.post(ctx, path, "application/json", buf, "")
+	resp, err := t.post(ctx, path, jsonHeader, buf)
 	if err == nil {
-		drainClose(resp)
+		DrainClose(resp)
 	}
 	return err
 }
@@ -113,9 +118,9 @@ func (t *httpTransport) Upload(ctx context.Context, key string, results []Result
 	ebuf := wire.GetBuf()
 	defer wire.PutBuf(ebuf)
 	*ebuf = wire.AppendResults((*ebuf)[:0], results)
-	resp, err := t.post(ctx, "/v3/results", wire.ContentType, *ebuf, key)
+	resp, err := t.post(ctx, "/v3/results", http.Header{"Content-Type": frameType, "Idempotency-Key": {key}}, *ebuf)
 	if err == nil {
-		drainClose(resp)
+		DrainClose(resp)
 	}
 	return err
 }
@@ -124,19 +129,19 @@ func (t *httpTransport) Lease(ctx context.Context, me string, max, ack int, v Vi
 	ebuf := wire.GetBuf()
 	defer wire.PutBuf(ebuf)
 	*ebuf = wire.AppendLeaseRequest((*ebuf)[:0], wire.LeaseRequest{ME: me, Max: max, Ack: ack, Vitals: v})
-	resp, err := t.post(ctx, "/v3/tasks/lease", wire.ContentType, *ebuf, "")
+	resp, err := t.post(ctx, "/v3/tasks/lease", frameHeader, *ebuf)
 	if err != nil {
 		return nil, err
 	}
 	if resp.StatusCode == http.StatusNoContent {
-		drainClose(resp)
+		DrainClose(resp)
 		return nil, nil
 	}
 	rbuf := wire.GetBuf()
 	defer wire.PutBuf(rbuf)
 	h, payload, err := wire.ReadFrame(resp.Body, (*rbuf)[:0])
 	*rbuf = payload
-	drainClose(resp)
+	DrainClose(resp)
 	var tasks []Task
 	if err == nil && h.Type != wire.MsgTasks {
 		err = fmt.Errorf("wire: unexpected message type 0x%02x", h.Type)
@@ -157,20 +162,19 @@ func (t *httpTransport) Lease(ctx context.Context, me string, max, ack int, v Vi
 
 // post sends one request and returns its 2xx response, body unread; any
 // other outcome comes back as the error the Transport contract asks for,
-// the body drained. A failed connection is Retryable.
-func (t *httpTransport) post(ctx context.Context, path, contentType string, body []byte, key string) (*http.Response, error) {
+// the body drained. A failed connection is Retryable, a redirect permanent.
+func (t *httpTransport) post(ctx context.Context, path string, h http.Header, body []byte) (*http.Response, error) {
 	e := (*Endpoint)(t)
-	req, err := http.NewRequestWithContext(e.reqContext(ctx), http.MethodPost, e.BaseURL+path, bytes.NewReader(body))
+	u, err := Route(e.BaseURL, path)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", contentType)
-	if key != "" {
-		req.Header.Set("Idempotency-Key", key)
-	}
 	m := e.metrics()
 	m.request(path)
-	resp, err := e.httpClient().Do(req)
+	if m.connTrace != nil {
+		ctx = httptrace.WithClientTrace(ctx, m.connTrace)
+	}
+	resp, err := Send(ctx, e.Client, http.MethodPost, u, h, body)
 	if err != nil {
 		return nil, Retryable{Err: err}
 	}
@@ -180,8 +184,63 @@ func (t *httpTransport) post(ctx context.Context, path, contentType string, body
 	if resp.StatusCode == http.StatusTooManyRequests {
 		m.c429.Add(1)
 	}
-	defer drainClose(resp)
+	defer DrainClose(resp)
 	return nil, statusErr(path, resp)
+}
+
+// Shared read-only: neither a RoundTripper nor a server writes these.
+var (
+	frameType   = []string{wire.ContentType}
+	frameHeader = http.Header{"Content-Type": frameType}
+	jsonHeader  = http.Header{"Content-Type": {"application/json"}}
+)
+
+var routes sync.Map // [base, path] -> *url.URL
+
+// Route parses base+path once per process; requests share the URL read-only.
+func Route(base, path string) (*url.URL, error) {
+	if u, ok := routes.Load([2]string{base, path}); ok {
+		return u.(*url.URL), nil
+	}
+	u, err := url.Parse(base + path)
+	if err == nil {
+		routes.Store([2]string{base, path}, u)
+	}
+	return u, err
+}
+
+// Send makes every control-plane request of this package and fleet: one
+// round trip on c's Transport (http.DefaultTransport when nil) under ctx.
+// Unlike an http.Client it follows no redirect (a 3xx is returned) and
+// keeps no cookies; a failed round trip is a *url.Error.
+func Send(ctx context.Context, c *http.Client, method string, u *url.URL, h http.Header, body []byte) (*http.Response, error) {
+	req := http.Request{Method: method, URL: u, Header: h, Host: u.Host, ContentLength: int64(len(body))}
+	if len(body) > 0 { // replayable, and in memory to net/http: headers and body go out in one write
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+		req.Body, _ = req.GetBody()
+	}
+	rt := http.DefaultTransport
+	if c != nil && c.Transport != nil {
+		rt = c.Transport
+	}
+	resp, err := rt.RoundTrip(req.WithContext(ctx))
+	if err != nil {
+		err = &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: u.String(), Err: err}
+	}
+	return resp, err
+}
+
+// DrainClose reads up to 256 KiB left in a response body into a pooled
+// buffer, then closes it: the connection goes back to the keep-alive pool
+// (a fleet would otherwise churn one per request), and a larger body — a
+// confused proxy, a stream that never ends — is cheaper to abandon.
+func DrainClose(resp *http.Response) {
+	buf := wire.GetBuf()
+	for n, k, err := 0, 0, error(nil); err == nil && n < 256<<10; n += k {
+		k, err = resp.Body.Read((*buf)[:min(cap(*buf), 256<<10-n)])
+	}
+	wire.PutBuf(buf)
+	resp.Body.Close()
 }
 
 // statusErr is the one place a non-2xx status becomes an error:

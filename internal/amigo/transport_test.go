@@ -1,15 +1,19 @@
 package amigo
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -298,13 +302,12 @@ func TestJSONBodiesMatchMapMarshal(t *testing.T) {
 
 // TestEndpointHTTPAllocs pins what the drain workloads' HTTP path costs:
 // one Lease + one Upload of 8 results over loopback HTTP, both ends and
-// net/http included, allocates no more than it did before the Transport
-// seam went in under Endpoint. The bounds were measured at the parent
-// commit b342c6f (170 without a registry, 172 with one); this tree
-// measures 168 and 170. A lease carrying vitals costs what a bare lease
-// costs: the row "vitals" must not count more than "bare". Not under
-// -race: there sync.Pool drops entries at random and the count wanders
-// by ±1.
+// net/http included. The bounds are this tree's counts (147 without a
+// registry, 149 with one); before requests went straight to the
+// RoundTripper (amigo.Send) and the drain stopped allocating they were
+// 168 and 170. A lease carrying vitals costs what a bare lease costs:
+// the row "vitals" must not count more than "bare". Not under -race:
+// there sync.Pool drops entries at random and the count wanders by ±1.
 func TestEndpointHTTPAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not deterministic under the race detector")
@@ -316,40 +319,17 @@ func TestEndpointHTTPAllocs(t *testing.T) {
 		bound  float64
 		vitals Vitals
 	}{
-		{"bare", nil, 170, Vitals{}},
-		{"obs", obs.NewRegistry(), 172, Vitals{}},
-		{"vitals", nil, 170, Vitals{Battery: 0.998, RSSI: -91.25, SNR: 3.5, CQI: 7, RAT: "5G", ActiveID: "esim"}},
+		{"bare", nil, 147, Vitals{}},
+		{"obs", obs.NewRegistry(), 149, Vitals{}},
+		{"vitals", nil, 147, Vitals{Battery: 0.998, RSSI: -91.25, SNR: 3.5, CQI: 7, RAT: "5G", ActiveID: "esim"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			const runs, batch = 300, 8
-			// A sink that keeps nothing: the server's share of the count
-			// must not grow with the log.
-			srv := NewServer(nil, WithSink(writeOnlySink{}))
-			srv.Register("me", "PAK")
-			if _, err := srv.ScheduleBatch("me", make([]Task, (runs+1)*batch)); err != nil {
-				t.Fatal(err)
-			}
-			ep := &Endpoint{Name: "me", Obs: tc.reg}
-			bindHTTP(t, srv, ep)
-			results := make([]Result, 0, batch)
-			payload := []byte(`{"resolver":"8.8.8.8"}`)
-			allocs := testing.AllocsPerRun(runs, func() {
-				ep.vitals = tc.vitals
-				leased, err := ep.Lease(batch)
-				if err != nil || len(leased) != batch {
-					t.Fatalf("lease: %d tasks, %v", len(leased), err)
-				}
-				results = results[:0]
-				for _, task := range leased {
-					results = append(results, Result{TaskID: task.ID, ME: "me", Kind: "dns", Config: "esim", OK: true, Payload: payload})
-				}
-				if err := ep.Upload(results); err != nil {
-					t.Fatal(err)
-				}
-			})
+			const runs = 300
+			srv, round := leaseUploadRounds(t, runs+1, tc.reg)
+			allocs := testing.AllocsPerRun(runs, func() { round(tc.vitals) })
 			t.Logf("allocations per lease+upload: %.0f (bound %.0f)", allocs, tc.bound)
 			if allocs > tc.bound {
-				t.Errorf("lease+upload over HTTP allocates %.0f times, want <= %.0f (the parent commit)", allocs, tc.bound)
+				t.Errorf("lease+upload over HTTP allocates %.0f times, want <= %.0f", allocs, tc.bound)
 			}
 			switch tc.name {
 			case "bare":
@@ -366,6 +346,51 @@ func TestEndpointHTTPAllocs(t *testing.T) {
 	}
 }
 
+// leaseUploadRounds serves a Server on loopback and returns it with the
+// round TestEndpointHTTPAllocs and BenchmarkEndpointLeaseUpload measure:
+// an Endpoint leases 8 tasks, reporting v, and uploads a result for each,
+// at most rounds times. The server's sink keeps nothing, so its share of
+// a round does not grow with the log.
+func leaseUploadRounds(tb testing.TB, rounds int, reg *obs.Registry) (*Server, func(v Vitals)) {
+	const batch = 8
+	srv := NewServer(nil, WithSink(writeOnlySink{}))
+	srv.Register("me", "PAK")
+	if _, err := srv.ScheduleBatch("me", make([]Task, rounds*batch)); err != nil {
+		tb.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	tb.Cleanup(hs.Close)
+	ep := &Endpoint{Name: "me", BaseURL: hs.URL, Client: hs.Client(), Obs: reg}
+	results := make([]Result, 0, batch)
+	payload := []byte(`{"resolver":"8.8.8.8"}`)
+	return srv, func(v Vitals) {
+		ep.vitals = v
+		leased, err := ep.Lease(batch)
+		if err != nil || len(leased) != batch {
+			tb.Fatalf("lease: %d tasks, %v", len(leased), err)
+		}
+		results = results[:0]
+		for _, task := range leased {
+			results = append(results, Result{TaskID: task.ID, ME: "me", Kind: "dns", Config: "esim", OK: true, Payload: payload})
+		}
+		if err := ep.Upload(results); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEndpointLeaseUpload: one lease and one upload of 8 results
+// over loopback HTTP per op, both ends and net/http included; with
+// -benchmem, allocs/op is what two control-plane requests cost.
+func BenchmarkEndpointLeaseUpload(b *testing.B) {
+	_, round := leaseUploadRounds(b, b.N, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round(Vitals{})
+	}
+}
+
 // TestEndpointWithoutRegistryBuildsNoMetrics: with Obs nil every metric
 // handle is a nil no-op, so an Endpoint builds none of its handle maps —
 // a fleet campaign makes a fresh Endpoint per ME incarnation.
@@ -377,5 +402,97 @@ func TestEndpointWithoutRegistryBuildsNoMetrics(t *testing.T) {
 	}
 	if m := eps[0].metrics(); m.requests != nil || m.exec != nil || m.connTrace != nil {
 		t.Errorf("handles built without a registry: %+v", m)
+	}
+}
+
+// TestDrainCloseReusesConnection: a response left with unread bytes is
+// drained and its connection serves the next request, however many
+// pooled-buffer reads the rest takes; one with more than 256 KiB left is
+// abandoned, and the next request dials anew.
+func TestDrainCloseReusesConnection(t *testing.T) {
+	for _, tc := range []struct {
+		left  int
+		conns int64
+	}{{0, 1}, {100 << 10, 1}, {256<<10 - 1, 1}, {1 << 20, 2}} {
+		var dialed atomic.Int64
+		hs := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Write(make([]byte, tc.left))
+		}))
+		hs.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				dialed.Add(1)
+			}
+		}
+		hs.Start()
+		u, err := Route(hs.URL, "/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			resp, err := Send(context.Background(), hs.Client(), http.MethodGet, u, http.Header{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			DrainClose(resp)
+		}
+		hs.Close()
+		if got := dialed.Load(); got != tc.conns {
+			t.Errorf("two requests whose responses left %d bytes unread took %d connections, want %d", tc.left, got, tc.conns)
+		}
+	}
+}
+
+// TestSendReplaysKeyedBodyOnDeadConnection: a keep-alive connection the
+// server drops after reading the next request, before answering, costs
+// a keyed request nothing: net/http rewinds its body (GetBody) and sends
+// it again on a fresh connection, so the caller sees one success.
+func TestSendReplaysKeyedBodyOnDeadConnection(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var bodies []string // the server goroutine's until done closes
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for served := 0; served < 2; {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			br := bufio.NewReader(conn)
+			for ; served < 2; served++ {
+				req, err := http.ReadRequest(br)
+				if err != nil {
+					break
+				}
+				b, _ := io.ReadAll(req.Body)
+				bodies = append(bodies, string(b))
+				if served == 1 && len(bodies) == 2 {
+					break // the second request dies on the first connection
+				}
+				conn.Write([]byte("HTTP/1.1 204 No Content\r\n\r\n"))
+			}
+			conn.Close()
+		}
+	}()
+	u, err := Route("http://"+ln.Addr().String(), "/v3/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	for _, body := range []string{"first", "second"} {
+		h := http.Header{"Idempotency-Key": {body}}
+		resp, err := Send(context.Background(), client, http.MethodPost, u, h, []byte(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		DrainClose(resp)
+	}
+	<-done
+	if want := []string{"first", "second", "second"}; !slices.Equal(bodies, want) {
+		t.Errorf("server read bodies %q, want %q", bodies, want)
 	}
 }

@@ -1,11 +1,9 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -28,9 +26,9 @@ type Driver struct {
 	// server must expose both the amigo Handler and AdminHandler routes
 	// (shard.Mount).
 	BaseURL string
-	// Client is the HTTP client shared by every ME; nil gets a
-	// keep-alive-tuned default (the fleet would otherwise exhaust
-	// ephemeral ports on connection churn).
+	// Client is shared by every ME, and only its Transport is used
+	// (amigo.Send); nil gets a keep-alive-tuned default (the fleet would
+	// otherwise exhaust ephemeral ports on connection churn).
 	Client *http.Client
 	// Seed roots the campaign's deterministic randomness.
 	Seed int64
@@ -240,7 +238,7 @@ func (d *Driver) Run(w *airalo.World, plan Plan) (*Campaign, error) {
 		seeds[i] = parent.ForkSeed(sc.Label)
 	}
 
-	startCursor, err := d.fetchCursor(client)
+	_, startCursor, err := d.fetchPage(client, -1, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -422,13 +420,11 @@ func (d *Driver) runIncarnation(client *http.Client, sc MESchedule, dep *airalo.
 	}
 }
 
-// drainBody discards a bounded amount of unread body before closing so
-// the connection is recycled into the keep-alive pool; a response
-// bigger than the bound is cheaper to abandon than to drain.
-func drainBody(body io.ReadCloser) {
-	io.Copy(io.Discard, io.LimitReader(body, 256<<10))
-	body.Close()
-}
+// Request headers shared read-only by every schedule and page request.
+var (
+	frameHeader  = http.Header{"Content-Type": {wire.ContentType}}
+	acceptFrames = http.Header{"Accept": {wire.ContentType}}
+)
 
 // scheduleBatch POSTs the ME's schedule as one MsgSchedule frame and
 // reads the server's MsgTasks reply back over tasks: the same tasks under
@@ -438,12 +434,16 @@ func (d *Driver) scheduleBatch(client *http.Client, me string, tasks []amigo.Tas
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
 	*buf = wire.AppendSchedule(*buf, me, tasks)
-	resp, err := client.Post(d.BaseURL+"/admin/schedule", wire.ContentType, bytes.NewReader(*buf))
+	u, err := amigo.Route(d.BaseURL, "/admin/schedule")
+	if err != nil {
+		return err
+	}
+	resp, err := amigo.Send(context.Background(), client, http.MethodPost, u, frameHeader, *buf)
 	if err != nil {
 		return err
 	}
 	if resp.StatusCode >= 300 {
-		drainBody(resp.Body)
+		amigo.DrainClose(resp)
 		if resp.StatusCode == http.StatusNotFound {
 			return fmt.Errorf("fleet: schedule %s: HTTP %d: %w", me, resp.StatusCode, amigo.ErrUnknownME)
 		}
@@ -451,7 +451,7 @@ func (d *Driver) scheduleBatch(client *http.Client, me string, tasks []amigo.Tas
 	}
 	h, payload, err := wire.ReadFrame(resp.Body, (*buf)[:0])
 	*buf = payload // keep any growth pooled
-	drainBody(resp.Body)
+	amigo.DrainClose(resp)
 	var got []amigo.Task
 	if err == nil && h.Type != wire.MsgTasks {
 		err = fmt.Errorf("unexpected message type 0x%02x", h.Type)
@@ -478,20 +478,20 @@ func (d *Driver) scheduleBatch(client *http.Client, me string, tasks []amigo.Tas
 // do. limit <= 0 leaves the page size to the server; cursor -1 asks for
 // just the current cursor.
 func (d *Driver) fetchPage(client *http.Client, cursor, limit int, dst []amigo.Result) ([]amigo.Result, int, error) {
-	url := d.BaseURL + "/admin/results?cursor=" + strconv.Itoa(cursor)
+	route, err := amigo.Route(d.BaseURL, "/admin/results")
+	if err != nil {
+		return dst, 0, err
+	}
+	u := *route
+	u.RawQuery = "cursor=" + strconv.Itoa(cursor)
 	if limit > 0 {
-		url += "&limit=" + strconv.Itoa(limit)
+		u.RawQuery += "&limit=" + strconv.Itoa(limit)
 	}
-	req, err := http.NewRequest(http.MethodGet, url, nil)
+	resp, err := amigo.Send(context.Background(), client, http.MethodGet, &u, acceptFrames, nil)
 	if err != nil {
 		return dst, 0, err
 	}
-	req.Header.Set("Accept", wire.ContentType)
-	resp, err := client.Do(req)
-	if err != nil {
-		return dst, 0, err
-	}
-	defer drainBody(resp.Body)
+	defer amigo.DrainClose(resp)
 	if resp.StatusCode != http.StatusOK {
 		return dst, 0, fmt.Errorf("fleet: results: HTTP %d", resp.StatusCode)
 	}
@@ -507,17 +507,12 @@ func (d *Driver) fetchPage(client *http.Client, cursor, limit int, dst []amigo.R
 	return dst, next, nil
 }
 
-func (d *Driver) fetchCursor(client *http.Client) (int, error) {
-	_, cursor, err := d.fetchPage(client, -1, 0, nil)
-	return cursor, err
-}
-
 // fetchResults pages through /admin/results from the given cursor to
 // the end of the log, into one slice sized up front from the log's
 // current cursor.
 func (d *Driver) fetchResults(client *http.Client, cursor int) ([]amigo.Result, error) {
 	const pageSize = 5000
-	end, err := d.fetchCursor(client)
+	_, end, err := d.fetchPage(client, -1, 0, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -7,10 +7,12 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"roamsim/internal/amigo"
 	"roamsim/internal/obs"
+	"roamsim/internal/rng"
 	"roamsim/internal/shard"
 	"roamsim/internal/wire"
 )
@@ -99,5 +101,54 @@ func TestScheduleFrameCarriesTasks(t *testing.T) {
 	}
 	if tasks[0].ID != 7 || tasks[1].ID != 9 {
 		t.Errorf("tasks after the reply: %+v, want IDs 7 and 9", tasks)
+	}
+}
+
+// TestControlPlaneDoesNotFollowRedirects: a lease, an upload and a
+// schedule answered 307 fail permanently, naming the status, after one
+// attempt. Nothing is re-sent to where Location points — not the frame,
+// not the upload's Idempotency-Key — even when a working server waits
+// there, at another address.
+func TestControlPlaneDoesNotFollowRedirects(t *testing.T) {
+	srv := amigo.NewServer(nil)
+	srv.Register("me", "PAK")
+	if _, err := srv.ScheduleBatch("me", []amigo.Task{{Kind: "dns", Config: "sim"}}); err != nil {
+		t.Fatal(err)
+	}
+	var asked, reached atomic.Int64
+	target := shard.Mount(srv.Handler(), srv.AdminHandler())
+	second := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		reached.Add(1)
+		target.ServeHTTP(w, r)
+	}))
+	defer second.Close()
+	first := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		asked.Add(1)
+		http.Redirect(w, r, second.URL+r.URL.Path, http.StatusTemporaryRedirect)
+	}))
+	defer first.Close()
+
+	ep := amigo.NewEndpoint("me", first.URL, nil, rng.New(1))
+	ep.Retry = amigo.Backoff{MaxAttempts: 3}
+	d := &Driver{BaseURL: first.URL}
+	for _, op := range []struct {
+		name string
+		call func() error
+	}{
+		{"lease", func() error { _, err := ep.Lease(1); return err }},
+		{"upload", func() error {
+			return ep.Upload([]amigo.Result{{TaskID: 1, ME: "me", Kind: "dns", Config: "sim", OK: true, Payload: []byte(`{}`)}})
+		}},
+		{"schedule", func() error { return d.scheduleBatch(first.Client(), "me", []amigo.Task{{Kind: "dns", Config: "sim"}}) }},
+	} {
+		if err := op.call(); err == nil || !strings.Contains(err.Error(), "HTTP 307") {
+			t.Errorf("%s answered 307: err = %v, want a permanent error naming HTTP 307", op.name, err)
+		}
+	}
+	if n := asked.Load(); n != 3 {
+		t.Errorf("the redirecting server saw %d requests, want one per operation (3): a 307 is not retried", n)
+	}
+	if n := reached.Load(); n != 0 {
+		t.Errorf("the redirect target saw %d requests, want none", n)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // keep-alive pool (a fleet of MEs then churns one TCP dial per
 // request); an unbounded io.ReadAll on a network body lets one confused
 // peer balloon resident memory. The repo-wide bound is 256 KiB
-// (amigo.drainLimit, PR 4).
+// (amigo.DrainClose).
 //
 // Recognized evidence, per response variable, anywhere in the function:
 //

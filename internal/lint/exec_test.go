@@ -132,7 +132,7 @@ func TestAnalyzersFireOnRealMutants(t *testing.T) {
 		},
 		{
 			analyzer: "bodyhygiene", pkg: "internal/fleet", file: "driver.go",
-			old:  "defer drainBody(resp.Body)\n",
+			old:  "defer amigo.DrainClose(resp)\n",
 			new:  "",
 			want: `response body of "resp" is never closed in fetchPage`,
 		},

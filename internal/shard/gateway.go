@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -114,14 +115,19 @@ func NewGateway(backends []http.Handler, opts Options) *Gateway {
 
 // Mount composes one amigo server's protocol and admin handlers into a
 // single backend: /v1/, /v3/ and /v2/ (the requeue control route) from
-// the protocol handler, /admin/ from the admin handler.
+// the protocol handler, /admin/ from the admin handler, anything else
+// (/v3, //v3/results) 404; their own muxes match method and route.
 func Mount(protocol, admin http.Handler) http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/v1/", protocol)
-	mux.Handle("/v2/", protocol)
-	mux.Handle("/v3/", protocol)
-	mux.Handle("/admin/", admin)
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch p := r.URL.Path; {
+		case strings.HasPrefix(p, "/v1/"), strings.HasPrefix(p, "/v2/"), strings.HasPrefix(p, "/v3/"):
+			protocol.ServeHTTP(w, r)
+		case strings.HasPrefix(p, "/admin/"):
+			admin.ServeHTTP(w, r)
+		default:
+			http.NotFound(w, r)
+		}
+	})
 }
 
 // Ring exposes the gateway's current placement ring (read-only), so
