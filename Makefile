@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet lint lint-json lint-allows lint-guard build test race bench metrics-smoke shard-smoke reshard-smoke profile-campaign fuzz-short loc FORCE
+.PHONY: verify fmt-check vet lint lint-json lint-allows lint-guard build test race bench metrics-smoke shard-smoke reshard-smoke profile-campaign profile-smoke fuzz-short loc FORCE
 
 ## verify: the CI entry point — gofmt, vet, the roamvet determinism/hygiene
 ## analyzers, build, every test suite under the race detector (the
 ## chaos, shard, reshard and virtual-time differential suites included),
 ## then the smokes that drive real binaries: the observability endpoint,
-## the sharded control plane / WAL durability, and live resharding + WAL
-## compaction.
-verify: fmt-check vet lint lint-guard build race metrics-smoke shard-smoke reshard-smoke
+## the sharded control plane / WAL durability, live resharding + WAL
+## compaction, and the campaign profiler on both clocks.
+verify: fmt-check vet lint lint-guard build race metrics-smoke shard-smoke reshard-smoke profile-smoke
 
 ## fmt-check: fail, naming the files, if anything is not gofmt-clean.
 fmt-check:
@@ -101,6 +101,15 @@ profile-campaign:
 	$(GO) tool pprof -top -nodecount=25 -sample_index=alloc_space -ignore='airalo\.Build' bin/roam-fleet bin/campaign.mem.prof
 	$(GO) tool pprof -top -nodecount=25 -sample_index=alloc_objects -ignore='airalo\.Build' bin/roam-fleet bin/campaign.mem.prof
 	$(GO) tool pprof -top -nodecount=25 bin/roam-fleet bin/campaign.cpu.prof
+
+## profile-smoke: profile-campaign at 50 MEs, once on the wall clock and
+## once under FLEET_FLAGS='-chaos light -virtual-time -realize', whose
+## virtual: line must carry the quiescence-advance and park counts.
+profile-smoke:
+	$(MAKE) profile-campaign MES=50 FLEET_FLAGS=
+	$(MAKE) profile-campaign MES=50 FLEET_FLAGS='-chaos light -virtual-time -realize' > bin/profile-virtual.log
+	cat bin/profile-virtual.log
+	grep -E '^virtual: .* [0-9]+ quiescence advances, [0-9]+ parks' bin/profile-virtual.log
 
 ## loc: non-test Go lines per package outside bench/ and testdata/, plus
 ## the total — the count ROADMAP item 7 tracks and every PR's CHANGES.md

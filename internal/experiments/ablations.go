@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"roamsim/internal/core"
+	"roamsim/internal/fleet"
 	"roamsim/internal/geo"
 	"roamsim/internal/ipx"
 	"roamsim/internal/measure"
@@ -79,7 +80,7 @@ func (r *Runner) AblationPolicyCaps() (*report.Table, error) {
 		capped, uncapped float64
 	}
 	var rows []pair
-	for _, iso := range deviceCountries {
+	for _, iso := range fleet.DeviceCountries {
 		d := r.W.Deployments[iso]
 		var capped, uncapped []float64
 		var arch ipx.Architecture
@@ -136,7 +137,7 @@ func (r *Runner) AblationPeering() (*report.Table, error) {
 		Title:   "Ablation: distance-only RTT floor vs measured PGW RTT",
 		Headers: []string{"Country", "Provider", "Geo floor (ms)", "Measured (ms)", "Peering cost (ms)"},
 	}
-	for _, iso := range deviceCountries {
+	for _, iso := range fleet.DeviceCountries {
 		d := r.W.Deployments[iso]
 		byProv := map[string][]float64{}
 		siteOf := map[string]geo.Point{}

@@ -25,6 +25,7 @@ import (
 
 	"roamsim/internal/airalo"
 	"roamsim/internal/core"
+	"roamsim/internal/fleet"
 	"roamsim/internal/ipx"
 	"roamsim/internal/measure"
 	"roamsim/internal/mno"
@@ -34,6 +35,7 @@ import (
 
 // Config sizes the measurement campaigns.
 type Config struct {
+	// Seed is taken as given: 0 is a seed of its own, not the default.
 	Seed                 int64
 	TracesPerCountry     int // per (country, config, target)
 	SpeedtestsPerCountry int // per (country, config)
@@ -63,9 +65,6 @@ func DefaultConfig() Config {
 
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
-	if c.Seed == 0 {
-		c.Seed = d.Seed
-	}
 	if c.TracesPerCountry == 0 {
 		c.TracesPerCountry = d.TracesPerCountry
 	}
@@ -171,9 +170,6 @@ type VideoObs struct {
 	Shares   map[string]float64
 }
 
-// deviceCountries are the device-campaign deployments in display order.
-var deviceCountries = []string{"GEO", "DEU", "KOR", "PAK", "QAT", "SAU", "ESP", "THA", "ARE", "GBR"}
-
 // kindsFor returns the configurations measured in a country.
 func kindsFor(d *airalo.Deployment) []mno.SIMKind {
 	if d.SIMProfile != nil {
@@ -198,7 +194,7 @@ func (r *Runner) Traces() ([]TraceObs, error) {
 		return r.traces, nil
 	}
 	var units []unit[TraceObs]
-	for _, iso := range deviceCountries {
+	for _, iso := range fleet.DeviceCountries {
 		d := r.W.Deployments[iso]
 		for _, kind := range kindsFor(d) {
 			for _, target := range []string{"Google", "Facebook"} {
@@ -247,7 +243,7 @@ func (r *Runner) Speedtests() ([]SpeedObs, error) {
 		return r.speeds, nil
 	}
 	var units []unit[SpeedObs]
-	for _, iso := range deviceCountries {
+	for _, iso := range fleet.DeviceCountries {
 		d := r.W.Deployments[iso]
 		for _, kind := range kindsFor(d) {
 			for i := 0; i < r.Cfg.SpeedtestsPerCountry; i++ {
@@ -290,7 +286,7 @@ func (r *Runner) CDNFetches() ([]CDNObs, error) {
 	}
 	providers := []string{"Cloudflare", "Google CDN", "jQuery CDN", "jsDelivr", "Microsoft Ajax"}
 	var units []unit[CDNObs]
-	for _, iso := range deviceCountries {
+	for _, iso := range fleet.DeviceCountries {
 		d := r.W.Deployments[iso]
 		for _, kind := range kindsFor(d) {
 			for _, prov := range providers {
@@ -332,7 +328,7 @@ func (r *Runner) DNSLookups() ([]DNSObs, error) {
 		return r.dnses, nil
 	}
 	var units []unit[DNSObs]
-	for _, iso := range deviceCountries {
+	for _, iso := range fleet.DeviceCountries {
 		d := r.W.Deployments[iso]
 		for _, kind := range kindsFor(d) {
 			for i := 0; i < r.Cfg.DNSPerCountry; i++ {
@@ -376,7 +372,7 @@ func (r *Runner) Videos() ([]VideoObs, error) {
 		return r.videos, nil
 	}
 	var units []unit[VideoObs]
-	for _, iso := range deviceCountries {
+	for _, iso := range fleet.DeviceCountries {
 		if iso == "ESP" || iso == "GBR" {
 			continue
 		}

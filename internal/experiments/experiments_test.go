@@ -1,13 +1,18 @@
 package experiments
 
 import (
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"roamsim/internal/airalo"
+	"roamsim/internal/amigo"
+	"roamsim/internal/fleet"
 	"roamsim/internal/ipx"
 	"roamsim/internal/rng"
+	"roamsim/internal/shard"
 )
 
 // The runner is shared across tests: the campaigns are the expensive
@@ -88,6 +93,40 @@ func TestTable4AllToolsSucceed(t *testing.T) {
 	s := tab.String()
 	if !strings.Contains(s, "4 // 4") {
 		t.Errorf("expected full success cells '4 // 4' in:\n%s", s)
+	}
+}
+
+// TestFleetTable4MatchesExperiments is the acceptance check: the
+// device-campaign plan driven through the fleet control plane
+// regenerates exactly the Table 4 the in-process experiments runner
+// produces for the same seed.
+func TestFleetTable4MatchesExperiments(t *testing.T) {
+	const testSeed = 21
+	w, err := airalo.Build(testSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunnerWith(w, Config{Seed: testSeed})
+	wantTable, err := r.Table4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := amigo.NewServer(nil)
+	hs := httptest.NewServer(shard.Mount(srv.Handler(), srv.AdminHandler()))
+	t.Cleanup(hs.Close)
+	d := &fleet.Driver{BaseURL: hs.URL, Seed: testSeed, Workers: 8,
+		StreamLabel: "table4", Heartbeat: true}
+	camp, err := d.Run(w, fleet.DeviceCampaignPlan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := fleet.Ingest(w.Reg, camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fleet.Table4(ds, camp.Plan).String()
+	if want := wantTable.String(); got != want {
+		t.Fatalf("fleet Table 4 differs from experiments Table 4:\nfleet:\n%s\nexperiments:\n%s", got, want)
 	}
 }
 
@@ -272,6 +311,26 @@ func TestFigure11Headlines(t *testing.T) {
 	}
 	if res.NativeTTestP < 0.01 {
 		t.Errorf("native t-test p = %g, want non-significant", res.NativeTTestP)
+	}
+}
+
+// TestSeedZeroIsASeed checks Config.Seed is taken as given: seed 0
+// builds its own world and campaigns, not a silent alias of the
+// default seed 42.
+func TestSeedZeroIsASeed(t *testing.T) {
+	fig11 := func(seed int64) string {
+		r, err := NewRunner(Config{Seed: seed, TracesPerCountry: 3, SpeedtestsPerCountry: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Figure11()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Table.String()
+	}
+	if fig11(0) == fig11(42) {
+		t.Fatal("a Seed: 0 runner printed seed 42's Figure 11")
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"roamsim/internal/fleet"
 	"roamsim/internal/ipx"
 	"roamsim/internal/mno"
 	"roamsim/internal/report"
@@ -19,7 +20,7 @@ func (r *Runner) cdnTable(provider string) (*report.Table, error) {
 		Title:   fmt.Sprintf("CDN download time via %s (jquery.min.js)", provider),
 		Headers: []string{"Country", "Config", "Median (ms)", "Mean (ms)", "MISS rate"},
 	}
-	for _, iso := range deviceCountries {
+	for _, iso := range fleet.DeviceCountries {
 		esimArch := archOf(cdns, iso)
 		for _, kind := range []mno.SIMKind{mno.PhysicalSIM, mno.ESIM} {
 			var v []float64
@@ -126,7 +127,7 @@ func (r *Runner) Figure14b() (*Figure14bResult, error) {
 	}
 	res := &Figure14bResult{Table: t, MedianIncrease: map[string]float64{}}
 	var ihboSame, ihboTotal int
-	for _, iso := range deviceCountries {
+	for _, iso := range fleet.DeviceCountries {
 		medians := map[mno.SIMKind]float64{}
 		for _, kind := range []mno.SIMKind{mno.PhysicalSIM, mno.ESIM} {
 			var v []float64
@@ -184,7 +185,7 @@ func (r *Runner) Figure15() (*report.Table, error) {
 		Title:   "Figure 15: YouTube playback resolution shares",
 		Headers: append([]string{"Country", "Config"}, rungs...),
 	}
-	for _, iso := range deviceCountries {
+	for _, iso := range fleet.DeviceCountries {
 		if iso == "ESP" || iso == "GBR" {
 			continue
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"roamsim/internal/fleet"
 	"roamsim/internal/ipx"
 	"roamsim/internal/mno"
 	"roamsim/internal/report"
@@ -20,7 +21,7 @@ func (r *Runner) Figure6() (*report.Table, error) {
 		Title:   "Figure 6: median unique ASNs in traceroutes",
 		Headers: []string{"Country", "Target", "SIM", "eSIM"},
 	}
-	for _, iso := range deviceCountries {
+	for _, iso := range fleet.DeviceCountries {
 		for _, target := range []string{"Google", "Facebook"} {
 			med := func(kind mno.SIMKind) string {
 				var v []float64
@@ -51,7 +52,7 @@ func (r *Runner) Figure7() (*report.Table, error) {
 		Title:   "Figure 7: private path length (traceroutes to Google)",
 		Headers: []string{"Country", "Arch", "Config", "Median", "Q1", "Q3", "Min", "Max"},
 	}
-	for _, iso := range deviceCountries {
+	for _, iso := range fleet.DeviceCountries {
 		for _, kind := range []mno.SIMKind{mno.PhysicalSIM, mno.ESIM} {
 			var v []float64
 			var arch ipx.Architecture
@@ -170,7 +171,7 @@ func (r *Runner) Figure10() (*report.Table, error) {
 		Title:   "Figure 10: public path length (hops after breakout)",
 		Headers: []string{"Country", "Target", "Config", "Median", "Q1", "Q3"},
 	}
-	for _, iso := range deviceCountries {
+	for _, iso := range fleet.DeviceCountries {
 		for _, target := range []string{"Google", "Facebook"} {
 			for _, kind := range []mno.SIMKind{mno.PhysicalSIM, mno.ESIM} {
 				var v []float64

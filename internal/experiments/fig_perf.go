@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 
+	"roamsim/internal/fleet"
 	"roamsim/internal/ipx"
 	"roamsim/internal/mno"
 	"roamsim/internal/report"
@@ -67,7 +68,7 @@ func (r *Runner) Figure11() (*Figure11Result, error) {
 	}
 	var simAll, esimRoamAll, esimNativeAll, simNativeAll []float64
 	var hrRatios, ihboRatios []float64
-	for _, iso := range deviceCountries {
+	for _, iso := range fleet.DeviceCountries {
 		var arch ipx.Architecture
 		for _, o := range traces {
 			if o.ISO == iso && o.Kind == mno.ESIM {
@@ -228,7 +229,7 @@ func (r *Runner) Figure13() (*Figure13Result, error) {
 		}
 	}
 	volErrs := make([]error, len(vols))
-	runParallel(r.Cfg.workers(), len(vols), func(i int) {
+	fleet.RunPool(r.Cfg.workers(), len(vols), func(i int) {
 		for m := 0; m < r.Cfg.WebMeasurements; m++ {
 			if err := vols[i].RunMeasurement(); err != nil {
 				volErrs[i] = err
@@ -271,7 +272,7 @@ func (r *Runner) Figure13() (*Figure13Result, error) {
 		Headers: []string{"Country", "Config", "Down median", "Down mean±CI", "Up median"},
 	}
 	var esimRoamDown, simDown []float64
-	for _, iso := range deviceCountries {
+	for _, iso := range fleet.DeviceCountries {
 		// The country's eSIM architecture decides which bucket its
 		// physical SIM contributes to (the paper compares SIMs in the
 		// eight roaming-eSIM countries).

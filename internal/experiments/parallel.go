@@ -2,9 +2,8 @@ package experiments
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"roamsim/internal/fleet"
 	"roamsim/internal/rng"
 )
 
@@ -28,14 +27,14 @@ func (c Config) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runUnits executes campaign units on a bounded worker pool and returns
-// the concatenated results in canonical unit order.
+// runUnits executes campaign units on fleet's bounded worker pool and
+// returns the concatenated results in canonical unit order.
 //
 // Determinism contract: every unit's rng.Source is pre-forked serially,
 // in enumeration order, BEFORE any goroutine starts (Fork consumes a
 // parent draw, so fork order is part of the stream identity — see the
-// internal/rng package doc). Workers then claim unit indices from an
-// atomic counter and write into a per-unit slot, and the final merge
+// internal/rng package doc). Workers then claim unit indices
+// (fleet.RunPool) and write into a per-unit slot, and the final merge
 // walks slots in order. The result is byte-identical for any worker
 // count and any GOMAXPROCS, including workers == 1.
 //
@@ -46,30 +45,11 @@ func runUnits[T any](parent *rng.Source, workers int, units []unit[T]) ([]T, err
 	for i := range units {
 		srcs[i] = parent.Fork(units[i].label)
 	}
-	if workers > len(units) {
-		workers = len(units)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	results := make([][]T, len(units))
 	errs := make([]error, len(units))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(units) {
-					return
-				}
-				results[i], errs[i] = units[i].run(srcs[i])
-			}
-		}()
-	}
-	wg.Wait()
+	fleet.RunPool(workers, len(units), func(i int) {
+		results[i], errs[i] = units[i].run(srcs[i])
+	})
 	out := make([]T, 0, len(units))
 	for i := range units {
 		if errs[i] != nil {
@@ -78,34 +58,4 @@ func runUnits[T any](parent *rng.Source, workers int, units []unit[T]) ([]T, err
 		out = append(out, results[i]...)
 	}
 	return out, nil
-}
-
-// runParallel executes n index-addressed jobs on a bounded worker pool.
-// It is the side-effect twin of runUnits, for work whose results flow
-// through an order-insensitive sink (e.g. the web campaign's collection
-// server, which tallies counts). The caller must pre-fork any random
-// streams the jobs consume before calling.
-func runParallel(workers, n int, job func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				job(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -265,7 +265,7 @@ func (d *Driver) Run(w *airalo.World, plan Plan) (*Campaign, error) {
 		}
 		wg.Wait()
 	} else {
-		runPool(d.workers(), len(scheds), func(i int) {
+		RunPool(d.workers(), len(scheds), func(i int) {
 			errs[i] = d.runME(client, scheds[i], w.Deployments[scheds[i].ISO], seeds[i])
 		})
 	}
@@ -586,8 +586,13 @@ func runInProcess(srv *amigo.Server, w *airalo.World, plan Plan, seed int64, lab
 	}, nil
 }
 
-// runPool executes n index-addressed jobs on a bounded worker pool.
-func runPool(workers, n int, job func(i int)) {
+// RunPool executes n index-addressed jobs on a bounded worker pool of
+// min(workers, n) goroutines (at least one) that claim indices from a
+// shared counter; it returns when every job has run. The jobs'
+// execution order is unspecified, so a caller that needs determinism
+// pre-forks any random streams before calling and merges per-index
+// results in index order afterwards.
+func RunPool(workers, n int, job func(i int)) {
 	if workers > n {
 		workers = n
 	}

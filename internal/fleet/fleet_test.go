@@ -8,7 +8,6 @@ import (
 
 	"roamsim/internal/airalo"
 	"roamsim/internal/amigo"
-	"roamsim/internal/experiments"
 	"roamsim/internal/shard"
 )
 
@@ -197,33 +196,5 @@ func TestFleetMatchesInProcessCampaign(t *testing.T) {
 	}
 	if got, want := RTTSummary(fleetDS, plan).String(), RTTSummary(inprocDS, plan).String(); got != want {
 		t.Fatalf("RTT summary mismatch:\nfleet:\n%s\nin-process:\n%s", got, want)
-	}
-}
-
-// TestFleetTable4MatchesExperiments is the acceptance check: the
-// device-campaign plan driven through the fleet control plane
-// regenerates exactly the Table 4 the in-process experiments runner
-// produces for the same seed.
-func TestFleetTable4MatchesExperiments(t *testing.T) {
-	w := testWorld(t)
-	r := experiments.NewRunnerWith(w, experiments.Config{Seed: testSeed})
-	wantTable, err := r.Table4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, hs := newControlServer(t)
-	d := &Driver{BaseURL: hs.URL, Seed: testSeed, Workers: 8,
-		StreamLabel: "table4", Heartbeat: true}
-	camp, err := d.Run(w, DeviceCampaignPlan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := Ingest(w.Reg, camp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := Table4(ds, camp.Plan).String()
-	if want := wantTable.String(); got != want {
-		t.Fatalf("fleet Table 4 differs from experiments Table 4:\nfleet:\n%s\nexperiments:\n%s", got, want)
 	}
 }

@@ -298,9 +298,9 @@ func toolLabel(kind, target string) string {
 
 // Table4 regenerates the paper's Table 4 from a fleet-ingested dataset:
 // successful tests per (country, tool, configuration), formatted
-// <SIM> // <eSIM>. Countries and columns follow the plan's order, so
-// for the device-campaign plan the rendering matches the in-process
-// experiments.Table4 byte for byte.
+// <SIM> // <eSIM>. Countries and columns follow the plan's order.
+// experiments.Table4 is this table over RunInProcess on the
+// device-campaign plan.
 func Table4(ds *Dataset, plan Plan) *report.Table {
 	plan = plan.withDefaults()
 	var labels []string

@@ -155,10 +155,10 @@ func TestAnalyzersFireOnRealMutants(t *testing.T) {
 			want: "time.Sleep in deterministic package roamsim/internal/amigo",
 		},
 		{
-			analyzer: "gojoin", pkg: "internal/experiments", file: "parallel.go",
-			old:  "wg.Add(1)\n\t\tgo func() {\n\t\t\tdefer wg.Done()\n\t\t\tfor {\n\t\t\t\ti := int(next.Add(1)) - 1\n\t\t\t\tif i >= len(units) {",
-			new:  "go func() {\n\t\t\tdefer wg.Done()\n\t\t\tfor {\n\t\t\t\ti := int(next.Add(1)) - 1\n\t\t\t\tif i >= len(units) {",
-			want: "go statement in runUnits has no join path",
+			analyzer: "gojoin", pkg: "internal/fleet", file: "driver.go",
+			old:  "wg.Add(1)\n\t\tgo func() {\n\t\t\tdefer wg.Done()\n\t\t\tfor {\n\t\t\t\ti := int(next.Add(1)) - 1\n\t\t\t\tif i >= n {",
+			new:  "go func() {\n\t\t\tdefer wg.Done()\n\t\t\tfor {\n\t\t\t\ti := int(next.Add(1)) - 1\n\t\t\t\tif i >= n {",
+			want: "go statement in RunPool has no join path",
 		},
 		{
 			// Append takes s.rd under s.mu; Compact takes s.mu under s.rd.

@@ -14,7 +14,8 @@ import (
 // child to each goroutine.
 //
 // The analyzer flags any *rng.Source variable declared outside a `go
-// func` literal and referenced inside it: whether the closure draws
+// func` literal — or outside a job literal handed to fleet.RunPool,
+// which runs it on the pool's goroutines — and referenced inside it: whether the closure draws
 // from the captured stream or forks it, the draw order now depends on
 // goroutine scheduling and the dataset is no longer a function of the
 // seed. The sanctioned patterns pass naturally:
@@ -38,15 +39,19 @@ func init() { rngforkAnalyzer.Run = runRngfork }
 func runRngfork(p *Package) []Diagnostic {
 	var out []Diagnostic
 	inspect(p, func(n ast.Node) bool {
-		g, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
+		switch n := n.(type) {
+		case *ast.GoStmt:
+			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
+				out = append(out, capturedSources(p, lit)...)
+			}
+		case *ast.CallExpr:
+			if fn := calleeFunc(p, n); fn != nil && fn.Pkg() != nil &&
+				fn.Pkg().Path() == "roamsim/internal/fleet" && fn.Name() == "RunPool" {
+				if lit, ok := n.Args[len(n.Args)-1].(*ast.FuncLit); ok {
+					out = append(out, capturedSources(p, lit)...)
+				}
+			}
 		}
-		lit, ok := g.Call.Fun.(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		out = append(out, capturedSources(p, lit)...)
 		return true
 	})
 	return out
