@@ -1,0 +1,15 @@
+package amigo
+
+import "net/http"
+
+// Hooks for the external test package (model_test.go), which drives the
+// protocol through shard.Gateway and so cannot live inside package amigo.
+
+// MaxLeaseBatch is the lease clamp the model mirrors.
+const MaxLeaseBatch = maxLeaseBatch
+
+// HTTPTransport is the Transport an Endpoint with a nil Transport uses:
+// one attempt per operation, no retry layer above it.
+func HTTPTransport(baseURL string, c *http.Client) Transport {
+	return &httpTransport{BaseURL: baseURL, Client: c}
+}
