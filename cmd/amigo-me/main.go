@@ -1,11 +1,13 @@
-// Command amigo-me runs a measurement endpoint: it registers with an
-// amigo-server, reports device vitals, and executes whatever
-// instrumentation the server queues, measuring against the simulated
-// Airalo world (the rooted-phone substitute). It speaks the protocol the
-// fleet does: it leases tasks in batches of up to leaseBatch over v3
+// Command amigo-me runs a measurement endpoint: it polls an amigo-server
+// for the instrumentation queued for it, executes it against the
+// simulated Airalo world (the rooted-phone substitute), and uploads the
+// results, reporting device vitals along the way. It speaks the protocol
+// the fleet does: it leases tasks in batches of up to leaseBatch over v3
 // frames, runs them, and uploads each batch's results as one v3 frame.
-// Every tenth lease carries a heartbeat's vitals; there is no separate
-// status request.
+// It does not register: the server knows an ME once something is
+// scheduled for it, and until then a lease is 404, which amigo-me reads
+// as "nothing scheduled yet". Every tenth lease carries a heartbeat's
+// vitals; there is no separate status request.
 //
 // Usage:
 //
@@ -18,8 +20,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -39,21 +43,25 @@ func main() {
 	poll := flag.Duration("poll", 500*time.Millisecond, "wait after an empty or short lease")
 	once := flag.Bool("once", false, "drain the queue once and exit")
 	flag.Parse()
-
-	w, err := airalo.Build(*seed)
-	if err != nil {
-		fatal(err)
+	if err := run(*server, *country, *seed, *poll, *once, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "amigo-me:", err)
+		os.Exit(1)
 	}
-	iso := strings.ToUpper(*country)
+}
+
+// run is the ME's loop, reporting each executed batch to out.
+func run(server, country string, seed int64, poll time.Duration, once bool, out io.Writer) error {
+	w, err := airalo.Build(seed)
+	if err != nil {
+		return err
+	}
+	iso := strings.ToUpper(country)
 	dep, ok := w.Deployments[iso]
 	if !ok {
-		fatal(fmt.Errorf("unknown country %q", iso))
+		return fmt.Errorf("unknown country %q", iso)
 	}
-	ep := amigo.NewEndpoint("me-"+iso, *server, dep, rng.New(*seed).Fork("me/"+iso))
-	if err := ep.Register(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("me-%s registered with %s\n", iso, *server)
+	ep := amigo.NewEndpoint("me-"+iso, server, dep, rng.New(seed).Fork("me/"+iso))
+	fmt.Fprintf(out, "me-%s polling %s\n", iso, server)
 
 	heartbeatEvery := 10 // leases
 	for batch := 0; ; batch++ {
@@ -61,21 +69,19 @@ func main() {
 			ep.Heartbeat() // rides this batch's lease
 		}
 		n, err := ep.RunBatch(leaseBatch)
+		if errors.Is(err, amigo.ErrUnknownME) {
+			err = nil // nothing was ever scheduled for this ME: nothing to run yet
+		}
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if n > 0 {
-			fmt.Printf("%d tasks executed and uploaded\n", n)
+			fmt.Fprintf(out, "%d tasks executed and uploaded\n", n)
 			continue
 		}
-		if *once {
-			return
+		if once {
+			return nil
 		}
-		time.Sleep(*poll)
+		time.Sleep(poll)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "amigo-me:", err)
-	os.Exit(1)
 }

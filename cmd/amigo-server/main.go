@@ -1,9 +1,9 @@
 // Command amigo-server runs the AmiGo control server: the REST endpoint
-// measurement endpoints (amigo-me, roam-fleet) register with, lease
-// tasks from, and upload results to. It serves the JSON control routes
-// (register, requeue) and the v3 binary-frame batch lease and upload
-// routes, the only way tasks, results and vitals travel (see
-// internal/amigo and internal/wire for the wire formats).
+// measurement endpoints (amigo-me, roam-fleet) lease tasks from and
+// upload results to. An ME speaks two routes, the v3 binary-frame batch
+// lease and upload, the only way tasks, results and vitals travel (see
+// internal/amigo and internal/wire for the wire formats); it does not
+// register — scheduling work for an ME is what makes the server know it.
 //
 // Usage:
 //

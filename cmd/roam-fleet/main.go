@@ -1,7 +1,7 @@
 // Command roam-fleet runs a fleet-scale AmiGo device campaign over the
 // real HTTP control plane: it expands a campaign plan into per-ME
 // schedules, drives thousands of simulated mobile endpoints through
-// register / batch-lease / execute / batch-upload against an AmiGo
+// schedule / batch-lease / execute / batch-upload against an AmiGo
 // control server, ingests the uploaded results and prints the Table 4
 // counts and Figure 11-style RTT aggregates regenerated from the fleet
 // output.
@@ -52,7 +52,7 @@
 // kills the given shard once, right after it accepts its first upload —
 // its registry, queues and idempotency state are dropped wholesale and
 // a fresh server is brought up over the same WAL; MEs rediscover the
-// shard and re-register, and the ingested dataset must still be
+// shard and are scheduled anew, and the ingested dataset must still be
 // byte-identical (pair with -crosscheck to prove it end to end).
 //
 // -compact-after N compacts a shard's WAL whenever N plain sealed

@@ -3,9 +3,12 @@ package amigo
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -39,10 +42,15 @@ func testbed(t *testing.T, iso string, opts ...Option) (*Server, *Endpoint, func
 	return srv, ep, hs.Close
 }
 
+// TestRegisterAndHeartbeat: an ME is registered by its first schedule —
+// an empty one here — and its vitals ride its leases.
 func TestRegisterAndHeartbeat(t *testing.T) {
 	srv, ep, done := testbed(t, "PAK")
 	defer done()
-	if err := ep.Register(); err != nil {
+	if _, err := ep.Lease(4); !errors.Is(err, ErrUnknownME) {
+		t.Fatalf("lease before any schedule: %v, want ErrUnknownME", err)
+	}
+	if _, err := srv.ScheduleBatch(ep.Name, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := srv.MEs(); len(got) != 1 || got[0] != "me-PAK" {
@@ -69,20 +77,38 @@ func TestRegisterAndHeartbeat(t *testing.T) {
 	}
 }
 
-func TestScheduleRequiresRegistration(t *testing.T) {
-	srv, _, done := testbed(t, "PAK")
+// TestScheduleCreatesME: an ME does not register. Scheduling for an ME
+// the server does not know creates it, in process and over the JSON
+// admin route, and its lease then carries what was scheduled.
+func TestScheduleCreatesME(t *testing.T) {
+	srv, ep, done := testbed(t, "PAK")
 	defer done()
-	if _, err := srv.ScheduleBatch("ghost", []Task{{Kind: "speedtest", Config: "esim"}}); err == nil {
-		t.Error("scheduling to unknown ME should fail")
+	ids, err := srv.ScheduleBatch(ep.Name, []Task{{Kind: "speedtest", Config: "esim"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tasks, err := ep.Lease(4); err != nil || !slices.Equal(leaseIDs(tasks), ids) {
+		t.Fatalf("lease = %v, %v; want %v", leaseIDs(tasks), err, ids)
+	}
+	admin := httptest.NewServer(srv.AdminHandler())
+	defer admin.Close()
+	resp, err := admin.Client().Post(admin.URL+"/admin/schedule", "application/json",
+		strings.NewReader(`{"me":"me-DEU","kind":"dns","config":"sim"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("JSON schedule for a new ME: HTTP %d", resp.StatusCode)
+	}
+	if got := srv.MEs(); !slices.Equal(got, []string{"me-DEU", "me-PAK"}) {
+		t.Errorf("MEs = %v, want both scheduled ones", got)
 	}
 }
 
 func TestTaskRoundTripAllKinds(t *testing.T) {
 	srv, ep, done := testbed(t, "DEU")
 	defer done()
-	if err := ep.Register(); err != nil {
-		t.Fatal(err)
-	}
 	tasks := []Task{
 		{Kind: "speedtest", Config: "esim"},
 		{Kind: "speedtest", Config: "sim"},
@@ -148,7 +174,6 @@ func TestTaskRoundTripAllKinds(t *testing.T) {
 func TestUnknownTaskKindReported(t *testing.T) {
 	srv, ep, done := testbed(t, "PAK")
 	defer done()
-	ep.Register()
 	srv.ScheduleBatch("me-PAK", []Task{{Kind: "teleport", Config: "esim"}})
 	if _, err := ep.RunBatch(1); err != nil {
 		t.Fatal(err)
@@ -162,7 +187,6 @@ func TestUnknownTaskKindReported(t *testing.T) {
 func TestSIMTaskOnWebOnlyCountryFails(t *testing.T) {
 	srv, ep, done := testbed(t, "FRA") // web campaign: eSIM only
 	defer done()
-	ep.Register()
 	srv.ScheduleBatch("me-FRA", []Task{{Kind: "speedtest", Config: "sim"}})
 	if _, err := ep.RunBatch(1); err != nil {
 		t.Fatal(err)
@@ -174,9 +198,11 @@ func TestSIMTaskOnWebOnlyCountryFails(t *testing.T) {
 }
 
 func TestEmptyQueueReturnsNoTask(t *testing.T) {
-	_, ep, done := testbed(t, "PAK")
+	srv, ep, done := testbed(t, "PAK")
 	defer done()
-	ep.Register()
+	if _, err := srv.ScheduleBatch(ep.Name, nil); err != nil {
+		t.Fatal(err)
+	}
 	n, err := ep.RunBatch(32)
 	if err != nil {
 		t.Fatal(err)
@@ -186,17 +212,28 @@ func TestEmptyQueueReturnsNoTask(t *testing.T) {
 	}
 }
 
+// TestBadRequests: an empty lease is 400, and the routes an ME used to
+// register and to ask for redelivery are not served.
 func TestBadRequests(t *testing.T) {
 	srv := NewServer(nil)
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
-	resp, err := hs.Client().Post(hs.URL+"/v1/register", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Errorf("empty register: HTTP %d, want 400", resp.StatusCode)
+	for _, c := range []struct {
+		path, contentType string
+		want              int
+	}{
+		{"/v3/tasks/lease", wire.ContentType, http.StatusBadRequest},
+		{"/v1/register", "application/json", http.StatusNotFound},
+		{"/v2/tasks/requeue", "application/json", http.StatusNotFound},
+	} {
+		resp, err := hs.Client().Post(hs.URL+c.path, c.contentType, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("empty POST %s: HTTP %d, want %d", c.path, resp.StatusCode, c.want)
+		}
 	}
 }
 
@@ -213,9 +250,6 @@ func TestConcurrentEndpoints(t *testing.T) {
 	done := make(chan error, len(countries))
 	for i, iso := range countries {
 		ep := NewEndpoint("me-"+iso, hs.URL, world(t).Deployments[iso], rng.New(int64(100+i)))
-		if err := ep.Register(); err != nil {
-			t.Fatal(err)
-		}
 		for j := 0; j < tasksPer; j++ {
 			if _, err := srv.ScheduleBatch("me-"+iso, []Task{{Kind: "speedtest", Config: "esim"}}); err != nil {
 				t.Fatal(err)
@@ -264,9 +298,6 @@ func TestConcurrentEndpoints(t *testing.T) {
 func TestLeaseBatchRoundTrip(t *testing.T) {
 	srv, ep, done := testbed(t, "PAK")
 	defer done()
-	if err := ep.Register(); err != nil {
-		t.Fatal(err)
-	}
 	var tasks []Task
 	for i := 0; i < 5; i++ {
 		tasks = append(tasks, Task{Kind: "dns", Config: "esim"})
@@ -311,7 +342,6 @@ func TestLeaseBatchRoundTrip(t *testing.T) {
 func TestRunBatchDrainsQueue(t *testing.T) {
 	srv, ep, done := testbed(t, "DEU")
 	defer done()
-	ep.Register()
 	for i := 0; i < 7; i++ {
 		srv.ScheduleBatch("me-DEU", []Task{{Kind: "speedtest", Config: "esim"}})
 	}
@@ -334,7 +364,6 @@ func TestRunBatchDrainsQueue(t *testing.T) {
 func TestResultsSinceCursor(t *testing.T) {
 	srv, ep, done := testbed(t, "PAK")
 	defer done()
-	ep.Register()
 	upload := func(n int) {
 		var batch []Result
 		for i := 0; i < n; i++ {
@@ -528,9 +557,6 @@ func TestAdminHandlerScheduleAndResults(t *testing.T) {
 	hs := httptest.NewServer(mux)
 	defer hs.Close()
 	ep := NewEndpoint("me-PAK", hs.URL, world(t).Deployments["PAK"], rng.New(5))
-	if err := ep.Register(); err != nil {
-		t.Fatal(err)
-	}
 	body := wire.AppendSchedule(nil, "me-PAK", []Task{{Kind: "dns", Config: "esim"}, {Kind: "speedtest", Config: "esim"}})
 	resp, err := hs.Client().Post(hs.URL+"/admin/schedule", wire.ContentType, bytes.NewReader(body))
 	if err != nil {
@@ -594,7 +620,6 @@ func TestConcurrentLeaseUploadManyMEs(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < mes; i++ {
 		name := fmt.Sprintf("me-%03d", i)
-		srv.Register(name, "PAK")
 		var tasks []Task
 		for j := 0; j < tasksPer; j++ {
 			tasks = append(tasks, Task{Kind: "noop", Config: "esim"})

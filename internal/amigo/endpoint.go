@@ -85,11 +85,12 @@ func (b Backoff) delay(attempt int, hint time.Duration) time.Duration {
 }
 
 // ErrUnknownME is wrapped into every error that means the server does
-// not know this ME — by the Server methods themselves, and by the HTTP
-// transport for a 404. In a sharded deployment that is the signature of
-// a control-shard crash — the replacement shard lost every registration
-// — and the fleet driver treats it as recoverable (re-register,
-// re-schedule under the original task IDs, replay). Test with errors.Is.
+// not know this ME — nothing was ever scheduled for it there — by the
+// Server methods themselves, and by the HTTP transport for a 404. In a
+// sharded deployment that is the signature of a control-shard crash — the
+// replacement shard lost every ME — and the fleet driver treats it as
+// recoverable (re-schedule under the original task IDs, replay). Test
+// with errors.Is.
 var ErrUnknownME = errors.New("amigo: server does not know this ME")
 
 // Endpoint is a measurement endpoint: the rooted-phone replacement that
@@ -134,10 +135,11 @@ type Endpoint struct {
 	// wait, so the dataset is byte-identical with Realize on or off.
 	Realize bool
 
-	battery float64
-	vitals  Vitals // sampled by Heartbeat, sent with every lease attempt until one succeeds
-	acked   int    // highest task ID leased so far (the lease ack cursor)
-	drained bool   // RunBatch uploaded a short lease: the next call returns 0 unasked
+	battery   float64
+	vitals    Vitals // sampled by Heartbeat, sent with every lease attempt until one succeeds
+	redeliver bool   // set by Redeliver, sent with every lease attempt until one succeeds
+	acked     int    // highest task ID leased so far (the lease ack cursor)
+	drained   bool   // RunBatch uploaded a short lease: the next call returns 0 unasked
 	// scratch is the pooled buffer the payloads of the batch being run are
 	// encoded into, one after another in task order; seal moves them onto
 	// the batch's own slab and hands it back (nil between batches).
@@ -161,9 +163,7 @@ type epMetrics struct {
 }
 
 var (
-	epPaths = []string{
-		"/v1/register", "/v2/tasks/requeue", "/v3/tasks/lease", "/v3/results",
-	}
+	epPaths   = []string{"/v3/tasks/lease", "/v3/results"}
 	taskKinds = []string{"speedtest", "mtr", "cdn", "dns", "video", "other"}
 )
 
@@ -273,13 +273,6 @@ func (e *Endpoint) retry(op string, attempt func(context.Context, Transport) err
 	return fmt.Errorf("amigo: %s: giving up after %d attempts: %w", op, b.MaxAttempts, last.Err)
 }
 
-// Register announces the ME to the control server.
-func (e *Endpoint) Register() error {
-	return e.retry("/v1/register", func(ctx context.Context, t Transport) error {
-		return t.Register(ctx, e.Name, e.Dep.Country.ISO3)
-	})
-}
-
 // Heartbeat samples current vitals, the radio of the eSIM side, and keeps
 // them for the next lease to report.
 func (e *Endpoint) Heartbeat() {
@@ -297,16 +290,16 @@ func (e *Endpoint) Heartbeat() {
 // Lease asks the server for up to max tasks, acknowledging everything
 // leased so far (the server retires acked tasks and re-delivers unacked
 // ones, so a lease response lost to a fault is recovered on the next
-// call), and reports the vitals of the last Heartbeat if no lease has
-// yet. An empty slice means the queue is drained.
+// call), and carries what no lease has yet: the vitals of the last
+// Heartbeat and a Redeliver. An empty slice means the queue is drained.
 func (e *Endpoint) Lease(max int) ([]Task, error) {
 	var tasks []Task
 	err := e.retry("lease", func(ctx context.Context, t Transport) (err error) {
-		tasks, err = t.Lease(ctx, e.Name, max, e.acked, e.vitals)
+		tasks, err = t.Lease(ctx, wire.LeaseRequest{ME: e.Name, Max: max, Ack: e.acked, Vitals: e.vitals, Redeliver: e.redeliver})
 		return err
 	})
 	if err == nil {
-		e.vitals = Vitals{}
+		e.vitals, e.redeliver = Vitals{}, false
 		if n := len(tasks); n > 0 {
 			e.acked = tasks[n-1].ID
 		}
@@ -314,17 +307,13 @@ func (e *Endpoint) Lease(max int) ([]Task, error) {
 	return tasks, err
 }
 
-// Redeliver asks the server to restore this ME's full schedule — done,
-// outstanding, and queued tasks, in original order — and resets the
-// lease ack cursor. A restarted ME calls it after re-registering so a
-// full replay re-leases every task; server-side idempotency keys keep
-// the re-uploaded duplicates out of the dataset.
-func (e *Endpoint) Redeliver() error {
-	e.acked, e.drained = 0, false
-	return e.retry("/v2/tasks/requeue", func(ctx context.Context, t Transport) error {
-		return t.Requeue(ctx, e.Name)
-	})
-}
+// Redeliver makes the next lease a redelivery: the server restores this
+// ME's full schedule — done, outstanding, and queued tasks, in original
+// order — before leasing, and the ack cursor starts over. A restarted ME
+// calls it so a full replay re-leases every task; server-side idempotency
+// keys keep the re-uploaded duplicates out of the dataset. It sends
+// nothing itself: the flag rides every lease attempt until one succeeds.
+func (e *Endpoint) Redeliver() { e.acked, e.drained, e.redeliver = 0, false, true }
 
 // Upload submits a result batch under an idempotency key derived from
 // its content. The key makes resending always safe: if the server

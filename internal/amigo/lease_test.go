@@ -2,11 +2,13 @@ package amigo
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"testing"
 
 	"roamsim/internal/obs"
 	"roamsim/internal/rng"
+	"roamsim/internal/wire"
 )
 
 // leaseIDs is the task IDs of a lease, in order.
@@ -31,7 +33,6 @@ func TestLeaseShortOnlyWhenDrained(t *testing.T) {
 			srv := NewServer(nil, WithObs(reg))
 			ep := &Endpoint{Name: "me", Retry: fastRetry}
 			tr.bind(t, srv, ep)
-			srv.Register("me", "PAK")
 			var scheduled []int // every ID scheduled, ascending
 			schedule := func(n int) {
 				ids, err := srv.ScheduleBatch("me", make([]Task, n))
@@ -95,9 +96,9 @@ type countingTransport struct {
 	leases, uploads int
 }
 
-func (c *countingTransport) Lease(ctx context.Context, me string, max, ack int, v Vitals) ([]Task, error) {
+func (c *countingTransport) Lease(ctx context.Context, req wire.LeaseRequest) ([]Task, error) {
 	c.leases++
-	return c.Transport.Lease(ctx, me, max, ack, v)
+	return c.Transport.Lease(ctx, req)
 }
 
 func (c *countingTransport) Upload(ctx context.Context, key string, results []Result) error {
@@ -143,7 +144,6 @@ func TestRunBatchSkipsConfirmingLease(t *testing.T) {
 				// measurement behind it, which is all this test needs.
 				ep := &Endpoint{Name: "me", Obs: reg, Retry: fastRetry}
 				ct := countRequests(t, tr.bind, srv, ep)
-				srv.Register("me", "PAK")
 				if _, err := srv.ScheduleBatch("me", make([]Task, tc.queued)); err != nil {
 					t.Fatal(err)
 				}
@@ -172,16 +172,13 @@ func TestRunBatchSkipsConfirmingLease(t *testing.T) {
 			srv := NewServer(nil)
 			ep := &Endpoint{Name: "me", Retry: fastRetry}
 			ct := countRequests(t, tr.bind, srv, ep)
-			srv.Register("me", "PAK")
 			if _, err := srv.ScheduleBatch("me", make([]Task, 18)); err != nil {
 				t.Fatal(err)
 			}
 			if n, err := ep.RunBatch(32); n != 18 || err != nil {
 				t.Fatalf("RunBatch = %d, %v", n, err)
 			}
-			if err := ep.Redeliver(); err != nil {
-				t.Fatal(err)
-			}
+			ep.Redeliver()
 			if n, err := ep.RunBatch(32); n != 18 || err != nil || ct.leases != 2 {
 				t.Fatalf("RunBatch after Redeliver = %d, %v after %d leases; want the 18 re-leased", n, err, ct.leases)
 			}
@@ -202,7 +199,6 @@ func TestRunBatchDrainedCarriesVitals(t *testing.T) {
 			srv := NewServer(nil)
 			ep := &Endpoint{Name: "me", Dep: world(t).Deployments["PAK"], Src: rng.New(5), Retry: fastRetry, battery: 1}
 			ct := countRequests(t, tr.bind, srv, ep)
-			srv.Register("me", "PAK")
 			if _, err := srv.ScheduleBatch("me", make([]Task, 3)); err != nil {
 				t.Fatal(err)
 			}
@@ -219,6 +215,66 @@ func TestRunBatchDrainedCarriesVitals(t *testing.T) {
 			}
 			if n, err := ep.RunBatch(32); n != 0 || err != nil || ct.leases != 3 {
 				t.Fatalf("RunBatch after the vitals lease = %d, %v after %d leases; want an ordinary lease", n, err, ct.leases)
+			}
+		})
+	}
+}
+
+// lossyTransport records every lease request and loses the responses of
+// the next drop of them: each lease reaches the server, and the Endpoint
+// sees a failed attempt.
+type lossyTransport struct {
+	Transport
+	drop int
+	sent []wire.LeaseRequest
+}
+
+func (l *lossyTransport) Lease(ctx context.Context, req wire.LeaseRequest) ([]Task, error) {
+	l.sent = append(l.sent, req)
+	tasks, err := l.Transport.Lease(ctx, req)
+	if err == nil && l.drop > 0 {
+		l.drop--
+		return nil, Retryable{Err: errors.New("lease response lost")}
+	}
+	return tasks, err
+}
+
+// TestRedeliverLostResponse: a redelivery lease whose response is lost is
+// retried with the flag still set, and the retry re-delivers the same
+// first batch — the schedule is restored again, nothing skipped — on both
+// transports. The lease after it is an ordinary one.
+func TestRedeliverLostResponse(t *testing.T) {
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			srv := NewServer(nil)
+			ep := &Endpoint{Name: "me", Retry: fastRetry}
+			tr.bind(t, srv, ep)
+			lt := &lossyTransport{Transport: ep.Transport}
+			if lt.Transport == nil {
+				lt.Transport = (*httpTransport)(ep)
+			}
+			ep.Transport = lt
+			ids, err := srv.ScheduleBatch("me", make([]Task, 10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ { // 8 delivered, the first 4 acked
+				if _, err := ep.Lease(4); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ep.Redeliver()
+			lt.drop = 1
+			tasks, err := ep.Lease(4)
+			if err != nil || !slices.Equal(leaseIDs(tasks), ids[:4]) {
+				t.Fatalf("redelivery after a lost response = %v, %v; want %v", leaseIDs(tasks), err, ids[:4])
+			}
+			lost, retry := lt.sent[len(lt.sent)-2], lt.sent[len(lt.sent)-1]
+			if !lost.Redeliver || retry != lost || retry.Ack != 0 {
+				t.Fatalf("lost lease %+v, retried as %+v; want the same redelivery, ack 0", lost, retry)
+			}
+			if tasks, err := ep.Lease(4); err != nil || !slices.Equal(leaseIDs(tasks), ids[4:8]) || lt.sent[len(lt.sent)-1].Redeliver {
+				t.Fatalf("next lease = %v, %v (redeliver %v); want %v, no redelivery", leaseIDs(tasks), err, lt.sent[len(lt.sent)-1].Redeliver, ids[4:8])
 			}
 		})
 	}

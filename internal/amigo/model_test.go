@@ -19,8 +19,8 @@ import (
 )
 
 // The reference model of the ME protocol: what a control plane answers to
-// each register, schedule, lease, requeue and upload, written as plainly as
-// the semantics allow, and checked operation by operation against the real
+// each schedule, lease and upload, written as plainly as the semantics
+// allow, and checked operation by operation against the real
 // Server — in process (DirectTransport) and over HTTP through a 4-shard
 // gateway.
 
@@ -37,10 +37,10 @@ type model struct {
 	seen     map[string]int   // events the sequences exercised (coverage)
 }
 
-// modelME is one ME's state. Its schedule never reorders: a lease hands
-// out sched[acked:], an ack retires a prefix of what was sent, and a
-// requeue rewinds both cursors. So the done list is sched[:acked] and the
-// outstanding deliveries are sched[acked:sent].
+// modelME is one ME's state, created by its first schedule. The schedule
+// never reorders: a lease hands out sched[acked:], an ack retires a prefix
+// of what was sent, and a redelivery rewinds both cursors. So the done
+// list is sched[:acked] and the outstanding deliveries are sched[acked:sent].
 type modelME struct {
 	sched       []amigo.Task
 	acked, sent int
@@ -49,14 +49,15 @@ type modelME struct {
 
 // op is one ME-facing operation, every value concrete.
 type op struct {
-	Kind    string // "register", "schedule", "lease", "requeue" or "upload"
-	ME      string // the upload's ME is its first result's
-	Tasks   []amigo.Task
-	Max     int
-	Ack     int
-	Vitals  amigo.Vitals
-	Key     string
-	Results []amigo.Result
+	Kind      string // "schedule", "lease" or "upload"
+	ME        string // the upload's ME is its first result's
+	Tasks     []amigo.Task
+	Max       int
+	Ack       int
+	Vitals    amigo.Vitals
+	Redeliver bool
+	Key       string
+	Results   []amigo.Result
 }
 
 func (o op) String() string {
@@ -64,7 +65,7 @@ func (o op) String() string {
 	case "schedule":
 		return fmt.Sprintf("schedule %s %d tasks %v", o.ME, len(o.Tasks), taskIDs(o.Tasks))
 	case "lease":
-		return fmt.Sprintf("lease %s max %d ack %d vitals %v", o.ME, o.Max, o.Ack, !o.Vitals.IsZero())
+		return fmt.Sprintf("lease %s max %d ack %d vitals %v redeliver %v", o.ME, o.Max, o.Ack, !o.Vitals.IsZero(), o.Redeliver)
 	case "upload":
 		ids := make([]int, len(o.Results))
 		for i, r := range o.Results {
@@ -96,11 +97,23 @@ func newModel(spoolCap, shards int, shardOf func(string) int) *model {
 func (m *model) apply(o op) reply {
 	st := m.mes[o.ME]
 	switch o.Kind {
-	case "register":
+	case "schedule":
 		if st == nil {
-			m.mes[o.ME] = &modelME{}
+			st = &modelME{}
+			m.mes[o.ME] = st
 		}
-		return reply{Class: "ok"}
+		sh := m.shardOf(o.ME)
+		tasks := slices.Clone(o.Tasks)
+		for i := range tasks {
+			if tasks[i].ID > 0 {
+				m.lastID[sh] = max(m.lastID[sh], tasks[i].ID)
+			} else {
+				m.lastID[sh]++
+				tasks[i].ID = m.lastID[sh]
+			}
+		}
+		st.sched = append(st.sched, tasks...)
+		return reply{Tasks: tasks, Class: "ok"}
 	case "upload":
 		sh := m.shardOf(o.Results[0].ME)
 		key := fmt.Sprint(sh, "/", o.Key)
@@ -120,26 +133,17 @@ func (m *model) apply(o op) reply {
 			m.keys[key] = true
 		}
 		return reply{Class: "ok"}
-	}
-	if st == nil {
-		m.seen["unknown ME"]++
-		return reply{Class: "unknown-me"}
-	}
-	switch o.Kind {
-	case "schedule":
-		sh := m.shardOf(o.ME)
-		tasks := slices.Clone(o.Tasks)
-		for i := range tasks {
-			if tasks[i].ID > 0 {
-				m.lastID[sh] = max(m.lastID[sh], tasks[i].ID)
-			} else {
-				m.lastID[sh]++
-				tasks[i].ID = m.lastID[sh]
-			}
-		}
-		st.sched = append(st.sched, tasks...)
-		return reply{Tasks: tasks, Class: "ok"}
 	case "lease":
+		if st == nil {
+			m.seen["unknown ME"]++
+			return reply{Class: "unknown-me"}
+		}
+		if o.Redeliver {
+			if st.acked < st.sent {
+				m.seen["redelivery mid-lease"]++
+			}
+			st.acked, st.sent = 0, 0
+		}
 		if !o.Vitals.IsZero() {
 			st.vitals = o.Vitals
 		}
@@ -155,18 +159,11 @@ func (m *model) apply(o op) reply {
 		n := min(max(o.Max, 1), amigo.MaxLeaseBatch, len(st.sched)-st.acked)
 		st.sent = max(st.sent, st.acked+n)
 		return reply{Tasks: slices.Clone(st.sched[st.acked : st.acked+n]), Class: "ok"}
-	case "requeue":
-		if st.acked < st.sent {
-			m.seen["requeue mid-lease"]++
-		}
-		st.acked, st.sent = 0, 0
-		return reply{Class: "ok"}
 	}
 	panic("model: unknown op " + o.Kind)
 }
 
-// The generator's world: three MEs that come and go, and one that never
-// exists; a spool small enough that large batches bounce off it.
+// The generator's world: three MEs scheduled now and then, and one never; a spool small enough that large batches bounce off it.
 const modelSpoolCap = 6
 
 var modelMEs = []string{"me-a", "me-b", "me-c", "ghost"}
@@ -174,12 +171,15 @@ var modelMEs = []string{"me-a", "me-b", "me-c", "ghost"}
 // genOps draws n operations from seed for a control plane sharded by
 // shardOf. Its own model gives the client side what an Endpoint would
 // know: the ack cursor to send, the leases it could upload, the uploads it
-// could repeat. A lost lease response leaves the cursor where it was, so
-// the retry acks stale; other leases ack zero, an old ID or past the end.
+// could repeat, whether its last redelivery went through. A lost lease
+// response leaves the cursor where it was, so the retry acks stale, and a
+// redelivery stays pending until a lease carrying it is answered; other
+// leases ack zero, an old ID or past the end.
 func genOps(seed int64, n, shards int, shardOf func(string) int) []op {
 	src := rng.New(seed)
 	m := newModel(modelSpoolCap, shards, shardOf)
 	cursor := map[string]int{}
+	redeliver := map[string]bool{}
 	leased := map[string][][]amigo.Task{}
 	var uploads, ops []op
 	for len(ops) < n {
@@ -190,13 +190,9 @@ func genOps(seed int64, n, shards int, shardOf func(string) int) []op {
 		past := leased[me]
 		o := op{Kind: "lease", ME: me}
 		switch r := src.Intn(20); {
-		case r < 2:
-			o.Kind = "register"
-		case r < 5:
+		case r < 4:
 			o.Kind, o.Tasks = "schedule", genTasks(src, past)
-		case r < 6:
-			o.Kind = "requeue"
-		case r < 8 && len(uploads) > 0:
+		case r < 6 && len(uploads) > 0:
 			o = uploads[src.Intn(len(uploads))]
 		case r < 11:
 			o.Kind, o.Results = "upload", genResults(src, me, past)
@@ -225,17 +221,23 @@ func genOps(seed int64, n, shards int, shardOf func(string) int) []op {
 			if src.Bool(0.3) {
 				o.Vitals = amigo.Vitals{CQI: 1 + len(ops), RAT: "5G"}
 			}
+			if redeliver[me] || src.Bool(0.1) {
+				o.Ack, o.Redeliver, redeliver[me] = 0, true, true
+				cursor[me] = 0
+			}
 		}
 		rep := m.apply(o)
 		switch {
 		case rep.Class != "ok":
-		case o.Kind == "lease" && len(rep.Tasks) > 0:
-			leased[me] = append(leased[me], rep.Tasks)
-			if src.Bool(0.75) { // else the response was lost
-				cursor[me] = rep.Tasks[len(rep.Tasks)-1].ID
+		case o.Kind == "lease":
+			lost := src.Bool(0.25)
+			redeliver[me] = o.Redeliver && lost
+			if len(rep.Tasks) > 0 {
+				leased[me] = append(leased[me], rep.Tasks)
+				if !lost {
+					cursor[me] = rep.Tasks[len(rep.Tasks)-1].ID
+				}
 			}
-		case o.Kind == "requeue":
-			cursor[me] = 0
 		case o.Kind == "upload":
 			uploads = append(uploads, o)
 		}
@@ -378,14 +380,10 @@ func (tg *target) apply(o op) reply {
 	var tasks []amigo.Task
 	var err error
 	switch o.Kind {
-	case "register":
-		err = tg.tr.Register(ctx, o.ME, "PAK")
 	case "schedule":
 		tasks, err = tg.schedule(o.ME, o.Tasks)
 	case "lease":
-		tasks, err = tg.tr.Lease(ctx, o.ME, o.Max, o.Ack, o.Vitals)
-	case "requeue":
-		err = tg.tr.Requeue(ctx, o.ME)
+		tasks, err = tg.tr.Lease(ctx, wire.LeaseRequest{ME: o.ME, Max: o.Max, Ack: o.Ack, Vitals: o.Vitals, Redeliver: o.Redeliver})
 	case "upload":
 		err = tg.tr.Upload(ctx, o.Key, o.Results)
 	}
@@ -438,8 +436,8 @@ func runModel(t *testing.T, tg *target, ops []op) *model {
 }
 
 // TestProtocolModel: seeded operation sequences over three MEs and a ghost
-// — duplicate and stale uploads, stale and lost-response acks, requeues
-// with leases outstanding, unknown MEs, Max of 0 and past the clamp, and
+// — duplicate and stale uploads, stale and lost-response acks, redelivery
+// with leases outstanding and its lost response retried, unknown MEs, Max of 0 and past the clamp, and
 // batches the spool refuses — answer exactly as the model says, in process
 // and through a 4-shard gateway over HTTP.
 func TestProtocolModel(t *testing.T) {
@@ -466,7 +464,7 @@ func TestProtocolModel(t *testing.T) {
 					spread[tg.shardOf(me)] = true
 				}
 			}
-			for _, ev := range []string{"duplicate dropped", "spool full", "unknown ME", "re-sent", "max clamped", "requeue mid-lease"} {
+			for _, ev := range []string{"duplicate dropped", "spool full", "unknown ME", "re-sent", "max clamped", "redelivery mid-lease"} {
 				if seen[ev] == 0 {
 					t.Errorf("no sequence exercised %q", ev)
 				}

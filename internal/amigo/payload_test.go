@@ -446,7 +446,6 @@ func batchAllocs(t *testing.T, tasks []Task) (batch, measured float64) {
 	twins := make([]*Endpoint, runs+1)
 	for i := range eps {
 		srv := NewServer(nil)
-		srv.Register("me-DEU", "DEU")
 		if _, err := srv.ScheduleBatch("me-DEU", tasks); err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,6 @@ import (
 // lease response lost in flight is re-delivered rather than dropped.
 func TestLeaseAckRedeliversUnacked(t *testing.T) {
 	srv := NewServer(nil)
-	srv.Register("me", "PAK")
 	ids, err := srv.ScheduleBatch("me", []Task{
 		{Kind: "dns", Config: "esim"}, {Kind: "dns", Config: "esim"}, {Kind: "dns", Config: "esim"},
 	})
@@ -50,7 +49,6 @@ func TestLeaseAckRedeliversUnacked(t *testing.T) {
 // a restarted ME replays from the top and idempotency keys line up.
 func TestRequeueRestoresFullSchedule(t *testing.T) {
 	srv := NewServer(nil)
-	srv.Register("me", "PAK")
 	var tasks []Task
 	for i := 0; i < 6; i++ {
 		tasks = append(tasks, Task{Kind: "dns", Config: "esim"})
@@ -96,7 +94,6 @@ func TestRequeueRestoresFullSchedule(t *testing.T) {
 // empty key keeps the legacy non-idempotent behavior.
 func TestSubmitKeyedDedup(t *testing.T) {
 	srv := NewServer(nil)
-	srv.Register("me", "PAK")
 	batch := []Result{{TaskID: 1, ME: "me", Kind: "dns", Config: "esim", OK: true}}
 	for i := 0; i < 3; i++ { // original + two replays
 		if err := srv.SubmitKeyed("k1", batch); err != nil {
@@ -156,27 +153,31 @@ func TestUploadRetryAfterClamped(t *testing.T) {
 // backoff policy, so a server that fails twice and then recovers does
 // not fail the campaign.
 func TestPostRetriesTransient5xx(t *testing.T) {
-	var hits atomic.Int64
+	var hits, status atomic.Int64
+	status.Store(http.StatusNoContent)
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if hits.Add(1) <= 2 {
 			http.Error(w, "transient", http.StatusServiceUnavailable)
 			return
 		}
-		w.WriteHeader(http.StatusNoContent)
+		w.WriteHeader(int(status.Load()))
 	}))
 	defer hs.Close()
 	ep := &Endpoint{Name: "me", BaseURL: hs.URL, Client: hs.Client(),
 		Retry: Backoff{MaxAttempts: 5, Base: time.Millisecond, Max: 5 * time.Millisecond}}
-	if err := ep.Redeliver(); err != nil {
-		t.Fatalf("post after transient 5xx: %v", err)
+	if _, err := ep.Lease(4); err != nil {
+		t.Fatalf("lease after transient 5xx: %v", err)
 	}
 	if got := hits.Load(); got != 3 {
 		t.Errorf("server saw %d attempts, want 3", got)
 	}
 	// A permanent client error must NOT be retried.
-	hits.Store(100)
-	if err := ep.Redeliver(); err != nil {
-		t.Fatalf("unexpected: %v", err)
+	status.Store(http.StatusBadRequest)
+	if _, err := ep.Lease(4); err == nil {
+		t.Fatal("a lease answered 400 succeeded")
+	}
+	if got := hits.Load(); got != 4 {
+		t.Errorf("server saw %d attempts, want 4: a 400 is not retried", got)
 	}
 }
 
@@ -224,7 +225,6 @@ func TestEndpointLeaseSurvivesLostResponse(t *testing.T) {
 		inner.ServeHTTP(w, r)
 	}))
 	defer hs.Close()
-	srv.Register("me", "PAK")
 	ids, err := srv.ScheduleBatch("me", []Task{
 		{Kind: "dns", Config: "esim"}, {Kind: "dns", Config: "esim"},
 	})

@@ -1,36 +1,34 @@
 // Package amigo reimplements the AmiGo testbed the paper extended: a
 // control server that manages remote measurement endpoints (MEs) over a
-// REST API, and the ME client that reports device vitals, fetches
-// instrumentation, and uploads results.
+// REST API, and the ME client that polls for instrumentation, reports
+// device vitals, and uploads results.
 //
 // The paper's MEs were rooted Samsung S21+ phones running termux; here
 // the ME drives sessions of the simulated world instead of a radio, but
-// the control-plane protocol — register, report vitals, lease tasks,
-// upload observations — is the same shape, over real HTTP. An
-// Endpoint reaches the server through a Transport: the routes below, or
-// DirectTransport calling the Server methods behind them — what the
-// serial reference campaign (fleet.RunInProcess) runs on, so the oracle
-// shares no socket and no codec with the path it judges.
+// the control-plane protocol — lease tasks, upload observations — is the
+// same shape, over real HTTP. An Endpoint reaches the server through a
+// Transport: the routes below, or DirectTransport calling the Server
+// methods behind them — what the serial reference campaign
+// (fleet.RunInProcess) runs on, so the oracle shares no socket and no
+// codec with the path it judges.
 //
 // # Protocol
 //
-// The one control call every ME makes once per incarnation is JSON:
-//
-//	POST /v1/register   {"me": ..., "country": ...}
-//
-// Tasks, results and vitals travel only over the v3 batch surface, which
-// the fleet (see internal/fleet) and the standalone amigo-me both speak:
-// an ME leases up to K tasks in one round trip and uploads their results
-// as one batch (Endpoint.RunBatch). Bodies are internal/wire frames (see
-// DESIGN.md "v3 wire format") and requests must carry Content-Type
-// application/vnd.amigo.v3 (else 415):
+// An ME speaks two routes, which the fleet (see internal/fleet) and the
+// standalone amigo-me both use: it leases up to K tasks in one round trip
+// and uploads their results as one batch (Endpoint.RunBatch). Bodies are
+// internal/wire frames (see DESIGN.md "v3 wire format") and requests must
+// carry Content-Type application/vnd.amigo.v3 (else 415):
 //
 //	POST /v3/tasks/lease   MsgLeaseRequest frame -> MsgTasks frame (204 if none)
 //	POST /v3/results       MsgResults frame      -> 204, or 429 + Retry-After
 //
-// A heartbeat is not a request: Endpoint.Heartbeat samples the ME's
-// vitals and its next lease carries them (ReportVitals, then the lease;
-// 404 for an unknown ME, which leases nothing).
+// An ME does not register: scheduling work for it (POST /admin/schedule,
+// ScheduleBatch) is what makes the server know it, and a lease for an ME
+// nothing was ever scheduled for is 404 (ErrUnknownME) and leases nothing.
+// A heartbeat is not a request either: Endpoint.Heartbeat samples the
+// ME's vitals and its next lease carries them (ReportVitals, then the
+// lease).
 //
 // Batch delivery is at-least-once and loss-tolerant: the lease request's
 // Ack acknowledges every previously delivered task ID <= Ack, and
@@ -42,11 +40,9 @@
 // dropped server-side (SubmitKeyed), so retried and duplicated uploads
 // never double-count results.
 //
-// One more JSON control route sits beside them: a crashed batch ME calls
-// it after re-registering to get its entire schedule back, original task
-// IDs included (Requeue):
-//
-//	POST /v2/tasks/requeue {"me": ...} -> 204
+// A restarted ME gets its entire schedule back, original task IDs
+// included, by setting Redeliver on its first lease (Endpoint.Redeliver):
+// the server runs Requeue, then records the vitals, then leases.
 //
 // # Backpressure
 //
@@ -58,9 +54,8 @@
 // with HTTP 429 and a Retry-After hint instead of growing memory without
 // bound.
 //
-// The ME registry is sharded by endpoint name, so registration,
-// heartbeats, leases and scheduling for different MEs do not contend on
-// one mutex at fleet scale.
+// The ME registry is sharded by endpoint name, so scheduling, heartbeats
+// and leases for different MEs do not contend on one mutex at fleet scale.
 package amigo
 
 import (
@@ -99,11 +94,9 @@ type Vitals = wire.Vitals
 // no room for a batch; HTTP handlers translate it to 429 + Retry-After.
 var ErrSpoolFull = errors.New("amigo: result spool full")
 
-// meState tracks one registered endpoint.
+// meState tracks one known endpoint.
 type meState struct {
-	Country    string
 	LastVitals Vitals
-	LastSeen   time.Time
 	queue      []Task
 	// outstanding are tasks delivered over the ack'd lease protocol that
 	// the ME has not acknowledged yet. A lease whose response was
@@ -161,7 +154,7 @@ type serverMetrics struct {
 	leased        *obs.Counter // fresh task deliveries
 	redelivered   *obs.Counter // unacked tasks re-sent after a lost lease response
 	acked         *obs.Counter // tasks retired by a lease ack
-	requeued      *obs.Counter // tasks restored by /v2/tasks/requeue
+	requeued      *obs.Counter // tasks restored by a redelivery lease
 	submitted     *obs.Counter // results accepted into the spool
 	dedupDropped  *obs.Counter // duplicate idempotency-key batches dropped
 	spoolRejected *obs.Counter // batches shed with 429 (spool full)
@@ -269,23 +262,18 @@ func (s *Server) shardFor(me string) *registryShard {
 	return &s.shards[h.Sum32()%uint32(len(s.shards))]
 }
 
-// Register creates (or refreshes) an ME registration.
-func (s *Server) Register(me, country string) {
-	sh := s.shardFor(me)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.mes[me]; !ok {
-		sh.mes[me] = &meState{Country: country}
-	}
-	sh.mes[me].LastSeen = s.clock()
-}
+// Register makes me known to the server with nothing scheduled.
+//
+// Deprecated: an ME does not register — ScheduleBatch creates it. The
+// method remains only because bench/ calls it; the country is not kept.
+func (s *Server) Register(me, _ string) { s.ScheduleBatch(me, nil) }
 
-// unknownME is every registry method's error for an ME not registered here.
+// unknownME is every registry method's error for an ME not known here.
 func unknownME(me string) error { return fmt.Errorf("amigo: unknown ME %q: %w", me, ErrUnknownME) }
 
-// ReportVitals records a heartbeat: the ME's latest vitals and when it
-// was last seen. A lease carries them here (leaseVitals); reporting the
-// same vitals again changes nothing.
+// ReportVitals records a heartbeat: the ME's latest vitals. A lease
+// carries them here (Server.lease); reporting the same vitals again
+// changes nothing.
 func (s *Server) ReportVitals(me string, v Vitals) error {
 	sh := s.shardFor(me)
 	sh.mu.Lock()
@@ -294,15 +282,17 @@ func (s *Server) ReportVitals(me string, v Vitals) error {
 	if !ok {
 		return unknownME(me)
 	}
-	st.LastVitals, st.LastSeen = v, s.clock()
+	st.LastVitals = v
 	return nil
 }
 
 // ScheduleBatch queues tasks for the named ME in order and returns their
-// IDs. Tasks with ID 0 get fresh server-assigned IDs (globally unique,
-// monotonically increasing per ME); a task carrying a positive ID keeps
-// it, and the allocator advances past it so later fresh IDs never
-// collide. Pre-set IDs are how the fleet driver re-schedules an ME on a
+// IDs, creating the ME when the server does not know it yet: scheduling
+// is what makes an ME known, so the error is always nil (the signature
+// stays for bench/). Tasks with ID 0 get fresh server-assigned IDs
+// (globally unique, monotonically increasing per ME); a task carrying a
+// positive ID keeps it, and the allocator advances past it so later fresh
+// IDs never collide. Pre-set IDs are how the fleet driver re-schedules an ME on a
 // replacement control shard after a crash: the re-executed tasks upload
 // under their original (ME, task ID), so ingest dedup absorbs the
 // replay instead of double-counting it.
@@ -312,7 +302,8 @@ func (s *Server) ScheduleBatch(me string, tasks []Task) ([]int, error) {
 	defer sh.mu.Unlock()
 	st, ok := sh.mes[me]
 	if !ok {
-		return nil, unknownME(me)
+		st = &meState{}
+		sh.mes[me] = st
 	}
 	ids := make([]int, len(tasks))
 	for i, t := range tasks {
@@ -387,23 +378,30 @@ func (s *Server) LeaseAckInto(me string, max, ack int, dst []Task) ([]Task, erro
 	return dst, nil
 }
 
-// leaseVitals is a lease as both transports serve it: the vitals it
-// carries, unless zero, are reported first (an unknown ME fails there,
-// leasing nothing), then LeaseAckInto.
-func (s *Server) leaseVitals(me string, max, ack int, v Vitals, dst []Task) ([]Task, error) {
-	if !v.IsZero() {
-		if err := s.ReportVitals(me, v); err != nil {
+// lease is a lease request as both transports serve it: a redelivery
+// first restores the ME's whole schedule (Requeue), the vitals it
+// carries, unless zero, are reported next — an unknown ME fails at the
+// first of these, leasing nothing — then LeaseAckInto, Max clamped to
+// [1, maxLeaseBatch].
+func (s *Server) lease(req wire.LeaseRequest, dst []Task) ([]Task, error) {
+	if req.Redeliver {
+		if _, err := s.Requeue(req.ME); err != nil {
 			return dst, err
 		}
 	}
-	return s.LeaseAckInto(me, max, ack, dst)
+	if !req.Vitals.IsZero() {
+		if err := s.ReportVitals(req.ME, req.Vitals); err != nil {
+			return dst, err
+		}
+	}
+	return s.LeaseAckInto(req.ME, min(req.Max, maxLeaseBatch), req.Ack, dst)
 }
 
 // Requeue restores the ME's full schedule — acknowledged, outstanding
 // and undelivered tasks, in original ID order — to the head of its
 // queue. It is how a crashed-and-restarted ME gets its work re-delivered
 // with the original task IDs (so replayed uploads dedup instead of
-// duplicating). Requeue is idempotent: a second call with nothing
+// duplicating): a lease with Redeliver set runs it first. Requeue is idempotent: a second call with nothing
 // delivered since is a no-op. It returns how many tasks were restored.
 func (s *Server) Requeue(me string) (int, error) {
 	sh := s.shardFor(me)
@@ -557,7 +555,7 @@ func (s *Server) Cursor() int {
 // reads (Results / ResultsSince / GET /admin/results).
 func (s *Server) SupportsCursor() bool { return s.cur != nil }
 
-// MEs lists registered endpoints, sorted.
+// MEs lists the known endpoints, sorted.
 func (s *Server) MEs() []string {
 	var out []string
 	for i := range s.shards {
@@ -745,33 +743,6 @@ func (s *Server) instrument(mux *http.ServeMux, pattern string, h http.HandlerFu
 // for the protocol).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	s.instrument(mux, "POST /v1/register", func(w http.ResponseWriter, r *http.Request) {
-		var req registerBody
-		if !decodeJSON(w, r, &req, "bad register") {
-			return
-		}
-		if req.ME == "" {
-			http.Error(w, "bad register", http.StatusBadRequest)
-			return
-		}
-		s.Register(req.ME, req.Country)
-		w.WriteHeader(http.StatusNoContent)
-	})
-	s.instrument(mux, "POST /v2/tasks/requeue", func(w http.ResponseWriter, r *http.Request) {
-		var req requeueBody
-		if !decodeJSON(w, r, &req, "bad requeue") {
-			return
-		}
-		if req.ME == "" {
-			http.Error(w, "bad requeue", http.StatusBadRequest)
-			return
-		}
-		if _, err := s.Requeue(req.ME); err != nil {
-			rejectErr(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
 	s.instrument(mux, "POST /v3/tasks/lease", s.handleV3Lease)
 	s.instrument(mux, "POST /v3/results", s.handleV3Results)
 	return mux
@@ -786,7 +757,7 @@ const maxLeaseBatch = 1024
 const kindlessSchedule = "a schedule needs at least one task, each with a kind"
 
 // handleSchedule is POST /admin/schedule (see AdminHandler). The JSON
-// form checks its kind and count, then its ME, before building tasks.
+// form checks its ME, kind and count before building tasks.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get("Content-Type") == wire.ContentType {
 		s.handleV3Schedule(w, r)
@@ -804,6 +775,9 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch {
+	case req.ME == "":
+		http.Error(w, "a schedule names its ME", http.StatusBadRequest)
+		return
 	case req.Tasks != nil:
 		http.Error(w, "a batch schedule is one wire.MsgSchedule frame sent as "+wire.ContentType, http.StatusBadRequest)
 		return
@@ -812,10 +786,6 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	case req.Count > wire.MaxScheduleCount:
 		http.Error(w, fmt.Sprintf("%d tasks is over the limit of %d", req.Count, wire.MaxScheduleCount), http.StatusBadRequest)
-		return
-	}
-	if _, ok := s.Vitals(req.ME); !ok {
-		rejectErr(w, unknownME(req.ME))
 		return
 	}
 	tasks := make([]Task, max(req.Count, 1))
@@ -906,9 +876,10 @@ func (s *Server) handleAdminResults(w http.ResponseWriter, r *http.Request) {
 //	POST /admin/schedule  a wire.MsgSchedule frame -> a MsgTasks frame of
 //	                      the queued tasks, or {"me":..., "kind":...,
 //	                      "target":..., "config":..., "count":N} -> {"task_ids":[...]};
-//	                      over wire.MaxScheduleCount tasks, none, or one
-//	                      without a kind is 400, an unknown ME 404, and
-//	                      either queues nothing
+//	                      over wire.MaxScheduleCount tasks, none, one
+//	                      without a kind, or no ME is 400 and queues
+//	                      nothing; an ME the server does not know yet is
+//	                      created
 //	GET  /admin/results?cursor=N[&limit=M] -> {"cursor": next, "results": [...]}
 //	                      cursor=-1 returns just the current cursor; with
 //	                      Accept: application/vnd.amigo.v3 the page is one

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,16 +14,16 @@ import (
 )
 
 // TestScheduleCountBounded: POST /admin/schedule's single-kind form
-// checks its count first (400 past wire.MaxScheduleCount), then its ME (404
-// when unknown), and builds tasks only after both. The 40-byte request
-// that made the parent try to allocate 2³¹ tasks answers 400, and a count
-// at the limit for an unknown ME answers 404, each having allocated under
-// 1 MB. A schedule frame of wire.MaxScheduleCount+1 tasks for a known ME
+// checks its ME (400 when missing) and its count (400 past
+// wire.MaxScheduleCount), and builds tasks only after both. The 40-byte
+// request that made the parent try to allocate 2³¹ tasks answers 400, and
+// so does a count at the limit naming no ME, each having allocated under
+// 1 MB and created no ME. A schedule frame of wire.MaxScheduleCount+1 tasks for a known ME
 // answers 400 the same way and queues nothing; a count in bounds for a
 // known ME is still scheduled.
 func TestScheduleCountBounded(t *testing.T) {
 	srv := NewServer(nil)
-	srv.Register("me-PAK", "PAK")
+	srv.ScheduleBatch("me-PAK", nil)
 	h := srv.AdminHandler()
 	post := func(contentType, body string) (code int, allocated uint64) {
 		req := httptest.NewRequest(http.MethodPost, "/admin/schedule", strings.NewReader(body))
@@ -40,8 +41,8 @@ func TestScheduleCountBounded(t *testing.T) {
 	}{
 		{`{"me":"ghost","kind":"dns","count":2147483647}`, http.StatusBadRequest},
 		{`{"me":"me-PAK","kind":"dns","count":2147483647}`, http.StatusBadRequest},
-		{`{"me":"ghost","kind":"dns","count":65536}`, http.StatusNotFound},
-		{`{"me":"ghost","kind":"dns","count":3}`, http.StatusNotFound},
+		{`{"me":"","kind":"dns","count":65536}`, http.StatusBadRequest},
+		{`{"kind":"dns","count":3}`, http.StatusBadRequest},
 	} {
 		code, allocated := post("application/json", c.body)
 		if code != c.want {
@@ -61,6 +62,9 @@ func TestScheduleCountBounded(t *testing.T) {
 	if tasks, err := srv.LeaseAckInto("me-PAK", 10, 0, nil); err != nil || len(tasks) != 0 {
 		t.Fatalf("the refused batch queued %d tasks (%v)", len(tasks), err)
 	}
+	if mes := srv.MEs(); !slices.Equal(mes, []string{"me-PAK"}) {
+		t.Fatalf("the refused schedules left MEs %v, want only me-PAK", mes)
+	}
 	if code, _ := post("application/json", `{"me":"me-PAK","kind":"speedtest","config":"esim","count":3}`); code != http.StatusOK {
 		t.Fatalf("in-bounds schedule: HTTP %d", code)
 	}
@@ -74,7 +78,7 @@ func TestScheduleCountBounded(t *testing.T) {
 // every such task executes into an "unknown task kind" error result.
 func TestScheduleRejectsKindless(t *testing.T) {
 	srv := NewServer(nil)
-	srv.Register("m", "PAK")
+	srv.ScheduleBatch("m", nil)
 	h := srv.AdminHandler()
 	for _, c := range []struct{ name, contentType, body string }{
 		{"json-batch", "application/json", `{"me":"m","tasks":[]}`},
@@ -122,7 +126,7 @@ func TestV3ResultsBoundedBeforeDecode(t *testing.T) {
 	}
 }
 
-// TestJSONRoutesBoundBodies: every JSON control route refuses a body
+// TestJSONRoutesBoundBodies: the JSON control route refuses a body
 // declared longer than wire.MaxJSONBody with 413, before reading it.
 func TestJSONRoutesBoundBodies(t *testing.T) {
 	srv := NewServer(nil)
@@ -130,7 +134,6 @@ func TestJSONRoutesBoundBodies(t *testing.T) {
 		h    http.Handler
 		path string
 	}{
-		{srv.Handler(), "/v1/register"}, {srv.Handler(), "/v2/tasks/requeue"},
 		{srv.AdminHandler(), "/admin/schedule"},
 	} {
 		req := httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(`{"me":"me-PAK"}`))

@@ -48,9 +48,8 @@ func (s *Server) readV3Frame(w http.ResponseWriter, r *http.Request, want byte, 
 
 // handleV3Lease is POST /v3/tasks/lease: a MsgLeaseRequest frame in, a
 // MsgTasks frame out (204 when nothing is queued). The ME is required
-// and Max is clamped to [1, maxLeaseBatch] (Ack cannot be negative on
-// the wire — uvarints are unsigned). Vitals the lease carries are
-// recorded first (leaseVitals); an unknown ME is 404 and leases nothing.
+// (Ack cannot be negative on the wire — uvarints are unsigned); Server.lease
+// serves the rest, and an unknown ME is 404 and leases nothing.
 func (s *Server) handleV3Lease(w http.ResponseWriter, r *http.Request) {
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
@@ -65,14 +64,8 @@ func (s *Server) handleV3Lease(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad lease", http.StatusBadRequest)
 		return
 	}
-	if req.Max < 1 {
-		req.Max = 1
-	}
-	if req.Max > maxLeaseBatch {
-		req.Max = maxLeaseBatch
-	}
 	tp := taskSlicePool.Get().(*[]Task)
-	tasks, err := s.leaseVitals(req.ME, req.Max, req.Ack, req.Vitals, (*tp)[:0])
+	tasks, err := s.lease(req, (*tp)[:0])
 	*tp = tasks
 	defer taskSlicePool.Put(tp)
 	if err != nil {

@@ -16,9 +16,6 @@ import (
 func TestV3EndToEnd(t *testing.T) {
 	srv, ep, done := testbed(t, "PAK")
 	defer done()
-	if err := ep.Register(); err != nil {
-		t.Fatal(err)
-	}
 	tasks := []Task{
 		{Kind: "speedtest", Config: "esim"},
 		{Kind: "dns", Config: "sim"},
@@ -63,9 +60,6 @@ func TestV3EndToEnd(t *testing.T) {
 func TestV3LeaseAckRedelivery(t *testing.T) {
 	srv, ep, done := testbed(t, "PAK")
 	defer done()
-	if err := ep.Register(); err != nil {
-		t.Fatal(err)
-	}
 	ids, err := srv.ScheduleBatch("me-PAK", []Task{
 		{Kind: "dns", Config: "esim"}, {Kind: "dns", Config: "sim"},
 	})
@@ -241,9 +235,6 @@ func TestV3RejectsBadRequests(t *testing.T) {
 func TestV3LeaseClampsMax(t *testing.T) {
 	srv, ep, done := testbed(t, "PAK")
 	defer done()
-	if err := ep.Register(); err != nil {
-		t.Fatal(err)
-	}
 	batch := make([]Task, maxLeaseBatch+10)
 	for i := range batch {
 		batch[i] = Task{Kind: "dns", Config: "esim"}

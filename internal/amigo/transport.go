@@ -3,7 +3,6 @@ package amigo
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,22 +17,21 @@ import (
 	"roamsim/internal/wire"
 )
 
-// Transport carries one attempt of each of the ME's four control-plane
+// Transport carries one attempt of each of the ME's two control-plane
 // operations. An attempt returns nil, a Retryable, or a permanent error
 // (one wrapping ErrUnknownME when the server does not know the ME);
 // Endpoint.retry is the one backoff, give-up and idempotency layer above
 // it. There are two implementations and nothing selects between
 // protocols: HTTP (a nil Endpoint.Transport) and DirectTransport.
 type Transport interface {
-	Register(ctx context.Context, me, country string) error
-	// Lease reports v unless it is zero, then acknowledges every
-	// delivered task ID <= ack and returns up to max tasks (max clamped to
+	// Lease restores the ME's whole schedule if req.Redeliver, reports
+	// req.Vitals unless they are zero, then acknowledges every delivered
+	// task ID <= req.Ack and returns up to req.Max tasks (clamped to
 	// [1, maxLeaseBatch]), none once the queue is drained, and fewer than
-	// max only when they are all the ME has left (Server.leaseVitals).
-	Lease(ctx context.Context, me string, max, ack int, v Vitals) ([]Task, error)
+	// Max only when they are all the ME has left (Server.lease).
+	Lease(ctx context.Context, req wire.LeaseRequest) ([]Task, error)
 	// Upload submits a batch under its idempotency key (Server.SubmitKeyed).
 	Upload(ctx context.Context, key string, results []Result) error
-	Requeue(ctx context.Context, me string) error
 }
 
 // Retryable is a failed attempt worth repeating: a connection error, a
@@ -53,13 +51,8 @@ func (r Retryable) Unwrap() error { return r.Err }
 // waits on the network; ctx is left to the retry layer.
 type DirectTransport struct{ Server *Server }
 
-func (d DirectTransport) Register(_ context.Context, me, country string) error {
-	d.Server.Register(me, country)
-	return nil
-}
-
-func (d DirectTransport) Lease(_ context.Context, me string, max, ack int, v Vitals) ([]Task, error) {
-	return d.Server.leaseVitals(me, min(max, maxLeaseBatch), ack, v, nil)
+func (d DirectTransport) Lease(_ context.Context, req wire.LeaseRequest) ([]Task, error) {
+	return d.Server.lease(req, nil)
 }
 
 // Upload reports a full spool as the Retryable its 429 is over HTTP.
@@ -71,48 +64,10 @@ func (d DirectTransport) Upload(_ context.Context, key string, results []Result)
 	return err
 }
 
-func (d DirectTransport) Requeue(_ context.Context, me string) error {
-	_, err := d.Server.Requeue(me)
-	return err
-}
-
-// httpTransport is the HTTP Transport: v3 frames for lease and upload,
-// JSON for the rest. It is the Endpoint under a second method set, so
-// BaseURL, Client and Obs are read per call: callers assign them late.
+// httpTransport is the HTTP Transport: one v3 frame each way. It is the
+// Endpoint under a second method set, so BaseURL, Client and Obs are read
+// per call: callers assign them late.
 type httpTransport Endpoint
-
-// The JSON control bodies, one type per route for both ends. Fields are in
-// sorted key order: chaos draws truncation offsets into these bytes, so
-// their layout is part of a seed's fault schedule.
-type (
-	registerBody struct {
-		Country string `json:"country"`
-		ME      string `json:"me"`
-	}
-	requeueBody struct {
-		ME string `json:"me"`
-	}
-)
-
-func (t *httpTransport) Register(ctx context.Context, me, country string) error {
-	return t.postJSON(ctx, "/v1/register", registerBody{country, me})
-}
-
-func (t *httpTransport) Requeue(ctx context.Context, me string) error {
-	return t.postJSON(ctx, "/v2/tasks/requeue", requeueBody{me})
-}
-
-func (t *httpTransport) postJSON(ctx context.Context, path string, body any) error {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := t.post(ctx, path, jsonHeader, buf)
-	if err == nil {
-		DrainClose(resp)
-	}
-	return err
-}
 
 func (t *httpTransport) Upload(ctx context.Context, key string, results []Result) error {
 	ebuf := wire.GetBuf()
@@ -125,10 +80,10 @@ func (t *httpTransport) Upload(ctx context.Context, key string, results []Result
 	return err
 }
 
-func (t *httpTransport) Lease(ctx context.Context, me string, max, ack int, v Vitals) ([]Task, error) {
+func (t *httpTransport) Lease(ctx context.Context, req wire.LeaseRequest) ([]Task, error) {
 	ebuf := wire.GetBuf()
 	defer wire.PutBuf(ebuf)
-	*ebuf = wire.AppendLeaseRequest((*ebuf)[:0], wire.LeaseRequest{ME: me, Max: max, Ack: ack, Vitals: v})
+	*ebuf = wire.AppendLeaseRequest((*ebuf)[:0], req)
 	resp, err := t.post(ctx, "/v3/tasks/lease", frameHeader, *ebuf)
 	if err != nil {
 		return nil, err
@@ -192,7 +147,6 @@ func (t *httpTransport) post(ctx context.Context, path string, h http.Header, bo
 var (
 	frameType   = []string{wire.ContentType}
 	frameHeader = http.Header{"Content-Type": frameType}
-	jsonHeader  = http.Header{"Content-Type": {"application/json"}}
 )
 
 var routes sync.Map // [base, path] -> *url.URL

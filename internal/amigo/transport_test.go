@@ -49,13 +49,13 @@ func retries(reg *obs.Registry, op string) int64 {
 	return reg.Counter("amigo_endpoint_retries_total", obs.L("op", op)).Value()
 }
 
-// TestTransportUnknownME: against a server that has never heard of the
-// ME, every operation that consults the registry fails with ErrUnknownME
-// after exactly one attempt, on both transports — a lease carrying vitals
-// too, which keeps them pending. Register and Upload cannot report it —
-// registering is what makes an ME known, and the result spool is not
-// keyed by the registry — so for those the test pins that both
-// transports agree on success.
+// TestTransportUnknownME: against a server nothing was ever scheduled
+// for the ME on, a lease fails with ErrUnknownME after exactly one
+// attempt, on both transports — a lease carrying vitals or a redelivery
+// too, which keeps them pending, creates no ME and leases nothing. Upload
+// cannot report it — the result spool is not keyed by the registry — so
+// for it the test pins that both transports agree on success. Scheduling
+// is what makes the ME known.
 func TestTransportUnknownME(t *testing.T) {
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
@@ -63,37 +63,42 @@ func TestTransportUnknownME(t *testing.T) {
 			ep := &Endpoint{Name: "ghost", Dep: world(t).Deployments["PAK"], Src: rng.New(5), Obs: reg, Retry: fastRetry}
 			tr.bind(t, srv, ep)
 			for _, op := range []struct {
-				label, op string
-				run       func() error
+				label string
+				run   func()
 			}{
-				{"lease", "lease", func() error { _, err := ep.Lease(4); return err }},
-				{"lease with vitals", "lease", func() error { ep.Heartbeat(); _, err := ep.Lease(4); return err }},
-				{"requeue", "/v2/tasks/requeue", ep.Redeliver},
+				{"lease", func() {}},
+				{"lease with vitals", ep.Heartbeat},
+				{"redelivery lease", ep.Redeliver},
 			} {
-				if err := op.run(); !errors.Is(err, ErrUnknownME) {
-					t.Errorf("%s by an unregistered ME: %v, want ErrUnknownME", op.label, err)
+				op.run()
+				if _, err := ep.Lease(4); !errors.Is(err, ErrUnknownME) {
+					t.Errorf("%s by an unknown ME: %v, want ErrUnknownME", op.label, err)
 				}
-				if n := retries(reg, op.op); n != 0 {
+				if n := retries(reg, "lease"); n != 0 {
 					t.Errorf("%s: unknown ME was retried %d times; it is permanent", op.label, n)
+				}
+				if mes := srv.MEs(); len(mes) != 0 {
+					t.Fatalf("%s created MEs %v", op.label, mes)
 				}
 			}
 			if err := ep.Upload([]Result{{TaskID: 1, ME: "ghost", Kind: "dns", Config: "esim", OK: true}}); err != nil {
-				t.Errorf("upload by an unregistered ME: %v", err)
+				t.Errorf("upload by an unknown ME: %v", err)
 			}
 			if got := len(srv.Results()); got != 1 {
 				t.Errorf("server holds %d results, want the 1 uploaded", got)
 			}
-			if err := ep.Register(); err != nil {
+			ids, err := srv.ScheduleBatch("ghost", make([]Task, 2))
+			if err != nil {
 				t.Fatal(err)
 			}
-			if ep.vitals.IsZero() {
-				t.Fatal("vitals dropped by a failed lease")
+			if ep.vitals.IsZero() || !ep.redeliver {
+				t.Fatal("vitals or the redelivery dropped by a failed lease")
 			}
-			if _, err := ep.Lease(4); err != nil {
-				t.Errorf("lease once registered: %v", err)
+			if tasks, err := ep.Lease(4); err != nil || !slices.Equal(leaseIDs(tasks), ids) {
+				t.Errorf("lease once scheduled = %v, %v; want %v", leaseIDs(tasks), err, ids)
 			}
-			if _, ok := srv.Vitals("ghost"); !ok || !ep.vitals.IsZero() {
-				t.Errorf("vitals not reported by the lease once registered")
+			if _, ok := srv.Vitals("ghost"); !ok || !ep.vitals.IsZero() || ep.redeliver {
+				t.Errorf("vitals or the redelivery not sent by the lease once scheduled")
 			}
 		})
 	}
@@ -101,14 +106,14 @@ func TestTransportUnknownME(t *testing.T) {
 
 // TestServerMethodsWrapErrUnknownME: in-process callers get the sentinel
 // from the registry methods themselves, not a string to match.
+// (ScheduleBatch is not one of them: it creates the ME.)
 func TestServerMethodsWrapErrUnknownME(t *testing.T) {
 	srv := NewServer(nil)
-	_, errSchedule := srv.ScheduleBatch("ghost", []Task{{Kind: "dns"}})
 	_, errLeaseAck := srv.LeaseAckInto("ghost", 1, 0, nil)
 	_, errRequeue := srv.Requeue("ghost")
 	for name, err := range map[string]error{
-		"ScheduleBatch": errSchedule, "LeaseAckInto": errLeaseAck,
-		"Requeue": errRequeue, "ReportVitals": srv.ReportVitals("ghost", Vitals{}),
+		"LeaseAckInto": errLeaseAck, "Requeue": errRequeue,
+		"ReportVitals": srv.ReportVitals("ghost", Vitals{}),
 	} {
 		if !errors.Is(err, ErrUnknownME) || !strings.Contains(err.Error(), `"ghost"`) {
 			t.Errorf("%s(unknown ME) = %v, want ErrUnknownME naming the ME", name, err)
@@ -240,32 +245,12 @@ func TestUploadResendIsDeduped(t *testing.T) {
 	}
 }
 
-// TestJSONBodiesMatchMapMarshal: the JSON control bodies are structs with
-// their fields in sorted key order, byte for byte what json.Marshal made
-// of the maps they replaced — chaos truncation offsets depend on the
-// bytes. The ME name carries characters json.Marshal escapes.
+// TestJSONBodiesMatchMapMarshal: the JSON schedule's answer is a struct,
+// byte for byte what json.Marshal made of the map it replaced. The ME
+// name carries characters json.Marshal escapes.
 func TestJSONBodiesMatchMapMarshal(t *testing.T) {
-	var mu sync.Mutex
-	bodies := map[string][]byte{}
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		b, _ := io.ReadAll(r.Body)
-		mu.Lock()
-		bodies[r.URL.Path] = b
-		mu.Unlock()
-		w.WriteHeader(http.StatusNoContent)
-	}))
-	defer hs.Close()
 	const me = "me-<&>\"é\u2028"
-	tr := &httpTransport{BaseURL: hs.URL, Client: hs.Client()}
-	ctx := context.Background()
-	for _, err := range []error{tr.Register(ctx, me, "PAK"), tr.Requeue(ctx, me)} {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	srv := NewServer(nil)
-	srv.Register(me, "PAK")
 	admin := httptest.NewServer(srv.AdminHandler())
 	defer admin.Close()
 	req, _ := json.Marshal(map[string]any{"me": me, "kind": "dns", "count": 3})
@@ -279,15 +264,11 @@ func TestJSONBodiesMatchMapMarshal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
 	for _, tc := range []struct {
 		name string
 		got  []byte
 		old  any
 	}{
-		{"register", bodies["/v1/register"], map[string]string{"me": me, "country": "PAK"}},
-		{"requeue", bodies["/v2/tasks/requeue"], map[string]string{"me": me}},
 		{"schedule response", bytes.TrimSuffix(scheduled, []byte("\n")), map[string]any{"task_ids": []int{1, 2, 3}}},
 	} {
 		want, err := json.Marshal(tc.old)
@@ -354,7 +335,6 @@ func TestEndpointHTTPAllocs(t *testing.T) {
 func leaseUploadRounds(tb testing.TB, rounds int, reg *obs.Registry) (*Server, func(v Vitals)) {
 	const batch = 8
 	srv := NewServer(nil, WithSink(writeOnlySink{}))
-	srv.Register("me", "PAK")
 	if _, err := srv.ScheduleBatch("me", make([]Task, rounds*batch)); err != nil {
 		tb.Fatal(err)
 	}

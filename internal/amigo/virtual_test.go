@@ -172,9 +172,6 @@ func TestRunBatchRealizesOnce(t *testing.T) {
 
 	v := vclock.NewVirtual()
 	ep.Clock, ep.Realize = v, true
-	if err := ep.Register(); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := srv.ScheduleBatch(ep.Name, tasks); err != nil {
 		t.Fatal(err)
 	}

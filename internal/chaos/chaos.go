@@ -451,18 +451,17 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		t.inj.record(Event{ME: t.me, Inc: t.inc, Op: op, Attempt: attempt, Fault: fault})
 	}
 
-	// Buffer the body so the request can be re-sent for duplicates — in
-	// one exactly-sized buffer when the request states its length.
+	// Buffer the body in one exactly-sized buffer so the request can be
+	// re-sent for duplicates. Every request an ME makes (amigo.Send) states
+	// its length; a body that does not is refused, not read without bound.
 	var body []byte
 	if req.Body != nil {
-		var err error
-		if req.ContentLength > 0 {
-			body = make([]byte, req.ContentLength)
-			_, err = io.ReadFull(req.Body, body)
-		} else {
-			//lint:allow bodyhygiene request bodies are built in-process by amigo.Endpoint (tiny JSON), not read off the network; bounding here would corrupt the replayed duplicate
-			body, err = io.ReadAll(req.Body)
+		if req.ContentLength <= 0 {
+			req.Body.Close()
+			return nil, fmt.Errorf("chaos: %s: request body of unknown length", op)
 		}
+		body = make([]byte, req.ContentLength)
+		_, err := io.ReadFull(req.Body, body)
 		req.Body.Close()
 		if err != nil {
 			return nil, err

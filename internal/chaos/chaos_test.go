@@ -310,7 +310,7 @@ func (*rewindBody) Close() error { return nil }
 // TestTransportBuffersBodyOnce: the copy RoundTrip keeps for a possible
 // duplicate is one buffer of the stated Content-Length, not io.ReadAll's
 // grow-by-doubling; a duplicate re-sends exactly those bytes; and a body
-// that does not state its length still arrives whole.
+// that does not state its length is refused before anything is sent.
 func TestTransportBuffersBodyOnce(t *testing.T) {
 	payload := bytes.Repeat([]byte("0123456789abcdef"), 5<<10/16) // an upload frame's size
 	newReq := func(contentLength int64) (*http.Request, *rewindBody) {
@@ -324,29 +324,34 @@ func TestTransportBuffersBodyOnce(t *testing.T) {
 		return req, body
 	}
 
-	// Duplicate, and lengths stated (5 KiB) or unknown (-1, and 0 beside a
-	// body, which net/http also reads as unknown): two identical deliveries
-	// each, forwarded with the true length.
-	for _, stated := range []int64{int64(len(payload)), -1, 0} {
+	// Duplicate, length stated (5 KiB): two identical deliveries, forwarded
+	// with the true length.
+	base := &recordingBase{}
+	req, _ := newReq(int64(len(payload)))
+	if _, err := NewInjector(1, Config{Duplicate: 1}).Transport("me-X", 0, base).RoundTrip(req); err != nil {
+		t.Fatal(err)
+	}
+	if len(base.bodies) != 2 {
+		t.Fatalf("base saw %d requests, want the original and its duplicate", len(base.bodies))
+	}
+	for i, got := range base.bodies {
+		if !bytes.Equal(got, payload) || base.lengths[i] != int64(len(payload)) {
+			t.Errorf("delivery %d carried %d bytes stated as %d, want the %d sent", i, len(got), base.lengths[i], len(payload))
+		}
+	}
+
+	// Length unknown (-1, and 0 beside a body, which net/http also reads
+	// as unknown): an error, and nothing reaches the server.
+	for _, stated := range []int64{-1, 0} {
 		base := &recordingBase{}
-		rt := NewInjector(1, Config{Duplicate: 1}).Transport("me-X", 0, base)
 		req, _ := newReq(stated)
-		if _, err := rt.RoundTrip(req); err != nil {
-			t.Fatalf("Content-Length %d: %v", stated, err)
-		}
-		if len(base.bodies) != 2 {
-			t.Fatalf("Content-Length %d: base saw %d requests, want the original and its duplicate", stated, len(base.bodies))
-		}
-		for i, got := range base.bodies {
-			if !bytes.Equal(got, payload) || base.lengths[i] != int64(len(payload)) {
-				t.Errorf("Content-Length %d: delivery %d carried %d bytes stated as %d, want the %d sent",
-					stated, i, len(got), base.lengths[i], len(payload))
-			}
+		if _, err := NewInjector(1, Config{Duplicate: 1}).Transport("me-X", 0, base).RoundTrip(req); err == nil || len(base.bodies) != 0 {
+			t.Errorf("Content-Length %d: err %v after %d deliveries, want an error and none", stated, err, len(base.bodies))
 		}
 	}
 
 	// A body shorter than it claims is an error, not a zero-padded frame.
-	req, _ := newReq(int64(len(payload)) + 1)
+	req, _ = newReq(int64(len(payload)) + 1)
 	if _, err := NewInjector(1, Config{}).Transport("me-X", 0, &recordingBase{}).RoundTrip(req); err == nil {
 		t.Error("a body shorter than its Content-Length went through")
 	}
@@ -357,7 +362,7 @@ func TestTransportBuffersBodyOnce(t *testing.T) {
 	// -race, which makes the decision-source pool drop an entry now and
 	// then).
 	const parentAllocs = 27
-	base := &recordingBase{}
+	base = &recordingBase{}
 	rt := NewInjector(1, Config{}).Transport("me-X", 0, base)
 	req, body := newReq(int64(len(payload)))
 	allocs := testing.AllocsPerRun(50, func() {

@@ -49,10 +49,9 @@ type Driver struct {
 	// "fleet"; "table4" reproduces the in-process device campaign's
 	// streams exactly).
 	StreamLabel string
-	// Heartbeat makes each ME report vitals once after registering, on
-	// its first lease, as the paper's device campaign did. Heartbeats
-	// draw from the ME's radio stream, so this must match between runs
-	// being compared.
+	// Heartbeat makes each ME report vitals once, on its first lease, as
+	// the paper's device campaign did. Heartbeats draw from the ME's radio
+	// stream, so this must match between runs being compared.
 	Heartbeat bool
 	// Chaos, when set, injects deterministic faults: each ME's HTTP
 	// transport is wrapped per incarnation, retry jitter draws from an
@@ -194,9 +193,10 @@ func (d *Driver) restartBudget() int {
 	return budget
 }
 
-// Run executes the plan: every ME registers, receives its schedule,
-// then leases, executes and uploads in batches until drained; finally
-// the uploaded results are fetched back from the server.
+// Run executes the plan: every ME receives its schedule — which is what
+// makes its shard know it — then leases, executes and uploads in batches
+// until drained; finally the uploaded results are fetched back from the
+// server.
 //
 // Determinism: per-ME rng streams are pre-forked serially in schedule
 // order before the pool starts, and each ME's tasks execute in queue
@@ -309,12 +309,13 @@ func (d *Driver) Run(w *airalo.World, plan Plan) (*Campaign, error) {
 // task IDs (and therefore idempotency keys) are stable across restarts.
 //
 // Shard recovery: when the control plane answers "unknown ME"
-// (amigo.ErrUnknownME) mid-campaign, the shard that knew this ME has
-// lost its in-memory state — a killed shard came back as a fresh
-// server over its surviving WAL. The next incarnation re-registers and
-// re-POSTs the schedule with the task IDs pinned from the first
-// schedule, so re-executed uploads carry the same (ME, TaskID)
-// identities and dedup to nothing at ingest.
+// (amigo.ErrUnknownME) mid-campaign — a lease, the redelivery lease of a
+// restarted ME included — the shard that knew this ME has lost its
+// in-memory state: a killed shard came back as a fresh server over its
+// surviving WAL, and a lease never creates an ME. The next incarnation
+// re-POSTs the schedule, creating the ME anew, with the task IDs pinned
+// from the first schedule, so re-executed uploads carry the same (ME,
+// TaskID) identities and dedup to nothing at ingest.
 func (d *Driver) runME(client *http.Client, sc MESchedule, dep *airalo.Deployment, seed int64) error {
 	scheduled := false
 	recoveries := 0
@@ -324,7 +325,7 @@ func (d *Driver) runME(client *http.Client, sc MESchedule, dep *airalo.Deploymen
 		if err != nil {
 			if errors.Is(err, amigo.ErrUnknownME) && recoveries < d.restartBudget() {
 				recoveries++
-				scheduled = false // re-register and re-schedule with pinned IDs
+				scheduled = false // re-schedule with pinned IDs
 				d.met.shardRecoveries.Add(1)
 				d.Obs.Trace().Record("shard-recover",
 					obs.L("me", sc.Name), obs.L("inc", fmt.Sprint(inc)))
@@ -350,9 +351,9 @@ func (d *Driver) runME(client *http.Client, sc MESchedule, dep *airalo.Deploymen
 	}
 }
 
-// runIncarnation runs one ME lifetime: register, obtain the schedule
-// (POST it the first time, re-deliver it after a crash), optionally
-// heartbeat, then lease/execute/upload until drained. It reports
+// runIncarnation runs one ME lifetime: obtain the schedule (POST it the
+// first time, or make the first lease a redelivery after a crash),
+// optionally heartbeat, then lease/execute/upload until drained. It reports
 // crashed=true when the chaos injector kills the ME between batches.
 // The first successful schedule pins the server-assigned task IDs into
 // tasks (in place), so a shard-recovery re-schedule reuses them.
@@ -383,17 +384,13 @@ func (d *Driver) runIncarnation(client *http.Client, sc MESchedule, dep *airalo.
 		ep.Retry.Jitter = rng.Stream(d.Chaos.Seed(), fmt.Sprintf("jitter/%s/%d", sc.Name, inc))
 	}
 
-	if err := ep.Register(); err != nil {
-		return false, err
-	}
-	redelivered := *scheduled
-	if !redelivered {
+	if *scheduled {
+		ep.Redeliver()
+	} else {
 		if err := d.scheduleBatch(client, sc.Name, tasks); err != nil {
 			return false, err
 		}
 		*scheduled = true
-	} else if err := ep.Redeliver(); err != nil {
-		return false, err
 	}
 	if d.Heartbeat {
 		ep.Heartbeat()
@@ -404,13 +401,6 @@ func (d *Driver) runIncarnation(client *http.Client, sc MESchedule, dep *airalo.
 			return false, err
 		}
 		if n == 0 {
-			if round == 0 && redelivered && len(tasks) > 0 {
-				// Requeue restores the whole schedule, so an empty first
-				// lease means the server had none: the shard died and this
-				// incarnation's Register re-created the ME on its blank
-				// replacement before any request could answer "unknown ME".
-				return false, fmt.Errorf("fleet: %s: schedule lost on re-delivery: %w", sc.Name, amigo.ErrUnknownME)
-			}
 			return false, nil
 		}
 		d.met.tasksExecuted.Add(int64(n))
@@ -444,9 +434,6 @@ func (d *Driver) scheduleBatch(client *http.Client, me string, tasks []amigo.Tas
 	}
 	if resp.StatusCode >= 300 {
 		amigo.DrainClose(resp)
-		if resp.StatusCode == http.StatusNotFound {
-			return fmt.Errorf("fleet: schedule %s: HTTP %d: %w", me, resp.StatusCode, amigo.ErrUnknownME)
-		}
 		return fmt.Errorf("fleet: schedule %s: HTTP %d", me, resp.StatusCode)
 	}
 	h, payload, err := wire.ReadFrame(resp.Body, (*buf)[:0])
@@ -553,9 +540,6 @@ func runInProcess(srv *amigo.Server, w *airalo.World, plan Plan, seed int64, lab
 		}
 		ep := amigo.NewEndpoint(sc.Name, "", dep, parent.Fork(sc.Label))
 		ep.Transport = amigo.DirectTransport{Server: srv}
-		if err := ep.Register(); err != nil {
-			return nil, err
-		}
 		if _, err := srv.ScheduleBatch(sc.Name, sc.Tasks); err != nil {
 			return nil, err
 		}

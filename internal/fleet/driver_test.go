@@ -111,7 +111,6 @@ func TestScheduleFrameCarriesTasks(t *testing.T) {
 // there, at another address.
 func TestControlPlaneDoesNotFollowRedirects(t *testing.T) {
 	srv := amigo.NewServer(nil)
-	srv.Register("me", "PAK")
 	if _, err := srv.ScheduleBatch("me", []amigo.Task{{Kind: "dns", Config: "sim"}}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package fleet orchestrates fleet-scale AmiGo measurement campaigns
 // over the real HTTP control plane. The paper's testbed topped out at
 // ten rooted phones; fleet drives thousands of concurrent simulated
-// measurement endpoints (MEs) through the same register → lease →
+// measurement endpoints (MEs) through the same schedule → lease →
 // execute → upload protocol (internal/amigo, v3 batch routes) and
 // folds the uploaded payloads back into core dataset records, so Table
 // 4 counts and Figure 11-style RTT aggregates can be regenerated from

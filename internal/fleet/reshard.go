@@ -8,7 +8,7 @@ package fleet
 // current WAL set and re-routed into a fresh per-shard WAL set under
 // the next epoch directory, fresh servers are brought up over the new
 // WALs, and the gateway resumes on the new ring. MEs rediscover their
-// (new) shards through the same "unknown ME" re-registration path a
+// (new) shards through the same "unknown ME" re-scheduling path a
 // shard kill exercises. Placement is a pure function of (ME, shard
 // count), so the post-reshard WAL set is byte-equivalent to what a
 // campaign run at the new count would have produced — which is what

@@ -332,7 +332,7 @@ func (f *ShardedFleet) afterUpload(i int) {
 // wholesale and a fresh server is brought up over the same sink. For a
 // WAL-backed shard that means every result drained to disk survives;
 // everything in memory is gone, and MEs rediscover the shard via
-// "unknown ME" responses and re-register (see Driver.runME).
+// "unknown ME" responses and are scheduled anew (see Driver.runME).
 //
 // In-flight requests against the old server finish against it and
 // drain into the shared sink; new requests route to the replacement.

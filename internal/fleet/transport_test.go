@@ -25,9 +25,6 @@ func runSerialHTTP(t *testing.T, plan Plan, seed int64, label string) *Campaign 
 	for _, sc := range scheds {
 		ep := amigo.NewEndpoint(sc.Name, hs.URL, w.Deployments[sc.ISO], parent.Fork(sc.Label))
 		ep.Client = hs.Client()
-		if err := ep.Register(); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := srv.ScheduleBatch(sc.Name, sc.Tasks); err != nil {
 			t.Fatal(err)
 		}

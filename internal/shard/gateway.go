@@ -22,17 +22,13 @@ import (
 // the per-shard request counters, and routeNames gives it its
 // gateway_requests_total{route=...} label.
 const (
-	routeV1Register = iota
-	routeV2Requeue
-	routeV3Lease
+	routeV3Lease = iota
 	routeV3Results
 	routeAdminSchedule
 	numRoutes
 )
 
 var routeNames = [numRoutes]string{
-	routeV1Register:    "v1/register",
-	routeV2Requeue:     "v2/requeue",
 	routeV3Lease:       "v3/lease",
 	routeV3Results:     "v3/results",
 	routeAdminSchedule: "admin/schedule",
@@ -114,13 +110,13 @@ func NewGateway(backends []http.Handler, opts Options) *Gateway {
 }
 
 // Mount composes one amigo server's protocol and admin handlers into a
-// single backend: /v1/, /v3/ and /v2/ (the requeue control route) from
-// the protocol handler, /admin/ from the admin handler, anything else
-// (/v3, //v3/results) 404; their own muxes match method and route.
+// single backend: /v3/ from the protocol handler, /admin/ from the admin
+// handler, anything else (/v3, //v3/results) 404; their own
+// muxes match method and route.
 func Mount(protocol, admin http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch p := r.URL.Path; {
-		case strings.HasPrefix(p, "/v1/"), strings.HasPrefix(p, "/v2/"), strings.HasPrefix(p, "/v3/"):
+		case strings.HasPrefix(p, "/v3/"):
 			protocol.ServeHTTP(w, r)
 		case strings.HasPrefix(p, "/admin/"):
 			admin.ServeHTTP(w, r)
@@ -194,8 +190,6 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) buildMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	// Data plane: peek the ME, forward whole to its shard.
-	mux.HandleFunc("POST /v1/register", g.routeJSON(routeV1Register))
-	mux.HandleFunc("POST /v2/tasks/requeue", g.routeJSON(routeV2Requeue))
 	mux.HandleFunc("POST /v3/tasks/lease", g.routeV3(routeV3Lease))
 	mux.HandleFunc("POST /v3/results", g.routeV3(routeV3Results))
 	// A schedule is a v3 frame (the fleet driver's) or JSON (curl's).

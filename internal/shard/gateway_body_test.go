@@ -107,12 +107,12 @@ func TestGatewayV3BodyShapes(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			bare := amigo.NewServer(nil)
-			bare.Register(me, "PAK")
+			bare.ScheduleBatch(me, nil)
 			bareHS := httptest.NewServer(bare.Handler())
 			defer bareHS.Close()
 
 			sharded := amigo.NewServer(nil)
-			sharded.Register(me, "PAK")
+			sharded.ScheduleBatch(me, nil)
 			rec := &recordingBackend{next: Mount(sharded.Handler(), sharded.AdminHandler())}
 			gwHS := httptest.NewServer(NewGateway([]http.Handler{rec}, Options{Obs: obs.NewRegistry()}))
 			defer gwHS.Close()
@@ -172,7 +172,7 @@ func TestGatewayOversizedBodiesRefusedFromTheirLength(t *testing.T) {
 		t.Fatalf("oversized frame header: HTTP %d, want 400", w.Code)
 	}
 
-	req := httptest.NewRequest(http.MethodPost, "/v1/register", bytes.NewReader([]byte(`{"me":"m"}`)))
+	req := httptest.NewRequest(http.MethodPost, "/admin/schedule", bytes.NewReader([]byte(`{"me":"m","kind":"dns"}`)))
 	req.ContentLength = wire.MaxJSONBody + 1
 	w = httptest.NewRecorder()
 	gw.ServeHTTP(w, req)
@@ -181,14 +181,14 @@ func TestGatewayOversizedBodiesRefusedFromTheirLength(t *testing.T) {
 	}
 }
 
-// TestJSONControlBodyBound: a 1 MiB register — a body actually sent,
-// declared or chunked, not just a Content-Length — answers 413 from a
-// bare server and through the gateway, and registers nothing.
+// TestJSONControlBodyBound: a 1 MiB JSON schedule — a body actually
+// sent, declared or chunked, not just a Content-Length — answers 413 from
+// a bare server and through the gateway, and creates no ME.
 func TestJSONControlBodyBound(t *testing.T) {
-	body := []byte(`{"me":"` + strings.Repeat("x", 1<<20) + `","country":"PAK"}`)
+	body := []byte(`{"me":"` + strings.Repeat("x", 1<<20) + `","kind":"dns"}`)
 	for _, chunked := range []bool{false, true} {
 		srv := amigo.NewServer(nil)
-		bare := httptest.NewServer(srv.Handler())
+		bare := httptest.NewServer(srv.AdminHandler())
 		_, servers, gwHS := shardSet(t, 2)
 		for _, c := range []struct {
 			name string
@@ -198,24 +198,24 @@ func TestJSONControlBodyBound(t *testing.T) {
 			{"server", bare.URL, func() int { return len(srv.MEs()) }},
 			{"gateway", gwHS.URL, func() int { return len(servers[0].MEs()) + len(servers[1].MEs()) }},
 		} {
-			if got := post(t, c.url+"/v1/register", "application/json", body, chunked); got != http.StatusRequestEntityTooLarge {
-				t.Errorf("%s (chunked %v): a 1 MiB register answered %d, want 413", c.name, chunked, got)
+			if got := post(t, c.url+"/admin/schedule", "application/json", body, chunked); got != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s (chunked %v): a 1 MiB schedule answered %d, want 413", c.name, chunked, got)
 			}
 			if n := c.mes(); n != 0 {
-				t.Errorf("%s (chunked %v): %d MEs registered by a refused body", c.name, chunked, n)
+				t.Errorf("%s (chunked %v): %d MEs created by a refused body", c.name, chunked, n)
 			}
 		}
 		bare.Close()
 	}
 }
 
-// TestGatewayJSONBodyShapes: the JSON routes' pooled read hands the
+// TestGatewayJSONBodyShapes: the JSON schedule's pooled read hands the
 // shard the client's exact bytes whether or not the length was
 // declared, including a body that outgrows the pooled buffer and one of
 // exactly wire.MaxJSONBody bytes, the longest accepted.
 func TestGatewayJSONBodyShapes(t *testing.T) {
 	padded := func(n int) []byte {
-		return []byte(`{"me":"PAK-00","country":"` + string(bytes.Repeat([]byte{'x'}, n)) + `"}`)
+		return []byte(`{"me":"PAK-00","kind":"dns","target":"` + string(bytes.Repeat([]byte{'x'}, n)) + `"}`)
 	}
 	big, atBound := padded(48<<10), padded(wire.MaxJSONBody-len(padded(0)))
 	for _, tc := range []struct {
@@ -224,12 +224,12 @@ func TestGatewayJSONBodyShapes(t *testing.T) {
 		chunked bool
 		want    int
 	}{
-		{"declared", []byte(`{"me":"PAK-00","country":"PAK"}`), false, http.StatusNoContent},
-		{"chunked", []byte(`{"me":"PAK-00","country":"PAK"}`), true, http.StatusNoContent},
-		{"declared-over-pooled-buffer", big, false, http.StatusNoContent},
-		{"chunked-over-pooled-buffer", big, true, http.StatusNoContent},
-		{"declared-at-bound", atBound, false, http.StatusNoContent},
-		{"chunked-at-bound", atBound, true, http.StatusNoContent},
+		{"declared", []byte(`{"me":"PAK-00","kind":"dns"}`), false, http.StatusOK},
+		{"chunked", []byte(`{"me":"PAK-00","kind":"dns"}`), true, http.StatusOK},
+		{"declared-over-pooled-buffer", big, false, http.StatusOK},
+		{"chunked-over-pooled-buffer", big, true, http.StatusOK},
+		{"declared-at-bound", atBound, false, http.StatusOK},
+		{"chunked-at-bound", atBound, true, http.StatusOK},
 		{"empty", nil, false, http.StatusBadRequest},
 		{"not-json", []byte("me=PAK-00"), false, http.StatusBadRequest},
 	} {
@@ -238,7 +238,7 @@ func TestGatewayJSONBodyShapes(t *testing.T) {
 			rec := &recordingBackend{next: Mount(srv.Handler(), srv.AdminHandler())}
 			hs := httptest.NewServer(NewGateway([]http.Handler{rec}, Options{Obs: obs.NewRegistry()}))
 			defer hs.Close()
-			if got := post(t, hs.URL+"/v1/register", "application/json", tc.body, tc.chunked); got != tc.want {
+			if got := post(t, hs.URL+"/admin/schedule", "application/json", tc.body, tc.chunked); got != tc.want {
 				t.Fatalf("HTTP %d, want %d", got, tc.want)
 			}
 			if tc.want >= 300 {

@@ -28,11 +28,11 @@ func TestMountRoutes(t *testing.T) {
 		frame        bool
 		want         int
 	}{
-		{"POST", "/v1/register", []byte(`{"me":"me","country":"PAK"}`), false, http.StatusNoContent},
 		{"POST", "/admin/schedule", schedule, true, http.StatusOK},
 		{"POST", "/v3/tasks/lease", lease, true, http.StatusOK},
 		{"POST", "/v3/results", upload, true, http.StatusNoContent},
-		{"POST", "/v2/tasks/requeue", []byte(`{"me":"me"}`), false, http.StatusNoContent},
+		{"POST", "/v1/register", []byte(`{"me":"me","country":"PAK"}`), false, http.StatusNotFound},
+		{"POST", "/v2/tasks/requeue", []byte(`{"me":"me"}`), false, http.StatusNotFound},
 		{"GET", "/admin/results?cursor=0", nil, false, http.StatusOK},
 		{"GET", "/admin/mes", nil, false, http.StatusOK},
 		{"GET", "/admin/metrics", nil, false, http.StatusOK},
@@ -65,7 +65,6 @@ func TestMountAllocs(t *testing.T) {
 	}
 	const runs = 200
 	srv := amigo.NewServer(nil)
-	srv.Register("me", "PAK")
 	if _, err := srv.ScheduleBatch("me", make([]amigo.Task, 4*(runs+1))); err != nil {
 		t.Fatal(err)
 	}

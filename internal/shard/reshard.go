@@ -88,8 +88,8 @@ func Reshard(src, dst []*walsink.Sink) (ReshardStats, error) {
 
 // MovedMEs returns the subset of mes (order preserved) whose owning
 // shard differs between the two rings — the ring diff that tells a
-// reshard which MEs will land on a fresh server and have to
-// re-register. With consistent hashing the moved fraction stays near
+// reshard which MEs will land on a fresh server and have to be
+// scheduled anew. With consistent hashing the moved fraction stays near
 // the theoretical |Δshards|/max(from,to) rather than re-homing
 // everything.
 func MovedMEs(from, to *Ring, mes []string) []string {

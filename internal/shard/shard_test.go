@@ -68,31 +68,27 @@ func shardSet(t *testing.T, n int) (*Gateway, []*amigo.Server, *httptest.Server)
 }
 
 // driveME runs one ME through the full protocol via the gateway and
-// returns its uploaded results.
+// returns its uploaded results. Its schedule comes in both forms — the
+// JSON one curl sends, which creates the ME, then the fleet driver's frame
+// — so both of the gateway's body peeks route it.
 func driveME(t *testing.T, baseURL, me string) []amigo.Result {
 	t.Helper()
 	ep := &amigo.Endpoint{Name: me, BaseURL: baseURL}
-	reg, _ := json.Marshal(map[string]string{"me": me, "country": me[:3]})
-	resp0, err := http.Post(baseURL+"/v1/register", "application/json", bytes.NewReader(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp0.Body.Close()
-	if resp0.StatusCode != http.StatusNoContent {
-		t.Fatalf("%s register via gateway: HTTP %d", me, resp0.StatusCode)
-	}
-	// Schedule through the gateway's admin route, as the fleet driver does.
-	body := wire.AppendSchedule(nil, me, []amigo.Task{
-		{Kind: "speedtest", Config: "esim"},
-		{Kind: "dns", Target: "8.8.8.8", Config: "sim"},
-	})
-	resp, err := http.Post(baseURL+"/admin/schedule", wire.ContentType, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("%s schedule via gateway: HTTP %d", me, resp.StatusCode)
+	for _, s := range []struct {
+		contentType string
+		body        []byte
+	}{
+		{"application/json", []byte(`{"me":"` + me + `","kind":"dns","target":"8.8.8.8","config":"sim"}`)},
+		{wire.ContentType, wire.AppendSchedule(nil, me, []amigo.Task{{Kind: "speedtest", Config: "esim"}})},
+	} {
+		resp, err := http.Post(baseURL+"/admin/schedule", s.contentType, bytes.NewReader(s.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s schedule via gateway: HTTP %d", me, s.contentType, resp.StatusCode)
+		}
 	}
 	var out []amigo.Result
 	for {
@@ -116,8 +112,8 @@ func driveME(t *testing.T, baseURL, me string) []amigo.Result {
 }
 
 // TestGatewayRoutesBothProtocols drives MEs through both body formats
-// the gateway peeks — JSON objects (register) and v3 frames (schedule,
-// lease, upload) — and checks each ME stayed on its ring shard.
+// the gateway peeks — JSON objects (curl's schedule) and v3 frames
+// (schedule, lease, upload) — and checks each ME stayed on its ring shard.
 func TestGatewayRoutesBothProtocols(t *testing.T) {
 	gw, servers, hs := shardSet(t, 4)
 	mes := []string{"PAK-00", "PAK-01", "GEO-00", "GEO-01", "USA-00", "USA-01"}
@@ -185,7 +181,7 @@ func TestGatewayRoutesScheduleForms(t *testing.T) {
 	mes := []string{"PAK-00", "GEO-00", "USA-00", "USA-01", "DEU-00", "DEU-01"}
 	for i, me := range mes {
 		for _, srv := range servers {
-			srv.Register(me, "PAK")
+			srv.ScheduleBatch(me, nil)
 		}
 		body, contentType := wire.AppendSchedule(nil, me, []amigo.Task{{Kind: "dns", Config: "sim"}}), wire.ContentType
 		if i%2 == 1 {
@@ -227,13 +223,15 @@ func TestGatewayRoutesScheduleForms(t *testing.T) {
 
 // TestGatewayRoutesLeaseVitals: a lease carrying vitals reaches the ME's
 // ring shard, which records them, even though every shard knows every ME;
-// POST /v1/status, which vitals replaced, is not routed to any shard.
+// POST /v1/status, which vitals replaced, is not routed to any shard, and
+// neither are /v1/register and /v2/tasks/requeue, which scheduling and
+// the redelivery lease replaced.
 func TestGatewayRoutesLeaseVitals(t *testing.T) {
 	gw, servers, hs := shardSet(t, 4)
 	mes := []string{"PAK-00", "GEO-00", "USA-00", "USA-01", "DEU-00", "DEU-01"}
 	for i, me := range mes {
 		for _, srv := range servers {
-			srv.Register(me, "PAK")
+			srv.ScheduleBatch(me, nil)
 		}
 		v := amigo.Vitals{Battery: 0.5, RSSI: -90 - float64(i), CQI: 9, RAT: "5G", ActiveID: "esim"}
 		lease := wire.AppendLeaseRequest(nil, wire.LeaseRequest{ME: me, Max: 1, Vitals: v})
@@ -264,14 +262,20 @@ func TestGatewayRoutesLeaseVitals(t *testing.T) {
 		}
 		return n
 	}
-	before := routed()
-	resp, err := http.Post(hs.URL+"/v1/status", "application/json", strings.NewReader(`{"me":"PAK-00","vitals":{"cqi":1}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound || routed() != before {
-		t.Errorf("POST /v1/status: HTTP %d, %d requests routed; want 404 and none", resp.StatusCode, routed()-before)
+	for path, body := range map[string]string{
+		"/v1/status":        `{"me":"PAK-00","vitals":{"cqi":1}}`,
+		"/v1/register":      `{"me":"PAK-00","country":"PAK"}`,
+		"/v2/tasks/requeue": `{"me":"PAK-00"}`,
+	} {
+		before := routed()
+		resp, err := http.Post(hs.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || routed() != before {
+			t.Errorf("POST %s: HTTP %d, %d requests routed; want 404 and none", path, resp.StatusCode, routed()-before)
+		}
 	}
 }
 
@@ -431,11 +435,9 @@ func TestGatewayRouteCounters(t *testing.T) {
 		body                      []byte
 		label                     string
 	}{
-		{"POST", "/v1/register", jsonCT, []byte(`{"me":"m","country":"PAK"}`), "v1/register"},
-		{"POST", "/v2/tasks/requeue", jsonCT, []byte(`{"me":"m"}`), "v2/requeue"},
+		{"POST", "/admin/schedule", jsonCT, []byte(`{"me":"m","kind":"dns","config":"sim"}`), "admin/schedule"},
 		{"POST", "/v3/tasks/lease", wire.ContentType, lease, "v3/lease"},
 		{"POST", "/v3/results", wire.ContentType, results, "v3/results"},
-		{"POST", "/admin/schedule", jsonCT, []byte(`{"me":"m","kind":"dns","config":"sim"}`), "admin/schedule"},
 	}
 	if len(cases) != numRoutes {
 		t.Fatalf("table covers %d routes, gateway mounts %d", len(cases), numRoutes)

@@ -366,7 +366,6 @@ func TestServerIntegration(t *testing.T) {
 	if !srv.SupportsCursor() {
 		t.Fatal("server did not detect walsink cursor support")
 	}
-	srv.Register("PAK-00", "PAK")
 	ids, err := srv.ScheduleBatch("PAK-00", []amigo.Task{{Kind: "speedtest", Config: "esim"}, {Kind: "dns", Target: "8.8.8.8", Config: "sim"}})
 	if err != nil {
 		t.Fatal(err)

@@ -82,6 +82,16 @@ func (r *reader) uint() (int, error) {
 	return int(v), err
 }
 
+// flag reads a boolean field's value, which is always 1 (false is
+// omitted).
+func (r *reader) flag() (bool, error) {
+	v, err := r.uvarint()
+	if err == nil && v != 1 {
+		err = errBadBool
+	}
+	return true, err
+}
+
 // tag reads the next field tag, which must be above the last one read.
 func (r *reader) tag(last *byte) (byte, error) {
 	tag := r.b[r.off]
@@ -170,6 +180,8 @@ func (d *Decoder) LeaseRequest(payload []byte) (LeaseRequest, error) {
 			if b, err = r.record(); err == nil {
 				err = d.vitals(b, &req.Vitals)
 			}
+		case tagLeaseRedeliver:
+			req.Redeliver, err = r.flag()
 		default:
 			return LeaseRequest{}, errUnknownTag
 		}
@@ -384,11 +396,7 @@ func (d *Decoder) result(rec []byte, res *Result) error {
 		case tagResultConfig:
 			res.Config, err = d.str(&r)
 		case tagResultOK:
-			var v uint64
-			if v, err = r.uvarint(); err == nil && v != 1 {
-				err = errBadBool
-			}
-			res.OK = true
+			res.OK, err = r.flag()
 		case tagResultError:
 			res.Error, err = d.str(&r)
 		case tagResultPayload:

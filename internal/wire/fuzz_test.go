@@ -53,6 +53,11 @@ func fuzzSeeds(f *testing.F) {
 	f.Add(AppendLeaseRequest(nil, LeaseRequest{}))
 	f.Add(AppendLeaseRequest(nil, LeaseRequest{ME: "me-PAK", Max: 32, Ack: 7, Vitals: sampleVitals}))
 	f.Add(AppendLeaseRequest(nil, LeaseRequest{Vitals: Vitals{RSSI: math.Copysign(0, -1), CQI: -1}}))
+	f.Add(AppendLeaseRequest(nil, LeaseRequest{ME: "me-PAK", Max: 32, Redeliver: true}))
+	f.Add(AppendLeaseRequest(nil, LeaseRequest{ME: "me-PAK", Max: 32, Ack: 7, Vitals: sampleVitals, Redeliver: true}))
+	f.Add([]byte("R3\x03\x01\x00\x00\x00\x04\x05\x01\x05\x01"))         // redeliver repeated
+	f.Add([]byte("R3\x03\x01\x00\x00\x00\x05\x05\x01\x02\x01\x01"))     // redeliver before max
+	f.Add([]byte("R3\x03\x01\x00\x00\x00\x02\x05\x02"))                 // redeliver not 1
 	f.Add([]byte("R3\x03\x01\x00\x00\x00\x02\x04\x00"))                 // empty vitals record
 	f.Add([]byte("R3\x03\x01\x00\x00\x00\x04\x04\x02\x02\x00"))         // zero-valued vitals field
 	f.Add([]byte("R3\x03\x01\x00\x00\x00\x06\x04\x04\x04\x01\x01\x01")) // vitals tags out of order

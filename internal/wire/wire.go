@@ -27,7 +27,8 @@
 // uvarint byte-length followed by its fields; each field is a
 // single-byte tag followed by its value. The lease-request payload is
 // one bare field sequence (no record prefix) whose optional vitals field
-// is itself a record; the tasks and results
+// is itself a record and whose optional redeliver flag is the uvarint 1;
+// the tasks and results
 // payloads are a uvarint record count followed by that many records; a
 // schedule is the ME (a non-empty string) followed by the tasks payload.
 //
@@ -101,12 +102,14 @@ func (v Vitals) IsZero() bool { return vitalsRecordLen(&v) == 0 }
 
 // LeaseRequest is the v3 lease body: lease up to Max tasks,
 // acknowledging every previously delivered task ID <= Ack, and report
-// Vitals when they are not zero.
+// Vitals when they are not zero. Redeliver first restores the ME's whole
+// schedule, as a restarted ME's first lease asks.
 type LeaseRequest struct {
-	ME     string
-	Max    int
-	Ack    int
-	Vitals Vitals
+	ME        string
+	Max       int
+	Ack       int
+	Vitals    Vitals
+	Redeliver bool
 }
 
 // Frame constants.
@@ -144,11 +147,11 @@ const ContentType = "application/vnd.amigo.v3"
 // ContentType); the JSON page carries it in its body.
 const CursorHeader = "X-Amigo-Cursor"
 
-// MaxJSONBody bounds the request body of every JSON control route
-// (register, requeue, the single-kind admin schedule — each well under
-// 1 KiB): the server answers 413 past it, and the shard gateway refuses
-// to buffer more for its routing peek. v3 bodies are one frame, bounded
-// by MaxFrame from the frame header instead.
+// MaxJSONBody bounds the request body of the one JSON control route, the
+// single-kind admin schedule (well under 1 KiB): the server answers 413
+// past it, and the shard gateway refuses to buffer more for its routing
+// peek. v3 bodies are one frame, bounded by MaxFrame from the frame
+// header instead.
 const MaxJSONBody = 64 << 10
 
 // Field tags. Tags are per-message-type namespaces; within a record
@@ -162,6 +165,8 @@ const (
 	// below), omitted when the Vitals are zero. A float is the uvarint of
 	// its IEEE-754 bits, CQI the uvarint of its two's-complement bits.
 	tagLeaseVitals = 0x04
+	// tagLeaseRedeliver is uvarint 1 when set (false is omitted).
+	tagLeaseRedeliver = 0x05
 
 	// Vitals fields.
 	tagVitalsBattery  = 0x01
@@ -300,6 +305,9 @@ func AppendLeaseRequest(dst []byte, req LeaseRequest) []byte {
 		dst = appendFieldUint(dst, tagVitalsCQI, uint64(v.CQI))
 		dst = appendFieldBytes(dst, tagVitalsRAT, v.RAT)
 		dst = appendFieldBytes(dst, tagVitalsActiveID, v.ActiveID)
+	}
+	if req.Redeliver {
+		dst = appendFieldUint(dst, tagLeaseRedeliver, 1)
 	}
 	return endFrame(dst, start)
 }

@@ -36,6 +36,11 @@ func TestGoldenLeaseFrame(t *testing.T) {
 	if req != (LeaseRequest{ME: "me-PAK", Max: 32, Ack: 7}) {
 		t.Fatalf("decoded %+v", req)
 	}
+	// A redelivery appends tag 5 + 0x01, the payload growing to 14 bytes.
+	want := "R3\x03\x01\x00\x00\x00\x0e" + string(goldenLease[HeaderLen:]) + "\x05\x01"
+	if got := AppendLeaseRequest(nil, LeaseRequest{ME: "me-PAK", Max: 32, Ack: 7, Redeliver: true}); string(got) != want {
+		t.Fatalf("redelivery frame mismatch:\n got %x\nwant %x", got, want)
+	}
 }
 
 // goldenLeaseVitals is goldenLease carrying vitals {Battery 0.5, RSSI
@@ -159,6 +164,9 @@ func TestLeaseRequestRoundTrip(t *testing.T) {
 		{ME: "m", Max: 1},
 		{ME: "me-PAK", Max: 1024, Ack: 1 << 40},
 		{Max: 127}, {Max: 128}, {Max: 16383}, {Max: 16384},
+		{ME: "me-PAK", Max: 32, Redeliver: true},
+		{ME: "me-PAK", Max: 32, Ack: 7, Vitals: sampleVitals, Redeliver: true},
+		{Redeliver: true},
 	}
 	d := NewDecoder()
 	for _, want := range cases {
@@ -343,6 +351,11 @@ func TestStrictDecodeRejects(t *testing.T) {
 		{"vitals/truncated-field", lease, []byte{0x04, 0x03, 0x06, 0x04, 'e'}, errTruncated},
 		{"vitals/truncated-float", lease, []byte{0x04, 0x02, 0x01, 0x80}, errTruncated},
 		{"vitals/after-record", lease, []byte{0x04, 0x02, 0x04, 0x01, 0x03, 0x01}, errTagOrder},
+		{"redeliver/zero", lease, []byte{0x05, 0x00}, errBadBool},
+		{"redeliver/two", lease, []byte{0x05, 0x02}, errBadBool},
+		{"redeliver/repeated-tag", lease, []byte{0x05, 0x01, 0x05, 0x01}, errTagOrder},
+		{"redeliver/before-vitals", lease, []byte{0x05, 0x01, 0x04, 0x02, 0x04, 0x01}, errTagOrder},
+		{"redeliver/before-max", lease, []byte{0x01, 0x01, 'm', 0x05, 0x01, 0x02, 0x20}, errTagOrder},
 		{"tasks/count-too-big", tasks, []byte{0x05, 0x00}, errCountTooBig},
 		{"tasks/record-overrun", tasks, []byte{0x01, 0x09, 0x01, 0x01}, errRecordLength},
 		{"tasks/trailing", tasks, []byte{0x01, 0x00, 0xff}, errTrailing},

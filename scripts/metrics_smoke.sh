@@ -2,8 +2,8 @@
 # metrics_smoke.sh — boot a real amigo-server, scrape /admin/metrics,
 # and assert the exposition is non-empty, parseable Prometheus text that
 # covers the control-server metric family; then drain a scheduled queue
-# with a real amigo-me and assert its results arrived over the v3 routes.
-# Run via `make metrics-smoke`.
+# with a real amigo-me and assert its results arrived over the two v3
+# routes an ME speaks. Run via `make metrics-smoke`.
 set -euo pipefail
 
 TMPDIR_SMOKE="$(mktemp -d)"
@@ -34,10 +34,27 @@ until curl -sf "http://127.0.0.1:$PORT/admin/metrics" -o "$OUT" 2>/dev/null; do
     sleep 0.1
 done
 
-# Exercise a route so the per-route counters move, then re-scrape.
-curl -sf -X POST "http://127.0.0.1:$PORT/v1/register" \
-    -d '{"me":"smoke-me","country":"PAK"}' >/dev/null
-curl -sf "http://127.0.0.1:$PORT/admin/metrics" -o "$OUT"
+URL="http://127.0.0.1:$PORT"
+
+# An ME nothing is scheduled for: its lease is 404, which amigo-me -once
+# reads as "nothing scheduled yet" — it exits 0 having executed nothing,
+# and a lease creates no ME.
+PAK_OUT="$("$ME_BIN" -server "$URL" -country PAK -once)"
+if printf '%s' "$PAK_OUT" | grep -q executed; then
+    echo "metrics-smoke: amigo-me with nothing scheduled executed something: $PAK_OUT" >&2
+    exit 1
+fi
+
+# Scheduling is what makes an ME known: queue 5 tasks for me-DEU with the
+# curl the amigo-server docs give, then re-scrape.
+SCHED="$(curl -sf -X POST "$URL/admin/schedule" \
+    -d '{"me":"me-DEU","kind":"speedtest","config":"esim","count":5}')"
+ids="$(printf '%s' "$SCHED" | tr ',' '\n' | grep -c '[0-9]')"
+if [ "$ids" -ne 5 ]; then
+    echo "metrics-smoke: the single-kind schedule assigned $ids IDs, want 5: $SCHED" >&2
+    exit 1
+fi
+curl -sf "$URL/admin/metrics" -o "$OUT"
 
 if ! [ -s "$OUT" ]; then
     echo "metrics-smoke: /admin/metrics returned an empty body" >&2
@@ -63,34 +80,24 @@ for family in amigo_server_requests_total amigo_server_registered_mes; do
     fi
 done
 
-# The register call above must be visible in the per-route counters and
-# the ME gauge — proof the scrape reflects live server state.
+# The schedule above must be visible in the ME gauge — only me-DEU is
+# known, not the me-PAK that only leased — proof the scrape reflects live
+# server state.
 if ! grep -q '^amigo_server_registered_mes 1$' "$OUT"; then
-    echo "metrics-smoke: registered-ME gauge did not move" >&2
+    echo "metrics-smoke: registered-ME gauge is not 1 after one schedule:" >&2
+    grep '^amigo_server_registered_mes' "$OUT" >&2 || true
     exit 1
 fi
 
 LINES="$(grep -c . "$OUT")"
 
-# The JSON control bodies are bounded at 64 KiB (wire.MaxJSONBody): a
-# 1 MiB register is refused with 413 and registers nothing.
-BIG="$TMPDIR_SMOKE/big-register.json"
-{ printf '{"me":"'; head -c 1048576 /dev/zero | tr '\0' x; printf '","country":"PAK"}'; } >"$BIG"
-code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://127.0.0.1:$PORT/v1/register" --data-binary @"$BIG")"
+# The JSON schedule body is bounded at 64 KiB (wire.MaxJSONBody): a 1 MiB
+# schedule is refused with 413 and creates no ME.
+BIG="$TMPDIR_SMOKE/big-schedule.json"
+{ printf '{"me":"'; head -c 1048576 /dev/zero | tr '\0' x; printf '","kind":"dns","config":"sim"}'; } >"$BIG"
+code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$URL/admin/schedule" --data-binary @"$BIG")"
 if [ "$code" != 413 ]; then
-    echo "metrics-smoke: a 1 MiB register answered $code, want 413" >&2
-    exit 1
-fi
-
-# The ME binary: register me-DEU, queue 5 tasks with the curl the
-# amigo-server docs give, and let one amigo-me drain them.
-URL="http://127.0.0.1:$PORT"
-curl -sf -X POST "$URL/v1/register" -d '{"me":"me-DEU","country":"DEU"}' >/dev/null
-SCHED="$(curl -sf -X POST "$URL/admin/schedule" \
-    -d '{"me":"me-DEU","kind":"speedtest","config":"esim","count":5}')"
-ids="$(printf '%s' "$SCHED" | tr ',' '\n' | grep -c '[0-9]')"
-if [ "$ids" -ne 5 ]; then
-    echo "metrics-smoke: the single-kind schedule assigned $ids IDs, want 5: $SCHED" >&2
+    echo "metrics-smoke: a 1 MiB schedule answered $code, want 413" >&2
     exit 1
 fi
 
@@ -103,6 +110,8 @@ for body in '{"me":"me-DEU","tasks":[{"kind":"dns","config":"sim"}]}' '{"me":"me
         exit 1
     fi
 done
+
+# The ME binary: one amigo-me drains me-DEU's 5 tasks.
 "$ME_BIN" -server "$URL" -country DEU -once
 
 RESULTS="$(curl -sf "$URL/admin/results?cursor=0")"
@@ -130,17 +139,21 @@ fi
 
 # amigo-me heartbeats before its first lease and the vitals ride that
 # lease — the one lease counted above is all it sent besides the upload.
-# There is no status route: POST /v1/status is not served and no
-# /v1/status series exists.
-code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$URL/v1/status" -d '{"me":"me-DEU","vitals":{"cqi":9}}')"
-if [ "$code" != 404 ] && [ "$code" != 405 ]; then
-    echo "metrics-smoke: POST /v1/status answered $code, want it not served (404)" >&2
-    exit 1
-fi
+# An ME speaks only those two routes: there is no status route (vitals
+# ride the lease), no register route (scheduling creates the ME) and no
+# requeue route (redelivery is a lease flag). None is served and no
+# series exists for any of them.
+for route in /v1/status /v1/register /v2/tasks/requeue; do
+    code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$URL$route" -d '{"me":"me-DEU","country":"DEU"}')"
+    if [ "$code" != 404 ]; then
+        echo "metrics-smoke: POST $route answered $code, want it not served (404)" >&2
+        exit 1
+    fi
+done
 curl -sf "$URL/admin/metrics" -o "$OUT"
-if grep -q '/v1/status' "$OUT"; then
-    echo "metrics-smoke: a /v1/status series appears:" >&2
-    grep '/v1/status' "$OUT" >&2
+if grep -Eq '/v1/status|/v1/register|/v2/tasks/requeue' "$OUT"; then
+    echo "metrics-smoke: a series for a route that is not served appears:" >&2
+    grep -E '/v1/status|/v1/register|/v2/tasks/requeue' "$OUT" >&2
     exit 1
 fi
 
