@@ -122,6 +122,7 @@ loc:
 fuzz-short:
 	$(GO) test -fuzz=FuzzDemarcate -fuzztime=10s -run=^$$ ./internal/core
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run=^$$ ./internal/ipaddr
+	$(GO) test -fuzz=FuzzLookupMatchesScan -fuzztime=10s -run=^$$ ./internal/ipreg
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=10s -run=^$$ ./internal/wire
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=10s -run=^$$ ./internal/wire
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s -run=^$$ ./internal/walsink

@@ -70,6 +70,7 @@ type Registry struct {
 type entry struct {
 	prefix  ipaddr.Prefix
 	asn     ASN
+	up      int32 // index of the nearest enclosing entry, -1 at a root; set by sortLocked
 	city    string
 	country string
 	loc     geo.Point
@@ -88,15 +89,23 @@ func (r *Registry) RegisterAS(as AS) {
 }
 
 // RegisterPrefix announces prefix from asn, geolocated at the given city.
-// The AS must already be registered. Overlapping prefixes are allowed;
-// lookups prefer the most specific (longest) match, as real routing does.
+// The AS must already be registered, and the prefix must be in the form
+// ipaddr.ParsePrefix returns: Bits in 0..32 and no host bits set.
+// Overlapping prefixes are allowed; lookups prefer the most specific
+// (longest) match, as real routing does.
 func (r *Registry) RegisterPrefix(p ipaddr.Prefix, asn ASN, city string, country string, loc geo.Point) error {
+	if p.Bits < 0 || p.Bits > 32 {
+		return fmt.Errorf("ipreg: prefix %s: length outside 0..32", p)
+	}
+	if uint32(p.Base)<<p.Bits != 0 {
+		return fmt.Errorf("ipreg: prefix %s has host bits set", p)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.ases[asn]; !ok {
 		return fmt.Errorf("ipreg: prefix %s announced by unregistered %s", p, asn)
 	}
-	r.prefixes = append(r.prefixes, entry{p, asn, city, country, loc})
+	r.prefixes = append(r.prefixes, entry{prefix: p, asn: asn, city: city, country: country, loc: loc})
 	r.sorted = false
 	return nil
 }
@@ -136,44 +145,63 @@ func (r *Registry) Lookup(a ipaddr.Addr) (Info, bool) {
 
 	r.mu.Lock()
 	if !r.sorted {
-		sort.Slice(r.prefixes, func(i, j int) bool {
-			if r.prefixes[i].prefix.Base != r.prefixes[j].prefix.Base {
-				return r.prefixes[i].prefix.Base < r.prefixes[j].prefix.Base
-			}
-			return r.prefixes[i].prefix.Bits < r.prefixes[j].prefix.Bits
-		})
-		r.sorted = true
+		r.sortLocked()
 	}
 	info, ok := r.lookupLocked(a)
 	r.mu.Unlock()
 	return info, ok
 }
 
+// sortLocked orders the table by (base, bits) and links every entry to
+// its nearest enclosing entry, in one pass over a stack of the prefixes
+// still open at that base. CIDR prefixes either nest or are disjoint, and
+// an enclosing prefix sorts before what it encloses, so the stack is one
+// chain of nested prefixes. Callers hold r.mu for writing.
+func (r *Registry) sortLocked() {
+	prefixes := r.prefixes
+	sort.Slice(prefixes, func(i, j int) bool {
+		if prefixes[i].prefix.Base != prefixes[j].prefix.Base {
+			return prefixes[i].prefix.Base < prefixes[j].prefix.Base
+		}
+		return prefixes[i].prefix.Bits < prefixes[j].prefix.Bits
+	})
+	var open []int32
+	for i := range prefixes {
+		p := prefixes[i].prefix
+		for len(open) > 0 && !prefixes[open[len(open)-1]].prefix.Contains(p.Base) {
+			open = open[:len(open)-1]
+		}
+		prefixes[i].up = -1
+		if len(open) > 0 {
+			prefixes[i].up = open[len(open)-1]
+		}
+		open = append(open, int32(i))
+	}
+	r.sorted = true
+}
+
 // lookupLocked resolves against the sorted table. Callers hold r.mu
 // (read or write).
+//
+// Every prefix containing a has base <= a, so it sits at or below i, the
+// last entry whose base is <= a. Those prefixes nest, and the most
+// specific of them is the one with the highest index (of identical
+// prefixes, the last in the table). Walking the enclosing chain up from
+// i cannot step over it: an entry between it and i that misses a lies
+// inside it, so that entry's nearest enclosing entry is no lower.
 func (r *Registry) lookupLocked(a ipaddr.Addr) (Info, bool) {
 	prefixes := r.prefixes
-	ases := r.ases
-
-	// Binary search for the last prefix whose base is <= a, then scan
-	// backwards for the longest containing prefix. Containing prefixes
-	// always have base <= a, so the backward scan is sufficient.
-	// Registries here hold hundreds of entries, so the scan is cheap.
 	i := sort.Search(len(prefixes), func(i int) bool { return prefixes[i].prefix.Base > a }) - 1
-	best := -1
-	for j := i; j >= 0; j-- {
-		e := prefixes[j]
-		if e.prefix.Contains(a) && (best == -1 || e.prefix.Bits > prefixes[best].prefix.Bits) {
-			best = j
-		}
+	for i >= 0 && !prefixes[i].prefix.Contains(a) {
+		i = int(prefixes[i].up)
 	}
-	if best < 0 {
+	if i < 0 {
 		return Info{}, false
 	}
-	e := prefixes[best]
+	e := &prefixes[i]
 	return Info{
 		Addr:    a,
-		AS:      ases[e.asn],
+		AS:      r.ases[e.asn],
 		Prefix:  e.prefix,
 		City:    e.city,
 		Country: e.country,

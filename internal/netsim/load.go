@@ -14,23 +14,23 @@ type LoadModel func() float64
 // It affects RTT sampling and speedtests but NOT routing, which models
 // the stable propagation floor. Unlike topology mutations it is allowed
 // after Freeze — load is a measurement-time confounder, not topology —
-// but swapping models while measurements run in other goroutines is the
-// caller's race to avoid.
+// and it is safe while measurements run in other goroutines: each sample
+// reads whichever model is installed when it is drawn.
 func (n *Network) SetLoadModel(m LoadModel) {
-	n.loadMu.Lock()
-	defer n.loadMu.Unlock()
-	n.load = m
+	if m == nil {
+		n.load.Store(nil)
+		return
+	}
+	n.load.Store(&m)
 }
 
 // loadFactor samples the current load (0 when unset).
 func (n *Network) loadFactor() float64 {
-	n.loadMu.RLock()
-	m := n.load
-	n.loadMu.RUnlock()
+	m := n.load.Load()
 	if m == nil {
 		return 0
 	}
-	f := m()
+	f := (*m)()
 	if f < 0 {
 		return 0
 	}

@@ -29,7 +29,7 @@
 // cache, so concurrent readers do not serialize on a single mutex.
 // SetLoadModel is the one deliberate exception: the load model is a
 // measurement-time confounder, not topology, and may be swapped after
-// Freeze (it has its own lock).
+// Freeze, even while queries run.
 package netsim
 
 import (
@@ -117,11 +117,10 @@ type Network struct {
 	// constraint real BGP policy enforces.
 	transitAS map[ipreg.ASN]bool
 
-	// load is the optional utilization model (see SetLoadModel). It has
-	// its own lock because it may be swapped after Freeze and is read on
-	// every RTT/throughput sample.
-	loadMu sync.RWMutex
-	load   LoadModel
+	// load is the optional utilization model (see SetLoadModel), nil when
+	// unset. It is an atomic pointer because it may be swapped after
+	// Freeze and is read, without a lock, on every RTT/throughput sample.
+	load atomic.Pointer[LoadModel]
 
 	routes routeTable
 }

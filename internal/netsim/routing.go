@@ -371,11 +371,12 @@ func (n *Network) dijkstra(src, dst NodeID) (*Path, error) {
 // queueing term. Safe for concurrent use given a per-goroutine Source.
 func (n *Network) RTTms(p *Path, src *rng.Source) float64 {
 	var d float64
-	for _, l := range p.Links {
+	for i := range p.Links {
+		l := &p.Links[i]
 		d += src.Jitter(l.TotalDelayMs(), l.JitterFrac)
 	}
-	for _, node := range p.Nodes {
-		d += src.Jitter(node.ProcDelayMs, 0.3)
+	for i := range p.Nodes {
+		d += src.Jitter(p.Nodes[i].ProcDelayMs, 0.3)
 	}
 	return 2 * d * queueInflation(n.loadFactor())
 }
