@@ -13,10 +13,10 @@
 //
 //	amigo-me [-server http://localhost:8080] [-country PAK] [-seed 1] [-poll 500ms] [-once]
 //
-// -once exits after the first empty or short lease — a lease of fewer
-// than leaseBatch tasks held the queue's last ones, so once they are
-// uploaded the queue is drained without asking again; otherwise -poll is
-// the wait before leasing again after either.
+// -once exits after the first empty lease, or after uploading the batch
+// of the lease the server marks as the last — the queue is then drained
+// without asking again; otherwise -poll is the wait before leasing again
+// after either.
 package main
 
 import (
@@ -40,8 +40,8 @@ func main() {
 	server := flag.String("server", "http://localhost:8080", "control server base URL")
 	country := flag.String("country", "PAK", "deployment country (ISO3)")
 	seed := flag.Int64("seed", 1, "world seed")
-	poll := flag.Duration("poll", 500*time.Millisecond, "wait after an empty or short lease")
-	once := flag.Bool("once", false, "drain the queue once and exit")
+	poll := flag.Duration("poll", 500*time.Millisecond, "wait after an empty lease or the lease the server marks as the last")
+	once := flag.Bool("once", false, "exit after the lease the server marks as the last (or an empty one)")
 	flag.Parse()
 	if err := run(*server, *country, *seed, *poll, *once, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "amigo-me:", err)

@@ -139,7 +139,7 @@ type Endpoint struct {
 	vitals    Vitals // sampled by Heartbeat, sent with every lease attempt until one succeeds
 	redeliver bool   // set by Redeliver, sent with every lease attempt until one succeeds
 	acked     int    // highest task ID leased so far (the lease ack cursor)
-	drained   bool   // RunBatch uploaded a short lease: the next call returns 0 unasked
+	drained   bool   // the last lease carried tasks and was drained: the next Lease returns none unasked
 	// scratch is the pooled buffer the payloads of the batch being run are
 	// encoded into, one after another in task order; seal moves them onto
 	// the batch's own slab and hands it back (nil between batches).
@@ -292,16 +292,29 @@ func (e *Endpoint) Heartbeat() {
 // ones, so a lease response lost to a fault is recovered on the next
 // call), and carries what no lease has yet: the vitals of the last
 // Heartbeat and a Redeliver. An empty slice means the queue is drained.
+//
+// When the server marks a lease that carried tasks as drained — they were
+// all the ME had left — the next call returns none without a request,
+// unless vitals (or a Redeliver, which clears the mark) are pending; the
+// call after that asks again, which is how a polling ME sees new work. The
+// skipped lease would only have acked the final batch (Server.LeaseAckInto).
 func (e *Endpoint) Lease(max int) ([]Task, error) {
+	if e.drained {
+		e.drained = false
+		if e.vitals.IsZero() {
+			return nil, nil
+		}
+	}
 	var tasks []Task
+	var drained bool
 	err := e.retry("lease", func(ctx context.Context, t Transport) (err error) {
-		tasks, err = t.Lease(ctx, wire.LeaseRequest{ME: e.Name, Max: max, Ack: e.acked, Vitals: e.vitals, Redeliver: e.redeliver})
+		tasks, drained, err = t.Lease(ctx, wire.LeaseRequest{ME: e.Name, Max: max, Ack: e.acked, Vitals: e.vitals, Redeliver: e.redeliver})
 		return err
 	})
 	if err == nil {
 		e.vitals, e.redeliver = Vitals{}, false
 		if n := len(tasks); n > 0 {
-			e.acked = tasks[n-1].ID
+			e.acked, e.drained = tasks[n-1].ID, drained
 		}
 	}
 	return tasks, err
@@ -365,13 +378,8 @@ func fnv1a[T string | []byte](h uint64, s T) uint64 {
 
 // RunBatch leases up to max tasks, executes them in order, and uploads
 // the results as one batch. It returns the number of tasks executed;
-// zero means the queue is drained.
-//
-// A lease shorter than max held the ME's last tasks (Transport.Lease), so
-// once they are uploaded the next call returns 0 without a request, and
-// the one after leases again — how a polling ME sees new work. The
-// skipped lease would only have acked the final batch (Server.LeaseAckInto).
-// Vitals from a Heartbeat in between are never skipped: they ride a lease.
+// zero means the queue is drained. After the batch the server marked as
+// the ME's last, the next call returns 0 without a request (Lease).
 //
 // With Realize the batch's summed network time is spent in one wait before
 // the upload: nothing of an ME is observable between two tasks of a lease
@@ -379,12 +387,6 @@ func fnv1a[T string | []byte](h uint64, s T) uint64 {
 // wait is one trip through the quiescence barrier instead of one per task.
 // A wait cut short by Ctx returns its error at once; nothing is uploaded.
 func (e *Endpoint) RunBatch(max int) (int, error) {
-	if e.drained {
-		e.drained = false
-		if e.vitals.IsZero() {
-			return 0, nil
-		}
-	}
 	tasks, err := e.Lease(max)
 	if err != nil || len(tasks) == 0 {
 		return 0, err
@@ -405,8 +407,6 @@ func (e *Endpoint) RunBatch(max int) (int, error) {
 	if err := e.Upload(results); err != nil {
 		return 0, err
 	}
-	// Short of max as transports clamp it, to [1, maxLeaseBatch] (tasks is non-empty).
-	e.drained = len(tasks) < min(max, maxLeaseBatch)
 	return len(tasks), nil
 }
 

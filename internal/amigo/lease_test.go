@@ -1,8 +1,12 @@
 package amigo
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"testing"
 
@@ -20,19 +24,25 @@ func leaseIDs(tasks []Task) []int {
 	return ids
 }
 
-// TestLeaseShortOnlyWhenDrained pins the short-lease contract RunBatch
-// stops on: a lease returns the first max of the ME's pending tasks —
-// every scheduled ID above the ack cursor, re-sent and fresh alike — so
-// fewer than max come back only when that is all of them. A seeded walk
-// schedules, leases with varying max, and loses lease responses (the
-// client keeps its old ack), on both transports.
+// TestLeaseShortOnlyWhenDrained pins the server's lease contract, probed
+// through the Transport (Endpoint.Lease skips a lease on purpose): a lease
+// returns the first max of the ME's pending tasks — every scheduled ID
+// above the ack cursor, re-sent and fresh alike — so fewer than max come
+// back only when that is all of them, and it is drained exactly when it
+// reaches the end of them. A seeded walk schedules, leases with varying
+// max, and loses lease responses (the client keeps its old ack), on both
+// transports.
 func TestLeaseShortOnlyWhenDrained(t *testing.T) {
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
 			srv := NewServer(nil, WithObs(reg))
-			ep := &Endpoint{Name: "me", Retry: fastRetry}
+			ep := &Endpoint{Name: "me"}
 			tr.bind(t, srv, ep)
+			tp := ep.Transport
+			if tp == nil {
+				tp = (*httpTransport)(ep)
+			}
 			var scheduled []int // every ID scheduled, ascending
 			schedule := func(n int) {
 				ids, err := srv.ScheduleBatch("me", make([]Task, n))
@@ -41,15 +51,12 @@ func TestLeaseShortOnlyWhenDrained(t *testing.T) {
 				}
 				scheduled = append(scheduled, ids...)
 			}
+			ack := 0
 			lease := func(max int, lost bool) []int {
 				t.Helper()
-				ack := ep.acked
-				tasks, err := ep.Lease(max)
+				tasks, drained, err := tp.Lease(context.Background(), wire.LeaseRequest{ME: "me", Max: max, Ack: ack})
 				if err != nil {
 					t.Fatal(err)
-				}
-				if lost {
-					ep.acked = ack
 				}
 				first, _ := slices.BinarySearch(scheduled, ack+1)
 				pending := scheduled[first:]
@@ -59,6 +66,12 @@ func TestLeaseShortOnlyWhenDrained(t *testing.T) {
 				}
 				if len(got) < max && len(got) != len(pending) {
 					t.Fatalf("lease(max %d) was short (%d) with %d tasks pending", max, len(got), len(pending))
+				}
+				if drained != (len(got) == len(pending)) {
+					t.Fatalf("lease(max %d, ack %d) of %d pending: drained %v with %d tasks", max, ack, len(pending), drained, len(got))
+				}
+				if n := len(got); n > 0 && !lost {
+					ack = got[n-1]
 				}
 				return got
 			}
@@ -96,7 +109,7 @@ type countingTransport struct {
 	leases, uploads int
 }
 
-func (c *countingTransport) Lease(ctx context.Context, req wire.LeaseRequest) ([]Task, error) {
+func (c *countingTransport) Lease(ctx context.Context, req wire.LeaseRequest) ([]Task, bool, error) {
 	c.leases++
 	return c.Transport.Lease(ctx, req)
 }
@@ -118,11 +131,11 @@ func countRequests(t *testing.T, tr func(*testing.T, *Server, *Endpoint), srv *S
 	return ct
 }
 
-// TestRunBatchSkipsConfirmingLease: once RunBatch has uploaded a short
-// lease, the next call reports the queue drained without a request, and
-// the call after that leases again. Full leases — max tasks, with max
-// clamped to maxLeaseBatch — never short-circuit, and Redeliver forgets
-// the short lease along with the ack cursor.
+// TestRunBatchSkipsConfirmingLease: once RunBatch has uploaded the lease
+// the server marked drained, the next call reports the queue drained
+// without a request, and the call after that leases again — also when the
+// drained lease was full (max tasks, with max clamped to maxLeaseBatch).
+// Redeliver forgets the drained mark along with the ack cursor.
 func TestRunBatchSkipsConfirmingLease(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -133,9 +146,9 @@ func TestRunBatchSkipsConfirmingLease(t *testing.T) {
 		wantHTTPPath int // /v3/tasks/lease requests counted by the HTTP endpoint
 	}{
 		{"short", 18, 32, []int{18, 0, 0}, []int{1, 1, 2}, 1, 2},
-		{"full", 64, 32, []int{32, 32, 0}, []int{1, 2, 3}, 2, 3},
+		{"full", 64, 32, []int{32, 32, 0}, []int{1, 2, 2}, 2, 2},
 		{"full-then-short", 40, 32, []int{32, 8, 0, 0}, []int{1, 2, 2, 3}, 2, 3},
-		{"clamped", maxLeaseBatch, 5000, []int{maxLeaseBatch, 0, 0}, []int{1, 2, 3}, 1, 3},
+		{"clamped", maxLeaseBatch, 5000, []int{maxLeaseBatch, 0, 0}, []int{1, 1, 2}, 1, 2},
 	} {
 		for _, tr := range transports {
 			t.Run(tc.name+"/"+tr.name, func(t *testing.T) {
@@ -189,8 +202,129 @@ func TestRunBatchSkipsConfirmingLease(t *testing.T) {
 	}
 }
 
+// TestEndpointLeaseSkipsConfirmingLease: a Lease→Upload loop over 64
+// tasks at 32 makes two lease requests — the second is marked drained, so
+// the Lease after it answers none unasked. The call after that asks, and
+// sees work scheduled meanwhile; pending vitals or a Redeliver always ask.
+func TestEndpointLeaseSkipsConfirmingLease(t *testing.T) {
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			srv, reg := NewServer(nil), obs.NewRegistry()
+			ep := &Endpoint{Name: "me", Obs: reg, Retry: fastRetry}
+			ct := countRequests(t, tr.bind, srv, ep)
+			schedule := func(n int) []int {
+				t.Helper()
+				ids, err := srv.ScheduleBatch("me", make([]Task, n))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ids
+			}
+			lease := func(wantLeases int) []int {
+				t.Helper()
+				tasks, err := ep.Lease(32)
+				if err != nil || ct.leases != wantLeases {
+					t.Fatalf("Lease = %d tasks, %v after %d leases; want %d leases", len(tasks), err, ct.leases, wantLeases)
+				}
+				return leaseIDs(tasks)
+			}
+
+			all := schedule(64)
+			var leased []int
+			for {
+				ids := lease(min(len(leased)/32+1, 2))
+				if len(ids) == 0 {
+					break
+				}
+				leased = append(leased, ids...)
+				results := make([]Result, len(ids))
+				for i, id := range ids {
+					results[i] = Result{TaskID: id, ME: "me", Kind: "dns", Config: "esim"}
+				}
+				if err := ep.Upload(results); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !slices.Equal(leased, all) || ct.uploads != 2 {
+				t.Fatalf("leased %v in %d uploads; want the 64 scheduled in 2", leased, ct.uploads)
+			}
+			if tr.name == "http" {
+				if got := reg.Counter("amigo_endpoint_requests_total", obs.L("path", "/v3/tasks/lease")).Value(); got != 2 {
+					t.Errorf("amigo_endpoint_requests_total{path=/v3/tasks/lease} = %d, want 2", got)
+				}
+			}
+
+			more := schedule(3)
+			if got := lease(3); !slices.Equal(got, more) {
+				t.Fatalf("the lease after the skipped one = %v, want the newly scheduled %v", got, more)
+			}
+			ep.vitals = Vitals{CQI: 7, RAT: "5G"}
+			if got := lease(4); len(got) != 0 {
+				t.Fatalf("drained lease with vitals pending = %v, want none", got)
+			}
+			if v, _ := srv.Vitals("me"); v.CQI != 7 {
+				t.Fatalf("server vitals %+v, want the pending ones reported", v)
+			}
+			last := schedule(2)
+			if got := lease(5); !slices.Equal(got, last) {
+				t.Fatalf("lease = %v, want %v", got, last)
+			}
+			ep.Redeliver()
+			if got := lease(6); !slices.Equal(got, all[:32]) {
+				t.Fatalf("drained lease with a Redeliver pending = %v, want the schedule from its start %v", got, all[:32])
+			}
+		})
+	}
+}
+
+// TestRunBatchBehindLowerClamp: a proxy in front of the server lowers each
+// lease's Max to 5, as a server with a lower clamp would. Leases of 5 for
+// an ME asking 32 are not its last — the server says which one is — so
+// RunBatch(32) runs all 20 queued tasks before it returns 0.
+func TestRunBatchBehindLowerClamp(t *testing.T) {
+	srv := NewServer(nil)
+	if _, err := srv.ScheduleBatch("me", make([]Task, 20)); err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v3/tasks/lease" {
+			_, payload, err := wire.ReadFrame(r.Body, nil)
+			if err != nil {
+				http.Error(w, "bad lease", http.StatusBadRequest)
+				return
+			}
+			req, err := wire.NewDecoder().LeaseRequest(payload)
+			if err != nil {
+				http.Error(w, "bad lease", http.StatusBadRequest)
+				return
+			}
+			req.Max = min(req.Max, 5)
+			body := wire.AppendLeaseRequest(nil, req)
+			r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer hs.Close()
+	ep := &Endpoint{Name: "me", BaseURL: hs.URL, Client: hs.Client(), Retry: fastRetry}
+	var runs []int
+	for len(runs) < 10 {
+		n, err := ep.RunBatch(32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, n)
+		if n == 0 {
+			break
+		}
+	}
+	if want := []int{5, 5, 5, 5, 0}; !slices.Equal(runs, want) || len(srv.Results()) != 20 {
+		t.Fatalf("RunBatch(32) behind a clamp of 5 = %v, %d results; want %v, all 20", runs, len(srv.Results()), want)
+	}
+}
+
 // TestRunBatchDrainedCarriesVitals: the drained shortcut never drops a
-// heartbeat. After a short lease, vitals sampled in between make the next
+// heartbeat. After a drained lease, vitals sampled in between make the next
 // RunBatch lease once — reporting them — and return 0; the call after
 // that leases normally again, as it would have without vitals.
 func TestRunBatchDrainedCarriesVitals(t *testing.T) {
@@ -229,14 +363,14 @@ type lossyTransport struct {
 	sent []wire.LeaseRequest
 }
 
-func (l *lossyTransport) Lease(ctx context.Context, req wire.LeaseRequest) ([]Task, error) {
+func (l *lossyTransport) Lease(ctx context.Context, req wire.LeaseRequest) ([]Task, bool, error) {
 	l.sent = append(l.sent, req)
-	tasks, err := l.Transport.Lease(ctx, req)
+	tasks, drained, err := l.Transport.Lease(ctx, req)
 	if err == nil && l.drop > 0 {
 		l.drop--
-		return nil, Retryable{Err: errors.New("lease response lost")}
+		return nil, false, Retryable{Err: errors.New("lease response lost")}
 	}
-	return tasks, err
+	return tasks, drained, err
 }
 
 // TestRedeliverLostResponse: a redelivery lease whose response is lost is
@@ -277,5 +411,42 @@ func TestRedeliverLostResponse(t *testing.T) {
 				t.Fatalf("next lease = %v, %v (redeliver %v); want %v, no redelivery", leaseIDs(tasks), err, lt.sent[len(lt.sent)-1].Redeliver, ids[4:8])
 			}
 		})
+	}
+}
+
+// BenchmarkLeaseAck: the server's side of one drain ME per op, in process
+// — 64 tasks scheduled, then leased 32 at a time, each lease acking the
+// one before (the previous op's last included), until a lease is drained.
+// The ME's schedule is kept whole (Requeue may restore it), so a fresh
+// server takes over every 1024 ops, off the clock, to keep the
+// benchmark's memory flat.
+func BenchmarkLeaseAck(b *testing.B) {
+	var srv *Server
+	var ack int
+	tasks := make([]Task, 64)
+	dst := make([]Task, 0, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%1024 == 0 {
+			b.StopTimer()
+			srv, ack = NewServer(nil), 0
+			b.StartTimer()
+		}
+		if _, err := srv.ScheduleBatch("me", tasks); err != nil {
+			b.Fatal(err)
+		}
+		leases := 0
+		for drained := false; !drained; leases++ {
+			var err error
+			dst, drained, err = srv.lease(wire.LeaseRequest{ME: "me", Max: 32, Ack: ack}, dst[:0])
+			if err != nil || len(dst) == 0 {
+				b.Fatalf("lease %d: %d tasks, %v", leases, len(dst), err)
+			}
+			ack = dst[len(dst)-1].ID
+		}
+		if leases != 2 {
+			b.Fatalf("64 tasks at 32 took %d leases, want 2", leases)
+		}
 	}
 }

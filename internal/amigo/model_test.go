@@ -37,10 +37,11 @@ type model struct {
 	seen     map[string]int   // events the sequences exercised (coverage)
 }
 
-// modelME is one ME's state, created by its first schedule. The schedule
-// never reorders: a lease hands out sched[acked:], an ack retires a prefix
-// of what was sent, and a redelivery rewinds both cursors. So the done
-// list is sched[:acked] and the outstanding deliveries are sched[acked:sent].
+// modelME is one ME's state, created by its first schedule: the same one
+// schedule and two cursors the Server keeps (meState). The schedule never
+// reorders: a lease hands out sched[acked:], an ack retires a prefix of
+// what was sent, and a redelivery rewinds both cursors. So the done list
+// is sched[:acked] and the outstanding deliveries are sched[acked:sent].
 type modelME struct {
 	sched       []amigo.Task
 	acked, sent int
@@ -77,10 +78,12 @@ func (o op) String() string {
 }
 
 // reply is what an operation answered: a lease's tasks or a schedule's
-// tasks under their assigned IDs, and the error class.
+// tasks under their assigned IDs, whether a lease was drained (its tasks
+// are all the ME has left), and the error class.
 type reply struct {
-	Tasks []amigo.Task
-	Class string // "ok", "unknown-me" or "busy"
+	Tasks   []amigo.Task
+	Drained bool
+	Class   string // "ok", "unknown-me" or "busy"
 }
 
 // stamp is every server's clock: results compare whole, Uploaded included.
@@ -158,7 +161,10 @@ func (m *model) apply(o op) reply {
 		}
 		n := min(max(o.Max, 1), amigo.MaxLeaseBatch, len(st.sched)-st.acked)
 		st.sent = max(st.sent, st.acked+n)
-		return reply{Tasks: slices.Clone(st.sched[st.acked : st.acked+n]), Class: "ok"}
+		if n > 0 && st.acked+n == len(st.sched) {
+			m.seen["drained"]++
+		}
+		return reply{Tasks: slices.Clone(st.sched[st.acked : st.acked+n]), Drained: st.acked+n == len(st.sched), Class: "ok"}
 	}
 	panic("model: unknown op " + o.Kind)
 }
@@ -378,19 +384,20 @@ func gatewayTarget(t *testing.T) *target {
 func (tg *target) apply(o op) reply {
 	ctx := context.Background()
 	var tasks []amigo.Task
+	var drained bool
 	var err error
 	switch o.Kind {
 	case "schedule":
 		tasks, err = tg.schedule(o.ME, o.Tasks)
 	case "lease":
-		tasks, err = tg.tr.Lease(ctx, wire.LeaseRequest{ME: o.ME, Max: o.Max, Ack: o.Ack, Vitals: o.Vitals, Redeliver: o.Redeliver})
+		tasks, drained, err = tg.tr.Lease(ctx, wire.LeaseRequest{ME: o.ME, Max: o.Max, Ack: o.Ack, Vitals: o.Vitals, Redeliver: o.Redeliver})
 	case "upload":
 		err = tg.tr.Upload(ctx, o.Key, o.Results)
 	}
 	var busy amigo.Retryable
 	switch {
 	case err == nil:
-		return reply{Tasks: tasks, Class: "ok"}
+		return reply{Tasks: tasks, Drained: drained, Class: "ok"}
 	case errors.Is(err, amigo.ErrUnknownME):
 		return reply{Class: "unknown-me"}
 	case errors.As(err, &busy):
@@ -407,8 +414,9 @@ func runModel(t *testing.T, tg *target, ops []op) *model {
 	m := newModel(modelSpoolCap, len(tg.servers), tg.shardOf)
 	for i, o := range ops {
 		want, got := m.apply(o), tg.apply(o)
-		if got.Class != want.Class || !slices.Equal(got.Tasks, want.Tasks) {
-			t.Fatalf("op %d (%v): got %s %v, model says %s %v", i, o, got.Class, taskIDs(got.Tasks), want.Class, taskIDs(want.Tasks))
+		if got.Class != want.Class || !slices.Equal(got.Tasks, want.Tasks) || got.Drained != want.Drained {
+			t.Fatalf("op %d (%v): got %s %v drained %v, model says %s %v drained %v", i, o,
+				got.Class, taskIDs(got.Tasks), got.Drained, want.Class, taskIDs(want.Tasks), want.Drained)
 		}
 	}
 	for i, srv := range tg.servers {
@@ -437,9 +445,10 @@ func runModel(t *testing.T, tg *target, ops []op) *model {
 
 // TestProtocolModel: seeded operation sequences over three MEs and a ghost
 // — duplicate and stale uploads, stale and lost-response acks, redelivery
-// with leases outstanding and its lost response retried, unknown MEs, Max of 0 and past the clamp, and
-// batches the spool refuses — answer exactly as the model says, in process
-// and through a 4-shard gateway over HTTP.
+// with leases outstanding and its lost response retried, unknown MEs, Max of 0 and past the clamp,
+// drained leases, and batches the spool refuses — answer exactly as the
+// model says, drained flag included, in process and through a 4-shard
+// gateway over HTTP.
 func TestProtocolModel(t *testing.T) {
 	seeds, steps := 24, 160
 	if testing.Short() {
@@ -464,7 +473,7 @@ func TestProtocolModel(t *testing.T) {
 					spread[tg.shardOf(me)] = true
 				}
 			}
-			for _, ev := range []string{"duplicate dropped", "spool full", "unknown ME", "re-sent", "max clamped", "redelivery mid-lease"} {
+			for _, ev := range []string{"duplicate dropped", "spool full", "unknown ME", "re-sent", "max clamped", "redelivery mid-lease", "drained"} {
 				if seen[ev] == 0 {
 					t.Errorf("no sequence exercised %q", ev)
 				}

@@ -20,7 +20,7 @@
 // internal/wire frames (see DESIGN.md "v3 wire format") and requests must
 // carry Content-Type application/vnd.amigo.v3 (else 415):
 //
-//	POST /v3/tasks/lease   MsgLeaseRequest frame -> MsgTasks frame (204 if none)
+//	POST /v3/tasks/lease   MsgLeaseRequest frame -> MsgTasks frame, + drained flag (204 if none)
 //	POST /v3/results       MsgResults frame      -> 204, or 429 + Retry-After
 //
 // An ME does not register: scheduling work for it (POST /admin/schedule,
@@ -34,8 +34,12 @@
 // Ack acknowledges every previously delivered task ID <= Ack, and
 // unacked deliveries are re-sent before fresh work is popped, so a lease
 // response lost or truncated on a flaky link is simply re-fetched
-// (LeaseAckInto); a short lease holds the ME's last tasks, so RunBatch
-// stops after uploading it, its last batch unacked. Uploads may carry an
+// (LeaseAckInto). A lease reply that holds every task the ME has left is
+// flagged drained (a 204 when it holds none), so the ME stops after
+// uploading it without a confirming lease (Endpoint.Lease), its last batch
+// unacked. The server keeps each ME as one schedule and two cursors into
+// it, acked and sent (meState), so a lease copies tasks only into its
+// reply. Uploads may carry an
 // Idempotency-Key header; a batch whose key was already accepted is
 // dropped server-side (SubmitKeyed), so retried and duplicated uploads
 // never double-count results.
@@ -94,19 +98,17 @@ type Vitals = wire.Vitals
 // no room for a batch; HTTP handlers translate it to 429 + Retry-After.
 var ErrSpoolFull = errors.New("amigo: result spool full")
 
-// meState tracks one known endpoint.
+// meState tracks one known endpoint: its schedule, in the order it was
+// queued, and two cursors into it. A lease hands out sched[acked:], an ack
+// retires a prefix of what was sent, and a redelivery rewinds both, so the
+// schedule is never reordered or copied: sched[:acked] is acknowledged
+// (kept so a redelivery can restore it), sched[acked:sent] is delivered
+// but unacked — re-sent first, so a lease response lost on the wire costs
+// a round trip but never a task — and sched[sent:] is undelivered.
 type meState struct {
-	LastVitals Vitals
-	queue      []Task
-	// outstanding are tasks delivered over the ack'd lease protocol that
-	// the ME has not acknowledged yet. A lease whose response was
-	// lost on the wire is retried with an unchanged ack, and the server
-	// re-delivers these instead of popping fresh work — so a flaky link
-	// can cost round trips but never lose tasks.
-	outstanding []Task
-	// done are acknowledged deliveries, retained so Requeue can
-	// restore a crashed ME's entire schedule in original ID order.
-	done []Task
+	LastVitals  Vitals
+	sched       []Task
+	acked, sent int
 }
 
 // registryShard holds a slice of the ME registry under its own lock.
@@ -312,7 +314,7 @@ func (s *Server) ScheduleBatch(me string, tasks []Task) ([]int, error) {
 		} else {
 			t.ID = int(s.nextID.Add(1))
 		}
-		st.queue = append(st.queue, t)
+		st.sched = append(st.sched, t)
 		ids[i] = t.ID
 	}
 	s.met.scheduled.Add(int64(len(tasks)))
@@ -333,76 +335,71 @@ func (s *Server) reserveID(id int64) {
 // LeaseAckInto is the at-least-once batch lease: ack acknowledges every
 // previously delivered task with ID <= ack, and any still-unacked
 // deliveries are re-sent (in the original order) before fresh work is
-// popped. A client that lost a lease response simply retries with its
+// handed out. A client that lost a lease response simply retries with its
 // unchanged ack and receives the same tasks again, so response loss or
 // truncation never drops scheduled work. ack 0 (a fresh client)
 // acknowledges nothing. The leased tasks are appended onto dst — the
 // handler passes a pooled slice re-sliced to [:0] so the steady-state
 // lease copies into recycled capacity instead of allocating per
-// response. Re-sent deliveries are topped up from the queue, so fewer than
-// max tasks come back only when they are all the ME has left: RunBatch
-// then stops without a confirming lease, leaving its last batch unacked,
-// which costs nothing — Requeue restores done and outstanding tasks alike.
+// response. Re-sent deliveries are topped up with fresh tasks, so fewer
+// than max come back only when they are all the ME has left; the lease
+// routes also say so with a drained flag (Server.lease), and the ME then
+// skips the lease that would only confirm it, leaving its last batch
+// unacked, which costs nothing — Requeue restores it with the rest.
 func (s *Server) LeaseAckInto(me string, max, ack int, dst []Task) ([]Task, error) {
-	if max < 1 {
-		max = 1
-	}
+	dst, _, err := s.leaseAck(me, max, ack, dst)
+	return dst, err
+}
+
+// leaseAck is LeaseAckInto, also reporting whether the reply reaches the
+// end of the ME's schedule (drained).
+func (s *Server) leaseAck(me string, batch, ack int, dst []Task) ([]Task, bool, error) {
 	sh := s.shardFor(me)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	st, ok := sh.mes[me]
 	if !ok {
-		return dst, unknownME(me)
+		return dst, false, unknownME(me)
 	}
-	// Retire acknowledged deliveries into the done log (kept for Requeue).
-	for len(st.outstanding) > 0 && st.outstanding[0].ID <= ack {
-		st.done = append(st.done, st.outstanding[0])
-		st.outstanding = st.outstanding[1:]
-		s.met.acked.Add(1)
+	acked := st.acked
+	for st.acked < st.sent && st.sched[st.acked].ID <= ack {
+		st.acked++
 	}
-	if len(st.outstanding) > 0 {
-		// Unacked deliveries: the previous response was lost — re-deliver.
-		n := min(max, len(st.outstanding))
-		s.met.redelivered.Add(int64(n))
-		dst = append(dst, st.outstanding[:n]...)
-		max -= n
-	}
-	n := min(max, len(st.queue))
-	dst = append(dst, st.queue[:n]...)
-	st.outstanding = append(st.outstanding, st.queue[:n]...)
-	st.queue = st.queue[n:]
-	if len(st.queue) == 0 {
-		st.queue = nil
-	}
-	s.met.leased.Add(int64(n))
-	return dst, nil
+	end := min(st.acked+max(batch, 1), len(st.sched))
+	s.met.acked.Add(int64(st.acked - acked))
+	s.met.redelivered.Add(int64(min(end, st.sent) - st.acked))
+	s.met.leased.Add(int64(max(end-st.sent, 0)))
+	st.sent = max(st.sent, end)
+	return append(dst, st.sched[st.acked:end]...), end == len(st.sched), nil
 }
 
 // lease is a lease request as both transports serve it: a redelivery
 // first restores the ME's whole schedule (Requeue), the vitals it
 // carries, unless zero, are reported next — an unknown ME fails at the
 // first of these, leasing nothing — then LeaseAckInto, Max clamped to
-// [1, maxLeaseBatch].
-func (s *Server) lease(req wire.LeaseRequest, dst []Task) ([]Task, error) {
+// [1, maxLeaseBatch]. drained is true when the reply holds every task the
+// ME has left.
+func (s *Server) lease(req wire.LeaseRequest, dst []Task) (tasks []Task, drained bool, err error) {
 	if req.Redeliver {
 		if _, err := s.Requeue(req.ME); err != nil {
-			return dst, err
+			return dst, false, err
 		}
 	}
 	if !req.Vitals.IsZero() {
 		if err := s.ReportVitals(req.ME, req.Vitals); err != nil {
-			return dst, err
+			return dst, false, err
 		}
 	}
-	return s.LeaseAckInto(req.ME, min(req.Max, maxLeaseBatch), req.Ack, dst)
+	return s.leaseAck(req.ME, min(req.Max, maxLeaseBatch), req.Ack, dst)
 }
 
 // Requeue restores the ME's full schedule — acknowledged, outstanding
-// and undelivered tasks, in original ID order — to the head of its
-// queue. It is how a crashed-and-restarted ME gets its work re-delivered
-// with the original task IDs (so replayed uploads dedup instead of
-// duplicating): a lease with Redeliver set runs it first. Requeue is idempotent: a second call with nothing
-// delivered since is a no-op. It returns how many tasks were restored.
+// and undelivered tasks, in original ID order — for delivery from its
+// start: both cursors go back to zero. It is how a crashed-and-restarted
+// ME gets its work re-delivered with the original task IDs (so replayed
+// uploads dedup instead of duplicating): a lease with Redeliver set runs
+// it first. Requeue is idempotent: a second call with nothing delivered
+// since is a no-op. It returns how many tasks were restored.
 func (s *Server) Requeue(me string) (int, error) {
 	sh := s.shardFor(me)
 	sh.mu.Lock()
@@ -411,16 +408,11 @@ func (s *Server) Requeue(me string) (int, error) {
 	if !ok {
 		return 0, unknownME(me)
 	}
-	restored := len(st.done) + len(st.outstanding)
+	restored := st.sent
 	if restored == 0 {
 		return 0, nil
 	}
-	q := make([]Task, 0, restored+len(st.queue))
-	q = append(q, st.done...)
-	q = append(q, st.outstanding...)
-	q = append(q, st.queue...)
-	st.queue = q
-	st.done, st.outstanding = nil, nil
+	st.acked, st.sent = 0, 0
 	s.met.requeued.Add(int64(restored))
 	s.obs.Trace().Record("requeue", obs.L("me", me), obs.L("restored", strconv.Itoa(restored)))
 	return restored, nil

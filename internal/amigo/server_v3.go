@@ -47,9 +47,11 @@ func (s *Server) readV3Frame(w http.ResponseWriter, r *http.Request, want byte, 
 }
 
 // handleV3Lease is POST /v3/tasks/lease: a MsgLeaseRequest frame in, a
-// MsgTasks frame out (204 when nothing is queued). The ME is required
-// (Ack cannot be negative on the wire — uvarints are unsigned); Server.lease
-// serves the rest, and an unknown ME is 404 and leases nothing.
+// MsgTasks frame out, flagged drained when it holds every task the ME has
+// left (wire.AppendLease); 204 when nothing is left, which is drained too.
+// The ME is required (Ack cannot be negative on the wire — uvarints are
+// unsigned); Server.lease serves the rest, and an unknown ME is 404 and
+// leases nothing.
 func (s *Server) handleV3Lease(w http.ResponseWriter, r *http.Request) {
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
@@ -65,7 +67,7 @@ func (s *Server) handleV3Lease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tp := taskSlicePool.Get().(*[]Task)
-	tasks, err := s.lease(req, (*tp)[:0])
+	tasks, drained, err := s.lease(req, (*tp)[:0])
 	*tp = tasks
 	defer taskSlicePool.Put(tp)
 	if err != nil {
@@ -76,7 +78,7 @@ func (s *Server) handleV3Lease(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	*buf = wire.AppendTasks((*buf)[:0], tasks)
+	*buf = wire.AppendLease((*buf)[:0], tasks, drained)
 	s.writeFrame(w, *buf)
 }
 

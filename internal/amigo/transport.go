@@ -27,9 +27,9 @@ type Transport interface {
 	// Lease restores the ME's whole schedule if req.Redeliver, reports
 	// req.Vitals unless they are zero, then acknowledges every delivered
 	// task ID <= req.Ack and returns up to req.Max tasks (clamped to
-	// [1, maxLeaseBatch]), none once the queue is drained, and fewer than
-	// Max only when they are all the ME has left (Server.lease).
-	Lease(ctx context.Context, req wire.LeaseRequest) ([]Task, error)
+	// [1, maxLeaseBatch]), and drained when they are all the ME has left
+	// — none, once the schedule is done (Server.lease).
+	Lease(ctx context.Context, req wire.LeaseRequest) (tasks []Task, drained bool, err error)
 	// Upload submits a batch under its idempotency key (Server.SubmitKeyed).
 	Upload(ctx context.Context, key string, results []Result) error
 }
@@ -51,7 +51,7 @@ func (r Retryable) Unwrap() error { return r.Err }
 // waits on the network; ctx is left to the retry layer.
 type DirectTransport struct{ Server *Server }
 
-func (d DirectTransport) Lease(_ context.Context, req wire.LeaseRequest) ([]Task, error) {
+func (d DirectTransport) Lease(_ context.Context, req wire.LeaseRequest) ([]Task, bool, error) {
 	return d.Server.lease(req, nil)
 }
 
@@ -80,17 +80,19 @@ func (t *httpTransport) Upload(ctx context.Context, key string, results []Result
 	return err
 }
 
-func (t *httpTransport) Lease(ctx context.Context, req wire.LeaseRequest) ([]Task, error) {
+// Lease reads a 204 as drained with no tasks, and a MsgTasks frame with
+// its drained flag (wire.Decoder.Lease).
+func (t *httpTransport) Lease(ctx context.Context, req wire.LeaseRequest) ([]Task, bool, error) {
 	ebuf := wire.GetBuf()
 	defer wire.PutBuf(ebuf)
 	*ebuf = wire.AppendLeaseRequest((*ebuf)[:0], req)
 	resp, err := t.post(ctx, "/v3/tasks/lease", frameHeader, *ebuf)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if resp.StatusCode == http.StatusNoContent {
 		DrainClose(resp)
-		return nil, nil
+		return nil, true, nil
 	}
 	rbuf := wire.GetBuf()
 	defer wire.PutBuf(rbuf)
@@ -98,21 +100,22 @@ func (t *httpTransport) Lease(ctx context.Context, req wire.LeaseRequest) ([]Tas
 	*rbuf = payload
 	DrainClose(resp)
 	var tasks []Task
+	var drained bool
 	if err == nil && h.Type != wire.MsgTasks {
 		err = fmt.Errorf("wire: unexpected message type 0x%02x", h.Type)
 	} else if err == nil {
 		dec := wire.GetDecoder()
 		// Tasks carry no byte fields: the decoded batch owns all its data
 		// and rbuf can go straight back to the pool.
-		tasks, err = dec.Tasks(payload, nil)
+		tasks, drained, err = dec.Lease(payload, nil)
 		wire.PutDecoder(dec)
 	}
 	if err != nil {
 		// Truncated or garbled frame: the batch stays unacked on the
 		// server and the retry re-delivers the same tasks.
-		return nil, Retryable{Err: fmt.Errorf("amigo: lease: decoding response: %w", err)}
+		return nil, false, Retryable{Err: fmt.Errorf("amigo: lease: decoding response: %w", err)}
 	}
-	return tasks, nil
+	return tasks, drained, nil
 }
 
 // post sends one request and returns its 2xx response, body unread; any
@@ -166,10 +169,13 @@ func Route(base, path string) (*url.URL, error) {
 // Send makes every control-plane request of this package and fleet: one
 // round trip on c's Transport (http.DefaultTransport when nil) under ctx.
 // Unlike an http.Client it follows no redirect (a 3xx is returned) and
-// keeps no cookies; a failed round trip is a *url.Error.
+// keeps no cookies; a failed round trip is a *url.Error. A body is handed
+// to net/http in memory, so headers and body share one write when they fit
+// the Transport's write buffer (WriteBufferSize, 4 KiB by default); a
+// larger request leaves in two, through a body-sized copy buffer.
 func Send(ctx context.Context, c *http.Client, method string, u *url.URL, h http.Header, body []byte) (*http.Response, error) {
 	req := http.Request{Method: method, URL: u, Header: h, Host: u.Host, ContentLength: int64(len(body))}
-	if len(body) > 0 { // replayable, and in memory to net/http: headers and body go out in one write
+	if len(body) > 0 { // replayable by a retrying RoundTripper
 		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
 		req.Body, _ = req.GetBody()
 	}

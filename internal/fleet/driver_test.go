@@ -18,8 +18,8 @@ import (
 )
 
 // TestCampaignLeasesOncePerME: in a clean campaign whose schedules fit one
-// lease, every ME leases once and uploads once — the short lease tells
-// it the queue is drained, so no confirming lease follows.
+// lease, every ME leases once and uploads once — the lease is marked
+// drained, so no confirming lease follows.
 func TestCampaignLeasesOncePerME(t *testing.T) {
 	reg := obs.NewRegistry()
 	hs := newObsControlServer(t, reg, nil)

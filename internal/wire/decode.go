@@ -279,6 +279,37 @@ func grow[T Task | Result](dst []T, n int) []T {
 // declared count over MaxScheduleCount is refused before dst grows.
 func (d *Decoder) Tasks(payload []byte, dst []Task) ([]Task, error) {
 	r := reader{b: payload}
+	base := len(dst)
+	dst, err := d.taskRecords(&r, dst)
+	if err == nil && r.rem() != 0 {
+		return dst[:base], errTrailing
+	}
+	return dst, err
+}
+
+// Lease decodes a lease reply — a MsgTasks payload and the drained flag
+// after its records (see AppendLease) — appending the tasks onto dst as
+// Tasks does.
+func (d *Decoder) Lease(payload []byte, dst []Task) ([]Task, bool, error) {
+	r := reader{b: payload}
+	base := len(dst)
+	dst, err := d.taskRecords(&r, dst)
+	if err != nil || r.rem() == 0 {
+		return dst, false, err
+	}
+	drained, err := r.flag()
+	if err == nil && r.rem() != 0 {
+		err = errTrailing
+	}
+	if err != nil {
+		return dst[:base], false, err
+	}
+	return dst, drained, nil
+}
+
+// taskRecords reads a tasks payload's count and records onto dst,
+// leaving r after the last record; on error dst comes back as it was.
+func (d *Decoder) taskRecords(r *reader, dst []Task) ([]Task, error) {
 	n, err := r.count()
 	if err != nil {
 		return dst, err
@@ -296,9 +327,6 @@ func (d *Decoder) Tasks(payload []byte, dst []Task) ([]Task, error) {
 		if err := d.task(rec, &dst[base+i]); err != nil {
 			return dst[:base], err
 		}
-	}
-	if r.rem() != 0 {
-		return dst[:base], errTrailing
 	}
 	return dst, nil
 }

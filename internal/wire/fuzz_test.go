@@ -28,11 +28,11 @@ func decodeFrame(d *Decoder, frame []byte) (reencoded []byte, err error) {
 		// zero, so an accepted empty or zero-field record cannot round-trip.
 		return AppendLeaseRequest(nil, req), nil
 	case MsgTasks:
-		tasks, err := d.Tasks(payload, nil)
+		tasks, drained, err := d.Lease(payload, nil)
 		if err != nil {
 			return nil, err
 		}
-		return AppendTasks(nil, tasks), nil
+		return AppendLease(nil, tasks, drained), nil
 	case MsgSchedule:
 		me, tasks, err := d.Schedule(payload, nil)
 		if err != nil {
@@ -63,6 +63,11 @@ func fuzzSeeds(f *testing.F) {
 	f.Add([]byte("R3\x03\x01\x00\x00\x00\x06\x04\x04\x04\x01\x01\x01")) // vitals tags out of order
 	f.Add(AppendTasks(nil, sampleTasks()))
 	f.Add(AppendTasks(nil, nil))
+	f.Add(AppendLease(nil, sampleTasks(), true))
+	f.Add(AppendLease(nil, nil, true))
+	f.Add([]byte("R3\x03\x02\x00\x00\x00\x02\x00\x00"))     // drained flag 0
+	f.Add([]byte("R3\x03\x02\x00\x00\x00\x02\x00\x02"))     // drained flag 2
+	f.Add([]byte("R3\x03\x02\x00\x00\x00\x03\x00\x01\x00")) // two bytes after the records
 	f.Add(AppendResults(nil, sampleResults()))
 	f.Add(AppendSchedule(nil, "me-PAK", sampleTasks()))
 	f.Add(AppendSchedule(nil, "m", nil))
@@ -105,6 +110,7 @@ func FuzzFrameDecode(f *testing.F) {
 			_, _ = d.LeaseRequest(payload)
 			_ = d.vitals(payload, new(Vitals))
 			_, _ = d.Tasks(payload, nil)
+			_, _, _ = d.Lease(payload, nil)
 			_, _ = d.Results(payload, nil)
 			_, _, _ = d.Schedule(payload, nil)
 		}

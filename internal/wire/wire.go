@@ -31,6 +31,9 @@
 // the tasks and results
 // payloads are a uvarint record count followed by that many records; a
 // schedule is the ME (a non-empty string) followed by the tasks payload.
+// A lease reply is a tasks payload followed by the uvarint 1 when it holds
+// every task the ME has left (drained; omitted when false, so nothing else
+// may follow the records).
 //
 // # Canonical form
 //
@@ -127,7 +130,7 @@ const (
 // Message types.
 const (
 	MsgLeaseRequest byte = 0x01 // client -> server: LeaseRequest
-	MsgTasks        byte = 0x02 // server -> client: []Task lease response
+	MsgTasks        byte = 0x02 // server -> client: []Task lease response (and drained flag), schedule reply
 	MsgResults      byte = 0x03 // []Result: batch upload (client -> server), results page (server -> client)
 	MsgSchedule     byte = 0x04 // operator -> server: an ME and the []Task to queue for it
 )
@@ -328,11 +331,20 @@ func taskRecordLen(t *Task) int {
 		fieldBytesLen(len(t.Config))
 }
 
-// AppendTasks appends a complete MsgTasks frame (the lease response,
-// and the schedule's reply) to dst and returns the extended slice.
-func AppendTasks(dst []byte, tasks []Task) []byte {
+// AppendTasks appends a complete MsgTasks frame (the schedule's reply,
+// and a lease reply that is not drained) to dst and returns the extended
+// slice.
+func AppendTasks(dst []byte, tasks []Task) []byte { return AppendLease(dst, tasks, false) }
+
+// AppendLease appends a complete MsgTasks frame answering a lease: tasks,
+// then the drained flag when they are every task the ME has left.
+func AppendLease(dst []byte, tasks []Task, drained bool) []byte {
 	dst, start := beginFrame(dst, MsgTasks)
-	return endFrame(appendTaskRecords(dst, tasks), start)
+	dst = appendTaskRecords(dst, tasks)
+	if drained {
+		dst = append(dst, 1)
+	}
+	return endFrame(dst, start)
 }
 
 // AppendSchedule appends a complete MsgSchedule frame (me's tasks) to dst.

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -248,6 +250,35 @@ func TestTasksRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLeaseDrainedFlag: a lease reply is the tasks frame, plus one byte
+// when it is drained. Tasks reads the flagless reply and refuses the
+// flagged one; Lease reads both and appends onto dst as Tasks does.
+func TestLeaseDrainedFlag(t *testing.T) {
+	want := sampleTasks()
+	plain := AppendTasks(nil, want)
+	if lease := AppendLease(nil, want, false); !bytes.Equal(lease, plain) {
+		t.Fatalf("a lease that is not drained is not the tasks frame:\n %x\n %x", lease, plain)
+	}
+	flagged := AppendLease(nil, want, true)
+	if len(flagged) != len(plain)+1 || flagged[len(flagged)-1] != 1 {
+		t.Fatalf("drained lease %x, want the tasks frame %x and 0x01", flagged, plain)
+	}
+	d := NewDecoder()
+	for _, tc := range []struct {
+		frame   []byte
+		drained bool
+	}{{plain, false}, {flagged, true}} {
+		prefix := []Task{{ID: 99, Kind: "keep", Config: "sim"}}
+		got, drained, err := d.Lease(tc.frame[HeaderLen:], prefix)
+		if err != nil || drained != tc.drained || !slices.Equal(got[1:], want) || got[0] != prefix[0] {
+			t.Fatalf("Lease(%x) = %+v, %v, %v; want the prefix, %+v, %v", tc.frame, got, drained, err, want, tc.drained)
+		}
+	}
+	if _, err := d.Tasks(flagged[HeaderLen:], nil); !errors.Is(err, errTrailing) {
+		t.Fatalf("Tasks of a drained lease: err = %v, want %v", err, errTrailing)
+	}
+}
+
 func TestResultsRoundTrip(t *testing.T) {
 	want := sampleResults()
 	frame := AppendResults(nil, want)
@@ -321,6 +352,13 @@ func TestStrictDecodeRejects(t *testing.T) {
 	d := NewDecoder()
 	lease := func(payload []byte) error { _, err := d.LeaseRequest(payload); return err }
 	tasks := func(payload []byte) error { _, err := d.Tasks(payload, nil); return err }
+	leased := func(payload []byte) error {
+		got, drained, err := d.Lease(payload, nil)
+		if err == nil || len(got) > 0 || drained {
+			return fmt.Errorf("Lease = %d tasks, drained %v, %v", len(got), drained, err)
+		}
+		return err
+	}
 	results := func(payload []byte) error { _, err := d.Results(payload, nil); return err }
 	schedule := func(payload []byte) error { _, _, err := d.Schedule(payload, nil); return err }
 	overBound := append(binary.AppendUvarint(nil, MaxScheduleCount+1), make([]byte, MaxScheduleCount+1)...)
@@ -361,6 +399,12 @@ func TestStrictDecodeRejects(t *testing.T) {
 		{"tasks/trailing", tasks, []byte{0x01, 0x00, 0xff}, errTrailing},
 		{"tasks/bad-record", tasks, []byte{0x01, 0x02, 0x01, 0x00}, errZeroField},
 		{"tasks/count-over-bound", tasks, overBound, errCountBound},
+		{"lease-reply/flag-zero", leased, []byte{0x00, 0x00}, errBadBool},
+		{"lease-reply/flag-two", leased, []byte{0x00, 0x02}, errBadBool},
+		{"lease-reply/flag-non-minimal", leased, []byte{0x00, 0x81, 0x00}, errNonMinimal},
+		{"lease-reply/two-trailing", leased, []byte{0x00, 0x01, 0x00}, errTrailing},
+		{"lease-reply/after-record", leased, []byte{0x01, 0x02, 0x01, 0x07, 0x01, 0x01}, errTrailing},
+		{"lease-reply/bad-record", leased, []byte{0x01, 0x02, 0x01, 0x00, 0x01}, errZeroField},
 		{"results/bad-bool", results, []byte{0x01, 0x02, 0x05, 0x02}, errBadBool},
 		{"results/zero-uploaded", results, []byte{0x01, 0x02, 0x08, 0x00}, errZeroField},
 		{"results/unknown-tag", results, []byte{0x01, 0x02, 0x09, 0x01}, errUnknownTag},
@@ -416,6 +460,7 @@ func TestCodecZeroAlloc(t *testing.T) {
 	vitalsLease := LeaseRequest{ME: "me-PAK-000001", Max: 32, Ack: 7, Vitals: sampleVitals}
 	vitalsFrame := AppendLeaseRequest(nil, vitalsLease)
 	taskFrame := AppendTasks(nil, tasks)
+	drainedFrame := AppendLease(nil, tasks, true)
 	resultFrame := AppendResults(nil, results)
 	scheduleFrame := AppendSchedule(nil, "me-PAK-000001", tasks)
 
@@ -446,6 +491,7 @@ func TestCodecZeroAlloc(t *testing.T) {
 	})
 	check("AppendLeaseRequestVitals", func() { buf = AppendLeaseRequest(buf[:0], vitalsLease) })
 	check("AppendTasks", func() { buf = AppendTasks(buf[:0], tasks) })
+	check("AppendLease", func() { buf = AppendLease(buf[:0], tasks, true) })
 	check("AppendResults", func() { buf = AppendResults(buf[:0], results) })
 	check("AppendSchedule", func() { buf = AppendSchedule(buf[:0], "me-PAK-000001", tasks) })
 	check("DecodeLeaseRequest", func() {
@@ -461,6 +507,12 @@ func TestCodecZeroAlloc(t *testing.T) {
 	check("DecodeTasks", func() {
 		if taskDst, err = d.Tasks(taskFrame[HeaderLen:], taskDst[:0]); err != nil {
 			t.Fatal(err)
+		}
+	})
+	check("DecodeLease", func() {
+		var drained bool
+		if taskDst, drained, err = d.Lease(drainedFrame[HeaderLen:], taskDst[:0]); err != nil || !drained {
+			t.Fatal(drained, err)
 		}
 	})
 	check("DecodeSchedule", func() {

@@ -121,7 +121,7 @@ if [ "$got" -ne 5 ]; then
     exit 1
 fi
 
-# Five tasks fit one lease of 32: the short lease is the last one, so
+# Five tasks fit one lease of 32: the server marks it drained, so
 # amigo-me drains them in exactly one lease and one upload — no
 # confirming empty lease.
 curl -sf "$URL/admin/metrics" -o "$OUT"
