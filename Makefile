@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet lint lint-json lint-allows lint-guard build test race bench metrics-smoke shard-smoke reshard-smoke profile-campaign profile-smoke fuzz-short loc FORCE
+.PHONY: verify fmt-check vet lint lint-json lint-allows lint-guard build test race bench smoke profile-campaign profile-smoke fuzz-short loc FORCE
 
 ## verify: the CI entry point — gofmt, vet, the roamvet determinism/hygiene
 ## analyzers, build, every test suite under the race detector (the
 ## chaos, shard, reshard and virtual-time differential suites included),
-## then the smokes that drive real binaries: the observability endpoint,
-## the sharded control plane / WAL durability, live resharding + WAL
-## compaction, and the campaign profiler on both clocks.
-verify: fmt-check vet lint lint-guard build race metrics-smoke shard-smoke reshard-smoke profile-smoke
+## then the smokes that drive real binaries: amigo-server as one server
+## and as WAL-backed shards, roam-fleet's self-hosted plane through a
+## shard kill and a live reshard, and the campaign profiler on both
+## clocks.
+verify: fmt-check vet lint lint-guard build race smoke profile-smoke
 
 ## fmt-check: fail, naming the files, if anything is not gofmt-clean.
 fmt-check:
@@ -61,24 +62,15 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-## metrics-smoke: boot a real amigo-server, scrape /admin/metrics, and
-## assert a non-empty, parseable Prometheus exposition that reflects
-## live server state.
-metrics-smoke:
-	bash scripts/metrics_smoke.sh
-
-## shard-smoke: the sharded control plane end to end with the real
-## binaries: roam-fleet killing a shard mid-campaign with -crosscheck,
-## and a roam-gateway process killed and cold-restarted over its WALs.
-shard-smoke:
-	bash scripts/shard_smoke.sh
-
-## reshard-smoke: WAL lifecycle end to end with the real binaries:
-## roam-fleet live-resharding 1→4 mid-campaign with compaction and
-## -crosscheck, and roam-gateway cold-restarting over the resharded,
-## partly compacted WAL set via the manifest.
-reshard-smoke:
-	bash scripts/reshard_smoke.sh
+## smoke: the real binaries end to end (scripts/smoke.sh): roam-fleet's
+## flag refusals; one amigo-server's Prometheus exposition, schedule
+## bounds and an amigo-me over the two v3 routes; roam-fleet killing a
+## shard mid-campaign and live-resharding 1→4 with compaction, both under
+## -crosscheck; a sharded, WAL-backed amigo-server driven with
+## -crosscheck, SIGTERMed and cold-restarted over its WALs, and
+## cold-started over the resharded set by its manifest.
+smoke:
+	bash scripts/smoke.sh
 
 ## profile-campaign: where a campaign's bytes and cycles go, in one
 ## command: run the self-hosted fleet campaign (MES endpoints, 1000 by

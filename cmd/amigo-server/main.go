@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	amigo-server [-addr :8080] [-pprof]
+//	amigo-server [-addr :8080] [-pprof] [-shards N] [-wal-dir DIR] [-compact-after N]
 //
 // Schedule tasks of one kind by POSTing to /admin/schedule; the answer
 // lists their IDs:
@@ -26,22 +26,37 @@
 // application/vnd.amigo.v3 (the fleet driver's) gets the same page as a
 // v3 results frame, with NEXT in the X-Amigo-Cursor header.
 //
-// Observability: /admin/metrics serves control-plane metrics (request
-// counts and latencies per route, lease/ack/redelivery/dedup counters,
-// spool depth) in Prometheus text format, and /admin/trace?n=K serves
+// By default the plane is one server. fleet.Host, which also builds
+// roam-fleet's self-hosted plane, makes it N servers behind a
+// consistent-hash gateway (see internal/shard) for -shards N > 1 or
+// -wal-dir; MEs speak to it as to one server. -wal-dir gives every shard
+// a durable result log (see internal/walsink) under <dir>/shard-<i>; a
+// restart over it follows wal-manifest.json (whose shard count wins over
+// -shards) and reports the shards, the WAL epoch and the results
+// replayed. -compact-after N merges a shard's plain sealed segments into
+// one artifact whenever N have accumulated since its last one.
+//
+// Observability: /admin/metrics serves the plane's metrics in
+// Prometheus text format (a server's per-route requests and latencies,
+// lease/ack/redelivery/dedup counters and spool depth; shards add the
+// gateway's routing counters and every WAL's), and /admin/trace?n=K
 // the newest trace events as JSON. -pprof additionally mounts the
 // net/http/pprof profiling handlers under /debug/pprof/.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: new requests are
 // rejected with 503 + Retry-After (so well-behaved MEs back off and
-// retry against the replacement server) while in-flight uploads drain.
+// retry against the replacement server) while in-flight uploads drain
+// for up to 10 s, then every WAL is synced and closed. A failed close
+// exits non-zero.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -50,9 +65,8 @@ import (
 	"syscall"
 	"time"
 
-	"roamsim/internal/amigo"
+	"roamsim/internal/fleet"
 	"roamsim/internal/obs"
-	"roamsim/internal/shard"
 )
 
 // drainGate rejects requests with 503 + Retry-After once draining is
@@ -77,13 +91,51 @@ func (g *drainGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof profiling handlers under /debug/pprof/")
+	shards := flag.Int("shards", 1, "control-plane shard count (>1 = consistent-hash gateway over N servers); a WAL manifest's count wins")
+	walDir := flag.String("wal-dir", "", "durable WAL directory; every shard logs results under <dir>/shard-<i> (empty = in-memory results)")
+	compactAfter := flag.Int("compact-after", 0, "compact a shard's WAL when N plain sealed segments have accumulated since its last compaction artifact (0 = never); artifacts are never re-merged, so a shard keeps about log bytes / (N x segment bytes) of them; requires -wal-dir")
 	flag.Parse()
 
-	reg := obs.NewRegistry()
-	srv := amigo.NewServer(nil, amigo.WithObs(reg))
+	ln, err := net.Listen("tcp", *addr)
+	if err == nil {
+		fmt.Printf("amigo-server listening on %s\n", *addr)
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		cfg := fleet.ShardedConfig{Shards: *shards, WALDir: *walDir, CompactAfter: *compactAfter, Obs: obs.NewRegistry()}
+		err = run(ctx, ln, cfg, *pprofOn, os.Stdout)
+		stop()
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "amigo-server:", err)
+		os.Exit(1)
+	}
+}
+
+// run serves the control plane cfg describes on ln until ctx is done,
+// then drains: new requests get 503 + Retry-After, in-flight ones get
+// 10 s to finish before their connections are closed, and the plane's
+// WALs are synced and closed — a failure there is run's error.
+func run(ctx context.Context, ln net.Listener, cfg fleet.ShardedConfig, pprofOn bool, out io.Writer) error {
+	plane, sf, err := fleet.Host(cfg)
+	if err != nil {
+		ln.Close()
+		return err
+	}
+	if sf != nil {
+		// The manifest may have overridden -shards (restart after a live
+		// reshard); report what is actually serving.
+		fmt.Fprintf(out, "amigo-server: %d shards (WAL epoch %d)", sf.Shards(), sf.Epoch())
+		if cfg.WALDir != "" {
+			records := 0
+			for i := 0; i < sf.Shards(); i++ {
+				records += sf.WAL(i).Len()
+			}
+			fmt.Fprintf(out, ", WALs under %s (%d results replayed)", cfg.WALDir, records)
+		}
+		fmt.Fprintln(out)
+	}
 	mux := http.NewServeMux()
-	mux.Handle("/", shard.Mount(srv.Handler(), srv.AdminHandler()))
-	if *pprofOn {
+	mux.Handle("/", plane)
+	if pprofOn {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -91,36 +143,33 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	gate := &drainGate{next: mux}
-
 	hs := &http.Server{
-		Addr:              *addr,
 		Handler:           gate,
 		ReadTimeout:       15 * time.Second,
 		ReadHeaderTimeout: 5 * time.Second,
 		WriteTimeout:      30 * time.Second,
 		IdleTimeout:       120 * time.Second,
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Printf("amigo-server listening on %s\n", *addr)
+	go func() { errc <- hs.Serve(ln) }()
 
+	var serveErr error
 	select {
-	case err := <-errc:
-		log.Fatal(err)
+	case serveErr = <-errc:
 	case <-ctx.Done():
+		gate.draining.Store(true)
+		fmt.Fprintln(out, "amigo-server: draining, new requests get 503 + Retry-After")
+		// An upload already appended to a WAL still gets its 2xx; only
+		// force-close if draining stalls.
+		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		if err := hs.Shutdown(shutCtx); err != nil {
+			hs.Close()
+		}
+		cancel()
+		<-errc // http.ErrServerClosed
 	}
-
-	// Shed new work with 503 + Retry-After, then drain in-flight
-	// uploads before exiting.
-	gate.draining.Store(true)
-	fmt.Println("amigo-server: draining, new requests get 503 + Retry-After")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(shutCtx); err != nil {
-		log.Fatal(err)
+	if sf != nil {
+		return errors.Join(serveErr, sf.Close())
 	}
+	return serveErr
 }

@@ -45,29 +45,19 @@
 // -chaos-seed. Chaos requires the self-hosted server (the storm
 // middleware must wrap the handler).
 //
-// With -shards N the self-hosted control plane is horizontally sharded:
-// N independent amigo servers behind a consistent-hash gateway (see
-// internal/shard). -wal-dir gives every shard a durable write-ahead
-// result log (see internal/walsink) under <dir>/shard-<i>. -kill-shard
-// kills the given shard once, right after it accepts its first upload —
-// its registry, queues and idempotency state are dropped wholesale and
-// a fresh server is brought up over the same WAL; MEs rediscover the
-// shard and are scheduled anew, and the ingested dataset must still be
+// -shards, -wal-dir and -compact-after shape the self-hosted plane as
+// they do amigo-server's; fleet.Host builds both. -kill-shard kills the
+// given shard once, right after it accepts its first upload — its
+// registry, queues and idempotency state are dropped wholesale and a
+// fresh server is brought up over the same WAL; MEs rediscover the shard
+// and are scheduled anew, and the ingested dataset must still be
 // byte-identical (pair with -crosscheck to prove it end to end).
-//
-// -compact-after N compacts a shard's WAL whenever N plain sealed
-// segments have accumulated since its last compaction artifact: they
-// are merged into one new canonical artifact and retired, without
-// losing a record. Artifacts are never merged again, so each byte is
-// rewritten at most once and a shard keeps about log bytes / (N x
-// segment bytes) artifacts, at most N plain sealed segments and the
-// active one. -reshard N live-reshards the running control plane
-// onto N shards after the fleet's -reshard-after-th accepted upload:
-// the gateway quiesces, every durable result is re-routed into a fresh
-// per-shard WAL set under the next epoch directory, and the campaign
-// carries on against the new ring — with a dataset still byte-identical
-// to the clean run (again, -crosscheck proves it end to end). Both
-// require -wal-dir.
+// -reshard N live-reshards the running control plane onto N shards after
+// the fleet's -reshard-after-th accepted upload: the gateway quiesces,
+// every durable result is re-routed into a fresh per-shard WAL set under
+// the next epoch directory, and the campaign carries on against the new
+// ring, with a dataset still byte-identical to the clean run. It and
+// -compact-after require -wal-dir.
 //
 // With -realize every ME spends each task's simulated network duration
 // (speedtest transfers, traceroute probe round trips, the 120 s video
@@ -98,6 +88,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -106,7 +97,6 @@ import (
 	"roamsim/internal/chaos"
 	"roamsim/internal/fleet"
 	"roamsim/internal/obs"
-	"roamsim/internal/shard"
 	"roamsim/internal/vclock"
 )
 
@@ -127,7 +117,7 @@ func main() {
 	metrics := flag.Bool("metrics", false, "instrument the run and dump the Prometheus exposition to stdout at the end")
 	shards := flag.Int("shards", 1, "self-hosted control-plane shard count (>1 = consistent-hash gateway over N servers)")
 	walDir := flag.String("wal-dir", "", "durable WAL directory for shard result sinks (empty = in-memory sinks)")
-	killShard := flag.Int("kill-shard", -1, "kill this shard once after its first accepted upload (-1 = off); requires -shards > 1")
+	killShard := flag.Int("kill-shard", -1, "kill this shard once after its first accepted upload (-1 = off; 0 to -shards - 1); any shard kill self-hosts the sharded plane, even on one shard")
 	compactAfter := flag.Int("compact-after", 0, "compact a shard's WAL when N plain sealed segments have accumulated since its last compaction artifact (0 = never); artifacts are never re-merged, so a shard keeps about log bytes / (N x segment bytes) of them; requires -wal-dir")
 	walSegBytes := flag.Int("wal-segment-bytes", 0, "WAL segment rotation size in bytes (0 = walsink default); small values force rotation so -compact-after has prey")
 	reshardTo := flag.Int("reshard", 0, "live-reshard the control plane onto N shards mid-campaign (0 = off); requires -wal-dir")
@@ -149,7 +139,19 @@ func main() {
 		fatal(fmt.Errorf("-countries %q names no country", *countries))
 	}
 	plan.MEsPerCountry = max(1, *mes/len(plan.Countries))
+	known := plan.Configs
 	plan.Configs = splitList(*configs)
+	if len(plan.Configs) == 0 {
+		fatal(fmt.Errorf("-configs %q names no configuration", *configs))
+	}
+	for _, c := range plan.Configs {
+		if !slices.Contains(known, c) {
+			fatal(fmt.Errorf("unknown -configs entry %q (want %s)", c, strings.Join(known, ",")))
+		}
+	}
+	if *killShard < -1 {
+		fatal(fmt.Errorf("-kill-shard %d: want a shard index, or -1 for off", *killShard))
+	}
 	plan.Reps = *reps
 	if *tools != "" {
 		keep := map[string]bool{}
@@ -199,9 +201,13 @@ func main() {
 		fleet.RegisterNetObs(reg, w.Net)
 	}
 
-	sharded := *shards > 1 || *walDir != "" || *killShard >= 0 || *compactAfter > 0 || *reshardTo > 0
-	if sharded && *server != "" {
-		fatal(fmt.Errorf("-shards/-wal-dir/-kill-shard/-compact-after/-reshard configure the self-hosted control plane; drop -server"))
+	if *server != "" {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "shards", "wal-dir", "kill-shard", "compact-after", "wal-segment-bytes", "reshard", "reshard-after":
+				fatal(fmt.Errorf("-%s configures the self-hosted control plane; drop -server", f.Name))
+			}
+		})
 	}
 	if *killShard >= *shards {
 		fatal(fmt.Errorf("-kill-shard %d out of range for -shards %d", *killShard, *shards))
@@ -213,7 +219,20 @@ func main() {
 	baseURL := *server
 	var sf *fleet.ShardedFleet
 	if baseURL == "" {
-		url, shutdown, f, err := selfHost(inj, reg, *shards, *walDir, *killShard, *compactAfter, *reshardTo, *reshardAfter, *walSegBytes)
+		cfg := fleet.ShardedConfig{
+			Shards:         *shards,
+			WALDir:         *walDir,
+			SegmentBytes:   *walSegBytes,
+			Chaos:          inj,
+			ForceKill:      *killShard >= 0,
+			ForceKillShard: *killShard,
+			CompactAfter:   *compactAfter,
+			Obs:            reg,
+		}
+		if *reshardTo > 0 {
+			cfg.Reshards = []fleet.ReshardStep{{AfterUploads: *reshardAfter, Shards: *reshardTo}}
+		}
+		url, shutdown, f, err := selfHost(cfg)
 		if err != nil {
 			fatal(err)
 		}
@@ -353,49 +372,26 @@ func main() {
 	}
 }
 
-// selfHost starts the control plane on an ephemeral loopback port and
-// returns its base URL plus a shutdown func. With shards > 1 (or a WAL
-// dir, or a kill request) the plane is a sharded fleet behind the
-// consistent-hash gateway and the *fleet.ShardedFleet is returned too;
-// otherwise it is a single amigo server and the fleet is nil. A non-nil
-// injector wraps the handler with server-side storm middleware (admin
-// traffic carries no chaos header and passes through untouched); a
-// non-nil registry instruments the plane and is served at
-// /admin/metrics.
-func selfHost(inj *chaos.Injector, reg *obs.Registry, shards int, walDir string, killShard, compactAfter, reshardTo, reshardAfter, segBytes int) (string, func(), *fleet.ShardedFleet, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// selfHost serves the control plane fleet.Host builds from cfg on an
+// ephemeral loopback port and returns its base URL, a shutdown func, and
+// the sharded fleet (nil for a single server). cfg.Chaos, when set, also
+// wraps the handler with server-side storm middleware (admin traffic
+// carries no chaos header and passes through untouched); cfg.Obs is
+// served at /admin/metrics.
+func selfHost(cfg fleet.ShardedConfig) (string, func(), *fleet.ShardedFleet, error) {
+	handler, sf, err := fleet.Host(cfg)
 	if err != nil {
 		return "", nil, nil, err
 	}
-	var handler http.Handler
-	var sf *fleet.ShardedFleet
-	if shards > 1 || walDir != "" || killShard >= 0 || compactAfter > 0 || reshardTo > 0 {
-		var steps []fleet.ReshardStep
-		if reshardTo > 0 {
-			steps = []fleet.ReshardStep{{AfterUploads: reshardAfter, Shards: reshardTo}}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		if sf != nil {
+			sf.Close()
 		}
-		sf, err = fleet.NewShardedFleet(fleet.ShardedConfig{
-			Shards:         shards,
-			WALDir:         walDir,
-			SegmentBytes:   segBytes,
-			Chaos:          inj,
-			ForceKill:      killShard >= 0,
-			ForceKillShard: killShard,
-			CompactAfter:   compactAfter,
-			Reshards:       steps,
-			Obs:            reg,
-		})
-		if err != nil {
-			ln.Close()
-			return "", nil, nil, err
-		}
-		handler = sf.Handler()
-	} else {
-		srv := amigo.NewServer(nil, amigo.WithObs(reg))
-		handler = shard.Mount(srv.Handler(), srv.AdminHandler())
+		return "", nil, nil, err
 	}
-	if inj != nil {
-		handler = inj.Middleware(handler)
+	if cfg.Chaos != nil {
+		handler = cfg.Chaos.Middleware(handler)
 	}
 	hs := &http.Server{
 		Handler:           handler,

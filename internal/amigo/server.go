@@ -187,15 +187,6 @@ func WithSpoolCapacity(n int) Option {
 	}
 }
 
-// WithShardCount sets the ME registry shard count (default 16).
-func WithShardCount(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.shards = make([]registryShard, n)
-		}
-	}
-}
-
 // WithRetryAfter sets the Retry-After hint sent with 429 responses
 // (default 1s; rounded up to whole seconds on the wire).
 func WithRetryAfter(d time.Duration) Option {

@@ -411,17 +411,6 @@ func (r *Runner) Videos() ([]VideoObs, error) {
 	return out, nil
 }
 
-// filterTraces selects trace observations.
-func filterTraces(obs []TraceObs, pred func(TraceObs) bool) []TraceObs {
-	var out []TraceObs
-	for _, o := range obs {
-		if pred(o) {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
 // usable applies the CQI filter of Section 5.1.
 func usable(obs []SpeedObs) []SpeedObs {
 	var out []SpeedObs

@@ -339,7 +339,6 @@ func (f *ShardedFleet) doReshard(n int) {
 	for i := range dst {
 		w, err := walsink.Open(EpochWALDir(f.cfg.WALDir, epoch, i), walsink.Options{
 			SegmentBytes: f.cfg.SegmentBytes,
-			SyncBytes:    f.cfg.SyncBytes,
 			Obs:          f.cfg.Obs,
 			Labels:       walLabels(i, epoch),
 			CompactCrash: f.compactCrashFn(i),

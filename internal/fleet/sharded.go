@@ -21,10 +21,9 @@ type ShardedConfig struct {
 	// <WALDir>/shard-<i>; empty means in-memory sinks (no durability,
 	// no shard-kill survival).
 	WALDir string
-	// SegmentBytes / SyncBytes tune the per-shard WALs (0 = walsink
-	// defaults). Tests set a tiny SegmentBytes to force rotation.
+	// SegmentBytes is the per-shard WAL rotation size (0 = walsink
+	// default). Tests set a tiny one to force rotation.
 	SegmentBytes int
-	SyncBytes    int
 	// Chaos, when set, draws the shard-kill schedule: after each
 	// accepted upload, chaos.MaybeKillShard decides whether that shard
 	// dies. The same injector's Middleware should be wrapped around
@@ -101,6 +100,25 @@ type ShardedFleet struct {
 	wg            sync.WaitGroup     // in-flight reshard goroutine
 }
 
+// Host builds the control plane cfg asks for, the one place the topology
+// is chosen: a single amigo.Server behind shard.Mount, instrumented into
+// cfg.Obs, unless cfg needs what only a ShardedFleet does — more than
+// one shard, a WAL, compaction, a reshard, or a shard or compaction kill
+// (forced or drawn by chaos). The fleet is nil for a single server.
+func Host(cfg ShardedConfig) (http.Handler, *ShardedFleet, error) {
+	kills := cfg.Chaos != nil && (cfg.Chaos.Config().ShardKill > 0 || cfg.Chaos.Config().CompactKill > 0)
+	if cfg.Shards <= 1 && cfg.WALDir == "" && !cfg.ForceKill && !cfg.ForceCompactKill &&
+		cfg.CompactAfter <= 0 && len(cfg.Reshards) == 0 && !kills {
+		srv := amigo.NewServer(nil, amigo.WithObs(cfg.Obs))
+		return shard.Mount(srv.Handler(), srv.AdminHandler()), nil, nil
+	}
+	f, err := NewShardedFleet(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f.Handler(), f, nil
+}
+
 // NewShardedFleet builds the shard servers, their sinks, and the
 // gateway.
 func NewShardedFleet(cfg ShardedConfig) (*ShardedFleet, error) {
@@ -146,7 +164,6 @@ func NewShardedFleet(cfg ShardedConfig) (*ShardedFleet, error) {
 		if cfg.WALDir != "" {
 			wal, err := walsink.Open(EpochWALDir(cfg.WALDir, epoch, i), walsink.Options{
 				SegmentBytes: cfg.SegmentBytes,
-				SyncBytes:    cfg.SyncBytes,
 				Obs:          cfg.Obs,
 				Labels:       walLabels(i, epoch),
 				CompactCrash: f.compactCrashFn(i),
@@ -361,12 +378,4 @@ func (f *ShardedFleet) Close() error {
 		}
 	}
 	return first
-}
-
-// ReplayWALs reopens the WALs of a sharded deployment rooted at dir
-// and streams every durable result back, concatenated in shard order —
-// the post-crash recovery read. The sinks are opened read-only in
-// spirit (nothing is appended) and closed before returning.
-func ReplayWALs(dir string, shards int) ([]amigo.Result, error) {
-	return replayEpoch(dir, 0, shards)
 }

@@ -175,7 +175,7 @@ func runShardCrashRecoveryCases(t *testing.T, mkClock func() vclock.Clock) {
 			if err := f.Close(); err != nil {
 				t.Fatal(err)
 			}
-			replayed, err := ReplayWALs(walDir, cfg.Shards)
+			replayed, err := ReplayLatestWALs(walDir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,5 +274,43 @@ func TestMaybeCompactAllocFreeWhenNothingIsDue(t *testing.T) {
 	}
 	if err := f.CompactErr(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHostChoosesTopology: Host serves one server unless the config asks
+// for something only shards do, a kill drawn by chaos included.
+func TestHostChoosesTopology(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     ShardedConfig
+		sharded bool
+	}{
+		{"zero", ShardedConfig{}, false},
+		{"one shard", ShardedConfig{Shards: 1}, false},
+		{"chaos without kills", ShardedConfig{Chaos: chaos.NewInjector(1, chaos.Light())}, false},
+		{"two shards", ShardedConfig{Shards: 2}, true},
+		{"wal", ShardedConfig{WALDir: t.TempDir()}, true},
+		{"forced kill", ShardedConfig{ForceKill: true}, true},
+		{"forced compaction kill", ShardedConfig{ForceCompactKill: true}, true},
+		{"compaction", ShardedConfig{WALDir: t.TempDir(), CompactAfter: 2}, true},
+		{"reshard", ShardedConfig{WALDir: t.TempDir(), Reshards: []ReshardStep{{AfterUploads: 1, Shards: 2}}}, true},
+		{"chaos shard kill", ShardedConfig{Chaos: chaos.NewInjector(1, chaos.Config{ShardKill: 0.5})}, true},
+		{"chaos compaction kill", ShardedConfig{Chaos: chaos.NewInjector(1, chaos.Config{CompactKill: 0.5})}, true},
+	} {
+		h, f, err := Host(tc.cfg)
+		if err != nil || h == nil {
+			t.Fatalf("%s: handler %v, %v", tc.name, h, err)
+		}
+		if (f != nil) != tc.sharded {
+			t.Errorf("%s: sharded %v, want %v", tc.name, f != nil, tc.sharded)
+		}
+		if f != nil {
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, _, err := Host(ShardedConfig{CompactAfter: 2}); err == nil {
+		t.Error("compaction without a WAL was accepted")
 	}
 }

@@ -1,0 +1,242 @@
+#!/usr/bin/env bash
+# smoke.sh — drive the real binaries end to end. Run via `make smoke`.
+#
+# Every check below boots amigo-server (one server, or WAL-backed shards)
+# through one start/stop helper, or runs roam-fleet's self-hosted plane:
+#
+#   flags      roam-fleet refuses flag values that name nothing it knows
+#   metrics    one server: the Prometheus exposition, amigo-me over the
+#              two v3 routes, the schedule bounds
+#   shard_kill roam-fleet kills a shard mid-campaign under -crosscheck
+#   external   roam-fleet -crosscheck against a sharded, WAL-backed
+#              amigo-server, which then survives SIGTERM + a cold restart
+#   reshard    roam-fleet live-reshards 1→4 with compaction, then
+#              amigo-server cold-starts over that WAL set by its manifest
+set -euo pipefail
+
+TMP="$(mktemp -d)"
+PORT=18931
+URL="http://127.0.0.1:$PORT"
+SRV_PID=
+
+cleanup() {
+    [ -n "$SRV_PID" ] && kill "$SRV_PID" 2>/dev/null || true
+    rm -rf "$TMP"
+}
+trap cleanup EXIT INT TERM
+
+fail() {
+    echo "smoke: $*" >&2
+    exit 1
+}
+
+for bin in amigo-server amigo-me roam-fleet; do
+    go build -o "$TMP/$bin" "./cmd/$bin"
+done
+
+# start_server LOG FLAGS...: boot amigo-server on $PORT, stdout to LOG,
+# and wait until it answers /admin/metrics (its banner is printed by then).
+start_server() {
+    local log="$1" i=0
+    shift
+    "$TMP/amigo-server" -addr "127.0.0.1:$PORT" "$@" >"$log" &
+    SRV_PID=$!
+    until curl -sf "$URL/admin/metrics" -o /dev/null 2>&1; do
+        i=$((i + 1))
+        [ "$i" -lt 50 ] || fail "amigo-server $* did not come up on port $PORT"
+        sleep 0.1
+    done
+}
+
+# stop_server: SIGTERM the server; it must drain, close its WALs and exit 0.
+stop_server() {
+    local rc=0
+    kill -TERM "$SRV_PID"
+    wait "$SRV_PID" || rc=$?
+    SRV_PID=
+    [ "$rc" -eq 0 ] || fail "amigo-server exited $rc on SIGTERM"
+}
+
+# replayed LOG: the results count of a WAL-backed server's banner.
+replayed() {
+    sed -n 's/.*(\([0-9]*\) results replayed).*/\1/p' "$1"
+}
+
+check_flags() {
+    # Each is refused with a message and exit 1 before any campaign runs:
+    # no divide-by-zero panic, no silent default, no empty Table 4.
+    local args rc
+    for args in "-countries ,," "-configs ,," "-configs bogus" "-kill-shard -3"; do
+        rc=0
+        # shellcheck disable=SC2086 # args is a flag and its value
+        "$TMP/roam-fleet" $args >"$TMP/refused.txt" 2>&1 || rc=$?
+        if [ "$rc" -ne 1 ] || grep -q panic "$TMP/refused.txt" || ! grep -q '^roam-fleet: ' "$TMP/refused.txt"; then
+            cat "$TMP/refused.txt" >&2
+            fail "roam-fleet $args exited $rc, want a clean exit 1 with a message"
+        fi
+    done
+}
+
+check_metrics() {
+    local out="$TMP/metrics.txt" pak sched ids lines body code results got route
+    start_server "$TMP/single.txt"
+
+    # An ME nothing is scheduled for: its lease is 404, which amigo-me -once
+    # reads as "nothing scheduled yet" — it exits 0 having executed nothing,
+    # and a lease creates no ME.
+    pak="$("$TMP/amigo-me" -server "$URL" -country PAK -once)"
+    if printf '%s' "$pak" | grep -q executed; then
+        fail "amigo-me with nothing scheduled executed something: $pak"
+    fi
+
+    # Scheduling is what makes an ME known: queue 5 tasks for me-DEU with the
+    # curl the amigo-server docs give, then scrape.
+    sched="$(curl -sf -X POST "$URL/admin/schedule" \
+        -d '{"me":"me-DEU","kind":"speedtest","config":"esim","count":5}')"
+    ids="$(printf '%s' "$sched" | tr ',' '\n' | grep -c '[0-9]')"
+    [ "$ids" -eq 5 ] || fail "the single-kind schedule assigned $ids IDs, want 5: $sched"
+    curl -sf "$URL/admin/metrics" -o "$out"
+    [ -s "$out" ] || fail "/admin/metrics returned an empty body"
+
+    # Every line must be a comment or `name{labels} value` with a numeric
+    # (or Inf/NaN) value — the shape every Prometheus scraper expects.
+    awk '
+        /^# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (counter|gauge|histogram)$/ { next }
+        /^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? -?([0-9].*|\+?Inf|NaN)$/ { series++; next }
+        { print "smoke: malformed line: " $0 > "/dev/stderr"; bad = 1 }
+        END { exit (bad || series == 0) }
+    ' "$out" || fail "exposition failed validation"
+    for family in amigo_server_requests_total amigo_server_registered_mes; do
+        grep -q "^$family" "$out" || fail "missing $family family"
+    done
+    # Only me-DEU is known, not the me-PAK that only leased: the scrape
+    # reflects live server state.
+    if ! grep -q '^amigo_server_registered_mes 1$' "$out"; then
+        grep '^amigo_server_registered_mes' "$out" >&2 || true
+        fail "registered-ME gauge is not 1 after one schedule"
+    fi
+    lines="$(grep -c . "$out")"
+
+    # The JSON schedule body is bounded at 64 KiB (wire.MaxJSONBody): a 1 MiB
+    # schedule is refused with 413 and creates no ME.
+    { printf '{"me":"'; head -c 1048576 /dev/zero | tr '\0' x; printf '","kind":"dns","config":"sim"}'; } >"$TMP/big.json"
+    code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$URL/admin/schedule" --data-binary @"$TMP/big.json")"
+    [ "$code" = 413 ] || fail "a 1 MiB schedule answered $code, want 413"
+
+    # A batch travels only as a v3 frame, and a schedule must name a kind:
+    # both JSON bodies are refused, and queue nothing for amigo-me to run.
+    for body in '{"me":"me-DEU","tasks":[{"kind":"dns","config":"sim"}]}' '{"me":"me-DEU","count":2}'; do
+        code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$URL/admin/schedule" -d "$body")"
+        [ "$code" = 400 ] || fail "/admin/schedule answered $code to $body, want 400"
+    done
+
+    # The ME binary: one amigo-me drains me-DEU's 5 tasks.
+    "$TMP/amigo-me" -server "$URL" -country DEU -once
+    results="$(curl -sf "$URL/admin/results?cursor=0")"
+    got="$(printf '%s' "$results" | grep -o '"task_id":' | wc -l)"
+    [ "$got" -eq 5 ] || fail "amigo-me uploaded $got results, want 5: $results"
+
+    # Five tasks fit one lease of 32: the server marks it drained, so
+    # amigo-me drains them in exactly one lease and one upload — no
+    # confirming empty lease. Its heartbeat's vitals ride that lease.
+    curl -sf "$URL/admin/metrics" -o "$out"
+    for route in /v3/tasks/lease /v3/results; do
+        if ! grep -Eq "^amigo_server_requests_total\{class=\"2xx\",route=\"$route\"\} 1$" "$out"; then
+            grep "route=\"$route\"" "$out" >&2 || true
+            fail "amigo-me did not make exactly one 2xx POST $route"
+        fi
+    done
+    if grep -q '/v1/tasks' "$out"; then
+        fail "a /v1/tasks route is still served"
+    fi
+
+    # An ME speaks only those two routes: there is no status route (vitals
+    # ride the lease), no register route (scheduling creates the ME) and no
+    # requeue route (redelivery is a lease flag). None is served and no
+    # series exists for any of them.
+    for route in /v1/status /v1/register /v2/tasks/requeue; do
+        code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$URL$route" -d '{"me":"me-DEU","country":"DEU"}')"
+        [ "$code" = 404 ] || fail "POST $route answered $code, want it not served (404)"
+    done
+    curl -sf "$URL/admin/metrics" -o "$out"
+    if grep -Eq '/v1/status|/v1/register|/v2/tasks/requeue' "$out"; then
+        grep -E '/v1/status|/v1/register|/v2/tasks/requeue' "$out" >&2
+        fail "a series for a route that is not served appears"
+    fi
+    stop_server
+    echo "smoke: metrics: $lines exposition lines; amigo-me uploaded $got results over v3"
+}
+
+check_shard_kill() {
+    local out="$TMP/kill.txt"
+    "$TMP/roam-fleet" -mes 12 -reps 1 \
+        -shards 4 -wal-dir "$TMP/wal-kill" -kill-shard 0 -crosscheck >"$out"
+    if ! grep -q '^shards: 4 shards (WAL epoch 0), 1 killed and recovered' "$out"; then
+        grep '^shards:' "$out" >&2 || true
+        fail "expected exactly one shard kill+recovery"
+    fi
+    grep -q '^crosscheck: fleet output matches' "$out" || fail "crosscheck line missing after shard kill"
+}
+
+check_external() {
+    local n
+    start_server "$TMP/plane1.txt" -shards 3 -wal-dir "$TMP/wal-plane" -pprof
+    "$TMP/roam-fleet" -mes 12 -reps 1 -server "$URL" -crosscheck >"$TMP/drive.txt"
+    grep -q '^crosscheck: fleet output matches' "$TMP/drive.txt" ||
+        fail "crosscheck failed against the external sharded plane"
+    # The sharded plane is instrumented and profiled like a single server.
+    curl -sf "$URL/admin/metrics" -o "$TMP/plane-metrics.txt"
+    grep -q '^walsink_records_total' "$TMP/plane-metrics.txt" ||
+        fail "the sharded plane's /admin/metrics has no walsink_records_total"
+    curl -sf "$URL/debug/pprof/cmdline" -o /dev/null || fail "-pprof is not served on the sharded plane"
+    stop_server
+
+    # Cold restart over the same WAL dir: the banner must report replayed
+    # results, proving the drained uploads survived the process death.
+    start_server "$TMP/plane2.txt" -shards 3 -wal-dir "$TMP/wal-plane"
+    n="$(replayed "$TMP/plane2.txt")"
+    if [ -z "$n" ] || [ "$n" -eq 0 ]; then
+        cat "$TMP/plane2.txt" >&2
+        fail "restart replayed no results from the WALs"
+    fi
+    stop_server
+    echo "smoke: external: $n results survived a SIGTERM and a cold restart"
+}
+
+check_reshard() {
+    local out="$TMP/reshard.txt" records n
+    "$TMP/roam-fleet" -mes 12 -reps 1 \
+        -shards 1 -wal-dir "$TMP/wal-reshard" -wal-segment-bytes 2048 \
+        -reshard 4 -reshard-after 3 -compact-after 2 -crosscheck >"$out"
+    if ! grep -q '^shards: 4 shards (WAL epoch 1)' "$out"; then
+        grep '^shards:' "$out" >&2 || true
+        fail "expected the campaign to end on 4 shards at epoch 1"
+    fi
+    grep -q '^reshard: 1 reshards completed' "$out" || fail "reshard summary line missing"
+    if ! grep -Eq '^compact: [1-9][0-9]* source segments retired' "$out"; then
+        grep '^compact:' "$out" >&2 || true
+        fail "no WAL segments were compacted — shrink -wal-segment-bytes"
+    fi
+    grep -q '^crosscheck: fleet output matches' "$out" || fail "crosscheck failed after reshard+compaction"
+    records="$(sed -n 's/.*WAL: \([0-9]*\) results in.*/\1/p' "$out")"
+    if [ -z "$records" ] || [ "$records" -eq 0 ]; then
+        fail "fleet reported no WAL records"
+    fi
+
+    # -shards 2 on purpose: the manifest (epoch 1, 4 shards) must win, and
+    # the replay must return every record from the partly compacted set.
+    start_server "$TMP/plane3.txt" -shards 2 -wal-dir "$TMP/wal-reshard"
+    if ! grep -q '^amigo-server: 4 shards (WAL epoch 1)' "$TMP/plane3.txt"; then
+        cat "$TMP/plane3.txt" >&2
+        fail "restart ignored the WAL manifest"
+    fi
+    n="$(replayed "$TMP/plane3.txt")"
+    [ "$n" = "$records" ] || fail "cold replay returned $n results, campaign drained $records"
+    stop_server
+    echo "smoke: reshard: 1→4 crosschecked; $n results survived compaction + cold restart"
+}
+
+for check in flags metrics shard_kill external reshard; do
+    "check_$check"
+    echo "smoke: $check OK"
+done
