@@ -319,15 +319,6 @@ func BenchmarkAblationLBO(b *testing.B) {
 	}
 }
 
-func BenchmarkFutureVoIP(b *testing.B) {
-	r := benchSetup(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := r.FutureVoIP(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkDiscussionJurisdiction(b *testing.B) {
 	r := benchSetup(b)
 	for i := 0; i < b.N; i++ {
@@ -385,15 +376,6 @@ func BenchmarkSignalingBreakdown(b *testing.B) {
 	r := benchSetup(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := r.SignalingBreakdown(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkConfounders(b *testing.B) {
-	r := benchSetup(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Confounders(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,10 +12,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 
 	"roamsim"
-	"roamsim/internal/ipaddr"
 	"roamsim/internal/measure"
 )
 
@@ -24,7 +24,6 @@ func main() {
 	country := flag.String("country", "PAK", "visited country (ISO3) or EMNIFY")
 	target := flag.String("target", "Google", "traceroute target SP")
 	n := flag.Int("n", 5, "traceroutes per configuration")
-	pcapPath := flag.String("pcap", "", "write a GTP-U capture of the eSIM tunnel to this file")
 	flag.Parse()
 
 	w, err := roamsim.NewWorld(*seed)
@@ -35,6 +34,14 @@ func main() {
 	if d == nil {
 		fatal(fmt.Errorf("unknown country %q; known: %v", *country, w.DeploymentKeys(false, false)))
 	}
+	if _, ok := w.Raw().SPs[*target]; !ok {
+		var known []string
+		for name := range w.Raw().SPs {
+			known = append(known, name)
+		}
+		sort.Strings(known)
+		fatal(fmt.Errorf("unknown target %q; known: %v", *target, known))
+	}
 
 	fmt.Printf("== %s: v-MNO %s, eSIM issued by %s (%s) ==\n\n",
 		d.Key, d.VMNO.Name, d.BMNO.Name, d.BMNO.PLMN)
@@ -43,35 +50,6 @@ func main() {
 	if d.SIMProfile != nil {
 		runConfig(w, d, "sim", *target, *n)
 	}
-	if *pcapPath != "" {
-		if err := writePcap(w, d, *pcapPath); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// writePcap captures a synthetic GTP-U exchange through the eSIM's
-// tunnel into a libpcap file (LINKTYPE_RAW) for external inspection.
-func writePcap(w *roamsim.World, d *roamsim.Deployment, path string) error {
-	s, err := d.AttachESIM(w.Rand())
-	if err != nil {
-		return err
-	}
-	if s.Tunnel == nil {
-		return fmt.Errorf("%s eSIM is not roaming: no GTP tunnel to capture", d.Key)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sgwTransport := ipaddr.MustParse("10.200.0.1")
-	if err := s.Tunnel.CaptureExchange(f, sgwTransport, s.PGWAddr, 20); err != nil {
-		return err
-	}
-	fmt.Printf("wrote 20-packet GTP-U capture (TEID %d, PGW %s) to %s\n",
-		s.Tunnel.TEID, s.PGWAddr, path)
-	return nil
 }
 
 func runConfig(w *roamsim.World, d *roamsim.Deployment, config, target string, n int) {
@@ -93,8 +71,8 @@ func runConfig(w *roamsim.World, d *roamsim.Deployment, config, target string, n
 	fmt.Printf("[%s] public IP %s -> architecture %s\n", config, s.PublicIP, arch)
 	fmt.Printf("[%s] PGW %s at %s, %s (provider %s)\n",
 		config, s.PGWAddr, s.Site.City, s.Site.Country, s.Provider.Name)
-	if s.Tunnel != nil {
-		fmt.Printf("[%s] GTP tunnel span: %.0f km\n", config, s.Tunnel.SpanKm())
+	if span := s.TunnelSpanKm(); span > 0 {
+		fmt.Printf("[%s] GTP tunnel span: %.0f km\n", config, span)
 	}
 
 	for i := 0; i < n; i++ {

@@ -33,8 +33,8 @@ func main() {
 	}
 	fmt.Printf("Roaming architecture: %s — breakout at %s, %s (%s)\n",
 		arch, session.Site.City, session.Site.Country, session.Provider.Name)
-	if session.Tunnel != nil {
-		fmt.Printf("GTP tunnel span: %.0f km\n", session.Tunnel.SpanKm())
+	if span := session.TunnelSpanKm(); span > 0 {
+		fmt.Printf("GTP tunnel span: %.0f km\n", span)
 	}
 
 	// A traceroute shows the private/public split directly.

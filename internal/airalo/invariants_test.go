@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"roamsim/internal/core"
+	"roamsim/internal/ipaddr"
 	"roamsim/internal/ipx"
 	"roamsim/internal/mno"
+	"roamsim/internal/netsim"
 	"roamsim/internal/rng"
 )
 
@@ -70,8 +72,8 @@ func TestDeploymentInvariants(t *testing.T) {
 				t.Errorf("%s: session arch %s but classifier says %s", key, s.Arch, arch)
 			}
 			roaming := s.Arch == ipx.HR || s.Arch == ipx.IHBO
-			if roaming != (s.Tunnel != nil) {
-				t.Errorf("%s: tunnel presence (%v) inconsistent with arch %s", key, s.Tunnel != nil, s.Arch)
+			if roaming != (s.TunnelSpanKm() > 0) {
+				t.Errorf("%s: tunnel span %.0f km inconsistent with arch %s", key, s.TunnelSpanKm(), s.Arch)
 			}
 			// The PGW address belongs to the provider that owns the site.
 			if _, ok := s.Provider.Site(s.PGWAddr); !ok {
@@ -96,6 +98,73 @@ func TestDeploymentInvariants(t *testing.T) {
 			if s.Profile.Issuer.Name != d.Spec.SIMOperator {
 				t.Errorf("%s SIM: issuer %s != %s", key, s.Profile.Issuer.Name, d.Spec.SIMOperator)
 			}
+		}
+	}
+}
+
+// roamingTunnel is one GTP tunnel a roaming eSIM can draw: from the
+// deployment's SGW to one PGW address of one breakout option.
+type roamingTunnel struct {
+	key      string
+	sgw, pgw netsim.NodeID
+	addr     ipaddr.Addr
+}
+
+// roamingTunnels lists every tunnel of every HR or IHBO deployment in w.
+func roamingTunnels(t *testing.T, w *World) []roamingTunnel {
+	t.Helper()
+	var tunnels []roamingTunnel
+	for key, d := range w.Deployments {
+		if d.esimArch != ipx.HR && d.esimArch != ipx.IHBO {
+			continue
+		}
+		for _, opt := range d.esimOptions {
+			var addrs []ipaddr.Addr
+			for _, site := range opt.Provider.Sites {
+				if site.City == opt.SiteCity {
+					addrs = site.Addrs
+				}
+			}
+			if len(addrs) == 0 {
+				t.Fatalf("%s: provider %s has no PGW at %q", key, opt.Provider.Name, opt.SiteCity)
+			}
+			for _, addr := range addrs {
+				pgw, ok := w.pgwNodes[addr]
+				if !ok {
+					t.Fatalf("%s: PGW %s has no node", key, addr)
+				}
+				tunnels = append(tunnels, roamingTunnel{key: key, sgw: d.sgw, pgw: pgw, addr: addr})
+			}
+		}
+	}
+	if len(tunnels) == 0 {
+		t.Fatal("no roaming deployment checked")
+	}
+	return tunnels
+}
+
+// TestRoamingTunnelEndpoints: every breakout a roaming eSIM can draw, in
+// every deployment, has a GTP tunnel with an SGW at one end and a PGW at
+// the other.
+func TestRoamingTunnelEndpoints(t *testing.T) {
+	w := world(t)
+	for _, tn := range roamingTunnels(t, w) {
+		if k := w.Net.Node(tn.sgw).Kind; k != netsim.KindSGW {
+			t.Errorf("%s: tunnel starts at a %s node, not an SGW", tn.key, k)
+		}
+		if k := w.Net.Node(tn.pgw).Kind; k != netsim.KindPGW {
+			t.Errorf("%s: tunnel to %s ends at a %s node, not a PGW", tn.key, tn.addr, k)
+		}
+	}
+}
+
+// TestRoamingTunnelRoutes: every roaming tunnel's SGW has a route to its
+// PGW, so no breakout an eSIM can draw is unreachable.
+func TestRoamingTunnelRoutes(t *testing.T) {
+	w := world(t)
+	for _, tn := range roamingTunnels(t, w) {
+		if _, err := w.Net.Route(tn.sgw, tn.pgw); err != nil {
+			t.Errorf("%s: no tunnel route to PGW %s: %v", tn.key, tn.addr, err)
 		}
 	}
 }

@@ -277,14 +277,6 @@ func (d *Deployment) AttachESIM(src *rng.Source) (*Session, error) {
 		YouTubeCapMbps: d.Spec.YouTubeCapESIM,
 		CDNHitRate:     defaultHit(d.Spec.CDNHitESIM),
 	}
-	// GTP tunnel for roaming sessions (SGW -> PGW through the chain).
-	if bk.Arch == ipx.HR || bk.Arch == ipx.IHBO {
-		tun, err := d.world.GTP.Create(d.sgw, pgwNode)
-		if err != nil {
-			return nil, err
-		}
-		s.Tunnel = tun
-	}
 	// DNS: IHBO uses Google anycast (and DoH, the Android default);
 	// HR and native resolve inside the issuer's network.
 	switch bk.Arch {
@@ -347,6 +339,18 @@ func (s *Session) PathTo(target netsim.NodeID) (*netsim.Path, error) {
 		return nil, fmt.Errorf("airalo: path via PGW %s: %w", s.PGWAddr, err)
 	}
 	return p, nil
+}
+
+// TunnelSpanKm returns the great-circle distance a roaming session's GTP
+// tunnel spans, from the visited network's SGW to the PGW where it
+// breaks out — the quantity plotted as lines in Figures 3 and 4. It is 0
+// for native, physical-SIM and LBO sessions, which have no tunnel.
+func (s *Session) TunnelSpanKm() float64 {
+	if s.Arch != ipx.HR && s.Arch != ipx.IHBO {
+		return 0
+	}
+	net := s.D.world.Net
+	return geo.DistanceKm(net.Node(s.D.sgw).Loc, net.Node(s.PGWNode).Loc)
 }
 
 // World returns the world this session lives in.

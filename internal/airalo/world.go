@@ -7,7 +7,6 @@ import (
 	"roamsim/internal/cdnsim"
 	"roamsim/internal/dnssim"
 	"roamsim/internal/geo"
-	"roamsim/internal/gtp"
 	"roamsim/internal/inet"
 	"roamsim/internal/ipaddr"
 	"roamsim/internal/ipreg"
@@ -22,7 +21,6 @@ type World struct {
 	Net *netsim.Network
 	Reg *ipreg.Registry
 	Rnd *rng.Source
-	GTP *gtp.Manager
 
 	Operators map[string]*mno.Operator
 	Providers map[string]*ipx.PGWProvider
@@ -82,7 +80,6 @@ type Session struct {
 	PGWNode  netsim.NodeID
 	UE       netsim.NodeID
 	PublicIP ipaddr.Addr
-	Tunnel   *gtp.Tunnel // nil for native / physical-SIM sessions
 	DNS      dnssim.Config
 	Radio    mno.RadioConditions
 
@@ -138,8 +135,6 @@ func Build(seed int64) (*World, error) {
 		resolverNodes: map[ipaddr.Addr]netsim.NodeID{},
 		opResolvers:   map[string]*dnssim.Resolver{},
 	}
-	w.GTP = gtp.NewManager(w.Net)
-
 	ops, err := buildOperators(w.Reg)
 	if err != nil {
 		return nil, err
@@ -183,10 +178,7 @@ func Build(seed int64) (*World, error) {
 	// End of the build phase: from here the topology is immutable and
 	// every query — Attach*, PathTo, routing, the measurement tools — is
 	// safe for concurrent use, provided each goroutine gets its own
-	// rng.Source (see internal/rng). GTP TEIDs come from an atomic
-	// counter and the IP registry has its own lock; the one remaining
-	// world-level mutation,
-	// Net.SetLoadModel, stays legal after Freeze.
+	// rng.Source (see internal/rng). The IP registry has its own lock.
 	w.Net.Freeze()
 	return w, nil
 }

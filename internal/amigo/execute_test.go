@@ -7,10 +7,10 @@ import (
 )
 
 // runBudget is what Endpoint.run may allocate per task kind, the batch's
-// payload slab aside: the session, a roaming session's GTP tunnel, and
-// what the observation keeps (the speedtest's public IP string, the mtr
-// hop slice, the video session's two rung maps).
-var runBudget = map[string]float64{"speedtest": 3, "mtr": 3, "cdn": 2, "video": 7}
+// payload slab aside: the session and what the observation keeps (the
+// speedtest's public IP string, the mtr hop slice, the video session's
+// two rung maps). A roaming eSIM allocates what a physical SIM does.
+var runBudget = map[string]float64{"speedtest": 2, "mtr": 2, "cdn": 1, "video": 5}
 
 // runner returns one Endpoint.run of task in the deployment iso, warmed
 // until the routes it touches are composed and its scratch is large
@@ -34,8 +34,8 @@ func runner(tb testing.TB, iso string, task Task) func() {
 
 // TestRunAllocsPerKind: executing a task allocates what its observation
 // keeps and nothing per call besides — no breakout table, resolver copy,
-// payload box, tunnel registry entry, header map or ladder copy. DEU and
-// PAK each run a physical SIM and a roaming eSIM (GTP tunnel); every
+// payload box, header map or ladder copy. DEU and PAK each run a
+// physical SIM and a roaming eSIM; every
 // (kind, target, config) of the device schedule is one row. At 212d635
 // the counts were speedtest and mtr 6 / 5 / 6, cdn 8 / 7 / 8 and video
 // 13 / 12 / 13 (DEU sim / DEU esim / PAK esim).
@@ -64,7 +64,7 @@ func TestRunAllocsPerKind(t *testing.T) {
 }
 
 // BenchmarkRun is one task of each kind executed by a PAK eSIM endpoint:
-// attach (breakout draw, GTP tunnel), measure, encode.
+// attach (breakout draw), measure, encode.
 func BenchmarkRun(b *testing.B) {
 	for _, task := range []Task{{Kind: "speedtest"}, {Kind: "mtr", Target: "Google"},
 		{Kind: "cdn", Target: "Cloudflare"}, {Kind: "dns"}, {Kind: "video"}} {

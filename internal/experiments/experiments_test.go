@@ -11,7 +11,6 @@ import (
 	"roamsim/internal/amigo"
 	"roamsim/internal/fleet"
 	"roamsim/internal/ipx"
-	"roamsim/internal/rng"
 	"roamsim/internal/shard"
 )
 
@@ -630,32 +629,6 @@ func atof(s string) float64 {
 	return v
 }
 
-func TestFutureVoIP(t *testing.T) {
-	tab, err := runner(t).FutureVoIP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// HR eSIMs must fall out of the "satisfied" band; native/SIM stay in.
-	grades := map[string]string{}
-	rf := map[string]float64{}
-	for _, row := range tab.Rows {
-		grades[row[0]+"/"+row[1]] = row[7]
-		rf[row[0]+"/"+row[1]] = atof(row[5])
-	}
-	if rf["PAK/eSIM/HR"] >= 80 {
-		t.Errorf("PAK HR call should not be in the satisfied band, R = %f", rf["PAK/eSIM/HR"])
-	}
-	if rf["PAK/SIM"] < 80 {
-		t.Errorf("PAK SIM call should be satisfied, R = %f", rf["PAK/SIM"])
-	}
-	if rf["THA/eSIM/native"] < 80 {
-		t.Errorf("native eSIM call should be satisfied, R = %f", rf["THA/eSIM/native"])
-	}
-	if rf["PAK/eSIM/HR"] >= rf["DEU/eSIM/IHBO"] {
-		t.Errorf("HR call quality (%f) must trail IHBO (%f)", rf["PAK/eSIM/HR"], rf["DEU/eSIM/IHBO"])
-	}
-}
-
 func TestAblationLBO(t *testing.T) {
 	tab, err := runner(t).AblationLBO()
 	if err != nil {
@@ -702,35 +675,6 @@ func TestDiscussionJurisdiction(t *testing.T) {
 	if !strings.Contains(tab.String(), "20/24") {
 		t.Errorf("summary should report 20/24 foreign egress (USA egresses domestically):\n%s", tab)
 	}
-}
-
-func TestConfounders(t *testing.T) {
-	tab, err := runner(t).Confounders()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 5 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	// RTT at the 20:00 peak must exceed the 08:00 trough; downlink the
-	// reverse.
-	vals := map[string][2]float64{}
-	for _, row := range tab.Rows {
-		vals[row[0]] = [2]float64{atof(row[2]), atof(row[3])}
-	}
-	if vals["20:00"][0] <= vals["08:00"][0] {
-		t.Errorf("busy-hour RTT %f should exceed trough %f", vals["20:00"][0], vals["08:00"][0])
-	}
-	if vals["20:00"][1] >= vals["08:00"][1] {
-		t.Errorf("busy-hour downlink %f should trail trough %f", vals["20:00"][1], vals["08:00"][1])
-	}
-	// The model must be cleared afterwards (no leakage into other
-	// experiments).
-	s, err := runner(t).W.Deployments["DEU"].AttachESIM(rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = s
 }
 
 func TestSignalingBreakdown(t *testing.T) {

@@ -165,9 +165,7 @@ var Artifacts = []Artifact{
 	one("ablation-policy", (*Runner).AblationPolicyCaps),
 	one("ablation-peering", (*Runner).AblationPeering),
 	one("ablation-lbo", (*Runner).AblationLBO),
-	one("voip", (*Runner).FutureVoIP),
 	one("jurisdiction", (*Runner).DiscussionJurisdiction),
-	one("confounders", (*Runner).Confounders),
 	one("signaling", (*Runner).SignalingBreakdown),
 }
 

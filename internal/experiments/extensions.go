@@ -7,53 +7,11 @@ import (
 	"roamsim/internal/geo"
 	"roamsim/internal/ipx"
 	"roamsim/internal/measure"
-	"roamsim/internal/mno"
-	"roamsim/internal/netsim"
 	"roamsim/internal/report"
 	"roamsim/internal/rng"
 	"roamsim/internal/signaling"
 	"roamsim/internal/stats"
-	"roamsim/internal/voip"
 )
-
-// FutureVoIP implements the paper's named future work: jitter and
-// packet-loss measurement for real-time services, scored with the
-// ITU-T E-model. It shows that HR roaming pushes calls out of the
-// "satisfied" band purely through mouth-to-ear delay.
-func (r *Runner) FutureVoIP() (*report.Table, error) {
-	src := rng.New(r.Cfg.Seed).Fork("voip")
-	t := &report.Table{
-		Title:   "Future work: VoIP quality per configuration (E-model, G.711)",
-		Headers: []string{"Country", "Config", "One-way (ms)", "Jitter (ms)", "Loss %", "R", "MOS", "Verdict"},
-	}
-	e := voip.EModel{}
-	for _, iso := range fleet.DeviceCountries {
-		d := r.W.Deployments[iso]
-		for _, kind := range kindsFor(d) {
-			s, err := attach(d, kind, src)
-			if err != nil {
-				return nil, err
-			}
-			probe, err := measure.VoIPProbe(s, 200, src)
-			if err != nil {
-				return nil, err
-			}
-			rf, mos := e.Score(probe)
-			label := "SIM"
-			if kind == mno.ESIM {
-				label = configLabel(kind, s.Arch)
-			}
-			t.AddRow(iso, label,
-				fmt.Sprintf("%.0f", probe.OneWayMs),
-				fmt.Sprintf("%.1f", probe.JitterMs),
-				fmt.Sprintf("%.1f", probe.LossPercent),
-				fmt.Sprintf("%.0f", rf),
-				fmt.Sprintf("%.2f", mos),
-				voip.Grade(rf))
-		}
-	}
-	return t, nil
-}
 
 // AblationLBO quantifies the paper's concluding suggestion — "realizing
 // Local Breakouts where traffic is directly handled by v-MNOs" — by
@@ -148,47 +106,6 @@ func (r *Runner) DiscussionJurisdiction() (*report.Table, error) {
 	}
 	t.AddRow("SUMMARY", "", "", "",
 		fmt.Sprintf("%d/%d eSIMs egress under a foreign jurisdiction", foreign, total))
-	return t, nil
-}
-
-// Confounders quantifies the time-of-day effect the paper's Discussion
-// lists among its unmodeled confounders: the same eSIM measured across
-// the day under a diurnal load model. The busy-hour penalty is of the
-// same order as the IHBO architecture penalty — which is exactly why
-// the paper warns against reading its per-country numbers as absolute.
-func (r *Runner) Confounders() (*report.Table, error) {
-	src := rng.New(r.Cfg.Seed).Fork("confounders")
-	t := &report.Table{
-		Title:   "Confounder: time-of-day load vs eSIM RTT and downlink (Germany, IHBO)",
-		Headers: []string{"Hour", "Load", "RTT median (ms)", "Down median (Mbps)"},
-	}
-	hour := 0.0
-	model := netsim.Diurnal(20, 1, func() float64 { return hour })
-	r.W.Net.SetLoadModel(model)
-	defer r.W.Net.SetLoadModel(nil)
-	d := r.W.Deployments["DEU"]
-	for _, h := range []float64{4, 8, 12, 16, 20} {
-		hour = h
-		var rtts, downs []float64
-		for i := 0; i < 20; i++ {
-			s, err := d.AttachESIM(src)
-			if err != nil {
-				return nil, err
-			}
-			rtt, err := measure.Ping(s, "Google", src)
-			if err != nil {
-				return nil, err
-			}
-			rtts = append(rtts, rtt)
-			st, err := measure.Speedtest(s, src)
-			if err != nil {
-				return nil, err
-			}
-			downs = append(downs, st.DownMbps)
-		}
-		t.AddRow(fmt.Sprintf("%02.0f:00", h), fmt.Sprintf("%.2f", model()),
-			fmt.Sprintf("%.0f", stats.Median(rtts)), fmt.Sprintf("%.1f", stats.Median(downs)))
-	}
 	return t, nil
 }
 

@@ -14,9 +14,10 @@ import (
 
 // TestFleetProtoEquivalence is the protocol differential test: the same
 // seeded campaign must ingest the byte-identical dataset, Table 4, and
-// RTT summary whether it runs serially over the v1 JSON poll protocol
-// (the oracle) or through the fleet driver over v3 binary batch frames,
-// serially or in parallel, on a clean network or under chaos.Heavy.
+// RTT summary whether it runs as the oracle, RunInProcess (serial, one
+// task per lease, on direct calls over amigo.DirectTransport), or through
+// the fleet driver over v3 binary batch frames, serially or in parallel,
+// on a clean network or under chaos.Heavy.
 // The wire format is an encoding detail; it must never change data.
 func TestFleetProtoEquivalence(t *testing.T) {
 	wantDS, wantT4, wantRTT := serialOracle(t)
@@ -41,7 +42,7 @@ func TestFleetProtoEquivalence(t *testing.T) {
 			}
 			gotDS, gotT4, gotRTT := runChaosCampaign(t, inj, tc.workers)
 			if !bytes.Equal(gotDS, wantDS) {
-				msg := "dataset differs from the v1 serial oracle"
+				msg := "dataset differs from the RunInProcess oracle"
 				if inj != nil {
 					msg += "\nfault trace:\n" + inj.TraceString()
 				}

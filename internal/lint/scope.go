@@ -40,7 +40,6 @@ var detSubtrees = []string{
 	"internal/esimdb",      // marketplace dataset
 	"internal/experiments", // campaign engine + tables/figures
 	"internal/geo",         // geodesic model
-	"internal/gtp",         // codec + pcap writer
 	"internal/inet",        // transit topology
 	"internal/ipaddr",      // deterministic address plans
 	"internal/ipreg",       // registry lookups
@@ -57,7 +56,6 @@ var detSubtrees = []string{
 	"internal/vclock",      // the clock discipline itself; Real carries the allows
 	"internal/video",       // video campaign model
 	"internal/vmnocore",    // VMNO core model
-	"internal/voip",        // VoIP campaign model
 	"internal/walsink",     // WAL bytes are canonical; fsync timing is allow-listed
 	"internal/webcampaign", // web campaign model
 	"internal/wire",        // v3 codec: canonical bytes, no wall clock

@@ -19,7 +19,6 @@ import (
 	"roamsim/internal/netsim"
 	"roamsim/internal/rng"
 	"roamsim/internal/video"
-	"roamsim/internal/voip"
 )
 
 // Targets of the traceroute/latency experiments.
@@ -208,23 +207,6 @@ func PGWHopRTT(s *airalo.Session, src *rng.Source) (float64, error) {
 		return 0, err
 	}
 	return s.World().Net.RTTms(path, src), nil
-}
-
-// VoIPProbe streams RTP-like probes to the nearest Google edge and
-// reports delay, RFC 3550 jitter and loss — the future-work metrics the
-// paper's Discussion calls for.
-func VoIPProbe(s *airalo.Session, packets int, src *rng.Source) (voip.ProbeResult, error) {
-	w := s.World()
-	sp := w.SPs[TargetGoogle]
-	edge, err := sp.NearestEdge(s.Site.Loc)
-	if err != nil {
-		return voip.ProbeResult{}, err
-	}
-	path, err := s.PathTo(edge.Server)
-	if err != nil {
-		return voip.ProbeResult{}, err
-	}
-	return voip.Probe(w.Net, path, packets, src)
 }
 
 // FormatMTR renders a traceroute in mtr's report style:

@@ -321,28 +321,6 @@ func TestArchesVisible(t *testing.T) {
 	}
 }
 
-func TestVoIPProbeByArchitecture(t *testing.T) {
-	src := rng.New(11)
-	hr, err := VoIPProbe(esim(t, "PAK", src), 150, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	native, err := VoIPProbe(esim(t, "THA", src), 150, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hr.OneWayMs <= native.OneWayMs*1.5 {
-		t.Errorf("HR one-way %f should far exceed native %f", hr.OneWayMs, native.OneWayMs)
-	}
-	if hr.JitterMs <= 0 || native.JitterMs <= 0 {
-		t.Error("jitter must be measured")
-	}
-	// HR loss path (configured 1.2%) should lose more than native (0.3%).
-	if hr.LossPercent < native.LossPercent {
-		t.Errorf("HR loss %f should be at least native %f", hr.LossPercent, native.LossPercent)
-	}
-}
-
 func TestHypotheticalLBO(t *testing.T) {
 	src := rng.New(12)
 	w := world(t)

@@ -11,11 +11,9 @@ import (
 // TestConcurrentRouteAndRTT hammers the frozen query surface from many
 // goroutines. Run under -race this is the regression test for the
 // lock-light routing fast path: cache hits take only shard read-locks,
-// misses single-flight, and RTT sampling must not race with either or
-// with a concurrent SetLoadModel.
+// misses single-flight, and RTT sampling must not race with either.
 func TestConcurrentRouteAndRTT(t *testing.T) {
 	net := tieGraph(rng.New(11).Fork("concurrency"), 120)
-	net.SetLoadModel(func() float64 { return 0.3 })
 	net.Freeze()
 
 	const goroutines = 16
@@ -109,9 +107,8 @@ func TestConcurrentRoutesMatchSerial(t *testing.T) {
 	}
 }
 
-// TestFreezeContract pins the build/query phase split: topology
-// mutations panic after Freeze, while SetLoadModel (a measurement-time
-// confounder, not topology) remains legal.
+// TestFreezeContract pins the build/query phase split: every mutation
+// panics after Freeze, and queries stay available.
 func TestFreezeContract(t *testing.T) {
 	net := New()
 	a := net.AddNode(Node{Name: "a"})
@@ -140,9 +137,7 @@ func TestFreezeContract(t *testing.T) {
 		}()
 	}
 
-	// Queries and the load model stay available.
-	net.SetLoadModel(func() float64 { return 1 })
-	defer net.SetLoadModel(nil)
+	// Queries stay available.
 	if _, err := net.Route(a, b); err != nil {
 		t.Fatalf("Route after Freeze: %v", err)
 	}
@@ -243,74 +238,5 @@ func TestConcurrentRouteViaSharesOnePath(t *testing.T) {
 	}
 	if _, err := net.RouteVia(0, 50, NodeID(net.NumNodes())); err == nil {
 		t.Error("RouteVia to a node outside the network must fail")
-	}
-}
-
-// TestSetLoadModelWhileSampling swaps load models, nil included, while
-// goroutines sample RTTs and speedtests on the same network. Under -race
-// it is the regression test for SetLoadModel's contract: a swap is safe
-// mid-measurement, and each sample sees one whole model.
-func TestSetLoadModelWhileSampling(t *testing.T) {
-	net := tieGraph(rng.New(41).Fork("load-swap"), 60)
-	net.Freeze()
-	var p *Path
-	for b := NodeID(1); p == nil && int(b) < net.NumNodes(); b++ {
-		p, _ = net.Route(0, b)
-	}
-	if p == nil {
-		t.Fatal("no route from node 0 in this graph")
-	}
-	models := []LoadModel{
-		nil,
-		func() float64 { return 0.5 },
-		func() float64 { return -1 }, // clamped to 0
-		Diurnal(20, 1, func() float64 { return 20 }),
-	}
-
-	const goroutines = 8
-	const iters = 500
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	swapped := make(chan struct{})
-	go func() {
-		defer close(swapped)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				net.SetLoadModel(models[i%len(models)])
-			}
-		}
-	}()
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			src := rng.New(int64(g))
-			for i := 0; i < iters; i++ {
-				if rtt := net.RTTms(p, src); rtt <= 0 {
-					t.Errorf("non-positive RTT %f", rtt)
-					return
-				}
-				if st := net.Speedtest(p, 100, 50, src); st.DownloadMbps <= 0 || st.UploadMbps <= 0 {
-					t.Errorf("non-positive speedtest %+v", st)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(stop)
-	<-swapped
-
-	// With the swaps over, the sample is a function of the model alone.
-	net.SetLoadModel(nil)
-	idle := net.RTTms(p, rng.New(1))
-	net.SetLoadModel(func() float64 { return 1 })
-	busy := net.RTTms(p, rng.New(1))
-	net.SetLoadModel(nil)
-	if want := idle * queueInflation(1); busy != want {
-		t.Errorf("RTT at load 1 = %v, want %v (idle %v × %v)", busy, want, idle, queueInflation(1))
 	}
 }

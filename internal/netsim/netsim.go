@@ -27,9 +27,7 @@
 // every query (Route, RTTms, Node, Traceroute, ...) is safe for
 // unbounded concurrent use. Queries use read locks plus a sharded route
 // cache, so concurrent readers do not serialize on a single mutex.
-// SetLoadModel is the one deliberate exception: the load model is a
-// measurement-time confounder, not topology, and may be swapped after
-// Freeze, even while queries run.
+// There is no exception: nothing a query reads changes after Freeze.
 package netsim
 
 import (
@@ -116,11 +114,6 @@ type Network struct {
 	// may originate or sink traffic but not be crossed, the "valley-free"
 	// constraint real BGP policy enforces.
 	transitAS map[ipreg.ASN]bool
-
-	// load is the optional utilization model (see SetLoadModel), nil when
-	// unset. It is an atomic pointer because it may be swapped after
-	// Freeze and is read, without a lock, on every RTT/throughput sample.
-	load atomic.Pointer[LoadModel]
 
 	routes routeTable
 }

@@ -368,85 +368,3 @@ func TestConcatPaths(t *testing.T) {
 		t.Error("nil segment should fail")
 	}
 }
-
-func TestLoadModelInflatesRTT(t *testing.T) {
-	n, ids := lineTopology(t)
-	p, _ := n.Route(ids[0], ids[3])
-	src := rng.New(55)
-	var idle, busy float64
-	const k = 100
-	for i := 0; i < k; i++ {
-		idle += n.RTTms(p, src)
-	}
-	n.SetLoadModel(func() float64 { return 1 })
-	for i := 0; i < k; i++ {
-		busy += n.RTTms(p, src)
-	}
-	n.SetLoadModel(nil)
-	if busy/idle < 1.4 || busy/idle > 1.8 {
-		t.Errorf("busy-hour inflation = %.2fx, want ~1.6x", busy/idle)
-	}
-	// Negative load clamps to idle.
-	n.SetLoadModel(func() float64 { return -3 })
-	v := n.RTTms(p, src)
-	n.SetLoadModel(nil)
-	base := 2 * p.BaseOneWayMs()
-	if v < base*0.6 || v > base*1.6 {
-		t.Errorf("negative load mishandled: %f vs base %f", v, base)
-	}
-}
-
-func TestLoadModelErodesSpeedtest(t *testing.T) {
-	n, ids := lineTopology(t)
-	p, _ := n.Route(ids[0], ids[3])
-	src := rng.New(56)
-	var idle, busy float64
-	for i := 0; i < 60; i++ {
-		idle += n.Speedtest(p, 50, 20, src).DownloadMbps
-	}
-	n.SetLoadModel(func() float64 { return 1 })
-	for i := 0; i < 60; i++ {
-		busy += n.Speedtest(p, 50, 20, src).DownloadMbps
-	}
-	n.SetLoadModel(nil)
-	if busy >= idle*0.85 {
-		t.Errorf("busy-hour throughput should drop: %.1f vs %.1f", busy/60, idle/60)
-	}
-}
-
-func TestDiurnalModel(t *testing.T) {
-	hour := 3.0
-	m := Diurnal(20, 1, func() float64 { return hour })
-	// Peak at hour 20.
-	hour = 20
-	if f := m(); f < 0.99 || f > 1.01 {
-		t.Errorf("peak factor = %f, want 1", f)
-	}
-	// Trough 12 hours away.
-	hour = 8
-	if f := m(); f > 0.01 {
-		t.Errorf("trough factor = %f, want ~0", f)
-	}
-	// Never negative, never above peak, 24h periodic.
-	for h := 0.0; h < 48; h += 0.5 {
-		hour = h
-		f := m()
-		if f < 0 || f > 1 {
-			t.Fatalf("factor %f out of [0,1] at hour %f", f, h)
-		}
-		hour = h + 24
-		if g := m(); mathAbs(g-f) > 1e-9 {
-			t.Fatalf("not 24h periodic at %f", h)
-		}
-	}
-	if Diurnal(12, -5, func() float64 { return 0 })() != 0 {
-		t.Error("negative peak should clamp to 0")
-	}
-}
-
-func mathAbs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}

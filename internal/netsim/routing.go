@@ -367,8 +367,8 @@ func (n *Network) dijkstra(src, dst NodeID) (*Path, error) {
 }
 
 // RTTms samples a round-trip time over the path: twice the one-way delay
-// with per-link jitter applied, inflated by the current load model's
-// queueing term. Safe for concurrent use given a per-goroutine Source.
+// with per-link jitter and per-node processing delay applied. Safe for
+// concurrent use given a per-goroutine Source.
 func (n *Network) RTTms(p *Path, src *rng.Source) float64 {
 	var d float64
 	for i := range p.Links {
@@ -378,7 +378,7 @@ func (n *Network) RTTms(p *Path, src *rng.Source) float64 {
 	for i := range p.Nodes {
 		d += src.Jitter(p.Nodes[i].ProcDelayMs, 0.3)
 	}
-	return 2 * d * queueInflation(n.loadFactor())
+	return 2 * d
 }
 
 // ConcatPaths joins consecutive path segments into one new path (the

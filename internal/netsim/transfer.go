@@ -143,7 +143,7 @@ type SpeedtestResult struct {
 // Speedtest simulates a multi-connection bandwidth test against a server
 // at the end of the path. Multi-connection tests approach the effective
 // cap rather than a single TCP flow's Mathis bound, so the result is the
-// policy/bottleneck cap perturbed by measured load, with an uplink that is
+// policy/bottleneck cap with measurement jitter, with an uplink that is
 // a configured fraction of the downlink (radio schedulers are asymmetric).
 func (n *Network) Speedtest(p *Path, downCapMbps, upCapMbps float64, src *rng.Source) SpeedtestResult {
 	rtt := n.RTTms(p, src)
@@ -155,15 +155,6 @@ func (n *Network) Speedtest(p *Path, downCapMbps, upCapMbps float64, src *rng.So
 	up := bneck
 	if upCapMbps > 0 && upCapMbps < up {
 		up = upCapMbps
-	}
-	// Busy-hour load erodes the attainable share of the capacity.
-	if load := n.loadFactor(); load > 0 {
-		erode := 1 - 0.35*load
-		if erode < 0.2 {
-			erode = 0.2
-		}
-		down *= erode
-		up *= erode
 	}
 	// Even parallel connections degrade on long-RTT lossy paths: apply a
 	// soft penalty when the single-flow Mathis bound drops below the cap.

@@ -2,9 +2,8 @@
 // plane: a length-prefixed, versioned frame codec for the batch lease
 // request/response, schedule and result-batch payloads. At fleet scale
 // (10k+ MEs) `encoding/json` would dominate the control-plane CPU
-// profile on both ends; wire packs fields with `binary.BigEndian` in the
-// style of internal/gtp — varint-packed integers and strings, explicit
-// single-byte field tags. The codec carries data only: the protocol
+// profile on both ends; wire packs fields with `binary.BigEndian` —
+// varint-packed integers and strings, explicit single-byte field tags. The codec carries data only: the protocol
 // semantics (ack-cursor leases, idempotency keys, 429/Retry-After
 // backpressure) live in internal/amigo, and the serial direct-call
 // campaign (fleet.RunInProcess), which crosses no codec at all, is the

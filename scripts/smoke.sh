@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # smoke.sh — drive the real binaries end to end. Run via `make smoke`.
 #
-# Every check below boots amigo-server (one server, or WAL-backed shards)
-# through one start/stop helper, or runs roam-fleet's self-hosted plane:
+# Every control-plane check below boots amigo-server (one server, or
+# WAL-backed shards) through one start/stop helper, or runs roam-fleet's
+# self-hosted plane; tomo runs roam-tomo on its own:
 #
+#   tomo       roam-tomo prints one eSIM tunnel span for PAK and refuses an
+#              unknown -target before printing anything
 #   flags      roam-fleet refuses flag values that name nothing it knows
 #   metrics    one server: the Prometheus exposition, amigo-me over the
 #              two v3 routes, the schedule bounds
@@ -30,7 +33,7 @@ fail() {
     exit 1
 }
 
-for bin in amigo-server amigo-me roam-fleet; do
+for bin in amigo-server amigo-me roam-fleet roam-tomo; do
     go build -o "$TMP/$bin" "./cmd/$bin"
 done
 
@@ -60,6 +63,19 @@ stop_server() {
 # replayed LOG: the results count of a WAL-backed server's banner.
 replayed() {
     sed -n 's/.*(\([0-9]*\) results replayed).*/\1/p' "$1"
+}
+
+check_tomo() {
+    local spans rc=0
+    "$TMP/roam-tomo" -country PAK -n 1 >"$TMP/tomo.txt" || fail "roam-tomo -country PAK exited non-zero"
+    # The HR eSIM has a tunnel; the physical SIM breaks out at home.
+    spans="$(grep -c 'GTP tunnel span:' "$TMP/tomo.txt" || true)"
+    [ "$spans" -eq 1 ] || fail "roam-tomo -country PAK printed $spans tunnel spans, want 1"
+    "$TMP/roam-tomo" -target Bogus >"$TMP/tomo-bogus.txt" 2>"$TMP/tomo-bogus.err" || rc=$?
+    if [ "$rc" -ne 1 ] || [ -s "$TMP/tomo-bogus.txt" ] || ! grep -q '^roam-tomo: ' "$TMP/tomo-bogus.err"; then
+        cat "$TMP/tomo-bogus.txt" "$TMP/tomo-bogus.err" >&2
+        fail "roam-tomo -target Bogus exited $rc, want exit 1 with a message and no output"
+    fi
 }
 
 check_flags() {
@@ -236,7 +252,7 @@ check_reshard() {
     echo "smoke: reshard: 1→4 crosschecked; $n results survived compaction + cold restart"
 }
 
-for check in flags metrics shard_kill external reshard; do
+for check in tomo flags metrics shard_kill external reshard; do
     "check_$check"
     echo "smoke: $check OK"
 done
