@@ -3,7 +3,8 @@
 // simulated Airalo world (the rooted-phone substitute), and uploads the
 // results, reporting device vitals along the way. It speaks the protocol
 // the fleet does: it leases tasks in batches of up to leaseBatch over v3
-// frames, runs them, and uploads each batch's results as one v3 frame.
+// frames, runs them, and uploads each batch's results as one v3 frame,
+// which carries the next lease when the batch was not the last.
 // It does not register: the server knows an ME once something is
 // scheduled for it, and until then a lease is 404, which amigo-me reads
 // as "nothing scheduled yet". Every tenth lease carries a heartbeat's

@@ -136,10 +136,11 @@ type Endpoint struct {
 	Realize bool
 
 	battery   float64
-	vitals    Vitals // sampled by Heartbeat, sent with every lease attempt until one succeeds
-	redeliver bool   // set by Redeliver, sent with every lease attempt until one succeeds
-	acked     int    // highest task ID leased so far (the lease ack cursor)
-	drained   bool   // the last lease carried tasks and was drained: the next Lease returns none unasked
+	vitals    Vitals     // sampled by Heartbeat, sent with every lease attempt until one succeeds
+	redeliver bool       // set by Redeliver, sent with every lease attempt until one succeeds
+	acked     int        // highest task ID leased so far (the lease ack cursor)
+	drained   bool       // the last lease carried tasks and was drained: the next Lease returns none unasked
+	ahead     leaseAhead // the lease the next Upload carries, and the reply it brought back
 	// scratch is the pooled buffer the payloads of the batch being run are
 	// encoded into, one after another in task order; seal moves them onto
 	// the batch's own slab and hands it back (nil between batches).
@@ -147,6 +148,17 @@ type Endpoint struct {
 
 	metOnce sync.Once
 	met     epMetrics
+}
+
+// leaseAhead is what an Upload needs to carry the next lease: the max of
+// the last lease while it carried tasks and was not drained (0 otherwise),
+// and the reply that upload brought back (got), for the next Lease to
+// return without a request.
+type leaseAhead struct {
+	max     int
+	got     bool
+	tasks   []Task
+	drained bool
 }
 
 // epMetrics caches the endpoint's metric handles so the request path
@@ -298,7 +310,19 @@ func (e *Endpoint) Heartbeat() {
 // unless vitals (or a Redeliver, which clears the mark) are pending; the
 // call after that asks again, which is how a polling ME sees new work. The
 // skipped lease would only have acked the final batch (Server.LeaseAckInto).
+//
+// After a lease that was not drained, the Upload of its batch carries
+// this call's lease and brings the reply back (Upload); the call returns
+// that reply without a request when it asks for the same max and no
+// vitals or Redeliver are pending. Otherwise it drops the reply and asks,
+// and the server re-sends those tasks, unacked, from the ack cursor.
 func (e *Endpoint) Lease(max int) ([]Task, error) {
+	a := e.ahead
+	e.ahead = leaseAhead{}
+	if a.got && a.max == max && e.vitals.IsZero() && !e.redeliver {
+		e.leased(max, a.tasks, a.drained)
+		return a.tasks, nil
+	}
 	if e.drained {
 		e.drained = false
 		if e.vitals.IsZero() {
@@ -313,11 +337,20 @@ func (e *Endpoint) Lease(max int) ([]Task, error) {
 	})
 	if err == nil {
 		e.vitals, e.redeliver = Vitals{}, false
-		if n := len(tasks); n > 0 {
-			e.acked, e.drained = tasks[n-1].ID, drained
-		}
+		e.leased(max, tasks, drained)
 	}
 	return tasks, err
+}
+
+// leased moves the ack cursor past a lease reply of max that carried
+// tasks, and sets up the lease after it when it was not drained.
+func (e *Endpoint) leased(max int, tasks []Task, drained bool) {
+	if n := len(tasks); n > 0 {
+		e.acked, e.drained = tasks[n-1].ID, drained
+		if !drained {
+			e.ahead.max = max
+		}
+	}
 }
 
 // Redeliver makes the next lease a redelivery: the server restores this
@@ -326,20 +359,44 @@ func (e *Endpoint) Lease(max int) ([]Task, error) {
 // calls it so a full replay re-leases every task; server-side idempotency
 // keys keep the re-uploaded duplicates out of the dataset. It sends
 // nothing itself: the flag rides every lease attempt until one succeeds.
-func (e *Endpoint) Redeliver() { e.acked, e.drained, e.redeliver = 0, false, true }
+// A lease reply an Upload brought back is dropped, and the next Upload
+// carries no lease.
+func (e *Endpoint) Redeliver() {
+	e.acked, e.drained, e.redeliver, e.ahead = 0, false, true, leaseAhead{}
+}
 
 // Upload submits a result batch under an idempotency key derived from
 // its content. The key makes resending always safe: if the server
 // processed a batch but the response was lost, the retry is dropped as
 // a duplicate rather than double-ingested.
+//
+// When the last lease was not drained, the batch carries the lease the
+// next Lease would send — the same max and ack cursor, and any pending
+// vitals — and the server answers it with the upload (Transport.Upload).
+// The reply is kept for that Lease, so an ME with k batches makes k + 1
+// requests, not 2k. A batch whose first result is not this ME's, or one
+// after a Lease of max < 1, carries no lease.
 func (e *Endpoint) Upload(results []Result) error {
 	if len(results) == 0 {
 		return nil
 	}
 	key := uploadKey(e.Name, results)
-	return e.retry("results", func(ctx context.Context, t Transport) error {
-		return t.Upload(ctx, key, results)
+	var next wire.LeaseRequest
+	if e.ahead.max > 0 && results[0].ME == e.Name {
+		next = wire.LeaseRequest{ME: e.Name, Max: e.ahead.max, Ack: e.acked, Vitals: e.vitals}
+	}
+	e.ahead.got = false
+	var tasks []Task
+	var drained bool
+	err := e.retry("results", func(ctx context.Context, t Transport) (err error) {
+		tasks, drained, err = t.Upload(ctx, key, results, next)
+		return err
 	})
+	if err == nil && (len(tasks) > 0 || drained) {
+		e.ahead.got, e.ahead.tasks, e.ahead.drained = true, tasks, drained
+		e.vitals = Vitals{}
+	}
+	return err
 }
 
 // uploadKey derives a batch's idempotency key from its content: the ME
@@ -379,7 +436,8 @@ func fnv1a[T string | []byte](h uint64, s T) uint64 {
 // RunBatch leases up to max tasks, executes them in order, and uploads
 // the results as one batch. It returns the number of tasks executed;
 // zero means the queue is drained. After the batch the server marked as
-// the ME's last, the next call returns 0 without a request (Lease).
+// the ME's last, the next call returns 0 without a request (Lease); the
+// upload of any other batch brings the next call's lease back (Upload).
 //
 // With Realize the batch's summed network time is spent in one wait before
 // the upload: nothing of an ME is observable between two tasks of a lease

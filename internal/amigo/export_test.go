@@ -8,6 +8,10 @@ import "net/http"
 // MaxLeaseBatch is the lease clamp the model mirrors.
 const MaxLeaseBatch = maxLeaseBatch
 
+// ErrLeaseME is DirectTransport's refusal of an upload whose lease names
+// another ME than its first result, the 400 of the HTTP route.
+var ErrLeaseME = errLeaseME
+
 // HTTPTransport is the Transport an Endpoint with a nil Transport uses:
 // one attempt per operation, no retry layer above it.
 func HTTPTransport(baseURL string, c *http.Client) Transport {

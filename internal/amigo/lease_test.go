@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"roamsim/internal/obs"
@@ -103,10 +105,11 @@ func TestLeaseShortOnlyWhenDrained(t *testing.T) {
 }
 
 // countingTransport counts the lease and upload attempts that reach the
-// Transport under an Endpoint.
+// Transport under an Endpoint, and the uploads among them that carried a
+// lease.
 type countingTransport struct {
 	Transport
-	leases, uploads int
+	leases, uploads, carried int
 }
 
 func (c *countingTransport) Lease(ctx context.Context, req wire.LeaseRequest) ([]Task, bool, error) {
@@ -114,9 +117,12 @@ func (c *countingTransport) Lease(ctx context.Context, req wire.LeaseRequest) ([
 	return c.Transport.Lease(ctx, req)
 }
 
-func (c *countingTransport) Upload(ctx context.Context, key string, results []Result) error {
+func (c *countingTransport) Upload(ctx context.Context, key string, results []Result, next wire.LeaseRequest) ([]Task, bool, error) {
 	c.uploads++
-	return c.Transport.Upload(ctx, key, results)
+	if next.ME != "" {
+		c.carried++
+	}
+	return c.Transport.Upload(ctx, key, results, next)
 }
 
 // countRequests binds ep to srv over tr and counts its leases and uploads.
@@ -135,7 +141,9 @@ func countRequests(t *testing.T, tr func(*testing.T, *Server, *Endpoint), srv *S
 // the server marked drained, the next call reports the queue drained
 // without a request, and the call after that leases again — also when the
 // drained lease was full (max tasks, with max clamped to maxLeaseBatch).
-// Redeliver forgets the drained mark along with the ack cursor.
+// The upload of a batch that was not drained carries the next lease, so a
+// second batch costs no lease request. Redeliver forgets the drained mark
+// along with the ack cursor.
 func TestRunBatchSkipsConfirmingLease(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -143,12 +151,13 @@ func TestRunBatchSkipsConfirmingLease(t *testing.T) {
 		wantN        []int // per RunBatch call
 		wantLeases   []int // leases made so far, after each call
 		wantUploads  int
+		wantCarried  int // uploads that carried a lease
 		wantHTTPPath int // /v3/tasks/lease requests counted by the HTTP endpoint
 	}{
-		{"short", 18, 32, []int{18, 0, 0}, []int{1, 1, 2}, 1, 2},
-		{"full", 64, 32, []int{32, 32, 0}, []int{1, 2, 2}, 2, 2},
-		{"full-then-short", 40, 32, []int{32, 8, 0, 0}, []int{1, 2, 2, 3}, 2, 3},
-		{"clamped", maxLeaseBatch, 5000, []int{maxLeaseBatch, 0, 0}, []int{1, 1, 2}, 1, 2},
+		{"short", 18, 32, []int{18, 0, 0}, []int{1, 1, 2}, 1, 0, 2},
+		{"full", 64, 32, []int{32, 32, 0}, []int{1, 1, 1}, 2, 1, 1},
+		{"full-then-short", 40, 32, []int{32, 8, 0, 0}, []int{1, 1, 1, 2}, 2, 1, 2},
+		{"clamped", maxLeaseBatch, 5000, []int{maxLeaseBatch, 0, 0}, []int{1, 1, 2}, 1, 0, 2},
 	} {
 		for _, tr := range transports {
 			t.Run(tc.name+"/"+tr.name, func(t *testing.T) {
@@ -169,8 +178,9 @@ func TestRunBatchSkipsConfirmingLease(t *testing.T) {
 						t.Fatalf("call %d: RunBatch = %d after %d leases, want %d after %d", i+1, n, ct.leases, want, tc.wantLeases[i])
 					}
 				}
-				if ct.uploads != tc.wantUploads || len(srv.Results()) != tc.queued {
-					t.Errorf("%d uploads, %d results; want %d and %d", ct.uploads, len(srv.Results()), tc.wantUploads, tc.queued)
+				if ct.uploads != tc.wantUploads || ct.carried != tc.wantCarried || len(srv.Results()) != tc.queued {
+					t.Errorf("%d uploads, %d carrying a lease, %d results; want %d, %d and %d",
+						ct.uploads, ct.carried, len(srv.Results()), tc.wantUploads, tc.wantCarried, tc.queued)
 				}
 				if tr.name == "http" {
 					if got := reg.Counter("amigo_endpoint_requests_total", obs.L("path", "/v3/tasks/lease")).Value(); got != int64(tc.wantHTTPPath) {
@@ -203,9 +213,10 @@ func TestRunBatchSkipsConfirmingLease(t *testing.T) {
 }
 
 // TestEndpointLeaseSkipsConfirmingLease: a Lease→Upload loop over 64
-// tasks at 32 makes two lease requests — the second is marked drained, so
-// the Lease after it answers none unasked. The call after that asks, and
-// sees work scheduled meanwhile; pending vitals or a Redeliver always ask.
+// tasks at 32 makes one lease request — the first upload carries the
+// second lease, whose reply is marked drained, so the Lease after it
+// answers none unasked. The call after that asks, and sees work scheduled
+// meanwhile; pending vitals or a Redeliver always ask.
 func TestEndpointLeaseSkipsConfirmingLease(t *testing.T) {
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
@@ -232,7 +243,7 @@ func TestEndpointLeaseSkipsConfirmingLease(t *testing.T) {
 			all := schedule(64)
 			var leased []int
 			for {
-				ids := lease(min(len(leased)/32+1, 2))
+				ids := lease(1)
 				if len(ids) == 0 {
 					break
 				}
@@ -245,32 +256,32 @@ func TestEndpointLeaseSkipsConfirmingLease(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if !slices.Equal(leased, all) || ct.uploads != 2 {
-				t.Fatalf("leased %v in %d uploads; want the 64 scheduled in 2", leased, ct.uploads)
+			if !slices.Equal(leased, all) || ct.uploads != 2 || ct.carried != 1 {
+				t.Fatalf("leased %v in %d uploads, %d carrying a lease; want the 64 scheduled in 2, the first carrying one", leased, ct.uploads, ct.carried)
 			}
 			if tr.name == "http" {
-				if got := reg.Counter("amigo_endpoint_requests_total", obs.L("path", "/v3/tasks/lease")).Value(); got != 2 {
-					t.Errorf("amigo_endpoint_requests_total{path=/v3/tasks/lease} = %d, want 2", got)
+				if got := reg.Counter("amigo_endpoint_requests_total", obs.L("path", "/v3/tasks/lease")).Value(); got != 1 {
+					t.Errorf("amigo_endpoint_requests_total{path=/v3/tasks/lease} = %d, want 1", got)
 				}
 			}
 
 			more := schedule(3)
-			if got := lease(3); !slices.Equal(got, more) {
+			if got := lease(2); !slices.Equal(got, more) {
 				t.Fatalf("the lease after the skipped one = %v, want the newly scheduled %v", got, more)
 			}
 			ep.vitals = Vitals{CQI: 7, RAT: "5G"}
-			if got := lease(4); len(got) != 0 {
+			if got := lease(3); len(got) != 0 {
 				t.Fatalf("drained lease with vitals pending = %v, want none", got)
 			}
 			if v, _ := srv.Vitals("me"); v.CQI != 7 {
 				t.Fatalf("server vitals %+v, want the pending ones reported", v)
 			}
 			last := schedule(2)
-			if got := lease(5); !slices.Equal(got, last) {
+			if got := lease(4); !slices.Equal(got, last) {
 				t.Fatalf("lease = %v, want %v", got, last)
 			}
 			ep.Redeliver()
-			if got := lease(6); !slices.Equal(got, all[:32]) {
+			if got := lease(5); !slices.Equal(got, all[:32]) {
 				t.Fatalf("drained lease with a Redeliver pending = %v, want the schedule from its start %v", got, all[:32])
 			}
 		})
@@ -278,9 +289,10 @@ func TestEndpointLeaseSkipsConfirmingLease(t *testing.T) {
 }
 
 // TestRunBatchBehindLowerClamp: a proxy in front of the server lowers each
-// lease's Max to 5, as a server with a lower clamp would. Leases of 5 for
-// an ME asking 32 are not its last — the server says which one is — so
-// RunBatch(32) runs all 20 queued tasks before it returns 0.
+// lease's Max to 5 — the lease an upload carries too — as a server with a
+// lower clamp would. Leases of 5 for an ME asking 32 are not its last —
+// the server says which one is — so RunBatch(32) runs all 20 queued tasks
+// before it returns 0.
 func TestRunBatchBehindLowerClamp(t *testing.T) {
 	srv := NewServer(nil)
 	if _, err := srv.ScheduleBatch("me", make([]Task, 20)); err != nil {
@@ -288,21 +300,32 @@ func TestRunBatchBehindLowerClamp(t *testing.T) {
 	}
 	h := srv.Handler()
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v3/tasks/lease" {
-			_, payload, err := wire.ReadFrame(r.Body, nil)
-			if err != nil {
-				http.Error(w, "bad lease", http.StatusBadRequest)
-				return
-			}
-			req, err := wire.NewDecoder().LeaseRequest(payload)
-			if err != nil {
-				http.Error(w, "bad lease", http.StatusBadRequest)
-				return
-			}
-			req.Max = min(req.Max, 5)
-			body := wire.AppendLeaseRequest(nil, req)
-			r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+		_, payload, err := wire.ReadFrame(r.Body, nil)
+		if err != nil {
+			http.Error(w, "bad frame", http.StatusBadRequest)
+			return
 		}
+		var body []byte
+		dec := wire.NewDecoder()
+		if r.URL.Path == "/v3/tasks/lease" {
+			var req wire.LeaseRequest
+			if req, err = dec.LeaseRequest(payload); err == nil {
+				req.Max = min(req.Max, 5)
+				body = wire.AppendLeaseRequest(nil, req)
+			}
+		} else {
+			var results []Result
+			var next wire.LeaseRequest
+			if results, next, err = dec.Upload(payload, nil); err == nil {
+				next.Max = min(next.Max, 5)
+				body = wire.AppendUpload(nil, results, next)
+			}
+		}
+		if err != nil {
+			http.Error(w, "bad frame", http.StatusBadRequest)
+			return
+		}
+		r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
 		h.ServeHTTP(w, r)
 	}))
 	defer hs.Close()
@@ -355,12 +378,21 @@ func TestRunBatchDrainedCarriesVitals(t *testing.T) {
 }
 
 // lossyTransport records every lease request and loses the responses of
-// the next drop of them: each lease reaches the server, and the Endpoint
-// sees a failed attempt.
+// the next drop of them, and of the next dropUploads uploads: each request
+// reaches the server, and the Endpoint sees a failed attempt.
 type lossyTransport struct {
 	Transport
-	drop int
-	sent []wire.LeaseRequest
+	drop, dropUploads int
+	sent              []wire.LeaseRequest
+}
+
+func (l *lossyTransport) Upload(ctx context.Context, key string, results []Result, next wire.LeaseRequest) ([]Task, bool, error) {
+	tasks, drained, err := l.Transport.Upload(ctx, key, results, next)
+	if err == nil && l.dropUploads > 0 {
+		l.dropUploads--
+		return nil, false, Retryable{Err: errors.New("upload response lost")}
+	}
+	return tasks, drained, err
 }
 
 func (l *lossyTransport) Lease(ctx context.Context, req wire.LeaseRequest) ([]Task, bool, error) {
@@ -410,6 +442,155 @@ func TestRedeliverLostResponse(t *testing.T) {
 			if tasks, err := ep.Lease(4); err != nil || !slices.Equal(leaseIDs(tasks), ids[4:8]) || lt.sent[len(lt.sent)-1].Redeliver {
 				t.Fatalf("next lease = %v, %v (redeliver %v); want %v, no redelivery", leaseIDs(tasks), err, lt.sent[len(lt.sent)-1].Redeliver, ids[4:8])
 			}
+		})
+	}
+}
+
+// swappable binds an Endpoint, on either transport, to whichever Server
+// use names last — how a shard that lost its state looks to an ME — and
+// counts its requests.
+func swappable(t *testing.T, transport string, ep *Endpoint) (ct *countingTransport, use func(*Server)) {
+	var cur atomic.Pointer[Server]
+	ct = &countingTransport{Transport: (*httpTransport)(ep)}
+	if transport == "http" {
+		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			cur.Load().Handler().ServeHTTP(w, r)
+		}))
+		t.Cleanup(hs.Close)
+		ep.BaseURL, ep.Client = hs.URL, hs.Client()
+	}
+	ep.Transport = ct
+	return ct, func(srv *Server) {
+		cur.Store(srv)
+		if transport == "direct" {
+			ct.Transport = DirectTransport{Server: srv}
+		}
+	}
+}
+
+// batchOf is a result for each task, as the ME named me uploads them.
+func batchOf(me string, tasks []Task) []Result {
+	results := make([]Result, len(tasks))
+	for i, task := range tasks {
+		results[i] = Result{TaskID: task.ID, ME: me, Kind: "dns", Config: "esim"}
+	}
+	return results
+}
+
+// TestUploadCarriesLease pins the upload that carries the next lease, on
+// both transports:
+//   - a retried upload, its results dropped as a duplicate, still answers
+//     its lease, re-sent from the ack cursor;
+//   - a lease part that fails (the ME unknown to a replacement server)
+//     leaves the results accepted and answers nothing, and the ME's next
+//     Lease asks and meets the failure itself;
+//   - a lease naming another ME than the batch's first result is refused
+//     whole and permanently (400 over HTTP), the results not accepted;
+//   - the kept reply serves only a Lease of the same max with no vitals
+//     or Redeliver pending; otherwise the Lease asks and the server re-sends
+//     from the ack cursor, and Redeliver drops it. Vitals pending at the
+//     upload ride its lease.
+func TestUploadCarriesLease(t *testing.T) {
+	ctx := context.Background()
+	for _, tr := range transports {
+		t.Run("duplicate/"+tr.name, func(t *testing.T) {
+			srv := NewServer(nil)
+			ep := &Endpoint{Name: "me", Retry: fastRetry}
+			ct, use := swappable(t, tr.name, ep)
+			use(srv)
+			ep.Transport = &lossyTransport{Transport: ct, dropUploads: 1}
+			ids, _ := srv.ScheduleBatch("me", make([]Task, 10))
+			first, err := ep.Lease(4)
+			if err != nil || !slices.Equal(leaseIDs(first), ids[:4]) {
+				t.Fatalf("Lease = %v, %v", leaseIDs(first), err)
+			}
+			if err := ep.Upload(batchOf("me", first)); err != nil {
+				t.Fatal(err)
+			}
+			next, err := ep.Lease(4)
+			if err != nil || !slices.Equal(leaseIDs(next), ids[4:8]) || ct.uploads != 2 || ct.carried != 2 || ct.leases != 1 {
+				t.Fatalf("Lease after a retried upload = %v, %v after %d uploads (%d carrying a lease), %d leases; want %v unasked, both uploads carrying it",
+					leaseIDs(next), err, ct.uploads, ct.carried, ct.leases, ids[4:8])
+			}
+			if got := len(srv.Results()); got != 4 {
+				t.Fatalf("server holds %d results, want the 4 once", got)
+			}
+		})
+		t.Run("lease-fails/"+tr.name, func(t *testing.T) {
+			ep := &Endpoint{Name: "me", Retry: fastRetry}
+			ct, use := swappable(t, tr.name, ep)
+			old, fresh := NewServer(nil), NewServer(nil)
+			use(old)
+			if _, err := old.ScheduleBatch("me", make([]Task, 10)); err != nil {
+				t.Fatal(err)
+			}
+			tasks, err := ep.Lease(4)
+			if err != nil || len(tasks) != 4 {
+				t.Fatalf("Lease = %d tasks, %v", len(tasks), err)
+			}
+			use(fresh)
+			if err := ep.Upload(batchOf("me", tasks)); err != nil || ct.carried != 1 {
+				t.Fatalf("Upload whose lease part fails = %v, %d carrying a lease; want nil, 1", err, ct.carried)
+			}
+			if got := len(fresh.Results()); got != 4 {
+				t.Fatalf("replacement server holds %d results, want the 4 accepted", got)
+			}
+			if _, err := ep.Lease(4); !errors.Is(err, ErrUnknownME) || ct.leases != 2 {
+				t.Fatalf("Lease after a failed lease part = %v after %d leases; want ErrUnknownME from a second lease", err, ct.leases)
+			}
+		})
+		t.Run("other-me/"+tr.name, func(t *testing.T) {
+			srv := NewServer(nil)
+			ep := &Endpoint{Name: "me", Retry: fastRetry}
+			ct, use := swappable(t, tr.name, ep)
+			use(srv)
+			for _, me := range []string{"me", "other"} {
+				if _, err := srv.ScheduleBatch(me, make([]Task, 4)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var retryable Retryable
+			_, _, err := ct.Transport.Upload(ctx, "k", batchOf("me", make([]Task, 2)), wire.LeaseRequest{ME: "other", Max: 4})
+			if err == nil || errors.As(err, &retryable) {
+				t.Fatalf("upload whose lease names another ME: err = %v, want a permanent refusal", err)
+			}
+			if tr.name == "http" && !strings.HasSuffix(err.Error(), "HTTP 400") {
+				t.Fatalf("over HTTP: %v, want a 400", err)
+			}
+			if got := len(srv.Results()); got != 0 {
+				t.Fatalf("server holds %d results, want none accepted", got)
+			}
+		})
+		t.Run("kept-reply/"+tr.name, func(t *testing.T) {
+			srv := NewServer(nil)
+			ep := &Endpoint{Name: "me", Retry: fastRetry}
+			ct, use := swappable(t, tr.name, ep)
+			use(srv)
+			ids, _ := srv.ScheduleBatch("me", make([]Task, 30))
+			// step leases max, then uploads the batch with vitals pending.
+			step := func(max int, want []int, wantLeases int, vitals Vitals) {
+				t.Helper()
+				tasks, err := ep.Lease(max)
+				if err != nil || !slices.Equal(leaseIDs(tasks), want) || ct.leases != wantLeases {
+					t.Fatalf("Lease(%d) = %v, %v after %d leases; want %v after %d", max, leaseIDs(tasks), err, ct.leases, want, wantLeases)
+				}
+				ep.vitals = vitals
+				if err := ep.Upload(batchOf("me", tasks)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step(4, ids[:4], 1, Vitals{})
+			step(4, ids[4:8], 1, Vitals{})  // the kept reply
+			step(5, ids[8:13], 2, Vitals{}) // another max: asks, and the 4 kept come back re-sent
+			ep.vitals = Vitals{CQI: 3, RAT: "5G"}
+			step(5, ids[13:18], 3, Vitals{CQI: 4, RAT: "4G"}) // vitals pending: asks; then they ride the upload's lease
+			if v, _ := srv.Vitals("me"); v.CQI != 4 || !ep.vitals.IsZero() {
+				t.Fatalf("server vitals %+v, pending %+v; want the upload's lease to have reported CQI 4", v, ep.vitals)
+			}
+			step(5, ids[18:23], 3, Vitals{}) // the kept reply
+			ep.Redeliver()
+			step(5, ids[:5], 4, Vitals{})   // Redeliver dropped the kept reply
+			step(5, ids[5:10], 4, Vitals{}) // and the redelivered lease's upload carried the next
 		})
 	}
 }

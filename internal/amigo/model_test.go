@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -48,9 +49,11 @@ type modelME struct {
 	vitals      amigo.Vitals
 }
 
-// op is one ME-facing operation, every value concrete.
+// op is one ME-facing operation, every value concrete. An "upload+lease"
+// is an upload carrying a lease: Key and Results are the upload's, ME,
+// Max, Ack and Vitals the lease's.
 type op struct {
-	Kind      string // "schedule", "lease" or "upload"
+	Kind      string // "schedule", "lease", "upload" or "upload+lease"
 	ME        string // the upload's ME is its first result's
 	Tasks     []amigo.Task
 	Max       int
@@ -68,11 +71,10 @@ func (o op) String() string {
 	case "lease":
 		return fmt.Sprintf("lease %s max %d ack %d vitals %v redeliver %v", o.ME, o.Max, o.Ack, !o.Vitals.IsZero(), o.Redeliver)
 	case "upload":
-		ids := make([]int, len(o.Results))
-		for i, r := range o.Results {
-			ids[i] = r.TaskID
-		}
-		return fmt.Sprintf("upload %s key %q ids %v", o.Results[0].ME, o.Key, ids)
+		return fmt.Sprintf("upload %s key %q ids %v", o.Results[0].ME, o.Key, resultIDs(o.Results))
+	case "upload+lease":
+		return fmt.Sprintf("upload %s key %q ids %v + lease %s max %d ack %d vitals %v",
+			o.Results[0].ME, o.Key, resultIDs(o.Results), o.ME, o.Max, o.Ack, !o.Vitals.IsZero())
 	}
 	return o.Kind + " " + o.ME
 }
@@ -83,7 +85,7 @@ func (o op) String() string {
 type reply struct {
 	Tasks   []amigo.Task
 	Drained bool
-	Class   string // "ok", "unknown-me" or "busy"
+	Class   string // "ok", "unknown-me", "busy" or "bad-request"
 }
 
 // stamp is every server's clock: results compare whole, Uploaded included.
@@ -117,16 +119,36 @@ func (m *model) apply(o op) reply {
 		}
 		st.sched = append(st.sched, tasks...)
 		return reply{Tasks: tasks, Class: "ok"}
+	case "upload+lease":
+		// The upload first, unless the lease names another ME than the one
+		// the batch is routed by; then the lease, whose failure fails
+		// nothing: the results stay accepted and no lease is answered.
+		upload, lease := o, o
+		upload.Kind, lease.Kind = "upload", "lease"
+		switch {
+		case len(o.Results) > m.spoolCap: // refused as busy before anything else
+		case o.ME != o.Results[0].ME:
+			m.seen["lease of another ME"]++
+			return reply{Class: "bad-request"}
+		case st == nil:
+			m.seen["lease part failed"]++
+		case o.Key != "" && m.keys[fmt.Sprint(m.shardOf(o.ME), "/", o.Key)]:
+			m.seen["duplicate, lease answered"]++
+		}
+		if rep := m.apply(upload); rep.Class != "ok" || st == nil {
+			return rep
+		}
+		return m.apply(lease)
 	case "upload":
 		sh := m.shardOf(o.Results[0].ME)
 		key := fmt.Sprint(sh, "/", o.Key)
 		switch {
-		case o.Key != "" && m.keys[key]:
-			m.seen["duplicate dropped"]++
-			return reply{Class: "ok"}
 		case len(o.Results) > m.spoolCap:
 			m.seen["spool full"]++
 			return reply{Class: "busy"}
+		case o.Key != "" && m.keys[key]:
+			m.seen["duplicate dropped"]++
+			return reply{Class: "ok"}
 		}
 		for _, r := range o.Results {
 			r.Uploaded = stamp
@@ -180,7 +202,8 @@ var modelMEs = []string{"me-a", "me-b", "me-c", "ghost"}
 // could repeat, whether its last redelivery went through. A lost lease
 // response leaves the cursor where it was, so the retry acks stale, and a
 // redelivery stays pending until a lease carrying it is answered; other
-// leases ack zero, an old ID or past the end.
+// leases ack zero, an old ID or past the end. Some uploads carry a lease,
+// now and then one naming another ME; they are repeated like the others.
 func genOps(seed int64, n, shards int, shardOf func(string) int) []op {
 	src := rng.New(seed)
 	m := newModel(modelSpoolCap, shards, shardOf)
@@ -206,27 +229,15 @@ func genOps(seed int64, n, shards int, shardOf func(string) int) []op {
 			if src.Bool(0.85) {
 				o.Key = fmt.Sprintf("%s%v", me, resultIDs(o.Results))
 			}
+			if src.Bool(0.4) {
+				o.Kind = "upload+lease"
+				if src.Bool(0.1) {
+					o.ME = modelMEs[src.Intn(len(modelMEs))]
+				}
+				genLease(src, &o, cursor[o.ME], leased[o.ME], len(ops))
+			}
 		default:
-			o.Ack = cursor[me]
-			switch a := src.Intn(10); {
-			case a == 0:
-				o.Ack = 0
-			case a == 1 && len(past) > 0:
-				old := past[src.Intn(len(past))]
-				o.Ack = old[src.Intn(len(old))].ID
-			case a == 2:
-				o.Ack += 1 + src.Intn(5)
-			}
-			o.Max = 1 + src.Intn(8)
-			switch x := src.Intn(20); {
-			case x == 0:
-				o.Max = 0
-			case x == 1:
-				o.Max = amigo.MaxLeaseBatch + 1 + src.Intn(100)
-			}
-			if src.Bool(0.3) {
-				o.Vitals = amigo.Vitals{CQI: 1 + len(ops), RAT: "5G"}
-			}
+			genLease(src, &o, cursor[me], past, len(ops))
 			if redeliver[me] || src.Bool(0.1) {
 				o.Ack, o.Redeliver, redeliver[me] = 0, true, true
 				cursor[me] = 0
@@ -235,21 +246,51 @@ func genOps(seed int64, n, shards int, shardOf func(string) int) []op {
 		rep := m.apply(o)
 		switch {
 		case rep.Class != "ok":
-		case o.Kind == "lease":
+		case o.Kind == "lease" || o.Kind == "upload+lease":
 			lost := src.Bool(0.25)
-			redeliver[me] = o.Redeliver && lost
+			if o.Redeliver {
+				redeliver[o.ME] = lost
+			}
 			if len(rep.Tasks) > 0 {
-				leased[me] = append(leased[me], rep.Tasks)
+				leased[o.ME] = append(leased[o.ME], rep.Tasks)
 				if !lost {
-					cursor[me] = rep.Tasks[len(rep.Tasks)-1].ID
+					cursor[o.ME] = rep.Tasks[len(rep.Tasks)-1].ID
 				}
 			}
-		case o.Kind == "upload":
+		}
+		if rep.Class == "ok" && o.Kind != "lease" && o.Kind != "schedule" {
 			uploads = append(uploads, o)
 		}
 		ops = append(ops, o)
 	}
 	return ops
+}
+
+// genLease draws a lease's Max, Ack and Vitals onto o for an ME whose
+// cursor is at ack and whose past leases are past: mostly the cursor,
+// sometimes zero, an old ID or past the end; a Max of 1 to 8, now and
+// then 0 or past the clamp.
+func genLease(src *rng.Source, o *op, ack int, past [][]amigo.Task, step int) {
+	o.Ack = ack
+	switch a := src.Intn(10); {
+	case a == 0:
+		o.Ack = 0
+	case a == 1 && len(past) > 0:
+		old := past[src.Intn(len(past))]
+		o.Ack = old[src.Intn(len(old))].ID
+	case a == 2:
+		o.Ack += 1 + src.Intn(5)
+	}
+	o.Max = 1 + src.Intn(8)
+	switch x := src.Intn(20); {
+	case x == 0:
+		o.Max = 0
+	case x == 1:
+		o.Max = amigo.MaxLeaseBatch + 1 + src.Intn(100)
+	}
+	if src.Bool(0.3) {
+		o.Vitals = amigo.Vitals{CQI: 1 + step, RAT: "5G"}
+	}
 }
 
 // genTasks is a schedule: a few fresh tasks, rarely more than a lease can
@@ -392,7 +433,9 @@ func (tg *target) apply(o op) reply {
 	case "lease":
 		tasks, drained, err = tg.tr.Lease(ctx, wire.LeaseRequest{ME: o.ME, Max: o.Max, Ack: o.Ack, Vitals: o.Vitals, Redeliver: o.Redeliver})
 	case "upload":
-		err = tg.tr.Upload(ctx, o.Key, o.Results)
+		tasks, drained, err = tg.tr.Upload(ctx, o.Key, o.Results, wire.LeaseRequest{})
+	case "upload+lease":
+		tasks, drained, err = tg.tr.Upload(ctx, o.Key, o.Results, wire.LeaseRequest{ME: o.ME, Max: o.Max, Ack: o.Ack, Vitals: o.Vitals})
 	}
 	var busy amigo.Retryable
 	switch {
@@ -402,6 +445,8 @@ func (tg *target) apply(o op) reply {
 		return reply{Class: "unknown-me"}
 	case errors.As(err, &busy):
 		return reply{Class: "busy"}
+	case errors.Is(err, amigo.ErrLeaseME) || strings.HasSuffix(err.Error(), "HTTP 400"):
+		return reply{Class: "bad-request"}
 	}
 	return reply{Class: err.Error()}
 }
@@ -446,9 +491,10 @@ func runModel(t *testing.T, tg *target, ops []op) *model {
 // TestProtocolModel: seeded operation sequences over three MEs and a ghost
 // — duplicate and stale uploads, stale and lost-response acks, redelivery
 // with leases outstanding and its lost response retried, unknown MEs, Max of 0 and past the clamp,
-// drained leases, and batches the spool refuses — answer exactly as the
-// model says, drained flag included, in process and through a 4-shard
-// gateway over HTTP.
+// drained leases, batches the spool refuses, and uploads carrying a lease
+// (retried as duplicates, failing their lease part, naming another ME) —
+// answer exactly as the model says, drained flag included, in process and
+// through a 4-shard gateway over HTTP.
 func TestProtocolModel(t *testing.T) {
 	seeds, steps := 24, 160
 	if testing.Short() {
@@ -473,7 +519,8 @@ func TestProtocolModel(t *testing.T) {
 					spread[tg.shardOf(me)] = true
 				}
 			}
-			for _, ev := range []string{"duplicate dropped", "spool full", "unknown ME", "re-sent", "max clamped", "redelivery mid-lease", "drained"} {
+			for _, ev := range []string{"duplicate dropped", "spool full", "unknown ME", "re-sent", "max clamped", "redelivery mid-lease", "drained",
+				"lease of another ME", "lease part failed", "duplicate, lease answered"} {
 				if seen[ev] == 0 {
 					t.Errorf("no sequence exercised %q", ev)
 				}
@@ -483,4 +530,20 @@ func TestProtocolModel(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzProtocolModel draws the generator's sequences from fuzzed seeds and
+// lengths, and checks each op by op against the model on both transports,
+// as TestProtocolModel does for its fixed seeds.
+func FuzzProtocolModel(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(seed, uint8(160))
+	}
+	f.Add(int64(-7), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+		for _, newTarget := range []func(*testing.T) *target{directTarget, gatewayTarget} {
+			tg := newTarget(t)
+			runModel(t, tg, genOps(seed, int(n), len(tg.servers), tg.shardOf))
+		}
+	})
 }

@@ -21,7 +21,8 @@
 // carry Content-Type application/vnd.amigo.v3 (else 415):
 //
 //	POST /v3/tasks/lease   MsgLeaseRequest frame -> MsgTasks frame, + drained flag (204 if none)
-//	POST /v3/results       MsgResults frame      -> 204, or 429 + Retry-After
+//	POST /v3/results       MsgResults frame      -> 204, or 429 + Retry-After;
+//	                       + lease record        -> the lease's MsgTasks frame (204 if it failed)
 //
 // An ME does not register: scheduling work for it (POST /admin/schedule,
 // ScheduleBatch) is what makes the server know it, and a lease for an ME
@@ -43,6 +44,14 @@
 // Idempotency-Key header; a batch whose key was already accepted is
 // dropped server-side (SubmitKeyed), so retried and duplicated uploads
 // never double-count results.
+//
+// An upload may carry the lease the ME would send next, as a record after
+// its results (wire.AppendUpload): the server takes the batch, then serves
+// that lease and answers with its reply (Server.upload), which the
+// Endpoint keeps for its next Lease. An upload carries a lease only when
+// the ME's last lease was not drained, so an ME with k batches makes k + 1
+// requests: a lease, then k uploads, each but the last carrying the next
+// lease.
 //
 // A restarted ME gets its entire schedule back, original task IDs
 // included, by setting Redeliver on its first lease (Endpoint.Redeliver):
@@ -382,6 +391,40 @@ func (s *Server) lease(req wire.LeaseRequest, dst []Task) (tasks []Task, drained
 		}
 	}
 	return s.leaseAck(req.ME, min(req.Max, maxLeaseBatch), req.Ack, dst)
+}
+
+// errLeaseME refuses an upload whose lease names an ME other than its
+// first result's, the ME a shard gateway routes the upload by: the lease
+// would be served by a shard that may not own its ME.
+var errLeaseME = errors.New("amigo: an upload's lease names another ME than its first result")
+
+// upload is an upload as both transports serve it: SubmitKeyed, then, when
+// next names an ME, next served as lease serves it, the reply appended
+// onto dst. A duplicate batch is dropped and its lease still answered, so a
+// retried upload gets the reply its lost response carried: the same tasks,
+// re-sent from the ack cursor. A lease part that fails — an unknown ME,
+// whose shard lost it — leaves the accepted results accepted and answers
+// nothing; the ME's next lease meets the failure itself.
+//
+// A batch larger than the whole spool is refused first, as the HTTP
+// handler refuses it before decoding, so both transports agree on what a
+// request that is wrong twice answers.
+func (s *Server) upload(key string, batch []Result, next wire.LeaseRequest, dst []Task) ([]Task, bool, error) {
+	if len(batch) > s.spoolCap {
+		s.met.spoolRejected.Add(1)
+		return dst, false, ErrSpoolFull
+	}
+	if next.ME != "" && (len(batch) == 0 || batch[0].ME != next.ME) {
+		return dst, false, errLeaseME
+	}
+	if err := s.SubmitKeyed(key, batch); err != nil || next.ME == "" {
+		return dst, false, err
+	}
+	tasks, drained, err := s.lease(next, dst)
+	if err != nil {
+		return dst, false, nil
+	}
+	return tasks, drained, nil
 }
 
 // Requeue restores the ME's full schedule — acknowledged, outstanding

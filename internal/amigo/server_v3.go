@@ -1,6 +1,7 @@
 package amigo
 
 import (
+	"errors"
 	"net/http"
 	"slices"
 	"sync"
@@ -85,7 +86,10 @@ func (s *Server) handleV3Lease(w http.ResponseWriter, r *http.Request) {
 // handleV3Results is POST /v3/results: a MsgResults frame in, 204 out
 // (429 + Retry-After when the spool is full or smaller than the batch).
 // A batch whose Idempotency-Key header was already accepted is dropped
-// (SubmitKeyed).
+// (SubmitKeyed). A frame ending in a lease record is answered with that
+// lease's reply, a MsgTasks frame even when it holds no tasks, or 204 when
+// the lease failed (Server.upload); a lease naming another ME than the
+// first result is 400.
 func (s *Server) handleV3Results(w http.ResponseWriter, r *http.Request) {
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
@@ -102,7 +106,7 @@ func (s *Server) handleV3Results(w http.ResponseWriter, r *http.Request) {
 	dec := wire.GetDecoder()
 	rp := resultSlicePool.Get().(*[]Result)
 	defer resultSlicePool.Put(rp)
-	batch, err := dec.Results(payload, (*rp)[:0])
+	batch, next, err := dec.Upload(payload, (*rp)[:0])
 	*rp = batch
 	wire.PutDecoder(dec)
 	if err != nil {
@@ -113,11 +117,24 @@ func (s *Server) handleV3Results(w http.ResponseWriter, r *http.Request) {
 	// owned storage before they outlive this request (Submit copies the
 	// Result structs, not the bytes their Payload fields point at).
 	detachPayloads(batch)
-	if err := s.SubmitKeyed(r.Header.Get("Idempotency-Key"), batch); err != nil {
-		s.rejectBusy(w)
-		return
+	var dst []Task // a lease reply fits its pooled capacity: Max is clamped to it
+	if next.ME != "" {
+		tp := taskSlicePool.Get().(*[]Task)
+		defer taskSlicePool.Put(tp)
+		dst = (*tp)[:0]
 	}
-	w.WriteHeader(http.StatusNoContent)
+	tasks, drained, err := s.upload(r.Header.Get("Idempotency-Key"), batch, next, dst)
+	switch {
+	case errors.Is(err, errLeaseME):
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	case err != nil:
+		s.rejectBusy(w)
+	case len(tasks) == 0 && !drained:
+		w.WriteHeader(http.StatusNoContent)
+	default:
+		*buf = wire.AppendLease((*buf)[:0], tasks, drained)
+		s.writeFrame(w, *buf)
+	}
 }
 
 // handleV3Schedule is POST /admin/schedule's frame form: a MsgSchedule in,

@@ -18,7 +18,8 @@ import (
 )
 
 // Transport carries one attempt of each of the ME's two control-plane
-// operations. An attempt returns nil, a Retryable, or a permanent error
+// operations, an upload perhaps carrying the lease after it. An attempt
+// returns nil, a Retryable, or a permanent error
 // (one wrapping ErrUnknownME when the server does not know the ME);
 // Endpoint.retry is the one backoff, give-up and idempotency layer above
 // it. There are two implementations and nothing selects between
@@ -30,8 +31,13 @@ type Transport interface {
 	// [1, maxLeaseBatch]), and drained when they are all the ME has left
 	// — none, once the schedule is done (Server.lease).
 	Lease(ctx context.Context, req wire.LeaseRequest) (tasks []Task, drained bool, err error)
-	// Upload submits a batch under its idempotency key (Server.SubmitKeyed).
-	Upload(ctx context.Context, key string, results []Result) error
+	// Upload submits a batch under its idempotency key (Server.SubmitKeyed)
+	// and then, when next names an ME, serves next as Lease does and
+	// returns its reply (Server.upload). next must name the ME of the
+	// batch's first result. The lease part never fails the upload: a reply
+	// of no tasks and not drained means no lease was answered — none was
+	// asked, or it failed — and the ME's next Lease asks as usual.
+	Upload(ctx context.Context, key string, results []Result, next wire.LeaseRequest) (tasks []Task, drained bool, err error)
 }
 
 // Retryable is a failed attempt worth repeating: a connection error, a
@@ -56,12 +62,12 @@ func (d DirectTransport) Lease(_ context.Context, req wire.LeaseRequest) ([]Task
 }
 
 // Upload reports a full spool as the Retryable its 429 is over HTTP.
-func (d DirectTransport) Upload(_ context.Context, key string, results []Result) error {
-	err := d.Server.SubmitKeyed(key, results)
+func (d DirectTransport) Upload(_ context.Context, key string, results []Result, next wire.LeaseRequest) ([]Task, bool, error) {
+	tasks, drained, err := d.Server.upload(key, results, next, nil)
 	if errors.Is(err, ErrSpoolFull) {
-		return Retryable{Err: err, After: d.Server.busyHint()}
+		return nil, false, Retryable{Err: err, After: d.Server.busyHint()}
 	}
-	return err
+	return tasks, drained, err
 }
 
 // httpTransport is the HTTP Transport: one v3 frame each way. It is the
@@ -69,15 +75,22 @@ func (d DirectTransport) Upload(_ context.Context, key string, results []Result)
 // per call: callers assign them late.
 type httpTransport Endpoint
 
-func (t *httpTransport) Upload(ctx context.Context, key string, results []Result) error {
+// Upload sends next as the frame's lease record (wire.AppendUpload) and
+// reads the reply as Lease does, except that a 204 answers no lease. An
+// upload without one reads no body.
+func (t *httpTransport) Upload(ctx context.Context, key string, results []Result, next wire.LeaseRequest) ([]Task, bool, error) {
 	ebuf := wire.GetBuf()
 	defer wire.PutBuf(ebuf)
-	*ebuf = wire.AppendResults((*ebuf)[:0], results)
+	*ebuf = wire.AppendUpload((*ebuf)[:0], results, next)
 	resp, err := t.post(ctx, "/v3/results", http.Header{"Content-Type": frameType, "Idempotency-Key": {key}}, *ebuf)
-	if err == nil {
-		DrainClose(resp)
+	if err != nil {
+		return nil, false, err
 	}
-	return err
+	if next.ME == "" || resp.StatusCode == http.StatusNoContent {
+		DrainClose(resp)
+		return nil, false, nil
+	}
+	return readLease(resp, "results")
 }
 
 // Lease reads a 204 as drained with no tasks, and a MsgTasks frame with
@@ -94,6 +107,14 @@ func (t *httpTransport) Lease(ctx context.Context, req wire.LeaseRequest) ([]Tas
 		DrainClose(resp)
 		return nil, true, nil
 	}
+	return readLease(resp, "lease")
+}
+
+// readLease reads the lease reply in resp's body, a MsgTasks frame, and
+// closes it. A damaged reply is Retryable: its tasks stay unacked on the
+// server, and the retry — of the lease, or of the upload, whose results
+// it then drops as a duplicate — re-sends the same ones.
+func readLease(resp *http.Response, op string) ([]Task, bool, error) {
 	rbuf := wire.GetBuf()
 	defer wire.PutBuf(rbuf)
 	h, payload, err := wire.ReadFrame(resp.Body, (*rbuf)[:0])
@@ -111,9 +132,7 @@ func (t *httpTransport) Lease(ctx context.Context, req wire.LeaseRequest) ([]Tas
 		wire.PutDecoder(dec)
 	}
 	if err != nil {
-		// Truncated or garbled frame: the batch stays unacked on the
-		// server and the retry re-delivers the same tasks.
-		return nil, false, Retryable{Err: fmt.Errorf("amigo: lease: decoding response: %w", err)}
+		return nil, false, Retryable{Err: fmt.Errorf("amigo: %s: decoding response: %w", op, err)}
 	}
 	return tasks, drained, nil
 }

@@ -20,6 +20,7 @@ import (
 	"roamsim/internal/obs"
 	"roamsim/internal/rng"
 	"roamsim/internal/vclock"
+	"roamsim/internal/wire"
 )
 
 // transports is the differential table: everything above the Transport
@@ -281,14 +282,18 @@ func TestJSONBodiesMatchMapMarshal(t *testing.T) {
 	}
 }
 
-// TestEndpointHTTPAllocs pins what the drain workloads' HTTP path costs:
-// one Lease + one Upload of 8 results over loopback HTTP, both ends and
-// net/http included. The bounds are this tree's counts (147 without a
-// registry, 149 with one); before requests went straight to the
-// RoundTripper (amigo.Send) and the drain stopped allocating they were
-// 168 and 170. A lease carrying vitals costs what a bare lease costs:
-// the row "vitals" must not count more than "bare". Not under -race:
-// there sync.Pool drops entries at random and the count wanders by ±1.
+// TestEndpointHTTPAllocs pins what the drain workloads' HTTP path costs
+// per batch of 8 results over loopback HTTP, both ends and net/http
+// included. "two-requests" is a lease, then an upload that carries no
+// lease — what every batch cost before uploads carried leases: 147
+// allocations, and 168 before requests went straight to the RoundTripper
+// (amigo.Send) and the drain stopped allocating. The other rows are an
+// Endpoint's Lease and Upload in steady state: one upload that carries
+// the next lease, whose reply the Lease after it returns unasked — 84
+// allocations without a registry, 85 with one. An upload whose lease
+// carries vitals costs what a bare one costs: the row "vitals" must not
+// count more than "bare". Not under -race: there sync.Pool drops entries
+// at random and the count wanders by ±1.
 func TestEndpointHTTPAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not deterministic under the race detector")
@@ -296,21 +301,23 @@ func TestEndpointHTTPAllocs(t *testing.T) {
 	var bare float64
 	for _, tc := range []struct {
 		name   string
+		ahead  bool
 		reg    *obs.Registry
 		bound  float64
 		vitals Vitals
 	}{
-		{"bare", nil, 147, Vitals{}},
-		{"obs", obs.NewRegistry(), 149, Vitals{}},
-		{"vitals", nil, 147, Vitals{Battery: 0.998, RSSI: -91.25, SNR: 3.5, CQI: 7, RAT: "5G", ActiveID: "esim"}},
+		{"two-requests", false, nil, 147, Vitals{}},
+		{"bare", true, nil, 84, Vitals{}},
+		{"obs", true, obs.NewRegistry(), 85, Vitals{}},
+		{"vitals", true, nil, 84, Vitals{Battery: 0.998, RSSI: -91.25, SNR: 3.5, CQI: 7, RAT: "5G", ActiveID: "esim"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const runs = 300
-			srv, round := leaseUploadRounds(t, runs+1, tc.reg)
+			srv, round := leaseUploadRounds(t, runs+1, tc.reg, tc.ahead)
 			allocs := testing.AllocsPerRun(runs, func() { round(tc.vitals) })
-			t.Logf("allocations per lease+upload: %.0f (bound %.0f)", allocs, tc.bound)
+			t.Logf("allocations per batch: %.0f (bound %.0f)", allocs, tc.bound)
 			if allocs > tc.bound {
-				t.Errorf("lease+upload over HTTP allocates %.0f times, want <= %.0f", allocs, tc.bound)
+				t.Errorf("a batch's requests over HTTP allocate %.0f times, want <= %.0f", allocs, tc.bound)
 			}
 			switch tc.name {
 			case "bare":
@@ -320,7 +327,7 @@ func TestEndpointHTTPAllocs(t *testing.T) {
 					t.Errorf("server holds vitals %+v, want %+v", v, tc.vitals)
 				}
 				if allocs > bare {
-					t.Errorf("a lease carrying vitals allocates %.0f times, a bare one %.0f", allocs, bare)
+					t.Errorf("an upload whose lease carries vitals allocates %.0f times, a bare one %.0f", allocs, bare)
 				}
 			}
 		})
@@ -328,11 +335,14 @@ func TestEndpointHTTPAllocs(t *testing.T) {
 }
 
 // leaseUploadRounds serves a Server on loopback and returns it with the
-// round TestEndpointHTTPAllocs and BenchmarkEndpointLeaseUpload measure:
-// an Endpoint leases 8 tasks, reporting v, and uploads a result for each,
-// at most rounds times. The server's sink keeps nothing, so its share of
-// a round does not grow with the log.
-func leaseUploadRounds(tb testing.TB, rounds int, reg *obs.Registry) (*Server, func(v Vitals)) {
+// round TestEndpointHTTPAllocs and the LeaseUpload benchmarks measure: 8
+// tasks leased and a result uploaded for each, at most rounds times. With
+// ahead it is an Endpoint's Lease, then its Upload reporting v, which
+// carries the next lease; without, a lease reporting v and an upload
+// carrying none, each one request through the Endpoint's HTTP Transport.
+// The server's sink keeps nothing, so its share of a round does not grow
+// with the log.
+func leaseUploadRounds(tb testing.TB, rounds int, reg *obs.Registry, ahead bool) (*Server, func(v Vitals)) {
 	const batch = 8
 	srv := NewServer(nil, WithSink(writeOnlySink{}))
 	if _, err := srv.ScheduleBatch("me", make([]Task, rounds*batch)); err != nil {
@@ -341,29 +351,56 @@ func leaseUploadRounds(tb testing.TB, rounds int, reg *obs.Registry) (*Server, f
 	hs := httptest.NewServer(srv.Handler())
 	tb.Cleanup(hs.Close)
 	ep := &Endpoint{Name: "me", BaseURL: hs.URL, Client: hs.Client(), Obs: reg}
+	tp, ctx, ack := (*httpTransport)(ep), context.Background(), 0
 	results := make([]Result, 0, batch)
 	payload := []byte(`{"resolver":"8.8.8.8"}`)
 	return srv, func(v Vitals) {
-		ep.vitals = v
-		leased, err := ep.Lease(batch)
+		var leased []Task
+		var err error
+		if ahead {
+			leased, err = ep.Lease(batch)
+		} else {
+			leased, _, err = tp.Lease(ctx, wire.LeaseRequest{ME: "me", Max: batch, Ack: ack, Vitals: v})
+		}
 		if err != nil || len(leased) != batch {
 			tb.Fatalf("lease: %d tasks, %v", len(leased), err)
 		}
+		ack = leased[batch-1].ID
 		results = results[:0]
 		for _, task := range leased {
 			results = append(results, Result{TaskID: task.ID, ME: "me", Kind: "dns", Config: "esim", OK: true, Payload: payload})
 		}
-		if err := ep.Upload(results); err != nil {
+		if ahead {
+			ep.vitals = v
+			err = ep.Upload(results)
+		} else {
+			_, _, err = tp.Upload(ctx, uploadKey("me", results), results, wire.LeaseRequest{})
+		}
+		if err != nil {
 			tb.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkEndpointLeaseUpload: one lease and one upload of 8 results
-// over loopback HTTP per op, both ends and net/http included; with
-// -benchmem, allocs/op is what two control-plane requests cost.
+// that carries no lease, over loopback HTTP per op, both ends and
+// net/http included; with -benchmem, allocs/op is what two control-plane
+// requests cost.
 func BenchmarkEndpointLeaseUpload(b *testing.B) {
-	_, round := leaseUploadRounds(b, b.N, nil)
+	_, round := leaseUploadRounds(b, b.N+1, nil, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round(Vitals{})
+	}
+}
+
+// BenchmarkEndpointUploadLease: an Endpoint's Lease and Upload of 8
+// results per op, over loopback HTTP, both ends and net/http included: in
+// steady state one request, the upload that carries the next lease, whose
+// reply the next op's Lease returns unasked.
+func BenchmarkEndpointUploadLease(b *testing.B) {
+	_, round := leaseUploadRounds(b, b.N+1, nil, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -387,7 +387,7 @@ func (d *Driver) runIncarnation(client *http.Client, sc MESchedule, dep *airalo.
 	if *scheduled {
 		ep.Redeliver()
 	} else {
-		if err := d.scheduleBatch(client, sc.Name, tasks); err != nil {
+		if err := d.scheduleBatch(ctx, client, sc.Name, tasks); err != nil {
 			return false, err
 		}
 		*scheduled = true
@@ -419,8 +419,10 @@ var (
 // scheduleBatch POSTs the ME's schedule as one MsgSchedule frame and
 // reads the server's MsgTasks reply back over tasks: the same tasks under
 // the IDs the server assigned, or honored when they carried pinned ones —
-// a recovery re-schedule pins them so replayed uploads dedup.
-func (d *Driver) scheduleBatch(client *http.Client, me string, tasks []amigo.Task) error {
+// a recovery re-schedule pins them so replayed uploads dedup. It runs
+// under the incarnation's ctx, so the straggler watchdog reclaims an ME
+// whose schedule request hangs as it does one whose lease hangs.
+func (d *Driver) scheduleBatch(ctx context.Context, client *http.Client, me string, tasks []amigo.Task) error {
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
 	*buf = wire.AppendSchedule(*buf, me, tasks)
@@ -428,7 +430,7 @@ func (d *Driver) scheduleBatch(client *http.Client, me string, tasks []amigo.Tas
 	if err != nil {
 		return err
 	}
-	resp, err := amigo.Send(context.Background(), client, http.MethodPost, u, frameHeader, *buf)
+	resp, err := amigo.Send(ctx, client, http.MethodPost, u, frameHeader, *buf)
 	if err != nil {
 		return err
 	}

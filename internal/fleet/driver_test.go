@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"roamsim/internal/amigo"
 	"roamsim/internal/obs"
@@ -64,6 +67,38 @@ func TestScheduleRejectsWrongIDCount(t *testing.T) {
 	}
 }
 
+// TestStragglerReclaimsHungSchedule: the schedule POST runs under the
+// incarnation's straggler watchdog. Against a control plane whose
+// /admin/schedule never answers, each incarnation costs Straggler, and
+// Run fails with the deadline once the restart budget is spent, instead
+// of waiting forever.
+func TestStragglerReclaimsHungSchedule(t *testing.T) {
+	srv := amigo.NewServer(nil)
+	mux := http.NewServeMux()
+	mux.Handle("/", shard.Mount(srv.Handler(), srv.AdminHandler()))
+	mux.HandleFunc("POST /admin/schedule", func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // a read body lets the server see the client go
+		<-r.Context().Done()
+	})
+	hs := httptest.NewServer(mux)
+	defer func() { hs.CloseClientConnections(); hs.Close() }()
+	w := testWorld(t)
+	d := &Driver{BaseURL: hs.URL, Seed: testSeed, Straggler: 100 * time.Millisecond}
+	done := make(chan error, 1)
+	go func() {
+		_, err := d.Run(w, Plan{Countries: []string{"PAK"}})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Run against a hung schedule: %v, want the straggler deadline", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run still waits on a hung schedule after 10s: the straggler watchdog does not cover it")
+	}
+}
+
 // TestScheduleFrameCarriesTasks: the schedule POST body is one
 // MsgSchedule frame that decodes to exactly the ME and tasks given, pinned
 // IDs included, and the reply's IDs land in the tasks in place.
@@ -83,7 +118,7 @@ func TestScheduleFrameCarriesTasks(t *testing.T) {
 	want := []amigo.Task{{ID: 7, Kind: "mtr", Target: "Google", Config: "esim"}, {Kind: "dns", Config: "sim"}}
 	tasks := slices.Clone(want)
 	d := &Driver{BaseURL: hs.URL}
-	if err := d.scheduleBatch(hs.Client(), me, tasks); err != nil {
+	if err := d.scheduleBatch(context.Background(), hs.Client(), me, tasks); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -138,7 +173,9 @@ func TestControlPlaneDoesNotFollowRedirects(t *testing.T) {
 		{"upload", func() error {
 			return ep.Upload([]amigo.Result{{TaskID: 1, ME: "me", Kind: "dns", Config: "sim", OK: true, Payload: []byte(`{}`)}})
 		}},
-		{"schedule", func() error { return d.scheduleBatch(first.Client(), "me", []amigo.Task{{Kind: "dns", Config: "sim"}}) }},
+		{"schedule", func() error {
+			return d.scheduleBatch(context.Background(), first.Client(), "me", []amigo.Task{{Kind: "dns", Config: "sim"}})
+		}},
 	} {
 		if err := op.call(); err == nil || !strings.Contains(err.Error(), "HTTP 307") {
 			t.Errorf("%s answered 307: err = %v, want a permanent error naming HTTP 307", op.name, err)

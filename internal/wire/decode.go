@@ -24,6 +24,7 @@ var (
 	errCountBound   = errors.New("wire: task count exceeds MaxScheduleCount")
 	errIntOverflow  = errors.New("wire: varint overflows int")
 	errRecordLength = errors.New("wire: record length exceeds payload")
+	errLeaseNoME    = errors.New("wire: an upload's lease record names no ME")
 )
 
 // reader is a strict cursor over one payload.
@@ -382,8 +383,50 @@ func (d *Decoder) task(rec []byte, t *Task) error {
 // reusing the buffer or detach the payloads onto owned storage first
 // (the amigo v3 ingest path copies them onto a per-batch slab before
 // the frame buffer returns to its pool).
+//
+// A lease record after the records is trailing bytes here: only Upload
+// reads one.
 func (d *Decoder) Results(payload []byte, dst []Result) ([]Result, error) {
 	r := reader{b: payload}
+	base := len(dst)
+	dst, err := d.resultRecords(&r, dst)
+	if err == nil && r.rem() != 0 {
+		return dst[:base], errTrailing
+	}
+	return dst, err
+}
+
+// Upload decodes an upload (see AppendUpload): a MsgResults payload, whose
+// results it appends onto dst as Results does, and the lease record that
+// may end it — the zero LeaseRequest when there is none. A lease record
+// must name the ME; the caller owns the rest of its validation.
+func (d *Decoder) Upload(payload []byte, dst []Result) ([]Result, LeaseRequest, error) {
+	r := reader{b: payload}
+	base := len(dst)
+	dst, err := d.resultRecords(&r, dst)
+	if err != nil || r.rem() == 0 {
+		return dst, LeaseRequest{}, err
+	}
+	var next LeaseRequest
+	rec, err := r.record()
+	if err == nil && r.rem() != 0 {
+		err = errTrailing
+	}
+	if err == nil {
+		next, err = d.LeaseRequest(rec)
+	}
+	if err == nil && next.ME == "" {
+		err = errLeaseNoME
+	}
+	if err != nil {
+		return dst[:base], LeaseRequest{}, err
+	}
+	return dst, next, nil
+}
+
+// resultRecords reads a results payload's count and records onto dst,
+// leaving r after the last record; on error dst comes back as it was.
+func (d *Decoder) resultRecords(r *reader, dst []Result) ([]Result, error) {
 	n, err := r.count()
 	if err != nil {
 		return dst, err
@@ -398,9 +441,6 @@ func (d *Decoder) Results(payload []byte, dst []Result) ([]Result, error) {
 		if err := d.result(rec, &dst[base+i]); err != nil {
 			return dst[:base], err
 		}
-	}
-	if r.rem() != 0 {
-		return dst[:base], errTrailing
 	}
 	return dst, nil
 }

@@ -40,11 +40,13 @@ func decodeFrame(d *Decoder, frame []byte) (reencoded []byte, err error) {
 		}
 		return AppendSchedule(nil, me, tasks), nil
 	default: // MsgResults; ParseHeader admits no other type
-		rs, err := d.Results(payload, nil)
+		rs, next, err := d.Upload(payload, nil)
 		if err != nil {
 			return nil, err
 		}
-		return AppendResults(nil, rs), nil
+		// The re-encode writes a lease record exactly when it names an ME,
+		// so an accepted record without one cannot round-trip.
+		return AppendUpload(nil, rs, next), nil
 	}
 }
 
@@ -69,6 +71,13 @@ func fuzzSeeds(f *testing.F) {
 	f.Add([]byte("R3\x03\x02\x00\x00\x00\x02\x00\x02"))     // drained flag 2
 	f.Add([]byte("R3\x03\x02\x00\x00\x00\x03\x00\x01\x00")) // two bytes after the records
 	f.Add(AppendResults(nil, sampleResults()))
+	f.Add(AppendUpload(nil, sampleResults(), LeaseRequest{ME: "me-PAK-000001", Max: 32, Ack: 7}))
+	f.Add(AppendUpload(nil, sampleResults()[:1], LeaseRequest{ME: "me-PAK-000001", Max: 32, Ack: 7, Vitals: sampleVitals, Redeliver: true}))
+	f.Add(AppendUpload(nil, nil, LeaseRequest{ME: "m"}))
+	f.Add([]byte("R3\x03\x03\x00\x00\x00\x02\x00\x00"))              // empty lease record
+	f.Add([]byte("R3\x03\x03\x00\x00\x00\x04\x00\x02\x02\x20"))      // lease record without an ME
+	f.Add([]byte("R3\x03\x03\x00\x00\x00\x05\x00\x05\x01\x01m"))     // lease record past the payload
+	f.Add([]byte("R3\x03\x03\x00\x00\x00\x06\x00\x03\x01\x01m\x00")) // a byte after the lease record
 	f.Add(AppendSchedule(nil, "me-PAK", sampleTasks()))
 	f.Add(AppendSchedule(nil, "m", nil))
 	f.Add([]byte("R3\x03\x04\x00\x00\x00\x02\x00\x00"))      // empty ME
@@ -112,6 +121,7 @@ func FuzzFrameDecode(f *testing.F) {
 			_, _ = d.Tasks(payload, nil)
 			_, _, _ = d.Lease(payload, nil)
 			_, _ = d.Results(payload, nil)
+			_, _, _ = d.Upload(payload, nil)
 			_, _, _ = d.Schedule(payload, nil)
 		}
 		h, buf, err := ReadFrame(bytes.NewReader(data), nil)

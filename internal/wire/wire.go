@@ -32,7 +32,12 @@
 // schedule is the ME (a non-empty string) followed by the tasks payload.
 // A lease reply is a tasks payload followed by the uvarint 1 when it holds
 // every task the ME has left (drained; omitted when false, so nothing else
-// may follow the records).
+// may follow the records). An upload is a results payload that may end
+// with a lease record — the uvarint byte-length of a lease-request field
+// sequence, then that sequence, which must name the ME — asking for the
+// lease the ME would send next; the server answers that upload with the
+// lease reply instead of 204 No Content. Nothing else may follow a results
+// payload's records: results pages and WAL records never carry a lease.
 //
 // # Canonical form
 //
@@ -130,7 +135,7 @@ const (
 const (
 	MsgLeaseRequest byte = 0x01 // client -> server: LeaseRequest
 	MsgTasks        byte = 0x02 // server -> client: []Task lease response (and drained flag), schedule reply
-	MsgResults      byte = 0x03 // []Result: batch upload (client -> server), results page (server -> client)
+	MsgResults      byte = 0x03 // []Result: batch upload, perhaps with the next lease (client -> server), results page (server -> client)
 	MsgSchedule     byte = 0x04 // operator -> server: an ME and the []Task to queue for it
 )
 
@@ -295,6 +300,12 @@ func uploadedNano(t time.Time) uint64 {
 // the caller (the amigo handler clamps Max to its lease-batch bound).
 func AppendLeaseRequest(dst []byte, req LeaseRequest) []byte {
 	dst, start := beginFrame(dst, MsgLeaseRequest)
+	return endFrame(appendLeaseFields(dst, &req), start)
+}
+
+// appendLeaseFields appends a lease request's field sequence: the
+// MsgLeaseRequest payload, and the lease record an upload may end with.
+func appendLeaseFields(dst []byte, req *LeaseRequest) []byte {
 	dst = appendFieldBytes(dst, tagLeaseME, req.ME)
 	dst = appendFieldUint(dst, tagLeaseMax, uint64(req.Max))
 	dst = appendFieldUint(dst, tagLeaseAck, uint64(req.Ack))
@@ -311,7 +322,19 @@ func AppendLeaseRequest(dst []byte, req LeaseRequest) []byte {
 	if req.Redeliver {
 		dst = appendFieldUint(dst, tagLeaseRedeliver, 1)
 	}
-	return endFrame(dst, start)
+	return dst
+}
+
+// leaseFieldsLen is the encoded size of appendLeaseFields' output.
+func leaseFieldsLen(req *LeaseRequest) int {
+	n := fieldBytesLen(len(req.ME)) + fieldUintLen(uint64(req.Max)) + fieldUintLen(uint64(req.Ack))
+	if v := vitalsRecordLen(&req.Vitals); v > 0 {
+		n += 1 + uvarintLen(uint64(v)) + v
+	}
+	if req.Redeliver {
+		n += 2 // tag + uvarint(1)
+	}
+	return n
 }
 
 func vitalsRecordLen(v *Vitals) int {
@@ -402,10 +425,16 @@ func ResultsFrameLen(rs []Result) (n, size int) {
 	return n, HeaderLen + uvarintLen(uint64(n)) + records
 }
 
-// AppendResults appends a complete MsgResults frame (the batch upload,
-// and a page of the v3 results read-back) to dst and returns the
-// extended slice.
-func AppendResults(dst []byte, rs []Result) []byte {
+// AppendResults appends a complete MsgResults frame (an upload that
+// carries no lease, a page of the v3 results read-back, a WAL record) to
+// dst and returns the extended slice.
+func AppendResults(dst []byte, rs []Result) []byte { return AppendUpload(dst, rs, LeaseRequest{}) }
+
+// AppendUpload appends a complete MsgResults frame uploading rs, ended by
+// next as its lease record when next names an ME: the lease the uploading
+// ME would ask for next, which the server answers with the upload. When
+// next names no ME the frame is AppendResults'.
+func AppendUpload(dst []byte, rs []Result, next LeaseRequest) []byte {
 	dst, start := beginFrame(dst, MsgResults)
 	dst = binary.AppendUvarint(dst, uint64(len(rs)))
 	for i := range rs {
@@ -421,6 +450,10 @@ func AppendResults(dst []byte, rs []Result) []byte {
 		dst = appendFieldBytes(dst, tagResultError, r.Error)
 		dst = appendFieldBytes(dst, tagResultPayload, r.Payload)
 		dst = appendFieldUint(dst, tagResultUploaded, uploadedNano(r.Uploaded))
+	}
+	if next.ME != "" {
+		dst = binary.AppendUvarint(dst, uint64(leaseFieldsLen(&next)))
+		dst = appendLeaseFields(dst, &next)
 	}
 	return endFrame(dst, start)
 }

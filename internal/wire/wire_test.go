@@ -309,6 +309,48 @@ func TestResultsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUploadLeaseRecord: an upload is the results frame, plus the lease
+// record when its lease names an ME — the lease request's own field
+// sequence behind its byte length. Upload reads both forms, appending onto
+// dst as Results does; Results, which results pages and WAL records are
+// read with, refuses the record as trailing bytes.
+func TestUploadLeaseRecord(t *testing.T) {
+	want := sampleResults()
+	plain := AppendResults(nil, want)
+	if got := AppendUpload(nil, want, LeaseRequest{Max: 32, Ack: 7}); !bytes.Equal(got, plain) {
+		t.Fatalf("an upload whose lease names no ME is not the results frame:\n %x\n %x", got, plain)
+	}
+	next := LeaseRequest{ME: "me-PAK", Max: 32, Ack: 7, Vitals: sampleVitals}
+	upload := AppendUpload(nil, want, next)
+	fields := AppendLeaseRequest(nil, next)[HeaderLen:]
+	if tail := upload[len(plain):]; tail[0] != byte(len(fields)) || !bytes.Equal(tail[1:], fields) {
+		t.Fatalf("lease record %x, want the length %d and the lease fields %x", tail, len(fields), fields)
+	}
+	if h, err := ParseHeader(upload); err != nil || h.Type != MsgResults || int(h.N) != len(upload)-HeaderLen {
+		t.Fatalf("header %+v, %v", h, err)
+	}
+	d := NewDecoder()
+	prefix := []Result{{TaskID: 99, ME: "keep"}}
+	for _, tc := range []struct {
+		frame []byte
+		next  LeaseRequest
+	}{{plain, LeaseRequest{}}, {upload, next}} {
+		got, lease, err := d.Upload(tc.frame[HeaderLen:], prefix)
+		if err != nil || lease != tc.next || len(got) != len(want)+1 || got[0].TaskID != 99 {
+			t.Fatalf("Upload(%x) = %d results, %+v, %v; want the prefix and %d, %+v", tc.frame, len(got), lease, err, len(want), tc.next)
+		}
+		if re := AppendUpload(nil, got[1:], lease); !bytes.Equal(re, tc.frame) {
+			t.Fatalf("re-encode mismatch:\n %x\n %x", re, tc.frame)
+		}
+	}
+	if got, err := d.Results(upload[HeaderLen:], prefix); !errors.Is(err, errTrailing) || len(got) != 1 {
+		t.Fatalf("Results of an upload carrying a lease = %d results, %v; want the prefix alone, %v", len(got), err, errTrailing)
+	}
+	if me, err := d.FirstResultME(upload[HeaderLen:]); err != nil || me != want[0].ME {
+		t.Fatalf("FirstResultME = %q, %v; want the first result's %q", me, err, want[0].ME)
+	}
+}
+
 // TestResultPayloadAliasing pins the documented ownership contract:
 // decoded payloads alias the input buffer, so mutating the buffer
 // mutates the decoded result.
@@ -360,6 +402,13 @@ func TestStrictDecodeRejects(t *testing.T) {
 		return err
 	}
 	results := func(payload []byte) error { _, err := d.Results(payload, nil); return err }
+	upload := func(payload []byte) error {
+		got, next, err := d.Upload(payload, nil)
+		if err == nil || len(got) > 0 || next != (LeaseRequest{}) {
+			return fmt.Errorf("Upload = %d results, lease %+v, %v", len(got), next, err)
+		}
+		return err
+	}
 	schedule := func(payload []byte) error { _, _, err := d.Schedule(payload, nil); return err }
 	overBound := append(binary.AppendUvarint(nil, MaxScheduleCount+1), make([]byte, MaxScheduleCount+1)...)
 
@@ -408,6 +457,15 @@ func TestStrictDecodeRejects(t *testing.T) {
 		{"results/bad-bool", results, []byte{0x01, 0x02, 0x05, 0x02}, errBadBool},
 		{"results/zero-uploaded", results, []byte{0x01, 0x02, 0x08, 0x00}, errZeroField},
 		{"results/unknown-tag", results, []byte{0x01, 0x02, 0x09, 0x01}, errUnknownTag},
+		{"results/lease-record", results, []byte{0x00, 0x03, 0x01, 0x01, 'm'}, errTrailing},
+		{"upload/empty-record", upload, []byte{0x00, 0x00}, errLeaseNoME},
+		{"upload/no-me", upload, []byte{0x00, 0x02, 0x02, 0x20}, errLeaseNoME},
+		{"upload/record-overrun", upload, []byte{0x00, 0x05, 0x01, 0x01, 'm'}, errRecordLength},
+		{"upload/after-record", upload, []byte{0x00, 0x03, 0x01, 0x01, 'm', 0x00}, errTrailing},
+		{"upload/tag-order", upload, []byte{0x00, 0x05, 0x02, 0x20, 0x01, 0x01, 'm'}, errTagOrder},
+		{"upload/zero-max", upload, []byte{0x00, 0x05, 0x01, 0x01, 'm', 0x02, 0x00}, errZeroField},
+		{"upload/unknown-tag", upload, []byte{0x00, 0x05, 0x01, 0x01, 'm', 0x09, 0x01}, errUnknownTag},
+		{"upload/bad-result", upload, []byte{0x01, 0x02, 0x05, 0x02, 0x03, 0x01, 0x01, 'm'}, errBadBool},
 		{"schedule/empty-me", schedule, []byte{0x00, 0x00}, errZeroField},
 		{"schedule/count-too-big", schedule, []byte{0x01, 'm', 0x05, 0x00}, errCountTooBig},
 		{"schedule/count-over-bound", schedule, append([]byte{0x01, 'm'}, overBound...), errCountBound},
@@ -462,6 +520,7 @@ func TestCodecZeroAlloc(t *testing.T) {
 	taskFrame := AppendTasks(nil, tasks)
 	drainedFrame := AppendLease(nil, tasks, true)
 	resultFrame := AppendResults(nil, results)
+	uploadFrame := AppendUpload(nil, results, vitalsLease)
 	scheduleFrame := AppendSchedule(nil, "me-PAK-000001", tasks)
 
 	d := NewDecoder()
@@ -493,6 +552,7 @@ func TestCodecZeroAlloc(t *testing.T) {
 	check("AppendTasks", func() { buf = AppendTasks(buf[:0], tasks) })
 	check("AppendLease", func() { buf = AppendLease(buf[:0], tasks, true) })
 	check("AppendResults", func() { buf = AppendResults(buf[:0], results) })
+	check("AppendUpload", func() { buf = AppendUpload(buf[:0], results, vitalsLease) })
 	check("AppendSchedule", func() { buf = AppendSchedule(buf[:0], "me-PAK-000001", tasks) })
 	check("DecodeLeaseRequest", func() {
 		if _, err := d.LeaseRequest(leaseFrame[HeaderLen:]); err != nil {
@@ -523,6 +583,12 @@ func TestCodecZeroAlloc(t *testing.T) {
 	check("DecodeResults", func() {
 		if resDst, err = d.Results(resultFrame[HeaderLen:], resDst[:0]); err != nil {
 			t.Fatal(err)
+		}
+	})
+	check("DecodeUpload", func() {
+		var next LeaseRequest
+		if resDst, next, err = d.Upload(uploadFrame[HeaderLen:], resDst[:0]); err != nil || next != vitalsLease {
+			t.Fatal(next, err)
 		}
 	})
 	rd := bytes.NewReader(nil)

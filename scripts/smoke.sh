@@ -10,6 +10,8 @@
 #   flags      roam-fleet refuses flag values that name nothing it knows
 #   metrics    one server: the Prometheus exposition, amigo-me over the
 #              two v3 routes, the schedule bounds
+#   ahead      one server: amigo-me drains 40 tasks in one lease and two
+#              uploads, the first upload carrying the second lease
 #   shard_kill roam-fleet kills a shard mid-campaign under -crosscheck
 #   external   roam-fleet -crosscheck against a sharded, WAL-backed
 #              amigo-server, which then survives SIGTERM + a cold restart
@@ -183,6 +185,30 @@ check_metrics() {
     echo "smoke: metrics: $lines exposition lines; amigo-me uploaded $got results over v3"
 }
 
+check_ahead() {
+    local out="$TMP/ahead.txt" route want
+    start_server "$TMP/ahead-server.txt"
+    curl -sf -X POST "$URL/admin/schedule" \
+        -d '{"me":"me-DEU","kind":"dns","config":"sim","count":40}' -o /dev/null ||
+        fail "scheduling 40 tasks for me-DEU failed"
+    "$TMP/amigo-me" -server "$URL" -country DEU -once >"$TMP/ahead-me.txt"
+
+    # 40 tasks at 32 a lease are two batches: the first lease is not the
+    # last, so the first upload carries the second lease, whose reply is
+    # marked drained; the second upload carries none. One lease request and
+    # two uploads, where an ME that leased each batch itself made two each.
+    curl -sf "$URL/admin/metrics" -o "$out"
+    for route in /v3/tasks/lease:1 /v3/results:2; do
+        want="${route#*:}"
+        route="${route%:*}"
+        if ! grep -Eq "^amigo_server_requests_total\{class=\"2xx\",route=\"$route\"\} $want$" "$out"; then
+            grep "route=\"$route\"" "$out" >&2 || true
+            fail "amigo-me did not make exactly $want 2xx POST $route for 40 tasks"
+        fi
+    done
+    stop_server
+}
+
 check_shard_kill() {
     local out="$TMP/kill.txt"
     "$TMP/roam-fleet" -mes 12 -reps 1 \
@@ -252,7 +278,7 @@ check_reshard() {
     echo "smoke: reshard: 1→4 crosschecked; $n results survived compaction + cold restart"
 }
 
-for check in tomo flags metrics shard_kill external reshard; do
+for check in tomo flags metrics ahead shard_kill external reshard; do
     "check_$check"
     echo "smoke: $check OK"
 done
