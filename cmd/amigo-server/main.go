@@ -9,22 +9,22 @@
 //
 //	amigo-server [-addr :8080] [-pprof] [-shards N] [-wal-dir DIR] [-compact-after N]
 //
-// Schedule tasks of one kind by POSTing to /admin/schedule; the answer
-// lists their IDs:
+// Every request body is one v3 frame sent as application/vnd.amigo.v3
+// (anything else is 415). Schedule tasks by POSTing a MsgSchedule frame
+// (what roam-fleet sends) to /admin/schedule; the answer is a MsgTasks
+// frame of the queued tasks under their IDs. testdata holds two such
+// frames, which scripts/smoke.sh sends with curl:
 //
 //	curl -X POST localhost:8080/admin/schedule \
-//	  -d '{"me":"me-PAK","kind":"speedtest","config":"esim","count":3}'
-//
-// A schedule of mixed tasks is one v3 MsgSchedule frame (what roam-fleet
-// sends), answered with a MsgTasks frame of the queued tasks.
+//	  -H 'Content-Type: application/vnd.amigo.v3' \
+//	  --data-binary @cmd/amigo-server/testdata/me-DEU_speedtest_esim_5.v3
 //
 // Results are readable incrementally at
-// /admin/results?cursor=N[&limit=M], which returns
-// {"cursor":NEXT,"results":[...]}; poll with the returned cursor to
-// stream only new uploads. cursor=-1 peeks at the current cursor
-// without returning results. A request carrying Accept:
-// application/vnd.amigo.v3 (the fleet driver's) gets the same page as a
-// v3 results frame, with NEXT in the X-Amigo-Cursor header.
+// /admin/results?cursor=N[&limit=M], which answers one v3 results frame
+// with the next cursor in the X-Amigo-Cursor header; poll with it to
+// stream only new uploads. cursor=-1 peeks at the current cursor without
+// returning results. The plane's ME count is amigo_server_registered_mes
+// at /admin/metrics.
 //
 // By default the plane is one server. fleet.Host, which also builds
 // roam-fleet's self-hosted plane, makes it N servers behind a

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +18,7 @@ import (
 	"roamsim/internal/amigo"
 	"roamsim/internal/fleet"
 	"roamsim/internal/obs"
+	"roamsim/internal/wire"
 )
 
 // lockedBuffer is run's output, written by its goroutine and read by the
@@ -114,11 +117,11 @@ func (s *server) shutdown(t *testing.T) error {
 	}
 }
 
-// schedule queues count dns tasks for me with the JSON form curl uses.
+// schedule queues count dns tasks for me as one MsgSchedule frame.
 func (s *server) schedule(t *testing.T, me string, count int) {
 	t.Helper()
-	body := fmt.Sprintf(`{"me":%q,"kind":"dns","config":"sim","count":%d}`, me, count)
-	resp, err := http.Post(s.url+"/admin/schedule", "application/json", strings.NewReader(body))
+	body := wire.AppendSchedule(nil, me, tasksOf("dns", "sim", count))
+	resp, err := http.Post(s.url+"/admin/schedule", wire.ContentType, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +129,15 @@ func (s *server) schedule(t *testing.T, me string, count int) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("schedule for %s: %s", me, resp.Status)
 	}
+}
+
+// tasksOf is count tasks of one kind and config.
+func tasksOf(kind, config string, count int) []amigo.Task {
+	tasks := make([]amigo.Task, count)
+	for i := range tasks {
+		tasks[i] = amigo.Task{Kind: kind, Config: config}
+	}
+	return tasks
 }
 
 func (s *server) metrics(t *testing.T) string {
@@ -143,8 +155,8 @@ func (s *server) metrics(t *testing.T) string {
 }
 
 // TestSingleServer: by default run serves one instrumented server and
-// prints nothing of shards; a JSON schedule is leased over v3 and the
-// lease shows in the amigo_server_* families.
+// prints nothing of shards; a schedule is leased over v3 and the lease
+// shows in the amigo_server_* families.
 func TestSingleServer(t *testing.T) {
 	s := start(t, fleet.ShardedConfig{Shards: 1, Obs: obs.NewRegistry()})
 	s.schedule(t, "me-PAK", 3)
@@ -225,7 +237,7 @@ func TestShardedDrainAndRestart(t *testing.T) {
 	}
 	s.stop()
 	s.out.waitFor(t, "draining")
-	if _, err := conn.Write([]byte("GET /admin/mes HTTP/1.1\r\nHost: amigo\r\n\r\n")); err != nil {
+	if _, err := conn.Write([]byte("GET /admin/results?cursor=-1 HTTP/1.1\r\nHost: amigo\r\n\r\n")); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
@@ -248,5 +260,33 @@ func TestShardedDrainAndRestart(t *testing.T) {
 	r.out.waitFor(t, fmt.Sprintf("amigo-server: 2 shards (WAL epoch 0), WALs under %s (%d results replayed)\n", dir, uploaded))
 	if err := r.shutdown(t); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScheduleFixtures: each schedule frame under testdata, which
+// scripts/smoke.sh POSTs with curl, is wire.AppendSchedule of the tasks
+// its name describes: <me>_<kind>_<config>_<count>.v3.
+func TestScheduleFixtures(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "*.v3"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no schedule fixtures under testdata (%v)", err)
+	}
+	for _, path := range paths {
+		f := strings.Split(strings.TrimSuffix(filepath.Base(path), ".v3"), "_")
+		if len(f) != 4 {
+			t.Fatalf("%s: want <me>_<kind>_<config>_<count>.v3", path)
+		}
+		count, err := strconv.Atoi(f[3])
+		if err != nil {
+			t.Fatalf("%s: count: %v", path, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := wire.AppendSchedule(nil, f[0], tasksOf(f[1], f[2], count))
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s is not the schedule of %d %s/%s tasks for %s", path, count, f[1], f[2], f[0])
+		}
 	}
 }

@@ -53,42 +53,27 @@ func fillSink(sink Sink, n int) {
 	}
 }
 
-// getResults GETs one page of /admin/results in the given
-// representation and decodes it.
-func getResults(t *testing.T, h http.Handler, query string, v3 bool) (code int, rs []Result, next int) {
+// getResults GETs one page of /admin/results and decodes its frame.
+func getResults(t *testing.T, h http.Handler, query string) (code int, rs []Result, next int) {
 	t.Helper()
-	req := httptest.NewRequest(http.MethodGet, "/admin/results?"+query, nil)
-	if v3 {
-		req.Header.Set("Accept", wire.ContentType)
-	}
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/admin/results?"+query, nil))
 	if rec.Code != http.StatusOK {
 		return rec.Code, nil, 0
 	}
-	if !v3 {
-		var page struct {
-			Cursor  int      `json:"cursor"`
-			Results []Result `json:"results"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
-			t.Fatalf("GET %s: %v", query, err)
-		}
-		return rec.Code, page.Results, page.Cursor
-	}
 	if ct := rec.Header().Get("Content-Type"); ct != wire.ContentType {
-		t.Fatalf("GET %s (v3): Content-Type %q", query, ct)
+		t.Fatalf("GET %s: Content-Type %q", query, ct)
 	}
 	next, err := strconv.Atoi(rec.Header().Get(wire.CursorHeader))
 	if err != nil {
-		t.Fatalf("GET %s (v3): %s header: %v", query, wire.CursorHeader, err)
+		t.Fatalf("GET %s: %s header: %v", query, wire.CursorHeader, err)
 	}
 	if rec.Body.Len() > wire.HeaderLen+wire.MaxFrame {
-		t.Fatalf("GET %s (v3): one frame of %d bytes exceeds MaxFrame", query, rec.Body.Len())
+		t.Fatalf("GET %s: one frame of %d bytes exceeds MaxFrame", query, rec.Body.Len())
 	}
 	rs, err = wire.NewDecoder().ReadResults(rec.Body, nil)
 	if err != nil {
-		t.Fatalf("GET %s (v3): %v", query, err)
+		t.Fatalf("GET %s: %v", query, err)
 	}
 	return rec.Code, rs, next
 }
@@ -114,70 +99,70 @@ func sameResults(a, b []Result) error {
 	return nil
 }
 
-// TestAdminResultsV3MatchesJSON: the two representations of a results
-// page are the same page — same results, same order, same next cursor —
-// for every cursor and limit, from both sinks; the 400 and 501 rules do
-// not depend on the representation; and a v3 page that would not fit one
-// frame is cut short, with a cursor that says where.
+// TestAdminResultsV3MatchesJSON: the results page is one MsgResults
+// frame that decodes to exactly what ResultsSince returns — same results,
+// same order, same next cursor — for every cursor and limit, from both
+// sinks; a malformed cursor or limit is 400 and a cursor-less sink 501;
+// and a page that would not fit one frame is cut short, with a cursor
+// that says where.
 func TestAdminResultsV3MatchesJSON(t *testing.T) {
 	const n, page = 10, 4
 	for _, sk := range cursorSinks {
 		t.Run(sk.name, func(t *testing.T) {
 			sink := sk.open(t)
 			fillSink(sink, n)
-			admin := NewServer(nil, WithSink(sink)).AdminHandler()
+			srv := NewServer(nil, WithSink(sink))
+			admin := srv.AdminHandler()
 			for _, cursor := range []int{-1, 0, n / 2, n + 7} {
 				for _, limit := range []int{0, 1, page} {
 					q := fmt.Sprintf("cursor=%d&limit=%d", cursor, limit)
-					_, jrs, jnext := getResults(t, admin, q, false)
-					code, vrs, vnext := getResults(t, admin, q, true)
+					code, rs, next := getResults(t, admin, q)
 					if code != http.StatusOK {
-						t.Fatalf("%s (v3): HTTP %d", q, code)
+						t.Fatalf("%s: HTTP %d", q, code)
 					}
-					if err := sameResults(vrs, jrs); err != nil {
-						t.Errorf("%s: v3 page differs from JSON page: %v", q, err)
+					want, wantNext := []Result(nil), srv.Cursor()
+					if cursor >= 0 {
+						want, wantNext = srv.ResultsSince(cursor, limit)
 					}
-					if vnext != jnext {
-						t.Errorf("%s: v3 next cursor %d, JSON %d", q, vnext, jnext)
+					if err := sameResults(rs, want); err != nil {
+						t.Errorf("%s: page differs from ResultsSince: %v", q, err)
 					}
-					// And both are the page the log holds there.
-					want := 0
+					if next != wantNext {
+						t.Errorf("%s: next cursor %d, ResultsSince %d", q, next, wantNext)
+					}
+					// And it is the page the log holds there.
+					wantLen := 0
 					if cursor >= 0 && cursor < n {
-						want = n - cursor
+						wantLen = n - cursor
 						if limit > 0 {
-							want = min(want, limit)
+							wantLen = min(wantLen, limit)
 						}
 					}
-					wantNext := n
 					if cursor >= 0 {
-						wantNext = min(cursor, n) + want
+						wantNext = min(cursor, n) + wantLen
 					}
-					if len(jrs) != want || jnext != wantNext {
-						t.Errorf("%s: %d results, next %d; want %d, next %d", q, len(jrs), jnext, want, wantNext)
+					if len(rs) != wantLen || next != wantNext {
+						t.Errorf("%s: %d results, next %d; want %d, next %d", q, len(rs), next, wantLen, wantNext)
 					}
-					for i, r := range vrs {
+					for i, r := range rs {
 						if r.TaskID != cursor+i+1 {
 							t.Errorf("%s: result %d is task %d, want %d", q, i, r.TaskID, cursor+i+1)
 						}
 					}
 				}
 			}
-			for _, v3 := range []bool{false, true} {
-				for _, q := range []string{"cursor=abc", "cursor=1.5", "cursor=0&limit=x"} {
-					if code, _, _ := getResults(t, admin, q, v3); code != http.StatusBadRequest {
-						t.Errorf("%s (v3=%v): HTTP %d, want 400", q, v3, code)
-					}
+			for _, q := range []string{"cursor=abc", "cursor=1.5", "cursor=0&limit=x"} {
+				if code, _, _ := getResults(t, admin, q); code != http.StatusBadRequest {
+					t.Errorf("%s: HTTP %d, want 400", q, code)
 				}
 			}
 		})
 	}
 
 	blind := NewServer(nil, WithSink(writeOnlySink{})).AdminHandler()
-	for _, v3 := range []bool{false, true} {
-		for _, q := range []string{"cursor=0", "cursor=-1", "cursor=abc"} {
-			if code, _, _ := getResults(t, blind, q, v3); code != http.StatusNotImplemented {
-				t.Errorf("cursor-less sink, %s (v3=%v): HTTP %d, want 501", q, v3, code)
-			}
+	for _, q := range []string{"cursor=0", "cursor=-1", "cursor=abc"} {
+		if code, _, _ := getResults(t, blind, q); code != http.StatusNotImplemented {
+			t.Errorf("cursor-less sink, %s: HTTP %d, want 501", q, code)
 		}
 	}
 
@@ -188,7 +173,7 @@ type writeOnlySink struct{}
 
 func (writeOnlySink) Append([]Result) {}
 
-// testV3CutsAtMaxFrame: five 4 MiB results do not fit one frame. The v3
+// testV3CutsAtMaxFrame: five 4 MiB results do not fit one frame. The
 // page holds the three that do, its cursor says 3, and the next page
 // picks up exactly there.
 func testV3CutsAtMaxFrame(t *testing.T) {
@@ -205,7 +190,7 @@ func testV3CutsAtMaxFrame(t *testing.T) {
 			var got []int
 			cursor := 0
 			for pages := 0; ; pages++ {
-				code, rs, next := getResults(t, admin, fmt.Sprintf("cursor=%d", cursor), true)
+				code, rs, next := getResults(t, admin, fmt.Sprintf("cursor=%d", cursor))
 				if code != http.StatusOK {
 					t.Fatalf("cursor=%d: HTTP %d", cursor, code)
 				}

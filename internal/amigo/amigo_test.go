@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -78,8 +77,8 @@ func TestRegisterAndHeartbeat(t *testing.T) {
 }
 
 // TestScheduleCreatesME: an ME does not register. Scheduling for an ME
-// the server does not know creates it, in process and over the JSON
-// admin route, and its lease then carries what was scheduled.
+// the server does not know creates it, in process and over the admin
+// route, and its lease then carries what was scheduled.
 func TestScheduleCreatesME(t *testing.T) {
 	srv, ep, done := testbed(t, "PAK")
 	defer done()
@@ -92,14 +91,14 @@ func TestScheduleCreatesME(t *testing.T) {
 	}
 	admin := httptest.NewServer(srv.AdminHandler())
 	defer admin.Close()
-	resp, err := admin.Client().Post(admin.URL+"/admin/schedule", "application/json",
-		strings.NewReader(`{"me":"me-DEU","kind":"dns","config":"sim"}`))
+	resp, err := admin.Client().Post(admin.URL+"/admin/schedule", wire.ContentType,
+		bytes.NewReader(wire.AppendSchedule(nil, "me-DEU", []Task{{Kind: "dns", Config: "sim"}})))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("JSON schedule for a new ME: HTTP %d", resp.StatusCode)
+		t.Fatalf("schedule for a new ME: HTTP %d", resp.StatusCode)
 	}
 	if got := srv.MEs(); !slices.Equal(got, []string{"me-DEU", "me-PAK"}) {
 		t.Errorf("MEs = %v, want both scheduled ones", got)
@@ -580,33 +579,12 @@ func TestAdminHandlerScheduleAndResults(t *testing.T) {
 			break
 		}
 	}
-	resp, err = hs.Client().Get(hs.URL + "/admin/results?cursor=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var page struct {
-		Cursor  int      `json:"cursor"`
-		Results []Result `json:"results"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if page.Cursor != 2 || len(page.Results) != 2 {
-		t.Fatalf("page = cursor %d, %d results", page.Cursor, len(page.Results))
+	if _, rs, next := getResults(t, srv.AdminHandler(), "cursor=0"); next != 2 || len(rs) != 2 {
+		t.Fatalf("page = cursor %d, %d results", next, len(rs))
 	}
 	// cursor=-1 peeks at the cursor without copying history.
-	resp, err = hs.Client().Get(hs.URL + "/admin/results?cursor=-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	page.Results = nil
-	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if page.Cursor != 2 || len(page.Results) != 0 {
-		t.Fatalf("peek = cursor %d, %d results", page.Cursor, len(page.Results))
+	if _, rs, next := getResults(t, srv.AdminHandler(), "cursor=-1"); next != 2 || len(rs) != 0 {
+		t.Fatalf("peek = cursor %d, %d results", next, len(rs))
 	}
 }
 

@@ -314,12 +314,16 @@ func (e *Endpoint) Heartbeat() {
 // After a lease that was not drained, the Upload of its batch carries
 // this call's lease and brings the reply back (Upload); the call returns
 // that reply without a request when it asks for the same max and no
-// vitals or Redeliver are pending. Otherwise it drops the reply and asks,
-// and the server re-sends those tasks, unacked, from the ack cursor.
+// Redeliver is pending. Pending vitals do not stop a reply that has tasks
+// and is not drained: the Upload of its batch carries the next lease, and
+// the vitals ride that. A drained reply with vitals pending, a reply for
+// another max, or a Redeliver drops the reply and asks, and the server
+// re-sends those tasks, unacked, from the ack cursor.
 func (e *Endpoint) Lease(max int) ([]Task, error) {
 	a := e.ahead
 	e.ahead = leaseAhead{}
-	if a.got && a.max == max && e.vitals.IsZero() && !e.redeliver {
+	ridesNext := !a.drained && len(a.tasks) > 0
+	if a.got && a.max == max && !e.redeliver && (e.vitals.IsZero() || ridesNext) {
 		e.leased(max, a.tasks, a.drained)
 		return a.tasks, nil
 	}

@@ -486,10 +486,10 @@ func batchOf(me string, tasks []Task) []Result {
 //     Lease asks and meets the failure itself;
 //   - a lease naming another ME than the batch's first result is refused
 //     whole and permanently (400 over HTTP), the results not accepted;
-//   - the kept reply serves only a Lease of the same max with no vitals
-//     or Redeliver pending; otherwise the Lease asks and the server re-sends
-//     from the ack cursor, and Redeliver drops it. Vitals pending at the
-//     upload ride its lease.
+//   - the kept reply serves only a Lease of the same max with no
+//     Redeliver pending; otherwise the Lease asks and the server re-sends
+//     from the ack cursor, and Redeliver drops it. Vitals pending at such
+//     a Lease do not make it ask: they ride the upload's lease.
 func TestUploadCarriesLease(t *testing.T) {
 	ctx := context.Background()
 	for _, tr := range transports {
@@ -583,14 +583,14 @@ func TestUploadCarriesLease(t *testing.T) {
 			step(4, ids[4:8], 1, Vitals{})  // the kept reply
 			step(5, ids[8:13], 2, Vitals{}) // another max: asks, and the 4 kept come back re-sent
 			ep.vitals = Vitals{CQI: 3, RAT: "5G"}
-			step(5, ids[13:18], 3, Vitals{CQI: 4, RAT: "4G"}) // vitals pending: asks; then they ride the upload's lease
+			step(5, ids[13:18], 2, Vitals{CQI: 4, RAT: "4G"}) // vitals pending: the kept reply; they ride the upload's lease
 			if v, _ := srv.Vitals("me"); v.CQI != 4 || !ep.vitals.IsZero() {
 				t.Fatalf("server vitals %+v, pending %+v; want the upload's lease to have reported CQI 4", v, ep.vitals)
 			}
-			step(5, ids[18:23], 3, Vitals{}) // the kept reply
+			step(5, ids[18:23], 2, Vitals{}) // the kept reply
 			ep.Redeliver()
-			step(5, ids[:5], 4, Vitals{})   // Redeliver dropped the kept reply
-			step(5, ids[5:10], 4, Vitals{}) // and the redelivered lease's upload carried the next
+			step(5, ids[:5], 3, Vitals{})   // Redeliver dropped the kept reply
+			step(5, ids[5:10], 3, Vitals{}) // and the redelivered lease's upload carried the next
 		})
 	}
 }

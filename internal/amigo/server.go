@@ -72,7 +72,6 @@
 package amigo
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -91,8 +90,8 @@ import (
 )
 
 // Task is one instrumentation command for an ME. The struct lives in
-// internal/wire (aliased here) so the JSON (v1) and binary (v3) codecs
-// share one canonical definition.
+// internal/wire (aliased here) so the server, the endpoint and the v3
+// codec share one canonical definition.
 type Task = wire.Task
 
 // Result is an uploaded observation (canonical struct in
@@ -628,51 +627,6 @@ func rejectErr(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), code)
 }
 
-// writeJSON answers v as JSON (newline-terminated, as json.Encoder
-// writes it). It encodes into a buffer before writing anything, so a
-// value that cannot be encoded answers 500 — saying why(err) when the
-// caller can name the culprit, else the encoder's error — instead of a
-// 200 with an empty body. A failed write means the client vanished
-// mid-response (the headers are out, no status change is possible).
-// Both count, so either is visible in /admin/metrics.
-func (s *Server) writeJSON(w http.ResponseWriter, v any, why func(error) string) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		s.met.encodeErrors.Add(1)
-		msg := err.Error()
-		if why != nil {
-			msg = why(err)
-		}
-		http.Error(w, msg, http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(append(body, '\n')); err != nil {
-		s.met.encodeErrors.Add(1)
-	}
-}
-
-// decodeJSON decodes a JSON control request's body into v. A body over
-// wire.MaxJSONBody — declared, or found while reading — answers 413 and
-// a malformed one 400 with msg; it reports whether v is ready.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any, msg string) bool {
-	var tooBig *http.MaxBytesError
-	if r.ContentLength > wire.MaxJSONBody {
-		http.Error(w, "body too large", http.StatusRequestEntityTooLarge)
-		return false
-	}
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxJSONBody)).Decode(v)
-	switch {
-	case errors.As(err, &tooBig):
-		http.Error(w, "body too large", http.StatusRequestEntityTooLarge)
-	case err != nil:
-		http.Error(w, msg, http.StatusBadRequest)
-	default:
-		return true
-	}
-	return false
-}
-
 // atoiParam parses an optional integer query parameter: empty means 0,
 // anything else must be a well-formed integer.
 func atoiParam(raw string) (int, error) {
@@ -682,8 +636,8 @@ func atoiParam(raw string) (int, error) {
 	return strconv.Atoi(raw)
 }
 
-// writeFrame writes an encoded v3 frame, counting short/failed writes
-// like writeJSON counts encode failures.
+// writeFrame writes an encoded v3 frame, counting a short or failed
+// write (the client vanished mid-response) in /admin/metrics.
 func (s *Server) writeFrame(w http.ResponseWriter, frame []byte) {
 	w.Header()["Content-Type"] = frameType
 	if _, err := w.Write(frame); err != nil {
@@ -782,61 +736,12 @@ const maxLeaseBatch = 1024
 // kindlessSchedule refuses what every ME would execute into errors.
 const kindlessSchedule = "a schedule needs at least one task, each with a kind"
 
-// handleSchedule is POST /admin/schedule (see AdminHandler). The JSON
-// form checks its ME, kind and count before building tasks.
-func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	if r.Header.Get("Content-Type") == wire.ContentType {
-		s.handleV3Schedule(w, r)
-		return
-	}
-	var req struct {
-		ME     string          `json:"me"`
-		Kind   string          `json:"kind"`
-		Target string          `json:"target"`
-		Config string          `json:"config"`
-		Count  int             `json:"count"`
-		Tasks  json.RawMessage `json:"tasks"`
-	}
-	if !decodeJSON(w, r, &req, "bad request") {
-		return
-	}
-	switch {
-	case req.ME == "":
-		http.Error(w, "a schedule names its ME", http.StatusBadRequest)
-		return
-	case req.Tasks != nil:
-		http.Error(w, "a batch schedule is one wire.MsgSchedule frame sent as "+wire.ContentType, http.StatusBadRequest)
-		return
-	case req.Kind == "":
-		http.Error(w, kindlessSchedule, http.StatusBadRequest)
-		return
-	case req.Count > wire.MaxScheduleCount:
-		http.Error(w, fmt.Sprintf("%d tasks is over the limit of %d", req.Count, wire.MaxScheduleCount), http.StatusBadRequest)
-		return
-	}
-	tasks := make([]Task, max(req.Count, 1))
-	for i := range tasks {
-		tasks[i] = Task{Kind: req.Kind, Target: req.Target, Config: req.Config}
-	}
-	ids, err := s.ScheduleBatch(req.ME, tasks)
-	if err != nil {
-		rejectErr(w, err)
-		return
-	}
-	s.writeJSON(w, struct {
-		TaskIDs []int `json:"task_ids"`
-	}{ids}, nil)
-}
-
 // handleAdminResults is GET /admin/results?cursor=N[&limit=M]: one page
-// of the result log, in one of two representations of the same page.
-// JSON — {"cursor": next, "results": [...]} — is the default, for
-// operators and curl. A request carrying Accept: application/vnd.amigo.v3
-// gets the codec the results were uploaded in: one wire.MsgResults frame
-// (no body when the page is empty) encoded into a pooled buffer, with
-// next in the X-Amigo-Cursor header; a page whose frame would exceed
-// wire.MaxFrame is cut to the results that fit, and next says so.
-// cursor=-1 returns just the current cursor either way.
+// of the result log in the codec the results were uploaded in, one
+// wire.MsgResults frame (no body when the page is empty) encoded into a
+// pooled buffer, with next in the X-Amigo-Cursor header. A page whose
+// frame would exceed wire.MaxFrame is cut to the results that fit, and
+// next says so. cursor=-1 returns just the current cursor.
 func (s *Server) handleAdminResults(w http.ResponseWriter, r *http.Request) {
 	if !s.SupportsCursor() {
 		http.Error(w, "results not readable: installed sink has no cursor support", http.StatusNotImplemented)
@@ -861,26 +766,10 @@ func (s *Server) handleAdminResults(w http.ResponseWriter, r *http.Request) {
 	if cursor >= 0 {
 		rs, next = s.ResultsSince(cursor, limit)
 	}
-	if r.Header.Get("Accept") != wire.ContentType {
-		if rs == nil {
-			rs = []Result{}
-		}
-		s.writeJSON(w, map[string]any{"cursor": next, "results": rs}, func(err error) string {
-			// Payloads are stored as uploaded; one that is not JSON cannot
-			// sit inside this page, but reads fine as a v3 frame.
-			for _, res := range rs {
-				if len(res.Payload) > 0 && !json.Valid(res.Payload) {
-					return fmt.Sprintf("the payload of task %d (%s) is not JSON; read the page as %s", res.TaskID, res.ME, wire.ContentType)
-				}
-			}
-			return err.Error()
-		})
-		return
-	}
 	n, size := wire.ResultsFrameLen(rs)
 	if n < len(rs) {
 		if n == 0 {
-			http.Error(w, "result exceeds the v3 frame bound; read it as JSON", http.StatusInternalServerError)
+			http.Error(w, "result exceeds the v3 frame bound", http.StatusInternalServerError)
 			return
 		}
 		next -= len(rs) - n
@@ -897,29 +786,23 @@ func (s *Server) handleAdminResults(w http.ResponseWriter, r *http.Request) {
 	s.writeFrame(w, *buf)
 }
 
-// AdminHandler exposes the operator API:
+// AdminHandler exposes the operator API. Its one request body is a
+// wire.MsgSchedule frame sent as application/vnd.amigo.v3 (else 415):
 //
-//	POST /admin/schedule  a wire.MsgSchedule frame -> a MsgTasks frame of
-//	                      the queued tasks, or {"me":..., "kind":...,
-//	                      "target":..., "config":..., "count":N} -> {"task_ids":[...]};
-//	                      over wire.MaxScheduleCount tasks, none, one
-//	                      without a kind, or no ME is 400 and queues
-//	                      nothing; an ME the server does not know yet is
-//	                      created
-//	GET  /admin/results?cursor=N[&limit=M] -> {"cursor": next, "results": [...]}
-//	                      cursor=-1 returns just the current cursor; with
-//	                      Accept: application/vnd.amigo.v3 the page is one
-//	                      MsgResults frame and next is in X-Amigo-Cursor
-//	GET  /admin/mes
+//	POST /admin/schedule  MsgSchedule frame -> a MsgTasks frame of the
+//	                      queued tasks; over wire.MaxScheduleCount tasks,
+//	                      none, one without a kind, or no ME is 400 and
+//	                      queues nothing; an ME the server does not know
+//	                      yet is created
+//	GET  /admin/results?cursor=N[&limit=M] -> one MsgResults frame, next
+//	                      in X-Amigo-Cursor; cursor=-1 returns just the
+//	                      current cursor
 //	GET  /admin/metrics        -> Prometheus text exposition (see WithObs)
 //	GET  /admin/trace?n=K      -> newest K trace events as JSON
 func (s *Server) AdminHandler() http.Handler {
 	mux := http.NewServeMux()
-	s.instrument(mux, "POST /admin/schedule", s.handleSchedule)
+	s.instrument(mux, "POST /admin/schedule", s.handleV3Schedule)
 	s.instrument(mux, "GET /admin/results", s.handleAdminResults)
-	s.instrument(mux, "GET /admin/mes", func(w http.ResponseWriter, r *http.Request) {
-		s.writeJSON(w, s.MEs(), nil)
-	})
 	// Observability routes. Both are valid (empty) with no registry
 	// attached, and deliberately uninstrumented: scraping the metrics
 	// endpoint should not move the metrics it reports.

@@ -137,8 +137,8 @@ func (s *Server) handleV3Results(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleV3Schedule is POST /admin/schedule's frame form: a MsgSchedule in,
-// a MsgTasks of the queued tasks under their IDs (see ScheduleBatch) out.
+// handleV3Schedule is POST /admin/schedule: a MsgSchedule in, a MsgTasks
+// of the queued tasks under their IDs (see ScheduleBatch) out.
 func (s *Server) handleV3Schedule(w http.ResponseWriter, r *http.Request) {
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)

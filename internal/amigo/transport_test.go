@@ -2,9 +2,7 @@ package amigo
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -243,42 +241,6 @@ func TestUploadResendIsDeduped(t *testing.T) {
 				t.Errorf("dedup-dropped batches = %d, want 1", got)
 			}
 		})
-	}
-}
-
-// TestJSONBodiesMatchMapMarshal: the JSON schedule's answer is a struct,
-// byte for byte what json.Marshal made of the map it replaced. The ME
-// name carries characters json.Marshal escapes.
-func TestJSONBodiesMatchMapMarshal(t *testing.T) {
-	const me = "me-<&>\"é\u2028"
-	srv := NewServer(nil)
-	admin := httptest.NewServer(srv.AdminHandler())
-	defer admin.Close()
-	req, _ := json.Marshal(map[string]any{"me": me, "kind": "dns", "count": 3})
-	resp, err := admin.Client().Post(admin.URL+"/admin/schedule", "application/json", bytes.NewReader(req))
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheduled, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, tc := range []struct {
-		name string
-		got  []byte
-		old  any
-	}{
-		{"schedule response", bytes.TrimSuffix(scheduled, []byte("\n")), map[string]any{"task_ids": []int{1, 2, 3}}},
-	} {
-		want, err := json.Marshal(tc.old)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(tc.got, want) {
-			t.Errorf("%s body = %s, want the map's %s", tc.name, tc.got, want)
-		}
 	}
 }
 

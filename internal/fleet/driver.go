@@ -71,7 +71,9 @@ type Driver struct {
 	// kill changes the fault trace (an extra incarnation) but never
 	// the dataset; it is an escape hatch, off by default. On a virtual
 	// clock the deadline can only fire while the ME is parked in a
-	// clock wait, so kills are deterministic too.
+	// clock wait, so kills are deterministic too. Each request of the
+	// results read-back (the start-cursor probe, every page) gets the
+	// same bound, and a read-back that overruns it fails Run.
 	Straggler time.Duration
 	// Clock is the campaign time source (nil = wall clock). Inject a
 	// *vclock.Virtual to run the campaign on discrete-event time: waits
@@ -163,6 +165,15 @@ func (d *Driver) clock() vclock.Clock {
 	return vclock.Wall
 }
 
+// watchdog bounds one ME incarnation, or one request of the results
+// read-back, by Straggler on the campaign clock when it is set.
+func (d *Driver) watchdog() (context.Context, context.CancelFunc) {
+	if d.Straggler > 0 {
+		return vclock.ContextWithTimeout(context.Background(), d.clock(), d.Straggler)
+	}
+	return context.Background(), func() {}
+}
+
 func (d *Driver) leaseBatch() int {
 	if d.LeaseBatch > 0 {
 		return d.LeaseBatch
@@ -238,7 +249,7 @@ func (d *Driver) Run(w *airalo.World, plan Plan) (*Campaign, error) {
 		seeds[i] = parent.ForkSeed(sc.Label)
 	}
 
-	_, startCursor, err := d.fetchPage(client, -1, 0, nil)
+	startCursor, err := d.fetchCursor(client)
 	if err != nil {
 		return nil, err
 	}
@@ -358,12 +369,8 @@ func (d *Driver) runME(client *http.Client, sc MESchedule, dep *airalo.Deploymen
 // The first successful schedule pins the server-assigned task IDs into
 // tasks (in place), so a shard-recovery re-schedule reuses them.
 func (d *Driver) runIncarnation(client *http.Client, sc MESchedule, dep *airalo.Deployment, seed int64, inc int, scheduled *bool, tasks []amigo.Task) (crashed bool, err error) {
-	ctx := context.Background()
-	if d.Straggler > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = vclock.ContextWithTimeout(ctx, d.clock(), d.Straggler)
-		defer cancel()
-	}
+	ctx, cancel := d.watchdog()
+	defer cancel()
 
 	// Recreating the stream from the stored seed makes every
 	// incarnation's draws — heartbeat vitals included — identical to the
@@ -412,8 +419,8 @@ func (d *Driver) runIncarnation(client *http.Client, sc MESchedule, dep *airalo.
 
 // Request headers shared read-only by every schedule and page request.
 var (
-	frameHeader  = http.Header{"Content-Type": {wire.ContentType}}
-	acceptFrames = http.Header{"Accept": {wire.ContentType}}
+	frameHeader = http.Header{"Content-Type": {wire.ContentType}}
+	pageHeader  = http.Header{}
 )
 
 // scheduleBatch POSTs the ME's schedule as one MsgSchedule frame and
@@ -460,13 +467,13 @@ func (d *Driver) scheduleBatch(ctx context.Context, client *http.Client, me stri
 	return nil
 }
 
-// fetchPage GETs one page of /admin/results in the codec the results
-// were uploaded in — MsgResults frames, the next cursor in a header —
-// and decodes it onto dst; the decoded payloads alias the page's own
-// frame buffers (wire.Decoder.ReadResults), which live as long as they
-// do. limit <= 0 leaves the page size to the server; cursor -1 asks for
-// just the current cursor.
-func (d *Driver) fetchPage(client *http.Client, cursor, limit int, dst []amigo.Result) ([]amigo.Result, int, error) {
+// fetchPage GETs one page of /admin/results under ctx — MsgResults
+// frames, the next cursor in a header — and decodes it onto dst; the
+// decoded payloads alias the page's own frame buffers
+// (wire.Decoder.ReadResults), which live as long as they do. limit <= 0
+// leaves the page size to the server; cursor -1 asks for just the
+// current cursor.
+func (d *Driver) fetchPage(ctx context.Context, client *http.Client, cursor, limit int, dst []amigo.Result) ([]amigo.Result, int, error) {
 	route, err := amigo.Route(d.BaseURL, "/admin/results")
 	if err != nil {
 		return dst, 0, err
@@ -476,7 +483,7 @@ func (d *Driver) fetchPage(client *http.Client, cursor, limit int, dst []amigo.R
 	if limit > 0 {
 		u.RawQuery += "&limit=" + strconv.Itoa(limit)
 	}
-	resp, err := amigo.Send(context.Background(), client, http.MethodGet, &u, acceptFrames, nil)
+	resp, err := amigo.Send(ctx, client, http.MethodGet, &u, pageHeader, nil)
 	if err != nil {
 		return dst, 0, err
 	}
@@ -486,7 +493,7 @@ func (d *Driver) fetchPage(client *http.Client, cursor, limit int, dst []amigo.R
 	}
 	next, err := strconv.Atoi(resp.Header.Get(wire.CursorHeader))
 	if err != nil {
-		return dst, 0, fmt.Errorf("fleet: results: no %s header (server does not serve v3 result pages): %w", wire.CursorHeader, err)
+		return dst, 0, fmt.Errorf("fleet: results: no %s header: %w", wire.CursorHeader, err)
 	}
 	dec := wire.GetDecoder()
 	defer wire.PutDecoder(dec)
@@ -496,12 +503,21 @@ func (d *Driver) fetchPage(client *http.Client, cursor, limit int, dst []amigo.R
 	return dst, next, nil
 }
 
+// fetchCursor asks the plane for its results log's current cursor,
+// within the watchdog.
+func (d *Driver) fetchCursor(client *http.Client) (int, error) {
+	ctx, cancel := d.watchdog()
+	defer cancel()
+	_, cursor, err := d.fetchPage(ctx, client, -1, 0, nil)
+	return cursor, err
+}
+
 // fetchResults pages through /admin/results from the given cursor to
 // the end of the log, into one slice sized up front from the log's
-// current cursor.
+// current cursor. Each page gets its own watchdog.
 func (d *Driver) fetchResults(client *http.Client, cursor int) ([]amigo.Result, error) {
 	const pageSize = 5000
-	_, end, err := d.fetchPage(client, -1, 0, nil)
+	end, err := d.fetchCursor(client)
 	if err != nil {
 		return nil, err
 	}
@@ -509,7 +525,10 @@ func (d *Driver) fetchResults(client *http.Client, cursor int) ([]amigo.Result, 
 	for {
 		n := len(out)
 		var next int
-		if out, next, err = d.fetchPage(client, cursor, pageSize, out); err != nil {
+		ctx, cancel := d.watchdog()
+		out, next, err = d.fetchPage(ctx, client, cursor, pageSize, out)
+		cancel()
+		if err != nil {
 			return nil, err
 		}
 		if len(out) == n || next <= cursor {

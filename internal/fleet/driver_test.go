@@ -99,6 +99,40 @@ func TestStragglerReclaimsHungSchedule(t *testing.T) {
 	}
 }
 
+// TestStragglerBoundsResultsReadBack: the campaign's results read-back
+// runs under the straggler bound too. Against a plane whose first results
+// page never answers, Run fails with the deadline instead of waiting
+// forever.
+func TestStragglerBoundsResultsReadBack(t *testing.T) {
+	srv := amigo.NewServer(nil)
+	mux := http.NewServeMux()
+	mux.Handle("/", shard.Mount(srv.Handler(), srv.AdminHandler()))
+	mux.HandleFunc("GET /admin/results", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("cursor") == "0" {
+			<-r.Context().Done()
+			return
+		}
+		srv.AdminHandler().ServeHTTP(w, r)
+	})
+	hs := httptest.NewServer(mux)
+	defer func() { hs.CloseClientConnections(); hs.Close() }()
+	w := testWorld(t)
+	d := &Driver{BaseURL: hs.URL, Seed: testSeed, Straggler: 100 * time.Millisecond}
+	done := make(chan error, 1)
+	go func() {
+		_, err := d.Run(w, Plan{Countries: []string{"PAK"}})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Run against a hung results page: %v, want the straggler deadline", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run still waits on a hung results page after 10s: the read-back has no deadline")
+	}
+}
+
 // TestScheduleFrameCarriesTasks: the schedule POST body is one
 // MsgSchedule frame that decodes to exactly the ME and tasks given, pinned
 // IDs included, and the reply's IDs land in the tasks in place.

@@ -2,13 +2,11 @@ package shard
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -73,7 +71,7 @@ func newTopology(backends []http.Handler, reg *obs.Registry) *topology {
 // Gateway fronts N shard backends with the single-server HTTP surface:
 // MEs talk to one base URL and never learn the topology. Every data-
 // plane request is routed whole to the ME's owning shard (no fan-out on
-// the hot path); the admin read routes merge across shards in canonical
+// the hot path); the admin results route merges across shards in canonical
 // shard-index order. The topology is swappable at runtime: SetBackend
 // replaces one shard's handler in place (the shard-kill recovery hook),
 // and Pause/Resume quiesce the whole data plane and install a new ring
@@ -189,21 +187,12 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) buildMux() *http.ServeMux {
 	mux := http.NewServeMux()
-	// Data plane: peek the ME, forward whole to its shard.
+	// Every body is one v3 frame: peek the ME, forward whole to its shard.
 	mux.HandleFunc("POST /v3/tasks/lease", g.routeV3(routeV3Lease))
 	mux.HandleFunc("POST /v3/results", g.routeV3(routeV3Results))
-	// A schedule is a v3 frame (the fleet driver's) or JSON (curl's).
-	v3Schedule, jsonSchedule := g.routeV3(routeAdminSchedule), g.routeJSON(routeAdminSchedule)
-	mux.HandleFunc("POST /admin/schedule", func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("Content-Type") == wire.ContentType {
-			v3Schedule(w, r)
-			return
-		}
-		jsonSchedule(w, r)
-	})
-	// Admin read surface: merged views.
+	mux.HandleFunc("POST /admin/schedule", g.routeV3(routeAdminSchedule))
+	// Admin read surface: the merged results log.
 	mux.HandleFunc("GET /admin/results", g.handleMergedResults)
-	mux.HandleFunc("GET /admin/mes", g.handleMergedMEs)
 	// The gateway's own observability, covering gateway counters plus
 	// whatever the harness registered alongside (per-shard WAL metrics).
 	mux.Handle("GET /admin/metrics", g.obs.MetricsHandler())
@@ -254,69 +243,6 @@ func (g *Gateway) forwardBody(w http.ResponseWriter, r *http.Request, b *pooledB
 	t.backends[shard].ServeHTTP(w, r)
 }
 
-// readJSONBody reads the whole (bounded) request body into b's buffer,
-// sized from Content-Length when the client declared one. It answers
-// 400 / 413 itself and reports whether the body is ready.
-func readJSONBody(w http.ResponseWriter, r *http.Request, b *pooledBody) bool {
-	if r.ContentLength > wire.MaxJSONBody {
-		http.Error(w, "body too large", http.StatusRequestEntityTooLarge)
-		return false
-	}
-	// One spare byte lets the read that discovers EOF land without
-	// growing the buffer.
-	buf := slices.Grow((*b.buf)[:0], int(r.ContentLength)+1)
-	for {
-		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, 1)
-		}
-		n, err := r.Body.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		*b.buf = buf // keep any growth pooled
-		if len(buf) > wire.MaxJSONBody {
-			http.Error(w, "body too large", http.StatusRequestEntityTooLarge)
-			return false
-		}
-		if err == io.EOF {
-			return true
-		}
-		if err != nil {
-			http.Error(w, "reading body", http.StatusBadRequest)
-			return false
-		}
-	}
-}
-
-// jsonObjectME peeks {"me": ...} out of a JSON object body.
-func jsonObjectME(body []byte) (string, error) {
-	var obj struct {
-		ME string `json:"me"`
-	}
-	if err := json.Unmarshal(body, &obj); err != nil {
-		return "", err
-	}
-	return obj.ME, nil
-}
-
-// routeJSON reads the body into a pooled buffer, peeks the ME out of
-// the JSON object, and forwards. A body the peek cannot parse is
-// rejected here with 400 — the shard would reject it identically, so
-// nothing observable changes versus a single server.
-func (g *Gateway) routeJSON(route int) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		b := takeBody()
-		defer b.release()
-		if !readJSONBody(w, r, b) {
-			return
-		}
-		me, err := jsonObjectME(*b.buf)
-		if err != nil {
-			http.Error(w, "bad request", http.StatusBadRequest)
-			return
-		}
-		g.forwardBody(w, r, b, me, route)
-	}
-}
-
 // readFrame reads the one v3 frame that must be the whole body into
 // b's buffer, sized from the frame header — so a header declaring more
 // than wire.MaxFrame is refused before any payload is read. It returns
@@ -344,13 +270,18 @@ func readFrame(body io.Reader, b *pooledBody) (wire.Header, error) {
 
 var errNotOneFrame = errors.New("shard: body is not exactly one v3 frame")
 
-// routeV3 peeks the ME out of a binary wire frame: the header names the
-// message type, and LeaseRequest.ME / the first upload record's ME /
-// the schedule's ME names the owning shard. Only the routing-relevant
-// prefix is decoded strictly here; the shard's handler decodes (and rejects) the full
-// frame as usual.
+// routeV3 is the gateway's one peek: it reads the ME out of a binary wire
+// frame — the header names the message type, and LeaseRequest.ME / the
+// first upload record's ME / the schedule's ME names the owning shard.
+// Only the routing-relevant prefix is decoded strictly here; the shard's
+// handler decodes (and rejects) the full frame as usual. A body not sent
+// as a frame is 415 before any of it is read, as a shard answers it.
 func (g *Gateway) routeV3(route int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("Content-Type") != wire.ContentType {
+			http.Error(w, "expected "+wire.ContentType, http.StatusUnsupportedMediaType)
+			return
+		}
 		b := takeBody()
 		defer b.release()
 		h, err := readFrame(r.Body, b)
@@ -383,7 +314,7 @@ func (g *Gateway) routeV3(route int) http.HandlerFunc {
 }
 
 // memResponse is a minimal in-memory http.ResponseWriter for the
-// synthetic sub-requests the merged admin routes issue against shard
+// synthetic sub-requests the merged results route issues against shard
 // backends.
 type memResponse struct {
 	code int
@@ -412,17 +343,13 @@ func (m *memResponse) Write(p []byte) (int, error) {
 }
 
 // shardGet issues a synthetic GET against shard i's backend in the
-// given topology snapshot, asking for the representation accept names
-// ("" = the backend's default, JSON). The body is appended to resp, so
-// one memResponse can collect several shards' bodies back to back.
+// given topology snapshot. The body is appended to resp, so one
+// memResponse can collect several shards' MsgResults frames back to back.
 // Non-200 statuses are returned as errors carrying the status code.
-func shardGet(t *topology, i int, path, accept string, resp *memResponse) (int, error) {
+func shardGet(t *topology, i int, path string, resp *memResponse) (int, error) {
 	req, err := http.NewRequest(http.MethodGet, path, nil)
 	if err != nil {
 		return 0, err
-	}
-	if accept != "" {
-		req.Header.Set("Accept", accept)
 	}
 	resp.code = 0
 	t.backends[i].ServeHTTP(resp, req)
@@ -435,32 +362,10 @@ func shardGet(t *topology, i int, path, accept string, resp *memResponse) (int, 
 	return resp.code, nil
 }
 
-// adminGet is shardGet for a JSON response, decoded into out.
-func adminGet(t *topology, i int, path string, out any) (int, error) {
-	var resp memResponse
-	code, err := shardGet(t, i, path, "", &resp)
-	if err != nil {
-		return code, err
-	}
-	if err := json.Unmarshal(resp.body.Bytes(), out); err != nil {
-		return code, fmt.Errorf("shard %d: %s: %w", i, path, err)
-	}
-	return code, nil
-}
-
-// resultsPage mirrors the amigo admin results response.
-type resultsPage struct {
-	Cursor  int               `json:"cursor"`
-	Results []json.RawMessage `json:"results"`
-}
-
-// mergedPage accumulates one merged results page in the representation
-// the client asked for: raw JSON results, or (v3) the shards' own
+// mergedPage accumulates one merged results page: the shards' own
 // MsgResults frames back to back, passed through undecoded.
 type mergedPage struct {
-	v3     bool
 	n      int // results merged so far
-	json   []json.RawMessage
 	frames memResponse
 }
 
@@ -468,22 +373,12 @@ type mergedPage struct {
 // returns how many the shard served (fewer when it serves bounded
 // pages). A shard that appended past the probe must not leak
 // post-snapshot results into the page: want is what the snapshot has
-// left, and a shard serving more than it is cut back (JSON) or refused
-// (v3 — its frame would have to be re-encoded to be cut).
+// left, and a shard serving more than it is refused (its frame would
+// have to be re-encoded to be cut).
 func (m *mergedPage) read(t *topology, i, local, want int) (int, error) {
 	path := fmt.Sprintf("/admin/results?cursor=%d&limit=%d", local, want)
-	if !m.v3 {
-		var page resultsPage
-		if _, err := adminGet(t, i, path, &page); err != nil {
-			return 0, err
-		}
-		got := min(len(page.Results), want)
-		m.json = append(m.json, page.Results[:got]...)
-		m.n += got
-		return got, nil
-	}
 	off := m.frames.body.Len()
-	if _, err := shardGet(t, i, path, wire.ContentType, &m.frames); err != nil {
+	if _, err := shardGet(t, i, path, &m.frames); err != nil {
 		return 0, err
 	}
 	got, err := countResults(m.frames.body.Bytes()[off:])
@@ -524,25 +419,17 @@ func countResults(frames []byte) (int, error) {
 // write answers the merged request: next is the global cursor one past
 // the page.
 func (m *mergedPage) write(w http.ResponseWriter, next int) {
-	if !m.v3 {
-		if m.json == nil {
-			m.json = []json.RawMessage{}
-		}
-		writeJSON(w, map[string]any{"cursor": next, "results": m.json})
-		return
-	}
 	w.Header().Set(wire.CursorHeader, strconv.Itoa(next))
 	w.Header().Set("Content-Type", wire.ContentType)
 	w.Write(m.frames.body.Bytes()) // a failed write means the client is gone
 }
 
 // handleMergedResults serves GET /admin/results with the single-server
-// contract — a page of results by cursor and limit, cursor=-1 returning
-// just the current cursor, as JSON {"cursor": next, "results": [...]} or,
-// for Accept: application/vnd.amigo.v3, as MsgResults frames with next
-// in X-Amigo-Cursor — over the concatenation of all shards' logs in
-// shard-index order. A v3 page is the shards' own frames passed through:
-// the gateway reads each frame's record count and decodes nothing.
+// contract — a page of results by cursor and limit as MsgResults frames
+// with next in X-Amigo-Cursor, cursor=-1 returning just the current
+// cursor — over the concatenation of all shards' logs in shard-index
+// order. The page is the shards' own frames passed through: the gateway
+// reads each frame's record count and decodes nothing.
 //
 // The global cursor maps onto per-shard cursors via a prefix-sum
 // snapshot of the shard log lengths, probed once up front. Within one
@@ -567,7 +454,7 @@ func (g *Gateway) handleMergedResults(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	page := mergedPage{v3: r.Header.Get("Accept") == wire.ContentType}
+	var page mergedPage
 
 	t := g.topo.Load()
 	n := t.ring.Shards()
@@ -575,7 +462,7 @@ func (g *Gateway) handleMergedResults(w http.ResponseWriter, r *http.Request) {
 	total := 0
 	for i := range lens {
 		var probe memResponse
-		code, err := shardGet(t, i, "/admin/results?cursor=-1", wire.ContentType, &probe)
+		code, err := shardGet(t, i, "/admin/results?cursor=-1", &probe)
 		if err == nil {
 			if lens[i], err = strconv.Atoi(probe.Header().Get(wire.CursorHeader)); err != nil {
 				err = fmt.Errorf("shard %d: cursor probe: %w", i, err)
@@ -637,28 +524,4 @@ func intParam(w http.ResponseWriter, raw, name string) (int, bool) {
 		return 0, false
 	}
 	return v, true
-}
-
-// handleMergedMEs serves GET /admin/mes as the sorted union of every
-// shard's registered MEs.
-func (g *Gateway) handleMergedMEs(w http.ResponseWriter, r *http.Request) {
-	t := g.topo.Load()
-	var all []string
-	for i := 0; i < t.ring.Shards(); i++ {
-		var mes []string
-		if _, err := adminGet(t, i, "/admin/mes", &mes); err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		all = append(all, mes...)
-	}
-	sort.Strings(all)
-	writeJSON(w, all)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		http.Error(w, "encoding response", http.StatusInternalServerError)
-	}
 }

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
@@ -67,10 +66,11 @@ func post(t *testing.T, url, contentType string, body []byte, chunked bool) int 
 // TestGatewayV3BodyShapes sends every v3 body shape to a bare
 // amigo.Server and through a gateway in front of an identical one. The
 // status code must match, and the shard must read exactly the bytes the
-// client sent. The one deliberate difference is a body longer than its
-// frame: a bare server reads one frame and ignores the rest; the
-// gateway refuses it, because it forwards whole bodies and will not
-// route bytes it has not framed.
+// client sent; a body the gateway refuses (400 for a bad frame, 415 for
+// one not sent as a frame) never reaches the shard. The one deliberate
+// difference is a body longer than its frame: a bare server reads one
+// frame and ignores the rest; the gateway refuses it, because it
+// forwards whole bodies and will not route bytes it has not framed.
 func TestGatewayV3BodyShapes(t *testing.T) {
 	const me = "PAK-00"
 	results := func(n, payload int) []byte {
@@ -88,7 +88,7 @@ func TestGatewayV3BodyShapes(t *testing.T) {
 		contentType string
 		body        []byte
 		chunked     bool
-		refused     bool // the gateway answers 400 itself; nothing reaches the shard
+		refused     int  // the status the gateway answers itself; nothing reaches the shard
 		bareDiffers bool // the documented trailing-bytes difference
 	}{
 		{name: "lease", path: "/v3/tasks/lease", body: wire.AppendLeaseRequest(nil, wire.LeaseRequest{ME: me, Max: 4})},
@@ -96,12 +96,12 @@ func TestGatewayV3BodyShapes(t *testing.T) {
 		{name: "results-1", path: "/v3/results", body: one},
 		{name: "results-N", path: "/v3/results", body: results(40, 100)},
 		{name: "first-record-over-pooled-buffer", path: "/v3/results", body: results(2, 96<<10)},
-		{name: "trailing-byte", path: "/v3/results", body: append(append([]byte(nil), one...), 0), refused: true, bareDiffers: true},
-		{name: "truncated-payload", path: "/v3/results", body: one[:len(one)-3], refused: true},
+		{name: "trailing-byte", path: "/v3/results", body: append(append([]byte(nil), one...), 0), refused: http.StatusBadRequest, bareDiffers: true},
+		{name: "truncated-payload", path: "/v3/results", body: one[:len(one)-3], refused: http.StatusBadRequest},
 		{name: "chunked-no-content-length", path: "/v3/results", body: results(3, 50), chunked: true},
 		{name: "chunked-over-pooled-buffer", path: "/v3/results", body: results(2, 96<<10), chunked: true},
-		{name: "chunked-trailing-byte", path: "/v3/results", body: append(append([]byte(nil), one...), 0), chunked: true, refused: true, bareDiffers: true},
-		{name: "wrong-content-type", path: "/v3/results", contentType: "application/json", body: one},
+		{name: "chunked-trailing-byte", path: "/v3/results", body: append(append([]byte(nil), one...), 0), chunked: true, refused: http.StatusBadRequest, bareDiffers: true},
+		{name: "wrong-content-type", path: "/v3/results", contentType: "application/json", body: one, refused: http.StatusUnsupportedMediaType},
 		{name: "wrong-type-for-route", path: "/v3/tasks/lease", body: one},
 	}
 	for _, tc := range cases {
@@ -124,14 +124,14 @@ func TestGatewayV3BodyShapes(t *testing.T) {
 			want := post(t, bareHS.URL+tc.path, ct, tc.body, tc.chunked)
 			got := post(t, gwHS.URL+tc.path, ct, tc.body, tc.chunked)
 			switch {
-			case tc.refused && got != http.StatusBadRequest:
-				t.Fatalf("gateway: HTTP %d, want 400", got)
+			case tc.refused != 0 && got != tc.refused:
+				t.Fatalf("gateway: HTTP %d, want %d", got, tc.refused)
 			case !tc.bareDiffers && got != want:
 				t.Fatalf("gateway: HTTP %d, bare server: HTTP %d", got, want)
 			case tc.bareDiffers && want >= 300:
 				t.Fatalf("bare server: HTTP %d — it no longer ignores trailing bytes; fold this case into the others", want)
 			}
-			if tc.refused {
+			if tc.refused != 0 {
 				if len(rec.bodies) != 0 {
 					t.Fatalf("a refused body reached the shard: %d bytes", len(rec.bodies[0]))
 				}
@@ -156,8 +156,7 @@ func TestGatewayV3BodyShapes(t *testing.T) {
 // TestGatewayOversizedBodiesRefusedFromTheirLength: a frame header
 // declaring more than wire.MaxFrame is refused from the header alone —
 // the body here is nothing but that header, so a gateway that went on to
-// read the payload would block or fail differently — and a JSON body
-// declaring more than wire.MaxJSONBody is refused from Content-Length.
+// read the payload would block or fail differently.
 func TestGatewayOversizedBodiesRefusedFromTheirLength(t *testing.T) {
 	gw, _, _ := shardSet(t, 1)
 	frame := wire.AppendResults(nil, []wire.Result{{TaskID: 1, ME: "m"}})
@@ -166,89 +165,66 @@ func TestGatewayOversizedBodiesRefusedFromTheirLength(t *testing.T) {
 	if _, err := wire.ParseHeader(hdr); err == nil {
 		t.Fatal("test header is not oversized")
 	}
+	req := httptest.NewRequest(http.MethodPost, "/v3/results", bytes.NewReader(hdr))
+	req.Header.Set("Content-Type", wire.ContentType)
 	w := httptest.NewRecorder()
-	gw.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v3/results", bytes.NewReader(hdr)))
+	gw.ServeHTTP(w, req)
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("oversized frame header: HTTP %d, want 400", w.Code)
 	}
-
-	req := httptest.NewRequest(http.MethodPost, "/admin/schedule", bytes.NewReader([]byte(`{"me":"m","kind":"dns"}`)))
-	req.ContentLength = wire.MaxJSONBody + 1
-	w = httptest.NewRecorder()
-	gw.ServeHTTP(w, req)
-	if w.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized JSON body: HTTP %d, want 413", w.Code)
-	}
 }
 
-// TestJSONControlBodyBound: a 1 MiB JSON schedule — a body actually
-// sent, declared or chunked, not just a Content-Length — answers 413 from
-// a bare server and through the gateway, and creates no ME.
-func TestJSONControlBodyBound(t *testing.T) {
-	body := []byte(`{"me":"` + strings.Repeat("x", 1<<20) + `","kind":"dns"}`)
-	for _, chunked := range []bool{false, true} {
-		srv := amigo.NewServer(nil)
-		bare := httptest.NewServer(srv.AdminHandler())
-		_, servers, gwHS := shardSet(t, 2)
-		for _, c := range []struct {
-			name string
-			url  string
-			mes  func() int
-		}{
-			{"server", bare.URL, func() int { return len(srv.MEs()) }},
-			{"gateway", gwHS.URL, func() int { return len(servers[0].MEs()) + len(servers[1].MEs()) }},
-		} {
-			if got := post(t, c.url+"/admin/schedule", "application/json", body, chunked); got != http.StatusRequestEntityTooLarge {
-				t.Errorf("%s (chunked %v): a 1 MiB schedule answered %d, want 413", c.name, chunked, got)
-			}
-			if n := c.mes(); n != 0 {
-				t.Errorf("%s (chunked %v): %d MEs created by a refused body", c.name, chunked, n)
-			}
-		}
-		bare.Close()
-	}
+// tripwire is a request body that fails the test when read.
+type tripwire struct{ t *testing.T }
+
+func (w tripwire) Read([]byte) (int, error) {
+	w.t.Error("the gateway read a body it had to refuse from its Content-Type")
+	return 0, io.EOF
 }
 
-// TestGatewayJSONBodyShapes: the JSON schedule's pooled read hands the
-// shard the client's exact bytes whether or not the length was
-// declared, including a body that outgrows the pooled buffer and one of
-// exactly wire.MaxJSONBody bytes, the longest accepted.
+// TestGatewayJSONBodyShapes: a schedule sent as JSON is refused with 415
+// whatever its shape — declared or chunked, small, larger than the pooled
+// buffer, 64 KiB, empty, not JSON at all — reaches no shard and creates
+// no ME; and the gateway answers it from the Content-Type alone, without
+// reading the body.
 func TestGatewayJSONBodyShapes(t *testing.T) {
 	padded := func(n int) []byte {
 		return []byte(`{"me":"PAK-00","kind":"dns","target":"` + string(bytes.Repeat([]byte{'x'}, n)) + `"}`)
 	}
-	big, atBound := padded(48<<10), padded(wire.MaxJSONBody-len(padded(0)))
+	big, large := padded(48<<10), padded(64<<10)
 	for _, tc := range []struct {
 		name    string
 		body    []byte
 		chunked bool
-		want    int
 	}{
-		{"declared", []byte(`{"me":"PAK-00","kind":"dns"}`), false, http.StatusOK},
-		{"chunked", []byte(`{"me":"PAK-00","kind":"dns"}`), true, http.StatusOK},
-		{"declared-over-pooled-buffer", big, false, http.StatusOK},
-		{"chunked-over-pooled-buffer", big, true, http.StatusOK},
-		{"declared-at-bound", atBound, false, http.StatusOK},
-		{"chunked-at-bound", atBound, true, http.StatusOK},
-		{"empty", nil, false, http.StatusBadRequest},
-		{"not-json", []byte("me=PAK-00"), false, http.StatusBadRequest},
+		{"declared", []byte(`{"me":"PAK-00","kind":"dns"}`), false},
+		{"chunked", []byte(`{"me":"PAK-00","kind":"dns"}`), true},
+		{"declared-over-pooled-buffer", big, false},
+		{"chunked-over-pooled-buffer", big, true},
+		{"declared-at-bound", large, false},
+		{"chunked-at-bound", large, true},
+		{"empty", nil, false},
+		{"not-json", []byte("me=PAK-00"), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := amigo.NewServer(nil)
 			rec := &recordingBackend{next: Mount(srv.Handler(), srv.AdminHandler())}
-			hs := httptest.NewServer(NewGateway([]http.Handler{rec}, Options{Obs: obs.NewRegistry()}))
+			gw := NewGateway([]http.Handler{rec}, Options{Obs: obs.NewRegistry()})
+			hs := httptest.NewServer(gw)
 			defer hs.Close()
-			if got := post(t, hs.URL+"/admin/schedule", "application/json", tc.body, tc.chunked); got != tc.want {
-				t.Fatalf("HTTP %d, want %d", got, tc.want)
+			if got := post(t, hs.URL+"/admin/schedule", "application/json", tc.body, tc.chunked); got != http.StatusUnsupportedMediaType {
+				t.Fatalf("HTTP %d, want 415", got)
 			}
-			if tc.want >= 300 {
-				if len(rec.bodies) != 0 {
-					t.Fatal("a refused body reached the shard")
-				}
-				return
+			if len(rec.bodies) != 0 || len(srv.MEs()) != 0 {
+				t.Fatalf("a refused body reached the shard (%d requests, MEs %v)", len(rec.bodies), srv.MEs())
 			}
-			if len(rec.bodies) != 1 || !bytes.Equal(rec.bodies[0], tc.body) {
-				t.Fatalf("shard did not read the %d bytes sent", len(tc.body))
+			req := httptest.NewRequest(http.MethodPost, "/admin/schedule", tripwire{t})
+			req.Header.Set("Content-Type", "application/json")
+			req.ContentLength = int64(len(tc.body))
+			w := httptest.NewRecorder()
+			gw.ServeHTTP(w, req)
+			if w.Code != http.StatusUnsupportedMediaType {
+				t.Fatalf("unread body: HTTP %d, want 415", w.Code)
 			}
 		})
 	}

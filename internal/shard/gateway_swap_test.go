@@ -1,16 +1,17 @@
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"roamsim/internal/amigo"
 	"roamsim/internal/obs"
+	"roamsim/internal/wire"
 )
 
 // TestGatewayPauseResume: Pause drains in-flight requests and blocks
@@ -25,7 +26,7 @@ func TestGatewayPauseResume(t *testing.T) {
 	done := make(chan int, 1)
 	go func() {
 		close(started)
-		resp, err := http.Get(hs.URL + "/admin/mes")
+		resp, err := http.Get(hs.URL + "/admin/results?cursor=-1")
 		if err != nil {
 			done <- -1
 			return
@@ -164,32 +165,32 @@ func TestMergedResultsConcurrentAppend(t *testing.T) {
 		if resp.code != 0 && resp.code != http.StatusOK {
 			t.Fatalf("merged read %d: HTTP %d: %s", read, resp.code, resp.body.String())
 		}
-		var page resultsPage
-		if err := json.Unmarshal(resp.body.Bytes(), &page); err != nil {
+		rs, err := wire.NewDecoder().ReadResults(&resp.body, nil)
+		if err != nil {
 			t.Fatalf("merged read %d: %v", read, err)
+		}
+		next, err := strconv.Atoi(resp.Header().Get(wire.CursorHeader))
+		if err != nil {
+			t.Fatalf("merged read %d: %s header: %v", read, wire.CursorHeader, err)
 		}
 		// Shard-order concatenation, and per ME the TaskIDs must be the
 		// gap-free prefix 1..k: a duplicate or a skipped record breaks
 		// the sequence.
 		lastShard := 0
-		next := map[string]int{}
-		for _, raw := range page.Results {
-			var r amigo.Result
-			if err := json.Unmarshal(raw, &r); err != nil {
-				t.Fatal(err)
-			}
+		seen := map[string]int{}
+		for _, r := range rs {
 			s := ring.Shard(r.ME)
 			if s < lastShard {
 				t.Fatalf("merged read %d: shard %d result after shard %d", read, s, lastShard)
 			}
 			lastShard = s
-			if want := next[r.ME] + 1; r.TaskID != want {
+			if want := seen[r.ME] + 1; r.TaskID != want {
 				t.Fatalf("merged read %d: %s got TaskID %d, want %d (duplicate or skip)", read, r.ME, r.TaskID, want)
 			}
-			next[r.ME] = r.TaskID
+			seen[r.ME] = r.TaskID
 		}
-		if page.Cursor != len(page.Results) {
-			t.Fatalf("merged read %d: cursor %d for %d results from cursor 0", read, page.Cursor, len(page.Results))
+		if next != len(rs) {
+			t.Fatalf("merged read %d: cursor %d for %d results from cursor 0", read, next, len(rs))
 		}
 	}
 	close(stop)

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"reflect"
@@ -16,42 +15,29 @@ import (
 	"roamsim/internal/wire"
 )
 
-// mergedGet reads one merged results page from the gateway in the given
-// representation.
-func mergedGet(t *testing.T, gw *Gateway, query string, v3 bool) (rs []amigo.Result, next, frames int) {
+// mergedGet reads one merged results page from the gateway and counts
+// its frames.
+func mergedGet(t *testing.T, gw *Gateway, query string) (rs []amigo.Result, next, frames int) {
 	t.Helper()
 	req, _ := http.NewRequest(http.MethodGet, "/admin/results?"+query, nil)
-	if v3 {
-		req.Header.Set("Accept", wire.ContentType)
-	}
 	var resp memResponse
 	gw.ServeHTTP(&resp, req)
 	if resp.code != 0 && resp.code != http.StatusOK {
-		t.Fatalf("GET %s (v3=%v): HTTP %d: %s", query, v3, resp.code, resp.body.String())
-	}
-	if !v3 {
-		var page struct {
-			Cursor  int            `json:"cursor"`
-			Results []amigo.Result `json:"results"`
-		}
-		if err := json.Unmarshal(resp.body.Bytes(), &page); err != nil {
-			t.Fatalf("GET %s: %v", query, err)
-		}
-		return page.Results, page.Cursor, 0
+		t.Fatalf("GET %s: HTTP %d: %s", query, resp.code, resp.body.String())
 	}
 	next, err := strconv.Atoi(resp.Header().Get(wire.CursorHeader))
 	if err != nil {
-		t.Fatalf("GET %s (v3): %s header: %v", query, wire.CursorHeader, err)
+		t.Fatalf("GET %s: %s header: %v", query, wire.CursorHeader, err)
 	}
 	for rest := resp.body.Bytes(); len(rest) > 0; frames++ {
 		h, err := wire.ParseHeader(rest)
 		if err != nil {
-			t.Fatalf("GET %s (v3): frame %d: %v", query, frames, err)
+			t.Fatalf("GET %s: frame %d: %v", query, frames, err)
 		}
 		rest = rest[wire.HeaderLen+int(h.N):]
 	}
 	if rs, err = wire.NewDecoder().ReadResults(&resp.body, nil); err != nil {
-		t.Fatalf("GET %s (v3): %v", query, err)
+		t.Fatalf("GET %s: %v", query, err)
 	}
 	return rs, next, frames
 }
@@ -73,14 +59,14 @@ func byShard(t *testing.T, ring *Ring, rs []amigo.Result) [][]amigo.Result {
 	return out
 }
 
-// TestGatewayMergedResultsV3: the gateway's v3 merge — shard frames
-// passed through after a look at their record counts — is the JSON merge
-// in another codec. While four shards' logs grow under it (run under
-// -race), every v3 page is a consistent snapshot: shard order, per ME the
-// gap-free prefix 1..k, a cursor that counts the page, and per shard a
-// prefix of what a later JSON merge returns. Once the logs are still, the
-// two merges are equal result for result, cursor for cursor, at every
-// cursor and limit. Two shards sit on WALs, one of them longer than a
+// TestGatewayMergedResultsV3: the gateway's merge — shard frames passed
+// through after a look at their record counts — is the shards' logs
+// concatenated in shard order. While four shards' logs grow under it (run
+// under -race), every page is a consistent snapshot: shard order, per ME
+// the gap-free prefix 1..k, a cursor that counts the page, and per shard
+// a prefix of that shard's log read afterwards. Once the logs are still,
+// every page at every cursor and limit is that window of the
+// concatenated logs. Two shards sit on WALs, one of them longer than a
 // walsink page, so a merge also has to loop over a shard's bounded pages
 // and carry more than one frame per shard.
 func TestGatewayMergedResultsV3(t *testing.T) {
@@ -150,7 +136,7 @@ func TestGatewayMergedResultsV3(t *testing.T) {
 		}
 	}
 	for read := 0; read < 6; read++ {
-		v, vnext, frames := mergedGet(t, gw, "cursor=0", true)
+		v, vnext, frames := mergedGet(t, gw, "cursor=0")
 		if vnext != len(v) {
 			t.Fatalf("read %d: v3 cursor %d for %d results from cursor 0", read, vnext, len(v))
 		}
@@ -165,38 +151,59 @@ func TestGatewayMergedResultsV3(t *testing.T) {
 				}
 			}
 		}
-		j, _, _ := mergedGet(t, gw, "cursor=0", false)
-		for s, part := range byShard(t, ring, j) {
-			if len(part) < len(vs[s]) || !sameResults(part[:len(vs[s])], vs[s]) {
-				t.Fatalf("read %d: shard %d: the v3 merge is not a prefix of the later JSON merge", read, s)
+		for s, part := range vs {
+			log := wholeLog(sinks[s])
+			if len(log) < len(part) || !sameResults(log[:len(part)], part) {
+				t.Fatalf("read %d: shard %d: the merge is not a prefix of the shard's log", read, s)
 			}
 		}
 	}
 	close(stop)
 	wg.Wait()
 
-	total := 0
+	var logs []amigo.Result
 	for _, s := range sinks {
-		total += s.(amigo.CursorSink).Len()
+		logs = append(logs, wholeLog(s)...)
 	}
+	total := len(logs)
 	for _, cursor := range []int{-1, 0, prefill / 2, total + 9} {
 		for _, limit := range []int{0, 1, prefill + 10} {
 			q := fmt.Sprintf("cursor=%d&limit=%d", cursor, limit)
-			j, jnext, _ := mergedGet(t, gw, q, false)
-			v, vnext, _ := mergedGet(t, gw, q, true)
-			if vnext != jnext || !sameResults(j, v) {
-				t.Errorf("%s: v3 merge has %d results, next %d; JSON merge %d results, next %d — or their results differ",
-					q, len(v), vnext, len(j), jnext)
+			want, wantNext := []amigo.Result(nil), total
+			if cursor >= 0 {
+				lo := min(cursor, total)
+				hi := total
+				if limit > 0 {
+					hi = min(lo+limit, total)
+				}
+				// Past the end the merge answers the cursor it was given.
+				want, wantNext = logs[lo:hi], cursor+hi-lo
+			}
+			v, vnext, _ := mergedGet(t, gw, q)
+			if vnext != wantNext || !sameResults(v, want) {
+				t.Errorf("%s: merge has %d results, next %d; the logs hold %d there, next %d — or their results differ",
+					q, len(v), vnext, len(want), wantNext)
 			}
 		}
 	}
-	if all, next, _ := mergedGet(t, gw, "cursor=0", true); len(all) != total || next != total {
-		t.Errorf("the whole log over v3: %d results, next %d; want %d", len(all), next, total)
+}
+
+// wholeLog reads a sink's log from the start, page by page: a WAL serves
+// bounded pages.
+func wholeLog(s amigo.Sink) []amigo.Result {
+	var log []amigo.Result
+	for {
+		page, next := s.(amigo.CursorSink).Since(len(log), 0)
+		if len(page) == 0 || next <= len(log) {
+			return log
+		}
+		log = append(log, page...)
 	}
 }
 
 // sameResults compares two result sequences field by field (upload
-// stamps as instants: JSON and v3 carry them in different zones).
+// stamps as instants: a sink and a decoded frame may carry them in
+// different zones).
 func sameResults(a, b []amigo.Result) bool {
 	if len(a) != len(b) {
 		return false
@@ -215,12 +222,11 @@ func sameResults(a, b []amigo.Result) bool {
 }
 
 // TestGatewayMergedResultsV3Refusals: the merged route's 400 and 501
-// rules hold under Accept: v3 as they do for JSON, and a shard that
-// answers a v3 page request with something else is a 502, not a page.
+// rules hold as they do on one server, and a shard that answers a page
+// request with something other than results frames is a 502, not a page.
 func TestGatewayMergedResultsV3Refusals(t *testing.T) {
 	get := func(gw *Gateway, query string) int {
 		req, _ := http.NewRequest(http.MethodGet, "/admin/results?"+query, nil)
-		req.Header.Set("Accept", wire.ContentType)
 		var resp memResponse
 		gw.ServeHTTP(&resp, req)
 		return resp.code
@@ -242,8 +248,7 @@ func TestGatewayMergedResultsV3Refusals(t *testing.T) {
 		t.Errorf("blind shard: HTTP %d, want 501", code)
 	}
 
-	// A backend that reports two results and then serves JSON whatever
-	// the Accept header says.
+	// A backend that reports two results and then serves JSON.
 	jsonOnly := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("cursor") == "-1" {
 			w.Header().Set(wire.CursorHeader, "2")
@@ -253,6 +258,6 @@ func TestGatewayMergedResultsV3Refusals(t *testing.T) {
 	})
 	gw = NewGateway([]http.Handler{jsonOnly}, Options{})
 	if code := get(gw, "cursor=0"); code != http.StatusBadGateway {
-		t.Errorf("shard serving JSON to a v3 merge: HTTP %d, want 502", code)
+		t.Errorf("shard serving JSON to a merge: HTTP %d, want 502", code)
 	}
 }

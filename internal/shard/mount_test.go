@@ -14,8 +14,9 @@ import (
 // TestMountRoutes pins what Mount answers for every route of the ME and
 // admin APIs, and for what matches neither: a prefix without its slash,
 // an unknown prefix, a path that is not clean (a ServeMux answered the
-// last two 301), and a known route under the wrong method, which the
-// inner mux refuses with 405.
+// last two 301), a route that is not served, a known route under the
+// wrong method, which the inner mux refuses with 405, and a body not
+// sent as a frame, which is 415.
 func TestMountRoutes(t *testing.T) {
 	srv := amigo.NewServer(nil)
 	h := Mount(srv.Handler(), srv.AdminHandler())
@@ -34,11 +35,12 @@ func TestMountRoutes(t *testing.T) {
 		{"POST", "/v1/register", []byte(`{"me":"me","country":"PAK"}`), false, http.StatusNotFound},
 		{"POST", "/v2/tasks/requeue", []byte(`{"me":"me"}`), false, http.StatusNotFound},
 		{"GET", "/admin/results?cursor=0", nil, false, http.StatusOK},
-		{"GET", "/admin/mes", nil, false, http.StatusOK},
+		{"GET", "/admin/mes", nil, false, http.StatusNotFound},
 		{"GET", "/admin/metrics", nil, false, http.StatusOK},
 		{"GET", "/admin/trace", nil, false, http.StatusOK},
 		{"GET", "/v3/results", nil, false, http.StatusMethodNotAllowed},
-		{"POST", "/admin/mes", nil, false, http.StatusMethodNotAllowed},
+		{"GET", "/admin/schedule", nil, false, http.StatusMethodNotAllowed},
+		{"POST", "/admin/schedule", []byte(`{"me":"me","kind":"dns"}`), false, http.StatusUnsupportedMediaType},
 		{"POST", "/v3", lease, true, http.StatusNotFound},
 		{"POST", "/v4/tasks/lease", lease, true, http.StatusNotFound},
 		{"GET", "/", nil, false, http.StatusNotFound},

@@ -1,10 +1,10 @@
 // Package shard horizontally partitions the AmiGo control plane. A
 // consistent-hash Ring assigns each measurement endpoint (ME) to one of
 // N shards — each shard a full amigo.Server with its own registry,
-// queues and result sink — and a thin Gateway routes every protocol
-// request (JSON control calls, v3 binary batch frames) to
-// the owning shard by peeking the ME name out of the request, merging
-// only the admin read surface across shards.
+// queues and result sink — and a thin Gateway routes every request body,
+// one v3 frame (schedule, lease, upload), to the owning shard by peeking
+// the ME name out of the frame, merging only the admin results log
+// across shards.
 //
 // Placement is a pure function of (ME name, shard count): the vnode
 // layout is fixed, the hash is FNV-1a finished with a splitmix64

@@ -2,12 +2,12 @@ package shard
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -67,28 +67,20 @@ func shardSet(t *testing.T, n int) (*Gateway, []*amigo.Server, *httptest.Server)
 	return gw, servers, hs
 }
 
-// driveME runs one ME through the full protocol via the gateway and
-// returns its uploaded results. Its schedule comes in both forms — the
-// JSON one curl sends, which creates the ME, then the fleet driver's frame
-// — so both of the gateway's body peeks route it.
+// driveME runs one ME through the full protocol via the gateway — its
+// schedule, which creates it, then leases and uploads — and returns its
+// uploaded results.
 func driveME(t *testing.T, baseURL, me string) []amigo.Result {
 	t.Helper()
 	ep := &amigo.Endpoint{Name: me, BaseURL: baseURL}
-	for _, s := range []struct {
-		contentType string
-		body        []byte
-	}{
-		{"application/json", []byte(`{"me":"` + me + `","kind":"dns","target":"8.8.8.8","config":"sim"}`)},
-		{wire.ContentType, wire.AppendSchedule(nil, me, []amigo.Task{{Kind: "speedtest", Config: "esim"}})},
-	} {
-		resp, err := http.Post(baseURL+"/admin/schedule", s.contentType, bytes.NewReader(s.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s %s schedule via gateway: HTTP %d", me, s.contentType, resp.StatusCode)
-		}
+	schedule := wire.AppendSchedule(nil, me, []amigo.Task{{Kind: "dns", Target: "8.8.8.8", Config: "sim"}, {Kind: "speedtest", Config: "esim"}})
+	resp, err := http.Post(baseURL+"/admin/schedule", wire.ContentType, bytes.NewReader(schedule))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s schedule via gateway: HTTP %d", me, resp.StatusCode)
 	}
 	var out []amigo.Result
 	for {
@@ -111,9 +103,9 @@ func driveME(t *testing.T, baseURL, me string) []amigo.Result {
 	return out
 }
 
-// TestGatewayRoutesBothProtocols drives MEs through both body formats
-// the gateway peeks — JSON objects (curl's schedule) and v3 frames
-// (schedule, lease, upload) — and checks each ME stayed on its ring shard.
+// TestGatewayRoutesBothProtocols drives MEs through the admin and the ME
+// protocol — the frames the gateway peeks: schedule, lease, upload — and
+// checks each ME and its results stayed on its ring shard.
 func TestGatewayRoutesBothProtocols(t *testing.T) {
 	gw, servers, hs := shardSet(t, 4)
 	mes := []string{"PAK-00", "PAK-01", "GEO-00", "GEO-01", "USA-00", "USA-01"}
@@ -136,28 +128,28 @@ func TestGatewayRoutesBothProtocols(t *testing.T) {
 		t.Fatalf("shards hold %d results, uploaded %d", totalByShard, want)
 	}
 
-	// Merged /admin/mes equals the sorted ME list.
-	resp, err := http.Get(hs.URL + "/admin/mes")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Each ME is known to its ring shard alone.
 	var gotMEs []string
-	if err := json.NewDecoder(resp.Body).Decode(&gotMEs); err != nil {
-		t.Fatal(err)
+	for i, srv := range servers {
+		for _, me := range srv.MEs() {
+			if got := gw.Ring().Shard(me); got != i {
+				t.Fatalf("%s known to shard %d, ring says %d", me, i, got)
+			}
+			gotMEs = append(gotMEs, me)
+		}
 	}
-	resp.Body.Close()
+	sort.Strings(gotMEs)
 	wantMEs := append([]string(nil), mes...)
 	sort.Strings(wantMEs)
 	if !reflect.DeepEqual(gotMEs, wantMEs) {
-		t.Fatalf("merged /admin/mes = %v, want %v", gotMEs, wantMEs)
+		t.Fatalf("shards know MEs %v, want %v", gotMEs, wantMEs)
 	}
 }
 
 // TestGatewayRoutesScheduleForms: POST /admin/schedule reaches the ME's
-// ring shard in both forms — a MsgSchedule frame by its ME, the JSON
-// single-kind form by "me" — even though every shard knows every ME, and
-// a schedule frame whose ME cannot be read is refused with 400 before
-// any shard sees it.
+// ring shard by the MsgSchedule frame's ME, even though every shard knows
+// every ME, and a schedule frame whose ME cannot be read is refused with
+// 400 before any shard sees it.
 func TestGatewayRoutesScheduleForms(t *testing.T) {
 	reg := obs.NewRegistry()
 	servers := make([]*amigo.Server, 4)
@@ -169,9 +161,9 @@ func TestGatewayRoutesScheduleForms(t *testing.T) {
 	gw := NewGateway(backends, Options{Obs: reg})
 	hs := httptest.NewServer(gw)
 	defer hs.Close()
-	post := func(contentType string, body []byte) int {
+	post := func(body []byte) int {
 		t.Helper()
-		resp, err := http.Post(hs.URL+"/admin/schedule", contentType, bytes.NewReader(body))
+		resp, err := http.Post(hs.URL+"/admin/schedule", wire.ContentType, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,16 +171,12 @@ func TestGatewayRoutesScheduleForms(t *testing.T) {
 		return resp.StatusCode
 	}
 	mes := []string{"PAK-00", "GEO-00", "USA-00", "USA-01", "DEU-00", "DEU-01"}
-	for i, me := range mes {
+	for _, me := range mes {
 		for _, srv := range servers {
 			srv.ScheduleBatch(me, nil)
 		}
-		body, contentType := wire.AppendSchedule(nil, me, []amigo.Task{{Kind: "dns", Config: "sim"}}), wire.ContentType
-		if i%2 == 1 {
-			body, contentType = []byte(`{"me":"`+me+`","kind":"dns","config":"sim"}`), "application/json"
-		}
-		if code := post(contentType, body); code != http.StatusOK {
-			t.Fatalf("%s (%s): HTTP %d", me, contentType, code)
+		if code := post(wire.AppendSchedule(nil, me, []amigo.Task{{Kind: "dns", Config: "sim"}})); code != http.StatusOK {
+			t.Fatalf("%s: HTTP %d", me, code)
 		}
 		for s, srv := range servers {
 			want := 0
@@ -197,7 +185,7 @@ func TestGatewayRoutesScheduleForms(t *testing.T) {
 			}
 			tasks, err := srv.LeaseAckInto(me, 8, 0, nil)
 			if err != nil || len(tasks) != want {
-				t.Fatalf("%s (%s): shard %d queued %d tasks (%v), want %d", me, contentType, s, len(tasks), err, want)
+				t.Fatalf("%s: shard %d queued %d tasks (%v), want %d", me, s, len(tasks), err, want)
 			}
 		}
 	}
@@ -212,7 +200,7 @@ func TestGatewayRoutesScheduleForms(t *testing.T) {
 		"empty-me":     wire.AppendSchedule(nil, "", []amigo.Task{{Kind: "dns"}}),
 		"truncated-me": {wire.Magic0, wire.Magic1, wire.Version, wire.MsgSchedule, 0, 0, 0, 2, 0x05, 'm'},
 	} {
-		if code := post(wire.ContentType, body); code != http.StatusBadRequest {
+		if code := post(body); code != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", name, code)
 		}
 	}
@@ -280,7 +268,7 @@ func TestGatewayRoutesLeaseVitals(t *testing.T) {
 }
 
 func TestGatewayMergedResultsPagination(t *testing.T) {
-	gw, servers, hs := shardSet(t, 3)
+	_, servers, hs := shardSet(t, 3)
 	mes := []string{"PAK-00", "GEO-00", "USA-00", "FRA-00", "JPN-00"}
 	uploaded := 0
 	for _, me := range mes {
@@ -288,53 +276,33 @@ func TestGatewayMergedResultsPagination(t *testing.T) {
 	}
 
 	// cursor=-1 returns just the global cursor.
-	var head resultsPage
-	getJSON(t, hs.URL+"/admin/results?cursor=-1", &head)
-	if head.Cursor != uploaded {
-		t.Fatalf("global cursor = %d, want %d", head.Cursor, uploaded)
+	if _, next := getPage(t, hs.URL+"/admin/results?cursor=-1"); next != uploaded {
+		t.Fatalf("global cursor = %d, want %d", next, uploaded)
 	}
 
 	// Page through with a small limit and check the merged stream equals
 	// the per-shard logs concatenated in shard order.
-	var want []json.RawMessage
+	var want []amigo.Result
 	for _, srv := range servers {
-		var rs []amigo.Result
-		rs = srv.Results()
-		for _, res := range rs {
-			b, _ := json.Marshal(res)
-			want = append(want, json.RawMessage(b))
-		}
+		want = append(want, srv.Results()...)
 	}
-	var got []json.RawMessage
+	var got []amigo.Result
 	cursor := 0
 	for {
-		var page resultsPage
-		getJSON(t, fmt.Sprintf("%s/admin/results?cursor=%d&limit=3", hs.URL, cursor), &page)
-		if len(page.Results) == 0 || page.Cursor <= cursor {
+		rs, next := getPage(t, fmt.Sprintf("%s/admin/results?cursor=%d&limit=3", hs.URL, cursor))
+		if len(rs) == 0 || next <= cursor {
 			break
 		}
-		got = append(got, page.Results...)
-		cursor = page.Cursor
+		got = append(got, rs...)
+		cursor = next
 	}
-	if len(got) != len(want) {
-		t.Fatalf("merged pagination yielded %d results, want %d", len(got), len(want))
+	if !sameResults(got, want) {
+		t.Fatalf("merged pagination yielded %d results that differ from the %d the shards hold", len(got), len(want))
 	}
-	for i := range got {
-		var a, b amigo.Result
-		if err := json.Unmarshal(got[i], &a); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(want[i], &b); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("merged result %d diverged:\n got %+v\nwant %+v", i, a, b)
-		}
-	}
-	_ = gw
 }
 
-func getJSON(t *testing.T, url string, out any) {
+// getPage GETs one results page and decodes its frames.
+func getPage(t *testing.T, url string) (rs []amigo.Result, next int) {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -344,9 +312,13 @@ func getJSON(t *testing.T, url string, out any) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET %s: HTTP %d", url, resp.StatusCode)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		t.Fatal(err)
+	if next, err = strconv.Atoi(resp.Header.Get(wire.CursorHeader)); err != nil {
+		t.Fatalf("GET %s: %s header: %v", url, wire.CursorHeader, err)
 	}
+	if rs, err = wire.NewDecoder().ReadResults(resp.Body, nil); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	return rs, next
 }
 
 // blindSink is write-only: it forces the 501 path.
@@ -427,17 +399,17 @@ func TestGatewayRouteCounters(t *testing.T) {
 	hs := httptest.NewServer(gw)
 	defer hs.Close()
 
-	const jsonCT = "application/json"
+	schedule := wire.AppendSchedule(nil, "m", []amigo.Task{{Kind: "dns", Config: "sim"}})
 	lease := wire.AppendLeaseRequest(nil, wire.LeaseRequest{ME: "m", Max: 1})
 	results := wire.AppendResults(nil, []wire.Result{{TaskID: 1, ME: "m"}})
 	cases := []struct {
-		method, path, contentType string
-		body                      []byte
-		label                     string
+		path  string
+		body  []byte
+		label string
 	}{
-		{"POST", "/admin/schedule", jsonCT, []byte(`{"me":"m","kind":"dns","config":"sim"}`), "admin/schedule"},
-		{"POST", "/v3/tasks/lease", wire.ContentType, lease, "v3/lease"},
-		{"POST", "/v3/results", wire.ContentType, results, "v3/results"},
+		{"/admin/schedule", schedule, "admin/schedule"},
+		{"/v3/tasks/lease", lease, "v3/lease"},
+		{"/v3/results", results, "v3/results"},
 	}
 	if len(cases) != numRoutes {
 		t.Fatalf("table covers %d routes, gateway mounts %d", len(cases), numRoutes)
@@ -451,18 +423,8 @@ func TestGatewayRouteCounters(t *testing.T) {
 	}
 	for _, tc := range cases {
 		before := counts()
-		req, err := http.NewRequest(tc.method, hs.URL+tc.path, bytes.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", tc.contentType)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode >= 300 {
-			t.Fatalf("%s %s: HTTP %d", tc.method, tc.path, resp.StatusCode)
+		if code := post(t, hs.URL+tc.path, wire.ContentType, tc.body, false); code >= 300 {
+			t.Fatalf("POST %s: HTTP %d", tc.path, code)
 		}
 		for name, after := range counts() {
 			want := before[name]
@@ -470,8 +432,49 @@ func TestGatewayRouteCounters(t *testing.T) {
 				want++
 			}
 			if after != want {
-				t.Errorf("%s %s: route=%q counter = %d, want %d", tc.method, tc.path, name, after, want)
+				t.Errorf("POST %s: route=%q counter = %d, want %d", tc.path, name, after, want)
 			}
+		}
+	}
+}
+
+// TestPOSTRoutesRefuseNonFrames: every POST route takes one v3 frame and
+// nothing else. A body sent as application/json — JSON, or a well-formed
+// frame under the wrong type — is 415 from one mounted server and through
+// a 1-shard gateway alike, and queues, records and creates nothing.
+func TestPOSTRoutesRefuseNonFrames(t *testing.T) {
+	bodies := map[string][][]byte{
+		"/admin/schedule": {[]byte(`{"me":"m","kind":"dns","config":"sim","count":2}`), wire.AppendSchedule(nil, "new", []amigo.Task{{Kind: "dns"}})},
+		"/v3/tasks/lease": {[]byte(`{"me":"m","max":4}`), wire.AppendLeaseRequest(nil, wire.LeaseRequest{ME: "m", Max: 4, Vitals: amigo.Vitals{CQI: 9}})},
+		"/v3/results":     {[]byte(`{"results":[{"task_id":1,"me":"m"}]}`), wire.AppendResults(nil, []wire.Result{{TaskID: 1, ME: "m", Kind: "dns", OK: true}})},
+	}
+	for _, topo := range []string{"mount", "gateway"} {
+		srv := amigo.NewServer(nil)
+		srv.ScheduleBatch("m", []amigo.Task{{Kind: "dns", Config: "sim"}})
+		var h http.Handler = Mount(srv.Handler(), srv.AdminHandler())
+		if topo == "gateway" {
+			h = NewGateway([]http.Handler{h}, Options{Obs: obs.NewRegistry()})
+		}
+		hs := httptest.NewServer(h)
+		for route, forms := range bodies {
+			for _, body := range forms {
+				if code := post(t, hs.URL+route, "application/json", body, false); code != http.StatusUnsupportedMediaType {
+					t.Errorf("%s: POST %s as JSON: HTTP %d, want 415", topo, route, code)
+				}
+			}
+		}
+		hs.Close()
+		if mes := srv.MEs(); len(mes) != 1 || mes[0] != "m" {
+			t.Errorf("%s: refused bodies left MEs %v, want only m", topo, mes)
+		}
+		if n := srv.Cursor(); n != 0 {
+			t.Errorf("%s: refused bodies left %d results", topo, n)
+		}
+		if v, _ := srv.Vitals("m"); !v.IsZero() {
+			t.Errorf("%s: a refused lease recorded vitals %+v", topo, v)
+		}
+		if tasks, err := srv.LeaseAckInto("m", 8, 0, nil); err != nil || len(tasks) != 1 {
+			t.Errorf("%s: m's queue holds %d tasks (%v) after the refusals, want its 1", topo, len(tasks), err)
 		}
 	}
 }

@@ -150,16 +150,8 @@ const MaxScheduleCount = 1 << 16
 const ContentType = "application/vnd.amigo.v3"
 
 // CursorHeader is the response header that carries the next cursor of a
-// results page served as v3 frames (GET /admin/results with Accept:
-// ContentType); the JSON page carries it in its body.
+// results page (GET /admin/results), whose body is MsgResults frames.
 const CursorHeader = "X-Amigo-Cursor"
-
-// MaxJSONBody bounds the request body of the one JSON control route, the
-// single-kind admin schedule (well under 1 KiB): the server answers 413
-// past it, and the shard gateway refuses to buffer more for its routing
-// peek. v3 bodies are one frame, bounded by MaxFrame from the frame
-// header instead.
-const MaxJSONBody = 64 << 10
 
 // Field tags. Tags are per-message-type namespaces; within a record
 // they must appear in strictly ascending order.

@@ -9,7 +9,7 @@
 #              unknown -target before printing anything
 #   flags      roam-fleet refuses flag values that name nothing it knows
 #   metrics    one server: the Prometheus exposition, amigo-me over the
-#              two v3 routes, the schedule bounds
+#              two v3 routes, a JSON schedule refused
 #   ahead      one server: amigo-me drains 40 tasks in one lease and two
 #              uploads, the first upload carrying the second lease
 #   shard_kill roam-fleet kills a shard mid-campaign under -crosscheck
@@ -22,6 +22,7 @@ set -euo pipefail
 TMP="$(mktemp -d)"
 PORT=18931
 URL="http://127.0.0.1:$PORT"
+V3=application/vnd.amigo.v3
 SRV_PID=
 
 cleanup() {
@@ -95,8 +96,27 @@ check_flags() {
     done
 }
 
+# schedule FIXTURE: POST one MsgSchedule frame from cmd/amigo-server/testdata
+# (its name says the ME, kind, config and count) to /admin/schedule.
+schedule() {
+    curl -sf -X POST "$URL/admin/schedule" -H "Content-Type: $V3" \
+        --data-binary @"cmd/amigo-server/testdata/$1" -o /dev/null ||
+        fail "scheduling $1 failed"
+}
+
+# scheduled FILE: amigo_server_tasks_scheduled_total in a scrape.
+scheduled() {
+    sed -n 's/^amigo_server_tasks_scheduled_total \([0-9]*\)$/\1/p' "$1"
+}
+
+# uploaded: the results log's length, the X-Amigo-Cursor of a cursor=-1 page.
+uploaded() {
+    curl -sf -D - -o /dev/null "$URL/admin/results?cursor=-1" |
+        tr -d '\r' | sed -n 's/^[Xx]-[Aa]migo-[Cc]ursor: //p'
+}
+
 check_metrics() {
-    local out="$TMP/metrics.txt" pak sched ids lines body code results got route
+    local out="$TMP/metrics.txt" pak lines code got route
     start_server "$TMP/single.txt"
 
     # An ME nothing is scheduled for: its lease is 404, which amigo-me -once
@@ -107,12 +127,9 @@ check_metrics() {
         fail "amigo-me with nothing scheduled executed something: $pak"
     fi
 
-    # Scheduling is what makes an ME known: queue 5 tasks for me-DEU with the
-    # curl the amigo-server docs give, then scrape.
-    sched="$(curl -sf -X POST "$URL/admin/schedule" \
-        -d '{"me":"me-DEU","kind":"speedtest","config":"esim","count":5}')"
-    ids="$(printf '%s' "$sched" | tr ',' '\n' | grep -c '[0-9]')"
-    [ "$ids" -eq 5 ] || fail "the single-kind schedule assigned $ids IDs, want 5: $sched"
+    # Scheduling is what makes an ME known: queue 5 tasks for me-DEU as one
+    # schedule frame, then scrape.
+    schedule me-DEU_speedtest_esim_5.v3
     curl -sf "$URL/admin/metrics" -o "$out"
     [ -s "$out" ] || fail "/admin/metrics returned an empty body"
 
@@ -127,6 +144,8 @@ check_metrics() {
     for family in amigo_server_requests_total amigo_server_registered_mes; do
         grep -q "^$family" "$out" || fail "missing $family family"
     done
+    got="$(scheduled "$out")"
+    [ "$got" = 5 ] || fail "the schedule frame queued $got tasks, want 5"
     # Only me-DEU is known, not the me-PAK that only leased: the scrape
     # reflects live server state.
     if ! grep -q '^amigo_server_registered_mes 1$' "$out"; then
@@ -135,24 +154,19 @@ check_metrics() {
     fi
     lines="$(grep -c . "$out")"
 
-    # The JSON schedule body is bounded at 64 KiB (wire.MaxJSONBody): a 1 MiB
-    # schedule is refused with 413 and creates no ME.
-    { printf '{"me":"'; head -c 1048576 /dev/zero | tr '\0' x; printf '","kind":"dns","config":"sim"}'; } >"$TMP/big.json"
-    code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$URL/admin/schedule" --data-binary @"$TMP/big.json")"
-    [ "$code" = 413 ] || fail "a 1 MiB schedule answered $code, want 413"
-
-    # A batch travels only as a v3 frame, and a schedule must name a kind:
-    # both JSON bodies are refused, and queue nothing for amigo-me to run.
-    for body in '{"me":"me-DEU","tasks":[{"kind":"dns","config":"sim"}]}' '{"me":"me-DEU","count":2}'; do
-        code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$URL/admin/schedule" -d "$body")"
-        [ "$code" = 400 ] || fail "/admin/schedule answered $code to $body, want 400"
-    done
+    # Every body the plane takes is a v3 frame: a JSON schedule is 415 and
+    # queues nothing for amigo-me to run.
+    code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$URL/admin/schedule" \
+        -H 'Content-Type: application/json' -d '{"me":"me-DEU","kind":"dns","config":"sim","count":2}')"
+    [ "$code" = 415 ] || fail "a JSON schedule answered $code, want 415"
+    curl -sf "$URL/admin/metrics" -o "$out"
+    got="$(scheduled "$out")"
+    [ "$got" = 5 ] || fail "after the JSON schedule $got tasks are queued, want 5"
 
     # The ME binary: one amigo-me drains me-DEU's 5 tasks.
     "$TMP/amigo-me" -server "$URL" -country DEU -once
-    results="$(curl -sf "$URL/admin/results?cursor=0")"
-    got="$(printf '%s' "$results" | grep -o '"task_id":' | wc -l)"
-    [ "$got" -eq 5 ] || fail "amigo-me uploaded $got results, want 5: $results"
+    got="$(uploaded)"
+    [ "$got" = 5 ] || fail "amigo-me uploaded $got results, want 5"
 
     # Five tasks fit one lease of 32: the server marks it drained, so
     # amigo-me drains them in exactly one lease and one upload — no
@@ -188,9 +202,7 @@ check_metrics() {
 check_ahead() {
     local out="$TMP/ahead.txt" route want
     start_server "$TMP/ahead-server.txt"
-    curl -sf -X POST "$URL/admin/schedule" \
-        -d '{"me":"me-DEU","kind":"dns","config":"sim","count":40}' -o /dev/null ||
-        fail "scheduling 40 tasks for me-DEU failed"
+    schedule me-DEU_dns_sim_40.v3
     "$TMP/amigo-me" -server "$URL" -country DEU -once >"$TMP/ahead-me.txt"
 
     # 40 tasks at 32 a lease are two batches: the first lease is not the
@@ -206,6 +218,8 @@ check_ahead() {
             fail "amigo-me did not make exactly $want 2xx POST $route for 40 tasks"
         fi
     done
+    want="$(uploaded)"
+    [ "$want" = 40 ] || fail "amigo-me uploaded $want results, want 40"
     stop_server
 }
 
