@@ -9,15 +9,21 @@
 //
 //	amigo-server [-addr :8080] [-pprof] [-shards N] [-wal-dir DIR] [-compact-after N]
 //
-// Every request body is one v3 frame sent as application/vnd.amigo.v3
-// (anything else is 415). Schedule tasks by POSTing a MsgSchedule frame
-// (what roam-fleet sends) to /admin/schedule; the answer is a MsgTasks
-// frame of the queued tasks under their IDs. testdata holds two such
-// frames, which scripts/smoke.sh sends with curl:
+// Every request body is v3 frames sent as application/vnd.amigo.v3
+// (anything else is 415). Schedule tasks by POSTing one or more
+// MsgSchedule frames, one per ME (roam-fleet sends 64 at a time), to
+// /admin/schedule; the answer is one MsgTasks frame per frame, in body
+// order, of the queued tasks under their IDs. A body is applied all or
+// nothing — one bad frame anywhere schedules none — and a sharded plane
+// splits it by shard. testdata holds three such frames, which
+// scripts/smoke.sh sends with curl, alone or two as one body:
 //
 //	curl -X POST localhost:8080/admin/schedule \
 //	  -H 'Content-Type: application/vnd.amigo.v3' \
 //	  --data-binary @cmd/amigo-server/testdata/me-DEU_speedtest_esim_5.v3
+//	cat cmd/amigo-server/testdata/me-{DEU_speedtest_esim_5,PAK_dns_sim_3}.v3 |
+//	  curl -X POST localhost:8080/admin/schedule \
+//	  -H 'Content-Type: application/vnd.amigo.v3' --data-binary @-
 //
 // Results are readable incrementally at
 // /admin/results?cursor=N[&limit=M], which answers one v3 results frame

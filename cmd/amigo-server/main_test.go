@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -264,12 +265,18 @@ func TestShardedDrainAndRestart(t *testing.T) {
 }
 
 // TestScheduleFixtures: each schedule frame under testdata, which
-// scripts/smoke.sh POSTs with curl, is wire.AppendSchedule of the tasks
-// its name describes: <me>_<kind>_<config>_<count>.v3.
+// scripts/smoke.sh POSTs with curl (alone, or two as one body), is
+// wire.AppendSchedule of the tasks its name describes:
+// <me>_<kind>_<config>_<count>.v3; the three the script names are there.
 func TestScheduleFixtures(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "*.v3"))
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no schedule fixtures under testdata (%v)", err)
+	}
+	for _, name := range []string{"me-DEU_speedtest_esim_5.v3", "me-DEU_dns_sim_40.v3", "me-PAK_dns_sim_3.v3"} {
+		if !slices.Contains(paths, filepath.Join("testdata", name)) {
+			t.Errorf("testdata/%s, which scripts/smoke.sh sends, is missing", name)
+		}
 	}
 	for _, path := range paths {
 		f := strings.Split(strings.TrimSuffix(filepath.Base(path), ".v3"), "_")

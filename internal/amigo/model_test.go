@@ -51,9 +51,10 @@ type modelME struct {
 
 // op is one ME-facing operation, every value concrete. An "upload+lease"
 // is an upload carrying a lease: Key and Results are the upload's, ME,
-// Max, Ack and Vitals the lease's.
+// Max, Ack and Vitals the lease's. A "schedule-block" is one operator
+// request scheduling several MEs, each a "schedule" op in Block.
 type op struct {
-	Kind      string // "schedule", "lease", "upload" or "upload+lease"
+	Kind      string // "schedule", "schedule-block", "lease", "upload" or "upload+lease"
 	ME        string // the upload's ME is its first result's
 	Tasks     []amigo.Task
 	Max       int
@@ -62,12 +63,15 @@ type op struct {
 	Redeliver bool
 	Key       string
 	Results   []amigo.Result
+	Block     []op
 }
 
 func (o op) String() string {
 	switch o.Kind {
 	case "schedule":
 		return fmt.Sprintf("schedule %s %d tasks %v", o.ME, len(o.Tasks), taskIDs(o.Tasks))
+	case "schedule-block":
+		return fmt.Sprintf("schedule-block %v", o.Block)
 	case "lease":
 		return fmt.Sprintf("lease %s max %d ack %d vitals %v redeliver %v", o.ME, o.Max, o.Ack, !o.Vitals.IsZero(), o.Redeliver)
 	case "upload":
@@ -118,6 +122,15 @@ func (m *model) apply(o op) reply {
 			}
 		}
 		st.sched = append(st.sched, tasks...)
+		return reply{Tasks: tasks, Class: "ok"}
+	case "schedule-block":
+		// Every frame is scheduled as its own schedule, in body order, and
+		// the reply is their replies in that order.
+		m.seen["schedule block"]++
+		var tasks []amigo.Task
+		for _, f := range o.Block {
+			tasks = append(tasks, m.apply(f).Tasks...)
+		}
 		return reply{Tasks: tasks, Class: "ok"}
 	case "upload+lease":
 		// The upload first, unless the lease names another ME than the one
@@ -219,6 +232,17 @@ func genOps(seed int64, n, shards int, shardOf func(string) int) []op {
 		past := leased[me]
 		o := op{Kind: "lease", ME: me}
 		switch r := src.Intn(20); {
+		case r < 4 && src.Bool(0.3):
+			// One request scheduling 2 or 3 of the scheduled MEs, in a drawn
+			// order; it answers nothing an ME would act on.
+			o = op{Kind: "schedule-block"}
+			for _, i := range src.Perm(3)[:2+src.Intn(2)] {
+				name := modelMEs[i]
+				o.Block = append(o.Block, op{Kind: "schedule", ME: name, Tasks: genTasks(src, leased[name])})
+			}
+			m.apply(o)
+			ops = append(ops, o)
+			continue
 		case r < 4:
 			o.Kind, o.Tasks = "schedule", genTasks(src, past)
 		case r < 6 && len(uploads) > 0:
@@ -353,40 +377,47 @@ func resultIDs(results []amigo.Result) []int {
 }
 
 // target is a real control plane under test: its servers in shard order,
-// the Transport an ME reaches it through, and how an operator schedules.
+// the Transport an ME reaches it through, and how an operator schedules a
+// block of "schedule" ops, answering their tasks in block order.
 type target struct {
 	tr       amigo.Transport
 	servers  []*amigo.Server
 	shardOf  func(string) int
-	schedule func(me string, tasks []amigo.Task) ([]amigo.Task, error)
+	schedule func(block []op) ([]amigo.Task, error)
 }
 
 func newServer() *amigo.Server {
 	return amigo.NewServer(func() time.Time { return stamp }, amigo.WithSpoolCapacity(modelSpoolCap))
 }
 
-// directTarget is one Server called in process.
+// directTarget is one Server called in process, one ScheduleBatch per
+// schedule.
 func directTarget(*testing.T) *target {
 	srv := newServer()
 	return &target{
 		tr: amigo.DirectTransport{Server: srv}, servers: []*amigo.Server{srv},
 		shardOf: func(string) int { return 0 },
-		schedule: func(me string, tasks []amigo.Task) ([]amigo.Task, error) {
-			ids, err := srv.ScheduleBatch(me, tasks)
-			if err != nil {
-				return nil, err
+		schedule: func(block []op) ([]amigo.Task, error) {
+			var out []amigo.Task
+			for _, f := range block {
+				ids, err := srv.ScheduleBatch(f.ME, f.Tasks)
+				if err != nil {
+					return nil, err
+				}
+				tasks := slices.Clone(f.Tasks)
+				for i := range tasks {
+					tasks[i].ID = ids[i]
+				}
+				out = append(out, tasks...)
 			}
-			tasks = slices.Clone(tasks)
-			for i := range tasks {
-				tasks[i].ID = ids[i]
-			}
-			return tasks, nil
+			return out, nil
 		},
 	}
 }
 
-// gatewayTarget is four Servers behind a shard.Gateway on loopback; the
-// schedule is the fleet driver's MsgSchedule frame to /admin/schedule.
+// gatewayTarget is four Servers behind a shard.Gateway on loopback; a
+// block is one POST of the fleet driver's MsgSchedule frames to
+// /admin/schedule, answered by one MsgTasks frame each.
 func gatewayTarget(t *testing.T) *target {
 	servers := make([]*amigo.Server, 4)
 	backends := make([]http.Handler, len(servers))
@@ -403,9 +434,13 @@ func gatewayTarget(t *testing.T) *target {
 	}
 	return &target{
 		tr: amigo.HTTPTransport(hs.URL, hs.Client()), servers: servers, shardOf: gw.Ring().Shard,
-		schedule: func(me string, tasks []amigo.Task) ([]amigo.Task, error) {
+		schedule: func(block []op) ([]amigo.Task, error) {
+			var body []byte
+			for _, f := range block {
+				body = wire.AppendSchedule(body, f.ME, f.Tasks)
+			}
 			h := http.Header{"Content-Type": {wire.ContentType}}
-			resp, err := amigo.Send(context.Background(), hs.Client(), http.MethodPost, u, h, wire.AppendSchedule(nil, me, tasks))
+			resp, err := amigo.Send(context.Background(), hs.Client(), http.MethodPost, u, h, body)
 			if err != nil {
 				return nil, err
 			}
@@ -413,11 +448,17 @@ func gatewayTarget(t *testing.T) *target {
 			if resp.StatusCode == http.StatusNotFound {
 				return nil, amigo.ErrUnknownME
 			}
-			_, payload, err := wire.ReadFrame(resp.Body, nil)
-			if err != nil || resp.StatusCode != http.StatusOK {
-				return nil, fmt.Errorf("schedule: HTTP %d: %v", resp.StatusCode, err)
+			var tasks []amigo.Task
+			for range block {
+				_, payload, err := wire.ReadFrame(resp.Body, nil)
+				if err != nil || resp.StatusCode != http.StatusOK {
+					return nil, fmt.Errorf("schedule: HTTP %d: %v", resp.StatusCode, err)
+				}
+				if tasks, err = wire.NewDecoder().Tasks(payload, tasks); err != nil {
+					return nil, err
+				}
 			}
-			return wire.NewDecoder().Tasks(payload, nil)
+			return tasks, nil
 		},
 	}
 }
@@ -429,7 +470,9 @@ func (tg *target) apply(o op) reply {
 	var err error
 	switch o.Kind {
 	case "schedule":
-		tasks, err = tg.schedule(o.ME, o.Tasks)
+		tasks, err = tg.schedule([]op{o})
+	case "schedule-block":
+		tasks, err = tg.schedule(o.Block)
 	case "lease":
 		tasks, drained, err = tg.tr.Lease(ctx, wire.LeaseRequest{ME: o.ME, Max: o.Max, Ack: o.Ack, Vitals: o.Vitals, Redeliver: o.Redeliver})
 	case "upload":
@@ -489,9 +532,10 @@ func runModel(t *testing.T, tg *target, ops []op) *model {
 }
 
 // TestProtocolModel: seeded operation sequences over three MEs and a ghost
-// — duplicate and stale uploads, stale and lost-response acks, redelivery
-// with leases outstanding and its lost response retried, unknown MEs, Max of 0 and past the clamp,
-// drained leases, batches the spool refuses, and uploads carrying a lease
+// — schedules of one ME and blocks of several in one request, duplicate
+// and stale uploads, stale and lost-response acks, redelivery with leases
+// outstanding and its lost response retried, unknown MEs, Max of 0 and
+// past the clamp, drained leases, batches the spool refuses, and uploads carrying a lease
 // (retried as duplicates, failing their lease part, naming another ME) —
 // answer exactly as the model says, drained flag included, in process and
 // through a 4-shard gateway over HTTP.
@@ -520,7 +564,7 @@ func TestProtocolModel(t *testing.T) {
 				}
 			}
 			for _, ev := range []string{"duplicate dropped", "spool full", "unknown ME", "re-sent", "max clamped", "redelivery mid-lease", "drained",
-				"lease of another ME", "lease part failed", "duplicate, lease answered"} {
+				"lease of another ME", "lease part failed", "duplicate, lease answered", "schedule block"} {
 				if seen[ev] == 0 {
 					t.Errorf("no sequence exercised %q", ev)
 				}

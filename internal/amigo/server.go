@@ -733,9 +733,6 @@ func (s *Server) Handler() http.Handler {
 // queue into one response.
 const maxLeaseBatch = 1024
 
-// kindlessSchedule refuses what every ME would execute into errors.
-const kindlessSchedule = "a schedule needs at least one task, each with a kind"
-
 // handleAdminResults is GET /admin/results?cursor=N[&limit=M]: one page
 // of the result log in the codec the results were uploaded in, one
 // wire.MsgResults frame (no body when the page is empty) encoded into a
@@ -787,12 +784,16 @@ func (s *Server) handleAdminResults(w http.ResponseWriter, r *http.Request) {
 }
 
 // AdminHandler exposes the operator API. Its one request body is a
-// wire.MsgSchedule frame sent as application/vnd.amigo.v3 (else 415):
+// schedule, sent as application/vnd.amigo.v3 (else 415):
 //
-//	POST /admin/schedule  MsgSchedule frame -> a MsgTasks frame of the
-//	                      queued tasks; over wire.MaxScheduleCount tasks,
-//	                      none, one without a kind, or no ME is 400 and
-//	                      queues nothing; an ME the server does not know
+//	POST /admin/schedule  one or more MsgSchedule frames -> one MsgTasks
+//	                      frame of each frame's queued tasks, in body
+//	                      order; all or nothing: a body over
+//	                      wire.MaxFrame bytes is 413, and over
+//	                      wire.MaxScheduleCount tasks in all, a frame with
+//	                      no task, one without a kind, or no ME, or any
+//	                      byte that is not such a frame is 400, each
+//	                      queuing nothing; an ME the server does not know
 //	                      yet is created
 //	GET  /admin/results?cursor=N[&limit=M] -> one MsgResults frame, next
 //	                      in X-Amigo-Cursor; cursor=-1 returns just the

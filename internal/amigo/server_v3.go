@@ -3,7 +3,6 @@ package amigo
 import (
 	"errors"
 	"net/http"
-	"slices"
 	"sync"
 
 	"roamsim/internal/wire"
@@ -137,39 +136,56 @@ func (s *Server) handleV3Results(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleV3Schedule is POST /admin/schedule: a MsgSchedule in, a MsgTasks
-// of the queued tasks under their IDs (see ScheduleBatch) out.
+// handleV3Schedule is POST /admin/schedule: one or more MsgSchedule frames
+// in, one MsgTasks frame per frame out, in body order, holding that
+// frame's queued tasks under their IDs (see ScheduleBatch). Every frame is
+// decoded and checked before any is scheduled (wire.Decoder.Schedules), so
+// a body refused anywhere — 413 over wire.MaxFrame bytes, 400 otherwise —
+// schedules nothing.
 func (s *Server) handleV3Schedule(w http.ResponseWriter, r *http.Request) {
+	if ct := r.Header.Get("Content-Type"); ct != wire.ContentType {
+		http.Error(w, "expected "+wire.ContentType, http.StatusUnsupportedMediaType)
+		return
+	}
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
-	payload, ok := s.readV3Frame(w, r, wire.MsgSchedule, buf)
-	if !ok {
+	body, err := wire.ReadBody(r.Body, r.ContentLength, *buf)
+	*buf = body // keep any growth pooled
+	if err != nil {
+		badBody(w, err)
 		return
 	}
 	tp := taskSlicePool.Get().(*[]Task)
 	defer taskSlicePool.Put(tp)
 	dec := wire.GetDecoder()
-	me, tasks, err := dec.Schedule(payload, (*tp)[:0])
+	tasks, frames, err := dec.Schedules(body, (*tp)[:0], nil)
 	*tp = tasks
 	wire.PutDecoder(dec)
 	if err != nil {
-		http.Error(w, "bad schedule", http.StatusBadRequest)
+		badBody(w, err)
 		return
 	}
-	if len(tasks) == 0 || slices.ContainsFunc(tasks, func(t Task) bool { return t.Kind == "" }) {
-		http.Error(w, kindlessSchedule, http.StatusBadRequest)
-		return
+	out := wire.GetBuf()
+	defer wire.PutBuf(out)
+	for _, f := range frames {
+		batch := tasks[:f.Tasks]
+		tasks = tasks[f.Tasks:]
+		ids, _ := s.ScheduleBatch(f.ME, batch) // scheduling cannot fail
+		for i := range batch {
+			batch[i].ID = ids[i]
+		}
+		*out = wire.AppendTasks(*out, batch)
 	}
-	ids, err := s.ScheduleBatch(me, tasks)
-	if err != nil {
-		rejectErr(w, err)
-		return
+	s.writeFrame(w, *out)
+}
+
+// badBody refuses a request body: 413 over wire.MaxFrame bytes, else 400.
+func badBody(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	if errors.Is(err, wire.ErrBodyTooLarge) {
+		code = http.StatusRequestEntityTooLarge
 	}
-	for i := range tasks {
-		tasks[i].ID = ids[i]
-	}
-	*buf = wire.AppendTasks((*buf)[:0], tasks)
-	s.writeFrame(w, *buf)
+	http.Error(w, err.Error(), code)
 }
 
 // detachPayloads copies every payload in the batch onto one freshly

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -204,10 +205,12 @@ func (d *Driver) restartBudget() int {
 	return budget
 }
 
-// Run executes the plan: every ME receives its schedule — which is what
-// makes its shard know it — then leases, executes and uploads in batches
-// until drained; finally the uploaded results are fetched back from the
-// server.
+// Run executes the plan: first the whole plan is scheduled — which is
+// what makes each ME's shard know it — with one POST /admin/schedule per
+// block of up to blockMEs MEs (scheduleAll), so an ME's own requests
+// are its leases and uploads; then every ME leases, executes and uploads
+// in batches until drained; finally the uploaded results are fetched back
+// from the server. Stats.Elapsed covers all three.
 //
 // Determinism: per-ME rng streams are pre-forked serially in schedule
 // order before the pool starts, and each ME's tasks execute in queue
@@ -255,6 +258,15 @@ func (d *Driver) Run(w *airalo.World, plan Plan) (*Campaign, error) {
 	}
 
 	start := d.clock().Now()
+	// Each ME's own copy of its tasks, which the schedule reply pins the
+	// assigned IDs into.
+	tasks := make([][]amigo.Task, len(scheds))
+	for i, sc := range scheds {
+		tasks[i] = slices.Clone(sc.Tasks)
+	}
+	if err := d.scheduleAll(client, scheds, tasks); err != nil {
+		return nil, err
+	}
 	errs := make([]error, len(scheds))
 	if v, ok := d.clock().(*vclock.Virtual); ok {
 		// Virtual time: every ME is a registered clock waiter, all
@@ -271,13 +283,13 @@ func (d *Driver) Run(w *airalo.World, plan Plan) (*Campaign, error) {
 			go func() {
 				defer wg.Done()
 				defer v.Done()
-				errs[i] = d.runME(client, scheds[i], w.Deployments[scheds[i].ISO], seeds[i])
+				errs[i] = d.runME(client, scheds[i], tasks[i], w.Deployments[scheds[i].ISO], seeds[i])
 			}()
 		}
 		wg.Wait()
 	} else {
 		RunPool(d.workers(), len(scheds), func(i int) {
-			errs[i] = d.runME(client, scheds[i], w.Deployments[scheds[i].ISO], seeds[i])
+			errs[i] = d.runME(client, scheds[i], tasks[i], w.Deployments[scheds[i].ISO], seeds[i])
 		})
 	}
 	// Report every failed ME, not just the first: a campaign debugging
@@ -315,22 +327,22 @@ func (d *Driver) Run(w *airalo.World, plan Plan) (*Campaign, error) {
 // runME is the per-ME lifecycle with crash tolerance: run incarnations
 // until one drains the queue cleanly. An injected crash or a straggler
 // watchdog kill starts the next incarnation, which replays the full
-// schedule from a recreated rng stream; the schedule is only POSTed
-// once — later incarnations ask the server to re-deliver it instead, so
-// task IDs (and therefore idempotency keys) are stable across restarts.
+// schedule from a recreated rng stream; Run scheduled it, under the IDs
+// pinned in tasks, and later incarnations ask the server to re-deliver
+// it, so task IDs (and therefore idempotency keys) are stable across
+// restarts.
 //
 // Shard recovery: when the control plane answers "unknown ME"
 // (amigo.ErrUnknownME) mid-campaign — a lease, the redelivery lease of a
 // restarted ME included — the shard that knew this ME has lost its
 // in-memory state: a killed shard came back as a fresh server over its
 // surviving WAL, and a lease never creates an ME. The next incarnation
-// re-POSTs the schedule, creating the ME anew, with the task IDs pinned
-// from the first schedule, so re-executed uploads carry the same (ME,
-// TaskID) identities and dedup to nothing at ingest.
-func (d *Driver) runME(client *http.Client, sc MESchedule, dep *airalo.Deployment, seed int64) error {
-	scheduled := false
+// schedules the ME anew as a block of one, with the pinned task IDs, so
+// re-executed uploads carry the same (ME, TaskID) identities and dedup
+// to nothing at ingest.
+func (d *Driver) runME(client *http.Client, sc MESchedule, tasks []amigo.Task, dep *airalo.Deployment, seed int64) error {
+	scheduled := true
 	recoveries := 0
-	tasks := append([]amigo.Task(nil), sc.Tasks...)
 	for inc := 0; ; inc++ {
 		crashed, err := d.runIncarnation(client, sc, dep, seed, inc, &scheduled, tasks)
 		if err != nil {
@@ -362,12 +374,10 @@ func (d *Driver) runME(client *http.Client, sc MESchedule, dep *airalo.Deploymen
 	}
 }
 
-// runIncarnation runs one ME lifetime: obtain the schedule (POST it the
-// first time, or make the first lease a redelivery after a crash),
-// optionally heartbeat, then lease/execute/upload until drained. It reports
+// runIncarnation runs one ME lifetime: re-schedule the ME if its shard
+// lost it, or make the first lease a redelivery after a crash, optionally
+// heartbeat, then lease/execute/upload until drained. It reports
 // crashed=true when the chaos injector kills the ME between batches.
-// The first successful schedule pins the server-assigned task IDs into
-// tasks (in place), so a shard-recovery re-schedule reuses them.
 func (d *Driver) runIncarnation(client *http.Client, sc MESchedule, dep *airalo.Deployment, seed int64, inc int, scheduled *bool, tasks []amigo.Task) (crashed bool, err error) {
 	ctx, cancel := d.watchdog()
 	defer cancel()
@@ -391,13 +401,15 @@ func (d *Driver) runIncarnation(client *http.Client, sc MESchedule, dep *airalo.
 		ep.Retry.Jitter = rng.Stream(d.Chaos.Seed(), fmt.Sprintf("jitter/%s/%d", sc.Name, inc))
 	}
 
-	if *scheduled {
-		ep.Redeliver()
-	} else {
-		if err := d.scheduleBatch(ctx, client, sc.Name, tasks); err != nil {
+	switch {
+	case !*scheduled:
+		body := wire.AppendSchedule(nil, sc.Name, tasks)
+		if err := d.scheduleBlock(ctx, client, body, []MESchedule{sc}, [][]amigo.Task{tasks}); err != nil {
 			return false, err
 		}
 		*scheduled = true
+	case inc > 0:
+		ep.Redeliver()
 	}
 	if d.Heartbeat {
 		ep.Heartbeat()
@@ -423,46 +435,89 @@ var (
 	pageHeader  = http.Header{}
 )
 
-// scheduleBatch POSTs the ME's schedule as one MsgSchedule frame and
-// reads the server's MsgTasks reply back over tasks: the same tasks under
-// the IDs the server assigned, or honored when they carried pinned ones —
-// a recovery re-schedule pins them so replayed uploads dedup. It runs
-// under the incarnation's ctx, so the straggler watchdog reclaims an ME
-// whose schedule request hangs as it does one whose lease hangs.
-func (d *Driver) scheduleBatch(ctx context.Context, client *http.Client, me string, tasks []amigo.Task) error {
-	buf := wire.GetBuf()
-	defer wire.PutBuf(buf)
-	*buf = wire.AppendSchedule(*buf, me, tasks)
+// blockMEs is how many MEs' schedule frames one POST /admin/schedule
+// carries, unless the body's bounds cut the block shorter.
+const blockMEs = 64
+
+// scheduleAll schedules every ME before any starts. The frames are
+// encoded once, back to back, and sent in blocks of up to blockMEs
+// MEs, cut shorter where a body would pass wire.MaxFrame bytes or
+// wire.MaxScheduleCount tasks; the blocks run on the worker pool, each
+// under the watchdog, and the IDs the plane assigns are pinned into
+// tasks. Operator traffic carries no chaos: a schedule is never faulted.
+func (d *Driver) scheduleAll(client *http.Client, scheds []MESchedule, tasks [][]amigo.Task) error {
+	var body []byte
+	begin := make([]int, len(scheds)+1) // ME i's frame is body[begin[i]:begin[i+1]]
+	for i, sc := range scheds {
+		body = wire.AppendSchedule(body, sc.Name, tasks[i])
+		begin[i+1] = len(body)
+	}
+	var blocks [][2]int // [lo, hi) ME ranges
+	lo, count := 0, 0
+	for i := range scheds {
+		if i > lo && (i-lo == blockMEs || begin[i+1]-begin[lo] > wire.MaxFrame ||
+			count+len(tasks[i]) > wire.MaxScheduleCount) {
+			blocks = append(blocks, [2]int{lo, i})
+			lo, count = i, 0
+		}
+		count += len(tasks[i])
+	}
+	if lo < len(scheds) {
+		blocks = append(blocks, [2]int{lo, len(scheds)})
+	}
+	errs := make([]error, len(blocks))
+	RunPool(d.workers(), len(blocks), func(k int) {
+		ctx, cancel := d.watchdog()
+		defer cancel()
+		lo, hi := blocks[k][0], blocks[k][1]
+		errs[k] = d.scheduleBlock(ctx, client, body[begin[lo]:begin[hi]], scheds[lo:hi], tasks[lo:hi])
+	})
+	return errors.Join(errs...)
+}
+
+// scheduleBlock POSTs body — the MsgSchedule frames of scheds, in order —
+// and reads the reply, one MsgTasks frame per ME, back over tasks: the
+// same tasks under the IDs the server assigned, or honored when they
+// carried pinned ones — a recovery re-schedule pins them so replayed
+// uploads dedup.
+func (d *Driver) scheduleBlock(ctx context.Context, client *http.Client, body []byte, scheds []MESchedule, tasks [][]amigo.Task) error {
 	u, err := amigo.Route(d.BaseURL, "/admin/schedule")
 	if err != nil {
 		return err
 	}
-	resp, err := amigo.Send(ctx, client, http.MethodPost, u, frameHeader, *buf)
+	resp, err := amigo.Send(ctx, client, http.MethodPost, u, frameHeader, body)
 	if err != nil {
 		return err
 	}
+	defer amigo.DrainClose(resp) // drains any frame past the last ME's
 	if resp.StatusCode >= 300 {
-		amigo.DrainClose(resp)
-		return fmt.Errorf("fleet: schedule %s: HTTP %d", me, resp.StatusCode)
+		who := scheds[0].Name
+		if len(scheds) > 1 {
+			who = fmt.Sprintf("%d MEs from %s", len(scheds), who)
+		}
+		return fmt.Errorf("fleet: schedule %s: HTTP %d", who, resp.StatusCode)
 	}
-	h, payload, err := wire.ReadFrame(resp.Body, (*buf)[:0])
-	*buf = payload // keep any growth pooled
-	amigo.DrainClose(resp)
-	var got []amigo.Task
-	if err == nil && h.Type != wire.MsgTasks {
-		err = fmt.Errorf("unexpected message type 0x%02x", h.Type)
-	} else if err == nil {
-		dec := wire.GetDecoder()
-		// The capacity bound keeps a reply longer than the schedule from
-		// writing past it.
-		got, err = dec.Tasks(payload, tasks[:0:len(tasks)])
-		wire.PutDecoder(dec)
-	}
-	if err != nil {
-		return fmt.Errorf("fleet: schedule %s: decoding response: %w", me, err)
-	}
-	if len(got) != len(tasks) {
-		return fmt.Errorf("fleet: schedule %s: server assigned %d IDs for %d tasks", me, len(got), len(tasks))
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	dec := wire.GetDecoder()
+	defer wire.PutDecoder(dec)
+	for i, sc := range scheds {
+		h, payload, err := wire.ReadFrame(resp.Body, (*buf)[:0])
+		*buf = payload // keep any growth pooled
+		var got []amigo.Task
+		if err == nil && h.Type != wire.MsgTasks {
+			err = fmt.Errorf("unexpected message type 0x%02x", h.Type)
+		} else if err == nil {
+			// The capacity bound keeps a reply longer than the schedule
+			// from writing past it.
+			got, err = dec.Tasks(payload, tasks[i][:0:len(tasks[i])])
+		}
+		if err != nil {
+			return fmt.Errorf("fleet: schedule %s: decoding response: %w", sc.Name, err)
+		}
+		if len(got) != len(tasks[i]) {
+			return fmt.Errorf("fleet: schedule %s: server assigned %d IDs for %d tasks", sc.Name, len(got), len(tasks[i]))
+		}
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -45,6 +46,100 @@ func TestCampaignLeasesOncePerME(t *testing.T) {
 	}
 }
 
+// TestCampaignSchedulesInBlocks: a campaign schedules its whole plan in
+// blocks of blockMEs MEs before any ME starts, so the schedule route
+// serves ⌈MEs/blockMEs⌉ requests, and each ME's own requests are its
+// lease and its upload.
+func TestCampaignSchedulesInBlocks(t *testing.T) {
+	reg := obs.NewRegistry()
+	hs := newObsControlServer(t, reg, nil)
+	plan := Plan{Countries: []string{"PAK", "GEO"}, MEsPerCountry: blockMEs + 1, Tasks: []amigo.Task{{Kind: "dns"}}, Configs: []string{"sim"}}
+	d := &Driver{BaseURL: hs.URL, Seed: testSeed, Workers: 2}
+	camp, err := d.Run(testWorld(t), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if camp.Stats.Results != plan.MECount() {
+		t.Fatalf("%d results for %d MEs of one task", camp.Stats.Results, plan.MECount())
+	}
+	blocks := (plan.MECount() + blockMEs - 1) / blockMEs
+	for route, want := range map[string]int{"/admin/schedule": blocks, "/v3/tasks/lease": plan.MECount(), "/v3/results": plan.MECount()} {
+		got := reg.Counter("amigo_server_requests_total", obs.L("route", route), obs.L("class", "2xx")).Value()
+		if got != int64(want) {
+			t.Errorf("%s: %d requests, want %d", route, got, want)
+		}
+	}
+}
+
+// TestScheduleBlocksStayInBounds: a block is cut short where its body
+// would pass wire.MaxScheduleCount tasks or wire.MaxFrame bytes, so a
+// server, which refuses such a body whole, takes every block.
+func TestScheduleBlocksStayInBounds(t *testing.T) {
+	many := func(n int, target string) []amigo.Task {
+		tasks := make([]amigo.Task, n)
+		for i := range tasks {
+			tasks[i] = amigo.Task{Kind: "dns", Target: target}
+		}
+		return tasks
+	}
+	for _, c := range []struct {
+		name  string
+		tasks []amigo.Task // every ME's
+		mes   int
+		want  []int // MEs per request, in order
+	}{
+		{"block size", many(1, ""), 2*blockMEs + 2, []int{blockMEs, blockMEs, 2}},
+		{"task bound", many(wire.MaxScheduleCount/2, ""), 3, []int{2, 1}},
+		{"byte bound", many(1, strings.Repeat("x", wire.MaxFrame/3)), 3, []int{2, 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := amigo.NewServer(nil)
+			var mu sync.Mutex
+			var sizes []int
+			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				rec := httptest.NewRecorder()
+				srv.AdminHandler().ServeHTTP(rec, r)
+				n := replyFrames(rec.Body.Bytes())
+				mu.Lock()
+				sizes = append(sizes, n)
+				mu.Unlock()
+				w.WriteHeader(rec.Code)
+				w.Write(rec.Body.Bytes())
+			}))
+			defer hs.Close()
+			scheds := make([]MESchedule, c.mes)
+			tasks := make([][]amigo.Task, c.mes)
+			for i := range scheds {
+				scheds[i].Name = fmt.Sprintf("me-%03d", i)
+				tasks[i] = slices.Clone(c.tasks)
+			}
+			d := &Driver{BaseURL: hs.URL, Workers: 1}
+			if err := d.scheduleAll(hs.Client(), scheds, tasks); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(sizes, c.want) {
+				t.Fatalf("requests carried %v MEs, want %v", sizes, c.want)
+			}
+			if last := tasks[c.mes-1][len(c.tasks)-1]; last.ID != c.mes*len(c.tasks) {
+				t.Fatalf("the last task's ID is %d, want %d", last.ID, c.mes*len(c.tasks))
+			}
+		})
+	}
+}
+
+// replyFrames counts a schedule reply's frames (0 for a refusal).
+func replyFrames(reply []byte) int {
+	n := 0
+	for ; len(reply) > 0; n++ {
+		h, err := wire.ParseHeader(reply)
+		if err != nil {
+			return 0
+		}
+		reply = reply[min(len(reply), wire.HeaderLen+int(h.N)):]
+	}
+	return n
+}
+
 // TestScheduleRejectsWrongIDCount: a schedule response that does not
 // assign one ID per task fails the campaign, naming the ME and both
 // counts — unpinned IDs would make a later shard recovery re-schedule
@@ -67,11 +162,9 @@ func TestScheduleRejectsWrongIDCount(t *testing.T) {
 	}
 }
 
-// TestStragglerReclaimsHungSchedule: the schedule POST runs under the
-// incarnation's straggler watchdog. Against a control plane whose
-// /admin/schedule never answers, each incarnation costs Straggler, and
-// Run fails with the deadline once the restart budget is spent, instead
-// of waiting forever.
+// TestStragglerReclaimsHungSchedule: each schedule block runs under the
+// straggler watchdog. Against a control plane whose /admin/schedule never
+// answers, Run fails with the deadline instead of waiting forever.
 func TestStragglerReclaimsHungSchedule(t *testing.T) {
 	srv := amigo.NewServer(nil)
 	mux := http.NewServeMux()
@@ -133,9 +226,10 @@ func TestStragglerBoundsResultsReadBack(t *testing.T) {
 	}
 }
 
-// TestScheduleFrameCarriesTasks: the schedule POST body is one
-// MsgSchedule frame that decodes to exactly the ME and tasks given, pinned
-// IDs included, and the reply's IDs land in the tasks in place.
+// TestScheduleFrameCarriesTasks: the schedule POST body is the MEs'
+// MsgSchedule frames back to back, decoding to exactly the MEs and tasks
+// given, pinned IDs included, and each reply frame's IDs land in that ME's
+// tasks in place.
 func TestScheduleFrameCarriesTasks(t *testing.T) {
 	var mu sync.Mutex
 	var body []byte
@@ -145,14 +239,15 @@ func TestScheduleFrameCarriesTasks(t *testing.T) {
 		mu.Lock()
 		body, contentType = b, r.Header.Get("Content-Type")
 		mu.Unlock()
-		w.Write(wire.AppendTasks(nil, []amigo.Task{{ID: 7, Kind: "mtr", Target: "Google", Config: "esim"}, {ID: 9, Kind: "dns", Config: "sim"}}))
+		reply := wire.AppendTasks(nil, []amigo.Task{{ID: 7, Kind: "mtr", Target: "Google", Config: "esim"}, {ID: 9, Kind: "dns", Config: "sim"}})
+		w.Write(wire.AppendTasks(reply, []amigo.Task{{ID: 10, Kind: "dns", Config: "esim"}}))
 	}))
 	defer hs.Close()
-	const me = "me-<&>\"é\u2028"
-	want := []amigo.Task{{ID: 7, Kind: "mtr", Target: "Google", Config: "esim"}, {Kind: "dns", Config: "sim"}}
-	tasks := slices.Clone(want)
+	scheds := []MESchedule{{Name: "me-<&>\"é\u2028"}, {Name: "me-DEU"}}
+	want := [][]amigo.Task{{{ID: 7, Kind: "mtr", Target: "Google", Config: "esim"}, {Kind: "dns", Config: "sim"}}, {{Kind: "dns", Config: "esim"}}}
+	tasks := [][]amigo.Task{slices.Clone(want[0]), slices.Clone(want[1])}
 	d := &Driver{BaseURL: hs.URL}
-	if err := d.scheduleBatch(context.Background(), hs.Client(), me, tasks); err != nil {
+	if err := d.scheduleAll(hs.Client(), scheds, tasks); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -160,16 +255,18 @@ func TestScheduleFrameCarriesTasks(t *testing.T) {
 	if contentType != wire.ContentType {
 		t.Errorf("Content-Type = %q, want %q", contentType, wire.ContentType)
 	}
-	h, err := wire.ParseHeader(body)
-	if err != nil || h.Type != wire.MsgSchedule || int(h.N) != len(body)-wire.HeaderLen {
-		t.Fatalf("schedule body %x is not one MsgSchedule frame (%+v, %v)", body, h, err)
+	_, frames, err := wire.NewDecoder().Schedules(body, nil, nil)
+	if err != nil || len(frames) != 2 {
+		t.Fatalf("schedule body %x is not two MsgSchedule frames (%d, %v)", body, len(frames), err)
 	}
-	gotME, got, err := wire.NewDecoder().Schedule(body[wire.HeaderLen:], nil)
-	if err != nil || gotME != me || !slices.Equal(got, want) {
-		t.Errorf("schedule frame decodes to %q %+v (%v), want %q %+v", gotME, got, err, me, want)
+	for i, f := range frames {
+		gotME, got, err := wire.NewDecoder().Schedule(f.Frame[wire.HeaderLen:], nil)
+		if err != nil || gotME != scheds[i].Name || !slices.Equal(got, want[i]) {
+			t.Errorf("frame %d decodes to %q %+v (%v), want %q %+v", i, gotME, got, err, scheds[i].Name, want[i])
+		}
 	}
-	if tasks[0].ID != 7 || tasks[1].ID != 9 {
-		t.Errorf("tasks after the reply: %+v, want IDs 7 and 9", tasks)
+	if tasks[0][0].ID != 7 || tasks[0][1].ID != 9 || tasks[1][0].ID != 10 {
+		t.Errorf("tasks after the reply: %+v, want IDs 7 and 9, then 10", tasks)
 	}
 }
 
@@ -208,7 +305,9 @@ func TestControlPlaneDoesNotFollowRedirects(t *testing.T) {
 			return ep.Upload([]amigo.Result{{TaskID: 1, ME: "me", Kind: "dns", Config: "sim", OK: true, Payload: []byte(`{}`)}})
 		}},
 		{"schedule", func() error {
-			return d.scheduleBatch(context.Background(), first.Client(), "me", []amigo.Task{{Kind: "dns", Config: "sim"}})
+			tasks := []amigo.Task{{Kind: "dns", Config: "sim"}}
+			body := wire.AppendSchedule(nil, "me", tasks)
+			return d.scheduleBlock(context.Background(), first.Client(), body, []MESchedule{{Name: "me"}}, [][]amigo.Task{tasks})
 		}},
 	} {
 		if err := op.call(); err == nil || !strings.Contains(err.Error(), "HTTP 307") {

@@ -11,8 +11,9 @@
 //
 //   - A Plan expands (countries × SIM configurations × task kinds ×
 //     reps) into one deterministic task schedule per ME (Schedules).
-//   - A Driver runs every ME schedule against a live control server on
-//     a bounded worker pool. Per-ME random streams are pre-forked
+//   - A Driver schedules the whole plan on a live control server, 64
+//     MEs a request, then runs every ME schedule against it on a bounded
+//     worker pool. Per-ME random streams are pre-forked
 //     serially in canonical schedule order before any worker starts
 //     (the rng pre-fork-then-spawn discipline), and each ME executes
 //     its own tasks in queue order, so the uploaded payloads are

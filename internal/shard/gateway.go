@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"slices"
 	"strconv"
@@ -187,10 +188,11 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) buildMux() *http.ServeMux {
 	mux := http.NewServeMux()
-	// Every body is one v3 frame: peek the ME, forward whole to its shard.
+	// An ME's body is one v3 frame: peek the ME, forward whole to its shard.
 	mux.HandleFunc("POST /v3/tasks/lease", g.routeV3(routeV3Lease))
 	mux.HandleFunc("POST /v3/results", g.routeV3(routeV3Results))
-	mux.HandleFunc("POST /admin/schedule", g.routeV3(routeAdminSchedule))
+	// A schedule body is many MEs' frames: split by shard, stitch the replies.
+	mux.HandleFunc("POST /admin/schedule", g.handleSchedule)
 	// Admin read surface: the merged results log.
 	mux.HandleFunc("GET /admin/results", g.handleMergedResults)
 	// The gateway's own observability, covering gateway counters plus
@@ -271,8 +273,8 @@ func readFrame(body io.Reader, b *pooledBody) (wire.Header, error) {
 var errNotOneFrame = errors.New("shard: body is not exactly one v3 frame")
 
 // routeV3 is the gateway's one peek: it reads the ME out of a binary wire
-// frame — the header names the message type, and LeaseRequest.ME / the
-// first upload record's ME / the schedule's ME names the owning shard.
+// frame — the header names the message type, and LeaseRequest.ME or the
+// first upload record's ME names the owning shard.
 // Only the routing-relevant prefix is decoded strictly here; the shard's
 // handler decodes (and rejects) the full frame as usual. A body not sent
 // as a frame is 415 before any of it is read, as a shard answers it.
@@ -299,8 +301,6 @@ func (g *Gateway) routeV3(route int) http.HandlerFunc {
 			me = req.ME
 		case wire.MsgResults:
 			me, err = dec.FirstResultME(payload)
-		case wire.MsgSchedule:
-			me, err = dec.ScheduleME(payload)
 		default:
 			err = fmt.Errorf("shard: unroutable frame type 0x%02x", h.Type)
 		}
@@ -313,9 +313,100 @@ func (g *Gateway) routeV3(route int) http.HandlerFunc {
 	}
 }
 
+// handleSchedule is POST /admin/schedule. It refuses what a server
+// refuses, before any shard sees the body: not sent as frames (415), over
+// wire.MaxFrame bytes (413), or any frame that does not decode and check
+// (400, wire.Decoder.Schedules). It then groups the frames by the shard
+// owning their ME under one topology snapshot, sends each shard its
+// frames as one in-process request, in shard order, and answers the
+// shards' MsgTasks frames in body order. A checked body fails at a shard
+// only when the shard itself does (503 while it drains): the request then
+// answers that shard's reply, and earlier shards' parts stand.
+func (g *Gateway) handleSchedule(w http.ResponseWriter, r *http.Request) {
+	if r.Header.Get("Content-Type") != wire.ContentType {
+		http.Error(w, "expected "+wire.ContentType, http.StatusUnsupportedMediaType)
+		return
+	}
+	b := takeBody()
+	defer b.release()
+	body, err := wire.ReadBody(r.Body, r.ContentLength, *b.buf)
+	*b.buf = body // keep any growth pooled
+	var frames []wire.ScheduleFrame
+	if err == nil {
+		dec := wire.GetDecoder()
+		_, frames, err = dec.Schedules(body, nil, nil)
+		wire.PutDecoder(dec)
+	}
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.Is(err, wire.ErrBodyTooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), code)
+		return
+	}
+
+	t := g.topo.Load()
+	owner := make([]int, len(frames))
+	for i, f := range frames {
+		owner[i] = t.ring.Shard(f.ME)
+	}
+	replies := make([][2]int, len(frames)) // each frame's reply, as offsets into resp
+	var resp memResponse
+	sub := wire.GetBuf()
+	defer wire.PutBuf(sub)
+	for s, backend := range t.backends {
+		*sub = (*sub)[:0]
+		for i, f := range frames {
+			if owner[i] == s {
+				*sub = append(*sub, f.Frame...)
+			}
+		}
+		if len(*sub) == 0 {
+			continue
+		}
+		b.Reset(*sub)
+		r.Body, r.ContentLength = b, int64(len(*sub))
+		off := resp.body.Len()
+		resp.code = 0
+		t.reqs[s][routeAdminSchedule].Inc()
+		backend.ServeHTTP(&resp, r)
+		if resp.code != 0 && resp.code != http.StatusOK {
+			maps.Copy(w.Header(), resp.Header())
+			w.WriteHeader(resp.code)
+			w.Write(resp.body.Bytes()[off:]) // a failed write means the client is gone
+			return
+		}
+		// The shard answers one MsgTasks frame per frame, in the order sent.
+		for i := range frames {
+			if owner[i] != s {
+				continue
+			}
+			h, err := wire.ParseHeader(resp.body.Bytes()[off:])
+			end := off + wire.HeaderLen + int(h.N)
+			if err != nil || h.Type != wire.MsgTasks || end > resp.body.Len() {
+				http.Error(w, fmt.Sprintf("shard %d: bad schedule reply", s), http.StatusBadGateway)
+				return
+			}
+			replies[i] = [2]int{off, end}
+			off = end
+		}
+		if off != resp.body.Len() {
+			http.Error(w, fmt.Sprintf("shard %d: bad schedule reply", s), http.StatusBadGateway)
+			return
+		}
+	}
+	w.Header().Set("Content-Type", wire.ContentType)
+	*sub = (*sub)[:0]
+	for _, rep := range replies {
+		*sub = append(*sub, resp.body.Bytes()[rep[0]:rep[1]]...)
+	}
+	w.Write(*sub) // a failed write means the client is gone
+}
+
 // memResponse is a minimal in-memory http.ResponseWriter for the
-// synthetic sub-requests the merged results route issues against shard
-// backends.
+// synthetic sub-requests the merged results and schedule routes issue
+// against shard backends.
 type memResponse struct {
 	code int
 	hdr  http.Header
@@ -507,7 +598,8 @@ func (g *Gateway) handleMergedResults(w http.ResponseWriter, r *http.Request) {
 		prefix += lens[i]
 	}
 	g.obs.Counter("gateway_admin_merges_total").Inc()
-	page.write(w, cursor+page.n)
+	// A cursor past the end reads from the end, as ResultsSince clamps it.
+	page.write(w, min(cursor, total)+page.n)
 }
 
 // intParam parses an optional integer query parameter. A missing value

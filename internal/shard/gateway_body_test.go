@@ -2,11 +2,14 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -45,6 +48,13 @@ func (b *recordingBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Content-Length.
 func post(t *testing.T, url, contentType string, body []byte, chunked bool) int {
 	t.Helper()
+	code, _ := postReply(t, url, contentType, body, chunked)
+	return code
+}
+
+// postReply is post, also returning the reply's body.
+func postReply(t *testing.T, url, contentType string, body []byte, chunked bool) (int, []byte) {
+	t.Helper()
 	var rd io.Reader = bytes.NewReader(body)
 	if chunked {
 		rd = struct{ io.Reader }{rd}
@@ -58,21 +68,28 @@ func post(t *testing.T, url, contentType string, body []byte, chunked bool) int 
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
+	reply, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	return resp.StatusCode
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, reply
 }
 
 // TestGatewayV3BodyShapes sends every v3 body shape to a bare
-// amigo.Server and through a gateway in front of an identical one. The
-// status code must match, and the shard must read exactly the bytes the
-// client sent; a body the gateway refuses (400 for a bad frame, 415 for
-// one not sent as a frame) never reaches the shard. The one deliberate
-// difference is a body longer than its frame: a bare server reads one
-// frame and ignores the rest; the gateway refuses it, because it
-// forwards whole bodies and will not route bytes it has not framed.
+// amigo.Server and through a 4-shard gateway in front of identical ones.
+// The status code must match, and a reply that succeeds must match byte for
+// byte; each shard must read exactly the bytes of the client's frames it
+// owns, in body order — all of an ME's body, the schedule frames of its
+// MEs out of a schedule body; a body the gateway refuses (400 for a bad
+// frame, 415 for one not sent as frames) reaches no shard, and a refused
+// schedule creates no ME anywhere. The one deliberate difference is a
+// body longer than its frame: a bare server reads one frame and ignores
+// the rest; the gateway refuses it, because it forwards whole bodies and
+// will not route bytes it has not framed.
 func TestGatewayV3BodyShapes(t *testing.T) {
-	const me = "PAK-00"
+	const me, shards = "PAK-00", 4
+	ring := NewRing(shards)
 	results := func(n, payload int) []byte {
 		rs := make([]wire.Result, n)
 		for i := range rs {
@@ -82,13 +99,41 @@ func TestGatewayV3BodyShapes(t *testing.T) {
 		return wire.AppendResults(nil, rs)
 	}
 	one := results(1, 8)
+	// Three schedule frames under pinned IDs, so every shard answers what one
+	// server does: the first and third MEs share a shard above the second's.
+	var hi, lo, hi2 string
+	for i := 0; hi2 == ""; i++ {
+		name := fmt.Sprintf("SCH-%02d", i)
+		switch s := ring.Shard(name); {
+		case hi == "" && s > 0:
+			hi = name
+		case hi != "" && lo == "" && s < ring.Shard(hi):
+			lo = name
+		case hi != "" && s == ring.Shard(hi) && name != hi:
+			hi2 = name
+		}
+	}
+	if lo == "" {
+		t.Fatal("no ME below the first one's shard")
+	}
+	fHi := wire.AppendSchedule(nil, hi, []wire.Task{{ID: 11, Kind: "dns", Config: "sim"}, {ID: 12, Kind: "mtr", Target: "Google", Config: "esim"}})
+	fLo := wire.AppendSchedule(nil, lo, []wire.Task{{ID: 21, Kind: "speedtest", Config: "esim"}})
+	fHi2 := wire.AppendSchedule(nil, hi2, []wire.Task{{ID: 31, Kind: "cdn", Target: "cloudfront", Config: "sim"}})
+	schedules := slices.Concat(fHi, fLo, fHi2)
+	many := func(me string, n int) []byte {
+		ts := make([]wire.Task, n)
+		for i := range ts {
+			ts[i] = wire.Task{Kind: "dns"}
+		}
+		return wire.AppendSchedule(nil, me, ts)
+	}
 	cases := []struct {
 		name        string
 		path        string
 		contentType string
 		body        []byte
 		chunked     bool
-		refused     int  // the status the gateway answers itself; nothing reaches the shard
+		refused     int  // the status the gateway answers itself; nothing reaches a shard
 		bareDiffers bool // the documented trailing-bytes difference
 	}{
 		{name: "lease", path: "/v3/tasks/lease", body: wire.AppendLeaseRequest(nil, wire.LeaseRequest{ME: me, Max: 4})},
@@ -103,26 +148,44 @@ func TestGatewayV3BodyShapes(t *testing.T) {
 		{name: "chunked-trailing-byte", path: "/v3/results", body: append(append([]byte(nil), one...), 0), chunked: true, refused: http.StatusBadRequest, bareDiffers: true},
 		{name: "wrong-content-type", path: "/v3/results", contentType: "application/json", body: one, refused: http.StatusUnsupportedMediaType},
 		{name: "wrong-type-for-route", path: "/v3/tasks/lease", body: one},
+		{name: "schedule-across-shards", path: "/admin/schedule", body: schedules},
+		{name: "schedule-chunked", path: "/admin/schedule", body: schedules, chunked: true},
+		{name: "schedule-kindless-second-frame", path: "/admin/schedule", refused: http.StatusBadRequest,
+			body: slices.Concat(fHi, wire.AppendSchedule(nil, lo, []wire.Task{{Config: "sim"}}))},
+		{name: "schedule-empty-second-frame", path: "/admin/schedule", refused: http.StatusBadRequest,
+			body: slices.Concat(fHi, wire.AppendSchedule(nil, lo, nil))},
+		{name: "schedule-trailing-byte", path: "/admin/schedule", refused: http.StatusBadRequest,
+			body: slices.Concat(schedules, []byte{0})},
+		{name: "schedule-then-lease-frame", path: "/admin/schedule", refused: http.StatusBadRequest,
+			body: slices.Concat(fHi, wire.AppendLeaseRequest(nil, wire.LeaseRequest{ME: lo, Max: 4}))},
+		{name: "schedule-over-total-tasks", path: "/admin/schedule", refused: http.StatusBadRequest,
+			body: slices.Concat(many(hi, wire.MaxScheduleCount/2+1), many(lo, wire.MaxScheduleCount/2))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			bare := amigo.NewServer(nil)
 			bare.ScheduleBatch(me, nil)
-			bareHS := httptest.NewServer(bare.Handler())
+			bareHS := httptest.NewServer(Mount(bare.Handler(), bare.AdminHandler()))
 			defer bareHS.Close()
 
-			sharded := amigo.NewServer(nil)
-			sharded.ScheduleBatch(me, nil)
-			rec := &recordingBackend{next: Mount(sharded.Handler(), sharded.AdminHandler())}
-			gwHS := httptest.NewServer(NewGateway([]http.Handler{rec}, Options{Obs: obs.NewRegistry()}))
+			servers := make([]*amigo.Server, shards)
+			recs := make([]*recordingBackend, shards)
+			backends := make([]http.Handler, shards)
+			for i := range servers {
+				servers[i] = amigo.NewServer(nil)
+				recs[i] = &recordingBackend{next: Mount(servers[i].Handler(), servers[i].AdminHandler())}
+				backends[i] = recs[i]
+			}
+			servers[ring.Shard(me)].ScheduleBatch(me, nil)
+			gwHS := httptest.NewServer(NewGateway(backends, Options{Obs: obs.NewRegistry()}))
 			defer gwHS.Close()
 
 			ct := tc.contentType
 			if ct == "" {
 				ct = wire.ContentType
 			}
-			want := post(t, bareHS.URL+tc.path, ct, tc.body, tc.chunked)
-			got := post(t, gwHS.URL+tc.path, ct, tc.body, tc.chunked)
+			want, wantReply := postReply(t, bareHS.URL+tc.path, ct, tc.body, tc.chunked)
+			got, gotReply := postReply(t, gwHS.URL+tc.path, ct, tc.body, tc.chunked)
 			switch {
 			case tc.refused != 0 && got != tc.refused:
 				t.Fatalf("gateway: HTTP %d, want %d", got, tc.refused)
@@ -130,27 +193,118 @@ func TestGatewayV3BodyShapes(t *testing.T) {
 				t.Fatalf("gateway: HTTP %d, bare server: HTTP %d", got, want)
 			case tc.bareDiffers && want >= 300:
 				t.Fatalf("bare server: HTTP %d — it no longer ignores trailing bytes; fold this case into the others", want)
+			case got == http.StatusOK && !bytes.Equal(gotReply, wantReply):
+				t.Fatalf("gateway answered %x, bare server %x", gotReply, wantReply)
+			}
+			var mes []string
+			for _, srv := range servers {
+				mes = append(mes, srv.MEs()...)
+			}
+			slices.Sort(mes)
+			if !tc.bareDiffers && !slices.Equal(mes, bare.MEs()) {
+				t.Fatalf("the shards know MEs %v, the bare server %v", mes, bare.MEs())
 			}
 			if tc.refused != 0 {
-				if len(rec.bodies) != 0 {
-					t.Fatalf("a refused body reached the shard: %d bytes", len(rec.bodies[0]))
+				for s, rec := range recs {
+					if len(rec.bodies) != 0 {
+						t.Fatalf("a refused body reached shard %d: %d bytes", s, len(rec.bodies[0]))
+					}
+				}
+				if !slices.Equal(mes, []string{me}) {
+					t.Fatalf("a refused body left MEs %v", mes)
 				}
 				return
 			}
-			if len(rec.bodies) != 1 {
-				t.Fatalf("shard saw %d requests, want 1", len(rec.bodies))
+
+			// What each shard should have read: an ME's body goes whole to
+			// its shard; a schedule body's frames go to their MEs' shards.
+			owned := make([][]byte, shards)
+			if tc.path == "/admin/schedule" {
+				tasks, frames, err := wire.NewDecoder().Schedules(tc.body, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range frames {
+					owned[ring.Shard(f.ME)] = append(owned[ring.Shard(f.ME)], f.Frame...)
+				}
+				if got, n := replyTasks(t, gotReply); n != len(frames) || !slices.Equal(got, tasks) {
+					t.Fatalf("the reply's %d frames hold %+v, want the %d frames' tasks in body order", n, got, len(frames))
+				}
+			} else {
+				owned[ring.Shard(routedBy(t, tc.body))] = tc.body
 			}
-			if !bytes.Equal(rec.bodies[0], tc.body) {
-				t.Fatalf("shard read %d bytes that differ from the %d sent", len(rec.bodies[0]), len(tc.body))
+			for s, rec := range recs {
+				if owned[s] == nil {
+					if len(rec.bodies) != 0 {
+						t.Fatalf("shard %d owns nothing of the body but read %d requests", s, len(rec.bodies))
+					}
+					continue
+				}
+				if len(rec.bodies) != 1 {
+					t.Fatalf("shard %d saw %d requests, want 1", s, len(rec.bodies))
+				}
+				if !bytes.Equal(rec.bodies[0], owned[s]) {
+					t.Fatalf("shard %d read %d bytes that differ from the %d it owns", s, len(rec.bodies[0]), len(owned[s]))
+				}
+				if rec.lens[0] != int64(len(owned[s])) {
+					t.Fatalf("shard %d saw Content-Length %d, its part is %d bytes", s, rec.lens[0], len(owned[s]))
+				}
 			}
-			if rec.lens[0] != int64(len(tc.body)) {
-				t.Fatalf("shard saw Content-Length %d, body is %d bytes", rec.lens[0], len(tc.body))
+			n := 0
+			for _, srv := range servers {
+				n += len(srv.Results())
 			}
-			if got, want := len(sharded.Results()), len(bare.Results()); got != want {
-				t.Fatalf("shard accepted %d results, bare server %d", got, want)
+			if n != len(bare.Results()) {
+				t.Fatalf("shards accepted %d results, bare server %d", n, len(bare.Results()))
 			}
 		})
 	}
+}
+
+// replyTasks decodes a schedule reply's MsgTasks frames: their tasks in
+// order, and how many frames there were.
+func replyTasks(t *testing.T, reply []byte) ([]wire.Task, int) {
+	t.Helper()
+	var tasks []wire.Task
+	rd := bytes.NewReader(reply)
+	for n := 0; ; n++ {
+		h, payload, err := wire.ReadFrame(rd, nil)
+		if errors.Is(err, io.EOF) {
+			return tasks, n
+		}
+		if err == nil && h.Type != wire.MsgTasks {
+			err = fmt.Errorf("frame type 0x%02x", h.Type)
+		}
+		if err == nil {
+			tasks, err = wire.NewDecoder().Tasks(payload, tasks)
+		}
+		if err != nil {
+			t.Fatalf("reply frame %d: %v", n, err)
+		}
+	}
+}
+
+// routedBy is the ME an ME's body is routed by: its lease's, or its
+// first result's ("" for an empty batch).
+func routedBy(t *testing.T, body []byte) string {
+	t.Helper()
+	h, err := wire.ParseHeader(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := wire.NewDecoder()
+	if h.Type == wire.MsgLeaseRequest {
+		req, err := dec.LeaseRequest(body[wire.HeaderLen:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req.ME
+	}
+	me, err := dec.FirstResultME(body[wire.HeaderLen:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return me
 }
 
 // TestGatewayOversizedBodiesRefusedFromTheirLength: a frame header
@@ -227,6 +381,46 @@ func TestGatewayJSONBodyShapes(t *testing.T) {
 				t.Fatalf("unread body: HTTP %d, want 415", w.Code)
 			}
 		})
+	}
+}
+
+// TestScheduleBodyOverMaxFrame: a schedule body over wire.MaxFrame bytes,
+// every frame in it legal, is 413 on one server and through a 4-shard
+// gateway and schedules nothing anywhere: refused from a declared length
+// without reading the body, else once the read passes the bound.
+func TestScheduleBodyOverMaxFrame(t *testing.T) {
+	frame := func(me string) []byte {
+		return wire.AppendSchedule(nil, me, []wire.Task{{Kind: "dns", Target: strings.Repeat("x", wire.MaxFrame/2)}})
+	}
+	body := slices.Concat(frame("SCH-00"), frame("SCH-01"))
+	bare := amigo.NewServer(nil)
+	servers := make([]*amigo.Server, 4)
+	backends := make([]http.Handler, len(servers))
+	for i := range servers {
+		servers[i] = amigo.NewServer(nil)
+		backends[i] = Mount(servers[i].Handler(), servers[i].AdminHandler())
+	}
+	for name, h := range map[string]http.Handler{
+		"server":  Mount(bare.Handler(), bare.AdminHandler()),
+		"gateway": NewGateway(backends, Options{Obs: obs.NewRegistry()}),
+	} {
+		declared := httptest.NewRequest(http.MethodPost, "/admin/schedule", tripwire{t})
+		declared.ContentLength = int64(len(body))
+		undeclared := httptest.NewRequest(http.MethodPost, "/admin/schedule", bytes.NewReader(body))
+		undeclared.ContentLength = -1
+		for _, req := range []*http.Request{declared, undeclared} {
+			req.Header.Set("Content-Type", wire.ContentType)
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			if w.Code != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s, Content-Length %d: HTTP %d, want 413", name, req.ContentLength, w.Code)
+			}
+		}
+	}
+	for _, srv := range append(servers, bare) {
+		if mes := srv.MEs(); len(mes) != 0 {
+			t.Fatalf("a refused body created MEs %v", mes)
+		}
 	}
 }
 

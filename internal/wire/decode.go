@@ -1,10 +1,12 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -332,20 +334,85 @@ func (d *Decoder) taskRecords(r *reader, dst []Task) ([]Task, error) {
 	return dst, nil
 }
 
-// ScheduleME is the shard gateway's routing peek: the ME a MsgSchedule
-// payload names, its tasks left to the owning shard's handler.
-func (d *Decoder) ScheduleME(payload []byte) (string, error) {
-	return d.str(&reader{b: payload})
-}
-
 // Schedule decodes a MsgSchedule payload: the ME, and the tasks after it
 // appended onto dst as Tasks decodes them.
 func (d *Decoder) Schedule(payload []byte, dst []Task) (string, []Task, error) {
-	me, err := d.ScheduleME(payload)
+	r := reader{b: payload}
+	me, err := d.str(&r)
 	if err == nil {
-		dst, err = d.Tasks(payload[uvarintLen(uint64(len(me)))+len(me):], dst)
+		dst, err = d.Tasks(payload[r.off:], dst)
 	}
 	return me, dst, err
+}
+
+// ScheduleFrame is one frame of a schedule body, as Schedules decodes it.
+type ScheduleFrame struct {
+	ME string
+	// Tasks counts the frame's tasks, which follow the previous frames'
+	// in the decoded []Task.
+	Tasks int
+	// Frame is the whole frame, header included; it aliases the body.
+	Frame []byte
+}
+
+var (
+	// ErrBodyTooLarge refuses a body over MaxFrame bytes (ReadBody,
+	// Schedules): a body of many frames is bounded as one frame is.
+	ErrBodyTooLarge = errors.New("wire: body exceeds MaxFrame bytes")
+	// errKindless refuses what every ME would execute into errors.
+	errKindless = errors.New("wire: a schedule needs at least one task, each with a kind")
+)
+
+// Schedules decodes a schedule body: one or more MsgSchedule frames back
+// to back, appending every frame's tasks onto dst in body order and one
+// ScheduleFrame per frame onto frames. The body is taken whole or not at
+// all. It is an error, with dst and frames returned as they were, when
+// the body is empty or over MaxFrame bytes, when any frame is not a
+// MsgSchedule, is torn, does not decode or names no ME, when a frame
+// holds no task or a task without a kind, or when the frames hold more
+// than MaxScheduleCount tasks in all (each frame's own count is bounded
+// before dst grows, as Schedule bounds it).
+func (d *Decoder) Schedules(body []byte, dst []Task, frames []ScheduleFrame) ([]Task, []ScheduleFrame, error) {
+	base, fbase := len(dst), len(frames)
+	var err error
+	switch {
+	case len(body) == 0:
+		err = errTruncated
+	case len(body) > MaxFrame:
+		err = ErrBodyTooLarge
+	}
+	for off := 0; err == nil && off < len(body); {
+		var h Header
+		if h, err = ParseHeader(body[off:]); err != nil {
+			break
+		}
+		end := off + HeaderLen + int(h.N)
+		switch {
+		case h.Type != MsgSchedule:
+			err = fmt.Errorf("wire: message type 0x%02x in a schedule body", h.Type)
+		case end > len(body):
+			err = errTruncated
+		}
+		start := len(dst)
+		var me string
+		if err == nil {
+			me, dst, err = d.Schedule(body[off+HeaderLen:end], dst)
+		}
+		switch {
+		case err != nil:
+		case len(dst)-base > MaxScheduleCount:
+			err = errCountBound
+		case len(dst) == start || slices.ContainsFunc(dst[start:], func(t Task) bool { return t.Kind == "" }):
+			err = errKindless
+		default:
+			frames = append(frames, ScheduleFrame{ME: me, Tasks: len(dst) - start, Frame: body[off:end]})
+			off = end
+		}
+	}
+	if err != nil {
+		return dst[:base], frames[:fbase], err
+	}
+	return dst, frames, nil
 }
 
 func (d *Decoder) task(rec []byte, t *Task) error {
@@ -542,6 +609,23 @@ func (d *Decoder) ReadResults(rd io.Reader, dst []Result) ([]Result, error) {
 			return dst, err
 		}
 	}
+}
+
+// ReadBody reads a request body to its end onto dst[:0], grown once when
+// its length is declared (length >= 0). A body over MaxFrame bytes is
+// ErrBodyTooLarge: from its declared length alone, else once the read
+// passes the bound.
+func ReadBody(rd io.Reader, length int64, dst []byte) ([]byte, error) {
+	if length > MaxFrame {
+		return dst[:0], ErrBodyTooLarge
+	}
+	b := bytes.NewBuffer(dst[:0])
+	b.Grow(int(max(length, 0)) + bytes.MinRead) // ReadFrom's last read needs MinRead free
+	_, err := b.ReadFrom(io.LimitReader(rd, MaxFrame+1))
+	if err == nil && b.Len() > MaxFrame {
+		err = ErrBodyTooLarge
+	}
+	return b.Bytes(), err
 }
 
 // ReadFrame reads exactly one frame from rd: the fixed header, then a

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -130,6 +131,37 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		if int(h.N) != len(buf) {
 			t.Fatalf("ReadFrame returned %d bytes for a header declaring %d", len(buf), h.N)
+		}
+	})
+}
+
+// FuzzSchedules pins the schedule body contract: a body Schedules accepts
+// re-encodes, frame by frame with each frame's tasks, to the same bytes,
+// and a body it refuses leaves dst and frames as they were.
+func FuzzSchedules(f *testing.F) {
+	kinded := sampleTasks()[:3]
+	two := AppendSchedule(AppendSchedule(nil, "me-PAK", kinded), "me-DEU", kinded[:1])
+	f.Add(two)
+	f.Add(append(slices.Clone(two), 0))
+	f.Add(AppendSchedule(append(slices.Clone(two), AppendSchedule(nil, "m", nil)...), "me-PAK", kinded))
+	f.Add(append(AppendSchedule(nil, "me-PAK", kinded), AppendTasks(nil, kinded)...))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		prior := []Task{{ID: 1, Kind: "dns"}}
+		tasks, frames, err := NewDecoder().Schedules(body, prior, nil)
+		if err != nil {
+			if len(tasks) != 1 || tasks[0] != prior[0] || len(frames) != 0 {
+				t.Fatalf("a refused body (%v) left %d tasks and %d frames", err, len(tasks), len(frames))
+			}
+			return
+		}
+		var re []byte
+		rest := tasks[1:]
+		for _, fr := range frames {
+			re = AppendSchedule(re, fr.ME, rest[:fr.Tasks])
+			rest = rest[fr.Tasks:]
+		}
+		if len(rest) != 0 || !bytes.Equal(re, body) {
+			t.Fatalf("re-encoded %x, body %x (%d tasks left over)", re, body, len(rest))
 		}
 	})
 }

@@ -39,6 +39,12 @@
 // lease reply instead of 204 No Content. Nothing else may follow a results
 // payload's records: results pages and WAL records never carry a lease.
 //
+// A request body is one frame, except a schedule's: the body of POST
+// /admin/schedule is one or more MsgSchedule frames back to back, answered
+// by one MsgTasks frame per frame in body order, and taken whole or not at
+// all (Decoder.Schedules) — at most MaxFrame bytes and MaxScheduleCount
+// tasks in all. The shard gateway splits such a body by shard.
+//
 // # Canonical form
 //
 // Encoding is canonical and decoding is strict: fields appear in

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -135,9 +137,6 @@ func TestGoldenScheduleFrame(t *testing.T) {
 	if err != nil || me != "me-PAK" || len(tasks) != 1 || tasks[0] != want[0] {
 		t.Fatalf("decoded %q %+v (%v)", me, tasks, err)
 	}
-	if me, err := d.ScheduleME(got[HeaderLen:]); err != nil || me != "me-PAK" {
-		t.Fatalf("ScheduleME = %q (%v)", me, err)
-	}
 }
 
 func TestScheduleRoundTrip(t *testing.T) {
@@ -157,6 +156,91 @@ func TestScheduleRoundTrip(t *testing.T) {
 			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", re, frame)
 		}
 	}
+}
+
+// TestSchedulesBody: a schedule body is one or more MsgSchedule frames,
+// decoded whole or not at all. Each frame's tasks follow the previous
+// frames' in body order and each ScheduleFrame holds its frame's bytes; a
+// body refused anywhere leaves dst and frames as they were.
+func TestSchedulesBody(t *testing.T) {
+	a := []Task{{Kind: "dns", Config: "sim"}, {ID: 9, Kind: "mtr", Target: "Google", Config: "esim"}}
+	b := []Task{{Kind: "speedtest", Config: "esim"}}
+	fa, fb := AppendSchedule(nil, "me-PAK", a), AppendSchedule(nil, "me-DEU", b)
+	body := append(slices.Clone(fa), fb...)
+	d := NewDecoder()
+	prior := []Task{{ID: 1, Kind: "video"}}
+	tasks, frames, err := d.Schedules(body, prior, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := slices.Concat(prior, a, b); !slices.Equal(tasks, want) {
+		t.Fatalf("tasks %+v, want %+v", tasks, want)
+	}
+	if len(frames) != 2 || frames[0].ME != "me-PAK" || frames[0].Tasks != 2 || !bytes.Equal(frames[0].Frame, fa) ||
+		frames[1].ME != "me-DEU" || frames[1].Tasks != 1 || !bytes.Equal(frames[1].Frame, fb) {
+		t.Fatalf("frames %+v", frames)
+	}
+
+	many := func(me string, n int) []byte {
+		ts := make([]Task, n)
+		for i := range ts {
+			ts[i].Kind = "dns"
+		}
+		return AppendSchedule(nil, me, ts)
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+		want error // nil: any error
+	}{
+		{"empty body", nil, nil},
+		{"kindless second frame", append(slices.Clone(fa), AppendSchedule(nil, "me-DEU", []Task{{Config: "sim"}})...), errKindless},
+		{"empty second frame", append(slices.Clone(fa), AppendSchedule(nil, "me-DEU", nil)...), errKindless},
+		{"no ME", AppendSchedule(nil, "", a), nil},
+		{"trailing byte", append(slices.Clone(body), 0), nil},
+		{"torn last frame", body[:len(body)-1], errTruncated},
+		{"lease frame after a schedule", append(slices.Clone(fa), AppendLeaseRequest(nil, LeaseRequest{ME: "me-PAK", Max: 1})...), nil},
+		{"over MaxScheduleCount in all", append(many("me-PAK", MaxScheduleCount/2+1), many("me-DEU", MaxScheduleCount/2)...), errCountBound},
+		{"over MaxFrame bytes", make([]byte, MaxFrame+1), ErrBodyTooLarge},
+	} {
+		tasks, frames, err := d.Schedules(c.body, prior, make([]ScheduleFrame, 0, 4))
+		if err == nil || (c.want != nil && !errors.Is(err, c.want)) {
+			t.Errorf("%s: err %v, want %v", c.name, err, c.want)
+		}
+		if !slices.Equal(tasks, prior) || len(frames) != 0 {
+			t.Errorf("%s: refused body left %d tasks and %d frames", c.name, len(tasks), len(frames))
+		}
+	}
+}
+
+// TestReadBody: a body is read whole up to MaxFrame bytes; past that it is
+// ErrBodyTooLarge, from its declared length alone when it has one.
+func TestReadBody(t *testing.T) {
+	body := AppendSchedule(nil, "me-PAK", sampleTasks())
+	for _, length := range []int64{-1, int64(len(body))} {
+		got, err := ReadBody(bytes.NewReader(body), length, nil)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("length %d: read %d bytes (%v), want the %d sent", length, len(got), err, len(body))
+		}
+	}
+	if _, err := ReadBody(iotest.ErrReader(io.ErrUnexpectedEOF), -1, nil); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("a failing reader: %v", err)
+	}
+	if _, err := ReadBody(iotest.ErrReader(io.ErrUnexpectedEOF), MaxFrame+1, nil); !errors.Is(err, ErrBodyTooLarge) {
+		t.Fatalf("declared over MaxFrame: %v, want ErrBodyTooLarge before any read", err)
+	}
+	big := io.LimitReader(zeros{}, MaxFrame+64)
+	if got, err := ReadBody(big, -1, nil); !errors.Is(err, ErrBodyTooLarge) || len(got) > 2*MaxFrame {
+		t.Fatalf("undeclared over MaxFrame: %v after %d bytes", err, len(got))
+	}
+}
+
+// zeros reads as an endless run of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
 }
 
 func TestLeaseRequestRoundTrip(t *testing.T) {
@@ -589,6 +673,14 @@ func TestCodecZeroAlloc(t *testing.T) {
 		var next LeaseRequest
 		if resDst, next, err = d.Upload(uploadFrame[HeaderLen:], resDst[:0]); err != nil || next != vitalsLease {
 			t.Fatal(next, err)
+		}
+	})
+	kinded := tasks[:3]
+	scheduleBody := AppendSchedule(AppendSchedule(nil, "me-PAK-000001", kinded), "me-DEU-000002", kinded)
+	frames := make([]ScheduleFrame, 0, 2)
+	check("DecodeSchedules", func() {
+		if taskDst, frames, err = d.Schedules(scheduleBody, taskDst[:0], frames[:0]); err != nil || len(frames) != 2 {
+			t.Fatal(len(frames), err)
 		}
 	})
 	rd := bytes.NewReader(nil)

@@ -12,6 +12,9 @@
 #              two v3 routes, a JSON schedule refused
 #   ahead      one server: amigo-me drains 40 tasks in one lease and two
 #              uploads, the first upload carrying the second lease
+#   block      one server, then three shards: one schedule body carries two
+#              MEs' frames, and one whose second frame is garbage queues
+#              nothing
 #   shard_kill roam-fleet kills a shard mid-campaign under -crosscheck
 #   external   roam-fleet -crosscheck against a sharded, WAL-backed
 #              amigo-server, which then survives SIGTERM + a cold restart
@@ -107,6 +110,13 @@ schedule() {
 # scheduled FILE: amigo_server_tasks_scheduled_total in a scrape.
 scheduled() {
     sed -n 's/^amigo_server_tasks_scheduled_total \([0-9]*\)$/\1/p' "$1"
+}
+
+# forwarded FILE: the schedule requests a sharded plane's gateway sent its
+# shards, summed over shards (its shard servers keep no metrics of their own).
+forwarded() {
+    sed -n 's/^gateway_requests_total{route="admin\/schedule",shard="[0-9]*"} \([0-9]*\)$/\1/p' "$1" |
+        awk '{ s += $1 } END { print s + 0 }'
 }
 
 # uploaded: the results log's length, the X-Amigo-Cursor of a cursor=-1 page.
@@ -223,6 +233,38 @@ check_ahead() {
     stop_server
 }
 
+check_block() {
+    local out="$TMP/block.txt" fixtures=cmd/amigo-server/testdata flags code got me n
+    cat "$fixtures/me-DEU_speedtest_esim_5.v3" "$fixtures/me-PAK_dns_sim_3.v3" >"$TMP/block.v3"
+    { cat "$fixtures/me-PAK_dns_sim_3.v3"; printf 'R3 garbage'; } >"$TMP/garbage.v3"
+    for flags in "" "-shards 3"; do
+        # shellcheck disable=SC2086 # flags is a flag and its value, or nothing
+        start_server "$TMP/block-server.txt" $flags
+        curl -sf -X POST "$URL/admin/schedule" -H "Content-Type: $V3" \
+            --data-binary @"$TMP/block.v3" -o /dev/null || fail "amigo-server $flags: scheduling two MEs in one body failed"
+        # A body is taken whole or not at all: a garbage second frame
+        # refuses the valid first one too.
+        code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$URL/admin/schedule" \
+            -H "Content-Type: $V3" --data-binary @"$TMP/garbage.v3")"
+        [ "$code" = 400 ] || fail "amigo-server $flags: a garbage second frame answered $code, want 400"
+        curl -sf "$URL/admin/metrics" -o "$out"
+        if [ -z "$flags" ]; then
+            got="$(scheduled "$out")"
+            [ "$got" = 8 ] || fail "one server: $got tasks queued, want the block's 5 + 3 and none of the garbage body's"
+        else
+            # DEU and PAK live on two of the three shards: one request each.
+            got="$(forwarded "$out")"
+            [ "$got" = 2 ] || fail "three shards: the gateway sent its shards $got schedule requests, want 2 and none for the garbage body"
+        fi
+        for me in DEU:5 PAK:3; do
+            n="$("$TMP/amigo-me" -server "$URL" -country "${me%:*}" -once |
+                sed -n 's/^\([0-9]*\) tasks executed.*/\1/p' | awk '{ s += $1 } END { print s + 0 }')"
+            [ "$n" = "${me#*:}" ] || fail "amigo-server $flags: me-${me%:*} executed $n tasks, want ${me#*:}"
+        done
+        stop_server
+    done
+}
+
 check_shard_kill() {
     local out="$TMP/kill.txt"
     "$TMP/roam-fleet" -mes 12 -reps 1 \
@@ -292,7 +334,7 @@ check_reshard() {
     echo "smoke: reshard: 1→4 crosschecked; $n results survived compaction + cold restart"
 }
 
-for check in tomo flags metrics ahead shard_kill external reshard; do
+for check in tomo flags metrics ahead block shard_kill external reshard; do
     "check_$check"
     echo "smoke: $check OK"
 done
