@@ -117,6 +117,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzLookupMatchesScan -fuzztime=10s -run=^$$ ./internal/ipreg
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=10s -run=^$$ ./internal/wire
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=10s -run=^$$ ./internal/wire
+	$(GO) test -fuzz=FuzzSchedules -fuzztime=10s -run=^$$ ./internal/wire
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s -run=^$$ ./internal/walsink
 	$(GO) test -fuzz=FuzzCompactRecovery -fuzztime=10s -run=^$$ ./internal/walsink
 	$(GO) test -fuzz=FuzzSourceMatchesMathRand -fuzztime=10s -run=^$$ ./internal/rng

@@ -2,7 +2,6 @@ package amigo
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -145,27 +144,27 @@ func TestTaskRoundTripAllKinds(t *testing.T) {
 	}
 	// Spot-check a payload: the speedtest carries a public IP and caps.
 	var st SpeedtestPayload
-	if err := json.Unmarshal(results[0].Payload, &st); err != nil {
+	if err := st.UnmarshalBinary(results[0].Payload); err != nil {
 		t.Fatal(err)
 	}
 	if st.DownMbps <= 0 || st.PublicIP == "" {
 		t.Errorf("bad speedtest payload: %+v", st)
 	}
-	// And an mtr payload: multiple hops, at least one with an address.
-	var mtr MTRPayload
-	if err := json.Unmarshal(results[2].Payload, &mtr); err != nil {
+	// And an mtr payload: multiple hops, at least one that responded.
+	var tr MTRTrace
+	if err := tr.UnmarshalBinary(results[2].Payload); err != nil {
 		t.Fatal(err)
 	}
-	if len(mtr.Hops) < 4 {
-		t.Errorf("mtr hops = %d", len(mtr.Hops))
+	if len(tr.Hops) < 4 {
+		t.Errorf("mtr hops = %d", len(tr.Hops))
 	}
-	withAddr := 0
-	for _, h := range mtr.Hops {
-		if h.Addr != "" {
-			withAddr++
+	responded := 0
+	for _, h := range tr.Hops {
+		if h.Responded {
+			responded++
 		}
 	}
-	if withAddr == 0 {
+	if responded == 0 {
 		t.Error("no responding hops in mtr payload")
 	}
 }

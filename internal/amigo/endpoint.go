@@ -506,13 +506,13 @@ func (e *Endpoint) run(task Task) (Result, time.Duration) {
 }
 
 // payload is what a task kind uploads: a typed observation that writes
-// itself as the JSON the ME uploads (payload.go) and knows the network
+// itself as the bytes the ME uploads (payload.go) and knows the network
 // time an actual ME would have spent producing it. The time is derived
 // only from the uploaded fields, so the pacing is as deterministic as the
 // dataset itself.
 type payload interface {
 	networkMs() float64
-	appendJSON(b []byte) ([]byte, error)
+	AppendBinary(b []byte) ([]byte, error)
 }
 
 func (p SpeedtestPayload) networkMs() float64 {
@@ -526,9 +526,9 @@ func (p SpeedtestPayload) networkMs() float64 {
 	return ms
 }
 
-func (t mtrTrace) networkMs() float64 {
+func (t MTRTrace) networkMs() float64 {
 	var ms float64
-	for _, h := range t.hops {
+	for _, h := range t.Hops {
 		if h.Responded && h.BestRTTms > 0 {
 			ms += 3 * h.BestRTTms // three probes per TTL
 		} else {
@@ -590,7 +590,7 @@ func encode[P payload](e *Endpoint, res Result, p P, err error) (Result, time.Du
 		e.scratch = wire.GetBuf()
 	}
 	start := len(*e.scratch)
-	buf, err := p.appendJSON(*e.scratch)
+	buf, err := p.AppendBinary(*e.scratch)
 	if err != nil {
 		*e.scratch = buf[:start]
 		res.Error = err.Error()
@@ -633,7 +633,8 @@ func (e *Endpoint) attach(config string) (*airalo.Session, error) {
 	}
 }
 
-// Payload types (the JSON the MEs upload).
+// Payload types: the observations the MEs upload, encoded by payload.go.
+// Their json tags name the fields of a fleet.Dataset's JSON.
 
 // SpeedtestPayload is the uploaded Ookla-style observation.
 type SpeedtestPayload struct {
@@ -659,9 +660,24 @@ func runSpeedtest(s *airalo.Session, src *rng.Source) (SpeedtestPayload, error) 
 	}, nil
 }
 
-// MTRPayload is the schema of one uploaded traceroute. The endpoint
-// writes it from the measured hops (mtrTrace) and ingest reads it back
-// with MTRDecoder; the type is the reference encoding/json holds both to.
+// MTRTrace is what an mtr task measured and uploads: its target and the
+// traceroute's hops as netsim recorded them.
+type MTRTrace struct {
+	Target string
+	Hops   []netsim.HopRecord
+}
+
+func runMTR(s *airalo.Session, target string, src *rng.Source) (MTRTrace, error) {
+	tr, err := measure.Traceroute(s, target, src)
+	if err != nil {
+		return MTRTrace{}, err
+	}
+	return MTRTrace{Target: target, Hops: tr.Raw.Hops}, nil
+}
+
+// MTRPayload is a traceroute's fields by name, as a JSON document. No ME
+// uploads it: the drain benchmark sends it as a payload the server never
+// reads.
 type MTRPayload struct {
 	Target string   `json:"target"`
 	Hops   []MTRHop `json:"hops"`
@@ -672,21 +688,6 @@ type MTRHop struct {
 	TTL   int     `json:"ttl"`
 	Addr  string  `json:"addr,omitempty"` // empty when the hop timed out
 	RTTms float64 `json:"rtt_ms,omitempty"`
-}
-
-// mtrTrace is what an mtr task measured: the traceroute's hops as netsim
-// recorded them, uploaded as an MTRPayload.
-type mtrTrace struct {
-	target string
-	hops   []netsim.HopRecord
-}
-
-func runMTR(s *airalo.Session, target string, src *rng.Source) (mtrTrace, error) {
-	tr, err := measure.Traceroute(s, target, src)
-	if err != nil {
-		return mtrTrace{}, err
-	}
-	return mtrTrace{target: target, hops: tr.Raw.Hops}, nil
 }
 
 // CDNPayload is one uploaded CDN fetch.

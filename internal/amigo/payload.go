@@ -1,133 +1,105 @@
 package amigo
 
-// The payload codec: the one owner of the JSON the five task kinds
-// upload. The endpoint encodes with appendJSON and fleet.Ingest decodes
-// with the Decode functions; encoding/json touches a payload only in
-// tests, as the oracle. Encoding writes exactly json.Marshal's bytes, so
-// the WAL, both results pages and any replay see what they always saw.
-// Decoding is canonical-only: it succeeds exactly when appendJSON of the
-// decoded value writes the input back byte for byte, and has no fallback
-// (DESIGN.md "Payload codec").
+// The payload codec: the one owner of the bytes the five task kinds
+// upload. The endpoint encodes with AppendBinary and fleet.Ingest decodes
+// with UnmarshalBinary. A payload is its kind's fields() written in
+// order with no keys or tags — Result.Kind names the schema: a string is
+// a uvarint length and its bytes, an int a zigzag varint, a bool one byte
+// 0 or 1, a float64 the 8 little-endian bytes of math.Float64bits, and
+// video shares a uvarint count+1 (0 for nil) followed by their keys,
+// strictly increasing, each with its share. An mtr payload is its target,
+// a uvarint hop count and per hop its TTL, a responded byte and, for a
+// responding hop, its address as 4 big-endian bytes and its best RTT.
+// Decoding is strict — non-minimal varints, a bool byte above 1,
+// non-finite floats, unsorted or repeated keys, a short field and
+// trailing bytes are refused — so a decoded payload re-encodes to the
+// bytes it came from, and there is no fallback (DESIGN.md "Payload
+// codec").
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"strconv"
-	"unicode/utf8"
 
 	"roamsim/internal/ipaddr"
 	"roamsim/internal/netsim"
 )
 
-// field is one member of a payload object: its key and a pointer to the
-// value it is written from and read into — *string, *float64, *int,
-// *bool or *map[string]float64 — or, for an mtr payload's hops, the
-// *MTRDecoder they are read into. A payload lists its fields in struct
-// order, which is json.Marshal's key order.
-type field struct {
-	key string
-	ptr any
+// fields lists pointers to the values a payload is written from and read
+// into — *string, *int, *bool, *float64 or *map[string]float64 — in
+// struct order, which is the order they are written in, then nils.
+
+func (p *SpeedtestPayload) fields() [7]any {
+	return [7]any{&p.Server, &p.LatencyMs, &p.DownMbps, &p.UpMbps, &p.CQI, &p.RAT, &p.PublicIP}
 }
 
-func (p *SpeedtestPayload) fields() [7]field {
-	return [...]field{{"server", &p.Server}, {"latency_ms", &p.LatencyMs}, {"down_mbps", &p.DownMbps},
-		{"up_mbps", &p.UpMbps}, {"cqi", &p.CQI}, {"rat", &p.RAT}, {"public_ip", &p.PublicIP}}
+func (p *CDNPayload) fields() [7]any {
+	return [7]any{&p.Provider, &p.Cache, &p.DNSMs, &p.TotalMs, &p.Bytes}
 }
 
-func (p *CDNPayload) fields() [5]field {
-	return [...]field{{"provider", &p.Provider}, {"cache", &p.Cache}, {"dns_ms", &p.DNSMs},
-		{"total_ms", &p.TotalMs}, {"bytes", &p.Bytes}}
+func (p *DNSPayload) fields() [7]any {
+	return [7]any{&p.Resolver, &p.City, &p.Country, &p.DurationMs, &p.DoH}
 }
 
-func (p *DNSPayload) fields() [5]field {
-	return [...]field{{"resolver", &p.Resolver}, {"city", &p.City}, {"country", &p.Country},
-		{"duration_ms", &p.DurationMs}, {"doh", &p.DoH}}
+func (p *VideoPayload) fields() [7]any {
+	return [7]any{&p.Dominant, &p.Rebuffers, &p.Shares}
 }
 
-func (p *VideoPayload) fields() [3]field {
-	return [...]field{{"dominant", &p.Dominant}, {"rebuffers", &p.Rebuffers}, {"shares", &p.Shares}}
-}
+// AppendBinary appends p's record to b, or fails as appendFloat does.
+func (p SpeedtestPayload) AppendBinary(b []byte) ([]byte, error) { return appendFields(b, p.fields()) }
 
-func (p SpeedtestPayload) appendJSON(b []byte) ([]byte, error) {
-	f := p.fields()
-	return appendObject(b, f[:])
-}
+// AppendBinary appends p's record to b, or fails as appendFloat does.
+func (p CDNPayload) AppendBinary(b []byte) ([]byte, error) { return appendFields(b, p.fields()) }
 
-func (p CDNPayload) appendJSON(b []byte) ([]byte, error) {
-	f := p.fields()
-	return appendObject(b, f[:])
-}
+// AppendBinary appends p's record to b, or fails as appendFloat does.
+func (p DNSPayload) AppendBinary(b []byte) ([]byte, error) { return appendFields(b, p.fields()) }
 
-func (p DNSPayload) appendJSON(b []byte) ([]byte, error) {
-	f := p.fields()
-	return appendObject(b, f[:])
-}
+// AppendBinary appends p's record to b, or fails as appendFloat does.
+func (p VideoPayload) AppendBinary(b []byte) ([]byte, error) { return appendFields(b, p.fields()) }
 
-func (p VideoPayload) appendJSON(b []byte) ([]byte, error) {
-	f := p.fields()
-	return appendObject(b, f[:])
-}
-
-// appendJSON writes the trace as an MTRPayload — a responding hop's TTL,
-// address and best RTT, a silent hop's TTL alone — straight from the
-// typed hops, with no per-hop string. No hops is "hops":null, as the
-// MTRPayload runMTR used to append hops to from nil marshalled.
-func (t mtrTrace) appendJSON(b []byte) ([]byte, error) {
-	b = appendString(append(b, `{"target":`...), t.target)
-	if len(t.hops) == 0 {
-		return append(b, `,"hops":null}`...), nil
-	}
+// AppendBinary appends the trace's record to b straight from the typed
+// hops, or fails as appendFloat does.
+func (t MTRTrace) AppendBinary(b []byte) ([]byte, error) {
 	var err error
-	b = append(b, `,"hops":[`...)
-	for i, h := range t.hops {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(append(b, `{"ttl":`...), int64(h.TTL), 10)
+	b = binary.AppendUvarint(appendText(b, t.Target), uint64(len(t.Hops)))
+	for _, h := range t.Hops {
+		b = append(binary.AppendVarint(b, int64(h.TTL)), flagByte(h.Responded))
 		if h.Responded {
-			b = append(h.Addr.AppendTo(append(b, `,"addr":"`...)), '"')
-			if h.BestRTTms != 0 {
-				b = appendFloat(append(b, `,"rtt_ms":`...), h.BestRTTms, &err)
-			}
+			b = appendFloat(binary.BigEndian.AppendUint32(b, uint32(h.Addr)), h.BestRTTms, &err)
 		}
-		b = append(b, '}')
 	}
-	return append(b, "]}"...), err
+	return b, err
 }
 
-// appendObject appends fields as json.Marshal writes a struct of them,
-// or fails with its error.
-func appendObject(b []byte, fields []field) ([]byte, error) {
+// appendFields appends fields in order, or fails with the error of the
+// first non-finite float among them.
+func appendFields(b []byte, fields [7]any) ([]byte, error) {
 	var err error
-	b = append(b, '{')
-	for i, f := range fields {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(append(append(b, '"'), f.key...), '"', ':')
-		switch v := f.ptr.(type) {
+	for _, f := range fields {
+		switch v := f.(type) {
 		case *string:
-			b = appendString(b, *v)
+			b = appendText(b, *v)
 		case *int:
-			b = strconv.AppendInt(b, int64(*v), 10)
+			b = binary.AppendVarint(b, int64(*v))
 		case *bool:
-			b = strconv.AppendBool(b, *v)
+			b = append(b, flagByte(*v))
 		case *float64:
 			b = appendFloat(b, *v, &err)
 		case *map[string]float64:
 			b = appendShares(b, *v, &err)
 		}
 	}
-	return append(b, '}'), err
+	return b, err
 }
 
-// appendShares appends m as json.Marshal writes a map: keys sorted.
+// appendShares appends m's count+1 (0 for nil), then its keys in
+// increasing order, each with its share.
 func appendShares(b []byte, m map[string]float64, err *error) []byte {
 	if m == nil {
-		return append(b, "null"...)
+		return append(b, 0)
 	}
 	var arr [16]string // a resolution ladder's worth of keys, on the stack
 	keys := arr[:0]
@@ -135,373 +107,191 @@ func appendShares(b []byte, m map[string]float64, err *error) []byte {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	b = append(b, '{')
-	for i, k := range keys {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendFloat(append(appendString(b, k), ':'), m[k], err)
-	}
-	return append(b, '}')
-}
-
-// appendFloat appends f in encoding/json's ES6 form — 'e' below 1e-6 and
-// from 1e21, "e-07" shortened to "e-7" — or, for NaN and the infinities,
-// leaves json.Marshal's error in *err unless one is there already.
-func appendFloat(b []byte, f float64, err *error) []byte {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		if *err == nil {
-			*err = errors.New("json: unsupported value: " + strconv.FormatFloat(f, 'g', -1, 64))
-		}
-		return b
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
+	b = binary.AppendUvarint(b, uint64(len(keys))+1)
+	for _, k := range keys {
+		b = appendFloat(appendText(b, k), m[k], err)
 	}
 	return b
 }
 
-const hexDigits = "0123456789abcdef"
-
-// shortEscape is the escape letter of a control byte that has one.
-var shortEscape = [' ']byte{'\b': 'b', '\f': 'f', '\n': 'n', '\r': 'r', '\t': 't'}
-
-// verbatim reports whether appendString writes c as itself: printable
-// ASCII other than the quote, the backslash and the HTML characters.
-func verbatim(c byte) bool {
-	return c >= ' ' && c < utf8.RuneSelf && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+func appendText(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-// appendString appends s as json.Marshal writes a string: <, > and &
-// escaped for HTML, control bytes as \b \f \n \r \t or \u00XX, U+2028
-// and U+2029 escaped, each byte of invalid UTF-8 as \ufffd.
-func appendString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if verbatim(c) {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch {
-			case c == '"' || c == '\\':
-				b = append(b, '\\', c)
-			case c < ' ' && shortEscape[c] != 0:
-				b = append(b, '\\', shortEscape[c])
-			default:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			b = append(append(b, s[start:i]...), `\ufffd`...)
-		} else if r == '\u2028' || r == '\u2029' {
-			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-		} else {
-			i += size
-			continue
-		}
-		i += size
-		start = i
+func flagByte(v bool) byte {
+	if v {
+		return 1
 	}
-	return append(append(b, s[start:]...), '"')
+	return 0
 }
 
-// DecodeSpeedtest decodes an uploaded speedtest payload.
-func DecodeSpeedtest(data []byte) (p SpeedtestPayload, err error) {
-	f := p.fields()
-	err = (&decoder{data: data}).decode(f[:])
-	return p, err
-}
-
-// DecodeCDN decodes an uploaded CDN fetch payload.
-func DecodeCDN(data []byte) (p CDNPayload, err error) {
-	f := p.fields()
-	err = (&decoder{data: data}).decode(f[:])
-	return p, err
-}
-
-// DecodeDNS decodes an uploaded resolver identification payload.
-func DecodeDNS(data []byte) (p DNSPayload, err error) {
-	f := p.fields()
-	err = (&decoder{data: data}).decode(f[:])
-	return p, err
-}
-
-// DecodeVideo decodes an uploaded stats-for-nerds payload.
-func DecodeVideo(data []byte) (p VideoPayload, err error) {
-	f := p.fields()
-	err = (&decoder{data: data}).decode(f[:])
-	return p, err
-}
-
-// MTRDecoder decodes mtr payloads back into the traceroute they record:
-// a hop with an address responded, from that address at its rtt_ms (0
-// when absent); any other hop timed out. The zero value is ready; it
-// keeps its scratch between calls, so the hops Decode returns are valid
-// until the next Decode.
-type MTRDecoder struct {
-	hops []netsim.HopRecord
-	buf  []byte
-}
-
-// Decode decodes one mtr payload into its target and traceroute.
-func (m *MTRDecoder) Decode(data []byte) (target string, tr netsim.TracerouteResult, err error) {
-	m.hops = m.hops[:0]
-	d := decoder{data: data, buf: m.buf}
-	err = d.decode([]field{{"target", &target}, {"hops", m}})
-	if m.buf = d.buf; err != nil {
-		return "", tr, err
+// appendFloat appends f's 8 bytes or, for NaN and the infinities, leaves
+// in *err, unless one is there already, the text a task measuring such a
+// value has always failed with: json.Marshal's, from when payloads were
+// JSON, which FailureRecord.Error carries into the dataset.
+func appendFloat(b []byte, f float64, err *error) []byte {
+	if (math.IsNaN(f) || math.IsInf(f, 0)) && *err == nil {
+		*err = errors.New("json: unsupported value: " + strconv.FormatFloat(f, 'g', -1, 64))
 	}
-	if n := len(m.hops); n > 0 {
-		tr.DestReached = m.hops[n-1].Responded
-	}
-	tr.Hops = m.hops
-	return target, tr, nil
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 }
 
-// decoder is one pass over one payload, which must be byte for byte what
-// the encoder writes for the value it decodes to: the fields of the
-// payload's table in order, each key exactly once, no whitespace, and
-// every token one that re-appending the decoded value writes back.
+// UnmarshalBinary decodes an uploaded speedtest record into p.
+func (p *SpeedtestPayload) UnmarshalBinary(data []byte) error { return decode(data, p.fields()) }
+
+// UnmarshalBinary decodes an uploaded CDN fetch record into p.
+func (p *CDNPayload) UnmarshalBinary(data []byte) error { return decode(data, p.fields()) }
+
+// UnmarshalBinary decodes an uploaded resolver identification record into p.
+func (p *DNSPayload) UnmarshalBinary(data []byte) error { return decode(data, p.fields()) }
+
+// UnmarshalBinary decodes an uploaded stats-for-nerds record into p.
+func (p *VideoPayload) UnmarshalBinary(data []byte) error { return decode(data, p.fields()) }
+
+// UnmarshalBinary decodes an uploaded mtr record into t, reusing t.Hops'
+// array: decoding into one trace again and again allocates no hops once
+// it is large enough, and overwrites the hops of the previous decode.
+func (t *MTRTrace) UnmarshalBinary(data []byte) error {
+	t.Hops = t.Hops[:0]
+	return decode(data, [7]any{&t.Target, &t.Hops})
+}
+
+// decoder is one pass over one payload. Its first failure sticks: every
+// later read returns a zero value and consumes nothing.
 type decoder struct {
 	data []byte
 	off  int
-	buf  []byte // unquoting and re-encoding scratch
+	err  error
 }
 
-// decode decodes the whole payload: one object of fields.
-func (d *decoder) decode(fields []field) error {
-	sep := byte('{')
+// decode reads data as fields (see fields; a *[]netsim.HopRecord reads
+// an mtr record's hops), which must end where data does.
+func decode(data []byte, fields [7]any) error {
+	d := decoder{data: data}
 	for _, f := range fields {
-		if !d.key(sep, f.key) {
-			return d.fail()
+		switch v := f.(type) {
+		case *string:
+			*v = d.text()
+		case *int:
+			*v = d.varint()
+		case *bool:
+			*v = d.flag()
+		case *float64:
+			*v = d.float()
+		case *map[string]float64:
+			*v = d.shares()
+		case *[]netsim.HopRecord:
+			*v = d.hops(*v)
 		}
-		sep = ','
-		if err := d.value(f.ptr); err != nil {
-			return err
-		}
 	}
-	if !d.eat("}") || d.off != len(d.data) {
-		return d.fail()
+	if d.err == nil && d.off != len(d.data) {
+		d.fail("trailing bytes")
 	}
-	return nil
+	return d.err
 }
 
-// failAt fails the decode at offset off.
-func (d *decoder) failAt(off int) error {
-	d.off = off
-	return d.fail()
-}
-
-func (d *decoder) fail() error {
-	if d.off >= len(d.data) {
-		return errors.New("amigo: payload: unexpected end of input")
+func (d *decoder) fail(why string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("amigo: payload: %s at offset %d", why, d.off)
 	}
-	return fmt.Errorf("amigo: payload: not the canonical encoding at offset %d (%q)", d.off, d.data[d.off])
 }
 
-// eat consumes lit if the payload continues with it.
-func (d *decoder) eat(lit string) bool {
-	n := d.off + len(lit)
-	if n > len(d.data) || string(d.data[d.off:n]) != lit {
-		return false
+// take consumes the next n bytes, or fails if fewer are left.
+func (d *decoder) take(n uint64) []byte {
+	if d.err == nil && n > uint64(len(d.data)-d.off) {
+		d.fail("truncated field")
 	}
-	d.off = n
-	return true
-}
-
-// key consumes sep — the opening brace or a comma — then "key":, or
-// nothing if the payload does not continue with them.
-func (d *decoder) key(sep byte, key string) bool {
-	n := d.off + len(key) + 4
-	if n > len(d.data) || d.data[d.off] != sep || d.data[d.off+1] != '"' ||
-		string(d.data[d.off+2:n-2]) != key || d.data[n-2] != '"' || d.data[n-1] != ':' {
-		return false
-	}
-	d.off = n
-	return true
-}
-
-// value decodes the value at off into dst (see field).
-func (d *decoder) value(dst any) (err error) {
-	switch v := dst.(type) {
-	case *string:
-		*v, err = d.str()
-	case *int, *float64:
-		err = d.number(v)
-	case *bool:
-		if *v = d.eat("true"); !*v && !d.eat("false") {
-			err = d.fail()
-		}
-	case *map[string]float64:
-		err = d.shares(v)
-	case *MTRDecoder:
-		err = d.hops(v)
-	}
-	return err
-}
-
-// shares decodes a map as appendShares writes it: null for nil, else its
-// keys strictly increasing.
-func (d *decoder) shares(m *map[string]float64) error {
-	if d.eat("null") {
+	if d.err != nil {
 		return nil
 	}
-	if !d.eat("{") {
-		return d.fail()
+	b := d.data[d.off : d.off+int(n)]
+	d.off += int(n)
+	return b
+}
+
+// uvarint consumes a minimal-length uvarint: a multi-byte one may not end
+// in a zero byte.
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
 	}
-	*m = map[string]float64{}
-	for i, prev := 0, ""; !d.eat("}"); i++ {
-		if i > 0 && !d.eat(",") {
-			return d.fail()
-		}
+	v, n := binary.Uvarint(d.data[d.off:])
+	switch {
+	case n <= 0:
+		d.fail("truncated or overflowing varint")
+	case n > 1 && d.data[d.off+n-1] == 0:
+		d.fail("non-minimal varint")
+	default:
+		d.off += n
+		return v
+	}
+	return 0
+}
+
+// varint consumes a zigzag varint: the sign is the low bit.
+func (d *decoder) varint() int {
+	u := d.uvarint()
+	return int(int64(u>>1) ^ -int64(u&1))
+}
+
+func (d *decoder) text() string {
+	return string(d.take(d.uvarint()))
+}
+
+func (d *decoder) flag() bool {
+	b := d.take(1)
+	if len(b) == 1 && b[0] > 1 {
+		d.off--
+		d.fail("bool byte above 1")
+	}
+	return len(b) == 1 && b[0] == 1
+}
+
+func (d *decoder) float() float64 {
+	b := d.take(8)
+	if b == nil {
+		return 0
+	}
+	f := math.Float64frombits(binary.LittleEndian.Uint64(b))
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		d.off -= 8
+		d.fail("non-finite float")
+	}
+	return f
+}
+
+// shares reads what appendShares writes.
+func (d *decoder) shares() map[string]float64 {
+	n := d.uvarint()
+	if n == 0 || d.err != nil {
+		return nil
+	}
+	m := map[string]float64{}
+	prev := ""
+	for i := uint64(1); i < n && d.err == nil; i++ {
 		start := d.off
-		k, err := d.str()
-		if err != nil {
-			return err
+		k := d.text()
+		if i > 1 && k <= prev {
+			d.off = start
+			d.fail("shares keys not strictly increasing")
 		}
-		if i > 0 && k <= prev || !d.eat(":") {
-			return d.failAt(start)
-		}
-		var share float64
-		if err := d.number(&share); err != nil {
-			return err
-		}
-		(*m)[k], prev = share, k
+		m[k], prev = d.float(), k
 	}
-	return nil
+	return m
 }
 
-// hops decodes the "hops" array as mtrTrace.appendJSON writes it into m's
-// scratch: null for none, else per hop its ttl, then for a responding hop
-// its address and, when nonzero, its RTT.
-func (d *decoder) hops(m *MTRDecoder) error {
-	if d.eat("null") {
-		return nil
-	}
-	for sep := "["; sep == "[" || !d.eat("]"); sep = "," {
-		var hop netsim.HopRecord
-		if !d.eat(sep) || !d.key('{', "ttl") {
-			return d.fail()
-		}
-		if err := d.number(&hop.TTL); err != nil {
-			return err
-		}
-		if d.key(',', "addr") {
-			var err error
-			if hop.Addr, err = d.addr(); err != nil {
-				return fmt.Errorf("amigo: mtr hop %d: %w", len(m.hops)+1, err)
+// hops appends an mtr record's hops, as MTRTrace.AppendBinary writes
+// them, to dst.
+func (d *decoder) hops(dst []netsim.HopRecord) []netsim.HopRecord {
+	for n := d.uvarint(); n > 0 && d.err == nil; n-- {
+		hop := netsim.HopRecord{TTL: d.varint(), Responded: d.flag()}
+		if hop.Responded {
+			if a := d.take(4); a != nil {
+				hop.Addr = ipaddr.Addr(binary.BigEndian.Uint32(a))
 			}
-			hop.Responded = true
-			if start := d.off; d.key(',', "rtt_ms") {
-				if err := d.number(&hop.BestRTTms); err != nil {
-					return err
-				}
-				if hop.BestRTTms == 0 { // omitempty: the encoder leaves a zero out
-					return d.failAt(start)
-				}
-			}
+			hop.BestRTTms = d.float()
 		}
-		if !d.eat("}") {
-			return d.fail()
-		}
-		m.hops = append(m.hops, hop)
+		dst = append(dst, hop)
 	}
-	return nil
-}
-
-// addr decodes a hop address: a quoted dotted quad AppendTo writes back.
-func (d *decoder) addr() (ipaddr.Addr, error) {
-	if !d.eat(`"`) {
-		return 0, d.fail()
-	}
-	end := bytes.IndexByte(d.data[d.off:], '"')
-	if end < 0 {
-		return 0, d.failAt(len(d.data))
-	}
-	text := d.data[d.off : d.off+end]
-	a, err := ipaddr.Parse(text)
-	if err != nil {
-		return 0, err
-	}
-	var buf [15]byte
-	if !bytes.Equal(a.AppendTo(buf[:0]), text) {
-		return 0, d.fail()
-	}
-	d.off += end + 1
-	return a, nil
-}
-
-// number decodes the number at off into dst, an *int or a *float64, if
-// the encoder writes the value back as the same token.
-func (d *decoder) number(dst any) error {
-	start := d.off
-	for ; d.off < len(d.data); d.off++ {
-		if c := d.data[d.off]; (c < '0' || c > '9') && c != '-' && c != '.' && c != 'e' && c != 'E' && c != '+' {
-			break
-		}
-	}
-	tok := d.data[start:d.off]
-	var buf [32]byte
-	var again []byte
-	var err error
-	switch v := dst.(type) {
-	case *int:
-		var n int64
-		n, err = strconv.ParseInt(string(tok), 10, 0)
-		*v, again = int(n), strconv.AppendInt(buf[:0], n, 10)
-	case *float64:
-		*v, err = strconv.ParseFloat(string(tok), 64)
-		again = appendFloat(buf[:0], *v, &err)
-	}
-	if err != nil || !bytes.Equal(again, tok) {
-		return d.failAt(start)
-	}
-	return nil
-}
-
-// str decodes the string at off, which must be what appendString writes
-// for its text. A string of verbatim bytes is its own text. Anything else
-// strconv.Unquote reads, as JSON does each escape appendString emits, and
-// the text is re-appended into the scratch to compare, so no other
-// escape, no raw control or HTML byte and no invalid UTF-8 passes.
-func (d *decoder) str() (string, error) {
-	if !d.eat(`"`) {
-		return "", d.fail()
-	}
-	start, i, plain := d.off-1, d.off, true
-	for ; i < len(d.data) && d.data[i] != '"'; i++ {
-		c := d.data[i]
-		if c == '\\' {
-			i++
-		}
-		plain = plain && verbatim(c)
-	}
-	if i >= len(d.data) {
-		return "", d.failAt(len(d.data))
-	}
-	tok := d.data[start : i+1]
-	if plain {
-		d.off = i + 1
-		return string(tok[1 : len(tok)-1]), nil
-	}
-	s, err := strconv.Unquote(string(tok))
-	if d.buf = appendString(d.buf[:0], s); err != nil || !bytes.Equal(d.buf, tok) {
-		return "", d.failAt(start)
-	}
-	d.off = i + 1
-	return s, nil
+	return dst
 }

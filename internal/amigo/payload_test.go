@@ -2,120 +2,245 @@ package amigo
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
-	"unicode/utf8"
 
 	"roamsim/internal/ipaddr"
 	"roamsim/internal/netsim"
 	"roamsim/internal/rng"
 )
 
-// mtrPayloadOf is the MTRPayload a trace uploads as, built the way runMTR
-// built it before the codec — hop addresses as strings, hops appended to
-// a nil slice: the value json.Marshal is the reference for.
-func mtrPayloadOf(t mtrTrace) MTRPayload {
-	p := MTRPayload{Target: t.target}
-	for _, h := range t.hops {
-		hop := MTRHop{TTL: h.TTL}
-		if h.Responded {
-			hop.Addr = h.Addr.String()
-			hop.RTTms = h.BestRTTms
-		}
-		p.Hops = append(p.Hops, hop)
-	}
-	return p
-}
-
-// marshalRef is json.Marshal of the value p uploads as.
-func marshalRef(p payload) ([]byte, error) {
-	if t, ok := p.(mtrTrace); ok {
-		return json.Marshal(mtrPayloadOf(t))
-	}
-	return json.Marshal(p)
-}
-
-// checkEncoding fails unless the codec appends json.Marshal's bytes for
-// p — or fails with its error text, appending nothing that survives.
-func checkEncoding(t *testing.T, p payload) {
-	t.Helper()
-	want, wantErr := marshalRef(p)
-	const prefix = "prefix|"
-	got, err := p.appendJSON([]byte(prefix))
-	if wantErr != nil {
-		if err == nil || err.Error() != wantErr.Error() {
-			t.Errorf("%#v: codec error %v, json.Marshal error %v", p, err, wantErr)
-		}
-		return
-	}
-	if err != nil || !bytes.Equal(got, append([]byte(prefix), want...)) {
-		t.Errorf("%#v:\n codec   %s (%v)\n marshal %s", p, got[min(len(got), len(prefix)):], err, want)
-	}
-}
-
-// Edge values for the encoder table.
+// Edge values for the codec tables.
 var (
-	edgeFloats = []float64{0, math.Copysign(0, -1), 1e-7, -1e-7, 1e-6, 9.999999e-7, 1e20, 1e21, -1e21,
-		5e-324, math.MaxFloat64, -math.MaxFloat64, 0.1, 123456.789, 1.5e300, 3e-10, 12.5}
+	edgeFloats = []float64{0, math.Copysign(0, -1), 1e-7, -1e-7, 1e21, 5e-324, math.MaxFloat64,
+		-math.MaxFloat64, 0.1, 123456.789, 12.5}
 	badFloats   = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
-	edgeInts    = []int{0, -1, 15, math.MaxInt, math.MinInt}
+	edgeInts    = []int{0, -1, 63, -64, 64, 1 << 20, math.MaxInt, math.MinInt}
 	edgeStrings = []string{"", "Karachi", "<script>a && b</script>", "\x00\x01\x1f\b\f\n\r\t\x7f",
-		`q"uo\te/`, "line\u2028sep\u2029end", "bad\xffutf8\xc3", "\xe2\x80", "emoji 😀 é \ufffd",
-		"\u2027\u202a"}
+		"line\u2028sep", "bad\xffutf8\xc3", "emoji 😀 é \ufffd", strings.Repeat("long ", 40)}
 )
 
-// TestPayloadEncoderMatchesMarshal: for every edge value — signed zero,
-// the 'e'-format boundaries, the smallest subnormal, the largest float,
-// HTML characters, control bytes, U+2028/2029, invalid UTF-8, nil and
-// empty hops and shares, silent hops — the codec writes exactly what
-// json.Marshal writes, and fails with json.Marshal's text on NaN and
-// infinities (the text a failed task uploads).
-func TestPayloadEncoderMatchesMarshal(t *testing.T) {
+// edgePayloads are payloads of every kind over the edge values — signed
+// zero, the smallest subnormal, the largest float, the varint length
+// boundaries, control bytes, invalid UTF-8, nil and empty shares, no
+// hops, silent hops — and, with bad, a non-finite float in every float
+// field.
+func edgePayloads(bad bool) []payload {
 	var cases []payload
 	for i, f := range edgeFloats {
 		s := edgeStrings[i%len(edgeStrings)]
 		n := edgeInts[i%len(edgeInts)]
 		cases = append(cases,
 			SpeedtestPayload{Server: s, LatencyMs: f, DownMbps: -f, UpMbps: f / 3, CQI: n, RAT: "4G", PublicIP: s + s},
-			CDNPayload{Provider: s, Cache: "HIT", DNSMs: f, TotalMs: f * 2, Bytes: n},
+			CDNPayload{Provider: s, Cache: "HIT", DNSMs: f, TotalMs: f / 2, Bytes: n},
 			DNSPayload{Resolver: "8.8.8.8", City: s, Country: s, DurationMs: f, DoH: i%2 == 0},
 			VideoPayload{Dominant: s, Rebuffers: n, Shares: map[string]float64{s: f, "720p": 0.5, "1080p": -f}},
-			mtrTrace{target: s, hops: []netsim.HopRecord{
+			MTRTrace{Target: s, Hops: []netsim.HopRecord{
 				{TTL: 1, Responded: true, Addr: ipaddr.MustParse("10.0.0.1"), BestRTTms: f},
 				{TTL: 2},                                // timed out
-				{TTL: 3, Responded: true, BestRTTms: 0}, // 0.0.0.0, RTT omitted
+				{TTL: 3, Responded: true, BestRTTms: 0}, // 0.0.0.0
 				{TTL: n, Responded: true, Addr: ipaddr.MustParse("255.255.255.255"), BestRTTms: 1},
 			}},
-		)
-	}
-	for _, s := range edgeStrings {
-		cases = append(cases,
-			SpeedtestPayload{Server: s, RAT: s, PublicIP: s},
-			VideoPayload{Dominant: s, Shares: map[string]float64{s: 1, s + "x": 2, "": 3}},
 		)
 	}
 	cases = append(cases,
 		SpeedtestPayload{}, CDNPayload{}, DNSPayload{}, VideoPayload{},
 		VideoPayload{Shares: map[string]float64{}},
-		mtrTrace{}, mtrTrace{target: "Google", hops: []netsim.HopRecord{}},
-		mtrTrace{target: "Facebook", hops: []netsim.HopRecord{{TTL: 1}, {TTL: 2}}},
+		VideoPayload{Shares: map[string]float64{"": 3, "a": 1, "a\x00": 2, "b": 0}},
+		MTRTrace{}, MTRTrace{Target: "Facebook", Hops: []netsim.HopRecord{{TTL: 1}, {TTL: 2}}},
 	)
-	for _, bad := range badFloats {
+	if !bad {
+		return cases
+	}
+	for _, f := range badFloats {
 		cases = append(cases,
-			SpeedtestPayload{LatencyMs: 1, DownMbps: bad},
-			SpeedtestPayload{UpMbps: math.Inf(1), LatencyMs: bad}, // the first bad field names the error
-			CDNPayload{TotalMs: bad},
-			DNSPayload{DurationMs: bad},
-			VideoPayload{Shares: map[string]float64{"b": bad, "a": 1, "c": math.NaN()}},
-			mtrTrace{target: "x", hops: []netsim.HopRecord{{TTL: 1, Responded: true, BestRTTms: bad}}},
+			SpeedtestPayload{LatencyMs: 1, DownMbps: f},
+			SpeedtestPayload{UpMbps: math.Inf(1), LatencyMs: f}, // the first bad field names the error
+			CDNPayload{TotalMs: f},
+			DNSPayload{DurationMs: f},
+			VideoPayload{Shares: map[string]float64{"b": f, "a": 1, "c": math.NaN()}},
+			MTRTrace{Target: "x", Hops: []netsim.HopRecord{{TTL: 1, Responded: true, BestRTTms: f}}},
+			MTRTrace{Target: "x", Hops: []netsim.HopRecord{{TTL: 1, BestRTTms: f}}}, // silent: not uploaded
 		)
 	}
-	for _, p := range cases {
-		checkEncoding(t, p)
+	return cases
+}
+
+// uploaded is what the codec carries of p: an mtr hop's TTL, its
+// responded flag and, when it responded, its address and best RTT; the
+// rest of a payload whole.
+func uploaded(p payload) payload {
+	t, ok := p.(MTRTrace)
+	if !ok {
+		return p
+	}
+	out := MTRTrace{Target: t.Target}
+	for _, h := range t.Hops {
+		hop := netsim.HopRecord{TTL: h.TTL, Responded: h.Responded}
+		if h.Responded {
+			hop.Addr, hop.BestRTTms = h.Addr, h.BestRTTms
+		}
+		out.Hops = append(out.Hops, hop)
+	}
+	return out
+}
+
+// jsonForm is the value json.Marshal wrote when payloads were JSON: for
+// a trace, the MTRPayload runMTR built then.
+func jsonForm(p payload) any {
+	t, ok := p.(MTRTrace)
+	if !ok {
+		return p
+	}
+	out := MTRPayload{Target: t.Target}
+	for _, h := range t.Hops {
+		hop := MTRHop{TTL: h.TTL}
+		if h.Responded {
+			hop.Addr, hop.RTTms = h.Addr.String(), h.BestRTTms
+		}
+		out.Hops = append(out.Hops, hop)
+	}
+	return out
+}
+
+// TestPayloadEncoderMatchesMarshal: the encoder fails exactly where
+// json.Marshal of the same measurement failed when payloads were JSON —
+// on a NaN or an infinity in an uploaded field, the first in field order
+// naming the error — and with its text, which a failed task uploads as
+// its Error and FailureRecord.Error carries into the dataset. Whatever
+// is appended before the failure is the caller's to drop.
+func TestPayloadEncoderMatchesMarshal(t *testing.T) {
+	failures := 0
+	for _, p := range edgePayloads(true) {
+		_, err := p.AppendBinary(nil)
+		_, wantErr := json.Marshal(jsonForm(p))
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("%#v: codec error %v, json.Marshal error %v", p, err, wantErr)
+		}
+		if err != nil {
+			failures++
+		}
+	}
+	if want := 6 * len(badFloats); failures != want {
+		t.Errorf("%d payloads failed to encode, want %d", failures, want)
+	}
+	for _, c := range []struct {
+		f    float64
+		text string
+	}{{math.NaN(), "json: unsupported value: NaN"}, {math.Inf(1), "json: unsupported value: +Inf"},
+		{math.Inf(-1), "json: unsupported value: -Inf"}} {
+		if _, err := (CDNPayload{TotalMs: c.f}).AppendBinary(nil); err == nil || err.Error() != c.text {
+			t.Errorf("total_ms %v: error %v, want %q", c.f, err, c.text)
+		}
+	}
+}
+
+// decodeCodec decodes data as a payload of kind%5 (speedtest, mtr, cdn,
+// dns, video) into the payload type that encodes it — mtr into *mtr,
+// reused as ingest reuses its trace, so its hops are valid until the next
+// decode.
+func decodeCodec(mtr *MTRTrace, kind byte, data []byte) (payload, error) {
+	switch kind % 5 {
+	case 0:
+		var p SpeedtestPayload
+		err := p.UnmarshalBinary(data)
+		return p, err
+	case 1:
+		err := mtr.UnmarshalBinary(data)
+		t := *mtr
+		if len(t.Hops) == 0 {
+			t.Hops = nil
+		}
+		return t, err
+	case 2:
+		var p CDNPayload
+		err := p.UnmarshalBinary(data)
+		return p, err
+	case 3:
+		var p DNSPayload
+		err := p.UnmarshalBinary(data)
+		return p, err
+	}
+	var p VideoPayload
+	err := p.UnmarshalBinary(data)
+	return p, err
+}
+
+// kindOf is p's decodeCodec kind.
+func kindOf(p payload) byte {
+	switch p.(type) {
+	case SpeedtestPayload:
+		return 0
+	case MTRTrace:
+		return 1
+	case CDNPayload:
+		return 2
+	case DNSPayload:
+		return 3
+	}
+	return 4
+}
+
+// roundTrip fails unless p encodes, decodes to what the codec carries of
+// it, and the decoded value encodes to the same bytes.
+func roundTrip(t *testing.T, mtr *MTRTrace, p payload) {
+	t.Helper()
+	data, err := p.AppendBinary(nil)
+	if err != nil {
+		t.Fatalf("%#v: %v", p, err)
+	}
+	got, err := decodeCodec(mtr, kindOf(p), data)
+	if err != nil || !reflect.DeepEqual(got, uploaded(p)) {
+		t.Fatalf("%x:\n decoded %#v (%v)\n encoded %#v", data, got, err, uploaded(p))
+	}
+	if again, err := got.AppendBinary(nil); err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("%#v: encodes to %x, re-encodes to %x (%v)", p, data, again, err)
+	}
+}
+
+// TestDecodeRoundTripsEncoder: decode(encode(v)) == v for every edge
+// payload — invalid UTF-8 included, which the bytes carry as they are —
+// and encoding the decoded value writes the same bytes.
+func TestDecodeRoundTripsEncoder(t *testing.T) {
+	var mtr MTRTrace
+	for _, p := range edgePayloads(false) {
+		roundTrip(t, &mtr, p)
+	}
+}
+
+// goldenPayloads pins one payload of each kind to its bytes: a change to
+// the format is a change to these.
+var goldenPayloads = []struct {
+	p   payload
+	hex string
+}{
+	{SpeedtestPayload{Server: "Karachi", LatencyMs: 143.25, DownMbps: 21.5, UpMbps: 7, CQI: 11, RAT: "4G",
+		PublicIP: "1.2.3.4"}, "074b6172616368690000000000e8614000000000008035400000000000001c401602344707312e322e332e34"},
+	{MTRTrace{Target: "Google", Hops: []netsim.HopRecord{{TTL: 1, Responded: true, Addr: ipaddr.MustParse("10.0.0.1"),
+		BestRTTms: 1.25}, {TTL: 2}}}, "06476f6f676c650202010a000001000000000000f43f0400"},
+	{CDNPayload{Provider: "Cloudflare", Cache: "HIT", DNSMs: 12, TotalMs: -0.5, Bytes: -3},
+		"0a436c6f7564666c617265034849540000000000002840000000000000e0bf05"},
+	{DNSPayload{Resolver: "8.8.8.8", City: "Frankfurt", Country: "DEU", DurationMs: 33, DoH: true},
+		"07382e382e382e38094672616e6b6675727403444555000000000080404001"},
+	{VideoPayload{Dominant: "720p", Rebuffers: 2, Shares: map[string]float64{"720p": 0.75, "1080p": 0.25}},
+		"04373230700403053130383070000000000000d03f0437323070000000000000e83f"},
+}
+
+// TestGoldenPayloads pins the format: each golden payload encodes to its
+// bytes and its bytes decode to it.
+func TestGoldenPayloads(t *testing.T) {
+	var mtr MTRTrace
+	for _, g := range goldenPayloads {
+		got, err := g.p.AppendBinary(nil)
+		if want, _ := hex.DecodeString(g.hex); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%#v:\n got %x (%v)\nwant %s", g.p, got, err, g.hex)
+		}
+		roundTrip(t, &mtr, g.p)
 	}
 }
 
@@ -182,15 +307,17 @@ func deviceSchedule() []Task {
 	return tasks
 }
 
-// TestCampaignPayloadsMatchMarshal is the encoder differential over real
-// measurements: the device campaign's schedule in all ten device
-// countries at seeds 42 and 7, each task executed by one endpoint and
-// measured by a twin drawing the same stream, so the uploaded bytes are
-// compared with json.Marshal of the very value they encode. (The fleet
-// test TestCampaignPayloadsRoundTrip checks the RunInProcess campaigns'
-// uploaded payloads from the outside.)
+// TestCampaignPayloadsMatchMarshal is the codec over real measurements:
+// the device campaign's schedule in all ten device countries at seeds 42
+// and 7, each task executed by one endpoint and measured by a twin
+// drawing the same stream. Every uploaded payload decodes to the very
+// value the twin measured — so json.Marshal, which a dataset's hash is
+// taken with, writes the same bytes for both — and re-encodes to the
+// uploaded bytes. (The fleet test TestCampaignPayloadsRoundTrip checks
+// the RunInProcess campaigns' uploaded payloads from the outside.)
 func TestCampaignPayloadsMatchMarshal(t *testing.T) {
 	w := world(t)
+	var mtr MTRTrace
 	kinds := map[string]int{}
 	for _, seed := range []int64{42, 7} {
 		for _, iso := range []string{"GEO", "DEU", "KOR", "PAK", "QAT", "SAU", "ESP", "THA", "ARE", "GBR"} {
@@ -205,9 +332,14 @@ func TestCampaignPayloadsMatchMarshal(t *testing.T) {
 					}
 					continue
 				}
-				want, err := marshalRef(p)
-				if err != nil || !res.OK || !bytes.Equal(res.Payload, want) {
-					t.Fatalf("%s %s/%s at seed %d:\n uploaded %s\n marshal  %s (%v)", iso, task.Kind, task.Config, seed, res.Payload, want, err)
+				got, err := decodeCodec(&mtr, kindOf(p), res.Payload)
+				gotJSON, _ := json.Marshal(got)
+				wantJSON, _ := json.Marshal(uploaded(p))
+				if err != nil || !res.OK || !reflect.DeepEqual(got, uploaded(p)) || !bytes.Equal(gotJSON, wantJSON) {
+					t.Fatalf("%s %s/%s at seed %d:\n uploaded %#v (%v)\n measured %#v", iso, task.Kind, task.Config, seed, got, err, uploaded(p))
+				}
+				if again, err := got.AppendBinary(nil); err != nil || !bytes.Equal(again, res.Payload) {
+					t.Fatalf("%s %s/%s at seed %d: uploaded %x, re-encodes to %x (%v)", iso, task.Kind, task.Config, seed, res.Payload, again, err)
 				}
 				kinds[task.Kind]++
 			}
@@ -220,207 +352,102 @@ func TestCampaignPayloadsMatchMarshal(t *testing.T) {
 	}
 }
 
-// mtrDecoded is what MTRDecoder.Decode returns, for comparing.
-type mtrDecoded struct {
-	Target string
-	Tr     netsim.TracerouteResult
-}
-
-// decodeRef is json.Unmarshal into the payload type of kind — for mtr,
-// followed by the hop conversion ingest made before the codec — the
-// reference FuzzPayloadDecode holds the decoders to.
-func decodeRef(kind byte, data []byte) (any, error) {
-	switch kind {
-	case 0:
-		var p SpeedtestPayload
-		return p, json.Unmarshal(data, &p)
-	case 1:
-		var p MTRPayload
-		if err := json.Unmarshal(data, &p); err != nil {
-			return nil, err
-		}
-		out := mtrDecoded{Target: p.Target}
-		for _, h := range p.Hops {
-			hop := netsim.HopRecord{TTL: h.TTL}
-			if h.Addr != "" {
-				addr, err := ipaddr.Parse(h.Addr)
-				if err != nil {
-					return nil, err
-				}
-				hop.Responded, hop.Addr, hop.BestRTTms = true, addr, h.RTTms
-			}
-			out.Tr.Hops = append(out.Tr.Hops, hop)
-		}
-		if n := len(out.Tr.Hops); n > 0 {
-			out.Tr.DestReached = out.Tr.Hops[n-1].Responded
-		}
-		return out, nil
-	case 2:
-		var p CDNPayload
-		return p, json.Unmarshal(data, &p)
-	case 3:
-		var p DNSPayload
-		return p, json.Unmarshal(data, &p)
-	}
-	var p VideoPayload
-	return p, json.Unmarshal(data, &p)
-}
-
-// decodeCodec decodes with the codec; mtr reuses one decoder, as ingest does.
-func decodeCodec(mtr *MTRDecoder, kind byte, data []byte) (any, error) {
-	switch kind {
-	case 0:
-		return DecodeSpeedtest(data)
-	case 1:
-		target, tr, err := mtr.Decode(data)
-		if len(tr.Hops) == 0 {
-			tr.Hops = nil
-		}
-		return mtrDecoded{target, tr}, err
-	case 2:
-		return DecodeCDN(data)
-	case 3:
-		return DecodeDNS(data)
-	}
-	return DecodeVideo(data)
-}
-
-// reencode is appendJSON of a decoded value.
-func reencode(v any) ([]byte, error) {
-	if m, ok := v.(mtrDecoded); ok {
-		return mtrTrace{target: m.Target, hops: m.Tr.Hops}.appendJSON(nil)
-	}
-	return v.(payload).appendJSON(nil)
-}
-
-// FuzzPayloadDecode holds the decoders to the canonical contract: on every
-// input of every kind (kind%5: speedtest, mtr, cdn, dns, video) a decode
-// succeeds exactly when appendJSON of the decoded value writes the input
-// back, and then json.Unmarshal reads the same value; a rejected input is
-// one json.Unmarshal fails, or whose value appendJSON writes differently.
-// The checked-in corpus (testdata/fuzz/FuzzPayloadDecode) carries the
-// encoder's edge values and every form encoding/json accepts beyond its
-// own output — whitespace and key order, case-folded and duplicate keys,
-// repeated hops arrays and shares objects, unknown keys of every type,
-// null, escapes and surrogates, invalid UTF-8, deep nesting — and type
-// and range errors. The decoder is reused across inputs, so hop scratch
-// leaking from one payload into the next fails too.
+// FuzzPayloadDecode holds the decoders to the canonical contract: on
+// every input of every kind (kind%5: speedtest, mtr, cdn, dns, video) a
+// decode that succeeds yields a value the encoder writes back as the
+// input, byte for byte. The checked-in corpus
+// (testdata/fuzz/FuzzPayloadDecode) holds one canonical payload per kind
+// (*-canonical), one input per form the decoders refuse (non-minimal
+// varints, a bool byte above 1, non-finite floats, unsorted and repeated
+// shares keys, a short field, trailing bytes) and the JSON payloads an ME
+// uploaded before the format was binary. The decoder is reused across
+// inputs, so hop scratch leaking from one payload into the next fails too.
 func FuzzPayloadDecode(f *testing.F) {
-	var mtr MTRDecoder
+	var mtr MTRTrace
 	f.Fuzz(func(t *testing.T, kind byte, data []byte) {
-		kind %= 5
-		want, wantErr := decodeRef(kind, data)
 		got, err := decodeCodec(&mtr, kind, data)
 		if err != nil {
-			if wantErr == nil {
-				if again, err := reencode(want); err == nil && bytes.Equal(again, data) {
-					t.Fatalf("kind %d %q: the encoder writes this, yet the codec rejects it: %v", kind, data, err)
-				}
-			}
 			return
 		}
-		if again, err := reencode(got); err != nil || !bytes.Equal(again, data) {
-			t.Fatalf("kind %d %q: accepted, but appendJSON writes %q (%v)", kind, data, again, err)
-		}
-		if wantErr != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("kind %d %q:\n codec     %+v\n unmarshal %+v (%v)", kind, data, got, want, wantErr)
+		if again, err := got.AppendBinary(nil); err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("kind %d %x: accepted as %#v, which encodes to %x (%v)", kind%5, data, got, again, err)
 		}
 	})
 }
 
-// TestDecodeRejectsNonCanonical names the forms json.Unmarshal reads and
-// the decoders refuse, because appendJSON never writes them.
+// hexBytes decodes hex, for the hand-built refused forms.
+func hexBytes(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(strings.ReplaceAll(s, " ", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestDecodeRejectsNonCanonical names the forms the decoders refuse
+// because the encoder never writes them, and checks that every proper
+// prefix of a golden payload is refused as a short field.
 func TestDecodeRejectsNonCanonical(t *testing.T) {
 	const (
 		speed = 0
 		mtr   = 1
+		cdn   = 2
 		dns   = 3
 		video = 4
 	)
-	st := `"server":"Karachi","latency_ms":1.5,"down_mbps":2,"up_mbps":3,"cqi":11,"rat":"4G","public_ip":"1.2.3.4"`
-	badUTF8, err := VideoPayload{Dominant: "bad\xff"}.appendJSON(nil)
-	if err != nil {
-		t.Fatal(err)
+	var m MTRTrace
+	for _, g := range goldenPayloads {
+		data, err := g.p.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < len(data); n++ {
+			if v, err := decodeCodec(&m, kindOf(g.p), data[:n]); err == nil {
+				t.Errorf("%x, %d of its %d bytes, decoded to %#v", data, n, len(data), v)
+			}
+		}
+		if v, err := decodeCodec(&m, kindOf(g.p), append(data, 0)); err == nil {
+			t.Errorf("%x with a trailing zero byte decoded to %#v", data, v)
+		}
 	}
-	var m MTRDecoder
+	dnsOf := func(doh string) string {
+		return "07382e382e382e38 0142 0143 0000000000804040" + doh
+	}
+	videoOf := func(shares string) string { return "04373230700a" + shares }
 	for _, c := range []struct {
 		name string
 		kind byte
-		data string
+		hex  string
 	}{
-		{"whitespace between tokens", speed, `{ ` + st + `}`},
-		{"trailing whitespace", speed, `{` + st + "}\n"},
-		{"null payload", speed, `null`},
-		{"case-folded key", speed, `{"SERVER"` + st[len(`"server"`):] + `}`},
-		{"keys out of order", dns, `{"city":"Berlin","resolver":"8.8.8.8","country":"DEU","duration_ms":3,"doh":true}`},
-		{"missing field", dns, `{"resolver":"8.8.8.8","city":"Berlin","country":"DEU","duration_ms":3}`},
-		{"duplicate key", speed, `{` + st + `,"cqi":12}`},
-		{"unknown key", speed, `{` + st + `,"extra":1}`},
-		{"unknown key nested deep", speed, `{` + st + `,"x":` + strings.Repeat("[", 100) + strings.Repeat("]", 100) + `}`},
-		{"number with exponent", speed, `{"server":"Karachi","latency_ms":15e-1` + st[len(`"server":"Karachi","latency_ms":1.5`):] + `}`},
-		{"number with trailing zero", speed, `{"server":"Karachi","latency_ms":1.50` + st[len(`"server":"Karachi","latency_ms":1.5`):] + `}`},
-		{"float to more digits than it holds", speed, `{"server":"Karachi","latency_ms":1.50000000000000001` + st[len(`"server":"Karachi","latency_ms":1.5`):] + `}`},
-		{"negative zero int", speed, strings.Replace(`{`+st+`}`, `"cqi":11`, `"cqi":-0`, 1)},
-		{"escaped slash", speed, strings.Replace(`{`+st+`}`, `"4G"`, `"4\/G"`, 1)},
-		{"uppercase hex escape", speed, strings.Replace(`{`+st+`}`, `"4G"`, `"\u003C"`, 1)},
-		{"escaped plain letter", speed, strings.Replace(`{`+st+`}`, `"4G"`, `"\u0034G"`, 1)},
-		{"raw HTML character", speed, strings.Replace(`{`+st+`}`, `"4G"`, `"<4G>"`, 1)},
-		{"raw line separator", speed, strings.Replace(`{`+st+`}`, `"4G"`, "\"4G\u2028\"", 1)},
-		{"surrogate pair escape", speed, strings.Replace(`{`+st+`}`, `"4G"`, `"\ud83d\ude00"`, 1)},
-		{"lone surrogate escape", speed, strings.Replace(`{`+st+`}`, `"4G"`, `"\ud83d"`, 1)},
-		{"invalid UTF-8", speed, strings.Replace(`{`+st+`}`, `"4G"`, "\"4G\xff\"", 1)},
-		{"invalid UTF-8 as the encoder writes it", video, string(badUTF8)},
-		{"null string", speed, strings.Replace(`{`+st+`}`, `"4G"`, `null`, 1)},
-		{"empty hops array", mtr, `{"target":"Google","hops":[]}`},
-		{"repeated hops", mtr, `{"target":"Google","hops":[{"ttl":1}],"hops":[{"ttl":2}]}`},
-		{"empty address present", mtr, `{"target":"Google","hops":[{"ttl":1,"addr":""}]}`},
-		{"zero RTT present", mtr, `{"target":"Google","hops":[{"ttl":1,"addr":"10.0.0.1","rtt_ms":0}]}`},
-		{"RTT of a silent hop", mtr, `{"target":"Google","hops":[{"ttl":1,"rtt_ms":3}]}`},
-		{"null hop", mtr, `{"target":"Google","hops":[null]}`},
-		{"shares keys unsorted", video, `{"dominant":"720p","rebuffers":0,"shares":{"720p":0.5,"1080p":0.5}}`},
-		{"duplicate shares key", video, `{"dominant":"720p","rebuffers":0,"shares":{"720p":0.5,"720p":0.5}}`},
-		{"repeated shares", video, `{"dominant":"720p","rebuffers":0,"shares":{"1080p":1},"shares":{"720p":1}}`},
-		{"null share", video, `{"dominant":"720p","rebuffers":0,"shares":{"720p":null}}`},
+		{"canonical DNS (control)", dns, dnsOf("01")},
+		{"bool byte 2", dns, dnsOf("02")},
+		{"bool byte 0xff", dns, dnsOf("ff")},
+		{"non-minimal string length", dns, "8700 382e382e382e38 0142 0143 0000000000804040 01"},
+		{"non-minimal int", cdn, "00 00 0000000000000000 0000000000000000 8080 00"},
+		{"varint overflowing 64 bits", cdn, "00 00 0000000000000000 0000000000000000 ffffffffffffffffff02"},
+		{"varint of 11 bytes", cdn, "00 00 0000000000000000 0000000000000000 ffffffffffffffffffff01"},
+		{"string length past the end", speed, "ff01 4b61"},
+		{"NaN float", dns, "00 00 00 000000000000f87f 00"},
+		{"+Inf float", dns, "00 00 00 000000000000f07f 00"},
+		{"-Inf float", dns, "00 00 00 000000000000f0ff 00"},
+		{"NaN with a payload", dns, "00 00 00 010000000000f07f 00"},
+		{"nil shares (control)", video, videoOf("00")},
+		{"shares keys unsorted", video, videoOf("03 0162 000000000000f03f 0161 000000000000f03f")},
+		{"shares key repeated", video, videoOf("03 0161 000000000000f03f 0161 000000000000f03f")},
+		{"shares key repeated with an empty key", video, videoOf("03 00 000000000000f03f 00 000000000000f03f")},
+		{"shares count past the end", video, videoOf("05 0161 000000000000f03f")},
+		{"shares NaN", video, videoOf("02 0161 000000000000f87f")},
+		{"responded byte 2", mtr, "0147 01 02 02"},
+		{"hop count past the end", mtr, "0147 03 02 00 04 00"},
+		{"responding hop without its address", mtr, "0147 01 02 01 0a00"},
+		{"responding hop with a NaN RTT", mtr, "0147 01 02 01 0a000001 000000000000f87f"},
+		{"pre-change JSON", dns, `7b227265736f6c766572223a22382e382e382e38227d`},
 	} {
-		if _, err := decodeRef(c.kind, []byte(c.data)); err != nil {
-			t.Errorf("%s: json.Unmarshal rejects %q too (%v); the case shows nothing", c.name, c.data, err)
-		}
-		if v, err := decodeCodec(&m, c.kind, []byte(c.data)); err == nil {
-			t.Errorf("%s: %q decoded to %+v, want a rejection", c.name, c.data, v)
-		}
-	}
-}
-
-// TestDecodeRoundTripsEncoder: whatever the encoder writes for valid UTF-8
-// text, the decoders read back to the value json.Unmarshal reads from the
-// same bytes. (Invalid UTF-8 is written as \ufffd, which reads back as
-// U+FFFD and so does not round-trip: TestDecodeRejectsNonCanonical.)
-func TestDecodeRoundTripsEncoder(t *testing.T) {
-	var mtr MTRDecoder
-	var valid []string
-	for _, s := range edgeStrings {
-		if utf8.ValidString(s) {
-			valid = append(valid, s)
-		}
-	}
-	for i, f := range edgeFloats {
-		s := valid[i%len(valid)]
-		for kind, p := range []payload{
-			SpeedtestPayload{Server: s, LatencyMs: f, CQI: edgeInts[i%len(edgeInts)], PublicIP: s},
-			mtrTrace{target: s, hops: []netsim.HopRecord{{TTL: 1, Responded: true, Addr: 42, BestRTTms: f}, {TTL: 2}}},
-			CDNPayload{Provider: s, DNSMs: f, Bytes: i},
-			DNSPayload{City: s, DurationMs: f, DoH: true},
-			VideoPayload{Dominant: s, Shares: map[string]float64{s: f, s + "x": -f}},
-		} {
-			data, err := p.appendJSON(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wantErr := decodeRef(byte(kind), data)
-			got, err := decodeCodec(&mtr, byte(kind), data)
-			if err != nil || wantErr != nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: codec %+v (%v), json.Unmarshal %+v (%v)", data, got, err, want, wantErr)
-			}
+		v, err := decodeCodec(&m, c.kind, hexBytes(t, c.hex))
+		control := strings.HasSuffix(c.name, "(control)")
+		if control != (err == nil) {
+			t.Errorf("%s: %s decoded to %#v (%v)", c.name, c.hex, v, err)
 		}
 	}
 }
@@ -429,8 +456,8 @@ func TestDecodeRoundTripsEncoder(t *testing.T) {
 // of each tree. At 212d635 RunBatch of the 18 tasks below on a fresh
 // endpoint took 119 allocations, 31 of them above the tasks' unboxed
 // measurements where a batch of one took 13: execute boxed every payload
-// into the payload interface. At 65796a9 json.Unmarshal of mtr12 into a
-// recycled []MTRHop plus ingestTrace's conversion took 20.
+// into the payload interface. At 65796a9 json.Unmarshal of a 12-hop mtr
+// payload into a recycled []MTRHop plus ingestTrace's conversion took 20.
 const (
 	parentBatch18Allocs    = 119
 	parentBatch18Overhead  = 31
@@ -498,22 +525,31 @@ func TestRunBatchPayloadAllocs(t *testing.T) {
 	}
 }
 
-// mtr12 is a 12-hop payload as an ME uploads it: ten responding hops,
-// two timed out.
-const mtr12 = `{"target":"Google","hops":[{"ttl":1,"addr":"10.0.0.1","rtt_ms":1.25},{"ttl":2,"addr":"100.64.3.9","rtt_ms":8.5},` +
-	`{"ttl":3},{"ttl":4,"addr":"202.166.126.4","rtt_ms":31.75},{"ttl":5,"addr":"202.166.126.9","rtt_ms":32.5},` +
-	`{"ttl":6,"addr":"80.81.192.10","rtt_ms":90.125},{"ttl":7},{"ttl":8,"addr":"72.14.196.1","rtt_ms":95},` +
-	`{"ttl":9,"addr":"108.170.252.1","rtt_ms":96.5},{"ttl":10,"addr":"142.250.46.1","rtt_ms":97.25},` +
-	`{"ttl":11,"addr":"142.250.186.1","rtt_ms":98},{"ttl":12,"addr":"142.250.186.14","rtt_ms":98.5}]}`
+// mtr12 is a 12-hop trace as an ME uploads it: ten responding hops, two
+// timed out.
+func mtr12() MTRTrace {
+	t := MTRTrace{Target: "Google"}
+	for i, rtt := range []float64{1.25, 8.5, 0, 31.75, 32.5, 90.125, 0, 95, 96.5, 97.25, 98, 98.5} {
+		h := netsim.HopRecord{TTL: i + 1}
+		if rtt != 0 {
+			h.Responded, h.Addr, h.BestRTTms = true, ipaddr.Addr(0xCA_A6_7E_00+i), rtt
+		}
+		t.Hops = append(t.Hops, h)
+	}
+	return t
+}
 
 // TestMTRDecodeAllocs: decoding a 12-hop traceroute allocates its target
-// string and nothing per hop; the hops land in the decoder's scratch.
+// string and nothing per hop; the hops land in the trace's reused array.
 func TestMTRDecodeAllocs(t *testing.T) {
-	var m MTRDecoder
-	data := []byte(mtr12)
+	var m MTRTrace
+	data, err := mtr12().AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := testing.AllocsPerRun(100, func() {
-		if _, tr, err := m.Decode(data); err != nil || len(tr.Hops) != 12 {
-			t.Fatalf("Decode: %d hops, %v", len(tr.Hops), err)
+		if err := m.UnmarshalBinary(data); err != nil || len(m.Hops) != 12 {
+			t.Fatalf("UnmarshalBinary: %d hops, %v", len(m.Hops), err)
 		}
 	})
 	t.Logf("12-hop mtr decode: %.0f allocations (parent: %d)", n, parentMTRDecode12Alloc)
@@ -541,7 +577,7 @@ func benchPayloads() []struct {
 	}{
 		{"speedtest", SpeedtestPayload{Server: "Karachi", LatencyMs: 143.27, DownMbps: 21.805, UpMbps: 7.3921,
 			CQI: 11, RAT: "4G", PublicIP: "202.166.126.4"}},
-		{"mtr", mtrTrace{target: "Google", hops: hops}},
+		{"mtr", MTRTrace{Target: "Google", Hops: hops}},
 		{"cdn", CDNPayload{Provider: "Cloudflare", Cache: "HIT", DNSMs: 12.391, TotalMs: 182.0043, Bytes: 87211}},
 		{"dns", DNSPayload{Resolver: "8.8.8.8", City: "Frankfurt", Country: "DEU", DurationMs: 33.71, DoH: true}},
 		{"video", VideoPayload{Dominant: "720p", Rebuffers: 2,
@@ -555,16 +591,16 @@ func BenchmarkPayloadEncode(b *testing.B) {
 			b.ReportAllocs()
 			buf := make([]byte, 0, 1024)
 			for b.Loop() {
-				buf, _ = c.p.appendJSON(buf[:0])
+				buf, _ = c.p.AppendBinary(buf[:0])
 			}
 		})
 	}
 }
 
 func BenchmarkPayloadDecode(b *testing.B) {
-	var mtr MTRDecoder
-	for kind, c := range benchPayloads() {
-		data, err := c.p.appendJSON(nil)
+	var mtr MTRTrace
+	for _, c := range benchPayloads() {
+		data, err := c.p.AppendBinary(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -572,7 +608,7 @@ func BenchmarkPayloadDecode(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(data)))
 			for b.Loop() {
-				if _, err := decodeCodec(&mtr, byte(kind), data); err != nil {
+				if _, err := decodeCodec(&mtr, kindOf(c.p), data); err != nil {
 					b.Fatal(err)
 				}
 			}

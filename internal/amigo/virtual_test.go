@@ -1,7 +1,6 @@
 package amigo
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -59,11 +58,11 @@ func TestUploadRetryAfterClampedVirtual(t *testing.T) {
 	}
 }
 
-// realizeFromJSON is how task durations were derived before execute
-// computed them from the typed payload: by parsing the uploaded JSON
+// realizeFromPayload is how task durations were derived before execute
+// computed them from the typed payload: by decoding the uploaded payload
 // back. It is the reference TestNetworkTimeMatchesUploadedPayload holds
 // the typed computation to.
-func realizeFromJSON(kind string, res Result) time.Duration {
+func realizeFromPayload(kind string, res Result) time.Duration {
 	if !res.OK {
 		return 0
 	}
@@ -71,7 +70,7 @@ func realizeFromJSON(kind string, res Result) time.Duration {
 	switch kind {
 	case "speedtest":
 		var p SpeedtestPayload
-		if json.Unmarshal(res.Payload, &p) != nil {
+		if p.UnmarshalBinary(res.Payload) != nil {
 			return 0
 		}
 		ms = 2 * p.LatencyMs
@@ -82,26 +81,26 @@ func realizeFromJSON(kind string, res Result) time.Duration {
 			ms += 8 * 8 / p.UpMbps * 1e3
 		}
 	case "mtr":
-		var p MTRPayload
-		if json.Unmarshal(res.Payload, &p) != nil {
+		var tr MTRTrace
+		if tr.UnmarshalBinary(res.Payload) != nil {
 			return 0
 		}
-		for _, h := range p.Hops {
-			if h.RTTms > 0 {
-				ms += 3 * h.RTTms
+		for _, h := range tr.Hops {
+			if h.Responded && h.BestRTTms > 0 {
+				ms += 3 * h.BestRTTms
 			} else {
 				ms += 500
 			}
 		}
 	case "cdn":
 		var p CDNPayload
-		if json.Unmarshal(res.Payload, &p) != nil {
+		if p.UnmarshalBinary(res.Payload) != nil {
 			return 0
 		}
 		ms = p.TotalMs
 	case "dns":
 		var p DNSPayload
-		if json.Unmarshal(res.Payload, &p) != nil {
+		if p.UnmarshalBinary(res.Payload) != nil {
 			return 0
 		}
 		ms = p.DurationMs
@@ -113,7 +112,7 @@ func realizeFromJSON(kind string, res Result) time.Duration {
 
 // TestNetworkTimeMatchesUploadedPayload: the time a realized task spends
 // on the clock is a function of the payload it uploads and nothing else
-// — to the nanosecond what parsing the uploaded JSON back would give, so
+// — to the nanosecond what decoding the uploaded payload back gives, so
 // a virtual campaign's makespan did not move when the re-parse went.
 func TestNetworkTimeMatchesUploadedPayload(t *testing.T) {
 	_, ep, done := testbed(t, "PAK")
@@ -129,7 +128,7 @@ func TestNetworkTimeMatchesUploadedPayload(t *testing.T) {
 	for rep := 0; rep < 5; rep++ {
 		for _, task := range tasks {
 			res, spent := ep.execute(task)
-			if want := realizeFromJSON(task.Kind, res); spent != want {
+			if want := realizeFromPayload(task.Kind, res); spent != want {
 				t.Errorf("%s/%s: execute spends %v, the uploaded payload says %v", task.Kind, task.Config, spent, want)
 			}
 			if spent > 0 {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"roamsim/internal/geo"
@@ -33,6 +34,11 @@ type offersResponse struct {
 // The X-Vantage-Location header is echoed back but deliberately does not
 // influence pricing — the no-price-discrimination finding.
 func (m *Marketplace) Handler() http.Handler {
+	// A crawl asks for one date's pages in turn, so the handler keeps the
+	// last date's catalog rather than building the whole day per page.
+	var mu sync.Mutex
+	var lastDate string
+	var last []Plan
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/offers", func(w http.ResponseWriter, r *http.Request) {
 		dateStr := r.URL.Query().Get("date")
@@ -49,7 +55,12 @@ func (m *Marketplace) Handler() http.Handler {
 				return
 			}
 		}
-		all := m.Offers(date)
+		mu.Lock()
+		if dateStr != lastDate {
+			last, lastDate = m.Offers(date), dateStr
+		}
+		all := last // shared read-only: only sub-sliced and encoded
+		mu.Unlock()
 		pages := (len(all) + pageSize - 1) / pageSize
 		resp := offersResponse{
 			Date:    dateStr,

@@ -3,6 +3,8 @@ package esimdb
 import (
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -178,6 +180,35 @@ func TestCrawlerRoundTrip(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("offer %d differs after crawl", i)
+		}
+	}
+}
+
+// TestCrawlersOfDifferentDatesShareOneHandler: the handler keeps one
+// date's catalog at a time, and crawlers of different dates interleaving
+// their pages on one handler each still get their own date's catalog.
+func TestCrawlersOfDifferentDatesShareOneHandler(t *testing.T) {
+	m := New(42, 6) // the headline providers and one more: a few pages a date
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	dates := []time.Time{SnapshotDate, SnapshotDate.AddDate(0, -1, 0), SnapshotDate, SnapshotDate.AddDate(0, 2, 0)}
+	got := make([][]Plan, len(dates))
+	errs := make([]error, len(dates))
+	var wg sync.WaitGroup
+	for i, d := range dates {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = (&Crawler{BaseURL: srv.URL}).Crawl(d)
+		}()
+	}
+	wg.Wait()
+	for i, d := range dates {
+		if errs[i] != nil {
+			t.Fatalf("crawl of %s: %v", d.Format("2006-01-02"), errs[i])
+		}
+		if want := m.Offers(d); !slices.Equal(got[i], want) {
+			t.Errorf("crawl of %s: %d offers, not the %d of that date's catalog", d.Format("2006-01-02"), len(got[i]), len(want))
 		}
 	}
 }

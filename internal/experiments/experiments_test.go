@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -696,36 +694,5 @@ func TestSignalingBreakdown(t *testing.T) {
 	if vals["Airalo on Play"][1] <= vals["native (UK)"][1] {
 		t.Errorf("Airalo daily messages (%f) must exceed native (%f) — Figure 5b",
 			vals["Airalo on Play"][1], vals["native (UK)"][1])
-	}
-}
-
-func TestWriteAll(t *testing.T) {
-	dir := t.TempDir()
-	files, err := runner(t).WriteAll(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) < 50 {
-		t.Fatalf("exported %d files, want >= 50", len(files))
-	}
-	for _, f := range files {
-		info, err := os.Stat(f)
-		if err != nil {
-			t.Fatalf("missing export %s: %v", f, err)
-		}
-		if info.Size() == 0 {
-			t.Errorf("empty export %s", f)
-		}
-	}
-	// Spot-check contents.
-	b, err := os.ReadFile(filepath.Join(dir, "table2.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(b), "Singtel") {
-		t.Error("table2.csv lacks content")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "fig8_cdf.csv")); err != nil {
-		t.Error("CDF series export missing")
 	}
 }

@@ -191,7 +191,7 @@ func cutAtMEs(rs []amigo.Result, n int) [][]amigo.Result {
 // Ingest — to ds, stopping at the first result it cannot ingest. The
 // payloads are decoded by amigo's codec, the format's one owner.
 func (ds *Dataset) fold(reg *ipreg.Registry, meISO map[string]string, rs []amigo.Result) error {
-	var mtr amigo.MTRDecoder // its hop scratch serves every traceroute of the chunk
+	var trace amigo.MTRTrace // its hops' array serves every traceroute of the chunk
 	for _, res := range rs {
 		iso, ok := meISO[res.ME]
 		if !ok {
@@ -207,14 +207,12 @@ func (ds *Dataset) fold(reg *ipreg.Registry, meISO map[string]string, rs []amigo
 		switch res.Kind {
 		case "speedtest":
 			var p amigo.SpeedtestPayload
-			if p, err = amigo.DecodeSpeedtest(res.Payload); err == nil {
+			if err = p.UnmarshalBinary(res.Payload); err == nil {
 				ds.Speed = append(ds.Speed, SpeedRecord{ME: res.ME, ISO: iso, Config: res.Config, Payload: p})
 			}
 		case "mtr":
-			var target string
-			var tr netsim.TracerouteResult
-			if target, tr, err = mtr.Decode(res.Payload); err == nil {
-				rec, err := demarcate(reg, res, iso, target, tr)
+			if err = trace.UnmarshalBinary(res.Payload); err == nil {
+				rec, err := demarcate(reg, res, iso, trace)
 				if err != nil {
 					return err
 				}
@@ -222,17 +220,17 @@ func (ds *Dataset) fold(reg *ipreg.Registry, meISO map[string]string, rs []amigo
 			}
 		case "cdn":
 			var p amigo.CDNPayload
-			if p, err = amigo.DecodeCDN(res.Payload); err == nil {
+			if err = p.UnmarshalBinary(res.Payload); err == nil {
 				ds.CDN = append(ds.CDN, CDNRecord{ME: res.ME, ISO: iso, Config: res.Config, Payload: p})
 			}
 		case "dns":
 			var p amigo.DNSPayload
-			if p, err = amigo.DecodeDNS(res.Payload); err == nil {
+			if err = p.UnmarshalBinary(res.Payload); err == nil {
 				ds.DNS = append(ds.DNS, DNSRecord{ME: res.ME, ISO: iso, Config: res.Config, Payload: p})
 			}
 		case "video":
 			var p amigo.VideoPayload
-			if p, err = amigo.DecodeVideo(res.Payload); err == nil {
+			if err = p.UnmarshalBinary(res.Payload); err == nil {
 				ds.Video = append(ds.Video, VideoRecord{ME: res.ME, ISO: iso, Config: res.Config, Payload: p})
 			}
 		default:
@@ -247,8 +245,10 @@ func (ds *Dataset) fold(reg *ipreg.Registry, meISO map[string]string, rs []amigo
 
 // demarcate re-runs the core demarcation methodology on an uploaded
 // traceroute, exactly as the paper's parser did on uploaded mtr output.
-func demarcate(reg *ipreg.Registry, res amigo.Result, iso, target string, tr netsim.TracerouteResult) (TraceRecord, error) {
-	rec := TraceRecord{ME: res.ME, ISO: iso, Config: res.Config, Target: target, Hops: len(tr.Hops)}
+func demarcate(reg *ipreg.Registry, res amigo.Result, iso string, trace amigo.MTRTrace) (TraceRecord, error) {
+	n := len(trace.Hops)
+	tr := netsim.TracerouteResult{Hops: trace.Hops, DestReached: n > 0 && trace.Hops[n-1].Responded}
+	rec := TraceRecord{ME: res.ME, ISO: iso, Config: res.Config, Target: trace.Target, Hops: n}
 	pa, err := core.Demarcate(tr, reg)
 	if err != nil {
 		if errors.Is(err, core.ErrNoPublicHop) {

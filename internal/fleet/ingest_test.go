@@ -16,7 +16,7 @@ import (
 // encodes its identity, so tests can see WHICH copy of a duplicate
 // survived ingestion.
 func mkDNSResult(me string, taskID int, resolver string) amigo.Result {
-	p, _ := json.Marshal(amigo.DNSPayload{Resolver: resolver, City: "X", Country: "Y", DurationMs: 1})
+	p, _ := amigo.DNSPayload{Resolver: resolver, City: "X", Country: "Y", DurationMs: 1}.AppendBinary(nil)
 	return amigo.Result{TaskID: taskID, ME: me, Kind: "dns", Config: "esim", OK: true,
 		Payload: p, Uploaded: time.Unix(int64(taskID), 0)}
 }
@@ -107,6 +107,29 @@ func TestIngestEdgeCases(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestIngestRefusesJSONPayloads: a payload as an ME uploaded it before
+// payloads were binary — the JSON a WAL written then replays — is refused
+// by Ingest with an error naming the ME and the kind, never read as a
+// binary payload.
+func TestIngestRefusesJSONPayloads(t *testing.T) {
+	scheds := []MESchedule{{Name: "me-A", ISO: "PAK"}}
+	for kind, payload := range map[string]string{
+		"speedtest": `{"server":"Karachi","latency_ms":41.5,"down_mbps":12.25,"up_mbps":3.5,"cqi":9,"rat":"4G","public_ip":"203.0.113.7"}`,
+		"mtr": `{"target":"Google","hops":[{"ttl":1,"addr":"10.0.0.1","rtt_ms":1.25},{"ttl":2,"addr":"100.64.3.9","rtt_ms":8.5},` +
+			`{"ttl":3},{"ttl":4,"addr":"202.166.126.4","rtt_ms":31.75},{"ttl":5,"addr":"202.166.126.9","rtt_ms":32.5},` +
+			`{"ttl":6,"addr":"80.81.192.10","rtt_ms":90.125},{"ttl":7},{"ttl":8,"addr":"72.14.196.1","rtt_ms":95}]}`,
+		"cdn":   `{"provider":"Cloudflare","cache":"HIT","dns_ms":12.5,"total_ms":80.125,"bytes":30000}`,
+		"dns":   `{"resolver":"8.8.8.8","city":"Frankfurt","country":"DEU","duration_ms":5.5,"doh":true}`,
+		"video": `{"dominant":"720p","rebuffers":1,"shares":{"1080p":0.25,"720p":0.75}}`,
+	} {
+		res := amigo.Result{TaskID: 1, ME: "me-A", Kind: kind, Config: "esim", OK: true, Payload: []byte(payload)}
+		_, err := ingestCampaign(t, scheds, []amigo.Result{res})
+		if want := "fleet: bad " + kind + " payload from me-A: "; err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s: Ingest error %v, want one starting %q", kind, err, want)
+		}
 	}
 }
 

@@ -68,15 +68,13 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 	"time"
 )
 
-// Task is one instrumentation command for an ME. It is defined here —
-// rather than in internal/amigo, which aliases it — so the JSON (v1)
-// and binary (v3) codecs share one canonical struct.
+// Task is one instrumentation command for an ME. It is defined here, by
+// the codec, and internal/amigo aliases it.
 type Task struct {
 	ID   int    `json:"id"`
 	Kind string `json:"kind"` // "speedtest", "mtr", "cdn", "dns", "video"
@@ -88,14 +86,14 @@ type Task struct {
 
 // Result is an uploaded observation.
 type Result struct {
-	TaskID   int             `json:"task_id"`
-	ME       string          `json:"me"`
-	Kind     string          `json:"kind"`
-	Config   string          `json:"config"`
-	OK       bool            `json:"ok"`
-	Error    string          `json:"error,omitempty"`
-	Payload  json.RawMessage `json:"payload,omitempty"`
-	Uploaded time.Time       `json:"uploaded"`
+	TaskID   int       `json:"task_id"`
+	ME       string    `json:"me"`
+	Kind     string    `json:"kind"`
+	Config   string    `json:"config"`
+	OK       bool      `json:"ok"`
+	Error    string    `json:"error,omitempty"`
+	Payload  []byte    `json:"payload,omitempty"`
+	Uploaded time.Time `json:"uploaded"`
 }
 
 // Vitals are the device-health metrics an ME reports. They ride its next
