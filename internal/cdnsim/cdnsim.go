@@ -10,9 +10,6 @@
 package cdnsim
 
 import (
-	"fmt"
-	"strconv"
-
 	"roamsim/internal/inet"
 	"roamsim/internal/rng"
 )
@@ -41,20 +38,6 @@ type Provider struct {
 	OriginPenaltyMedianMs float64
 }
 
-// Validate checks the provider's configuration.
-func (p *Provider) Validate() error {
-	if p.SP == nil {
-		return fmt.Errorf("cdnsim: provider missing SP")
-	}
-	if p.HitRate < 0 || p.HitRate > 1 {
-		return fmt.Errorf("cdnsim: %s hit rate %f out of range", p.SP.Name, p.HitRate)
-	}
-	if p.OriginPenaltyMedianMs < 0 {
-		return fmt.Errorf("cdnsim: %s negative origin penalty", p.SP.Name)
-	}
-	return nil
-}
-
 // FetchResult is one measured CDN download, matching the curl timings
 // and headers Table 1 lists.
 type FetchResult struct {
@@ -65,18 +48,6 @@ type FetchResult struct {
 	TransferMs float64 // connect + TLS + object transfer
 	TotalMs    float64
 	SizeBytes  int
-}
-
-// HTTPHeaders returns the response headers the fetch carried, built on
-// request: the fetch itself records only the fields they derive from.
-func (r FetchResult) HTTPHeaders() map[string]string {
-	return map[string]string{
-		"Server":         r.Provider,
-		"X-Cache":        string(r.Cache),
-		"X-Served-By":    r.EdgeCity,
-		"Content-Length": strconv.Itoa(r.SizeBytes),
-		"Content-Type":   "application/javascript; charset=utf-8",
-	}
 }
 
 // Fetch assembles a fetch result from its measured parts. transferMs is

@@ -21,6 +21,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"roamsim/internal/airalo"
@@ -185,6 +186,46 @@ func attach(d *airalo.Deployment, kind mno.SIMKind, src *rng.Source) (*airalo.Se
 	return d.AttachESIM(src)
 }
 
+// observeFunc measures one attached session; target is "" in a campaign
+// without targets.
+type observeFunc[T any] func(iso string, kind mno.SIMKind, s *airalo.Session, target string, src *rng.Source) ([]T, error)
+
+// collect runs one device campaign on the rng stream forked from the
+// seed under stream: for every country of isos, every SIM kind measured
+// there, every target (none when targets is nil) and reps repetitions,
+// one unit that attaches a session and observes it. A unit's label is
+// "ISO/kind/target/rep", or "ISO/kind/rep" without targets.
+func collect[T any](r *Runner, stream string, isos, targets []string, reps int, observe observeFunc[T]) ([]T, error) {
+	if targets == nil {
+		targets = []string{""}
+	}
+	var units []unit[T]
+	for _, iso := range isos {
+		d := r.W.Deployments[iso]
+		for _, kind := range kindsFor(d) {
+			for _, target := range targets {
+				for i := 0; i < reps; i++ {
+					label := fmt.Sprintf("%s/%s/%d", iso, kind, i)
+					if target != "" {
+						label = fmt.Sprintf("%s/%s/%s/%d", iso, kind, target, i)
+					}
+					units = append(units, unit[T]{
+						label: label,
+						run: func(src *rng.Source) ([]T, error) {
+							s, err := attach(d, kind, src)
+							if err != nil {
+								return nil, err
+							}
+							return observe(iso, kind, s, target, src)
+						},
+					})
+				}
+			}
+		}
+	}
+	return runUnits(rng.New(r.Cfg.Seed).Fork(stream), r.Cfg.workers(), units)
+}
+
 // Traces runs (or returns the memoized) traceroute campaign: every
 // device-campaign country, both configurations, Google and Facebook.
 func (r *Runner) Traces() ([]TraceObs, error) {
@@ -193,46 +234,26 @@ func (r *Runner) Traces() ([]TraceObs, error) {
 	if r.traces != nil {
 		return r.traces, nil
 	}
-	var units []unit[TraceObs]
-	for _, iso := range fleet.DeviceCountries {
-		d := r.W.Deployments[iso]
-		for _, kind := range kindsFor(d) {
-			for _, target := range []string{"Google", "Facebook"} {
-				for i := 0; i < r.Cfg.TracesPerCountry; i++ {
-					units = append(units, unit[TraceObs]{
-						label: fmt.Sprintf("%s/%s/%s/%d", iso, kind, target, i),
-						run: func(src *rng.Source) ([]TraceObs, error) {
-							s, err := attach(d, kind, src)
-							if err != nil {
-								return nil, err
-							}
-							tr, err := measure.Traceroute(s, target, src)
-							if err != nil {
-								return nil, err
-							}
-							pa, err := core.Demarcate(tr.Raw, r.W.Reg)
-							if err != nil {
-								// Fully silent paths happen (e.g. a mute CG-NAT plus
-								// unlucky ICMP); skip like the paper's parser would.
-								return nil, nil
-							}
-							return []TraceObs{{
-								ISO: iso, Kind: kind, Arch: s.Arch, Target: target,
-								Provider: pa.PGW.AS.Org, PA: pa,
-								RAT: s.Radio.Sample(src).RAT,
-							}}, nil
-						},
-					})
-				}
+	out, err := collect(r, "traces", fleet.DeviceCountries, []string{"Google", "Facebook"}, r.Cfg.TracesPerCountry,
+		func(iso string, kind mno.SIMKind, s *airalo.Session, target string, src *rng.Source) ([]TraceObs, error) {
+			tr, err := measure.Traceroute(s, target, src)
+			if err != nil {
+				return nil, err
 			}
-		}
-	}
-	out, err := runUnits(rng.New(r.Cfg.Seed).Fork("traces"), r.Cfg.workers(), units)
-	if err != nil {
-		return nil, err
-	}
-	r.traces = out
-	return out, nil
+			pa, err := core.Demarcate(tr.Raw, r.W.Reg)
+			if err != nil {
+				// Fully silent paths happen (e.g. a mute CG-NAT plus
+				// unlucky ICMP); skip like the paper's parser would.
+				return nil, nil
+			}
+			return []TraceObs{{
+				ISO: iso, Kind: kind, Arch: s.Arch, Target: target,
+				Provider: pa.PGW.AS.Org, PA: pa,
+				RAT: s.Radio.Sample(src).RAT,
+			}}, nil
+		})
+	r.traces = out // nil on error: runUnits discards a failed campaign
+	return out, err
 }
 
 // Speedtests runs (or returns) the Ookla campaign.
@@ -242,39 +263,21 @@ func (r *Runner) Speedtests() ([]SpeedObs, error) {
 	if r.speeds != nil {
 		return r.speeds, nil
 	}
-	var units []unit[SpeedObs]
-	for _, iso := range fleet.DeviceCountries {
-		d := r.W.Deployments[iso]
-		for _, kind := range kindsFor(d) {
-			for i := 0; i < r.Cfg.SpeedtestsPerCountry; i++ {
-				units = append(units, unit[SpeedObs]{
-					label: fmt.Sprintf("%s/%s/%d", iso, kind, i),
-					run: func(src *rng.Source) ([]SpeedObs, error) {
-						s, err := attach(d, kind, src)
-						if err != nil {
-							return nil, err
-						}
-						res, err := measure.Speedtest(s, src)
-						if err != nil {
-							return nil, err
-						}
-						return []SpeedObs{{
-							ISO: iso, Kind: kind, Arch: s.Arch,
-							RAT: res.Radio.RAT, CQI: res.Radio.CQI,
-							Down: res.DownMbps, Up: res.UpMbps,
-							LatencyMs: res.LatencyMs, ServerCity: res.ServerCity,
-						}}, nil
-					},
-				})
+	out, err := collect(r, "speedtests", fleet.DeviceCountries, nil, r.Cfg.SpeedtestsPerCountry,
+		func(iso string, kind mno.SIMKind, s *airalo.Session, _ string, src *rng.Source) ([]SpeedObs, error) {
+			res, err := measure.Speedtest(s, src)
+			if err != nil {
+				return nil, err
 			}
-		}
-	}
-	out, err := runUnits(rng.New(r.Cfg.Seed).Fork("speedtests"), r.Cfg.workers(), units)
-	if err != nil {
-		return nil, err
-	}
+			return []SpeedObs{{
+				ISO: iso, Kind: kind, Arch: s.Arch,
+				RAT: res.Radio.RAT, CQI: res.Radio.CQI,
+				Down: res.DownMbps, Up: res.UpMbps,
+				LatencyMs: res.LatencyMs, ServerCity: res.ServerCity,
+			}}, nil
+		})
 	r.speeds = out
-	return out, nil
+	return out, err
 }
 
 // CDNFetches runs (or returns) the five-provider CDN campaign.
@@ -285,39 +288,19 @@ func (r *Runner) CDNFetches() ([]CDNObs, error) {
 		return r.cdns, nil
 	}
 	providers := []string{"Cloudflare", "Google CDN", "jQuery CDN", "jsDelivr", "Microsoft Ajax"}
-	var units []unit[CDNObs]
-	for _, iso := range fleet.DeviceCountries {
-		d := r.W.Deployments[iso]
-		for _, kind := range kindsFor(d) {
-			for _, prov := range providers {
-				for i := 0; i < r.Cfg.CDNFetchesPerCountry; i++ {
-					units = append(units, unit[CDNObs]{
-						label: fmt.Sprintf("%s/%s/%s/%d", iso, kind, prov, i),
-						run: func(src *rng.Source) ([]CDNObs, error) {
-							s, err := attach(d, kind, src)
-							if err != nil {
-								return nil, err
-							}
-							res, err := measure.CDNFetch(s, prov, src)
-							if err != nil {
-								return nil, err
-							}
-							return []CDNObs{{
-								ISO: iso, Kind: kind, Arch: s.Arch,
-								Provider: prov, TotalMs: res.TotalMs, Cache: string(res.Cache),
-							}}, nil
-						},
-					})
-				}
+	out, err := collect(r, "cdn", fleet.DeviceCountries, providers, r.Cfg.CDNFetchesPerCountry,
+		func(iso string, kind mno.SIMKind, s *airalo.Session, prov string, src *rng.Source) ([]CDNObs, error) {
+			res, err := measure.CDNFetch(s, prov, src)
+			if err != nil {
+				return nil, err
 			}
-		}
-	}
-	out, err := runUnits(rng.New(r.Cfg.Seed).Fork("cdn"), r.Cfg.workers(), units)
-	if err != nil {
-		return nil, err
-	}
+			return []CDNObs{{
+				ISO: iso, Kind: kind, Arch: s.Arch,
+				Provider: prov, TotalMs: res.TotalMs, Cache: string(res.Cache),
+			}}, nil
+		})
 	r.cdns = out
-	return out, nil
+	return out, err
 }
 
 // DNSLookups runs (or returns) the resolver campaign.
@@ -327,40 +310,22 @@ func (r *Runner) DNSLookups() ([]DNSObs, error) {
 	if r.dnses != nil {
 		return r.dnses, nil
 	}
-	var units []unit[DNSObs]
-	for _, iso := range fleet.DeviceCountries {
-		d := r.W.Deployments[iso]
-		for _, kind := range kindsFor(d) {
-			for i := 0; i < r.Cfg.DNSPerCountry; i++ {
-				units = append(units, unit[DNSObs]{
-					label: fmt.Sprintf("%s/%s/%d", iso, kind, i),
-					run: func(src *rng.Source) ([]DNSObs, error) {
-						s, err := attach(d, kind, src)
-						if err != nil {
-							return nil, err
-						}
-						res, err := measure.DNSLookup(s, src)
-						if err != nil {
-							return nil, err
-						}
-						return []DNSObs{{
-							ISO: iso, Kind: kind, Arch: s.Arch,
-							DurationMs: res.DurationMs, DoH: res.DoH,
-							ResolverASN:     uint32(res.Resolver.ASN),
-							ResolverCountry: res.Resolver.Country,
-							PGWCountry:      s.Site.Country,
-						}}, nil
-					},
-				})
+	out, err := collect(r, "dns", fleet.DeviceCountries, nil, r.Cfg.DNSPerCountry,
+		func(iso string, kind mno.SIMKind, s *airalo.Session, _ string, src *rng.Source) ([]DNSObs, error) {
+			res, err := measure.DNSLookup(s, src)
+			if err != nil {
+				return nil, err
 			}
-		}
-	}
-	out, err := runUnits(rng.New(r.Cfg.Seed).Fork("dns"), r.Cfg.workers(), units)
-	if err != nil {
-		return nil, err
-	}
+			return []DNSObs{{
+				ISO: iso, Kind: kind, Arch: s.Arch,
+				DurationMs: res.DurationMs, DoH: res.DoH,
+				ResolverASN:     uint32(res.Resolver.ASN),
+				ResolverCountry: res.Resolver.Country,
+				PGWCountry:      s.Site.Country,
+			}}, nil
+		})
 	r.dnses = out
-	return out, nil
+	return out, err
 }
 
 // Videos runs (or returns) the YouTube campaign. Spain and the UK are
@@ -371,44 +336,24 @@ func (r *Runner) Videos() ([]VideoObs, error) {
 	if r.videos != nil {
 		return r.videos, nil
 	}
-	var units []unit[VideoObs]
-	for _, iso := range fleet.DeviceCountries {
-		if iso == "ESP" || iso == "GBR" {
-			continue
-		}
-		d := r.W.Deployments[iso]
-		for _, kind := range kindsFor(d) {
-			for i := 0; i < r.Cfg.VideosPerCountry; i++ {
-				units = append(units, unit[VideoObs]{
-					label: fmt.Sprintf("%s/%s/%d", iso, kind, i),
-					run: func(src *rng.Source) ([]VideoObs, error) {
-						s, err := attach(d, kind, src)
-						if err != nil {
-							return nil, err
-						}
-						st, err := measure.StreamVideo(s, video.Config{DurationSec: 120}, src)
-						if err != nil {
-							return nil, err
-						}
-						shares := map[string]float64{}
-						for name := range st.SecondsAt {
-							shares[name] = st.Share(name)
-						}
-						return []VideoObs{{
-							ISO: iso, Kind: kind, Arch: s.Arch,
-							Dominant: st.DominantResolution, Shares: shares,
-						}}, nil
-					},
-				})
+	isos := slices.DeleteFunc(slices.Clone(fleet.DeviceCountries), func(iso string) bool { return iso == "ESP" || iso == "GBR" })
+	out, err := collect(r, "video", isos, nil, r.Cfg.VideosPerCountry,
+		func(iso string, kind mno.SIMKind, s *airalo.Session, _ string, src *rng.Source) ([]VideoObs, error) {
+			st, err := measure.StreamVideo(s, video.Config{DurationSec: 120}, src)
+			if err != nil {
+				return nil, err
 			}
-		}
-	}
-	out, err := runUnits(rng.New(r.Cfg.Seed).Fork("video"), r.Cfg.workers(), units)
-	if err != nil {
-		return nil, err
-	}
+			shares := map[string]float64{}
+			for name := range st.SecondsAt {
+				shares[name] = st.Share(name)
+			}
+			return []VideoObs{{
+				ISO: iso, Kind: kind, Arch: s.Arch,
+				Dominant: st.DominantResolution, Shares: shares,
+			}}, nil
+		})
 	r.videos = out
-	return out, nil
+	return out, err
 }
 
 // usable applies the CQI filter of Section 5.1.

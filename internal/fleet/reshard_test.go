@@ -17,7 +17,7 @@ import (
 // reshard scenarios need: every reshard drops every ME's server-side
 // registration at once, so each ME burns one recovery per reshard on
 // top of whatever chaos injects.
-func runReshardCampaign(t *testing.T, cfg ShardedConfig, inj *chaos.Injector, reg *obs.Registry) (dsBlob []byte, table4, rtt string, f *ShardedFleet) {
+func runReshardCampaign(t *testing.T, cfg ShardedConfig, inj *chaos.Injector, reg *obs.Registry, workers int) (dsBlob []byte, table4, rtt string, f *ShardedFleet) {
 	t.Helper()
 	w := testWorld(t)
 	plan := chaosTestPlan()
@@ -32,7 +32,7 @@ func runReshardCampaign(t *testing.T, cfg ShardedConfig, inj *chaos.Injector, re
 	}
 	hs := httptest.NewServer(handler)
 	t.Cleanup(hs.Close)
-	d := &Driver{BaseURL: hs.URL, Seed: testSeed, Workers: 4,
+	d := &Driver{BaseURL: hs.URL, Seed: testSeed, Workers: workers,
 		LeaseBatch: 4, StreamLabel: "chaos-eq", Heartbeat: true,
 		Chaos: inj, Obs: reg, RestartBudget: 8}
 	camp, err := d.Run(w, plan)
@@ -88,7 +88,7 @@ func TestReshardEquivalence(t *testing.T) {
 					{AfterUploads: 9, Shards: 2},
 				},
 			}
-			gotDS, gotT4, gotRTT, f := runReshardCampaign(t, cfg, nil, reg)
+			gotDS, gotT4, gotRTT, f := runReshardCampaign(t, cfg, nil, reg, 4)
 
 			if err := f.ReshardErr(); err != nil {
 				t.Fatalf("reshard failed: %v", err)
@@ -175,7 +175,13 @@ func TestCompactionCrashRecovery(t *testing.T) {
 		// is a pure function of the name.
 		ForceCompactKillShard: shard.NewRing(2).Shard("me-PAK-0"),
 	}
-	gotDS, gotT4, _, f := runReshardCampaign(t, cfg, nil, reg)
+	// One ME at a time: the compaction that dies runs inside an upload,
+	// so with concurrent MEs the kill could land after every ME had sent
+	// its last lease, and no request would meet the fresh server. Run
+	// serially, the kill fires at the same upload every run (the first
+	// ME's last, 12 of the 48 results), and the three MEs that have not
+	// started yet lease from the fresh server.
+	gotDS, gotT4, _, f := runReshardCampaign(t, cfg, nil, reg, 1)
 
 	if f.CompactKills() == 0 {
 		t.Fatal("no compact-kill fired; the test proved nothing")
@@ -229,7 +235,7 @@ func TestCompactionChaosSchedule(t *testing.T) {
 		Chaos:        inj,
 		Obs:          reg,
 	}
-	gotDS, _, _, f := runReshardCampaign(t, cfg, inj, reg)
+	gotDS, _, _, f := runReshardCampaign(t, cfg, inj, reg, 4)
 
 	if f.CompactKills() == 0 {
 		t.Skip("seeded schedule injected no compact-kill at this seed; covered by the force-kill test")

@@ -30,9 +30,6 @@ func (p Point) String() string {
 	return fmt.Sprintf("(%.4f, %.4f)", p.Lat, p.Lon)
 }
 
-// IsZero reports whether the point is the (suspicious) zero coordinate.
-func (p Point) IsZero() bool { return p.Lat == 0 && p.Lon == 0 }
-
 // Valid reports whether the point lies in the legal coordinate range.
 func (p Point) Valid() bool {
 	return p.Lat >= -90 && p.Lat <= 90 && p.Lon >= -180 && p.Lon <= 180

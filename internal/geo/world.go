@@ -251,15 +251,3 @@ func Countries() []Country {
 	sort.Slice(out, func(i, j int) bool { return out[i].ISO3 < out[j].ISO3 })
 	return out
 }
-
-// CountriesIn returns all known countries on the given continent,
-// sorted by ISO3 code.
-func CountriesIn(ct Continent) []Country {
-	var out []Country
-	for _, c := range Countries() {
-		if c.Continent == ct {
-			out = append(out, c)
-		}
-	}
-	return out
-}

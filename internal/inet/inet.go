@@ -157,22 +157,6 @@ func (b *Builder) AddServiceProvider(spec SPSpec) (*ServiceProvider, error) {
 	return sp, nil
 }
 
-// SP returns a built service provider by name.
-func (b *Builder) SP(name string) (*ServiceProvider, bool) {
-	sp, ok := b.sps[name]
-	return sp, ok
-}
-
-// SPs returns all built providers sorted by name.
-func (b *Builder) SPs() []*ServiceProvider {
-	out := make([]*ServiceProvider, 0, len(b.sps))
-	for _, sp := range b.sps {
-		out = append(out, sp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // PeerWith connects a node (typically a PGW provider's CG-NAT or border
 // router) to the nearest edges of the SP. count limits how many edges to
 // peer with (anycast needs only the nearby ones); link carries optional

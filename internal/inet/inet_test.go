@@ -159,24 +159,6 @@ func TestPeeringPenaltyAffectsRTT(t *testing.T) {
 	}
 }
 
-func TestSPsSorted(t *testing.T) {
-	b := newBuilder()
-	b.AddServiceProvider(googleSpec())
-	fb := SPSpec{Name: "Facebook", ASN: 32934, Kind: ipreg.KindContent,
-		Prefix: ipaddr.MustParsePrefix("157.240.0.0/16"), EdgeCities: []string{"Amsterdam"},
-		MinInternalHops: 1, MaxInternalHops: 3}
-	if _, err := b.AddServiceProvider(fb); err != nil {
-		t.Fatal(err)
-	}
-	sps := b.SPs()
-	if len(sps) != 2 || sps[0].Name != "Facebook" || sps[1].Name != "Google" {
-		t.Errorf("SPs order wrong: %v", []string{sps[0].Name, sps[1].Name})
-	}
-	if _, ok := b.SP("Google"); !ok {
-		t.Error("SP lookup failed")
-	}
-}
-
 func TestNearestEdgeIsArgmin(t *testing.T) {
 	b := newBuilder()
 	sp, _ := b.AddServiceProvider(googleSpec())

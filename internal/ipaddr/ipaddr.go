@@ -146,11 +146,6 @@ func (p Prefix) Contains(a Addr) bool {
 	return uint32(a)&mask == uint32(p.Base)&mask
 }
 
-// Overlaps reports whether two prefixes share any address.
-func (p Prefix) Overlaps(q Prefix) bool {
-	return p.Contains(q.Base) || q.Contains(p.Base)
-}
-
 // Nth returns the i-th address inside the prefix.
 // It panics if i is out of range.
 func (p Prefix) Nth(i uint64) Addr {
@@ -176,17 +171,6 @@ func NewAllocator(parent Prefix) *Allocator {
 		start = 1
 	}
 	return &Allocator{parent: parent, next: start}
-}
-
-// Parent returns the prefix being allocated from.
-func (al *Allocator) Parent() Prefix { return al.parent }
-
-// Remaining returns how many host addresses are still free.
-func (al *Allocator) Remaining() uint64 {
-	if al.next >= al.parent.Size() {
-		return 0
-	}
-	return al.parent.Size() - al.next
 }
 
 // NextAddr allocates the next free host address.
@@ -222,13 +206,4 @@ func (al *Allocator) NextPrefix(bits int) (Prefix, error) {
 	}
 	al.next = aligned + size
 	return Prefix{Base: al.parent.Nth(aligned), Bits: bits}, nil
-}
-
-// MustNextPrefix is NextPrefix but panics on failure.
-func (al *Allocator) MustNextPrefix(bits int) Prefix {
-	p, err := al.NextPrefix(bits)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }

@@ -173,18 +173,6 @@ func TestPrefixZeroBitsContainsAll(t *testing.T) {
 	}
 }
 
-func TestOverlaps(t *testing.T) {
-	a := MustParsePrefix("10.0.0.0/8")
-	b := MustParsePrefix("10.1.0.0/16")
-	c := MustParsePrefix("11.0.0.0/8")
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Error("nested prefixes must overlap")
-	}
-	if a.Overlaps(c) {
-		t.Error("disjoint prefixes must not overlap")
-	}
-}
-
 func TestAllocatorAddrs(t *testing.T) {
 	al := NewAllocator(MustParsePrefix("192.0.2.0/29")) // 8 addrs, .1-.7 usable
 	var got []string
@@ -204,20 +192,18 @@ func TestAllocatorAddrs(t *testing.T) {
 	if _, err := al.NextAddr(); err == nil {
 		t.Error("exhausted allocator should error")
 	}
-	if al.Remaining() != 0 {
-		t.Errorf("Remaining = %d", al.Remaining())
-	}
 }
 
 func TestAllocatorUniqueAddresses(t *testing.T) {
-	al := NewAllocator(MustParsePrefix("10.0.0.0/22"))
+	parent := MustParsePrefix("10.0.0.0/22")
+	al := NewAllocator(parent)
 	seen := map[Addr]bool{}
 	for i := 0; i < 1000; i++ {
 		a := al.MustNextAddr()
 		if seen[a] {
 			t.Fatalf("duplicate allocation %s", a)
 		}
-		if !al.Parent().Contains(a) {
+		if !parent.Contains(a) {
 			t.Fatalf("allocated %s outside parent", a)
 		}
 		seen[a] = true
@@ -226,16 +212,16 @@ func TestAllocatorUniqueAddresses(t *testing.T) {
 
 func TestAllocatorPrefixes(t *testing.T) {
 	al := NewAllocator(MustParsePrefix("10.0.0.0/16"))
-	p1 := al.MustNextPrefix(24)
-	p2 := al.MustNextPrefix(24)
+	p1, err1 := al.NextPrefix(24)
+	p2, err2 := al.NextPrefix(24)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
 	if p1.String() != "10.0.1.0/24" { // .0.0/24 skipped: cursor started at .1, aligned up
 		t.Errorf("p1 = %s", p1)
 	}
 	if p2.String() != "10.0.2.0/24" {
 		t.Errorf("p2 = %s", p2)
-	}
-	if p1.Overlaps(p2) {
-		t.Error("allocated prefixes overlap")
 	}
 	// Address allocation continues after the last prefix.
 	a := al.MustNextAddr()

@@ -209,18 +209,6 @@ func (r *Registry) lookupLocked(a ipaddr.Addr) (Info, bool) {
 	}, true
 }
 
-// ASes returns all registered AS records sorted by number.
-func (r *Registry) ASes() []AS {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]AS, 0, len(r.ases))
-	for _, as := range r.ases {
-		out = append(out, as)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Number < out[j].Number })
-	return out
-}
-
 // PrefixCount returns the number of registered prefixes.
 func (r *Registry) PrefixCount() int {
 	r.mu.RLock()

@@ -91,19 +91,6 @@ func TestASNString(t *testing.T) {
 	}
 }
 
-func TestASesSorted(t *testing.T) {
-	r := newTestRegistry(t)
-	ases := r.ASes()
-	if len(ases) != 3 {
-		t.Fatalf("got %d ASes", len(ases))
-	}
-	for i := 1; i < len(ases); i++ {
-		if ases[i-1].Number >= ases[i].Number {
-			t.Fatal("ASes not sorted")
-		}
-	}
-}
-
 func TestLookupAS(t *testing.T) {
 	r := newTestRegistry(t)
 	as, ok := r.LookupAS(45143)

@@ -5,9 +5,9 @@
 //
 // The paper's central infrastructural finding lives here: PGW selection
 // is *static*, arranged per b-MNO, and frequently geographically
-// suboptimal. The Selector interface captures that policy, with a
-// geo-nearest alternative implemented for the ablation benchmark that
-// quantifies what static arrangements cost.
+// suboptimal. PickBreakout applies that policy; GeoNearestSelector is
+// the geo-nearest alternative the ablation benchmark uses to quantify
+// what static arrangements cost.
 package ipx
 
 import (
@@ -89,15 +89,6 @@ func (p *PGWProvider) Site(addr ipaddr.Addr) (PGWSite, bool) {
 	return PGWSite{}, false
 }
 
-// AllAddrs returns every PGW address across the provider's sites.
-func (p *PGWProvider) AllAddrs() []ipaddr.Addr {
-	var out []ipaddr.Addr
-	for _, s := range p.Sites {
-		out = append(out, s.Addrs...)
-	}
-	return out
-}
-
 // Breakout is a resolved breakout decision for one session.
 type Breakout struct {
 	Arch     Architecture
@@ -106,106 +97,14 @@ type Breakout struct {
 	Addr     ipaddr.Addr // the PGW address serving the session
 }
 
-// Agreement is a pre-configured arrangement between a b-MNO and one or
-// more PGW providers. For HR the single provider is the b-MNO itself and
-// SiteCountry pins the home country.
-type Agreement struct {
-	BMNOName string
-	Arch     Architecture
-	// Options lists the provider+site pairs the agreement allows; the
-	// session-level choice alternates among them (Play and Telna Mobile
-	// alternated between Packet Host/NLD and OVH/FRA).
-	Options []AgreementOption
-}
-
-// AgreementOption names one allowed (provider, site) pair with a weight.
+// AgreementOption names one (provider, site) pair a b-MNO's arrangement
+// allows, with a weight; a session's choice alternates among the
+// options (Play and Telna Mobile alternated between Packet Host/NLD and
+// OVH/FRA).
 type AgreementOption struct {
 	Provider *PGWProvider
 	SiteCity string // must match a provider site's City
 	Weight   float64
-}
-
-// Validate checks the agreement's internal consistency.
-func (a *Agreement) Validate() error {
-	if len(a.Options) == 0 {
-		return fmt.Errorf("ipx: agreement for %s has no options", a.BMNOName)
-	}
-	if a.Arch != HR && a.Arch != IHBO && a.Arch != LBO {
-		return fmt.Errorf("ipx: agreement for %s has bad architecture %q", a.BMNOName, a.Arch)
-	}
-	for _, opt := range a.Options {
-		if opt.Provider == nil {
-			return fmt.Errorf("ipx: agreement for %s has nil provider", a.BMNOName)
-		}
-		if opt.Weight < 0 {
-			return fmt.Errorf("ipx: agreement for %s has negative weight", a.BMNOName)
-		}
-		found := false
-		for _, s := range opt.Provider.Sites {
-			if s.City == opt.SiteCity {
-				if len(s.Addrs) == 0 {
-					return fmt.Errorf("ipx: site %s of %s has no PGW addresses", s.City, opt.Provider.Name)
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("ipx: provider %s has no site %q", opt.Provider.Name, opt.SiteCity)
-		}
-	}
-	return nil
-}
-
-// Selector chooses a breakout for a session.
-type Selector interface {
-	// Select resolves the breakout for a session of bMNO's subscriber
-	// currently attached near userLoc.
-	Select(bMNO string, userLoc geo.Point, src *rng.Source) (Breakout, error)
-}
-
-// StaticSelector implements the pre-arranged selection the paper
-// observes: the b-MNO fully determines the candidate set, independent of
-// where the user actually is.
-type StaticSelector struct {
-	agreements map[string]*Agreement
-}
-
-// NewStaticSelector builds a selector from validated agreements.
-func NewStaticSelector(agreements []*Agreement) (*StaticSelector, error) {
-	m := make(map[string]*Agreement, len(agreements))
-	for _, a := range agreements {
-		if err := a.Validate(); err != nil {
-			return nil, err
-		}
-		if _, dup := m[a.BMNOName]; dup {
-			return nil, fmt.Errorf("ipx: duplicate agreement for %s", a.BMNOName)
-		}
-		m[a.BMNOName] = a
-	}
-	return &StaticSelector{agreements: m}, nil
-}
-
-// Select implements Selector. The user location is deliberately ignored —
-// that is the finding.
-func (s *StaticSelector) Select(bMNO string, _ geo.Point, src *rng.Source) (Breakout, error) {
-	a, ok := s.agreements[bMNO]
-	if !ok {
-		return Breakout{}, fmt.Errorf("ipx: no agreement for b-MNO %q", bMNO)
-	}
-	opt := pickOption(a.Options, src)
-	site, addrs := siteOf(opt.Provider, opt.SiteCity)
-	addr, err := pickAddr(opt.Provider, bMNO, addrs, src)
-	if err != nil {
-		return Breakout{}, err
-	}
-	return Breakout{Arch: a.Arch, Provider: opt.Provider, Site: site, Addr: addr}, nil
-}
-
-// Agreement returns the agreement for a b-MNO, if any.
-func (s *StaticSelector) Agreement(bMNO string) (*Agreement, bool) {
-	a, ok := s.agreements[bMNO]
-	return a, ok
 }
 
 // GeoNearestSelector is the counterfactual policy for the ablation: pick
@@ -216,7 +115,7 @@ type GeoNearestSelector struct {
 	Pool []*PGWProvider
 }
 
-// Select implements Selector by minimizing great-circle distance to the
+// Select picks the breakout by minimizing great-circle distance to the
 // user.
 func (g *GeoNearestSelector) Select(bMNO string, userLoc geo.Point, src *rng.Source) (Breakout, error) {
 	if len(g.Pool) == 0 {
@@ -246,11 +145,11 @@ func (g *GeoNearestSelector) Select(bMNO string, userLoc geo.Point, src *rng.Sou
 	return best, nil
 }
 
-// PickBreakout resolves one session's breakout from an explicit option
-// list, applying option weights and the chosen provider's assignment
-// policy. It is the per-deployment variant of StaticSelector.Select used
-// when a visited country's arrangement restricts the b-MNO-level
-// agreement (e.g. Saudi Arabia's Telna eSIM using Packet Host only).
+// PickBreakout resolves one session's breakout from the b-MNO's
+// pre-arranged option list, applying option weights and the chosen
+// provider's assignment policy. The user's location plays no part —
+// that is the finding. A visited country's arrangement may restrict
+// the list (e.g. Saudi Arabia's Telna eSIM using Packet Host only).
 func PickBreakout(arch Architecture, options []AgreementOption, bMNO string, src *rng.Source) (Breakout, error) {
 	if len(options) == 0 {
 		return Breakout{}, fmt.Errorf("ipx: no breakout options")

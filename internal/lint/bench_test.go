@@ -5,8 +5,8 @@ import "testing"
 // BenchmarkRoamvet measures a full-module run of the whole suite —
 // load + type-check + all eight analyzers including the module-wide
 // lock graph — which is exactly what `make lint` pays on every push.
-// scripts/lint_guard.sh enforces the wall-clock budget in CI; this
-// benchmark is where a regression gets localized.
+// `make lint` enforces the wall-clock budget in CI; this benchmark is
+// where a regression gets localized.
 func BenchmarkRoamvet(b *testing.B) {
 	analyzers := Analyzers()
 	for i := 0; i < b.N; i++ {

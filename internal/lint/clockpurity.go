@@ -48,8 +48,8 @@ var clockBanned = map[string]map[string]string{
 	},
 	"time": {
 		"Now": "Clock.Now", "Since": "Clock.Now", "Until": "Clock.Now",
-		"Sleep": "Clock.Sleep", "After": "Clock.After", "Tick": "Clock.After",
-		"NewTimer": "Clock.NewTimer", "NewTicker": "Clock.NewTimer (re-armed)", "AfterFunc": "Clock.After",
+		"Sleep": "Clock.Sleep", "After": "Clock.NewTimer", "Tick": "Clock.NewTimer (a new timer per tick)",
+		"NewTimer": "Clock.NewTimer", "NewTicker": "Clock.NewTimer (a new timer per tick)", "AfterFunc": "Clock.NewTimer",
 	},
 }
 

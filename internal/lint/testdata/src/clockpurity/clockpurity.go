@@ -31,11 +31,11 @@ func badNewTimer() *time.Timer {
 }
 
 func badNewTicker() *time.Ticker {
-	return time.NewTicker(time.Second) // want `time\.NewTicker .* bypasses the injected vclock\.Clock`
+	return time.NewTicker(time.Second) // want `time\.NewTicker .* bypasses the injected vclock\.Clock: use Clock\.NewTimer \(a new timer per tick\)$`
 }
 
 func badAfterFunc(fn func()) *time.Timer {
-	return time.AfterFunc(time.Second, fn) // want `time\.AfterFunc .* bypasses the injected vclock\.Clock`
+	return time.AfterFunc(time.Second, fn) // want `time\.AfterFunc .* bypasses the injected vclock\.Clock: use Clock\.NewTimer$`
 }
 
 // False-positive guards: methods on a local type are not the time or
@@ -68,7 +68,7 @@ func badClock() (time.Time, time.Duration) {
 }
 
 func badTimers() {
-	<-time.After(time.Millisecond) // want `time\.After in deterministic package`
+	<-time.After(time.Millisecond) // want `time\.After in deterministic package .*: use Clock\.NewTimer$`
 }
 
 func badGlobalRand() (int, float64) {

@@ -23,10 +23,9 @@ import (
 
 // Targets of the traceroute/latency experiments.
 const (
-	TargetGoogle   = "Google"
-	TargetFacebook = "Facebook"
-	TargetYouTube  = "Google" // YouTube is served from Google's edges
-	TargetOokla    = "Ookla"
+	TargetGoogle  = "Google"
+	TargetYouTube = "Google" // YouTube is served from Google's edges
+	TargetOokla   = "Ookla"
 )
 
 // radioDegradedFactor throttles throughput when the channel is poor
@@ -229,60 +228,4 @@ func FormatMTR(tr TraceResult) string {
 		}
 	}
 	return b.String()
-}
-
-// PageLoadResult decomposes a simulated page load.
-type PageLoadResult struct {
-	DNSMs     float64
-	HTMLMs    float64
-	ObjectsMs float64
-	TotalMs   float64
-}
-
-// PageLoad models loading a typical page over the session: one DNS
-// resolution, the HTML document from the nearest Google edge, then 12
-// subresources (30 KB each) fetched over 6 parallel connections from
-// the nearest Cloudflare POP. It composes the same primitives the
-// campaign measured separately (DNS, CDN) into the web-QoE quantity the
-// paper's CDN section stands in for.
-func PageLoad(s *airalo.Session, src *rng.Source) (PageLoadResult, error) {
-	w := s.World()
-	var res PageLoadResult
-	dns, err := DNSLookup(s, src)
-	if err != nil {
-		return res, err
-	}
-	res.DNSMs = dns.DurationMs
-
-	googleEdge, err := w.SPs[TargetGoogle].NearestEdge(s.Site.Loc)
-	if err != nil {
-		return res, err
-	}
-	htmlPath, err := s.PathTo(googleEdge.Server)
-	if err != nil {
-		return res, err
-	}
-	res.HTMLMs = w.Net.DownloadTimeMs(htmlPath, 60_000,
-		netsim.TransferOptions{Handshakes: 2, PolicyCapMbps: s.DownCapMbps}, src)
-
-	cdnEdge, err := w.CDNs["Cloudflare"].SP.NearestEdge(s.Site.Loc)
-	if err != nil {
-		return res, err
-	}
-	objPath, err := s.PathTo(cdnEdge.Server)
-	if err != nil {
-		return res, err
-	}
-	const objects, parallel = 12, 6
-	rounds := (objects + parallel - 1) / parallel
-	for r := 0; r < rounds; r++ {
-		handshakes := 0 // connections reused after the first round
-		if r == 0 {
-			handshakes = 2
-		}
-		res.ObjectsMs += w.Net.DownloadTimeMs(objPath, 30_000,
-			netsim.TransferOptions{Handshakes: handshakes, PolicyCapMbps: s.DownCapMbps}, src)
-	}
-	res.TotalMs = res.DNSMs + res.HTMLMs + res.ObjectsMs
-	return res, nil
 }

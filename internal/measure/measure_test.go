@@ -386,31 +386,3 @@ func TestFormatMTR(t *testing.T) {
 		t.Error("silent hops should render as ??? for the Packet Host CG-NAT")
 	}
 }
-
-func TestPageLoadArchitectureOrdering(t *testing.T) {
-	src := rng.New(14)
-	mean := func(iso string) float64 {
-		var sum float64
-		const n = 12
-		for i := 0; i < n; i++ {
-			r, err := PageLoad(esim(t, iso, src), src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.TotalMs != r.DNSMs+r.HTMLMs+r.ObjectsMs {
-				t.Fatal("total must decompose")
-			}
-			sum += r.TotalMs
-		}
-		return sum / n
-	}
-	hr, ihbo, native := mean("PAK"), mean("DEU"), mean("THA")
-	if !(hr > ihbo && ihbo > native) {
-		t.Errorf("page load should order HR (%.0f) > IHBO (%.0f) > native (%.0f)", hr, ihbo, native)
-	}
-	// An HR page load is seconds, not milliseconds: every round trip
-	// crosses the tunnel.
-	if hr < 1500 {
-		t.Errorf("HR page load %.0f ms implausibly fast", hr)
-	}
-}

@@ -32,7 +32,6 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -231,30 +230,4 @@ func (n *Network) Degree(id NodeID) int {
 		return 0
 	}
 	return len(n.adj[id])
-}
-
-// NodesByKind returns the IDs of all nodes of the given kind, sorted.
-func (n *Network) NodesByKind(kind NodeKind) []NodeID {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	var out []NodeID
-	for _, node := range n.nodes {
-		if node.Kind == kind {
-			out = append(out, node.ID)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// FindNode returns the first node with the given name.
-func (n *Network) FindNode(name string) (Node, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	for _, node := range n.nodes {
-		if node.Name == name {
-			return node, true
-		}
-	}
-	return Node{}, false
 }

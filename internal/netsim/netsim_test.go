@@ -242,19 +242,6 @@ func TestSpeedtestLongPathDegradesThroughput(t *testing.T) {
 	}
 }
 
-func TestNodesByKindAndFindNode(t *testing.T) {
-	n, _ := lineTopology(t)
-	if got := n.NodesByKind(KindPGW); len(got) != 1 {
-		t.Errorf("pgw count = %d", len(got))
-	}
-	if _, ok := n.FindNode("sgw"); !ok {
-		t.Error("FindNode sgw failed")
-	}
-	if _, ok := n.FindNode("nope"); ok {
-		t.Error("FindNode nope should fail")
-	}
-}
-
 func TestConnectDefaultsAndPanics(t *testing.T) {
 	n := New()
 	a := n.AddNode(Node{Name: "a", Loc: geo.MustCity("Paris").Loc})

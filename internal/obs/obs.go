@@ -1,5 +1,5 @@
 // Package obs is the dependency-free observability layer for the fleet
-// control plane: atomic counters and gauges, lock-sharded histograms
+// control plane: atomic counters, callback gauges, lock-sharded histograms
 // with fixed log-scale buckets, a ring-buffer span/event recorder, and
 // a Prometheus text-format exposition endpoint.
 //
@@ -10,7 +10,7 @@
 //
 // # Design constraints
 //
-//   - Off the hot path: counters and gauges are single atomics;
+//   - Off the hot path: counters are single atomics;
 //     histograms shard their locks so concurrent observers rarely
 //     contend; metric handles are created once and cached by callers,
 //     so the request path never takes the registry lock.
@@ -87,36 +87,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is an atomic instantaneous value.
-type Gauge struct {
-	labels []Label
-	v      atomic.Int64
-}
-
-// Set stores the gauge value. No-op on a nil handle.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add moves the gauge by delta. No-op on a nil handle.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value returns the current value (0 on a nil handle).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // funcMetric is a callback-backed series (counter or gauge kind),
@@ -196,15 +166,6 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	}
 	m := r.lookup(name, "counter", labels, func(ls []Label) any { return &Counter{labels: ls} })
 	return m.(*Counter)
-}
-
-// Gauge returns the gauge for (name, labels), creating it on first use.
-func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	m := r.lookup(name, "gauge", labels, func(ls []Label) any { return &Gauge{labels: ls} })
-	return m.(*Gauge)
 }
 
 // Histogram returns the histogram for (name, labels), creating it on

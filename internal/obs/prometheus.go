@@ -56,8 +56,6 @@ func metricLabels(m any) []Label {
 	switch m := m.(type) {
 	case *Counter:
 		return m.labels
-	case *Gauge:
-		return m.labels
 	case *Histogram:
 		return m.labels
 	case *funcMetric:
@@ -69,9 +67,6 @@ func metricLabels(m any) []Label {
 func writeSeries(w io.Writer, name string, m any) error {
 	switch m := m.(type) {
 	case *Counter:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", name, renderLabels(m.labels, ""), formatValue(float64(m.Value())))
-		return err
-	case *Gauge:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", name, renderLabels(m.labels, ""), formatValue(float64(m.Value())))
 		return err
 	case *funcMetric:

@@ -67,20 +67,6 @@ func (t *Trace) RecordSpan(name string, d time.Duration, attrs ...Label) {
 	t.mu.Unlock()
 }
 
-// Len reports how many events are currently retained (at most the ring
-// capacity).
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.seq < uint64(len(t.buf)) {
-		return int(t.seq)
-	}
-	return len(t.buf)
-}
-
 // Last returns up to n retained events, oldest first (so the newest
 // event is the final element). It returns nil on a nil recorder.
 func (t *Trace) Last(n int) []Event {

@@ -124,9 +124,3 @@ func SeriesCSV(series []Series) string {
 
 // Pct formats a ratio as a percentage string.
 func Pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
-
-// Ms formats a millisecond value.
-func Ms(v float64) string { return fmt.Sprintf("%.1f ms", v) }
-
-// Mbps formats a bandwidth value.
-func Mbps(v float64) string { return fmt.Sprintf("%.1f Mbps", v) }

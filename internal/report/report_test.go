@@ -95,12 +95,6 @@ func TestFormatters(t *testing.T) {
 	if Pct(0.145) != "14.5%" {
 		t.Errorf("Pct = %s", Pct(0.145))
 	}
-	if Ms(389.04) != "389.0 ms" {
-		t.Errorf("Ms = %s", Ms(389.04))
-	}
-	if Mbps(31.74) != "31.7 Mbps" {
-		t.Errorf("Mbps = %s", Mbps(31.74))
-	}
 }
 
 func TestEmptyTable(t *testing.T) {

@@ -160,21 +160,6 @@ func (s *Source) Normal(mean, stddev float64) float64 {
 	return mean + stddev*s.rand().NormFloat64()
 }
 
-// PositiveNormal returns a draw from N(mean, stddev²) truncated at a small
-// positive floor; it is the workhorse for latencies and throughputs that
-// must never be negative.
-func (s *Source) PositiveNormal(mean, stddev float64) float64 {
-	v := s.Normal(mean, stddev)
-	floor := mean / 10
-	if floor <= 0 {
-		floor = 1e-6
-	}
-	if v < floor {
-		return floor
-	}
-	return v
-}
-
 // LogNormal returns a draw whose logarithm is N(mu, sigma²).
 // Heavy-tailed quantities (web object sizes, session volumes, RTT spikes)
 // use this.
@@ -195,16 +180,6 @@ func (s *Source) LogNormalMeanMedian(median, sigma float64) float64 {
 // Exponential returns a draw from Exp(rate). Mean is 1/rate.
 func (s *Source) Exponential(rate float64) float64 {
 	return s.rand().ExpFloat64() / rate
-}
-
-// Pareto returns a draw from a Pareto distribution with scale xm and
-// shape alpha. Used for heavy-tailed per-user traffic volumes.
-func (s *Source) Pareto(xm, alpha float64) float64 {
-	u := s.rand().Float64()
-	for u == 0 {
-		u = s.rand().Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
 }
 
 // WeightedIndex returns an index into weights with probability

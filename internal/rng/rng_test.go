@@ -107,18 +107,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestPositiveNormalFloor(t *testing.T) {
-	s := New(6)
-	for i := 0; i < 10000; i++ {
-		if v := s.PositiveNormal(5, 10); v < 0.5-1e-12 {
-			t.Fatalf("PositiveNormal below floor: %f", v)
-		}
-	}
-	if v := s.PositiveNormal(0, 1); v <= 0 {
-		t.Errorf("PositiveNormal(0,1) = %f, want > 0", v)
-	}
-}
-
 func TestLogNormalMedian(t *testing.T) {
 	s := New(7)
 	const n = 20001
@@ -147,26 +135,6 @@ func TestExponentialMean(t *testing.T) {
 	}
 	if mean := sum / n; math.Abs(mean-2) > 0.1 {
 		t.Errorf("Exponential(0.5) mean = %f, want ~2", mean)
-	}
-}
-
-func TestParetoTail(t *testing.T) {
-	s := New(9)
-	const n = 20000
-	over := 0
-	for i := 0; i < n; i++ {
-		v := s.Pareto(1, 2)
-		if v < 1 {
-			t.Fatalf("Pareto below scale: %f", v)
-		}
-		if v > 3 {
-			over++
-		}
-	}
-	// P(X > 3) = (1/3)^2 ≈ 0.111 for alpha=2, xm=1.
-	frac := float64(over) / n
-	if frac < 0.08 || frac > 0.15 {
-		t.Errorf("Pareto tail fraction = %f, want ~0.111", frac)
 	}
 }
 
@@ -343,11 +311,9 @@ var helpers = []struct {
 	{"IntBetween", func(s *Source) any { return s.IntBetween(-5, 5) }},
 	{"Bool", func(s *Source) any { return s.Bool(0.3) }},
 	{"Normal", func(s *Source) any { return s.Normal(3, 2) }},
-	{"PositiveNormal", func(s *Source) any { return s.PositiveNormal(1, 4) }},
 	{"LogNormal", func(s *Source) any { return s.LogNormal(0.5, 1.5) }},
 	{"LogNormalMeanMedian", func(s *Source) any { return s.LogNormalMeanMedian(40, 0.7) }},
 	{"Exponential", func(s *Source) any { return s.Exponential(0.5) }},
-	{"Pareto", func(s *Source) any { return s.Pareto(2, 1.3) }},
 	{"WeightedIndex", func(s *Source) any { return s.WeightedIndex([]float64{1, 0, 5, 2}) }},
 	{"Jitter", func(s *Source) any { return s.Jitter(100, 0.2) }},
 	{"Perm", func(s *Source) any { return s.Perm(7) }},

@@ -85,19 +85,3 @@ func Reshard(src, dst []*walsink.Sink) (ReshardStats, error) {
 	}
 	return st, nil
 }
-
-// MovedMEs returns the subset of mes (order preserved) whose owning
-// shard differs between the two rings — the ring diff that tells a
-// reshard which MEs will land on a fresh server and have to be
-// scheduled anew. With consistent hashing the moved fraction stays near
-// the theoretical |Δshards|/max(from,to) rather than re-homing
-// everything.
-func MovedMEs(from, to *Ring, mes []string) []string {
-	var moved []string
-	for _, me := range mes {
-		if from.Shard(me) != to.Shard(me) {
-			moved = append(moved, me)
-		}
-	}
-	return moved
-}

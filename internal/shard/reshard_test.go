@@ -140,28 +140,3 @@ func TestRingBalanceSequentialNames(t *testing.T) {
 		}
 	}
 }
-
-func TestMovedMEs(t *testing.T) {
-	var mes []string
-	for i := 0; i < 200; i++ {
-		mes = append(mes, fmt.Sprintf("me-%03d", i))
-	}
-	from, to := NewRing(4), NewRing(5)
-	moved := MovedMEs(from, to, mes)
-	if len(moved) == 0 || len(moved) == len(mes) {
-		t.Fatalf("4→5 moved %d of %d MEs; consistent hashing should move a strict subset", len(moved), len(mes))
-	}
-	// Roughly 1/5 should move; allow generous slack but catch a broken
-	// ring that re-homes (almost) everything.
-	if len(moved) > len(mes)/2 {
-		t.Fatalf("4→5 moved %d of %d MEs — far above the consistent-hash bound", len(moved), len(mes))
-	}
-	for _, me := range moved {
-		if from.Shard(me) == to.Shard(me) {
-			t.Fatalf("%s reported moved but owns the same shard", me)
-		}
-	}
-	if got := MovedMEs(from, NewRing(4), mes); len(got) != 0 {
-		t.Fatalf("identical rings moved %d MEs", len(got))
-	}
-}

@@ -1,7 +1,7 @@
 // Package signaling models the control-plane procedures that generate
-// the signalling traffic of Figure 5b: attach (with S6a-style
-// authentication and location update against the home HSS), periodic
-// tracking-area updates, and paging.
+// the signalling traffic of Figure 5b: attach, message by message (with
+// S6a-style authentication and location update against the home HSS),
+// and a day's counts of attaches, tracking-area updates and pagings.
 //
 // It supplies the *mechanism* behind the paper's observation that
 // inferred Airalo users generate slightly more signalling than the
@@ -32,10 +32,6 @@ const (
 	UpdateLocAns   MsgType = "Update-Location-Answer"
 	AttachAccept   MsgType = "Attach Accept"
 	AttachComplete MsgType = "Attach Complete"
-	TAURequest     MsgType = "Tracking Area Update Request"
-	TAUAccept      MsgType = "Tracking Area Update Accept"
-	Paging         MsgType = "Paging"
-	ServiceReq     MsgType = "Service Request"
 )
 
 // Event is one control-plane message with its completion time.
@@ -117,24 +113,6 @@ func Attach(c Config, src *rng.Source) (Trace, error) {
 	add(UpdateLocAns, hss, "MME", c.hssRTT())
 	add(AttachAccept, "MME", "UE", c.LocalRTTms)
 	add(AttachComplete, "UE", "MME", c.LocalRTTms)
-	tr.DurationMs = clock
-	return tr, nil
-}
-
-// TAU runs a periodic tracking-area update (no S6a leg in the common
-// case).
-func TAU(c Config, src *rng.Source) (Trace, error) {
-	if err := c.validate(); err != nil {
-		return Trace{}, err
-	}
-	var tr Trace
-	clock := 0.0
-	add := func(msg MsgType, from, to string, rtt float64) {
-		clock += src.Jitter(rtt/2, 0.2)
-		tr.Events = append(tr.Events, Event{Seq: len(tr.Events) + 1, Msg: msg, From: from, To: to, AtMs: clock})
-	}
-	add(TAURequest, "UE", "MME", c.LocalRTTms)
-	add(TAUAccept, "MME", "UE", c.LocalRTTms)
 	tr.DurationMs = clock
 	return tr, nil
 }

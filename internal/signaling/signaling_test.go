@@ -67,24 +67,6 @@ func TestAttachValidation(t *testing.T) {
 	if _, err := Attach(Config{Roaming: true, LocalRTTms: 20}, src); err == nil {
 		t.Error("roaming without IPX RTT should fail")
 	}
-	if _, err := TAU(Config{}, src); err == nil {
-		t.Error("TAU with zero RTT should fail")
-	}
-}
-
-func TestTAUCheapAndLocal(t *testing.T) {
-	src := rng.New(4)
-	tr, err := TAU(Config{Roaming: true, LocalRTTms: 20, IPXRTTms: 300}, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Messages() != 2 {
-		t.Errorf("TAU messages = %d, want 2", tr.Messages())
-	}
-	// TAU stays local even for roamers: far below one IPX RTT.
-	if tr.DurationMs > 60 {
-		t.Errorf("TAU duration = %.0f ms, should be local-core scale", tr.DurationMs)
-	}
 }
 
 func TestDailyMessageOrdering(t *testing.T) {

@@ -34,14 +34,6 @@ func (r *Real) Sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
-// After returns a channel delivering the fire instant d from now.
-func (r *Real) After(d time.Duration) <-chan Instant {
-	ch := make(chan Instant, 1)
-	//lint:allow clockpurity see NewReal: Real is the one place wall timers are built
-	time.AfterFunc(d, func() { ch <- r.Now() })
-	return ch
-}
-
 // NewTimer returns a one-shot wall timer. It is built on time.AfterFunc
 // rather than time.NewTimer so the channel can carry Instants without a
 // forwarding goroutine per timer.
@@ -54,9 +46,5 @@ func (r *Real) NewTimer(d time.Duration) *Timer {
 		default: // fire on an un-drained channel is dropped, like time.Timer
 		}
 	})
-	return &Timer{
-		C:     ch,
-		stop:  t.Stop,
-		reset: t.Reset,
-	}
+	return &Timer{C: ch, stop: t.Stop}
 }

@@ -33,7 +33,7 @@
 //
 // The corollary discipline: a registered waiter must block on the
 // clock only through the parking entry points (Sleep, SleepCtx, a
-// Context from ContextWithTimeout). Selecting on a raw After/Timer
+// Context from ContextWithTimeout). Selecting on a raw Timer
 // channel does not park — the scheduler would wait forever for a
 // quiescence that never comes; the stall guard exists to turn exactly
 // that bug into a fast failure with a parked-waiter dump instead of a
@@ -65,14 +65,10 @@ type Clock interface {
 	// be a registered waiter; the sleep parks it and quiescence advances
 	// time past the deadline.
 	Sleep(d time.Duration)
-	// After returns a channel that delivers the fire instant once, d
-	// from now. On a Virtual clock, receiving from it does NOT park the
-	// caller — use it only from select loops that also make progress, or
-	// drive time with Advance in tests.
-	After(d time.Duration) <-chan Instant
-	// NewTimer returns a one-shot timer firing d from now, with
-	// time.Timer-like Stop and Reset. The same non-parking caveat as
-	// After applies to its channel.
+	// NewTimer returns a one-shot timer firing d from now, with a
+	// time.Timer-like Stop. On a Virtual clock, receiving from its
+	// channel does NOT park the caller — use it only from select loops
+	// that also make progress, or drive time with Advance in tests.
 	NewTimer(d time.Duration) *Timer
 }
 
@@ -82,14 +78,9 @@ type Timer struct {
 	// C delivers the fire instant.
 	C <-chan Instant
 
-	stop  func() bool
-	reset func(time.Duration) bool
+	stop func() bool
 }
 
 // Stop cancels the timer; it reports whether the timer was still
 // pending. Like time.Timer.Stop it does not drain C.
 func (t *Timer) Stop() bool { return t.stop() }
-
-// Reset re-arms the timer to fire d from now; it reports whether the
-// timer was still pending.
-func (t *Timer) Reset(d time.Duration) bool { return t.reset(d) }

@@ -93,24 +93,24 @@ func TestQuiescenceAdvancesSleeps(t *testing.T) {
 	}
 }
 
-func TestAfterDeliversFireInstant(t *testing.T) {
+func TestTimerDeliversFireInstant(t *testing.T) {
 	v := NewVirtual()
-	ch := v.After(15 * time.Millisecond)
+	tm := v.NewTimer(15 * time.Millisecond)
 	v.Advance(20 * time.Millisecond)
 	select {
-	case at := <-ch:
+	case at := <-tm.C:
 		if at != Instant(15*time.Millisecond) {
 			t.Fatalf("fire instant: got %v", at.Duration())
 		}
 	default:
-		t.Fatal("After channel empty after Advance past deadline")
+		t.Fatal("timer channel empty after Advance past deadline")
 	}
 	if v.Now() != Instant(20*time.Millisecond) {
 		t.Fatalf("Advance target: got %v", v.Now().Duration())
 	}
 }
 
-func TestTimerStopAndReset(t *testing.T) {
+func TestTimerStop(t *testing.T) {
 	v := NewVirtual()
 	tm := v.NewTimer(10 * time.Millisecond)
 	if !tm.Stop() {
@@ -125,24 +125,11 @@ func TestTimerStopAndReset(t *testing.T) {
 		t.Fatal("stopped timer fired")
 	default:
 	}
-
-	if tm.Reset(5 * time.Millisecond) {
-		t.Fatal("Reset of stopped timer: want false")
-	}
-	v.Advance(5 * time.Millisecond)
-	select {
-	case at := <-tm.C:
-		if at != Instant(25*time.Millisecond) {
-			t.Fatalf("reset fire instant: got %v", at.Duration())
-		}
-	default:
-		t.Fatal("reset timer did not fire")
-	}
 }
 
-// Stop/Reset hammered from many goroutines while time advances: the
-// -race build proves the timer hooks are safe, and the heap survives.
-func TestTimerStopResetRace(t *testing.T) {
+// Stop hammered from many goroutines while time advances: the -race
+// build proves the timer hook is safe, and the heap survives.
+func TestTimerStopRace(t *testing.T) {
 	v := NewVirtual()
 	var wg sync.WaitGroup
 	timers := make([]*Timer, 8)
@@ -156,7 +143,6 @@ func TestTimerStopResetRace(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for j := 0; j < 50; j++ {
-					tm.Reset(time.Duration(j%7+1) * time.Millisecond)
 					tm.Stop()
 				}
 			}()
@@ -223,37 +209,9 @@ func TestWaitersAccounting(t *testing.T) {
 }
 
 // All waiters parked with nothing on the heap is a deadlock: the
-// handler must get a dump naming the parked waiters, and the default
-// must panic on the goroutine that completed quiescence.
+// goroutine that completed quiescence must panic with a dump naming the
+// parked waiters.
 func TestDeadlockDumpAndPanic(t *testing.T) {
-	t.Run("handler", func(t *testing.T) {
-		v := NewVirtual()
-		dumps := make(chan string, 1)
-		v.OnDeadlock(func(dump string) { dumps <- dump })
-		p := &parker{what: "stuck-op", until: -1, ch: make(chan struct{}, 1)}
-		v.Add(1)
-		go func() {
-			defer v.Done()
-			v.mu.Lock()
-			v.parkLocked(p)
-			v.mu.Unlock()
-			<-p.ch
-		}()
-		select {
-		case dump := <-dumps:
-			for _, want := range []string{"deadlock", "stuck-op", "1 registered waiter(s)"} {
-				if !strings.Contains(dump, want) {
-					t.Fatalf("dump missing %q:\n%s", want, dump)
-				}
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("deadlock handler never fired")
-		}
-		v.mu.Lock()
-		v.wakeLocked(p)
-		v.mu.Unlock()
-	})
-
 	t.Run("default-panics", func(t *testing.T) {
 		v := NewVirtual()
 		got := make(chan string, 1)
@@ -273,8 +231,10 @@ func TestDeadlockDumpAndPanic(t *testing.T) {
 		}()
 		select {
 		case msg := <-got:
-			if !strings.Contains(msg, "deadlock") {
-				t.Fatalf("want deadlock panic, got %q", msg)
+			for _, want := range []string{"deadlock", "stuck-op", "1 registered waiter(s)"} {
+				if !strings.Contains(msg, want) {
+					t.Fatalf("deadlock panic missing %q:\n%s", want, msg)
+				}
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatal("deadlock default neither panicked nor returned")

@@ -23,8 +23,6 @@ type Virtual struct {
 
 	stats Stats // guarded by mu
 
-	onDeadlock func(string) // guarded by mu; nil = panic
-
 	// stall-guard state (real time, never feeds the virtual timeline)
 	activity  uint64 // guarded by mu; bumped on every park/wake/advance
 	lastSeen  uint64 // guarded by mu; activity at the previous guard check
@@ -142,16 +140,6 @@ func (v *Virtual) Sleep(d time.Duration) {
 	<-p.ch
 }
 
-// After returns a channel delivering the fire instant d from now.
-// Receiving from it does not park the caller (see the Clock docs).
-func (v *Virtual) After(d time.Duration) <-chan Instant {
-	ch := make(chan Instant, 1)
-	v.mu.Lock()
-	v.addTimerLocked(v.now.Add(d), func(now Instant) { ch <- now })
-	v.mu.Unlock()
-	return ch
-}
-
 // NewTimer returns a one-shot virtual timer.
 func (v *Virtual) NewTimer(d time.Duration) *Timer {
 	ch := make(chan Instant, 1)
@@ -170,15 +158,6 @@ func (v *Virtual) NewTimer(d time.Duration) *Timer {
 			defer v.mu.Unlock()
 			return v.stopTimerLocked(t)
 		},
-		reset: func(d time.Duration) bool {
-			v.mu.Lock()
-			defer v.mu.Unlock()
-			was := v.stopTimerLocked(t)
-			t.when = v.now.Add(d)
-			t.seq = v.nextSeqLocked()
-			heap.Push(&v.timers, t)
-			return was
-		},
 	}
 }
 
@@ -196,15 +175,6 @@ func (v *Virtual) Advance(d time.Duration) {
 		v.now = target
 	}
 	v.activity++
-}
-
-// OnDeadlock installs fn as the all-parked-no-timers handler (default:
-// panic). The scheduler calls it with the parked-waiter dump; tests
-// install a capturing handler, CI wants the panic.
-func (v *Virtual) OnDeadlock(fn func(dump string)) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.onDeadlock = fn
 }
 
 // StallGuard arms a real-time watchdog against the OTHER failure mode,
@@ -302,14 +272,6 @@ func (v *Virtual) maybeAdvanceLocked() {
 	for v.waiters > 0 && len(v.parked) == v.waiters {
 		if len(v.timers) == 0 {
 			dump := v.dumpLocked("deadlock")
-			if v.onDeadlock != nil {
-				fn := v.onDeadlock
-				v.onDeadlock = nil // fire once; the handler decides what's next
-				v.mu.Unlock()
-				fn(dump)
-				v.mu.Lock()
-				return
-			}
 			// Unlock before panicking so deferred Done calls on the
 			// unwinding stack don't deadlock on v.mu (see parkLocked).
 			v.mu.Unlock()

@@ -81,9 +81,6 @@ func New(vMNO, play *mno.Operator, airaloRange mno.IMSIRange, src *rng.Source) *
 	}
 }
 
-// SetProfile overrides a population profile (for ablations).
-func (s *Simulator) SetProfile(g Group, p Profile) { s.profiles[g] = p }
-
 func (s *Simulator) newIMEI() string {
 	s.nextIMEI++
 	return fmt.Sprintf("35%013d", s.nextIMEI)
