@@ -3,8 +3,8 @@ GO ?= go
 .PHONY: verify fmt-check vet lint lint-json lint-allows build test race bench smoke profile-campaign profile-smoke fuzz-short loc FORCE
 
 ## verify: the CI entry point — gofmt, vet, the roamvet determinism/hygiene
-## analyzers, build, every test suite under the race detector (the
-## chaos, shard, reshard and virtual-time differential suites included),
+## analyzers, build, every test suite under the race detector (internal/fleet's
+## proof table of whole-campaign differential rows included),
 ## then the smokes that drive real binaries: amigo-server as one server
 ## and as WAL-backed shards, roam-fleet's self-hosted plane through a
 ## shard kill and a live reshard, and the campaign profiler on both
@@ -104,7 +104,7 @@ profile-smoke:
 	grep -E '^virtual: .* [0-9]+ quiescence advances, [0-9]+ parks' bin/profile-virtual.log
 
 ## loc: non-test Go lines per package outside bench/ and testdata/, plus
-## the total — the count ROADMAP item 7 tracks and every PR's CHANGES.md
+## the total — the count ROADMAP item 6 tracks and every PR's CHANGES.md
 ## entry reports the delta of.
 loc:
 	@bash scripts/loc.sh

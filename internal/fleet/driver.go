@@ -80,7 +80,7 @@ type Driver struct {
 	// *vclock.Virtual to run the campaign on discrete-event time: waits
 	// are jumped instead of slept, Stats.Elapsed becomes the campaign's
 	// virtual makespan, and the ingested dataset is byte-identical to a
-	// real-clock run (TestVirtualTimeEquivalence).
+	// real-clock run (the proof table's TestVirtualTimeEquivalence rows).
 	Clock vclock.Clock
 	// Realize makes every ME spend its tasks' simulated network durations
 	// on Clock, each leased batch's in one wait before its upload (see

@@ -26,7 +26,7 @@ import (
 // drained, so no confirming lease follows.
 func TestCampaignLeasesOncePerME(t *testing.T) {
 	reg := obs.NewRegistry()
-	hs := newObsControlServer(t, reg, nil)
+	_, hs := newControlServer(t, amigo.WithObs(reg))
 	plan := chaosTestPlan()
 	d := &Driver{BaseURL: hs.URL, Seed: testSeed, Workers: 2, StreamLabel: "obs-eq", Obs: reg}
 	if plan.TasksPerME() >= d.leaseBatch() {
@@ -52,7 +52,7 @@ func TestCampaignLeasesOncePerME(t *testing.T) {
 // lease and its upload.
 func TestCampaignSchedulesInBlocks(t *testing.T) {
 	reg := obs.NewRegistry()
-	hs := newObsControlServer(t, reg, nil)
+	_, hs := newControlServer(t, amigo.WithObs(reg))
 	plan := Plan{Countries: []string{"PAK", "GEO"}, MEsPerCountry: blockMEs + 1, Tasks: []amigo.Task{{Kind: "dns"}}, Configs: []string{"sim"}}
 	d := &Driver{BaseURL: hs.URL, Seed: testSeed, Workers: 2}
 	camp, err := d.Run(testWorld(t), plan)

@@ -12,7 +12,7 @@ package fleet
 // shard kill exercises. Placement is a pure function of (ME, shard
 // count), so the post-reshard WAL set is byte-equivalent to what a
 // campaign run at the new count would have produced — which is what
-// TestReshardEquivalence pins.
+// the proof table's TestReshardEquivalence rows pin.
 //
 // Epoch layout on disk, rooted at ShardedConfig.WALDir:
 //
@@ -306,11 +306,6 @@ func (f *ShardedFleet) maybeReshard(total int) {
 func (f *ShardedFleet) doReshard(n int) {
 	defer f.wg.Done()
 	f.gw.Pause()
-	defer func() {
-		f.mu.Lock()
-		f.resharding = false
-		f.mu.Unlock()
-	}()
 	// On any failure the deployment stays on its current epoch: record
 	// the error and resume the unchanged topology — a failed reshard
 	// must degrade to "nothing happened", never to a dead gateway.
@@ -319,6 +314,7 @@ func (f *ShardedFleet) doReshard(n int) {
 		if f.reshardErr == nil {
 			f.reshardErr = err
 		}
+		f.resharding = false
 		f.mu.Unlock()
 		f.gw.Resume(f.gw.Backends())
 	}
@@ -380,6 +376,9 @@ func (f *ShardedFleet) doReshard(n int) {
 	f.epoch = epoch
 	f.reshards++
 	f.lastReshard = st
+	// The next step may fire from the first upload the new topology
+	// accepts, not only after the old WALs below are closed.
+	f.resharding = false
 	f.mu.Unlock()
 	f.gw.Resume(backends)
 	// The old epoch's sinks are unreachable now — Pause drained every

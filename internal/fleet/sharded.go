@@ -89,7 +89,7 @@ type ShardedFleet struct {
 	epoch         int                // live WAL epoch, bumped per reshard; guarded by mu
 	total         int                // accepted uploads fleet-wide, across epochs; guarded by mu
 	nextReshard   int                // next cfg.Reshards step to fire; guarded by mu
-	resharding    bool               // a reshard is in flight; guarded by mu
+	resharding    bool               // a reshard has fired and not yet installed its topology; guarded by mu
 	reshards      int                // reshards completed; guarded by mu
 	lastReshard   shard.ReshardStats // stats of the latest reshard; guarded by mu
 	reshardErr    error              // first reshard failure; guarded by mu

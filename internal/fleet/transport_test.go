@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"runtime"
 	"testing"
 	"time"
@@ -50,17 +49,7 @@ func runSerialHTTP(t *testing.T, plan Plan, seed int64, label string) *Campaign 
 // handler that dropped, reordered or rewrote a field would pass every
 // fleet-vs-fleet comparison and fail here.
 func TestSerialTransportDifferential(t *testing.T) {
-	wantDS, wantT4, wantRTT := serialOracle(t)
-	gotDS, gotT4, gotRTT := artifacts(t, runSerialHTTP(t, chaosTestPlan(), testSeed, "chaos-eq"))
-	if !bytes.Equal(gotDS, wantDS) {
-		t.Error("serial campaign over HTTP ingests a different dataset than the direct-call oracle")
-	}
-	if gotT4 != wantT4 {
-		t.Errorf("Table 4 differs:\nhttp:\n%s\ndirect:\n%s", gotT4, wantT4)
-	}
-	if gotRTT != wantRTT {
-		t.Errorf("RTT summary differs:\nhttp:\n%s\ndirect:\n%s", gotRTT, wantRTT)
-	}
+	oracle(t).hold(t, "serial campaign over HTTP", runSerialHTTP(t, chaosTestPlan(), testSeed, "chaos-eq"))
 }
 
 // TestDriverRunReleasesOwnClient: a Driver without a Client builds a

@@ -2,10 +2,12 @@ package fleet
 
 import (
 	"bytes"
+	"net/http/httptest"
 	"testing"
 
 	"roamsim/internal/amigo"
 	"roamsim/internal/chaos"
+	"roamsim/internal/shard"
 	"roamsim/internal/vclock"
 	"roamsim/internal/wire"
 )
@@ -16,17 +18,13 @@ import (
 // run, a virtual-clock run under chaos.Light (retried and replayed
 // leases re-send them), and a 4-shard run (each ME's owning shard).
 func TestFleetVitalsMatchOracle(t *testing.T) {
-	w, plan := testWorld(t), chaosTestPlan()
-	oracle := amigo.NewServer(nil)
-	if _, err := runInProcess(oracle, w, plan, testSeed, "chaos-eq", true); err != nil {
-		t.Fatal(err)
-	}
+	w, plan, o := testWorld(t), chaosTestPlan(), oracle(t)
 	// The lease frame carries each float as its IEEE-754 bits: equal
 	// frames are bit-identical vitals.
 	bits := func(v amigo.Vitals) []byte { return wire.AppendLeaseRequest(nil, wire.LeaseRequest{Vitals: v}) }
 	check := func(t *testing.T, serverOf func(me string) *amigo.Server) {
 		for _, sc := range plan.Schedules() {
-			want, _ := oracle.Vitals(sc.Name)
+			want, _ := o.srv.Vitals(sc.Name)
 			got, ok := serverOf(sc.Name).Vitals(sc.Name)
 			if want.IsZero() || !ok || !bytes.Equal(bits(got), bits(want)) {
 				t.Errorf("%s: vitals %+v, want the oracle's %+v", sc.Name, got, want)
@@ -43,7 +41,9 @@ func TestFleetVitalsMatchOracle(t *testing.T) {
 	})
 	t.Run("virtual-chaos-light", func(t *testing.T) {
 		inj := chaos.NewInjector(7, chaos.Light())
-		srv, hs := newChaosControlServer(t, inj)
+		srv := amigo.NewServer(nil)
+		hs := httptest.NewServer(inj.Middleware(shard.Mount(srv.Handler(), srv.AdminHandler())))
+		defer hs.Close()
 		d := &Driver{BaseURL: hs.URL, Seed: testSeed, Workers: 4, LeaseBatch: 4, StreamLabel: "chaos-eq", Heartbeat: true,
 			Chaos: inj, Clock: vclock.NewVirtual(), Realize: true}
 		if _, err := d.Run(w, plan); err != nil {
@@ -55,7 +55,7 @@ func TestFleetVitalsMatchOracle(t *testing.T) {
 		check(t, func(string) *amigo.Server { return srv })
 	})
 	t.Run("sharded", func(t *testing.T) {
-		_, _, _, f := runShardedCampaign(t, ShardedConfig{Shards: 4}, nil, nil, 4, nil)
+		f := runProof(t, proofRow{workers: 4, plane: ShardedConfig{Shards: 4}}).fleet
 		check(t, func(me string) *amigo.Server { return f.Server(f.Ring().Shard(me)) })
 	})
 }

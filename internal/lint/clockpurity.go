@@ -48,7 +48,7 @@ var clockBanned = map[string]map[string]string{
 	},
 	"time": {
 		"Now": "Clock.Now", "Since": "Clock.Now", "Until": "Clock.Now",
-		"Sleep": "Clock.Sleep", "After": "Clock.NewTimer", "Tick": "Clock.NewTimer (a new timer per tick)",
+		"Sleep": "vclock.SleepCtx", "After": "Clock.NewTimer", "Tick": "Clock.NewTimer (a new timer per tick)",
 		"NewTimer": "Clock.NewTimer", "NewTicker": "Clock.NewTimer (a new timer per tick)", "AfterFunc": "Clock.NewTimer",
 	},
 }

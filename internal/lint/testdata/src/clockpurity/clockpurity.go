@@ -63,7 +63,7 @@ func bareAllowTimer() *time.Timer {
 
 func badClock() (time.Time, time.Duration) {
 	start := time.Now()             // want `time\.Now in deterministic package`
-	time.Sleep(time.Millisecond)    // want `time\.Sleep in deterministic package`
+	time.Sleep(time.Millisecond)    // want `time\.Sleep in deterministic package .*: use vclock\.SleepCtx$`
 	return start, time.Since(start) // want `time\.Since in deterministic package`
 }
 

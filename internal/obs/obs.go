@@ -17,7 +17,8 @@
 //   - Determinism-neutral: instrumentation never reads the measurement
 //     rng, never alters retry timing, and never feeds back into
 //     payloads — campaign datasets are byte-identical with metrics on
-//     or off (pinned by TestFleetMetricsEquivalence).
+//     or off (pinned by the TestFleetMetricsEquivalence rows of
+//     internal/fleet's proof table).
 //   - Nil-safe: every method works on a nil *Registry or nil metric
 //     handle as a no-op, so instrumented code needs no "is observability
 //     enabled" branches.

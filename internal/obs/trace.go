@@ -52,7 +52,7 @@ func (t *Trace) RecordSpan(name string, d time.Duration, attrs ...Label) {
 	if t == nil {
 		return
 	}
-	//lint:allow clockpurity trace timestamps are operator-facing wall time; they never enter a dataset (TestFleetMetricsEquivalence proves metrics/traces are determinism-neutral)
+	//lint:allow clockpurity trace timestamps are operator-facing wall time; they never enter a dataset (the TestFleetMetricsEquivalence rows of internal/fleet's proof table prove metrics/traces are determinism-neutral)
 	e := Event{Time: time.Now(), Name: name, DurMs: float64(d) / float64(time.Millisecond)}
 	if len(attrs) > 0 {
 		e.Attrs = make(map[string]string, len(attrs))

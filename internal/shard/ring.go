@@ -10,9 +10,9 @@
 // layout is fixed, the hash is FNV-1a finished with a splitmix64
 // avalanche (see ringHash), and no runtime state feeds the ring, so a fleet campaign routed through N shards executes the exact
 // same per-ME schedule as against one server — which is what makes the
-// sharded dataset byte-identical to the single-server one
-// (TestShardedFleetEquivalence) and lets a restarted gateway re-derive
-// placement with no handoff protocol.
+// sharded dataset byte-identical to the single-server one (the
+// TestShardedFleetEquivalence rows of internal/fleet's proof table) and
+// lets a restarted gateway re-derive placement with no handoff protocol.
 package shard
 
 import "sort"

@@ -28,12 +28,6 @@ func (r *Real) Now() Instant {
 	return Instant(time.Since(r.epoch))
 }
 
-// Sleep blocks the goroutine in real time.
-func (r *Real) Sleep(d time.Duration) {
-	//lint:allow clockpurity see NewReal: Real is the one place real sleeps happen
-	time.Sleep(d)
-}
-
 // NewTimer returns a one-shot wall timer. It is built on time.AfterFunc
 // rather than time.NewTimer so the channel can carry Instants without a
 // forwarding goroutine per timer.

@@ -13,8 +13,8 @@
 // the dataset — the dataset is a pure function of the seed — so a run
 // that jumps time instead of sleeping through it must produce
 // byte-identical output. That equivalence is proven differentially
-// (TestVirtualTimeEquivalence in internal/fleet); this package supplies
-// the clock it runs on.
+// (the TestVirtualTimeEquivalence rows of internal/fleet's proof table);
+// this package supplies the clock it runs on.
 //
 // # The waiter-registry quiescence rule
 //
@@ -61,10 +61,6 @@ func (i Instant) Duration() time.Duration { return time.Duration(i) }
 type Clock interface {
 	// Now returns the current instant on the clock's monotonic timeline.
 	Now() Instant
-	// Sleep blocks for d. On a Virtual clock the calling goroutine must
-	// be a registered waiter; the sleep parks it and quiescence advances
-	// time past the deadline.
-	Sleep(d time.Duration)
 	// NewTimer returns a one-shot timer firing d from now, with a
 	// time.Timer-like Stop. On a Virtual clock, receiving from its
 	// channel does NOT park the caller — use it only from select loops

@@ -415,18 +415,17 @@ func TestContextWithTimeoutRealClock(t *testing.T) {
 func TestRealClockBasics(t *testing.T) {
 	r := NewReal()
 	start := r.Now()
-	r.Sleep(5 * time.Millisecond)
+	if err := SleepCtx(r, context.Background(), 5*time.Millisecond); err != nil {
+		t.Fatalf("SleepCtx on real clock: %v", err)
+	}
 	if elapsed := r.Now().Sub(start); elapsed < 5*time.Millisecond {
-		t.Fatalf("Sleep too short: %v", elapsed)
+		t.Fatalf("SleepCtx too short: %v", elapsed)
 	}
 	tm := r.NewTimer(time.Millisecond)
 	select {
 	case <-tm.C:
 	case <-time.After(5 * time.Second):
 		t.Fatal("real timer never fired")
-	}
-	if err := SleepCtx(r, context.Background(), time.Millisecond); err != nil {
-		t.Fatalf("SleepCtx on real clock: %v", err)
 	}
 }
 
