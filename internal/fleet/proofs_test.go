@@ -244,12 +244,13 @@ func proofRows() []proofRow {
 
 // runProofs runs the proof table's rows named under t.
 func runProofs(t *testing.T) {
-	firsts := map[string]*proofRun{}
+	firsts, rows := map[string]*proofRun{}, 0
 	for _, row := range proofRows() {
 		sub, ok := strings.CutPrefix(row.name, t.Name())
 		if !ok || sub != "" && sub[0] != '/' {
 			continue
 		}
+		rows++
 		run := func(t *testing.T) {
 			r := runProof(t, row)
 			if first := firsts[row.replay]; first != nil {
@@ -272,6 +273,9 @@ func runProofs(t *testing.T) {
 		} else {
 			t.Run(sub[1:], run)
 		}
+	}
+	if rows == 0 {
+		t.Fatalf("no proof row is named under %s", t.Name())
 	}
 }
 
