@@ -121,5 +121,6 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s -run=^$$ ./internal/walsink
 	$(GO) test -fuzz=FuzzCompactRecovery -fuzztime=10s -run=^$$ ./internal/walsink
 	$(GO) test -fuzz=FuzzSourceMatchesMathRand -fuzztime=10s -run=^$$ ./internal/rng
+	$(GO) test -fuzz=FuzzSkipMatchesFloat64 -fuzztime=10s -run=^$$ ./internal/rng
 	$(GO) test -fuzz=FuzzPayloadDecode -fuzztime=10s -run=^$$ ./internal/amigo
 	$(GO) test -fuzz=FuzzProtocolModel -fuzztime=10s -run=^$$ ./internal/amigo

@@ -256,3 +256,39 @@ func TestSinceHonoursLimit(t *testing.T) {
 		})
 	}
 }
+
+// TestMemorySinkAcrossChunks: batches that straddle MemorySink's chunks
+// land whole and in order, and a page read across chunk boundaries is the
+// log's run of results from its cursor.
+func TestMemorySinkAcrossChunks(t *testing.T) {
+	sink := NewMemorySink()
+	n := 0
+	for _, size := range []int{1, sinkChunk - 2, sinkChunk + 5, 0, 3 * sinkChunk, 7} {
+		batch := make([]Result, size)
+		for i := range batch {
+			batch[i] = seqResult(n + i)
+		}
+		sink.Append(batch)
+		n += size
+	}
+	if sink.Len() != n {
+		t.Fatalf("Len = %d after %d results", sink.Len(), n)
+	}
+	for _, cursor := range []int{0, 1, sinkChunk - 1, sinkChunk, 2*sinkChunk + 3, n - 1} {
+		for _, limit := range []int{0, 1, sinkChunk, 2*sinkChunk + 1} {
+			rs, next := sink.Since(cursor, limit)
+			want := n - cursor
+			if limit > 0 {
+				want = min(want, limit)
+			}
+			if len(rs) != want || next != cursor+want {
+				t.Fatalf("Since(%d, %d) = %d results, next %d; want %d, next %d", cursor, limit, len(rs), next, want, cursor+want)
+			}
+			for i := range rs {
+				if w := seqResult(cursor + i); rs[i].TaskID != w.TaskID || !bytes.Equal(rs[i].Payload, w.Payload) {
+					t.Fatalf("Since(%d, %d)[%d] is task %d, want %d", cursor, limit, i, rs[i].TaskID, w.TaskID)
+				}
+			}
+		}
+	}
+}

@@ -34,10 +34,18 @@ type CursorSink interface {
 // MemorySink is the default sink: it retains every drained result in
 // arrival order and supports incremental cursor reads, which is what
 // backs Server.Results and Server.ResultsSince.
+//
+// Results land in fixed chunks of sinkChunk, so retaining one never
+// copies or re-zeroes those before it, as regrowing one slice would.
 type MemorySink struct {
-	mu      sync.RWMutex
-	results []Result
+	mu     sync.RWMutex
+	chunks [][]Result // all full but the last, each of capacity sinkChunk
+	n      int        // results retained
 }
+
+// sinkChunk is 256 results of 128 bytes: a chunk is the largest object
+// the allocator still serves from a size class.
+const sinkChunk = 256
 
 // NewMemorySink returns an empty in-memory sink.
 func NewMemorySink() *MemorySink { return &MemorySink{} }
@@ -45,8 +53,17 @@ func NewMemorySink() *MemorySink { return &MemorySink{} }
 // Append implements Sink.
 func (m *MemorySink) Append(batch []Result) {
 	m.mu.Lock()
-	m.results = append(m.results, batch...)
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	for len(batch) > 0 {
+		if len(m.chunks) == 0 || len(m.chunks[len(m.chunks)-1]) == sinkChunk {
+			m.chunks = append(m.chunks, make([]Result, 0, sinkChunk))
+		}
+		last := &m.chunks[len(m.chunks)-1]
+		k := min(len(batch), sinkChunk-len(*last))
+		*last = append(*last, batch[:k]...)
+		batch = batch[k:]
+		m.n += k
+	}
 }
 
 // Len returns the number of retained results, which is also the cursor
@@ -54,7 +71,7 @@ func (m *MemorySink) Append(batch []Result) {
 func (m *MemorySink) Len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.results)
+	return m.n
 }
 
 // Since implements CursorSink: a copy of the results at positions
@@ -64,10 +81,20 @@ func (m *MemorySink) Len() int {
 func (m *MemorySink) Since(cursor, limit int) ([]Result, int) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	cursor = max(0, min(cursor, len(m.results)))
-	end := len(m.results)
+	cursor = max(0, min(cursor, m.n))
+	end := m.n
 	if limit > 0 && end-cursor > limit {
 		end = cursor + limit
 	}
-	return append([]Result(nil), m.results[cursor:end]...), end
+	if end == cursor {
+		return nil, end
+	}
+	out := make([]Result, 0, end-cursor)
+	for at := cursor; at < end; {
+		c := m.chunks[at/sinkChunk][at%sinkChunk:]
+		c = c[:min(len(c), end-at)]
+		out = append(out, c...)
+		at += len(c)
+	}
+	return out, end
 }

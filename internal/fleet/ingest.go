@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"roamsim/internal/amigo"
@@ -106,11 +108,11 @@ func Ingest(reg *ipreg.Registry, c *Campaign) (*Dataset, error) {
 		meISO[sc.Name] = sc.ISO
 	}
 	rs := append([]amigo.Result(nil), c.Results...)
-	sort.SliceStable(rs, func(i, j int) bool {
-		if rs[i].ME != rs[j].ME {
-			return rs[i].ME < rs[j].ME
+	slices.SortStableFunc(rs, func(a, b amigo.Result) int {
+		if c := strings.Compare(a.ME, b.ME); c != 0 {
+			return c
 		}
-		return rs[i].TaskID < rs[j].TaskID
+		return cmp.Compare(a.TaskID, b.TaskID)
 	})
 	uniq := rs[:0]
 	for i := range rs {
@@ -189,8 +191,35 @@ func cutAtMEs(rs []amigo.Result, n int) [][]amigo.Result {
 
 // fold appends the typed records of rs — sorted and deduplicated by
 // Ingest — to ds, stopping at the first result it cannot ingest. The
-// payloads are decoded by amigo's codec, the format's one owner.
+// payloads are decoded by amigo's codec, the format's one owner. Each
+// kind is sized once from a count of its results; slices.Grow leaves a
+// kind with none nil, as appending did, so the Dataset is the same value
+// (reflect.DeepEqual, like a JSON field without omitempty, tells a nil
+// slice from an empty one).
 func (ds *Dataset) fold(reg *ipreg.Registry, meISO map[string]string, rs []amigo.Result) error {
+	var speed, traces, cdn, dns, video, failures int
+	for i := range rs {
+		switch {
+		case !rs[i].OK:
+			failures++
+		case rs[i].Kind == "speedtest":
+			speed++
+		case rs[i].Kind == "mtr":
+			traces++
+		case rs[i].Kind == "cdn":
+			cdn++
+		case rs[i].Kind == "dns":
+			dns++
+		case rs[i].Kind == "video":
+			video++
+		}
+	}
+	ds.Speed = slices.Grow(ds.Speed, speed)
+	ds.Traces = slices.Grow(ds.Traces, traces)
+	ds.CDN = slices.Grow(ds.CDN, cdn)
+	ds.DNS = slices.Grow(ds.DNS, dns)
+	ds.Video = slices.Grow(ds.Video, video)
+	ds.Failures = slices.Grow(ds.Failures, failures)
 	var trace amigo.MTRTrace // its hops' array serves every traceroute of the chunk
 	for _, res := range rs {
 		iso, ok := meISO[res.ME]

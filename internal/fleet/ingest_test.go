@@ -183,6 +183,34 @@ func TestIngestShuffleInvariance(t *testing.T) {
 	}
 }
 
+// TestIngestKeepsFailedKindNil: fold sizes each kind from a count of its
+// OK results, and a kind whose every result failed stays nil — not an
+// empty slice — on one core and on several, as appending left it.
+func TestIngestKeepsFailedKindNil(t *testing.T) {
+	var scheds []MESchedule
+	var results []amigo.Result
+	for i := 0; i < 8; i++ {
+		me := fmt.Sprintf("me-%d", i)
+		scheds = append(scheds, MESchedule{Name: me, ISO: "PAK"})
+		results = append(results, mkDNSResult(me, 1, "r"),
+			amigo.Result{TaskID: 2, ME: me, Kind: "video", Config: "esim", Error: "stalled"})
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		ds, err := ingestCampaign(t, scheds, results)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds.Video != nil || ds.Speed != nil || ds.Traces != nil || ds.CDN != nil {
+			t.Errorf("GOMAXPROCS=%d: a kind with no OK result is not nil: %+v", procs, ds)
+		}
+		if len(ds.DNS) != 8 || len(ds.Failures) != 8 {
+			t.Errorf("GOMAXPROCS=%d: %d DNS records and %d failures, want 8 and 8", procs, len(ds.DNS), len(ds.Failures))
+		}
+	}
+}
+
 // TestIngestIndependentOfGOMAXPROCS: Ingest folds on every core, and
 // neither the dataset nor the error it reports may show how many there
 // were. A real campaign's results (every payload kind, failures

@@ -188,8 +188,7 @@ func StreamVideo(s *airalo.Session, cfg video.Config, src *rng.Source) (video.St
 		return video.Stats{}, err
 	}
 	throughput := func() float64 {
-		res := w.Net.Speedtest(path, s.DownCapMbps, s.UpCapMbps, src)
-		rate := res.DownloadMbps
+		rate := w.Net.SpeedtestDownMbps(path, s.DownCapMbps, s.UpCapMbps, src)
 		if s.YouTubeCapMbps > 0 && rate > s.YouTubeCapMbps {
 			rate = s.YouTubeCapMbps
 		}

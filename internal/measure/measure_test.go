@@ -14,7 +14,7 @@ import (
 
 var sharedWorld *airalo.World
 
-func world(t *testing.T) *airalo.World {
+func world(t testing.TB) *airalo.World {
 	t.Helper()
 	if sharedWorld == nil {
 		w, err := airalo.Build(11)
@@ -26,7 +26,7 @@ func world(t *testing.T) *airalo.World {
 	return sharedWorld
 }
 
-func esim(t *testing.T, iso string, src *rng.Source) *airalo.Session {
+func esim(t testing.TB, iso string, src *rng.Source) *airalo.Session {
 	t.Helper()
 	s, err := world(t).Deployments[iso].AttachESIM(src)
 	if err != nil {
@@ -384,5 +384,74 @@ func TestFormatMTR(t *testing.T) {
 	}
 	if !sawSilent {
 		t.Error("silent hops should render as ??? for the Packet Host CG-NAT")
+	}
+}
+
+// TestSpeedtestDownMbpsMatchesSpeedtest: the video sampler's variant
+// reads Speedtest's download rate and leaves the stream where Speedtest
+// leaves it — the next draw is the same — on every device-campaign
+// session, SIM and eSIM, of the worlds at seeds 42 and 7, towards the
+// YouTube and the Ookla edge, at the session's own caps (where the RTT's
+// draws are mostly skipped) and uncapped (where the Mathis bound binds).
+// 300 calls a stream cross its closed-form draws and its register fill.
+func TestSpeedtestDownMbpsMatchesSpeedtest(t *testing.T) {
+	for _, seed := range []int64{42, 7} {
+		w, err := airalo.Build(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, sessions := rng.New(seed), 0
+		for _, key := range w.DeploymentKeys(false, true) {
+			d := w.Deployments[key]
+			for _, attach := range []func(*rng.Source) (*airalo.Session, error){d.AttachESIM, d.AttachSIM} {
+				s, err := attach(src)
+				if err != nil {
+					continue // a SIM in an eSIM-only country
+				}
+				sessions++
+				for _, sp := range []string{TargetYouTube, TargetOokla} {
+					edge, err := w.SPs[sp].NearestEdge(s.Site.Loc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					path, err := s.PathTo(edge.Server)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, caps := range [][2]float64{{s.DownCapMbps, s.UpCapMbps}, {0, 0}} {
+						streamSeed := src.ForkSeed(key)
+						full, down := rng.New(streamSeed), rng.New(streamSeed)
+						for i := 0; i < 300; i++ {
+							want := w.Net.Speedtest(path, caps[0], caps[1], full).DownloadMbps
+							if got := w.Net.SpeedtestDownMbps(path, caps[0], caps[1], down); got != want {
+								t.Fatalf("seed %d, %s/%s to %s, caps %v, call %d: %v Mbps, Speedtest reads %v", seed, key, s.Kind, sp, caps, i, got, want)
+							}
+							if g, w := down.Float64(), full.Float64(); g != w {
+								t.Fatalf("seed %d, %s/%s to %s, caps %v, call %d: next draw %v, after Speedtest %v", seed, key, s.Kind, sp, caps, i, g, w)
+							}
+						}
+					}
+				}
+			}
+		}
+		if sessions < 10 {
+			t.Fatalf("seed %d: %d device-campaign sessions", seed, sessions)
+		}
+	}
+}
+
+// BenchmarkStreamVideo is one device-campaign video task's measurement:
+// 120 s of playback over a Pakistani eSIM session (home-routed, the
+// longest paths of the campaign), each segment's throughput a
+// SpeedtestDownMbps draw.
+func BenchmarkStreamVideo(b *testing.B) {
+	src := rng.New(1)
+	s := esim(b, "PAK", src)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := StreamVideo(s, video.Config{DurationSec: 120}, src); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -267,7 +267,7 @@ func TestConnectDefaultsAndPanics(t *testing.T) {
 }
 
 func TestPathLossProb(t *testing.T) {
-	p := &Path{Links: []Link{{LossProb: 0.1}, {LossProb: 0.1}}}
+	p := newPath(nil, []Link{{LossProb: 0.1}, {LossProb: 0.1}})
 	want := 1 - 0.9*0.9
 	if got := p.LossProb(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("loss = %f, want %f", got, want)

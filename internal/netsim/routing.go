@@ -17,46 +17,81 @@ import (
 // shared by every caller and every goroutine that asks for the same
 // pair: they are immutable. A caller that needs a variant builds a new
 // Path (ConcatPaths copies) and never writes to one it was handed.
+//
+// Every Path is built by newPath, which folds what the measurements read
+// into flat terms once: RTTms, Speedtest and DownloadTimeMs never walk
+// the Node and Link structs.
 type Path struct {
 	Nodes []Node
 	Links []Link
+
+	terms      []delayTerm // RTTms's jittered one-way delays, links then nodes
+	bottleneck float64     // minimum link bandwidth (0 without links)
+	loss       float64     // end-to-end loss probability
+	maxRTT     float64     // no RTTms sample over the path exceeds it
+}
+
+// delayTerm is one jittered delay of RTTms, base·(lo + span·u) for the
+// draw u: rng.Source.Jitter(base, frac) with lo = 1-frac and span =
+// (1+frac)-(1-frac), each rounded where Jitter rounds it, so the sample
+// is Jitter's to the bit.
+type delayTerm struct{ base, lo, span float64 }
+
+func jitterTerm(base, frac float64) delayTerm {
+	lo, hi := 1-frac, 1+frac
+	return delayTerm{base: base, lo: lo, span: hi - lo}
+}
+
+// nodeJitterFrac jitters every node's processing delay in RTTms.
+const nodeJitterFrac = 0.3
+
+// newPath builds the path over nodes and links, which it keeps (the
+// caller hands them over), and its terms.
+//
+// maxRTT is exact, not estimated: u < 1 and rounding is monotone, so
+// lo + span·u never passes lo + span (nor, when span < 0, lo), a term
+// never passes the larger of base·lo and base·(lo+span), and a sum of
+// terms added in RTTms's order never passes the sum of those bounds.
+func newPath(nodes []Node, links []Link) *Path {
+	p := &Path{Nodes: nodes, Links: links, terms: make([]delayTerm, 0, len(links)+len(nodes))}
+	bneck, keep := math.Inf(1), 1.0
+	for _, l := range links {
+		p.terms = append(p.terms, jitterTerm(l.TotalDelayMs(), l.JitterFrac))
+		if l.BandwidthMbps < bneck {
+			bneck = l.BandwidthMbps
+		}
+		keep *= 1 - l.LossProb
+	}
+	if !math.IsInf(bneck, 1) {
+		p.bottleneck = bneck
+	}
+	p.loss = 1 - keep
+	for _, node := range nodes {
+		p.terms = append(p.terms, jitterTerm(node.ProcDelayMs, nodeJitterFrac))
+	}
+	var hi float64
+	for _, t := range p.terms {
+		hi += max(t.base*t.lo, t.base*(t.lo+t.span))
+	}
+	p.maxRTT = 2 * hi
+	return p
 }
 
 // BaseOneWayMs returns the deterministic one-way delay of the path:
 // link delays + peering penalties + per-node processing.
 func (p *Path) BaseOneWayMs() float64 {
 	var d float64
-	for _, l := range p.Links {
-		d += l.TotalDelayMs()
-	}
-	for _, node := range p.Nodes {
-		d += node.ProcDelayMs
+	for _, t := range p.terms {
+		d += t.base
 	}
 	return d
 }
 
 // BottleneckMbps returns the minimum link bandwidth along the path.
-func (p *Path) BottleneckMbps() float64 {
-	min := math.Inf(1)
-	for _, l := range p.Links {
-		if l.BandwidthMbps < min {
-			min = l.BandwidthMbps
-		}
-	}
-	if math.IsInf(min, 1) {
-		return 0
-	}
-	return min
-}
+func (p *Path) BottleneckMbps() float64 { return p.bottleneck }
 
 // LossProb returns the end-to-end packet loss probability.
-func (p *Path) LossProb() float64 {
-	keep := 1.0
-	for _, l := range p.Links {
-		keep *= 1 - l.LossProb
-	}
-	return 1 - keep
-}
+func (p *Path) LossProb() float64 { return p.loss }
 
 // Hops returns the number of forwarding hops (nodes after the source).
 func (p *Path) Hops() int { return len(p.Nodes) - 1 }
@@ -353,30 +388,24 @@ func (n *Network) dijkstra(src, dst NodeID) (*Path, error) {
 		at = states[at].prev
 	}
 	revNodes = append(revNodes, n.nodes[src])
-	p := &Path{
-		Nodes: make([]Node, 0, len(revNodes)),
-		Links: make([]Link, 0, len(revLinks)),
-	}
+	nodes := make([]Node, 0, len(revNodes))
+	links := make([]Link, 0, len(revLinks))
 	for i := len(revNodes) - 1; i >= 0; i-- {
-		p.Nodes = append(p.Nodes, revNodes[i])
+		nodes = append(nodes, revNodes[i])
 	}
 	for i := len(revLinks) - 1; i >= 0; i-- {
-		p.Links = append(p.Links, revLinks[i])
+		links = append(links, revLinks[i])
 	}
-	return p, nil
+	return newPath(nodes, links), nil
 }
 
 // RTTms samples a round-trip time over the path: twice the one-way delay
-// with per-link jitter and per-node processing delay applied. Safe for
-// concurrent use given a per-goroutine Source.
+// with per-link jitter and per-node processing delay applied, one draw
+// per term. Safe for concurrent use given a per-goroutine Source.
 func (n *Network) RTTms(p *Path, src *rng.Source) float64 {
 	var d float64
-	for i := range p.Links {
-		l := &p.Links[i]
-		d += src.Jitter(l.TotalDelayMs(), l.JitterFrac)
-	}
-	for i := range p.Nodes {
-		d += src.Jitter(p.Nodes[i].ProcDelayMs, 0.3)
+	for _, t := range p.terms {
+		d += t.base * (t.lo + t.span*src.Float64())
 	}
 	return 2 * d
 }
@@ -385,27 +414,26 @@ func (n *Network) RTTms(p *Path, src *rng.Source) float64 {
 // segments are copied, never aliased). Each segment must start at the
 // node the previous segment ended at. RouteVia is its cached form.
 func ConcatPaths(segments ...*Path) (*Path, error) {
-	var out *Path
+	if len(segments) == 0 {
+		return nil, fmt.Errorf("netsim: no segments")
+	}
+	var nodes []Node
+	var links []Link
 	for _, seg := range segments {
 		if seg == nil || len(seg.Nodes) == 0 {
 			return nil, fmt.Errorf("netsim: empty path segment")
 		}
-		if out == nil {
-			out = &Path{
-				Nodes: append([]Node(nil), seg.Nodes...),
-				Links: append([]Link(nil), seg.Links...),
-			}
+		if nodes == nil {
+			nodes = append(nodes, seg.Nodes...)
+			links = append(links, seg.Links...)
 			continue
 		}
-		if out.Nodes[len(out.Nodes)-1].ID != seg.Nodes[0].ID {
+		if nodes[len(nodes)-1].ID != seg.Nodes[0].ID {
 			return nil, fmt.Errorf("netsim: discontiguous segments (%s -> %s)",
-				out.Nodes[len(out.Nodes)-1].Name, seg.Nodes[0].Name)
+				nodes[len(nodes)-1].Name, seg.Nodes[0].Name)
 		}
-		out.Nodes = append(out.Nodes, seg.Nodes[1:]...)
-		out.Links = append(out.Links, seg.Links...)
+		nodes = append(nodes, seg.Nodes[1:]...)
+		links = append(links, seg.Links...)
 	}
-	if out == nil {
-		return nil, fmt.Errorf("netsim: no segments")
-	}
-	return out, nil
+	return newPath(nodes, links), nil
 }

@@ -79,17 +79,15 @@ func referenceRoute(n *Network, src, dst NodeID) (*Path, error) {
 		at = states[at].prev
 	}
 	revNodes = append(revNodes, n.nodes[src])
-	p := &Path{
-		Nodes: make([]Node, 0, len(revNodes)),
-		Links: make([]Link, 0, len(revLinks)),
-	}
+	nodes := make([]Node, 0, len(revNodes))
+	links := make([]Link, 0, len(revLinks))
 	for i := len(revNodes) - 1; i >= 0; i-- {
-		p.Nodes = append(p.Nodes, revNodes[i])
+		nodes = append(nodes, revNodes[i])
 	}
 	for i := len(revLinks) - 1; i >= 0; i-- {
-		p.Links = append(p.Links, revLinks[i])
+		links = append(links, revLinks[i])
 	}
-	return p, nil
+	return newPath(nodes, links), nil
 }
 
 // tieGraph builds a random graph with quantized delays (many exact cost

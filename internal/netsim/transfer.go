@@ -97,7 +97,7 @@ type TransferOptions struct {
 // CDN experiments.
 func (n *Network) DownloadTimeMs(p *Path, sizeBytes int, opts TransferOptions, src *rng.Source) float64 {
 	rtt := n.RTTms(p, src)
-	rate := TCPThroughputMbps(rtt, p.LossProb(), p.BottleneckMbps())
+	rate := TCPThroughputMbps(rtt, p.loss, p.bottleneck)
 	if opts.PolicyCapMbps > 0 && rate > opts.PolicyCapMbps {
 		rate = opts.PolicyCapMbps
 	}
@@ -146,24 +146,49 @@ type SpeedtestResult struct {
 // policy/bottleneck cap with measurement jitter, with an uplink that is
 // a configured fraction of the downlink (radio schedulers are asymmetric).
 func (n *Network) Speedtest(p *Path, downCapMbps, upCapMbps float64, src *rng.Source) SpeedtestResult {
-	rtt := n.RTTms(p, src)
-	bneck := p.BottleneckMbps()
+	return n.speedtest(p, downCapMbps, upCapMbps, src, true)
+}
+
+// SpeedtestDownMbps is Speedtest's DownloadMbps, leaving src where
+// Speedtest leaves it, for a caller that reads nothing else. When even
+// the path's largest RTT keeps the flows' Mathis bound above the
+// downlink cap, the RTT cannot change the rate, and its draws are
+// skipped rather than summed.
+func (n *Network) SpeedtestDownMbps(p *Path, downCapMbps, upCapMbps float64, src *rng.Source) float64 {
+	return n.speedtest(p, downCapMbps, upCapMbps, src, false).DownloadMbps
+}
+
+// speedtestFlows is how many parallel connections a speedtest opens.
+const speedtestFlows = 16
+
+// speedtest is Speedtest; without latency it returns only DownloadMbps
+// and skips the draws of any value it does not return.
+func (n *Network) speedtest(p *Path, downCapMbps, upCapMbps float64, src *rng.Source, latency bool) SpeedtestResult {
+	bneck := p.bottleneck
 	down := bneck
 	if downCapMbps > 0 && downCapMbps < down {
 		down = downCapMbps
 	}
+	// Mathis falls as the RTT grows (and rounding keeps it monotone), so
+	// a bound that holds at maxRTT holds at every sample.
+	if !latency && TCPThroughputMbps(p.maxRTT, p.loss, bneck)*speedtestFlows >= down {
+		src.Skip(len(p.terms))
+		res := SpeedtestResult{DownloadMbps: src.Jitter(down, 0.18)}
+		src.Skip(1) // the uplink's jitter
+		return res
+	}
+	rtt := n.RTTms(p, src)
 	up := bneck
 	if upCapMbps > 0 && upCapMbps < up {
 		up = upCapMbps
 	}
 	// Even parallel connections degrade on long-RTT lossy paths: apply a
 	// soft penalty when the single-flow Mathis bound drops below the cap.
-	single := TCPThroughputMbps(rtt, p.LossProb(), bneck)
-	const flows = 16
-	if agg := single * flows; agg < down {
+	single := TCPThroughputMbps(rtt, p.loss, bneck)
+	if agg := single * speedtestFlows; agg < down {
 		down = agg
 	}
-	if agg := single * flows * 0.6; agg < up {
+	if agg := single * speedtestFlows * 0.6; agg < up {
 		up = agg
 	}
 	return SpeedtestResult{

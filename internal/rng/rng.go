@@ -38,6 +38,15 @@
 // no draw has yet written. So seeding keeps the reduced seed (≈ 2 ns), the
 // first 273 draws are closed-form (≈ 16 ns each), the 274th fills the
 // register (≈ 5.4 µs, once), and then a draw costs math/rand's ≈ 3 ns.
+//
+// Float64 — and Uniform, Jitter, Bool and WeightedIndex over it — and
+// ForkSeed draw straight off the register with rand.Rand's own formulas
+// (float64(Int63())/2⁶³, drawn again on 1), not through its Source
+// interface. rand.Rand keeps no state between draws but its Read buffer,
+// which nothing here uses, so Intn, Normal, Exponential, Perm and Shuffle,
+// still rand.Rand's code over the same register, interleave with them
+// into math/rand's value stream exactly. Skip(n) leaves the register
+// where n Float64 calls would.
 package rng
 
 import (
@@ -49,11 +58,12 @@ import (
 // Source is a deterministic random stream with distribution helpers.
 // It is NOT safe for concurrent use; fork one Source per goroutine.
 //
-// It costs what it draws (package doc, "What a seed costs"): 40 bytes until
-// the first draw adds the rand.Rand, 4.9 KB more only from draw closedDraws+1.
+// It costs what it draws (package doc, "What a seed costs"): 40 bytes, a
+// rand.Rand only once Intn, Normal, Exponential, Perm or Shuffle draws,
+// 4.9 KB more only from draw closedDraws+1.
 type Source struct {
 	gen lfg
-	r   *rand.Rand // over &gen; nil until the first draw
+	r   *rand.Rand // over &gen; nil until a helper needs rand.Rand's code
 }
 
 // New returns a Source seeded with seed.
@@ -88,7 +98,7 @@ func (s *Source) Fork(label string) *Source {
 // e.g. to replay a crashed measurement endpoint from the top — store the
 // seed instead of the (non-copyable) Source.
 func (s *Source) ForkSeed(label string) int64 {
-	return labelHash(label) ^ s.rand().Int63()
+	return labelHash(label) ^ s.gen.Int63()
 }
 
 // Stream derives a deterministic Source from (seed, label) without any
@@ -133,12 +143,30 @@ func (s *Source) ForkN(label string, n int) []*Source {
 	return out
 }
 
-// Float64 returns a uniform draw in [0, 1).
-func (s *Source) Float64() float64 { return s.rand().Float64() }
+// Float64 returns a uniform draw in [0, 1). It is rand.Rand.Float64's
+// code over the same register, without the interface call: an Int63
+// that rounds to 1 is drawn again.
+func (s *Source) Float64() float64 {
+	for {
+		if f := float64(s.gen.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
+
+// Skip advances s exactly as n Float64 calls would, resamples included,
+// without forming the values. A caller that can prove it does not need
+// a draw keeps the stream where the draw would have left it.
+func (s *Source) Skip(n int) {
+	for i := 0; i < n; i++ {
+		for float64(s.gen.Int63()) == 1<<63 { // rounds to 1: Float64 draws again
+		}
+	}
+}
 
 // Uniform returns a uniform draw in [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.rand().Float64()
+	return lo + (hi-lo)*s.Float64()
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
@@ -153,7 +181,7 @@ func (s *Source) IntBetween(lo, hi int) int {
 }
 
 // Bool returns true with probability p.
-func (s *Source) Bool(p float64) bool { return s.rand().Float64() < p }
+func (s *Source) Bool(p float64) bool { return s.Float64() < p }
 
 // Normal returns a draw from N(mean, stddev²).
 func (s *Source) Normal(mean, stddev float64) float64 {
@@ -195,7 +223,7 @@ func (s *Source) WeightedIndex(weights []float64) int {
 	if total == 0 {
 		panic("rng: all weights zero")
 	}
-	target := s.rand().Float64() * total
+	target := s.Float64() * total
 	var acc float64
 	for i, w := range weights {
 		acc += w

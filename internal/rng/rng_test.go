@@ -294,38 +294,76 @@ func TestLabelHashIsFNV1a(t *testing.T) {
 	}
 }
 
-// eager is the oracle: a Source over the toolchain's own math/rand
-// generator, seeded at construction as New did before PR 24.
-func eager(seed int64) *Source {
-	return &Source{r: rand.New(rand.NewSource(seed))}
-}
+// ref is the oracle: the toolchain's own math/rand generator, which a
+// Source must match draw for draw.
+func ref(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// helpers is every way to draw from a Source, each returning what it drew.
+// refForkSeed is what Fork's child is seeded from: one parent Int63 over
+// the label's hash.
+func refForkSeed(r *rand.Rand, label string) int64 { return labelHash(label) ^ r.Int63() }
+
+// helpers is every way to draw from a Source, each returning what it drew,
+// beside the same draw written against the oracle with rand.Rand's own
+// methods.
 var helpers = []struct {
 	name string
 	draw func(s *Source) any
+	ref  func(r *rand.Rand) any
 }{
-	{"Float64", func(s *Source) any { return s.Float64() }},
-	{"Uniform", func(s *Source) any { return s.Uniform(-3, 11) }},
-	{"Intn", func(s *Source) any { return s.Intn(1000) }},
-	{"IntBetween", func(s *Source) any { return s.IntBetween(-5, 5) }},
-	{"Bool", func(s *Source) any { return s.Bool(0.3) }},
-	{"Normal", func(s *Source) any { return s.Normal(3, 2) }},
-	{"LogNormal", func(s *Source) any { return s.LogNormal(0.5, 1.5) }},
-	{"LogNormalMeanMedian", func(s *Source) any { return s.LogNormalMeanMedian(40, 0.7) }},
-	{"Exponential", func(s *Source) any { return s.Exponential(0.5) }},
-	{"WeightedIndex", func(s *Source) any { return s.WeightedIndex([]float64{1, 0, 5, 2}) }},
-	{"Jitter", func(s *Source) any { return s.Jitter(100, 0.2) }},
-	{"Perm", func(s *Source) any { return s.Perm(7) }},
-	{"Pick", func(s *Source) any { return Pick(s, []string{"a", "b", "c", "d", "e"}) }},
+	{"Float64", func(s *Source) any { return s.Float64() }, func(r *rand.Rand) any { return r.Float64() }},
+	{"Uniform", func(s *Source) any { return s.Uniform(-3, 11) }, func(r *rand.Rand) any {
+		lo, hi := -3.0, 11.0
+		return lo + (hi-lo)*r.Float64()
+	}},
+	{"Intn", func(s *Source) any { return s.Intn(1000) }, func(r *rand.Rand) any { return r.Intn(1000) }},
+	{"IntBetween", func(s *Source) any { return s.IntBetween(-5, 5) }, func(r *rand.Rand) any { return -5 + r.Intn(11) }},
+	{"Bool", func(s *Source) any { return s.Bool(0.3) }, func(r *rand.Rand) any { return r.Float64() < 0.3 }},
+	{"Normal", func(s *Source) any { return s.Normal(3, 2) }, func(r *rand.Rand) any { return 3 + 2*r.NormFloat64() }},
+	{"LogNormal", func(s *Source) any { return s.LogNormal(0.5, 1.5) }, func(r *rand.Rand) any {
+		return math.Exp(0.5 + 1.5*r.NormFloat64())
+	}},
+	{"LogNormalMeanMedian", func(s *Source) any { return s.LogNormalMeanMedian(40, 0.7) }, func(r *rand.Rand) any {
+		return math.Exp(math.Log(40) + 0.7*r.NormFloat64())
+	}},
+	{"Exponential", func(s *Source) any { return s.Exponential(0.5) }, func(r *rand.Rand) any { return r.ExpFloat64() / 0.5 }},
+	{"WeightedIndex", func(s *Source) any { return s.WeightedIndex([]float64{1, 0, 5, 2}) }, func(r *rand.Rand) any {
+		target, acc := r.Float64()*8, 0.0
+		for i, w := range []float64{1, 0, 5, 2} {
+			if acc += w; target < acc {
+				return i
+			}
+		}
+		return 3
+	}},
+	{"Jitter", func(s *Source) any { return s.Jitter(100, 0.2) }, func(r *rand.Rand) any {
+		v, frac := 100.0, 0.2
+		lo, hi := 1-frac, 1+frac
+		return v * (lo + (hi-lo)*r.Float64())
+	}},
+	{"Perm", func(s *Source) any { return s.Perm(7) }, func(r *rand.Rand) any { return r.Perm(7) }},
+	{"Pick", func(s *Source) any { return Pick(s, []string{"a", "b", "c", "d", "e"}) }, func(r *rand.Rand) any {
+		return []string{"a", "b", "c", "d", "e"}[r.Intn(5)]
+	}},
 	{"Shuffle", func(s *Source) any {
 		items := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
 		Shuffle(s, items)
 		return items
+	}, func(r *rand.Rand) any {
+		items := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
+		r.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+		return items
 	}},
-	{"ForkSeed", func(s *Source) any { return s.ForkSeed("child") }},
-	{"Fork", func(s *Source) any { return s.Fork("child").Float64() }},
-	{"ForkN", func(s *Source) any { return s.ForkN("pool", 3)[2].Intn(1 << 30) }},
+	{"ForkSeed", func(s *Source) any { return s.ForkSeed("child") }, func(r *rand.Rand) any { return refForkSeed(r, "child") }},
+	{"Fork", func(s *Source) any { return s.Fork("child").Float64() }, func(r *rand.Rand) any {
+		return ref(refForkSeed(r, "child")).Float64()
+	}},
+	{"ForkN", func(s *Source) any { return s.ForkN("pool", 3)[2].Intn(1 << 30) }, func(r *rand.Rand) any {
+		var seeds [3]int64
+		for i := range seeds {
+			seeds[i] = refForkSeed(r, fmt.Sprintf("pool/%d", i))
+		}
+		return ref(seeds[2]).Intn(1 << 30)
+	}},
 }
 
 // edgeSeeds are the edges of Seed's reduction: 0 and its stand-in
@@ -349,13 +387,13 @@ func diffSeeds() []int64 {
 // tap distance and of the register length.
 var boundaries = []int{0, 7, closedDraws - 1, closedDraws, closedDraws + 1, regTap, regTap + 1, regLen - 1, regLen, regLen + 1}
 
-// sameDraws fails unless got and want agree on every helper, drawn in
-// turn starting from helper first, n draws in all.
-func sameDraws(t *testing.T, got, want *Source, first, n int, ctx string) {
+// sameDraws fails unless got agrees with the oracle want on every helper,
+// drawn in turn starting from helper first, n draws in all.
+func sameDraws(t *testing.T, got *Source, want *rand.Rand, first, n int, ctx string) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		h := helpers[(first+i)%len(helpers)]
-		if g, w := h.draw(got), h.draw(want); !reflect.DeepEqual(g, w) {
+		if g, w := h.draw(got), h.ref(want); !reflect.DeepEqual(g, w) {
 			t.Fatalf("%s: draw %d (%s) = %v, math/rand gives %v", ctx, i, h.name, g, w)
 		}
 	}
@@ -378,7 +416,7 @@ func TestLazySeedingMatchesMathRand(t *testing.T) {
 		}{
 			{"New", func() *Source { return New(seed) }, seed},
 			{"Stream", func() *Source { return Stream(seed, label) }, streamSeed},
-			{"Fork", func() *Source { return New(seed).Fork(label) }, eager(seed).ForkSeed(label)},
+			{"Fork", func() *Source { return New(seed).Fork(label) }, refForkSeed(ref(seed), label)},
 			{"Reseed/fresh", func() *Source {
 				s := New(999)
 				s.Reseed(seed, label)
@@ -396,28 +434,28 @@ func TestLazySeedingMatchesMathRand(t *testing.T) {
 		}
 		for _, mk := range makers {
 			for first := range helpers {
-				sameDraws(t, mk.lazy(), eager(mk.want), first, 1+2*len(helpers),
+				sameDraws(t, mk.lazy(), ref(mk.want), first, 1+2*len(helpers),
 					fmt.Sprintf("seed %d, %s, %s first", seed, mk.name, helpers[first].name))
 			}
 		}
-		sameDraws(t, New(seed), eager(seed), int(uint64(seed)%7), 2000, fmt.Sprintf("seed %d, mixed", seed))
+		sameDraws(t, New(seed), ref(seed), int(uint64(seed)%7), 2000, fmt.Sprintf("seed %d, mixed", seed))
 
 		// The reference itself, unwrapped: the raw 64-bit values are
 		// math/rand's across the closed form, the fill and two laps of
 		// the register.
 		var g lfg
 		g.Seed(seed)
-		ref := rand.NewSource(seed).(rand.Source64)
+		raw := rand.NewSource(seed).(rand.Source64)
 		for i := 0; i < 2*regLen+closedDraws+10; i++ {
-			if got, want := g.Uint64(), ref.Uint64(); got != want {
+			if got, want := g.Uint64(), raw.Uint64(); got != want {
 				t.Fatalf("seed %d: raw draw %d = %#x, math/rand gives %#x", seed, i, got, want)
 			}
 		}
 		for _, c := range boundaries {
-			got, want := New(seed), eager(seed)
+			got, want := New(seed), ref(seed)
 			for i := 0; i < c; i++ {
-				got.rand().Int63()
-				want.rand().Int63()
+				got.gen.Int63()
+				want.Int63()
 			}
 			sameDraws(t, got, want, c, len(helpers), fmt.Sprintf("seed %d, after %d raw draws", seed, c))
 		}
@@ -440,9 +478,15 @@ func TestReseedAcrossStates(t *testing.T) {
 		}
 		seed := int64(42 + round)
 		s.Reseed(seed, label)
-		sameDraws(t, s, Stream(seed, label), round, 40, fmt.Sprintf("after %d draws, against Stream", c))
+		want := Stream(seed, label)
+		for i := 0; i < 40; i++ {
+			h := helpers[(round+i)%len(helpers)]
+			if g, w := h.draw(s), h.draw(want); !reflect.DeepEqual(g, w) {
+				t.Fatalf("after %d draws: draw %d (%s) = %v, Stream gives %v", c, i, h.name, g, w)
+			}
+		}
 		s.Reseed(seed, label)
-		sameDraws(t, s, eager(labelHash(label)^seed), round, 3*regLen, fmt.Sprintf("after %d draws, against math/rand", c))
+		sameDraws(t, s, ref(labelHash(label)^seed), round, 3*regLen, fmt.Sprintf("after %d draws, against math/rand", c))
 	}
 }
 
@@ -453,9 +497,9 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 		f.Add(seed, uint16(closedDraws))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, draws uint16) {
-		got, want := New(seed), eager(seed)
+		got, want := New(seed), ref(seed)
 		for i := 0; i < int(draws); i++ {
-			if g, w := got.rand().Uint64(), want.rand().Uint64(); g != w {
+			if g, w := got.gen.Uint64(), want.Uint64(); g != w {
 				t.Fatalf("seed %d: raw draw %d = %#x, math/rand gives %#x", seed, i, g, w)
 			}
 		}
@@ -463,11 +507,68 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 	})
 }
 
+// FuzzSkipMatchesFloat64: from every boundary state, Skip(n) leaves the
+// source where math/rand's n Float64 calls leave the oracle, so every
+// helper after it draws what the oracle draws.
+func FuzzSkipMatchesFloat64(f *testing.F) {
+	for i, seed := range edgeSeeds {
+		f.Add(seed, uint16([]int{0, 1, 25, closedDraws + 1, regLen + 3}[i%5]))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
+		for _, c := range boundaries {
+			got, want := New(seed), ref(seed)
+			for i := 0; i < c; i++ {
+				got.gen.Int63()
+				want.Int63()
+			}
+			got.Skip(int(n))
+			for i := 0; i < int(n); i++ {
+				want.Float64()
+			}
+			sameDraws(t, got, want, c, len(helpers), fmt.Sprintf("seed %d, %d raw draws, Skip(%d)", seed, c, n))
+		}
+	})
+}
+
+// TestFloat64ResamplesOne plants a register sum whose Int63 rounds to
+// 2⁶³ — the draw math/rand's Float64 takes again — and holds Float64 and
+// Skip to rand.Rand over an identical register: both consume it and the
+// draw after it.
+func TestFloat64ResamplesOne(t *testing.T) {
+	s := New(5)
+	for i := 0; i <= closedDraws; i++ {
+		s.Float64()
+	}
+	tap, feed := (s.gen.tap+regLen-1)%regLen, (s.gen.feed+regLen-1)%regLen
+	s.gen.vec[feed] = math.MaxInt64 - 200 - s.gen.vec[tap] // the next sum, within 2⁹ of 2⁶³
+	planted := s.gen
+	vec := *s.gen.vec
+	planted.vec = &vec
+	clone := func() *lfg { // a copy of the planted generator, register and all
+		g := planted
+		vec := *planted.vec
+		g.vec = &vec
+		return &g
+	}
+	want, afterOne := rand.New(clone()), rand.New(clone())
+	afterOne.Float64()
+	skipped := &Source{gen: *clone()}
+	skipped.Skip(1)
+	if g, w := s.Float64(), want.Float64(); g != w || g == 1 {
+		t.Fatalf("Float64 over the planted word = %v, math/rand gives %v", g, w)
+	}
+	if s.gen.feed != (feed+regLen-1)%regLen {
+		t.Fatalf("Float64 took %d raw draws, want 2", (feed-s.gen.feed+regLen)%regLen+1)
+	}
+	sameDraws(t, s, want, 0, 3*len(helpers), "after the planted word")
+	sameDraws(t, skipped, afterOne, 0, 3*len(helpers), "after Skip(1) over the planted word")
+}
+
 // TestSourceAllocations: a stream pays for what it draws. A chaos
-// decision's seven draws build the Source and its rand.Rand and no
-// register; a long stream adds the register and nothing else — the three
-// objects (Source, Rand, rngSource) a drawn-from source cost at the
-// parent commit dd40cbb, in 4 960 bytes where that took 5 440.
+// decision's seven draws build the Source alone: Float64 draws straight
+// off the seed, with no rand.Rand and no register. A long stream adds the
+// register and nothing else — two objects where a drawn-from source cost
+// three (Source, Rand, rngSource) at commit dd40cbb.
 func TestSourceAllocations(t *testing.T) {
 	var s *Source
 	if a := testing.AllocsPerRun(100, func() {
@@ -475,16 +576,16 @@ func TestSourceAllocations(t *testing.T) {
 		for i := 0; i < 7; i++ {
 			s.Float64()
 		}
-	}); a > 2 || s.gen.vec != nil {
-		t.Errorf("a 7-draw stream allocates %.0f objects (register: %v), want 2 and none", a, s.gen.vec != nil)
+	}); a > 1 || s.gen.vec != nil || s.r != nil {
+		t.Errorf("a 7-draw stream allocates %.0f objects (register: %v, rand.Rand: %v), want 1 and neither", a, s.gen.vec != nil, s.r != nil)
 	}
 	if a := testing.AllocsPerRun(100, func() {
 		s = New(42)
 		for i := 0; i < 1000; i++ {
 			s.Float64()
 		}
-	}); a > 3 {
-		t.Errorf("a 1000-draw source allocates %.0f objects, want at most the parent's 3", a)
+	}); a > 2 {
+		t.Errorf("a 1000-draw source allocates %.0f objects, want 2", a)
 	}
 	s.Float64()
 	if a := testing.AllocsPerRun(100, func() {
@@ -523,5 +624,18 @@ func BenchmarkDrawLong(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sink += s.Float64()
+	}
+}
+
+// BenchmarkSkip is a video segment's skipped RTT: 25 draws off a live
+// register, against 25 Float64 calls in BenchmarkDrawLong's terms.
+func BenchmarkSkip(b *testing.B) {
+	s := New(1)
+	for i := 0; i <= closedDraws; i++ {
+		s.Float64()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Skip(25)
 	}
 }

@@ -24,7 +24,7 @@ type Rung struct {
 
 // YouTubeLadder is a typical AVC ladder for a 4K source (the campaign
 // plays a video whose maximum resolution is 2160p).
-var YouTubeLadder = []Rung{
+var YouTubeLadder = [...]Rung{
 	{"144p", 144, 100},
 	{"240p", 240, 250},
 	{"360p", 360, 500},
@@ -121,7 +121,12 @@ func Play(cfg Config, throughput ThroughputFunc, src *rng.Source) (Stats, error)
 		return Stats{}, fmt.Errorf("video: MaxHeight %d below lowest rung", cfg.MaxHeight)
 	}
 
-	st := Stats{SecondsAt: make(map[string]float64)}
+	// Playback seconds per ladder rung, and which rungs played at all:
+	// SecondsAt keys every rung a segment was fetched at, zero seconds
+	// included, and is filled once at the end.
+	var secs [len(YouTubeLadder)]float64
+	var fetched [len(YouTubeLadder)]bool
+	var st Stats
 	var (
 		played    float64        // seconds of media played out
 		buffer    float64        // seconds of media buffered
@@ -148,18 +153,19 @@ func Play(cfg Config, throughput ThroughputFunc, src *rng.Source) (Stats, error)
 		r := pickRung(ladder, budget)
 		dl, tput := fetchSegment(ladder[r], throughput, src)
 		estimate = 0.7*estimate + 0.3*tput
+		fetched[r] = true
 
 		// While the segment downloads, playback drains the buffer.
 		if dl >= buffer {
 			// Stall: buffer empties mid-download.
 			playedNow := buffer
-			st.SecondsAt[ladder[r].Name] += playedNow
+			secs[r] += playedNow
 			played += playedNow
 			st.Rebuffers++
 			st.StalledSec += dl - buffer
 			buffer = SegmentSeconds // the fetched segment
 		} else {
-			st.SecondsAt[ladder[r].Name] += dl
+			secs[r] += dl
 			played += dl
 			buffer += SegmentSeconds - dl
 		}
@@ -167,7 +173,7 @@ func Play(cfg Config, throughput ThroughputFunc, src *rng.Source) (Stats, error)
 		// playing out the excess at the current rung.
 		if buffer > 4*cfg.TargetBufferSec {
 			excess := buffer - 4*cfg.TargetBufferSec
-			st.SecondsAt[ladder[r].Name] += excess
+			secs[r] += excess
 			played += excess
 			buffer -= excess
 		}
@@ -177,14 +183,19 @@ func Play(cfg Config, throughput ThroughputFunc, src *rng.Source) (Stats, error)
 	if bufferN > 0 {
 		st.MeanBufferSec = bufferSum / float64(bufferN)
 	}
-	best := ""
-	var bestSec float64
-	for name, sec := range st.SecondsAt {
-		if sec > bestSec || (sec == bestSec && rungHeight(name) > rungHeight(best)) {
-			best, bestSec = name, sec
+	st.SecondsAt = make(map[string]float64, len(ladder))
+	// The dominant rung has the most seconds, the higher of a tie: the
+	// ladder rises, so the last rung to reach the maximum wins.
+	bestSec := 0.0
+	for r, rung := range ladder {
+		if !fetched[r] {
+			continue
+		}
+		st.SecondsAt[rung.Name] = secs[r]
+		if secs[r] >= bestSec {
+			st.DominantResolution, bestSec = rung.Name, secs[r]
 		}
 	}
-	st.DominantResolution = best
 	return st, nil
 }
 
@@ -210,13 +221,4 @@ func pickRung(ladder []Rung, budgetMbps float64) int {
 		}
 	}
 	return pick
-}
-
-func rungHeight(name string) int {
-	for _, r := range YouTubeLadder {
-		if r.Name == name {
-			return r.Height
-		}
-	}
-	return 0
 }

@@ -154,13 +154,13 @@ func TestShareSumsInLadderOrder(t *testing.T) {
 }
 
 func TestPickRung(t *testing.T) {
-	if got := pickRung(YouTubeLadder, 3); YouTubeLadder[got].Name != "720p" {
+	if got := pickRung(YouTubeLadder[:], 3); YouTubeLadder[got].Name != "720p" {
 		t.Errorf("3 Mbps budget -> %s", YouTubeLadder[got].Name)
 	}
-	if got := pickRung(YouTubeLadder, 0.01); YouTubeLadder[got].Name != "144p" {
+	if got := pickRung(YouTubeLadder[:], 0.01); YouTubeLadder[got].Name != "144p" {
 		t.Errorf("tiny budget -> %s", YouTubeLadder[got].Name)
 	}
-	if got := pickRung(YouTubeLadder, 1000); YouTubeLadder[got].Name != "2160p" {
+	if got := pickRung(YouTubeLadder[:], 1000); YouTubeLadder[got].Name != "2160p" {
 		t.Errorf("huge budget -> %s", YouTubeLadder[got].Name)
 	}
 }
@@ -172,4 +172,13 @@ func TestLadderMonotone(t *testing.T) {
 			t.Fatalf("ladder not monotone at %d", i)
 		}
 	}
+}
+
+func rungHeight(name string) int {
+	for _, r := range YouTubeLadder {
+		if r.Name == name {
+			return r.Height
+		}
+	}
+	return 0
 }
