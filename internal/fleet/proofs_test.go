@@ -55,6 +55,7 @@ func TestVirtualTimeEquivalence(t *testing.T)    { runProofs(t) }
 func TestVirtualDeterminism(t *testing.T)        { runProofs(t) }
 func TestBatchRealizeDifferential(t *testing.T)  { runProofs(t) }
 func TestFleetMetricsEquivalence(t *testing.T)   { runProofs(t) }
+func TestFleetMetricsEndpoint(t *testing.T)      { runProofs(t) }
 
 // proofRow is one whole-campaign proof.
 type proofRow struct {
@@ -100,21 +101,23 @@ func proofRows() []proofRow {
 	}
 
 	// The wire codec: v3 batch frames, serially or in parallel, on a clean
-	// network or under chaos.Heavy.
+	// network or under chaos.Heavy. The codec rows draw their own chaos
+	// seed, so they repeat no chaos row's campaign.
 	for _, faults := range []bool{false, true} {
 		for _, workers := range []int{1, 4} {
 			r := proofRow{name: fmt.Sprintf("TestFleetProtoEquivalence/v3/chaos=%v/workers=%d", faults, workers), workers: workers}
 			if faults {
-				r = heavy(r, 7)
+				r = heavy(r, 31)
 			}
 			add(r)
 		}
 	}
 	// Faults cost retries, never data: resets, truncation, duplicate
-	// deliveries, latency spikes, 503/429 storms and ME crashes. Chaos
-	// seed 7 is the codec rows' own.
-	for _, workers := range []int{1, 4} {
-		add(heavy(proofRow{name: fmt.Sprintf("TestFleetChaosEquivalence/chaosSeed=1002/workers=%d", workers), workers: workers}, 1002))
+	// deliveries, latency spikes, 503/429 storms and ME crashes.
+	for _, seed := range []int64{7, 1002} {
+		for _, workers := range []int{1, 4} {
+			add(heavy(proofRow{name: fmt.Sprintf("TestFleetChaosEquivalence/chaosSeed=%d/workers=%d", seed, workers), workers: workers}, seed))
+		}
 	}
 	// Every injection is keyed per (ME, incarnation, op, attempt), not on
 	// the interleaving, so a chaos seed draws one trace at any worker count.
@@ -236,6 +239,8 @@ func proofRows() []proofRow {
 		add(proofRow{name: fmt.Sprintf("TestFleetMetricsEquivalence/metrics-on/workers=%d", workers), workers: workers, metrics: true})
 	}
 	add(heavy(proofRow{name: "TestFleetMetricsEquivalence/metrics-on/chaos", workers: 4, metrics: true, checks: []proofCheck{metricsServed}}, 7))
+	// The exposition is whole after a serial campaign too.
+	add(heavy(proofRow{name: "TestFleetMetricsEndpoint", workers: 1, metrics: true, checks: []proofCheck{metricsServed}}, 7))
 	return rows
 }
 
