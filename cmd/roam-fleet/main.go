@@ -1,90 +1,35 @@
 // Command roam-fleet runs a fleet-scale AmiGo device campaign over the
-// real HTTP control plane: it expands a campaign plan into per-ME
-// schedules, drives thousands of simulated mobile endpoints through
-// schedule / batch-lease / execute / batch-upload against an AmiGo
-// control server, ingests the uploaded results and prints the Table 4
-// counts and Figure 11-style RTT aggregates regenerated from the fleet
-// output.
-//
-// By default it self-hosts a control server on a loopback port; point
-// -server at a running amigo-server to drive an external one instead.
-//
-// Usage:
-//
-//	roam-fleet [-server URL] [-mes N] [-countries GEO,DEU,...] [-seed N]
-//	           [-workers N] [-lease K] [-reps N]
-//	           [-configs sim,esim] [-tools speedtest,mtr,...] [-crosscheck]
-//	           [-chaos light|heavy] [-chaos-seed N] [-straggler DUR]
-//	           [-metrics] [-shards N] [-wal-dir DIR] [-kill-shard N]
-//	           [-compact-after N] [-reshard N] [-reshard-after U]
-//	           [-virtual-time] [-realize]
-//	           [-cpuprofile FILE] [-memprofile FILE]
-//
-// MEs lease and upload in batches over the v3 binary-frame routes (see
-// internal/wire).
-//
-// With -metrics the whole stack is instrumented — control server,
-// driver, every ME endpoint, and the network simulator's route cache —
-// and the full Prometheus exposition is dumped to stdout at the end of
-// the run. The self-hosted server also serves it live at
-// /admin/metrics. Metrics never change the dataset: for a fixed seed
-// the output is byte-identical with or without -metrics.
+// real HTTP control plane and prints the Table 4 counts and Figure
+// 11-style RTT aggregates regenerated from the fleet's uploads. Its
+// flags are parsed into one fleet.Scenario, whose Run hosts the control
+// plane on a loopback port (or drives the amigo-server named by
+// -server), runs the fleet driver against it and ingests the results —
+// the same path every row of internal/fleet's proof table runs. `-h`
+// lists the flags; README's table describes each.
 //
 // With -crosscheck the same plan is also run serially in-process — one
 // task per lease on direct calls into a private server, no socket and
-// no codec (fleet.RunInProcess) — and the two Table 4 / RTT renderings
-// are compared; any mismatch exits nonzero. For a fixed seed the fleet
-// output is byte-identical regardless of -workers or -lease.
+// no codec (fleet.RunInProcess) — and the fleet dataset's JSON bytes
+// are held to that run's (fleet.Crosscheck). A match prints the dataset's
+// sha256 prefix; a mismatch prints the first differing record
+// (fleet.Diff) and both runs' tables, and exits 1. Neither the worker
+// count, the lease size, the clock, -metrics, sharding, shard kills, a
+// reshard nor -chaos's faults may change a byte of it.
 //
-// With -chaos the run is subjected to seeded deterministic fault
-// injection (connection resets, truncation, duplicate deliveries,
-// latency spikes, 503/429 storms, mid-campaign ME crash/restart; see
-// internal/chaos). The ingested dataset and printed tables are still
-// byte-identical to the clean run — faults cost retries, never data —
-// and the injected fault schedule replays exactly for a given
-// -chaos-seed. Chaos requires the self-hosted server (the storm
-// middleware must wrap the handler).
-//
-// -shards, -wal-dir and -compact-after shape the self-hosted plane as
-// they do amigo-server's; fleet.Host builds both. -kill-shard kills the
-// given shard once, right after it accepts its first upload — its
-// registry, queues and idempotency state are dropped wholesale and a
-// fresh server is brought up over the same WAL; MEs rediscover the shard
-// and are scheduled anew, and the ingested dataset must still be
-// byte-identical (pair with -crosscheck to prove it end to end).
-// -reshard N live-reshards the running control plane onto N shards after
-// the fleet's -reshard-after-th accepted upload: the gateway quiesces,
-// every durable result is re-routed into a fresh per-shard WAL set under
-// the next epoch directory, and the campaign carries on against the new
-// ring, with a dataset still byte-identical to the clean run. It and
-// -compact-after require -wal-dir.
-//
-// With -realize every ME spends each task's simulated network duration
-// (speedtest transfers, traceroute probe round trips, the 120 s video
-// watch window) on the campaign clock — the pacing an actual fleet
-// would have. With -virtual-time that clock is a discrete-event virtual
-// clock (see internal/vclock): the campaign jumps over every wait at
-// quiescence and finishes as fast as the CPU drains the event queue,
-// with a dataset byte-identical to the real-time run.
-//
-// -cpuprofile and -memprofile write pprof profiles to the named files.
-// The CPU profile covers the campaign: the driver's run plus the ingest,
-// not the world build. The allocation profile records every allocation
-// of the process — the runtime wants its sampling rate set once, at
-// start-up, and at rate 1 alloc_objects is an exact count — so read the
-// campaign out of it by ignoring the build: `go tool pprof -top
-// -sample_index=alloc_space -ignore='airalo\.Build' FILE`. Both observe
-// the run and select nothing. Recording every allocation slows the run
-// severalfold and would crowd a CPU profile taken beside it, so `make
-// profile-campaign` runs the self-hosted campaign once with each and
-// prints the listings.
+// -cpuprofile covers the campaign (fleet.Scenario.Run), not the world
+// build. -memprofile records every allocation of the process (the
+// runtime wants its rate set once, at start-up, and at rate 1
+// alloc_objects is an exact count), so read the campaign out of it with
+// `go tool pprof -top -sample_index=alloc_space -ignore='airalo\.Build'
+// FILE`. Recording every allocation slows the run severalfold, so `make
+// profile-campaign` runs the campaign once under each.
 package main
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -96,7 +41,6 @@ import (
 	"roamsim/internal/amigo"
 	"roamsim/internal/chaos"
 	"roamsim/internal/fleet"
-	"roamsim/internal/obs"
 	"roamsim/internal/vclock"
 )
 
@@ -110,7 +54,7 @@ func main() {
 	reps := flag.Int("reps", 1, "repetitions per (tool, config)")
 	configs := flag.String("configs", "sim,esim", "comma-separated SIM configurations")
 	tools := flag.String("tools", "", "comma-separated task kinds to keep (speedtest,mtr,cdn,dns,video; empty = all)")
-	crosscheck := flag.Bool("crosscheck", false, "also run the plan serially in-process and compare outputs")
+	crosscheck := flag.Bool("crosscheck", false, "also run the plan serially in-process and hold the dataset's bytes to that run's")
 	chaosMode := flag.String("chaos", "", "inject deterministic faults: \"light\" or \"heavy\" (empty = off)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "fault-schedule seed (0 = use -seed); same seed replays the same faults")
 	straggler := flag.Duration("straggler", 0, "per-ME-incarnation watchdog; a stuck ME is killed and restarted (0 = off)")
@@ -124,7 +68,7 @@ func main() {
 	reshardAfter := flag.Int("reshard-after", 1, "fire -reshard after the fleet's Uth accepted upload")
 	virtualTime := flag.Bool("virtual-time", false, "run the campaign on a discrete-event virtual clock (identical dataset, no real waiting)")
 	realize := flag.Bool("realize", false, "spend each task's simulated network duration on the campaign clock")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the campaign (run + ingest) to this file")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the campaign (hosting, run and ingest) to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile of the process to this file (pprof -ignore='airalo\\.Build' leaves the campaign)")
 	flag.Parse()
 	if *memProfile != "" {
@@ -133,7 +77,14 @@ func main() {
 		runtime.MemProfileRate = 1
 	}
 
-	plan := fleet.DeviceCampaignPlan()
+	sc := fleet.Scenario{
+		Plan: fleet.DeviceCampaignPlan(), Seed: *seed, StreamLabel: "table4", Server: *server,
+		Workers: *workers, LeaseBatch: *lease, Realize: *realize, Straggler: *straggler,
+		Metrics: *metrics, Virtual: *virtualTime,
+		Plane: fleet.ShardedConfig{Shards: *shards, WALDir: *walDir, SegmentBytes: *walSegBytes,
+			ForceKill: *killShard >= 0, ForceKillShard: *killShard, CompactAfter: *compactAfter},
+	}
+	plan := &sc.Plan
 	plan.Countries = splitList(*countries)
 	if len(plan.Countries) == 0 {
 		fatal(fmt.Errorf("-countries %q names no country", *countries))
@@ -149,58 +100,24 @@ func main() {
 			fatal(fmt.Errorf("unknown -configs entry %q (want %s)", c, strings.Join(known, ",")))
 		}
 	}
-	if *killShard < -1 {
-		fatal(fmt.Errorf("-kill-shard %d: want a shard index, or -1 for off", *killShard))
-	}
 	plan.Reps = *reps
 	if *tools != "" {
-		keep := map[string]bool{}
-		for _, k := range splitList(*tools) {
-			keep[k] = true
-		}
-		var tasks []amigo.Task
-		for _, task := range plan.Tasks {
-			if keep[task.Kind] {
-				tasks = append(tasks, task)
-			}
-		}
-		if len(tasks) == 0 {
+		keep := splitList(*tools)
+		plan.Tasks = slices.DeleteFunc(slices.Clone(plan.Tasks), func(t amigo.Task) bool { return !slices.Contains(keep, t.Kind) })
+		if len(plan.Tasks) == 0 {
 			fatal(fmt.Errorf("-tools %q matches none of the campaign tools", *tools))
 		}
-		plan.Tasks = tasks
 	}
-
-	w, err := airalo.Build(*seed)
-	if err != nil {
-		fatal(err)
-	}
-
-	var inj *chaos.Injector
-	switch *chaosMode {
-	case "":
-	case "light", "heavy":
-		cseed := *chaosSeed
-		if cseed == 0 {
-			cseed = *seed
+	if *chaosMode != "" {
+		mode, ok := map[string]func() chaos.Config{"light": chaos.Light, "heavy": chaos.Heavy}[*chaosMode]
+		if !ok {
+			fatal(fmt.Errorf("unknown -chaos mode %q (want light or heavy)", *chaosMode))
 		}
-		cfg := chaos.Light()
-		if *chaosMode == "heavy" {
-			cfg = chaos.Heavy()
-		}
-		inj = chaos.NewInjector(cseed, cfg)
 		if *server != "" {
 			fatal(fmt.Errorf("-chaos needs the self-hosted server (storm middleware); drop -server"))
 		}
-	default:
-		fatal(fmt.Errorf("unknown -chaos mode %q (want light or heavy)", *chaosMode))
+		sc.Chaos, sc.ChaosSeed = mode(), cmp.Or(*chaosSeed, *seed)
 	}
-
-	var reg *obs.Registry
-	if *metrics {
-		reg = obs.NewRegistry()
-		fleet.RegisterNetObs(reg, w.Net)
-	}
-
 	if *server != "" {
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
@@ -209,109 +126,53 @@ func main() {
 			}
 		})
 	}
-	if *killShard >= *shards {
-		fatal(fmt.Errorf("-kill-shard %d out of range for -shards %d", *killShard, *shards))
+	if *killShard < -1 || *killShard >= *shards {
+		fatal(fmt.Errorf("-kill-shard %d: want -1 for off or a shard index below -shards %d", *killShard, *shards))
 	}
 	if (*compactAfter > 0 || *reshardTo > 0) && *walDir == "" {
 		fatal(fmt.Errorf("-compact-after/-reshard need a durable log; add -wal-dir"))
 	}
-
-	baseURL := *server
-	var sf *fleet.ShardedFleet
-	if baseURL == "" {
-		cfg := fleet.ShardedConfig{
-			Shards:         *shards,
-			WALDir:         *walDir,
-			SegmentBytes:   *walSegBytes,
-			Chaos:          inj,
-			ForceKill:      *killShard >= 0,
-			ForceKillShard: *killShard,
-			CompactAfter:   *compactAfter,
-			Obs:            reg,
-		}
-		if *reshardTo > 0 {
-			cfg.Reshards = []fleet.ReshardStep{{AfterUploads: *reshardAfter, Shards: *reshardTo}}
-		}
-		url, shutdown, f, err := selfHost(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		defer shutdown()
-		baseURL = url
-		sf = f
-		if sf != nil {
-			fmt.Printf("self-hosted sharded control plane (%d shards) at %s\n", sf.Shards(), baseURL)
-		} else {
-			fmt.Printf("self-hosted control server at %s\n", baseURL)
-		}
+	if *reshardTo > 0 {
+		sc.Plane.Reshards = []fleet.ReshardStep{{AfterUploads: *reshardAfter, Shards: *reshardTo}}
 	}
 
-	d := &fleet.Driver{
-		BaseURL:     baseURL,
-		Seed:        *seed,
-		Workers:     *workers,
-		LeaseBatch:  *lease,
-		StreamLabel: "table4",
-		Heartbeat:   true,
-		Chaos:       inj,
-		Straggler:   *straggler,
-		Obs:         reg,
-		Realize:     *realize,
+	w, err := airalo.Build(*seed)
+	if err != nil {
+		fatal(err)
 	}
-	if *virtualTime {
-		d.Clock = vclock.NewVirtual()
-	}
-	stopCPUProfile, err := startCPUProfile(*cpuProfile)
+	stopProfile, err := profile(*cpuProfile, *memProfile)
 	if err != nil {
 		fatal(err)
 	}
 	wallStart := vclock.Wall.Now()
-	camp, err := d.Run(w, plan)
+	out, err := sc.Run(w)
 	wallSeconds := vclock.Wall.Now().Sub(wallStart).Seconds()
 	if err != nil {
 		fatal(err)
 	}
-	ds, err := fleet.Ingest(w.Reg, camp)
-	if err != nil {
+	if err := stopProfile(); err != nil {
 		fatal(err)
-	}
-	if err := stopCPUProfile(); err != nil {
-		fatal(err)
-	}
-	if err := writeAllocProfile(*memProfile); err != nil {
-		fatal(err)
-	}
-	if sf != nil {
-		// The campaign's last upload may have fired a reshard that is
-		// still swapping; settle before reading topology or WAL state.
-		sf.WaitIdle()
-		if err := sf.ReshardErr(); err != nil {
-			fatal(err)
-		}
-		if err := sf.CompactErr(); err != nil {
-			fatal(err)
-		}
 	}
 
+	camp, ds, sf := out.Campaign, out.Dataset, out.Fleet
 	st := camp.Stats
 	perSec := float64(st.Results) / st.Elapsed.Seconds()
 	fmt.Printf("fleet: %d MEs, %d tasks scheduled, %d results in %s (%.0f results/s), %d failures\n",
 		st.MEs, st.TasksScheduled, st.Results, st.Elapsed.Round(time.Millisecond), perSec, len(ds.Failures))
-	if v, ok := d.Clock.(*vclock.Virtual); ok {
+	if v := out.Clock; v != nil {
 		vs := v.Stats()
 		fmt.Printf("virtual: campaign makespan %s of virtual time in %.3fs of wall time; %d quiescence advances, %d parks\n",
 			st.Elapsed.Round(time.Millisecond), wallSeconds, vs.Advances, vs.Parks)
 	}
-	if inj != nil {
-		fmt.Printf("chaos: %s mode, seed %d: injected %d faults; dataset is byte-identical to the clean run\n",
-			*chaosMode, inj.Seed(), len(inj.Events()))
+	if inj := out.Chaos; inj != nil {
+		fmt.Printf("chaos: %s mode, seed %d: injected %d faults\n", *chaosMode, inj.Seed(), len(inj.Events()))
 	}
 	if sf != nil {
 		// Read the live topology, not the flags: a reshard may have
 		// changed the shard count mid-campaign.
 		nShards := sf.Shards()
-		records, segments, bytes := 0, 0, int64(0)
-		retired := 0
+		var records, segments, retired int
+		var bytes int64
 		for i := 0; i < nShards; i++ {
 			if wal := sf.WAL(i); wal != nil {
 				records += wal.Len()
@@ -339,16 +200,20 @@ func main() {
 	fmt.Println(fleet.Table4(ds, camp.Plan).String())
 	fmt.Println(fleet.RTTSummary(ds, camp.Plan).String())
 
-	if reg != nil {
+	if reg := out.Obs; reg != nil {
 		fmt.Println("# metrics (Prometheus text exposition)")
 		if err := reg.WritePrometheus(os.Stdout); err != nil {
 			fatal(err)
 		}
 		fmt.Println()
 	}
+	// Closing the plane syncs its WALs: a failure there loses results.
+	if err := out.Close(); err != nil {
+		fatal(err)
+	}
 
 	if *crosscheck {
-		inproc, err := fleet.RunInProcess(w, plan, *seed, "table4", true)
+		inproc, err := fleet.RunInProcess(w, sc.Plan, sc.Seed, sc.StreamLabel, true)
 		if err != nil {
 			fatal(err)
 		}
@@ -356,98 +221,47 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		ok := true
-		if got, want := fleet.Table4(ds, plan).String(), fleet.Table4(ids, plan).String(); got != want {
-			ok = false
-			fmt.Fprintf(os.Stderr, "crosscheck: Table 4 mismatch\nfleet:\n%s\nin-process:\n%s\n", got, want)
-		}
-		if got, want := fleet.RTTSummary(ds, plan).String(), fleet.RTTSummary(ids, plan).String(); got != want {
-			ok = false
-			fmt.Fprintf(os.Stderr, "crosscheck: RTT summary mismatch\nfleet:\n%s\nin-process:\n%s\n", got, want)
-		}
-		if !ok {
+		sum, err := fleet.Crosscheck(ds, ids)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "crosscheck: %v\nfleet:\n%s\n%s\nin-process:\n%s\n%s\n", err,
+				fleet.Table4(ds, camp.Plan), fleet.RTTSummary(ds, camp.Plan), fleet.Table4(ids, camp.Plan), fleet.RTTSummary(ids, camp.Plan))
 			os.Exit(1)
 		}
-		fmt.Println("crosscheck: fleet output matches the serial in-process campaign")
+		fmt.Printf("crosscheck: fleet output matches the serial in-process campaign: dataset sha256 %x is byte-identical\n", sum[:8])
 	}
 }
 
-// selfHost serves the control plane fleet.Host builds from cfg on an
-// ephemeral loopback port and returns its base URL, a shutdown func, and
-// the sharded fleet (nil for a single server). cfg.Chaos, when set, also
-// wraps the handler with server-side storm middleware (admin traffic
-// carries no chaos header and passes through untouched); cfg.Obs is
-// served at /admin/metrics.
-func selfHost(cfg fleet.ShardedConfig) (string, func(), *fleet.ShardedFleet, error) {
-	handler, sf, err := fleet.Host(cfg)
-	if err != nil {
-		return "", nil, nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		if sf != nil {
-			sf.Close()
+// profile starts a CPU profile into cpu ("" = none). The func it returns
+// stops it and writes everything the process has allocated so far, live
+// or collected, into mem ("" = none): what a pprof
+// -sample_index=alloc_space listing reads.
+func profile(cpu, mem string) (stop func() error, err error) {
+	var f *os.File
+	if cpu != "" {
+		if f, err = os.Create(cpu); err != nil {
+			return nil, err
 		}
-		return "", nil, nil, err
-	}
-	if cfg.Chaos != nil {
-		handler = cfg.Chaos.Middleware(handler)
-	}
-	hs := &http.Server{
-		Handler:           handler,
-		ReadTimeout:       15 * time.Second,
-		ReadHeaderTimeout: 5 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	//lint:allow gojoin server goroutine lives until shutdown() closes the listener, which makes Serve return
-	go hs.Serve(ln)
-	shutdown := func() {
-		hs.Close()
-		if sf != nil {
-			sf.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return nil, errors.Join(err, f.Close())
 		}
-	}
-	return "http://" + ln.Addr().String(), shutdown, sf, nil
-}
-
-// startCPUProfile starts a CPU profile into path ("" = none) and returns
-// the function that stops it and closes the file.
-func startCPUProfile(path string) (stop func() error, err error) {
-	if path == "" {
-		return func() error { return nil }, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return nil, err
 	}
 	return func() error {
-		pprof.StopCPUProfile()
-		return f.Close()
+		if f != nil {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				return err
+			}
+		}
+		if mem == "" {
+			return nil
+		}
+		m, err := os.Create(mem)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // the profile is as of the last completed cycle
+		return errors.Join(pprof.Lookup("allocs").WriteTo(m, 0), m.Close())
 	}, nil
-}
-
-// writeAllocProfile writes everything the process has allocated so far,
-// live or collected, to path ("" = none) — what a pprof
-// -sample_index=alloc_space listing reads.
-func writeAllocProfile(path string) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	runtime.GC() // the profile is as of the last completed cycle
-	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func splitList(s string) []string {

@@ -64,5 +64,5 @@ func TestStragglerCancelsRealizedWait(t *testing.T) {
 			t.Fatalf("%s: restarted incarnation: crashed=%v err=%v", sc.Name, crashed, err)
 		}
 	}
-	oracle(t).hold(t, "after the watchdog kills", &Campaign{Plan: plan, Schedules: scheds, Results: srv.Results()})
+	oracle(t).holdResults(t, "after the watchdog kills", srv.Results())
 }

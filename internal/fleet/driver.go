@@ -58,9 +58,8 @@ type Driver struct {
 	// transport is wrapped per incarnation, retry jitter draws from an
 	// out-of-band stream keyed on the injector's seed, and MEs may
 	// crash between batches and replay their schedule. The server side
-	// must be wrapped with the same injector's Middleware. The
-	// ingested dataset is unchanged by chaos — faults cost retries,
-	// never data.
+	// needs the same injector's Middleware (Host wraps it when its config
+	// carries the injector). Faults cost retries, never data.
 	Chaos *chaos.Injector
 	// RestartBudget caps per-ME restarts — injected crashes plus
 	// straggler-watchdog kills — before the campaign errors out

@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/json"
 	"net/http/httptest"
 	"testing"
 
@@ -126,29 +124,17 @@ func TestFleetDeterminismAcrossWorkers(t *testing.T) {
 		},
 		Configs: []string{"sim", "esim"}, Reps: 2,
 	}
-	var baseline []byte
+	var baseline *Dataset
 	for _, cfg := range []struct{ workers, lease int }{{1, 1}, {4, 8}, {8, 64}} {
-		_, hs := newControlServer(t)
-		d := &Driver{BaseURL: hs.URL, Seed: testSeed, Workers: cfg.workers,
-			LeaseBatch: cfg.lease, Heartbeat: true}
-		camp, err := d.Run(w, plan)
+		out, err := Scenario{Plan: plan, Seed: testSeed, Workers: cfg.workers, LeaseBatch: cfg.lease}.Run(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds, err := Ingest(w.Reg, camp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := json.Marshal(ds)
-		if err != nil {
-			t.Fatal(err)
-		}
+		t.Cleanup(func() { out.Close() })
 		if baseline == nil {
-			baseline = blob
-			continue
-		}
-		if !bytes.Equal(baseline, blob) {
-			t.Fatalf("dataset differs at workers=%d lease=%d", cfg.workers, cfg.lease)
+			baseline = out.Dataset
+		} else if _, err := Crosscheck(out.Dataset, baseline); err != nil {
+			t.Fatalf("workers=%d lease=%d: %v", cfg.workers, cfg.lease, err)
 		}
 	}
 }
@@ -167,29 +153,22 @@ func TestFleetMatchesInProcessCampaign(t *testing.T) {
 		},
 		Configs: []string{"sim", "esim"}, Reps: 3,
 	}
-	_, hs := newControlServer(t)
-	d := &Driver{BaseURL: hs.URL, Seed: testSeed, Workers: 6, LeaseBatch: 5,
-		StreamLabel: "xcheck", Heartbeat: true}
-	fleetCamp, err := d.Run(w, plan)
+	out, err := Scenario{Plan: plan, Seed: testSeed, StreamLabel: "xcheck", Workers: 6, LeaseBatch: 5}.Run(w)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer out.Close()
 	inprocCamp, err := RunInProcess(w, plan, testSeed, "xcheck", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleetDS, err := Ingest(w.Reg, fleetCamp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fleetDS := out.Dataset
 	inprocDS, err := Ingest(w.Reg, inprocCamp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, _ := json.Marshal(fleetDS)
-	ib, _ := json.Marshal(inprocDS)
-	if !bytes.Equal(fb, ib) {
-		t.Fatal("fleet dataset differs from in-process campaign dataset")
+	if _, err := Crosscheck(fleetDS, inprocDS); err != nil {
+		t.Fatal(err)
 	}
 	if got, want := Table4(fleetDS, plan).String(), Table4(inprocDS, plan).String(); got != want {
 		t.Fatalf("Table 4 mismatch:\nfleet:\n%s\nin-process:\n%s", got, want)

@@ -1,9 +1,13 @@
 package fleet
 
 import (
+	"bytes"
 	"cmp"
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -432,4 +436,52 @@ func RTTSummary(ds *Dataset, plan Plan) *report.Table {
 		}
 	}
 	return t
+}
+
+// Crosscheck holds got's JSON bytes to want's, the check roam-fleet
+// -crosscheck and the proof table make, and returns the sha256 of got's.
+// A mismatch is an error that names both hashes and the first record
+// at which the datasets part (Diff).
+func Crosscheck(got, want *Dataset) ([sha256.Size]byte, error) {
+	gb, gerr := json.Marshal(got)
+	wb, werr := json.Marshal(want)
+	sum, wsum := sha256.Sum256(gb), sha256.Sum256(wb)
+	if err := errors.Join(gerr, werr); err != nil || bytes.Equal(gb, wb) {
+		return sum, err
+	}
+	return sum, fmt.Errorf("dataset sha256 %x, want %x: %s", sum[:8], wsum[:8], Diff(got, want))
+}
+
+// Diff names the first record at which got and want part: its kind, its
+// index among that kind's records, its ME on each side and both sides as
+// JSON.
+func Diff(got, want *Dataset) string {
+	gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	for f := 0; f < gv.NumField(); f++ {
+		kind, _, _ := strings.Cut(gv.Type().Field(f).Tag.Get("json"), ",")
+		g, w := gv.Field(f), wv.Field(f)
+		for i := 0; i < max(g.Len(), w.Len()); i++ {
+			gj, me := recordAt(g, i)
+			wj, wme := recordAt(w, i)
+			if gj != wj {
+				if me != wme {
+					me = fmt.Sprintf("%s (want: %s)", me, wme)
+				}
+				return fmt.Sprintf("%s[%d] of ME %s\n got: %s\nwant: %s", kind, i, me, gj, wj)
+			}
+		}
+	}
+	return "no record differs"
+}
+
+func recordAt(records reflect.Value, i int) (js, me string) {
+	if i >= records.Len() {
+		return "(none)", ""
+	}
+	rec := records.Index(i)
+	b, err := json.Marshal(rec.Interface())
+	if err != nil {
+		return err.Error(), ""
+	}
+	return string(b), rec.FieldByName("ME").String()
 }

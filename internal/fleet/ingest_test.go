@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -107,6 +108,46 @@ func TestIngestEdgeCases(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCrosscheckCatchesWhatTablesMiss: a field Table 4 and the RTT
+// summary never read — a DNS answer's resolver, a speedtest's download
+// rate — leaves both tables as they were, and Diff and Crosscheck both
+// name the record by kind, index and ME.
+func TestCrosscheckCatchesWhatTablesMiss(t *testing.T) {
+	o, plan := oracle(t), chaosTestPlan()
+	if _, err := Crosscheck(o.ds, o.ds); err != nil {
+		t.Fatalf("the oracle differs from itself: %v", err)
+	}
+	for _, c := range []struct {
+		kind string
+		i    int
+		edit func(ds *Dataset, i int) (me string)
+	}{
+		{"dns", 5, func(ds *Dataset, i int) string {
+			ds.DNS = slices.Clone(ds.DNS)
+			ds.DNS[i].Payload.Resolver = "192.0.2.53"
+			return ds.DNS[i].ME
+		}},
+		{"speed", 3, func(ds *Dataset, i int) string {
+			ds.Speed = slices.Clone(ds.Speed)
+			ds.Speed[i].Payload.DownMbps++
+			return ds.Speed[i].ME
+		}},
+	} {
+		ds := *o.ds
+		me := c.edit(&ds, c.i)
+		if Table4(&ds, plan).String() != o.table4 || RTTSummary(&ds, plan).String() != o.rtt {
+			t.Fatalf("%s: the edit moved a table", c.kind)
+		}
+		want := fmt.Sprintf("%s[%d] of ME %s\n", c.kind, c.i, me)
+		if diff := Diff(&ds, o.ds); !strings.HasPrefix(diff, want) {
+			t.Errorf("Diff = %q, want it to start %q", diff, want)
+		}
+		if _, err := Crosscheck(&ds, o.ds); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Crosscheck error = %v, want one naming %q", err, want)
+		}
 	}
 }
 

@@ -15,16 +15,10 @@ func RegisterNetObs(reg *obs.Registry, n *netsim.Network) {
 	if reg == nil || n == nil {
 		return
 	}
-	reg.CounterFunc("netsim_route_cache_hits_total", func() float64 {
-		h, _, _ := n.RouteCacheStats()
-		return float64(h)
-	})
-	reg.CounterFunc("netsim_route_cache_misses_total", func() float64 {
-		_, m, _ := n.RouteCacheStats()
-		return float64(m)
-	})
-	reg.CounterFunc("netsim_dijkstra_runs_total", func() float64 {
-		_, _, runs := n.RouteCacheStats()
-		return float64(runs)
-	})
+	for i, name := range []string{"netsim_route_cache_hits_total", "netsim_route_cache_misses_total", "netsim_dijkstra_runs_total"} {
+		reg.CounterFunc(name, func() float64 {
+			hits, misses, runs := n.RouteCacheStats()
+			return float64([...]uint64{hits, misses, runs}[i])
+		})
+	}
 }

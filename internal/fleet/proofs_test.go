@@ -8,8 +8,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/http/httptest"
-	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -17,24 +15,21 @@ import (
 	"testing"
 	"time"
 
-	"roamsim/internal/airalo"
 	"roamsim/internal/amigo"
 	"roamsim/internal/chaos"
 	"roamsim/internal/obs"
 	"roamsim/internal/shard"
-	"roamsim/internal/vclock"
 )
 
 // The proof table. A campaign's dataset is a pure function of its seed
 // and plan: the wire codec, the clock, injected faults, the worker count,
 // the lease size, sharding, shard and compaction kills and a live reshard
 // are deployment details that must never change a byte of it. Each row
-// runs chaosTestPlan once through the fleet driver, against the control
-// plane fleet.Host builds from the row's ShardedConfig the way roam-fleet
-// builds its own, and holds the ingested dataset, Table 4 and RTT summary
-// to the serial oracle's. Rows of one replay group must also agree on the
-// fault trace and, on the virtual clock, on the makespan. A row's checks
-// assert what else its scenario promises.
+// is a Scenario of chaosTestPlan, run once through Scenario.Run — the
+// path roam-fleet runs — and its ingested dataset, Table 4 and RTT
+// summary are held to the serial oracle's. Rows of one replay group must
+// also agree on the fault trace and, on the virtual clock, on the
+// makespan. A row's checks assert what else its scenario promises.
 //
 // A row is named "<Test>[/<subtest>]", and the test functions below are
 // the table's entry points: each runs the rows under its name, so `go
@@ -57,23 +52,16 @@ func TestBatchRealizeDifferential(t *testing.T)  { runProofs(t) }
 func TestFleetMetricsEquivalence(t *testing.T)   { runProofs(t) }
 func TestFleetMetricsEndpoint(t *testing.T)      { runProofs(t) }
 
-// proofRow is one whole-campaign proof.
+// proofRow is one whole-campaign proof: its scenario (plan, seed and
+// stream label are the oracle's; LeaseBatch 0 means 4) and what only the
+// test sets.
 type proofRow struct {
-	name      string
-	virtual   bool // the campaign runs on a fresh vclock.Virtual
-	procs     int  // GOMAXPROCS for the run (0: as it is)
-	plane     ShardedConfig
-	wal       bool // plane.WALDir is a fresh temporary directory
-	chaosSeed int64
-	chaos     chaos.Config // zero: no injector
-	workers   int
-	lease     int // Driver.LeaseBatch (0: 4)
-	realize   bool
-	straggler time.Duration
-	restarts  int    // Driver.RestartBudget (0: the driver's default)
-	metrics   bool   // one registry for the plane, the driver and netsim
-	replay    string // replay group
-	checks    []proofCheck
+	Scenario
+	name   string
+	procs  int    // GOMAXPROCS for the run (0: as it is)
+	wal    bool   // Plane.WALDir is a fresh temporary directory
+	replay string // replay group
+	checks []proofCheck
 }
 
 // proofCheck asserts what a row's scenario promises beyond the dataset.
@@ -81,22 +69,16 @@ type proofCheck func(t *testing.T, r *proofRun)
 
 // proofRun is what one row's campaign leaves for its checks.
 type proofRun struct {
-	row    proofRow
-	camp   *Campaign
-	inj    *chaos.Injector // nil without chaos
-	fleet  *ShardedFleet   // nil for one server
-	reg    *obs.Registry   // nil without metrics
-	clk    *vclock.Virtual // nil on the wall clock
-	url    string
-	walDir string
-	first  *proofRun // the replay group's first run, if this is not it
+	*Outcome
+	row   proofRow  // as run: its Plane.WALDir and LeaseBatch filled in
+	first *proofRun // the replay group's first run, if this is not it
 }
 
 func proofRows() []proofRow {
 	var rows []proofRow
 	add := func(r proofRow) { rows = append(rows, r) }
 	heavy := func(r proofRow, seed int64) proofRow {
-		r.chaosSeed, r.chaos = seed, chaos.Heavy()
+		r.ChaosSeed, r.Chaos = seed, chaos.Heavy()
 		return r
 	}
 
@@ -105,7 +87,7 @@ func proofRows() []proofRow {
 	// seed, so they repeat no chaos row's campaign.
 	for _, faults := range []bool{false, true} {
 		for _, workers := range []int{1, 4} {
-			r := proofRow{name: fmt.Sprintf("TestFleetProtoEquivalence/v3/chaos=%v/workers=%d", faults, workers), workers: workers}
+			r := proofRow{name: fmt.Sprintf("TestFleetProtoEquivalence/v3/chaos=%v/workers=%d", faults, workers), Scenario: Scenario{Workers: workers}}
 			if faults {
 				r = heavy(r, 31)
 			}
@@ -116,23 +98,23 @@ func proofRows() []proofRow {
 	// deliveries, latency spikes, 503/429 storms and ME crashes.
 	for _, seed := range []int64{7, 1002} {
 		for _, workers := range []int{1, 4} {
-			add(heavy(proofRow{name: fmt.Sprintf("TestFleetChaosEquivalence/chaosSeed=%d/workers=%d", seed, workers), workers: workers}, seed))
+			add(heavy(proofRow{name: fmt.Sprintf("TestFleetChaosEquivalence/chaosSeed=%d/workers=%d", seed, workers), Scenario: Scenario{Workers: workers}}, seed))
 		}
 	}
 	// Every injection is keyed per (ME, incarnation, op, attempt), not on
 	// the interleaving, so a chaos seed draws one trace at any worker count.
 	for i, workers := range []int{4, 4, 1} {
-		add(heavy(proofRow{name: fmt.Sprintf("TestChaosDeterminism/run=%d/workers=%d", i, workers), workers: workers, replay: "chaos-99"}, 99))
+		add(heavy(proofRow{name: fmt.Sprintf("TestChaosDeterminism/run=%d/workers=%d", i, workers), Scenario: Scenario{Workers: workers}, replay: "chaos-99"}, 99))
 	}
 	// A watchdog that never fires changes nothing (one that does costs an
 	// incarnation, not data).
-	add(proofRow{name: "TestChaosStragglerWatchdog", workers: 2, chaosSeed: 7, chaos: chaos.Light(), straggler: 30 * time.Second})
+	add(proofRow{name: "TestChaosStragglerWatchdog", Scenario: Scenario{Workers: 2, ChaosSeed: 7, Chaos: chaos.Light(), Straggler: 30 * time.Second}})
 
 	// Placement is a pure function of the ME's name, and every shard's WAL
 	// is written and rotated mid-campaign.
 	for _, shards := range []int{1, 4} {
-		add(proofRow{name: fmt.Sprintf("TestShardedFleetEquivalence/v3/shards=%d", shards), workers: 4, wal: true,
-			plane: ShardedConfig{Shards: shards, SegmentBytes: 4096}, checks: []proofCheck{walsRotated}})
+		add(proofRow{name: fmt.Sprintf("TestShardedFleetEquivalence/v3/shards=%d", shards), wal: true, checks: []proofCheck{walsRotated},
+			Scenario: Scenario{Workers: 4, Plane: ShardedConfig{Shards: shards, SegmentBytes: 4096}}})
 	}
 	// A killed shard loses its registry, queues and idempotency state
 	// wholesale; on either clock, no result is lost or duplicated, and the
@@ -145,12 +127,12 @@ func proofRows() []proofRow {
 		test    string
 		virtual bool
 	}{{"TestShardCrashRecovery", false}, {"TestShardCrashRecoveryVirtual", true}} {
-		add(proofRow{name: c.test + "/force-kill", virtual: c.virtual, workers: 4, wal: true, metrics: true,
-			plane:  ShardedConfig{Shards: 4, SegmentBytes: 4096, ForceKill: true, ForceKillShard: shard.NewRing(4).Shard("me-PAK-0")},
-			checks: []proofCheck{shardsKilled, coldReplay}})
-		add(proofRow{name: c.test + "/chaos-schedule", virtual: c.virtual, workers: 4, wal: true, metrics: true,
-			chaosSeed: 7, chaos: shardKills, plane: ShardedConfig{Shards: 4, SegmentBytes: 4096},
-			checks: []proofCheck{shardsKilled, coldReplay}})
+		add(proofRow{name: c.test + "/force-kill", wal: true, checks: []proofCheck{shardsKilled, coldReplay},
+			Scenario: Scenario{Virtual: c.virtual, Workers: 4, Metrics: true,
+				Plane: ShardedConfig{Shards: 4, SegmentBytes: 4096, ForceKill: true, ForceKillShard: shard.NewRing(4).Shard("me-PAK-0")}}})
+		add(proofRow{name: c.test + "/chaos-schedule", wal: true, checks: []proofCheck{shardsKilled, coldReplay},
+			Scenario: Scenario{Virtual: c.virtual, Workers: 4, Metrics: true, ChaosSeed: 7, Chaos: shardKills,
+				Plane: ShardedConfig{Shards: 4, SegmentBytes: 4096}}})
 	}
 	// The kill schedule keys on (shard, upload index). With one worker the
 	// upload order is fixed, so the whole trace, kills included, replays;
@@ -159,8 +141,8 @@ func proofRows() []proofRow {
 	// right after the upload that kills its shard; see runIncarnation's
 	// empty-first-lease check.)
 	for i, workers := range []int{1, 1, 4} {
-		r := proofRow{name: fmt.Sprintf("TestShardKillDeterminism/run=%d/workers=%d", i, workers), workers: workers, wal: true, metrics: true,
-			chaosSeed: 7, chaos: shardKills, plane: ShardedConfig{Shards: 4}, checks: []proofCheck{shardsKilled}}
+		r := proofRow{name: fmt.Sprintf("TestShardKillDeterminism/run=%d/workers=%d", i, workers), wal: true, checks: []proofCheck{shardsKilled},
+			Scenario: Scenario{Workers: workers, Metrics: true, ChaosSeed: 7, Chaos: shardKills, Plane: ShardedConfig{Shards: 4}}}
 		if workers == 1 {
 			r.replay = "shard-kill-serial"
 		}
@@ -171,10 +153,10 @@ func proofRows() []proofRow {
 	// every ME's registration at once, so each ME may spend one restart
 	// per reshard on top of what chaos spends.
 	for _, compactAfter := range []int{0, 2} {
-		add(proofRow{name: fmt.Sprintf("TestReshardEquivalence/compactAfter=%d", compactAfter), workers: 4, wal: true, metrics: true, restarts: 8,
-			plane: ShardedConfig{Shards: 1, SegmentBytes: 2048, CompactAfter: compactAfter,
-				Reshards: []ReshardStep{{AfterUploads: 4, Shards: 4}, {AfterUploads: 9, Shards: 2}}},
-			checks: []proofCheck{resharded, coldReplay}})
+		add(proofRow{name: fmt.Sprintf("TestReshardEquivalence/compactAfter=%d", compactAfter), wal: true, checks: []proofCheck{resharded, coldReplay},
+			Scenario: Scenario{Workers: 4, Metrics: true, RestartBudget: 8,
+				Plane: ShardedConfig{Shards: 1, SegmentBytes: 2048, CompactAfter: compactAfter,
+					Reshards: []ReshardStep{{AfterUploads: 4, Shards: 4}, {AfterUploads: 9, Shards: 2}}}}})
 	}
 	// A shard killed at compaction's nastiest crash point — the compacted
 	// segment committed in place, its sources still on disk — which the
@@ -182,16 +164,16 @@ func proofRows() []proofRow {
 	// then fires at the same upload every run (the first ME's last, 12 of
 	// the 48 results), and the three MEs that have not started lease from
 	// the fresh server.
-	add(proofRow{name: "TestCompactionCrashRecovery", workers: 1, wal: true, metrics: true, restarts: 8,
-		plane: ShardedConfig{Shards: 2, SegmentBytes: 1024, CompactAfter: 2,
-			ForceCompactKill: true, ForceCompactKillShard: shard.NewRing(2).Shard("me-PAK-0")},
-		checks: []proofCheck{compactKilled, shardsKilled, coldReplay}})
+	add(proofRow{name: "TestCompactionCrashRecovery", wal: true, checks: []proofCheck{compactKilled, shardsKilled, coldReplay},
+		Scenario: Scenario{Workers: 1, Metrics: true, RestartBudget: 8,
+			Plane: ShardedConfig{Shards: 2, SegmentBytes: 1024, CompactAfter: 2,
+				ForceCompactKill: true, ForceCompactKillShard: shard.NewRing(2).Shard("me-PAK-0")}}})
 	// Compaction kills drawn by the seeded schedule, under chaos.Heavy.
 	compactKills := chaos.Heavy()
 	compactKills.CompactKill, compactKills.MaxCompactKills = 0.9, 2
-	add(proofRow{name: "TestCompactionChaosSchedule", workers: 4, wal: true, metrics: true, restarts: 8,
-		chaosSeed: 7, chaos: compactKills, plane: ShardedConfig{Shards: 2, SegmentBytes: 1024, CompactAfter: 2},
-		checks: []proofCheck{compactKilled, coldReplay}})
+	add(proofRow{name: "TestCompactionChaosSchedule", wal: true, checks: []proofCheck{compactKilled, coldReplay},
+		Scenario: Scenario{Workers: 4, Metrics: true, RestartBudget: 8, ChaosSeed: 7, Chaos: compactKills,
+			Plane: ShardedConfig{Shards: 2, SegmentBytes: 1024, CompactAfter: 2}}})
 
 	// Time is plumbing: serial or parallel, clean or under chaos, with
 	// netsim durations instant or realized and jumped over.
@@ -201,7 +183,7 @@ func proofRows() []proofRow {
 		realize bool
 	}{{false, 1, false}, {false, 4, true}, {true, 4, false}, {false, 4, false}, {true, 1, false}, {true, 4, true}} {
 		r := proofRow{name: fmt.Sprintf("TestVirtualTimeEquivalence/virtual/v3/chaos=%v/workers=%d/realize=%v", c.faults, c.workers, c.realize),
-			virtual: true, workers: c.workers, realize: c.realize, straggler: 30 * time.Minute}
+			Scenario: Scenario{Virtual: true, Workers: c.workers, Realize: c.realize, Straggler: 30 * time.Minute}}
 		if c.faults {
 			r = heavy(r, 7)
 		}
@@ -211,8 +193,8 @@ func proofRows() []proofRow {
 	// one seed is one trace and one virtual makespan, whatever Workers
 	// (ignored on the virtual clock) and GOMAXPROCS say.
 	for _, p := range []struct{ workers, procs int }{{1, 1}, {4, 2}, {16, runtime.GOMAXPROCS(0)}} {
-		add(heavy(proofRow{name: fmt.Sprintf("TestVirtualDeterminism/workers=%d/gomaxprocs=%d", p.workers, p.procs),
-			virtual: true, procs: p.procs, workers: p.workers, realize: true, straggler: 30 * time.Minute, replay: "virtual-7"}, 7))
+		add(heavy(proofRow{name: fmt.Sprintf("TestVirtualDeterminism/workers=%d/gomaxprocs=%d", p.workers, p.procs), procs: p.procs, replay: "virtual-7",
+			Scenario: Scenario{Virtual: true, Workers: p.workers, Realize: true, Straggler: 30 * time.Minute}}, 7))
 	}
 	// How many tasks an ME leases at a time decides how often it waits
 	// (one realized wait per leased batch), never what it measures. Clean,
@@ -222,8 +204,8 @@ func proofRows() []proofRow {
 	// operations to fault.
 	for _, faults := range []bool{false, true} {
 		for _, batch := range []int{1, 4, 32} {
-			r := proofRow{name: fmt.Sprintf("TestBatchRealizeDifferential/chaos=%v/lease=%d", faults, batch),
-				virtual: true, realize: true, metrics: true, lease: batch, checks: []proofCheck{clockCounted}}
+			r := proofRow{name: fmt.Sprintf("TestBatchRealizeDifferential/chaos=%v/lease=%d", faults, batch), checks: []proofCheck{clockCounted},
+				Scenario: Scenario{Virtual: true, Realize: true, Metrics: true, LeaseBatch: batch}}
 			if faults {
 				r = heavy(r, 7)
 			} else {
@@ -236,11 +218,11 @@ func proofRows() []proofRow {
 	// Instrumentation rides every path, retries and restarts included,
 	// and changes no byte.
 	for _, workers := range []int{1, 4} {
-		add(proofRow{name: fmt.Sprintf("TestFleetMetricsEquivalence/metrics-on/workers=%d", workers), workers: workers, metrics: true})
+		add(proofRow{name: fmt.Sprintf("TestFleetMetricsEquivalence/metrics-on/workers=%d", workers), Scenario: Scenario{Workers: workers, Metrics: true}})
 	}
-	add(heavy(proofRow{name: "TestFleetMetricsEquivalence/metrics-on/chaos", workers: 4, metrics: true, checks: []proofCheck{metricsServed}}, 7))
+	add(heavy(proofRow{name: "TestFleetMetricsEquivalence/metrics-on/chaos", checks: []proofCheck{metricsServed}, Scenario: Scenario{Workers: 4, Metrics: true}}, 7))
 	// The exposition is whole after a serial campaign too.
-	add(heavy(proofRow{name: "TestFleetMetricsEndpoint", workers: 1, metrics: true, checks: []proofCheck{metricsServed}}, 7))
+	add(heavy(proofRow{name: "TestFleetMetricsEndpoint", checks: []proofCheck{metricsServed}, Scenario: Scenario{Workers: 1, Metrics: true}}, 7))
 	return rows
 }
 
@@ -260,8 +242,8 @@ func runProofs(t *testing.T) {
 				if got, want := r.trace(), first.trace(); got != want {
 					t.Errorf("fault trace differs from %s's:\n--- this row\n%s\n--- %s\n%s", first.row.name, got, first.row.name, want)
 				}
-				if r.clk != nil && r.camp.Stats.Elapsed != first.camp.Stats.Elapsed {
-					t.Errorf("virtual makespan %v, %s took %v", r.camp.Stats.Elapsed, first.row.name, first.camp.Stats.Elapsed)
+				if r.Clock != nil && r.Campaign.Stats.Elapsed != first.Campaign.Stats.Elapsed {
+					t.Errorf("virtual makespan %v, %s took %v", r.Campaign.Stats.Elapsed, first.row.name, first.Campaign.Stats.Elapsed)
 				}
 			} else if row.replay != "" {
 				firsts[row.replay] = r
@@ -281,7 +263,7 @@ func runProofs(t *testing.T) {
 	}
 }
 
-// runProof runs row's campaign and holds it to the oracle, with the
+// runProof runs row's scenario and holds it to the oracle, with the
 // checks every row of its kind makes: a chaos run injected a fault, and a
 // virtual run leaves no waiter behind and, realized, a positive makespan.
 func runProof(t *testing.T, row proofRow) *proofRun {
@@ -290,69 +272,36 @@ func runProof(t *testing.T, row proofRow) *proofRun {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(row.procs))
 	}
 	w, o := testWorld(t), oracle(t)
-	r := &proofRun{row: row}
-	plane := row.plane
+	row.Plan, row.Seed, row.StreamLabel = chaosTestPlan(), testSeed, "chaos-eq"
+	if row.LeaseBatch == 0 {
+		row.LeaseBatch = 4
+	}
 	if row.wal {
-		r.walDir = t.TempDir()
-		plane.WALDir = r.walDir
+		row.Plane.WALDir = t.TempDir()
 	}
-	if row.chaos != (chaos.Config{}) {
-		r.inj = chaos.NewInjector(row.chaosSeed, row.chaos)
-		plane.Chaos = r.inj
-	}
-	if row.metrics {
-		r.reg = obs.NewRegistry()
-		plane.Obs = r.reg
-		RegisterNetObs(r.reg, w.Net)
-	}
-	h, f, err := Host(plane)
+	// A harness bug that blocks a registered waiter off-clock would
+	// freeze the timeline: fail fast with the parked-waiter dump.
+	row.stallGuard = 90 * time.Second
+	out, err := row.Run(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f != nil {
-		r.fleet = f
-		t.Cleanup(func() { f.Close() })
-	}
-	if r.inj != nil {
-		h = r.inj.Middleware(h)
-	}
-	hs := httptest.NewServer(h)
-	t.Cleanup(hs.Close)
-	r.url = hs.URL
-	d := &Driver{BaseURL: hs.URL, Seed: testSeed, Workers: row.workers, LeaseBatch: 4,
-		StreamLabel: "chaos-eq", Heartbeat: true, Chaos: r.inj, Obs: r.reg,
-		Realize: row.realize, Straggler: row.straggler, RestartBudget: row.restarts}
-	if row.lease > 0 {
-		d.LeaseBatch = row.lease
-	}
-	if row.virtual {
-		r.clk = vclock.NewVirtual()
-		// A harness bug that blocks a registered waiter off-clock would
-		// freeze the timeline: fail fast with the parked-waiter dump.
-		defer r.clk.StallGuard(90*time.Second, nil)()
-		d.Clock = r.clk
-	}
-	if r.camp, err = d.Run(w, chaosTestPlan()); err != nil {
-		t.Fatal(err)
-	}
-	if f != nil {
-		// The last upload may have fired a reshard that is still swapping.
-		f.WaitIdle()
-	}
-	o.hold(t, "campaign", r.camp)
-	if r.inj != nil {
+	t.Cleanup(func() { out.Close() })
+	r := &proofRun{Outcome: out, row: row}
+	o.hold(t, "campaign", out.Dataset)
+	if r.Chaos != nil {
 		if t.Failed() {
-			t.Logf("fault trace:\n%s", r.inj.TraceString())
+			t.Logf("fault trace:\n%s", r.Chaos.TraceString())
 		}
-		if len(r.inj.Events()) == 0 {
+		if len(r.Chaos.Events()) == 0 {
 			t.Error("chaos run injected zero faults; the row proved nothing")
 		}
 	}
-	if r.clk != nil {
-		if reg, parked := r.clk.Waiters(); reg != 0 || parked != 0 {
+	if r.Clock != nil {
+		if reg, parked := r.Clock.Waiters(); reg != 0 || parked != 0 {
 			t.Errorf("waiter registry leaked: %d registered, %d parked after Run", reg, parked)
 		}
-		if row.realize && r.camp.Stats.Elapsed <= 0 {
+		if row.Realize && r.Campaign.Stats.Elapsed <= 0 {
 			t.Error("realized virtual campaign reports no virtual makespan")
 		}
 	}
@@ -360,10 +309,10 @@ func runProof(t *testing.T, row proofRow) *proofRun {
 }
 
 func (r *proofRun) trace() string {
-	if r.inj == nil {
+	if r.Chaos == nil {
 		return ""
 	}
-	return r.inj.TraceString()
+	return r.Chaos.TraceString()
 }
 
 func chaosTestPlan() Plan {
@@ -376,33 +325,14 @@ func chaosTestPlan() Plan {
 	}
 }
 
-// ingested is what a proof compares.
-type ingested struct {
-	ds          *Dataset
-	blob        []byte // ds as JSON
-	table4, rtt string
-}
-
-func ingestPlan(w *airalo.World, camp *Campaign) (ingested, error) {
-	ds, err := Ingest(w.Reg, camp)
-	if err != nil {
-		return ingested{}, err
-	}
-	blob, err := json.Marshal(ds)
-	if err != nil {
-		return ingested{}, err
-	}
-	plan := chaosTestPlan()
-	return ingested{ds, blob, Table4(ds, plan).String(), RTTSummary(ds, plan).String()}, nil
-}
-
 // proofOracle is chaosTestPlan run the way the paper's campaign ran —
 // RunInProcess: one ME at a time, one task per lease, on direct calls
 // into a private server with no socket or codec in between — under the
 // stream label and heartbeat every row uses.
 type proofOracle struct {
-	ingested
-	srv *amigo.Server // the oracle's server, holding its MEs' vitals
+	ds          *Dataset
+	table4, rtt string
+	srv         *amigo.Server // the oracle's server, holding its MEs' vitals
 }
 
 var oracleOnce struct {
@@ -420,10 +350,13 @@ func oracle(t testing.TB) *proofOracle {
 		o.srv = amigo.NewServer(nil)
 		var camp *Campaign
 		if camp, oracleOnce.err = runInProcess(o.srv, w, chaosTestPlan(), testSeed, "chaos-eq", true); oracleOnce.err == nil {
-			o.ingested, oracleOnce.err = ingestPlan(w, camp)
+			o.ds, oracleOnce.err = Ingest(w.Reg, camp)
 		}
-		if oracleOnce.err == nil && (len(o.ds.Speed) == 0 || len(o.ds.Traces) == 0 || len(o.ds.DNS) == 0 || o.table4 == "" || o.rtt == "") {
-			oracleOnce.err = errors.New("the oracle ingested an empty dataset; every row would hold to nothing")
+		if oracleOnce.err == nil {
+			o.table4, o.rtt = Table4(o.ds, chaosTestPlan()).String(), RTTSummary(o.ds, chaosTestPlan()).String()
+			if len(o.ds.Speed) == 0 || len(o.ds.Traces) == 0 || len(o.ds.DNS) == 0 || o.table4 == "" || o.rtt == "" {
+				oracleOnce.err = errors.New("the oracle ingested an empty dataset; every row would hold to nothing")
+			}
 		}
 	})
 	if oracleOnce.err != nil {
@@ -432,66 +365,40 @@ func oracle(t testing.TB) *proofOracle {
 	return &oracleOnce.o
 }
 
-// hold ingests camp and holds it to the oracle: the dataset's bytes,
-// Table 4 and the RTT summary. A dataset that differs is reported at its
-// first diverging record.
-func (o *proofOracle) hold(t *testing.T, what string, camp *Campaign) {
+// hold holds ds to the oracle: its bytes (Crosscheck, which reports a
+// dataset that differs at its first diverging record), Table 4 and the
+// RTT summary.
+func (o *proofOracle) hold(t *testing.T, what string, ds *Dataset) {
 	t.Helper()
-	got, err := ingestPlan(testWorld(t), camp)
+	if _, err := Crosscheck(ds, o.ds); err != nil {
+		t.Errorf("%s: %v", what, err)
+	}
+	plan := chaosTestPlan()
+	if got := Table4(ds, plan).String(); got != o.table4 {
+		t.Errorf("%s: Table 4 differs:\ngot:\n%s\nwant:\n%s", what, got, o.table4)
+	}
+	if got := RTTSummary(ds, plan).String(); got != o.rtt {
+		t.Errorf("%s: RTT summary differs:\ngot:\n%s\nwant:\n%s", what, got, o.rtt)
+	}
+}
+
+// holdResults ingests chaosTestPlan's uploaded results and holds the
+// dataset to the oracle.
+func (o *proofOracle) holdResults(t *testing.T, what string, results []amigo.Result) {
+	t.Helper()
+	ds, err := Ingest(testWorld(t).Reg, &Campaign{Schedules: chaosTestPlan().Schedules(), Results: results})
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	if !bytes.Equal(got.blob, o.blob) {
-		t.Errorf("%s: dataset differs from the oracle's: %s", what, firstDivergence(got.ds, o.ds))
-	}
-	if got.table4 != o.table4 {
-		t.Errorf("%s: Table 4 differs:\ngot:\n%s\nwant:\n%s", what, got.table4, o.table4)
-	}
-	if got.rtt != o.rtt {
-		t.Errorf("%s: RTT summary differs:\ngot:\n%s\nwant:\n%s", what, got.rtt, o.rtt)
-	}
-}
-
-// firstDivergence names the first record at which got and want part: its
-// kind, its index among that kind's records, its ME on each side and both
-// sides as JSON.
-func firstDivergence(got, want *Dataset) string {
-	gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
-	for f := 0; f < gv.NumField(); f++ {
-		kind, _, _ := strings.Cut(gv.Type().Field(f).Tag.Get("json"), ",")
-		g, w := gv.Field(f), wv.Field(f)
-		for i := 0; i < max(g.Len(), w.Len()); i++ {
-			gj, me := recordAt(g, i)
-			wj, wme := recordAt(w, i)
-			if gj != wj {
-				if me != wme {
-					me = fmt.Sprintf("%s (the oracle's: %s)", me, wme)
-				}
-				return fmt.Sprintf("%s[%d] of ME %s\n got: %s\nwant: %s", kind, i, me, gj, wj)
-			}
-		}
-	}
-	return "no record differs"
-}
-
-func recordAt(records reflect.Value, i int) (js, me string) {
-	if i >= records.Len() {
-		return "(none)", ""
-	}
-	rec := records.Index(i)
-	b, err := json.Marshal(rec.Interface())
-	if err != nil {
-		return err.Error(), ""
-	}
-	return string(b), rec.FieldByName("ME").String()
+	o.hold(t, what, ds)
 }
 
 // walsRotated: every shard's WAL took results and rotated, or the
 // durability half of the row proved nothing.
 func walsRotated(t *testing.T, r *proofRun) {
-	records, segments, shards := 0, 0, r.fleet.Shards()
+	records, segments, shards := 0, 0, r.Fleet.Shards()
 	for i := 0; i < shards; i++ {
-		wal := r.fleet.WAL(i)
+		wal := r.Fleet.WAL(i)
 		if err := wal.Err(); err != nil {
 			t.Fatalf("shard %d WAL error: %v", i, err)
 		}
@@ -509,10 +416,10 @@ func walsRotated(t *testing.T, r *proofRun) {
 
 // shardsKilled: a shard died, and an ME met its fresh server.
 func shardsKilled(t *testing.T, r *proofRun) {
-	if r.fleet.Kills() == 0 {
+	if r.Fleet.Kills() == 0 {
 		t.Fatal("no shard was killed; the row proved nothing")
 	}
-	if r.reg.Counter("fleet_shard_recoveries_total").Value() == 0 {
+	if r.Obs.Counter("fleet_shard_recoveries_total").Value() == 0 {
 		t.Error("no ME ran shard recovery despite a kill")
 	}
 }
@@ -521,46 +428,37 @@ func shardsKilled(t *testing.T, r *proofRun) {
 // schedule's draws (if any) are the fleet's kills, and no compaction
 // failed otherwise.
 func compactKilled(t *testing.T, r *proofRun) {
-	if r.fleet.CompactKills() == 0 {
+	if r.Fleet.CompactKills() == 0 {
 		t.Fatal("no compact-kill fired; the row proved nothing")
 	}
-	if r.inj != nil {
-		if got := r.inj.Counts()["compact-kill"]; got != r.fleet.CompactKills() {
-			t.Errorf("injector recorded %d compact-kills, fleet performed %d", got, r.fleet.CompactKills())
+	if r.Chaos != nil {
+		if got := r.Chaos.Counts()["compact-kill"]; got != r.Fleet.CompactKills() {
+			t.Errorf("injector recorded %d compact-kills, fleet performed %d", got, r.Fleet.CompactKills())
 		}
-	}
-	if err := r.fleet.CompactErr(); err != nil {
-		t.Fatalf("compaction failed outside the injected crash: %v", err)
 	}
 }
 
 // resharded: both reshard steps completed and copied records, and the
 // fleet, its metrics and the manifest on disk all say epoch 2 of 2 shards.
 func resharded(t *testing.T, r *proofRun) {
-	f := r.fleet
-	if err := f.ReshardErr(); err != nil {
-		t.Fatalf("reshard failed: %v", err)
-	}
-	if err := f.CompactErr(); err != nil {
-		t.Fatalf("compaction failed: %v", err)
-	}
+	f := r.Fleet
 	if n, st := f.Reshards(); n != 2 || st.Records == 0 {
 		t.Fatalf("%d reshards completed, the last copying %d records; want 2, copying some", n, st.Records)
 	}
 	if f.Shards() != 2 || f.Epoch() != 2 {
 		t.Fatalf("%d shards at epoch %d after 1→4→2, want 2 at epoch 2", f.Shards(), f.Epoch())
 	}
-	if got := r.reg.Counter("fleet_reshards_total").Value(); got != 2 {
+	if got := r.Obs.Counter("fleet_reshards_total").Value(); got != 2 {
 		t.Fatalf("fleet_reshards_total = %d, want 2", got)
 	}
-	if r.row.plane.CompactAfter > 0 {
+	if r.row.Plane.CompactAfter > 0 {
 		var buf bytes.Buffer
-		r.reg.WritePrometheus(&buf)
+		r.Obs.WritePrometheus(&buf)
 		if !bytes.Contains(buf.Bytes(), []byte("walsink_compactions_total")) {
 			t.Error("CompactAfter set but no compaction ran — shrink SegmentBytes")
 		}
 	}
-	if epoch, shards, err := LatestWALSet(r.walDir); err != nil || epoch != 2 || shards != 2 {
+	if epoch, shards, err := LatestWALSet(r.row.Plane.WALDir); err != nil || epoch != 2 || shards != 2 {
 		t.Fatalf("manifest says epoch=%d shards=%d (%v), want 2/2", epoch, shards, err)
 	}
 }
@@ -569,25 +467,24 @@ func resharded(t *testing.T, r *proofRun) {
 // resolving whatever a crash left — and holds the dataset rebuilt from
 // the replay alone to the oracle.
 func coldReplay(t *testing.T, r *proofRun) {
-	if err := r.fleet.Close(); err != nil {
+	if err := r.Fleet.Close(); err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := ReplayLatestWALs(r.walDir)
+	replayed, err := ReplayLatestWALs(r.row.Plane.WALDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := chaosTestPlan()
-	oracle(t).hold(t, "cold WAL replay", &Campaign{Plan: plan, Schedules: plan.Schedules(), Results: replayed})
+	oracle(t).holdResults(t, "cold WAL replay", replayed)
 }
 
 // clockCounted: the exposition carries the virtual clock's advances and
 // parks.
 func clockCounted(t *testing.T, r *proofRun) {
 	var b strings.Builder
-	if err := r.reg.WritePrometheus(&b); err != nil {
+	if err := r.Obs.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	st := r.clk.Stats()
+	st := r.Clock.Stats()
 	for _, line := range []string{
 		fmt.Sprintf("fleet_vclock_advances_total %d\n", st.Advances),
 		fmt.Sprintf("fleet_vclock_parks_total %d\n", st.Parks),
@@ -602,9 +499,9 @@ func clockCounted(t *testing.T, r *proofRun) {
 // network time.
 func parkedPerBatch(t *testing.T, r *proofRun) {
 	plan := chaosTestPlan()
-	batches := (plan.TasksPerME() + r.row.lease - 1) / r.row.lease
-	if want := uint64(plan.MECount() * batches); r.clk.Stats().Parks != want {
-		t.Errorf("%d parks, want %d (one per leased batch)", r.clk.Stats().Parks, want)
+	batches := (plan.TasksPerME() + r.row.LeaseBatch - 1) / r.row.LeaseBatch
+	if want := uint64(plan.MECount() * batches); r.Clock.Stats().Parks != want {
+		t.Errorf("%d parks, want %d (one per leased batch)", r.Clock.Stats().Parks, want)
 	}
 }
 
@@ -619,7 +516,7 @@ func execTimesAgree(t *testing.T, r *proofRun) {
 		exec := func(reg *obs.Registry) obs.HistSnapshot {
 			return reg.Histogram("amigo_endpoint_task_exec_ms", obs.L("kind", task.Kind)).Snapshot()
 		}
-		got, want := exec(r.reg), exec(r.first.reg)
+		got, want := exec(r.Obs), exec(r.first.Obs)
 		if got.Count != want.Count || got.Buckets != want.Buckets || math.Abs(got.Sum-want.Sum) > 1e-9*want.Sum {
 			t.Errorf("%s execution times: count %d sum %v ms, %s observed count %d sum %v ms",
 				task.Kind, got.Count, got.Sum, r.first.row.name, want.Count, want.Sum)
@@ -632,7 +529,7 @@ func execTimesAgree(t *testing.T, r *proofRun) {
 // client, fleet driver, netsim — and a positive task count; and
 // /admin/trace serves JSON events.
 func metricsServed(t *testing.T, r *proofRun) {
-	resp, err := http.Get(r.url + "/admin/metrics")
+	resp, err := http.Get(r.URL + "/admin/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,7 +583,7 @@ func metricsServed(t *testing.T, r *proofRun) {
 		}
 	}
 
-	resp, err = http.Get(r.url + "/admin/trace?n=50")
+	resp, err = http.Get(r.URL + "/admin/trace?n=50")
 	if err != nil {
 		t.Fatal(err)
 	}

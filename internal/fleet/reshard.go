@@ -130,9 +130,16 @@ func readWALManifest(root string) (walManifest, bool, error) {
 // shard-<i> layout, so pre-reshard deployments stay readable in place.
 func EpochWALDir(root string, epoch, i int) string {
 	if epoch == 0 {
-		return ShardWALDir(root, i)
+		return filepath.Join(root, fmt.Sprintf("shard-%d", i))
 	}
 	return filepath.Join(root, fmt.Sprintf("epoch-%d", epoch), fmt.Sprintf("shard-%d", i))
+}
+
+// openWAL opens shard i's WAL of the given epoch under the fleet's
+// WALDir, instrumented and wired to the compaction crash hook.
+func (f *ShardedFleet) openWAL(epoch, i int) (*walsink.Sink, error) {
+	return walsink.Open(EpochWALDir(f.cfg.WALDir, epoch, i), walsink.Options{SegmentBytes: f.cfg.SegmentBytes,
+		Obs: f.cfg.Obs, Labels: walLabels(i, epoch), CompactCrash: f.compactCrashFn(i)})
 }
 
 // LatestWALSet resolves which WAL set is live under root: the
@@ -148,7 +155,7 @@ func LatestWALSet(root string) (epoch, shards int, err error) {
 	}
 	n := 0
 	for {
-		if _, err := os.Stat(ShardWALDir(root, n)); err != nil {
+		if _, err := os.Stat(EpochWALDir(root, 0, n)); err != nil {
 			break
 		}
 		n++
@@ -333,12 +340,7 @@ func (f *ShardedFleet) doReshard(n int) {
 	}
 	dst := make([]*walsink.Sink, n)
 	for i := range dst {
-		w, err := walsink.Open(EpochWALDir(f.cfg.WALDir, epoch, i), walsink.Options{
-			SegmentBytes: f.cfg.SegmentBytes,
-			Obs:          f.cfg.Obs,
-			Labels:       walLabels(i, epoch),
-			CompactCrash: f.compactCrashFn(i),
-		})
+		w, err := f.openWAL(epoch, i)
 		if err != nil {
 			closeAll(dst)
 			fail(err)

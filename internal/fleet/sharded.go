@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"sync"
 
 	"roamsim/internal/amigo"
@@ -26,8 +25,8 @@ type ShardedConfig struct {
 	SegmentBytes int
 	// Chaos, when set, draws the shard-kill schedule: after each
 	// accepted upload, chaos.MaybeKillShard decides whether that shard
-	// dies. The same injector's Middleware should be wrapped around
-	// Handler() by the caller, exactly as with a single server.
+	// dies. Host also wraps the plane it returns, one server or the
+	// gateway, in the injector's storm Middleware.
 	Chaos *chaos.Injector
 	// ForceKill kills shard ForceKillShard after its first accepted
 	// upload — the deterministic one-shot used by tests and the
@@ -105,18 +104,23 @@ type ShardedFleet struct {
 // cfg.Obs, unless cfg needs what only a ShardedFleet does — more than
 // one shard, a WAL, compaction, a reshard, or a shard or compaction kill
 // (forced or drawn by chaos). The fleet is nil for a single server.
-func Host(cfg ShardedConfig) (http.Handler, *ShardedFleet, error) {
+// cfg.Chaos, when set, also wraps the handler in its storm middleware
+// (admin traffic carries no chaos header and passes through).
+func Host(cfg ShardedConfig) (h http.Handler, f *ShardedFleet, err error) {
 	kills := cfg.Chaos != nil && (cfg.Chaos.Config().ShardKill > 0 || cfg.Chaos.Config().CompactKill > 0)
 	if cfg.Shards <= 1 && cfg.WALDir == "" && !cfg.ForceKill && !cfg.ForceCompactKill &&
 		cfg.CompactAfter <= 0 && len(cfg.Reshards) == 0 && !kills {
 		srv := amigo.NewServer(nil, amigo.WithObs(cfg.Obs))
-		return shard.Mount(srv.Handler(), srv.AdminHandler()), nil, nil
-	}
-	f, err := NewShardedFleet(cfg)
-	if err != nil {
+		h = shard.Mount(srv.Handler(), srv.AdminHandler())
+	} else if f, err = NewShardedFleet(cfg); err != nil {
 		return nil, nil, err
+	} else {
+		h = f.Handler()
 	}
-	return f.Handler(), f, nil
+	if cfg.Chaos != nil {
+		h = cfg.Chaos.Middleware(h)
+	}
+	return h, f, nil
 }
 
 // NewShardedFleet builds the shard servers, their sinks, and the
@@ -162,12 +166,7 @@ func NewShardedFleet(cfg ShardedConfig) (*ShardedFleet, error) {
 	}
 	for i := 0; i < n; i++ {
 		if cfg.WALDir != "" {
-			wal, err := walsink.Open(EpochWALDir(cfg.WALDir, epoch, i), walsink.Options{
-				SegmentBytes: cfg.SegmentBytes,
-				Obs:          cfg.Obs,
-				Labels:       walLabels(i, epoch),
-				CompactCrash: f.compactCrashFn(i),
-			})
+			wal, err := f.openWAL(epoch, i)
 			if err != nil {
 				f.Close()
 				return nil, err
@@ -190,15 +189,8 @@ func NewShardedFleet(cfg ShardedConfig) (*ShardedFleet, error) {
 	return f, nil
 }
 
-// ShardWALDir is the canonical WAL directory for one shard of a
-// sharded deployment rooted at dir.
-func ShardWALDir(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%d", i))
-}
-
-// Handler is the fleet-facing control plane: the gateway. Wrap it in
-// chaos middleware (and an HTTP server) exactly as with a single amigo
-// server.
+// Handler is the fleet-facing control plane: the gateway, unwrapped
+// (Host adds the chaos middleware).
 func (f *ShardedFleet) Handler() http.Handler { return f.gw }
 
 // Gateway exposes the underlying gateway.

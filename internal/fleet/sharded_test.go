@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 
@@ -72,7 +74,8 @@ func TestNextReshardFiresOnceTheGatewayResumes(t *testing.T) {
 }
 
 // TestHostChoosesTopology: Host serves one server unless the config asks
-// for something only shards do, a kill drawn by chaos included.
+// for something only shards do, a kill drawn by chaos included, and
+// under chaos wraps either topology in the injector's storm middleware.
 func TestHostChoosesTopology(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -94,6 +97,23 @@ func TestHostChoosesTopology(t *testing.T) {
 		h, f, err := Host(tc.cfg)
 		if err != nil || h == nil {
 			t.Fatalf("%s: handler %v, %v", tc.name, h, err)
+		}
+		if tc.cfg.Chaos != nil {
+			// Every request stormed: an ME's lease is a 503 before the
+			// plane sees it.
+			storms := tc.cfg.Chaos.Config()
+			storms.Err5xx = 1
+			cfg := tc.cfg
+			cfg.Chaos = chaos.NewInjector(1, storms)
+			sh, sf, err := Host(cfg)
+			if err != nil || (sf != nil) != tc.sharded {
+				t.Fatalf("%s: stormed plane sharded %v, %v", tc.name, sf != nil, err)
+			}
+			req, rec := httptest.NewRequest(http.MethodPost, "/v3/lease", nil), httptest.NewRecorder()
+			req.Header.Set(chaos.MEHeader, "me-PAK")
+			if sh.ServeHTTP(rec, req); rec.Code != http.StatusServiceUnavailable || len(cfg.Chaos.Events()) != 1 {
+				t.Errorf("%s: a stormed lease got HTTP %d, %d faults recorded; want a 503 from the middleware", tc.name, rec.Code, len(cfg.Chaos.Events()))
+			}
 		}
 		if (f != nil) != tc.sharded {
 			t.Errorf("%s: sharded %v, want %v", tc.name, f != nil, tc.sharded)

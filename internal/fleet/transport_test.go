@@ -49,7 +49,7 @@ func runSerialHTTP(t *testing.T, plan Plan, seed int64, label string) *Campaign 
 // handler that dropped, reordered or rewrote a field would pass every
 // fleet-vs-fleet comparison and fail here.
 func TestSerialTransportDifferential(t *testing.T) {
-	oracle(t).hold(t, "serial campaign over HTTP", runSerialHTTP(t, chaosTestPlan(), testSeed, "chaos-eq"))
+	oracle(t).holdResults(t, "serial campaign over HTTP", runSerialHTTP(t, chaosTestPlan(), testSeed, "chaos-eq").Results)
 }
 
 // TestDriverRunReleasesOwnClient: a Driver without a Client builds a

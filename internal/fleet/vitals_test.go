@@ -55,7 +55,7 @@ func TestFleetVitalsMatchOracle(t *testing.T) {
 		check(t, func(string) *amigo.Server { return srv })
 	})
 	t.Run("sharded", func(t *testing.T) {
-		f := runProof(t, proofRow{workers: 4, plane: ShardedConfig{Shards: 4}}).fleet
+		f := runProof(t, proofRow{Scenario: Scenario{Workers: 4, Plane: ShardedConfig{Shards: 4}}}).Fleet
 		check(t, func(me string) *amigo.Server { return f.Server(f.Ring().Shard(me)) })
 	})
 }

@@ -44,8 +44,8 @@
 // ROAM000 too: a waiver that waives nothing only hides the next real
 // finding.
 //
-// The suite is stdlib-only (go/parser, go/ast, go/types plus the source
-// importer) so go.mod stays dependency-free.
+// The suite is stdlib-only (go/parser, go/ast, go/types plus go/importer
+// over export data) so go.mod stays dependency-free.
 package lint
 
 import (

@@ -180,6 +180,34 @@ func TestSelect(t *testing.T) {
 	}
 }
 
+// TestLoaderFailsWithoutExportData: a standard-library import whose
+// export data cannot be built (here: no build cache) is a type error of
+// the importing package, which roamvet turns into exit 2, and never a
+// package skipped without a word.
+func TestLoaderFailsWithoutExportData(t *testing.T) {
+	t.Setenv("GOCACHE", "off")
+	mod := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod": "module m\n\ngo 1.22\n",
+		"m.go":   "package m\n\nimport \"hash/adler32\"\n\nconst Size = adler32.Size\n",
+	} {
+		if err := os.WriteFile(filepath.Join(mod, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loader, err := NewLoader(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := loader.Load("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.TypeErrs) == 0 || !strings.Contains(p.TypeErrs[0].Error(), "no export data for hash/adler32") {
+		t.Fatalf("type errors %v, want one naming the missing export data", p.TypeErrs)
+	}
+}
+
 // TestScopeTablesNameRealPaths: every scope entry must name a
 // directory or file that exists, or the analyzers it scopes silently
 // lose that coverage when a package or file is moved or renamed.

@@ -32,7 +32,7 @@ type Package struct {
 // Loader loads and type-checks packages of one module from source.
 // Module-local imports resolve recursively through the loader itself;
 // everything else (the standard library — go.mod has no external
-// dependencies) resolves through go/importer's source importer.
+// dependencies) through export data that `go list -export` builds.
 type Loader struct {
 	ModRoot string // absolute module root (directory holding go.mod)
 	ModPath string // module path from go.mod
@@ -72,7 +72,7 @@ func NewLoader(dir string) (*Loader, error) {
 		ModRoot: root,
 		ModPath: modPath,
 		fset:    fset,
-		std:     importer.ForCompiler(fset, "source", nil),
+		std:     importer.ForCompiler(fset, "gc", nil),
 		pkgs:    map[string]*Package{},
 		loading: map[string]bool{},
 	}, nil
@@ -223,7 +223,8 @@ func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
 }
 
 // chainImporter resolves module-local imports through the Loader and
-// everything else through the source importer.
+// everything else through export data; missing export data is a type
+// error of the importing package (roamvet exits 2), never a skip.
 type chainImporter struct {
 	loader *Loader
 }
@@ -240,5 +241,9 @@ func (c *chainImporter) Import(path string) (*types.Package, error) {
 		}
 		return p.Pkg, nil
 	}
-	return l.std.Import(path)
+	p, err := l.std.Import(path)
+	if err != nil {
+		err = fmt.Errorf("lint: no export data for %s (the loader needs the go command and a writable GOCACHE): %w", path, err)
+	}
+	return p, err
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # loc.sh: non-test Go lines per package outside bench/ and testdata/, and
-# their total — the number ROADMAP item 7 tracks. Every PR reports its
+# their total — the number ROADMAP item 6 tracks. Every PR reports its
 # per-package delta in CHANGES.md from two runs of this (parent, change).
 #
 # Usage: loc.sh [tree]   (default: the current directory)

@@ -4,14 +4,17 @@
 # benchmark inside that checkout) at tree A's BENCHMARK.json run_seconds
 # and applies the rule a claimed gain is held to:
 #
+#   - at least 10 pairs, after an A-vs-A pass of at least 5;
 #   - B is better than A in at least 9 of every 10 pairs, run in
 #     alternating order (A first in odd pairs, B first in even ones);
 #   - the gap between the medians is larger than the interquartile range
-#     of A's runs.
+#     of A's runs, and, over A's median, larger than the noise floor.
 #
-# An A-vs-A pass runs first: tree A against itself, pair by pair. Its
-# spread is the noise floor of the box at the time, stated beside the
-# verdict.
+# The A-vs-A pass runs first: tree A against itself, pair by pair. Its
+# spread (IQR over median) is the noise floor of the box at the time. A
+# set with too few pairs of either kind is written with the verdict "too
+# few pairs"; one that misses a win count, the IQR or the floor, with
+# "not met". Each line names the rule that judged it in its "rule" field.
 # It prints one table row per pair and appends the rows, quartiles and
 # verdict of this run as one line of BENCH_<workload>.json at the root of
 # the repository holding this script; every earlier line is kept, and a
@@ -24,7 +27,7 @@
 # Exit status: 0 when the rule holds, 1 when it does not, 2 on a failed run.
 set -euo pipefail
 
-usage() { sed -n '2,24p' "$0" >&2; exit 2; }
+usage() { sed -n '2,27p' "$0" >&2; exit 2; }
 [ $# -ge 2 ] || usage
 a=$(cd "$1" && pwd) b=$(cd "$2" && pwd)
 shift 2
@@ -108,8 +111,13 @@ if ((aa > 0)); then
   read -r fmed fq1 fq3 <<<"$(printf '%s' "$aavals" | stats)"
   floor=$(awk -v m="$fmed" -v q1="$fq1" -v q3="$fq3" 'BEGIN { printf "%.4g", (q3 - q1) / m }')
 fi
-verdict=$(awk -v a="$amed" -v b="$bmed" -v q1="$aq1" -v q3="$aq3" -v w="$wins" -v k="$pairs" -v better="$better" '
-  BEGIN { gap = (better == "lower" ? a - b : b - a); print (w * 10 >= 9 * k && gap > q3 - q1) ? "met" : "not met" }')
+rule="at least 10 pairs after at least 5 A-vs-A pairs; B better in at least 9 of 10; median gap above A's IQR and, over A's median, above the A-vs-A IQR/median"
+verdict=$(awk -v a="$amed" -v b="$bmed" -v q1="$aq1" -v q3="$aq3" -v w="$wins" -v k="$pairs" -v aa="$aa" -v floor="$floor" -v better="$better" '
+  BEGIN {
+    if (k < 10 || aa < 5) { print "too few pairs"; exit }
+    gap = (better == "lower" ? a - b : b - a)
+    print (w * 10 >= 9 * k && gap > q3 - q1 && gap / a > floor) ? "met" : "not met"
+  }')
 printf '\nA median %s (IQR %s..%s), B median %s (IQR %s..%s): %+.1f%%\n' "$amed" "$aq1" "$aq3" "$bmed" "$bq1" "$bq3" \
   "$(awk -v a="$amed" -v b="$bmed" 'BEGIN { print (b / a - 1) * 100 }')"
 printf 'B better in %d of %d pairs; A-vs-A: second run better in %d of %d, IQR/median %s (the noise floor)\n' \
@@ -124,7 +132,7 @@ n=$(grep -c "^{\"seed\":$seed," <<<"$earlier" || true)
 set="{\"seed\":$seed,\"run\":$((n + 1)),\"metric\":\"$metric\",\"better\":\"$better\",\"seconds\":$seconds,\"tree_a\":\"$(name "$a")\",\"tree_b\":\"$(name "$b")\","
 set+="\"a\":{\"median\":$amed,\"q1\":$aq1,\"q3\":$aq3},\"b\":{\"median\":$bmed,\"q1\":$bq1,\"q3\":$bq3},"
 set+="\"wins\":$wins,\"pairs\":$pairs,\"aa_pairs\":$aa,\"aa_second_better\":$aawins,\"aa_iqr_over_median\":$floor,"
-set+="\"verdict\":\"$verdict\",\"rows\":[$rows]}"
+set+="\"rule\":\"$rule\",\"verdict\":\"$verdict\",\"rows\":[$rows]}"
 {
   printf '{"workload":"%s","sets":[\n' "$workload"
   printf '%s\n' "$earlier" "$set" | grep . | sed '$!s/$/,/'
