@@ -45,6 +45,12 @@ import (
 )
 
 func main() {
+	var kinds []string // the device campaign's task kinds, in plan order
+	for _, t := range fleet.DeviceCampaignTools {
+		if !slices.Contains(kinds, t.Kind) {
+			kinds = append(kinds, t.Kind)
+		}
+	}
 	server := flag.String("server", "", "AmiGo control server base URL (empty = self-host on loopback)")
 	mes := flag.Int("mes", 1000, "total fleet size; split evenly across countries")
 	countries := flag.String("countries", strings.Join(fleet.DeviceCountries, ","), "comma-separated ISO3 country codes")
@@ -53,7 +59,7 @@ func main() {
 	lease := flag.Int("lease", 32, "max tasks leased per lease round trip")
 	reps := flag.Int("reps", 1, "repetitions per (tool, config)")
 	configs := flag.String("configs", "sim,esim", "comma-separated SIM configurations")
-	tools := flag.String("tools", "", "comma-separated task kinds to keep (speedtest,mtr,cdn,dns,video; empty = all)")
+	tools := flag.String("tools", "", "comma-separated task kinds to keep ("+strings.Join(kinds, ",")+"; empty = all)")
 	crosscheck := flag.Bool("crosscheck", false, "also run the plan serially in-process and hold the dataset's bytes to that run's")
 	chaosMode := flag.String("chaos", "", "inject deterministic faults: \"light\" or \"heavy\" (empty = off)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "fault-schedule seed (0 = use -seed); same seed replays the same faults")
@@ -85,28 +91,13 @@ func main() {
 			ForceKill: *killShard >= 0, ForceKillShard: *killShard, CompactAfter: *compactAfter},
 	}
 	plan := &sc.Plan
-	plan.Countries = splitList(*countries)
-	if len(plan.Countries) == 0 {
-		fatal(fmt.Errorf("-countries %q names no country", *countries))
-	}
+	plan.Countries = pick("countries", *countries, nil)
 	plan.MEsPerCountry = max(1, *mes/len(plan.Countries))
-	known := plan.Configs
-	plan.Configs = splitList(*configs)
-	if len(plan.Configs) == 0 {
-		fatal(fmt.Errorf("-configs %q names no configuration", *configs))
-	}
-	for _, c := range plan.Configs {
-		if !slices.Contains(known, c) {
-			fatal(fmt.Errorf("unknown -configs entry %q (want %s)", c, strings.Join(known, ",")))
-		}
-	}
+	plan.Configs = pick("configs", *configs, plan.Configs)
 	plan.Reps = *reps
 	if *tools != "" {
-		keep := splitList(*tools)
+		keep := pick("tools", *tools, kinds)
 		plan.Tasks = slices.DeleteFunc(slices.Clone(plan.Tasks), func(t amigo.Task) bool { return !slices.Contains(keep, t.Kind) })
-		if len(plan.Tasks) == 0 {
-			fatal(fmt.Errorf("-tools %q matches none of the campaign tools", *tools))
-		}
 	}
 	if *chaosMode != "" {
 		mode, ok := map[string]func() chaos.Config{"light": chaos.Light, "heavy": chaos.Heavy}[*chaosMode]
@@ -264,14 +255,23 @@ func profile(cpu, mem string) (stop func() error, err error) {
 	}, nil
 }
 
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
+// pick splits the comma list value of flag -name, refusing a list that
+// names nothing and an entry outside known (nil: any entry).
+func pick(name, value string, known []string) []string {
+	var list []string
+	for _, v := range strings.Split(value, ",") {
+		if v = strings.TrimSpace(v); v == "" {
+			continue
 		}
+		if known != nil && !slices.Contains(known, v) {
+			fatal(fmt.Errorf("unknown -%s entry %q (want %s)", name, v, strings.Join(known, ",")))
+		}
+		list = append(list, v)
 	}
-	return out
+	if len(list) == 0 {
+		fatal(fmt.Errorf("-%s %q names nothing", name, value))
+	}
+	return list
 }
 
 func fatal(err error) {

@@ -5,17 +5,19 @@
 // DESIGN.md).
 //
 //	roamvet                     # analyze every package in the module
-//	roamvet -only clockpurity   # run a subset
 //	roamvet -json               # machine-readable report (editors, CI)
 //	roamvet -allows             # print the //lint:allow waiver inventory
 //	roamvet -C /path/to/module  # analyze another checkout
 //
-// The -json report carries both the findings and the full inventory of
-// active //lint:allow directives (file, line, analyzer, reason), so a
-// CI artifact shows every place the tree opts out of a contract — and
-// why — not just where it violates one.
+// It loads the module with one `go list -export` run, so it needs the
+// go command and a writable GOCACHE. The -json report carries both the
+// findings and the full inventory of active //lint:allow directives
+// (file, line, analyzer, reason), so a CI artifact shows every place the
+// tree opts out of a contract — and why — not just where it violates
+// one.
 //
-// Exit status: 0 clean, 1 findings, 2 usage or load failure.
+// Exit status: 0 clean, 1 findings, 2 usage or load failure (a failing
+// go command or a type error).
 package main
 
 import (
@@ -35,32 +37,17 @@ type report struct {
 
 func main() {
 	var (
-		only      = flag.String("only", "", "comma-separated analyzers to run (default: all)")
 		jsonOut   = flag.Bool("json", false, "emit findings and the allow inventory as JSON")
 		showAllow = flag.Bool("allows", false, "print active //lint:allow directives and exit")
-		dir       = flag.String("C", ".", "module directory to analyze")
-		list      = flag.Bool("list", false, "list analyzers and exit")
+		dir       = flag.String("C", ".", "module root to analyze")
 	)
 	flag.Parse()
 
-	analyzers, err := lint.Select(*only)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "roamvet:", err)
-		os.Exit(2)
-	}
-	if *list {
-		for _, a := range lint.Analyzers() {
-			fmt.Printf("%s  %-12s %s\n", a.Code, a.Name, a.Doc)
-		}
-		return
-	}
-
+	var pkgs []*lint.Package
 	loader, err := lint.NewLoader(*dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "roamvet:", err)
-		os.Exit(2)
+	if err == nil {
+		pkgs, err = loader.LoadAll()
 	}
-	pkgs, err := loader.LoadAll()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "roamvet:", err)
 		os.Exit(2)
@@ -74,7 +61,7 @@ func main() {
 		}
 	}
 
-	allows := lint.Allows(pkgs)
+	diags, allows := lint.CheckModule(pkgs, lint.Analyzers())
 	if *showAllow {
 		for _, a := range allows {
 			fmt.Printf("%s:%d: allow %s: %s\n", a.File, a.Line, a.Analyzer, a.Reason)
@@ -85,8 +72,6 @@ func main() {
 		}
 		return
 	}
-
-	diags := lint.CheckModule(pkgs, analyzers)
 
 	if *jsonOut {
 		rep := report{Diagnostics: diags, Allows: allows}

@@ -33,7 +33,6 @@ import (
 var bodyhygieneAnalyzer = &Analyzer{
 	Name: "bodyhygiene",
 	Code: "ROAM004",
-	Doc:  "HTTP response bodies are drained, closed, and read through a bound on every path",
 	// Run is wired in init to avoid an initialization cycle
 	// (the run function references the analyzer for diagnostics).
 }

@@ -239,3 +239,31 @@ func f() {
 		t.Error("may-forward: gen() inside a closure body must not leak into enclosing flow")
 	}
 }
+
+// TestContainingNodeInsideRange: a call in a range body maps to its own
+// statement, not to the RangeStmt node that spans the whole loop, so a
+// fact the body sets before the call holds at the call.
+func TestContainingNodeInsideRange(t *testing.T) {
+	fd := parseFunc(t, `
+func f(xs []int) {
+	for range xs {
+		gen()
+		probe()
+	}
+}`)
+	var probe *ast.CallExpr
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && call.Fun.(*ast.Ident).Name == "probe" {
+			probe = call
+		}
+		return probe == nil
+	})
+	g := buildCFG(fd.Body)
+	node := containingNode(g, probe)
+	if _, ok := node.(*ast.ExprStmt); !ok {
+		t.Fatalf("containingNode = %T, want the call's *ast.ExprStmt", node)
+	}
+	if !g.solve(true, true, callFact)[node]["x"] {
+		t.Error("must-forward: gen() before probe() in the loop body should hold at probe()")
+	}
+}

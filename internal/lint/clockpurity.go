@@ -32,7 +32,6 @@ import "go/ast"
 var clockpurityAnalyzer = &Analyzer{
 	Name: "clockpurity",
 	Code: "ROAM007",
-	Doc:  "no wall clock, wall-clock timer, deadline context, or global math/rand bypasses the injected vclock.Clock and seeded rng",
 	// Run is wired in init to avoid an initialization cycle
 	// (the run function references the analyzer for diagnostics).
 }
@@ -64,8 +63,7 @@ var mathRandAllowed = map[string]bool{
 func runClockpurity(p *Package) []Diagnostic {
 	var out []Diagnostic
 	for _, f := range p.Files {
-		filename := p.Fset.Position(f.Pos()).Filename
-		if !deterministic(p, filename) {
+		if !inScope(dataset, p, f) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {

@@ -9,11 +9,12 @@ import (
 	"testing"
 )
 
-// TestRoamvetExitCodes builds the real roamvet binary, points it at a
-// scratch module seeded with one violation per self-contained
-// contract, and asserts the CLI behavior the Makefile and CI rely on:
-// nonzero exit naming every code on a dirty tree, zero exit with -only
-// scoped to an analyzer the tree passes, and a parseable -json mode.
+// TestRoamvetExitCodes builds the real roamvet binary, points it at
+// scratch modules, and asserts the CLI behavior the Makefile and CI
+// rely on: exit 1 naming every code on a module seeded with one
+// violation per self-contained contract, exit 0 on a clean module, a
+// parseable -json mode, and exit 2 naming the cause when the module
+// does not type-check or the go command cannot build export data.
 func TestRoamvetExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the roamvet binary")
@@ -25,37 +26,42 @@ func TestRoamvetExitCodes(t *testing.T) {
 		t.Fatalf("building roamvet: %v\n%s", err, out)
 	}
 
-	// Scratch module named roamsim so the deterministic-scope rules
-	// apply; the seeded file lands under internal/measure (in scope).
-	mod := filepath.Join(tmp, "mod")
-	dir := filepath.Join(mod, "internal", "measure")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(mod, "go.mod"), []byte("module roamsim\n\ngo 1.22\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Scratch modules named roamsim so the deterministic-scope rules
+	// apply; each file lands under internal/measure (in scope).
 	seeded, err := os.ReadFile(filepath.Join("testdata", "src", "seeded", "seeded.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "seeded.go"), seeded, 0o644); err != nil {
-		t.Fatal(err)
+	module := func(name, src string) string {
+		mod := filepath.Join(tmp, name)
+		dir := filepath.Join(mod, "internal", "measure")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(mod, "go.mod"), []byte("module roamsim\n\ngo 1.22\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "measure.go"), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return mod
 	}
+	mod := module("seeded", string(seeded))
 
-	run := func(args ...string) (string, int) {
+	run := func(mod string, env []string, args ...string) (string, string, int) {
 		cmd := exec.Command(bin, append(args, "-C", mod)...)
+		cmd.Env = append(os.Environ(), env...)
 		out, err := cmd.Output()
-		code := 0
+		code, stderr := 0, ""
 		if ee, ok := err.(*exec.ExitError); ok {
-			code = ee.ExitCode()
+			code, stderr = ee.ExitCode(), string(ee.Stderr)
 		} else if err != nil {
 			t.Fatalf("running roamvet %v: %v", args, err)
 		}
-		return string(out), code
+		return string(out), stderr, code
 	}
 
-	out, code := run()
+	out, _, code := run(mod, nil)
 	if code != 1 {
 		t.Fatalf("seeded module: exit %d, want 1\n%s", code, out)
 	}
@@ -65,11 +71,21 @@ func TestRoamvetExitCodes(t *testing.T) {
 		}
 	}
 
-	if out, code := run("-only", "guardedfield"); code != 0 {
-		t.Fatalf("-only guardedfield on seeded module: exit %d, want 0\n%s", code, out)
+	clean := module("clean", "package measure\n\nfunc Twice(x int) int { return 2 * x }\n")
+	if out, _, code := run(clean, nil); code != 0 {
+		t.Fatalf("clean module: exit %d, want 0\n%s", code, out)
 	}
 
-	out, code = run("-json")
+	broken := module("broken", "package measure\n\nvar N int = \"many\"\n")
+	if _, stderr, code := run(broken, nil); code != 2 || !strings.Contains(stderr, "type error") || !strings.Contains(stderr, `"many"`) {
+		t.Fatalf("module with a type error: exit %d, want 2 naming the error\n%s", code, stderr)
+	}
+
+	if _, stderr, code := run(mod, []string{"GOCACHE=off"}); code != 2 || !strings.Contains(stderr, "go list") {
+		t.Fatalf("GOCACHE=off: exit %d, want 2 naming the go command's failure\n%s", code, stderr)
+	}
+
+	out, _, code = run(mod, nil, "-json")
 	if code != 1 {
 		t.Fatalf("-json seeded module: exit %d, want 1\n%s", code, out)
 	}
@@ -95,7 +111,7 @@ func TestRoamvetExitCodes(t *testing.T) {
 		t.Errorf("malformed JSON allow entry: %+v", a)
 	}
 
-	out, code = run("-allows")
+	out, _, code = run(mod, nil, "-allows")
 	if code != 0 {
 		t.Fatalf("-allows on seeded module: exit %d, want 0\n%s", code, out)
 	}
@@ -169,7 +185,8 @@ func TestAnalyzersFireOnRealMutants(t *testing.T) {
 		},
 	}
 
-	base, err := NewLoader(".")
+	root := filepath.Join("..", "..")
+	loader, err := NewLoader(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,25 +194,23 @@ func TestAnalyzersFireOnRealMutants(t *testing.T) {
 	for _, row := range rows {
 		covered[row.analyzer] = true
 		t.Run(row.analyzer, func(t *testing.T) {
-			analyzers, err := Select(row.analyzer)
+			analyzers := analyzersNamed(t, row.analyzer)
+			importPath := "roamsim/" + row.pkg
+			dir := filepath.Join(root, filepath.FromSlash(row.pkg))
+			real, err := loader.LoadDir(dir, importPath)
 			if err != nil {
 				t.Fatal(err)
 			}
-			importPath := base.ModPath + "/" + row.pkg
-			real, err := base.Load(importPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, d := range CheckModule([]*Package{real}, analyzers) {
+			diags, _ := CheckModule([]*Package{real}, analyzers)
+			for _, d := range diags {
 				t.Errorf("unmutated %s has a finding: %s", row.pkg, d)
 			}
 
 			// The mutant: the package's files in a scratch dir, one of
 			// them mutated, loaded under the real import path so the
-			// analyzer's scope applies. A fresh loader (sharing only the
-			// standard-library importer) keeps the real package out.
+			// analyzer's scope applies. Its imports read export data, so
+			// the real package never enters its type-check.
 			scratch := t.TempDir()
-			dir := filepath.Join(base.ModRoot, filepath.FromSlash(row.pkg))
 			ents, err := os.ReadDir(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -219,16 +234,14 @@ func TestAnalyzersFireOnRealMutants(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			mloader := &Loader{ModRoot: base.ModRoot, ModPath: base.ModPath, fset: base.fset, std: base.std,
-				pkgs: map[string]*Package{}, loading: map[string]bool{}}
-			p, err := mloader.LoadDir(scratch, importPath)
+			p, err := loader.LoadDir(scratch, importPath)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, terr := range p.TypeErrs {
 				t.Fatalf("mutant does not type-check: %v", terr)
 			}
-			diags := CheckModule([]*Package{p}, analyzers)
+			diags, _ = CheckModule([]*Package{p}, analyzers)
 			for _, d := range diags {
 				if d.Analyzer == row.analyzer && filepath.Base(d.File) == row.file && strings.Contains(d.Message, row.want) {
 					return

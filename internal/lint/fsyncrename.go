@@ -38,7 +38,6 @@ import (
 var fsyncrenameAnalyzer = &Analyzer{
 	Name: "fsyncrename",
 	Code: "ROAM006",
-	Doc:  "os.Rename commits in durability-scoped packages are fenced by File.Sync before and a directory fsync after",
 	// Run is wired in init to avoid an initialization cycle
 	// (the run function references the analyzer for diagnostics).
 }
@@ -51,11 +50,10 @@ const (
 )
 
 func runFsyncrename(p *Package) []Diagnostic {
-	fileSyncers, dirSyncers := classifySyncHelpers(p)
+	syncs := syncSummaries(p)
 	var out []Diagnostic
 	for _, f := range p.Files {
-		filename := p.Fset.Position(f.Pos()).Filename
-		if !durabilityScoped(p, filename) {
+		if !inScope(durable, p, f) {
 			continue
 		}
 		for _, decl := range f.Decls {
@@ -67,7 +65,7 @@ func runFsyncrename(p *Package) []Diagnostic {
 			if len(renames) == 0 {
 				continue
 			}
-			out = append(out, checkRenameProtocol(p, fd, renames, fileSyncers, dirSyncers)...)
+			out = append(out, checkRenameProtocol(p, fd, renames, syncs)...)
 		}
 	}
 	return out
@@ -86,9 +84,7 @@ func renameCalls(p *Package, body *ast.BlockStmt) []*ast.CallExpr {
 	return out
 }
 
-func checkRenameProtocol(p *Package, fd *ast.FuncDecl, renames []*ast.CallExpr,
-	fileSyncers, dirSyncers map[*types.Func]bool) []Diagnostic {
-
+func checkRenameProtocol(p *Package, fd *ast.FuncDecl, renames []*ast.CallExpr, syncs summary) []Diagnostic {
 	g := buildCFG(fd.Body)
 	dirOpened := dirHandles(p, fd)
 
@@ -99,7 +95,7 @@ func checkRenameProtocol(p *Package, fd *ast.FuncDecl, renames []*ast.CallExpr,
 			if !ok {
 				return true
 			}
-			if isFileSyncCall(p, call) || fileSyncers[calleeFunc(p, call)] {
+			if isFileSyncCall(p, call) || syncs.of(p, call)[factFileSynced] {
 				in[factFileSynced] = true
 			}
 			return true
@@ -116,7 +112,7 @@ func checkRenameProtocol(p *Package, fd *ast.FuncDecl, renames []*ast.CallExpr,
 			synced := false
 			inspectShallow(ret, func(m ast.Node) bool {
 				if call, ok := m.(*ast.CallExpr); ok &&
-					(isDirSyncCall(p, call, dirOpened) || dirSyncers[calleeFunc(p, call)]) {
+					(isDirSyncCall(p, call, dirOpened) || syncs.of(p, call)[factDirSync]) {
 					synced = true
 				}
 				return true
@@ -135,7 +131,7 @@ func checkRenameProtocol(p *Package, fd *ast.FuncDecl, renames []*ast.CallExpr,
 			if !ok {
 				return true
 			}
-			if isDirSyncCall(p, call, dirOpened) || dirSyncers[calleeFunc(p, call)] {
+			if isDirSyncCall(p, call, dirOpened) || syncs.of(p, call)[factDirSync] {
 				gen = true
 			}
 			if isTerminalCall(call) {
@@ -170,24 +166,20 @@ func checkRenameProtocol(p *Package, fd *ast.FuncDecl, renames []*ast.CallExpr,
 	return out
 }
 
-// containingNode finds the CFG node (statement or control expression)
-// that contains expr.
-func containingNode(g *funcCFG, expr ast.Expr) ast.Node {
+// containingNode finds the innermost flow node (statement or control
+// expression) that holds n, or n itself if it is one; nil if none does.
+// Innermost matters inside a range loop, whose RangeStmt node spans its
+// body's statements too.
+func containingNode(g *funcCFG, n ast.Node) ast.Node {
+	var best ast.Node
 	for _, b := range g.blocks {
-		for _, n := range b.nodes {
-			found := false
-			inspectShallow(n, func(m ast.Node) bool {
-				if m == ast.Node(expr) {
-					found = true
-				}
-				return !found
-			})
-			if found {
-				return n
+		for _, m := range b.nodes {
+			if m.Pos() <= n.Pos() && n.End() <= m.End() && (best == nil || m.End()-m.Pos() < best.End()-best.Pos()) {
+				best = m
 			}
 		}
 	}
-	return nil
+	return best
 }
 
 // isFileSyncCall reports whether call is X.Sync() where X is an
@@ -240,53 +232,25 @@ func isDirSyncCall(p *Package, call *ast.CallExpr, dirOpened map[*types.Var]bool
 	return v != nil && dirOpened[v]
 }
 
-// classifySyncHelpers partitions this package's functions into file
-// syncers (the body, transitively, calls Sync on an *os.File) and dir
-// syncers (the body, transitively, syncs a handle opened with os.Open
-// — the fsyncDir shape). A helper can be both; fsyncDir is.
-func classifySyncHelpers(p *Package) (fileSyncers, dirSyncers map[*types.Func]bool) {
-	fileSyncers = map[*types.Func]bool{}
-	dirSyncers = map[*types.Func]bool{}
-	decls := funcDecls(p)
-	for _, d := range decls {
+// syncSummaries summarizes this package's functions by the syncs their
+// bodies make, transitively: factFileSynced for a Sync on an *os.File,
+// factDirSync for a Sync on a handle opened with os.Open (the fsyncDir
+// shape). A helper can have both; fsyncDir does.
+func syncSummaries(p *Package) summary {
+	return summarize(funcDecls(p), func(d funcDecl) (out []string) {
 		dirOpened := dirHandles(p, d.fd)
-		ast.Inspect(d.fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+		walkNoGo(d.fd.Body, func(n ast.Node) {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if isFileSyncCall(p, call) {
+					out = append(out, factFileSynced)
+				}
+				if isDirSyncCall(p, call, dirOpened) {
+					out = append(out, factDirSync)
+				}
 			}
-			if isFileSyncCall(p, call) {
-				fileSyncers[d.fn] = true
-			}
-			if isDirSyncCall(p, call, dirOpened) {
-				dirSyncers[d.fn] = true
-			}
-			return true
 		})
-	}
-	// Propagate through module-local calls to a fixed point (helpers
-	// that delegate to helpers).
-	for changed := true; changed; {
-		changed = false
-		for _, d := range decls {
-			ast.Inspect(d.fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if !fileSyncers[d.fn] && fileSyncers[calleeFunc(p, call)] {
-					fileSyncers[d.fn] = true
-					changed = true
-				}
-				if !dirSyncers[d.fn] && dirSyncers[calleeFunc(p, call)] {
-					dirSyncers[d.fn] = true
-					changed = true
-				}
-				return true
-			})
-		}
-	}
-	return fileSyncers, dirSyncers
+		return out
+	})
 }
 
 // errorBail reports whether ret returns a non-nil error that was

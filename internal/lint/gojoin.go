@@ -41,7 +41,6 @@ import (
 var gojoinAnalyzer = &Analyzer{
 	Name: "gojoin",
 	Code: "ROAM008",
-	Doc:  "every go statement in control-plane packages has a join path (WaitGroup pairing, channel collector, or a justified allow)",
 	// Run is wired in init to avoid an initialization cycle
 	// (the run function references the analyzer for diagnostics).
 }
@@ -55,8 +54,7 @@ func runGojoin(p *Package) []Diagnostic {
 	}
 	var out []Diagnostic
 	for _, f := range p.Files {
-		filename := p.Fset.Position(f.Pos()).Filename
-		if !controlPlaneScoped(p, filename) {
+		if !inScope(controlPlane, p, f) {
 			continue
 		}
 		for _, decl := range f.Decls {
@@ -116,13 +114,14 @@ func checkGoJoins(p *Package, fd *ast.FuncDecl, body *ast.BlockStmt, declByFunc 
 
 	var out []Diagnostic
 	for _, spawn := range spawns {
-		out = append(out, checkOneSpawn(p, fd, body, g, reach, spawn, declByFunc)...)
+		// A go statement is a flow node of its own.
+		out = append(out, checkOneSpawn(p, fd, body, reach[spawn], spawn, declByFunc)...)
 	}
 	return out
 }
 
-func checkOneSpawn(p *Package, fd *ast.FuncDecl, body *ast.BlockStmt, g *funcCFG,
-	reach map[ast.Node]facts, spawn *ast.GoStmt, declByFunc map[*types.Func]*ast.FuncDecl) []Diagnostic {
+func checkOneSpawn(p *Package, fd *ast.FuncDecl, body *ast.BlockStmt,
+	spawnFacts facts, spawn *ast.GoStmt, declByFunc map[*types.Func]*ast.FuncDecl) []Diagnostic {
 
 	var out []Diagnostic
 
@@ -159,7 +158,7 @@ func checkOneSpawn(p *Package, fd *ast.FuncDecl, body *ast.BlockStmt, g *funcCFG
 		return out
 	}
 
-	if hasJoinEvidence(p, body, reach, spawn, spawnedBody) {
+	if hasJoinEvidence(body, spawnFacts, spawn, spawnedBody) {
 		return out
 	}
 	out = append(out, diag(p, gojoinAnalyzer, spawn.Pos(),
@@ -168,11 +167,7 @@ func checkOneSpawn(p *Package, fd *ast.FuncDecl, body *ast.BlockStmt, g *funcCFG
 	return out
 }
 
-func hasJoinEvidence(p *Package, body *ast.BlockStmt, reach map[ast.Node]facts,
-	spawn *ast.GoStmt, spawnedBody *ast.BlockStmt) bool {
-
-	spawnFacts := reach[containingGoNode(reach, spawn)]
-
+func hasJoinEvidence(body *ast.BlockStmt, spawnFacts facts, spawn *ast.GoStmt, spawnedBody *ast.BlockStmt) bool {
 	// WaitGroup-style: Done in the spawned body + a reaching Add on a
 	// matching counter.
 	if spawnedBody != nil {
@@ -196,27 +191,6 @@ func hasJoinEvidence(p *Package, body *ast.BlockStmt, reach map[ast.Node]facts,
 		}
 	}
 	return false
-}
-
-// containingGoNode finds the flow node holding spawn; the go statement
-// is itself a statement-level node in its block.
-func containingGoNode(reach map[ast.Node]facts, spawn *ast.GoStmt) ast.Node {
-	if _, ok := reach[spawn]; ok {
-		return spawn
-	}
-	for n := range reach {
-		found := false
-		inspectShallow(n, func(m ast.Node) bool {
-			if m == ast.Node(spawn) {
-				found = true
-			}
-			return !found
-		})
-		if found {
-			return n
-		}
-	}
-	return nil
 }
 
 // addCallBase matches X.Add(...) spawn-accounting calls and returns

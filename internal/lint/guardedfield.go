@@ -42,7 +42,6 @@ import (
 var guardedfieldAnalyzer = &Analyzer{
 	Name: "guardedfield",
 	Code: "ROAM005",
-	Doc:  "fields annotated \"guarded by <mu>\" are only touched with <mu> held",
 	// Run is wired in init to avoid an initialization cycle
 	// (the run function references the analyzer for diagnostics).
 }

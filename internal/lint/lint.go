@@ -44,30 +44,32 @@
 // ROAM000 too: a waiver that waives nothing only hides the next real
 // finding.
 //
-// The suite is stdlib-only (go/parser, go/ast, go/types plus go/importer
-// over export data) so go.mod stays dependency-free.
+// The module loads with one `go list -export` run (load.go): each
+// module package is type-checked from source on its own, and every
+// import, module packages included, is read from export data. The
+// suite is stdlib-only (go/parser, go/ast, go/types, go/importer), so
+// go.mod stays dependency-free.
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"regexp"
 	"slices"
-	"sort"
 	"strings"
 )
 
 // Diagnostic is one analyzer finding, positioned in the original source.
 type Diagnostic struct {
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"`
-	Line     int            `json:"line"`
-	Col      int            `json:"col"`
-	Code     string         `json:"code"`     // "ROAM007"
-	Analyzer string         `json:"analyzer"` // "clockpurity"
-	Message  string         `json:"message"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Code     string `json:"code"`     // "ROAM007"
+	Analyzer string `json:"analyzer"` // "clockpurity"
+	Message  string `json:"message"`
 }
 
 // String renders the canonical single-line form used by the CLI.
@@ -83,9 +85,8 @@ func (d Diagnostic) String() string {
 // (nil entries in Info maps) — analyzers degrade to reporting nothing
 // rather than panicking.
 type Analyzer struct {
-	Name      string // short selector name, e.g. "clockpurity"
+	Name      string // the name diagnostics and //lint:allow use, e.g. "clockpurity"
 	Code      string // stable diagnostic code, e.g. "ROAM007"
-	Doc       string // one-line contract statement
 	Run       func(p *Package) []Diagnostic
 	RunModule func(pkgs []*Package) []Diagnostic
 }
@@ -104,37 +105,6 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// Select resolves an -only comma list against the suite (empty: the
-// whole suite). An unknown name is an error so typos fail loudly.
-func Select(only string) ([]*Analyzer, error) {
-	all := Analyzers()
-	known := make(map[string]*Analyzer, len(all))
-	for _, a := range all {
-		known[a.Name] = a
-	}
-	want := map[string]bool{}
-	for _, n := range strings.Split(only, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		if known[n] == nil {
-			return nil, fmt.Errorf("unknown analyzer %q (have %s)", n, analyzerNames(all))
-		}
-		want[n] = true
-	}
-	if len(want) == 0 {
-		return all, nil
-	}
-	var out []*Analyzer
-	for _, a := range all {
-		if want[a.Name] {
-			out = append(out, a)
-		}
-	}
-	return out, nil
-}
-
 func analyzerNames(as []*Analyzer) string {
 	names := make([]string, len(as))
 	for i, a := range as {
@@ -147,9 +117,10 @@ func analyzerNames(as []*Analyzer) string {
 // per-package analyzers on each package, module analyzers once over
 // the whole set. //lint:allow suppression applies across all of them.
 // Waiver hygiene is reported as ROAM000: a directive without a reason,
-// one naming no analyzer, and one for a selected analyzer that
-// suppressed nothing. The result is sorted by position.
-func CheckModule(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+// one naming no analyzer, and one for a given analyzer that suppressed
+// nothing. It returns the findings and the well-formed directives, each
+// sorted by position.
+func CheckModule(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Allow) {
 	var diags []Diagnostic
 	selected := map[string]bool{}
 	for _, a := range analyzers {
@@ -198,21 +169,19 @@ func CheckModule(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				"lint:allow %s suppresses nothing: remove the stale waiver", al.Analyzer))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		if out[i].Line != out[j].Line {
-			return out[i].Line < out[j].Line
-		}
-		return out[i].Col < out[j].Col
+	slices.SortStableFunc(out, func(a, b Diagnostic) int {
+		return cmp.Or(strings.Compare(a.File, b.File), a.Line-b.Line, a.Col-b.Col)
 	})
-	return out
+	slices.SortStableFunc(allows, func(a, b Allow) int {
+		return cmp.Or(strings.Compare(a.File, b.File), a.Line-b.Line)
+	})
+	return out, allows
 }
 
 // An Allow is one active //lint:allow directive: the waiver inventory
 // roamvet -json and -allows expose so CI artifacts show every place
-// the tree opts out of a contract, and why.
+// the tree opts out of a contract, and why. Malformed directives (no
+// reason, or no such analyzer) are ROAM000 findings, not waivers.
 type Allow struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`
@@ -222,30 +191,10 @@ type Allow struct {
 	col int // the directive's column, for ROAM000 reports
 }
 
-// Allows returns every well-formed allow directive in the given
-// packages, sorted by position. Malformed directives (no reason, or no
-// such analyzer) are excluded — those are ROAM000 findings, not
-// waivers.
-func Allows(pkgs []*Package) []Allow {
-	var out []Allow
-	for _, p := range pkgs {
-		list, _ := collectAllows(p)
-		out = append(out, list...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Line < out[j].Line
-	})
-	return out
-}
-
 // diag builds a Diagnostic for node position pos.
 func diag(p *Package, a *Analyzer, pos token.Pos, format string, args ...any) Diagnostic {
 	position := p.Fset.Position(pos)
 	return Diagnostic{
-		Pos:      position,
 		File:     position.Filename,
 		Line:     position.Line,
 		Col:      position.Column,
@@ -307,7 +256,6 @@ func collectAllows(p *Package) ([]Allow, []Diagnostic) {
 // allowDiag builds a ROAM000 waiver-hygiene diagnostic.
 func allowDiag(file string, line, col int, format string, args ...any) Diagnostic {
 	return Diagnostic{
-		Pos:      token.Position{Filename: file, Line: line, Column: col},
 		File:     file,
 		Line:     line,
 		Col:      col,
@@ -401,4 +349,75 @@ func funcDecls(pkgs ...*Package) []funcDecl {
 		}
 	}
 	return out
+}
+
+// A summary maps a function's FullName to the facts its body yields.
+// It keys by name, not by *types.Func: a function imported into another
+// package is another object there.
+type summary map[string]facts
+
+// summarize computes, for every function in decls, the facts direct
+// finds in its body plus those of every function in decls it calls, as
+// a transitive fixed point. Calls under a go statement are left out: a
+// spawned call does not run while its caller waits.
+func summarize(decls []funcDecl, direct func(funcDecl) []string) summary {
+	sum := summary{}
+	callees := make([][]string, len(decls))
+	for i, d := range decls {
+		for _, f := range direct(d) {
+			sum.add(d.fn.FullName(), f)
+		}
+		walkNoGo(d.fd.Body, func(n ast.Node) {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if fn := calleeFunc(d.p, call); fn != nil {
+					callees[i] = append(callees[i], fn.FullName())
+				}
+			}
+		})
+	}
+	for changed := true; changed; {
+		changed = false
+		for i, d := range decls {
+			for _, callee := range callees[i] {
+				for f := range sum[callee] {
+					changed = sum.add(d.fn.FullName(), f) || changed
+				}
+			}
+		}
+	}
+	return sum
+}
+
+// add records fact for fn and reports whether it was new.
+func (s summary) add(fn, fact string) bool {
+	if s[fn][fact] {
+		return false
+	}
+	if s[fn] == nil {
+		s[fn] = facts{}
+	}
+	s[fn][fact] = true
+	return true
+}
+
+// of returns the summary of call's callee: nil for a callee it does not
+// know.
+func (s summary) of(p *Package, call *ast.CallExpr) facts {
+	if fn := calleeFunc(p, call); fn != nil {
+		return s[fn.FullName()]
+	}
+	return nil
+}
+
+// walkNoGo visits every node except go-statement subtrees.
+func walkNoGo(root ast.Node, visit func(ast.Node)) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		if _, ok := n.(*ast.GoStmt); ok {
+			return false
+		}
+		if n != nil {
+			visit(n)
+		}
+		return true
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -73,11 +74,7 @@ func checkGolden(t *testing.T, loader *Loader, dir, asPath string, analyzerNames
 	for _, terr := range p.TypeErrs {
 		t.Errorf("%s: type error: %v", dir, terr)
 	}
-	analyzers, err := Select(strings.Join(analyzerNames, ","))
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := CheckModule([]*Package{p}, analyzers)
+	diags, _ := CheckModule([]*Package{p}, analyzersNamed(t, analyzerNames...))
 	wants := collectWants(t, p)
 
 	for _, d := range diags {
@@ -106,7 +103,7 @@ func checkGolden(t *testing.T, loader *Loader, dir, asPath string, analyzerNames
 }
 
 func TestGoldenDiagnostics(t *testing.T) {
-	loader, err := NewLoader(".")
+	loader, err := NewLoader(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,24 +163,25 @@ func TestGoldenDiagnostics(t *testing.T) {
 	})
 }
 
-func TestSelect(t *testing.T) {
-	all, err := Select("")
-	if err != nil || len(all) != 8 {
-		t.Fatalf("Select(all) = %d analyzers, err %v; want 8", len(all), err)
+// analyzersNamed picks analyzers from the suite by name.
+func analyzersNamed(t *testing.T, names ...string) []*Analyzer {
+	t.Helper()
+	var out []*Analyzer
+	for _, a := range Analyzers() {
+		if slices.Contains(names, a.Name) {
+			out = append(out, a)
+		}
 	}
-	only, err := Select("clockpurity,maporder")
-	if err != nil || len(only) != 2 {
-		t.Fatalf("Select(only) = %d analyzers, err %v; want 2", len(only), err)
+	if len(out) != len(names) {
+		t.Fatalf("analyzers %v: some name no analyzer of the suite", names)
 	}
-	if _, err := Select("nosuch"); err == nil {
-		t.Fatal("Select with unknown analyzer did not error")
-	}
+	return out
 }
 
-// TestLoaderFailsWithoutExportData: a standard-library import whose
-// export data cannot be built (here: no build cache) is a type error of
-// the importing package, which roamvet turns into exit 2, and never a
-// package skipped without a word.
+// TestLoaderFailsWithoutExportData: when the go command cannot build
+// export data (here: no build cache), loading fails with an error that
+// names the go command's failure, which roamvet turns into exit 2, and
+// never skips a package without a word.
 func TestLoaderFailsWithoutExportData(t *testing.T) {
 	t.Setenv("GOCACHE", "off")
 	mod := t.TempDir()
@@ -195,45 +193,45 @@ func TestLoaderFailsWithoutExportData(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	loader, err := NewLoader(mod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := loader.Load("m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.TypeErrs) == 0 || !strings.Contains(p.TypeErrs[0].Error(), "no export data for hash/adler32") {
-		t.Fatalf("type errors %v, want one naming the missing export data", p.TypeErrs)
+	_, err := NewLoader(mod)
+	if err == nil || !strings.Contains(err.Error(), "go list") || !strings.Contains(err.Error(), "GOCACHE") {
+		t.Fatalf("NewLoader with GOCACHE=off: error %v, want one naming the go command's failure", err)
 	}
 }
 
 // TestScopeTablesNameRealPaths: every scope entry must name a
-// directory or file that exists, or the analyzers it scopes silently
-// lose that coverage when a package or file is moved or renamed.
+// directory or a file of the module, or the analyzers it scopes
+// silently lose that coverage when a package or file is moved or
+// renamed.
 func TestScopeTablesNameRealPaths(t *testing.T) {
-	root := filepath.Join("..", "..")
-	for name, subtrees := range map[string][]string{
-		"detSubtrees":          detSubtrees,
-		"durabilitySubtrees":   durabilitySubtrees,
-		"controlPlaneSubtrees": controlPlaneSubtrees,
-	} {
-		for _, dir := range subtrees {
-			if fi, err := os.Stat(filepath.Join(root, dir)); err != nil || !fi.IsDir() {
-				t.Errorf("%s entry %q is not a directory of the module", name, dir)
-			}
+	for key, s := range scopes {
+		fi, err := os.Stat(filepath.Join("..", "..", filepath.FromSlash(key)))
+		if err != nil || fi.IsDir() == strings.HasSuffix(key, ".go") || s == 0 {
+			t.Errorf("scope entry %q is not a directory or .go file of the module with a contract", key)
 		}
 	}
-	for name, files := range map[string]map[string][]string{
-		"detFiles":        detFiles,
-		"durabilityFiles": durabilityFiles,
+}
+
+// TestLockGraphCrossesPackages: the module's lock graph holds the edges
+// that only call summaries across packages produce, which a summary
+// keyed by an imported object instead of its name would lose.
+func TestLockGraphCrossesPackages(t *testing.T) {
+	loader, err := NewLoader(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := buildLockGraph(pkgs)
+	for _, e := range []struct{ from, to, fn string }{
+		{"fleet.ShardedFleet.mu", "walsink.Sink.mu", "Close"},            // f.mu held across wal.Close
+		{"fleet.ShardedFleet.mu", "amigo.registryShard.mu", "KillShard"}, // f.mu held across amigo.NewServer
 	} {
-		for dir, bases := range files {
-			for _, base := range bases {
-				if fi, err := os.Stat(filepath.Join(root, dir, base)); err != nil || fi.IsDir() {
-					t.Errorf("%s entry %s/%s is not a file of the module", name, dir, base)
-				}
-			}
+		w, ok := g.edges[e.from][e.to]
+		if !ok || w.fn != e.fn {
+			t.Errorf("lock graph edge %s → %s: witness %q (present %v), want one in %s", e.from, e.to, w.fn, ok, e.fn)
 		}
 	}
 }

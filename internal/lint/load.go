@@ -1,13 +1,17 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -18,7 +22,6 @@ import (
 // type errors; analyzers tolerate nil lookups.
 type Package struct {
 	Path  string // import path, e.g. "roamsim/internal/netsim"
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File // non-test files only
 	Pkg   *types.Package
@@ -29,101 +32,72 @@ type Package struct {
 	TypeErrs []error
 }
 
-// Loader loads and type-checks packages of one module from source.
-// Module-local imports resolve recursively through the loader itself;
-// everything else (the standard library — go.mod has no external
-// dependencies) through export data that `go list -export` builds.
+// Loader type-checks packages from source against the export data one
+// `go list -export` run built. Every import, module packages included,
+// is read from that export data, so each package is checked on its own
+// and exactly once. Objects imported by two packages are therefore
+// distinct: a map across packages keys a function by its FullName.
 type Loader struct {
-	ModRoot string // absolute module root (directory holding go.mod)
-	ModPath string // module path from go.mod
-
-	fset *token.FileSet
-	std  types.Importer
-	pkgs map[string]*Package
-	// loading guards against import cycles (invalid Go, but a cycle in
-	// a broken tree must error, not hang).
-	loading map[string]bool
+	fset   *token.FileSet
+	imp    types.Importer
+	module []listed // the packages ./... matched, in import-path order
 }
 
-// NewLoader locates the module root at or above dir and reads the
-// module path from go.mod.
+// listed is one package as `go list -json` reports it.
+type listed struct {
+	ImportPath, Dir, Export string
+	GoFiles                 []string
+	DepOnly                 bool
+	Error                   *struct{ Err string }
+}
+
+// NewLoader lists the packages at and under dir (the module root, for
+// the whole module) and all their dependencies with one `go list -e
+// -export -deps`, which builds export data for each into the build
+// cache. A failing go command is a load error, never a skipped package.
 func NewLoader(dir string) (*Loader, error) {
-	abs, err := filepath.Abs(dir)
+	cmd := exec.Command("go", "list", "-e", "-export", "-deps",
+		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Error", "./...")
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lint: go list in %s: %w: %s", dir, err, strings.TrimSpace(stderr.String()))
 	}
-	root := abs
-	for {
-		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
-			break
+	l := &Loader{fset: token.NewFileSet()}
+	deps := map[string]listed{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listed
+		if err := dec.Decode(&p); err != nil {
+			return nil, fmt.Errorf("lint: reading go list output: %w", err)
 		}
-		parent := filepath.Dir(root)
-		if parent == root {
-			return nil, fmt.Errorf("lint: no go.mod at or above %s", abs)
-		}
-		root = parent
-	}
-	modPath, err := modulePath(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	return &Loader{
-		ModRoot: root,
-		ModPath: modPath,
-		fset:    fset,
-		std:     importer.ForCompiler(fset, "gc", nil),
-		pkgs:    map[string]*Package{},
-		loading: map[string]bool{},
-	}, nil
-}
-
-// modulePath extracts the module path from the first "module" line of a
-// go.mod file. The module has no dependencies, so a full modfile parser
-// is not needed.
-func modulePath(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
-	if err != nil {
-		return "", err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.TrimSpace(rest), nil
+		deps[p.ImportPath] = p
+		if !p.DepOnly && len(p.GoFiles) > 0 {
+			l.module = append(l.module, p)
 		}
 	}
-	return "", fmt.Errorf("lint: no module line in %s", gomod)
-}
-
-// LoadAll discovers every package directory in the module (skipping
-// testdata, vendor, and hidden directories) and loads each one. The
-// result is sorted by import path.
-func (l *Loader) LoadAll() ([]*Package, error) {
-	var dirs []string
-	err := filepath.WalkDir(l.ModRoot, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
+	sort.Slice(l.module, func(i, j int) bool { return l.module[i].ImportPath < l.module[j].ImportPath })
+	l.imp = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
+		p, ok := deps[path]
+		switch {
+		case !ok:
+			return nil, fmt.Errorf("lint: %s is not a dependency of the listed packages", path)
+		case p.Export == "" && p.Error != nil:
+			return nil, fmt.Errorf("lint: no export data for %s: %s", path, strings.TrimSpace(p.Error.Err))
+		case p.Export == "":
+			return nil, fmt.Errorf("lint: no export data for %s", path)
 		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != l.ModRoot && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-			name == "testdata" || name == "vendor" || name == "bin") {
-			return filepath.SkipDir
-		}
-		if hasGoFiles(path) {
-			dirs = append(dirs, path)
-		}
-		return nil
+		return os.Open(p.Export)
 	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(dirs)
-	var out []*Package
-	for _, dir := range dirs {
-		p, err := l.Load(l.pathForDir(dir))
+	return l, nil
+}
+
+// LoadAll type-checks every listed package, in import-path order.
+func (l *Loader) LoadAll() ([]*Package, error) {
+	out := make([]*Package, 0, len(l.module))
+	for _, m := range l.module {
+		p, err := l.check(m.ImportPath, m.Dir, m.GoFiles)
 		if err != nil {
 			return nil, err
 		}
@@ -132,118 +106,48 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 	return out, nil
 }
 
-func (l *Loader) pathForDir(dir string) string {
-	rel, err := filepath.Rel(l.ModRoot, dir)
-	if err != nil || rel == "." {
-		return l.ModPath
-	}
-	return l.ModPath + "/" + filepath.ToSlash(rel)
-}
-
-func hasGoFiles(dir string) bool {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
-			return true
-		}
-	}
-	return false
-}
-
-// Load parses and type-checks the module package with the given import
-// path, loading its module-local dependencies first. Results are
-// memoized, so a package shared by many importers is checked once.
-func (l *Loader) Load(path string) (*Package, error) {
-	if p, ok := l.pkgs[path]; ok {
-		return p, nil
-	}
-	rel := strings.TrimPrefix(strings.TrimPrefix(path, l.ModPath), "/")
-	dir := filepath.Join(l.ModRoot, filepath.FromSlash(rel))
-	return l.LoadDir(dir, path)
-}
-
-// LoadDir parses and type-checks the single package in dir under the
-// import path asPath. This is also the entry point for golden-test
-// packages under testdata, which are loaded with a curated import path
-// so scope rules (deterministic package or not) can be exercised.
+// LoadDir type-checks the non-test Go files in dir as the package
+// asPath. Golden packages under testdata load this way, under an import
+// path chosen so a scope rule applies to them or not, and so does a
+// mutant of a real package, under that package's own path.
 func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
-	if p, ok := l.pkgs[asPath]; ok {
-		return p, nil
-	}
-	if l.loading[asPath] {
-		return nil, fmt.Errorf("lint: import cycle through %s", asPath)
-	}
-	l.loading[asPath] = true
-	defer func() { l.loading[asPath] = false }()
-
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
 	var names []string
 	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
+		if name := e.Name(); !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			names = append(names, name)
 		}
-		names = append(names, filepath.Join(dir, name))
 	}
-	sort.Strings(names)
-	for _, fname := range names {
-		f, err := parser.ParseFile(l.fset, fname, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, fmt.Errorf("lint: parsing %s: %w", fname, err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
+	return l.check(asPath, dir, names)
+}
+
+// check parses the named files of dir and type-checks them as the
+// package path. Type errors are collected, not fatal: analyzers run on
+// partial information.
+func (l *Loader) check(path, dir string, names []string) (*Package, error) {
+	if len(names) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-
-	info := &types.Info{
+	p := &Package{Path: path, Fset: l.fset, Info: &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}}
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, fmt.Errorf("lint: parsing %w", err)
+		}
+		p.Files = append(p.Files, f)
 	}
-	p := &Package{Path: asPath, Dir: dir, Fset: l.fset, Files: files, Info: info}
 	conf := types.Config{
-		Importer: &chainImporter{loader: l},
+		Importer: l.imp,
 		Error:    func(err error) { p.TypeErrs = append(p.TypeErrs, err) },
 	}
-	// Type errors are collected, not fatal: analyzers run on partial info.
-	p.Pkg, _ = conf.Check(asPath, l.fset, files, info)
-	l.pkgs[asPath] = p
+	p.Pkg, _ = conf.Check(path, l.fset, p.Files, p.Info)
 	return p, nil
-}
-
-// chainImporter resolves module-local imports through the Loader and
-// everything else through export data; missing export data is a type
-// error of the importing package (roamvet exits 2), never a skip.
-type chainImporter struct {
-	loader *Loader
-}
-
-func (c *chainImporter) Import(path string) (*types.Package, error) {
-	l := c.loader
-	if path == l.ModPath || strings.HasPrefix(path, l.ModPath+"/") {
-		p, err := l.Load(path)
-		if err != nil {
-			return nil, err
-		}
-		if p.Pkg == nil {
-			return nil, fmt.Errorf("lint: %s failed to type-check", path)
-		}
-		return p.Pkg, nil
-	}
-	p, err := l.std.Import(path)
-	if err != nil {
-		err = fmt.Errorf("lint: no export data for %s (the loader needs the go command and a writable GOCACHE): %w", path, err)
-	}
-	return p, err
 }

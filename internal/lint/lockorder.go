@@ -46,7 +46,6 @@ import (
 var lockorderAnalyzer = &Analyzer{
 	Name: "lockorder",
 	Code: "ROAM009",
-	Doc:  "the module-wide mutex acquisition graph has no lock-order cycles",
 	// RunModule is wired in init to avoid an initialization cycle
 	// (the run function references the analyzer for diagnostics).
 }
@@ -81,28 +80,36 @@ func (g *lockGraph) add(from, to string, w lockWitness) {
 }
 
 func runLockorder(pkgs []*Package) []Diagnostic {
-	summaries := lockSummaries(pkgs)
-	graph := &lockGraph{edges: map[string]map[string]lockWitness{}}
+	return reportLockCycles(buildLockGraph(pkgs))
+}
 
+// buildLockGraph collects the acquisition edges of every function in
+// pkgs, in package, file and declaration order.
+func buildLockGraph(pkgs []*Package) *lockGraph {
+	summaries := summarize(funcDecls(pkgs...), func(d funcDecl) (ids []string) {
+		walkNoGo(d.fd.Body, func(n ast.Node) {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if id, _, kind := mutexCall(d.p, call); kind == lockAcquire {
+					ids = append(ids, id)
+				}
+			}
+		})
+		return ids
+	})
+	graph := &lockGraph{edges: map[string]map[string]lockWitness{}}
 	for _, p := range pkgs {
 		guarded := collectGuardedFields(p)
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				collectLockEdges(p, fd, guarded, summaries, graph)
-			}
+		for _, d := range funcDecls(p) {
+			collectLockEdges(p, d.fd, guarded, summaries, graph)
 		}
 	}
-	return reportLockCycles(graph)
+	return graph
 }
 
 // collectLockEdges runs the may-held analysis over fd and feeds every
 // observed acquisition-while-holding into the graph.
 func collectLockEdges(p *Package, fd *ast.FuncDecl, guarded map[*types.Var]string,
-	summaries map[*types.Func]map[string]bool, graph *lockGraph) {
+	summaries summary, graph *lockGraph) {
 
 	seed := lockedSeed(p, fd, guarded)
 	hasLocks := len(seed) > 0
@@ -111,7 +118,7 @@ func collectLockEdges(p *Package, fd *ast.FuncDecl, guarded map[*types.Var]strin
 			if _, _, kind := mutexCall(p, call); kind != lockNone {
 				hasLocks = true
 			}
-			if fn := calleeFunc(p, call); fn != nil && len(summaries[fn]) > 0 {
+			if len(summaries.of(p, call)) > 0 {
 				hasLocks = true
 			}
 		}
@@ -155,7 +162,7 @@ func collectLockEdges(p *Package, fd *ast.FuncDecl, guarded map[*types.Var]strin
 // emit non-nil it also reports acquisition edges: held → acquired for
 // direct Lock/RLock, held → callee summary for module-local calls.
 func lockTransfer(p *Package, n ast.Node, held facts,
-	summaries map[*types.Func]map[string]bool, emit func(from, to string, pos token.Pos)) {
+	summaries summary, emit func(from, to string, pos token.Pos)) {
 
 	if _, ok := n.(*ast.DeferStmt); ok {
 		// A deferred Unlock keeps the lock held through the function
@@ -195,12 +202,10 @@ func lockTransfer(p *Package, n ast.Node, held facts,
 			return true
 		}
 		if emit != nil {
-			if fn := calleeFunc(p, call); fn != nil {
-				for to := range summaries[fn] {
-					for f := range held {
-						if from, ok := strings.CutPrefix(f, factHeldPrefix); ok {
-							emit(from, to, call.Pos())
-						}
+			for to := range summaries.of(p, call) {
+				for f := range held {
+					if from, ok := strings.CutPrefix(f, factHeldPrefix); ok {
+						emit(from, to, call.Pos())
 					}
 				}
 			}
@@ -288,66 +293,6 @@ func fieldMutexID(recv types.Type, field *types.Var) string {
 		return ""
 	}
 	return obj.Pkg().Name() + "." + obj.Name() + "." + field.Name()
-}
-
-// lockSummaries computes, for every function in the module, the set of
-// mutex identities its body may acquire — directly or through
-// module-local callees — as a transitive fixed point. Spawned (go)
-// calls are excluded.
-func lockSummaries(pkgs []*Package) map[*types.Func]map[string]bool {
-	decls := funcDecls(pkgs...)
-	summaries := map[*types.Func]map[string]bool{}
-	for _, d := range decls {
-		direct := map[string]bool{}
-		walkNoGo(d.fd.Body, func(n ast.Node) {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if id, _, kind := mutexCall(d.p, call); kind == lockAcquire {
-					direct[id] = true
-				}
-			}
-		})
-		if len(direct) > 0 {
-			summaries[d.fn] = direct
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, d := range decls {
-			walkNoGo(d.fd.Body, func(n ast.Node) {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return
-				}
-				callee := calleeFunc(d.p, call)
-				if callee == nil || callee == d.fn {
-					return
-				}
-				for id := range summaries[callee] {
-					if !summaries[d.fn][id] {
-						if summaries[d.fn] == nil {
-							summaries[d.fn] = map[string]bool{}
-						}
-						summaries[d.fn][id] = true
-						changed = true
-					}
-				}
-			})
-		}
-	}
-	return summaries
-}
-
-// walkNoGo visits every node except go-statement subtrees.
-func walkNoGo(root ast.Node, visit func(ast.Node)) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		if _, ok := n.(*ast.GoStmt); ok {
-			return false
-		}
-		if n != nil {
-			visit(n)
-		}
-		return true
-	})
 }
 
 // lockedSeed pre-seeds the held set of a *Locked function with the
@@ -451,12 +396,6 @@ func reportLockCycles(g *lockGraph) []Diagnostic {
 		}
 		out = append(out, lockCycleDiag(g, cycle[v]))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Line < out[j].Line
-	})
 	return out
 }
 
@@ -509,7 +448,6 @@ func lockCycleDiag(g *lockGraph, cycle []string) Diagnostic {
 	first := g.edges[cycle[0]][cycle[1]]
 	pos := first.pkg.Fset.Position(first.pos)
 	return Diagnostic{
-		Pos:      pos,
 		File:     pos.Filename,
 		Line:     pos.Line,
 		Col:      pos.Column,

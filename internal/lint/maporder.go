@@ -22,7 +22,6 @@ import (
 var maporderAnalyzer = &Analyzer{
 	Name: "maporder",
 	Code: "ROAM003",
-	Doc:  "map iteration never feeds ordered output without an intervening sort",
 	// Run is wired in init to avoid an initialization cycle
 	// (the run function references the analyzer for diagnostics).
 }
@@ -32,8 +31,7 @@ func init() { maporderAnalyzer.Run = runMaporder }
 func runMaporder(p *Package) []Diagnostic {
 	var out []Diagnostic
 	for _, f := range p.Files {
-		filename := p.Fset.Position(f.Pos()).Filename
-		if !deterministic(p, filename) {
+		if !inScope(dataset, p, f) {
 			continue
 		}
 		for _, decl := range f.Decls {

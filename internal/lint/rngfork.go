@@ -29,7 +29,6 @@ import (
 var rngforkAnalyzer = &Analyzer{
 	Name: "rngfork",
 	Code: "ROAM002",
-	Doc:  "rng streams are forked before goroutine spawn, never captured by a go closure",
 	// Run is wired in init to avoid an initialization cycle
 	// (the run function references the analyzer for diagnostics).
 }

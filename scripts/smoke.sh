@@ -88,7 +88,7 @@ check_flags() {
     # Each is refused with a message and exit 1 before any campaign runs:
     # no divide-by-zero panic, no silent default, no empty Table 4.
     local args rc
-    for args in "-countries ,," "-configs ,," "-configs bogus" "-kill-shard -3"; do
+    for args in "-countries ,," "-configs ,," "-configs bogus" "-tools dns" "-kill-shard -3"; do
         rc=0
         # shellcheck disable=SC2086 # args is a flag and its value
         "$TMP/roam-fleet" $args >"$TMP/refused.txt" 2>&1 || rc=$?
