@@ -102,7 +102,16 @@ func main() {
 	compactAfter := flag.Int("compact-after", 0, "compact a shard's WAL when N plain sealed segments have accumulated since its last compaction artifact (0 = never); artifacts are never re-merged, so a shard keeps about log bytes / (N x segment bytes) of them; requires -wal-dir")
 	flag.Parse()
 
-	ln, err := net.Listen("tcp", *addr)
+	var ln net.Listener
+	var err error
+	switch {
+	case *shards < 1:
+		err = fmt.Errorf("-shards %d: want 1 or more", *shards)
+	case *compactAfter < 0:
+		err = fmt.Errorf("-compact-after %d: want 0 or more", *compactAfter)
+	default:
+		ln, err = net.Listen("tcp", *addr)
+	}
 	if err == nil {
 		fmt.Printf("amigo-server listening on %s\n", *addr)
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -121,7 +130,7 @@ func main() {
 // 10 s to finish before their connections are closed, and the plane's
 // WALs are synced and closed — a failure there is run's error.
 func run(ctx context.Context, ln net.Listener, cfg fleet.ShardedConfig, pprofOn bool, out io.Writer) error {
-	plane, sf, err := fleet.Host(cfg)
+	plane, sf, _, err := fleet.Host(cfg)
 	if err != nil {
 		ln.Close()
 		return err

@@ -77,6 +77,32 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the campaign (hosting, run and ingest) to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile of the process to this file (pprof -ignore='airalo\\.Build' leaves the campaign)")
 	flag.Parse()
+	for _, f := range []struct {
+		name   string
+		v, min int64
+	}{{"mes", int64(*mes), 1}, {"lease", int64(*lease), 1}, {"reps", int64(*reps), 1}, {"shards", int64(*shards), 1},
+		{"workers", int64(*workers), 0}, {"straggler", int64(*straggler), 0}, {"reshard", int64(*reshardTo), 0},
+		{"wal-segment-bytes", int64(*walSegBytes), 0}, {"compact-after", int64(*compactAfter), 0}} {
+		if f.v < f.min {
+			fatal(fmt.Errorf("-%s %s: want %d or more", f.name, flag.Lookup(f.name).Value, f.min))
+		}
+	}
+	// A flag that only qualifies another is refused without it.
+	needs := map[string]struct {
+		flag string
+		set  bool
+	}{"reshard-after": {"-reshard", *reshardTo > 0}, "wal-segment-bytes": {"-wal-dir", *walDir != ""}, "chaos-seed": {"-chaos", *chaosMode != ""}}
+	flag.Visit(func(f *flag.Flag) {
+		if n, ok := needs[f.Name]; ok && !n.set {
+			fatal(fmt.Errorf("-%s does nothing without %s", f.Name, n.flag))
+		}
+		switch f.Name {
+		case "shards", "wal-dir", "kill-shard", "compact-after", "wal-segment-bytes", "reshard", "reshard-after":
+			if *server != "" {
+				fatal(fmt.Errorf("-%s configures the self-hosted control plane; drop -server", f.Name))
+			}
+		}
+	})
 	if *memProfile != "" {
 		// Record every allocation, so the alloc_objects listing is an
 		// exact count rather than a sampled estimate.
@@ -108,14 +134,6 @@ func main() {
 			fatal(fmt.Errorf("-chaos needs the self-hosted server (storm middleware); drop -server"))
 		}
 		sc.Chaos, sc.ChaosSeed = mode(), cmp.Or(*chaosSeed, *seed)
-	}
-	if *server != "" {
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "shards", "wal-dir", "kill-shard", "compact-after", "wal-segment-bytes", "reshard", "reshard-after":
-				fatal(fmt.Errorf("-%s configures the self-hosted control plane; drop -server", f.Name))
-			}
-		})
 	}
 	if *killShard < -1 || *killShard >= *shards {
 		fatal(fmt.Errorf("-kill-shard %d: want -1 for off or a shard index below -shards %d", *killShard, *shards))

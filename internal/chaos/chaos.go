@@ -142,31 +142,14 @@ func Heavy() Config {
 	}
 }
 
-func (c Config) maxCrashes() int {
-	if c.MaxCrashes > 0 {
-		return c.MaxCrashes
-	}
-	if c.Crash > 0 {
-		return 1
-	}
-	return 0
-}
-
-func (c Config) maxShardKills() int {
-	if c.MaxShardKills > 0 {
-		return c.MaxShardKills
-	}
-	if c.ShardKill > 0 {
-		return 1
-	}
-	return 0
-}
-
-func (c Config) maxCompactKills() int {
-	if c.MaxCompactKills > 0 {
-		return c.MaxCompactKills
-	}
-	if c.CompactKill > 0 {
+// limit is the one cap rule of a budgeted kind (crashes, shard kills,
+// compaction kills): its Max field when set, else 1 when the kind can
+// fire at all, so campaigns always terminate.
+func limit(p float64, allowed int) int {
+	switch {
+	case allowed > 0:
+		return allowed
+	case p > 0:
 		return 1
 	}
 	return 0
@@ -193,16 +176,17 @@ type Injector struct {
 	seed int64
 	cfg  Config
 
-	mu           sync.Mutex
-	events       []Event
-	meSeq        map[string]int // per-ME append order, for canonical sorting
-	crashes      map[string]int // injected crashes so far, per ME
-	mwSeen       map[string]int // per-(ME, op) middleware attempt counters
-	faults       map[string]int // injected faults so far, per kind
-	shardKills   int            // injected shard kills so far, fleet-wide
-	compactKills int            // injected compaction kills so far, fleet-wide
-	clk          vclock.Clock   // latency-spike time source (nil = wall)
+	mu     sync.Mutex
+	events []Event
+	spent  map[budget]int // reserved or injected budgeted faults; 0s are deleted
+	mwSeen map[string]int // per-(ME, op) middleware attempt counters
+	faults map[string]int // injected faults so far, per kind
+	clk    vclock.Clock   // latency-spike time source (nil = wall)
 }
+
+// budget keys one capped allowance: crashes are capped per ME, shard and
+// compaction kills fleet-wide (me "").
+type budget struct{ fault, me string }
 
 // FaultKinds are the fault labels an Injector can record, in canonical
 // order — the label set for per-kind fault metrics (see Counts).
@@ -212,13 +196,17 @@ var FaultKinds = []string{
 }
 
 // NewInjector returns an Injector for the given seed and fault config.
+// It resolves every budgeted kind's cap by limit's rule, so Config
+// reports the caps in force.
 func NewInjector(seed int64, cfg Config) *Injector {
+	cfg.MaxCrashes = limit(cfg.Crash, cfg.MaxCrashes)
+	cfg.MaxShardKills = limit(cfg.ShardKill, cfg.MaxShardKills)
+	cfg.MaxCompactKills = limit(cfg.CompactKill, cfg.MaxCompactKills)
 	return &Injector{
 		seed: seed, cfg: cfg,
-		meSeq:   map[string]int{},
-		crashes: map[string]int{},
-		mwSeen:  map[string]int{},
-		faults:  map[string]int{},
+		spent:  map[budget]int{},
+		mwSeen: map[string]int{},
+		faults: map[string]int{},
 	}
 }
 
@@ -269,12 +257,11 @@ func (inj *Injector) clock() vclock.Clock {
 	return vclock.Wall
 }
 
-// Config returns the fault configuration.
+// Config returns the fault configuration, its caps resolved.
 func (inj *Injector) Config() Config { return inj.cfg }
 
 func (inj *Injector) record(e Event) {
 	inj.mu.Lock()
-	inj.meSeq[e.ME]++
 	inj.events = append(inj.events, e)
 	inj.faults[e.Fault]++
 	inj.mu.Unlock()
@@ -316,91 +303,76 @@ func (inj *Injector) TraceString() string {
 	return b.String()
 }
 
+// spend is the one budgeted draw behind MaybeCrash, MaybeKillShard and
+// MaybeKillCompaction. It reserves one of allowed slots of b before drawing,
+// so concurrent callers cannot overshoot the cap, draws a yes of
+// probability p from the stream of at's label, records at's event on a
+// yes and returns the slot on a no. at runs only once a slot is
+// reserved: a spent budget formats nothing.
+func (inj *Injector) spend(b budget, p float64, allowed int, at func() (label string, ev Event)) bool {
+	if p <= 0 {
+		return false
+	}
+	inj.mu.Lock()
+	n := inj.spent[b]
+	if n >= allowed {
+		inj.mu.Unlock()
+		return false
+	}
+	inj.spent[b] = n + 1
+	inj.mu.Unlock()
+	label, ev := at()
+	if inj.decide(label, p) {
+		inj.record(ev)
+		return true
+	}
+	inj.mu.Lock()
+	if n = inj.spent[b] - 1; n > 0 {
+		inj.spent[b] = n
+	} else {
+		delete(inj.spent, b)
+	}
+	inj.mu.Unlock()
+	return false
+}
+
 // MaybeCrash decides whether the ME crashes after batch round (its
-// per-incarnation round counter). It draws from the stateless stream
-// for (me, inc, round), enforces the per-ME crash cap, and records the
-// event. The fleet driver calls this between task batches.
+// per-incarnation round counter), under the per-ME cap MaxCrashes, from
+// the stateless stream for (me, inc, round). The fleet driver calls this
+// between task batches.
 func (inj *Injector) MaybeCrash(me string, inc, round int) bool {
-	if inj.cfg.Crash <= 0 {
-		return false
-	}
-	inj.mu.Lock()
-	budget := inj.crashes[me] < inj.cfg.maxCrashes()
-	inj.mu.Unlock()
-	if !budget {
-		return false
-	}
-	if !inj.decide(fmt.Sprintf("chaos/crash/%s/%d/%d", me, inc, round), inj.cfg.Crash) {
-		return false
-	}
-	inj.mu.Lock()
-	inj.crashes[me]++
-	inj.mu.Unlock()
-	inj.record(Event{ME: me, Inc: inc, Op: "crash", Attempt: round, Fault: "crash"})
-	return true
+	return inj.spend(budget{"crash", me}, inj.cfg.Crash, inj.cfg.MaxCrashes, func() (string, Event) {
+		return fmt.Sprintf("chaos/crash/%s/%d/%d", me, inc, round), Event{ME: me, Inc: inc, Op: "crash", Attempt: round, Fault: "crash"}
+	})
 }
 
 // MaybeKillShard decides whether control-plane shard `shard` dies
-// after accepting its upload-th result upload. Like every other fault
-// it draws from a stateless labeled stream keyed on (shard, upload),
-// so the decision for "shard s's Nth accepted upload" is a pure
-// function of the seed. With one fleet worker the upload order itself
-// is deterministic and the whole kill schedule replays exactly; with
-// concurrent workers, WHICH ME's upload is the Nth depends on
-// interleaving, so the kill lands at a varying campaign moment — the
-// ingested dataset is invariant either way (that is the contract shard
-// kills are tested against), only the fault trace moves. The
-// fleet-wide kill budget keeps campaigns terminating.
+// after accepting its upload-th result upload, under the fleet-wide cap
+// MaxShardKills, from the stateless stream for (shard, upload): the
+// decision for "shard s's Nth accepted upload" is a pure function of the
+// seed. With one fleet worker the upload order itself is deterministic
+// and the whole kill schedule replays exactly; with concurrent workers,
+// WHICH ME's upload is the Nth depends on interleaving, so the kill
+// lands at a varying campaign moment — the ingested dataset is invariant
+// either way (that is the contract shard kills are tested against), only
+// the fault trace moves.
 func (inj *Injector) MaybeKillShard(shard, upload int) bool {
-	if inj.cfg.ShardKill <= 0 {
-		return false
-	}
-	// Reserve a budget slot before drawing: concurrent uploads must not
-	// both pass the check and overshoot MaxShardKills. A declined draw
-	// returns the reservation.
-	inj.mu.Lock()
-	if inj.shardKills >= inj.cfg.maxShardKills() {
-		inj.mu.Unlock()
-		return false
-	}
-	inj.shardKills++
-	inj.mu.Unlock()
-	if !inj.decide(fmt.Sprintf("chaos/shardkill/%d/%d", shard, upload), inj.cfg.ShardKill) {
-		inj.mu.Lock()
-		inj.shardKills--
-		inj.mu.Unlock()
-		return false
-	}
-	inj.record(Event{ME: fmt.Sprintf("shard-%d", shard), Op: "shard-kill", Attempt: upload, Fault: "shard-kill"})
-	return true
+	return inj.spend(budget{fault: "shard-kill"}, inj.cfg.ShardKill, inj.cfg.MaxShardKills, func() (string, Event) {
+		return fmt.Sprintf("chaos/shardkill/%d/%d", shard, upload),
+			Event{ME: fmt.Sprintf("shard-%d", shard), Op: "shard-kill", Attempt: upload, Fault: "shard-kill"}
+	})
 }
 
 // MaybeKillCompaction decides whether control-plane shard `shard` dies
 // at its n-th compaction crash point (the fleet numbers the crash
 // points each compaction exposes with one fleet-wide per-shard
-// counter). Like MaybeKillShard it reserves a budget slot before
-// drawing from the stateless (shard, n) stream, so concurrent
-// compactions cannot overshoot MaxCompactKills, and a declined draw
-// returns the reservation.
+// counter), under the fleet-wide cap MaxCompactKills, from the stateless
+// stream for (shard, n).
 func (inj *Injector) MaybeKillCompaction(shard, n int) bool {
-	if inj.cfg.CompactKill <= 0 {
-		return false
-	}
-	inj.mu.Lock()
-	if inj.compactKills >= inj.cfg.maxCompactKills() {
-		inj.mu.Unlock()
-		return false
-	}
-	inj.compactKills++
-	inj.mu.Unlock()
-	if !inj.decide(fmt.Sprintf("chaos/compactkill/%d/%d", shard, n), inj.cfg.CompactKill) {
-		inj.mu.Lock()
-		inj.compactKills--
-		inj.mu.Unlock()
-		return false
-	}
-	inj.record(Event{ME: fmt.Sprintf("shard-%d", shard), Op: "compact-kill", Attempt: n, Fault: "compact-kill"})
-	return true
+	return inj.spend(budget{fault: "compact-kill"}, inj.cfg.CompactKill, inj.cfg.MaxCompactKills, func() (string, Event) {
+		return fmt.Sprintf("chaos/compactkill/%d/%d", shard, n),
+			Event{ME: fmt.Sprintf("shard-%d", shard), Op: "compact-kill", Attempt: n, Fault: "compact-kill"}
+	})
 }
 
 // Transport wraps base with client-side fault injection for one ME

@@ -170,36 +170,105 @@ func TestTransportTruncationFailsDecode(t *testing.T) {
 	}
 }
 
-// TestMaybeCrashBudgetAndDeterminism: crash decisions replay for a
-// given seed and never exceed the per-ME cap.
+// TestMaybeCrashBudgetAndDeterminism: ME crashes, shard kills and
+// compaction kills share one budgeted draw. Each yes is the stateless
+// stream's for its label, recorded as its event, until the cap is spent
+// (a declined draw returns its reserved slot); p = 0 draws and records
+// nothing; the cap is 1 when p > 0 and no Max* is set, an explicit Max*
+// wins, and Config reports it; a seed replays its events; and concurrent
+// draws at p = 1 (run under -race) never pass the cap.
 func TestMaybeCrashBudgetAndDeterminism(t *testing.T) {
-	cfg := Config{Crash: 0.5, MaxCrashes: 2}
-	draw := func() (crashes int, pattern []bool) {
-		inj := NewInjector(77, cfg)
-		for round := 0; round < 40; round++ {
-			c := inj.MaybeCrash("me-A", 0, round)
-			pattern = append(pattern, c)
-			if c {
-				crashes++
+	const seed, draws = 77, 40
+	for _, k := range []struct {
+		fault string
+		knobs func(c *Config) (p *float64, max *int)
+		draw  func(inj *Injector, i int) bool
+		label func(i int) string
+		event func(i int) Event
+	}{
+		{"crash", func(c *Config) (*float64, *int) { return &c.Crash, &c.MaxCrashes },
+			func(inj *Injector, i int) bool { return inj.MaybeCrash("me-A", 1, i) },
+			func(i int) string { return fmt.Sprintf("chaos/crash/me-A/1/%d", i) },
+			func(i int) Event { return Event{ME: "me-A", Inc: 1, Op: "crash", Attempt: i, Fault: "crash"} }},
+		{"shard-kill", func(c *Config) (*float64, *int) { return &c.ShardKill, &c.MaxShardKills },
+			func(inj *Injector, i int) bool { return inj.MaybeKillShard(i%3, i) },
+			func(i int) string { return fmt.Sprintf("chaos/shardkill/%d/%d", i%3, i) },
+			func(i int) Event {
+				return Event{ME: fmt.Sprintf("shard-%d", i%3), Op: "shard-kill", Attempt: i, Fault: "shard-kill"}
+			}},
+		{"compact-kill", func(c *Config) (*float64, *int) { return &c.CompactKill, &c.MaxCompactKills },
+			func(inj *Injector, i int) bool { return inj.MaybeKillCompaction(i%3, i) },
+			func(i int) string { return fmt.Sprintf("chaos/compactkill/%d/%d", i%3, i) },
+			func(i int) Event {
+				return Event{ME: fmt.Sprintf("shard-%d", i%3), Op: "compact-kill", Attempt: i, Fault: "compact-kill"}
+			}},
+	} {
+		t.Run(k.fault, func(t *testing.T) {
+			injector := func(p float64, max int) *Injector {
+				var cfg Config
+				pp, mp := k.knobs(&cfg)
+				*pp, *mp = p, max
+				return NewInjector(seed, cfg)
 			}
-		}
-		return crashes, pattern
-	}
-	c1, p1 := draw()
-	c2, p2 := draw()
-	if c1 != c2 {
-		t.Fatalf("crash counts differ: %d vs %d", c1, c2)
-	}
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("crash pattern diverges at round %d", i)
-		}
-	}
-	if c1 > cfg.MaxCrashes {
-		t.Errorf("crashes = %d exceeds cap %d", c1, cfg.MaxCrashes)
-	}
-	if c1 == 0 {
-		t.Error("P=0.5 over 40 rounds crashed zero times; stream looks broken")
+			inj := injector(0, 5)
+			for i := 0; i < draws; i++ {
+				if k.draw(inj, i) {
+					t.Fatalf("p = 0: draw %d said yes", i)
+				}
+			}
+			if len(inj.Events()) != 0 || len(inj.spent) != 0 {
+				t.Errorf("p = 0: %d events recorded, %d budgets touched; want none", len(inj.Events()), len(inj.spent))
+			}
+
+			for _, c := range []struct {
+				p        float64
+				max, cap int
+			}{{1, 0, 1}, {1, 3, 3}, {0.5, 0, 1}, {0.5, 2, 2}} {
+				inj := injector(c.p, c.max)
+				if _, mp := k.knobs(&inj.cfg); *mp != c.cap {
+					t.Errorf("p=%v max=%d: Config reports cap %d, want %d", c.p, c.max, *mp, c.cap)
+				}
+				var want []Event
+				for i := 0; i < draws; i++ {
+					yes := len(want) < c.cap && rng.Stream(seed, k.label(i)).Bool(c.p)
+					if yes {
+						want = append(want, k.event(i))
+					}
+					if got := k.draw(inj, i); got != yes {
+						t.Fatalf("p=%v max=%d: draw %d = %v, the stream and the cap say %v", c.p, c.max, i, got, yes)
+					}
+				}
+				if len(want) != c.cap {
+					t.Fatalf("p=%v max=%d: the stream said yes %d times in %d draws; the cap %d went unspent", c.p, c.max, len(want), draws, c.cap)
+				}
+				if got := inj.Events(); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("p=%v max=%d: events %v, want %v", c.p, c.max, got, want)
+				}
+				again := injector(c.p, c.max)
+				for i := 0; i < draws; i++ {
+					k.draw(again, i)
+				}
+				if got, first := again.TraceString(), inj.TraceString(); got != first {
+					t.Errorf("p=%v max=%d: the same seed replayed\n%s\nafter\n%s", c.p, c.max, got, first)
+				}
+			}
+
+			inj = injector(1, 3)
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < draws; i++ {
+						k.draw(inj, g*draws+i)
+					}
+				}()
+			}
+			wg.Wait()
+			if got := inj.Counts()[k.fault]; got != 3 || len(inj.Events()) != 3 {
+				t.Errorf("concurrent draws at p = 1: %d %s faults, %d events; want the cap, 3", got, k.fault, len(inj.Events()))
+			}
+		})
 	}
 }
 

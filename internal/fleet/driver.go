@@ -192,16 +192,10 @@ func (d *Driver) restartBudget() int {
 	if d.RestartBudget > 0 {
 		return d.RestartBudget
 	}
-	budget := 3
 	if d.Chaos != nil {
-		cfg := d.Chaos.Config()
-		crashes := cfg.MaxCrashes
-		if crashes == 0 && cfg.Crash > 0 {
-			crashes = 1
-		}
-		budget += crashes
+		return 3 + d.Chaos.Config().MaxCrashes
 	}
-	return budget
+	return 3
 }
 
 // Run executes the plan: first the whole plan is scheduled — which is

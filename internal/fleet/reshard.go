@@ -16,11 +16,13 @@ package fleet
 //
 // Epoch layout on disk, rooted at ShardedConfig.WALDir:
 //
-//	shard-<i>/...                 epoch 0 (the layout before resharding existed)
+//	shard-<i>/...                 epoch 0
 //	epoch-<e>/shard-<i>/...       epoch e >= 1
 //	wal-manifest.json             {"epoch": e, "shards": n} — the live set
 //
-// The manifest is written with a tmp+rename so readers never observe a
+// The manifest is the WAL set's only index: a fresh root gets its
+// epoch-0 manifest before any WAL is opened, and a root without one is
+// no WAL set. It is written with a tmp+rename so readers never observe a
 // torn pointer; it is only advanced AFTER the new epoch's WALs are
 // fully written and synced, so a crash at any moment leaves it naming
 // a complete, replayable WAL set.
@@ -29,7 +31,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -107,22 +108,21 @@ func fsyncDir(dir string) error {
 	return d.Sync()
 }
 
-func readWALManifest(root string) (walManifest, bool, error) {
+// readWALManifest reads root's manifest. A root without one is an error
+// that wraps os.ErrNotExist.
+func readWALManifest(root string) (walManifest, error) {
+	var m walManifest
 	b, err := os.ReadFile(manifestPath(root))
-	if errors.Is(err, os.ErrNotExist) {
-		return walManifest{}, false, nil
+	if err == nil {
+		err = json.Unmarshal(b, &m)
+	}
+	if err == nil && (m.Shards < 1 || m.Epoch < 0) {
+		err = fmt.Errorf("implausible epoch=%d shards=%d", m.Epoch, m.Shards)
 	}
 	if err != nil {
-		return walManifest{}, false, err
+		return walManifest{}, fmt.Errorf("fleet: wal-manifest.json under %s: %w", root, err)
 	}
-	var m walManifest
-	if err := json.Unmarshal(b, &m); err != nil {
-		return walManifest{}, false, fmt.Errorf("fleet: wal-manifest.json: %w", err)
-	}
-	if m.Shards < 1 || m.Epoch < 0 {
-		return walManifest{}, false, fmt.Errorf("fleet: wal-manifest.json: implausible epoch=%d shards=%d", m.Epoch, m.Shards)
-	}
-	return m, true, nil
+	return m, nil
 }
 
 // EpochWALDir is the WAL directory for one shard of epoch `epoch` of a
@@ -135,35 +135,11 @@ func EpochWALDir(root string, epoch, i int) string {
 	return filepath.Join(root, fmt.Sprintf("epoch-%d", epoch), fmt.Sprintf("shard-%d", i))
 }
 
-// openWAL opens shard i's WAL of the given epoch under the fleet's
-// WALDir, instrumented and wired to the compaction crash hook.
-func (f *ShardedFleet) openWAL(epoch, i int) (*walsink.Sink, error) {
-	return walsink.Open(EpochWALDir(f.cfg.WALDir, epoch, i), walsink.Options{SegmentBytes: f.cfg.SegmentBytes,
-		Obs: f.cfg.Obs, Labels: walLabels(i, epoch), CompactCrash: f.compactCrashFn(i)})
-}
-
 // LatestWALSet resolves which WAL set is live under root: the
-// manifest's (epoch, shards) when one exists, else the pre-manifest
-// epoch-0 layout with as many shard-<i> directories as are present.
+// manifest's (epoch, shards). A root without a manifest is an error.
 func LatestWALSet(root string) (epoch, shards int, err error) {
-	m, ok, err := readWALManifest(root)
-	if err != nil {
-		return 0, 0, err
-	}
-	if ok {
-		return m.Epoch, m.Shards, nil
-	}
-	n := 0
-	for {
-		if _, err := os.Stat(EpochWALDir(root, 0, n)); err != nil {
-			break
-		}
-		n++
-	}
-	if n == 0 {
-		return 0, 0, fmt.Errorf("fleet: no wal-manifest.json and no shard-0 WAL under %s", root)
-	}
-	return 0, n, nil
+	m, err := readWALManifest(root)
+	return m.Epoch, m.Shards, err
 }
 
 // ReplayLatestWALs reopens the live WAL set under root — following the
@@ -270,10 +246,7 @@ func (f *ShardedFleet) maybeCompact(i int, wal *walsink.Sink) {
 	}
 	if _, err := wal.Compact(wal.Len()); err != nil {
 		if errors.Is(err, walsink.ErrCompactCrashed) {
-			f.mu.Lock()
-			f.compactKills++
-			f.mu.Unlock()
-			f.KillShard(i)
+			f.killShard(i, true)
 			return
 		}
 		// A failed compaction loses nothing — the source segments stay
@@ -313,10 +286,28 @@ func (f *ShardedFleet) maybeReshard(total int) {
 func (f *ShardedFleet) doReshard(n int) {
 	defer f.wg.Done()
 	f.gw.Pause()
-	// On any failure the deployment stays on its current epoch: record
-	// the error and resume the unchanged topology — a failed reshard
-	// must degrade to "nothing happened", never to a dead gateway.
-	fail := func(err error) {
+	f.mu.Lock()
+	src := walsOf(f.shards)
+	epoch := f.epoch + 1
+	f.mu.Unlock()
+
+	var st shard.ReshardStats
+	next, backends, err := f.openShards(epoch, n)
+	if err == nil {
+		// Commit: once the new epoch's WALs are complete and synced,
+		// advance the manifest pointer. A crash before the write recovers
+		// onto the old epoch, after it onto the new — both complete.
+		if st, err = shard.Reshard(src, walsOf(next)); err == nil {
+			err = writeWALManifest(f.cfg.WALDir, walManifest{Epoch: epoch, Shards: n})
+		}
+		if err != nil {
+			closeWALs(next)
+		}
+	}
+	if err != nil {
+		// The deployment stays on its current epoch: record the error and
+		// resume the unchanged topology — a failed reshard must degrade to
+		// "nothing happened", never to a dead gateway.
 		f.mu.Lock()
 		if f.reshardErr == nil {
 			f.reshardErr = err
@@ -324,57 +315,12 @@ func (f *ShardedFleet) doReshard(n int) {
 		f.resharding = false
 		f.mu.Unlock()
 		f.gw.Resume(f.gw.Backends())
-	}
-
-	f.mu.Lock()
-	src := append([]*walsink.Sink(nil), f.wals...)
-	epoch := f.epoch + 1
-	f.mu.Unlock()
-
-	closeAll := func(ws []*walsink.Sink) {
-		for _, w := range ws {
-			if w != nil {
-				w.Close()
-			}
-		}
-	}
-	dst := make([]*walsink.Sink, n)
-	for i := range dst {
-		w, err := f.openWAL(epoch, i)
-		if err != nil {
-			closeAll(dst)
-			fail(err)
-			return
-		}
-		dst[i] = w
-	}
-	st, err := shard.Reshard(src, dst)
-	if err != nil {
-		closeAll(dst)
-		fail(err)
-		return
-	}
-	// Commit: the new epoch's WALs are complete and synced; advance the
-	// manifest pointer. A crash before this line recovers onto the old
-	// epoch, after it onto the new — both complete.
-	if err := writeWALManifest(f.cfg.WALDir, walManifest{Epoch: epoch, Shards: n}); err != nil {
-		closeAll(dst)
-		fail(err)
 		return
 	}
 
-	servers := make([]*amigo.Server, n)
-	sinks := make([]amigo.Sink, n)
-	backends := make([]http.Handler, n)
-	for i := range servers {
-		servers[i] = amigo.NewServer(nil, amigo.WithSink(dst[i]))
-		sinks[i] = dst[i]
-		backends[i] = f.backend(i, servers[i])
-	}
 	f.mu.Lock()
-	old := f.wals
-	f.servers, f.sinks, f.wals = servers, sinks, dst
-	f.uploads = make([]int, n)
+	old := f.shards
+	f.shards = next
 	f.epoch = epoch
 	f.reshards++
 	f.lastReshard = st
@@ -385,7 +331,7 @@ func (f *ShardedFleet) doReshard(n int) {
 	f.gw.Resume(backends)
 	// The old epoch's sinks are unreachable now — Pause drained every
 	// request that could have touched them.
-	closeAll(old)
+	closeWALs(old)
 
 	f.cfg.Obs.Counter("fleet_reshards_total").Inc()
 	f.cfg.Obs.Counter("fleet_reshard_records_total").Add(int64(st.Records))

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"roamsim/internal/airalo"
+	"roamsim/internal/amigo"
 	"roamsim/internal/chaos"
 	"roamsim/internal/obs"
 	"roamsim/internal/vclock"
@@ -61,6 +62,8 @@ type Outcome struct {
 	Clock    *vclock.Virtual
 	// Close stops the self-hosted server and closes the plane's WALs.
 	Close func() error
+
+	srv *amigo.Server // the self-hosted single server, nil unless Host chose one
 }
 
 // Run builds the scenario's injector, registry and clock fresh, serves
@@ -114,7 +117,7 @@ func (s Scenario) Run(w *airalo.World) (*Outcome, error) {
 
 // serve hosts the plane cfg describes on an ephemeral loopback port.
 func (o *Outcome) serve(cfg ShardedConfig) error {
-	h, f, err := Host(cfg)
+	h, f, srv, err := Host(cfg)
 	if err != nil {
 		return err
 	}
@@ -129,7 +132,7 @@ func (o *Outcome) serve(cfg ShardedConfig) error {
 		WriteTimeout: 30 * time.Second, IdleTimeout: 120 * time.Second}
 	served := make(chan error, 1)
 	go func() { served <- hs.Serve(ln) }()
-	o.URL, o.Fleet = "http://"+ln.Addr().String(), f
+	o.URL, o.Fleet, o.srv = "http://"+ln.Addr().String(), f, srv
 	o.Close = sync.OnceValue(func() error {
 		hs.Close()
 		<-served

@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"sync"
 
 	"roamsim/internal/amigo"
@@ -59,13 +61,6 @@ type ShardedConfig struct {
 	Obs *obs.Registry
 }
 
-func (c ShardedConfig) shards() int {
-	if c.Shards < 1 {
-		return 1
-	}
-	return c.Shards
-}
-
 // ShardedFleet self-hosts a horizontally sharded control plane: N
 // amigo.Servers (each with its own result sink, optionally a durable
 // WAL) behind a consistent-hash shard.Gateway. MEs talk to Handler()
@@ -77,13 +72,10 @@ type ShardedFleet struct {
 	cfg ShardedConfig
 	gw  *shard.Gateway
 
-	mu      sync.Mutex
-	servers []*amigo.Server // current server per shard; guarded by mu
-	sinks   []amigo.Sink    // survive kills, swapped by reshards; guarded by mu
-	wals    []*walsink.Sink // nil entries when WALDir == ""; guarded by mu
-	uploads []int           // accepted uploads per shard, this epoch; guarded by mu
-	kills   int             // shard kills performed; guarded by mu
-	forced  bool            // the ForceKill one-shot has fired; guarded by mu
+	mu     sync.Mutex
+	shards []shardRec // one per shard of the live epoch; guarded by mu
+	kills  int        // shard kills performed; guarded by mu
+	forced bool       // the ForceKill one-shot has fired; guarded by mu
 
 	epoch         int                // live WAL epoch, bumped per reshard; guarded by mu
 	total         int                // accepted uploads fleet-wide, across epochs; guarded by mu
@@ -99,34 +91,50 @@ type ShardedFleet struct {
 	wg            sync.WaitGroup     // in-flight reshard goroutine
 }
 
+// shardRec is one shard of the live epoch: its current server, the sink
+// that outlives the server's kills (its WAL, or memory without a
+// WALDir), and the uploads it accepted this epoch.
+type shardRec struct {
+	srv     *amigo.Server
+	sink    amigo.Sink
+	uploads int
+}
+
+// wal is the shard's WAL, nil for a memory sink.
+func (s shardRec) wal() *walsink.Sink {
+	wal, _ := s.sink.(*walsink.Sink)
+	return wal
+}
+
 // Host builds the control plane cfg asks for, the one place the topology
 // is chosen: a single amigo.Server behind shard.Mount, instrumented into
 // cfg.Obs, unless cfg needs what only a ShardedFleet does — more than
 // one shard, a WAL, compaction, a reshard, or a shard or compaction kill
-// (forced or drawn by chaos). The fleet is nil for a single server.
-// cfg.Chaos, when set, also wraps the handler in its storm middleware
-// (admin traffic carries no chaos header and passes through).
-func Host(cfg ShardedConfig) (h http.Handler, f *ShardedFleet, err error) {
+// (forced or drawn by chaos). Exactly one of the fleet and the single
+// server is non-nil. cfg.Chaos, when set, also wraps the handler in its
+// storm middleware (admin traffic carries no chaos header and passes
+// through).
+func Host(cfg ShardedConfig) (h http.Handler, f *ShardedFleet, srv *amigo.Server, err error) {
 	kills := cfg.Chaos != nil && (cfg.Chaos.Config().ShardKill > 0 || cfg.Chaos.Config().CompactKill > 0)
 	if cfg.Shards <= 1 && cfg.WALDir == "" && !cfg.ForceKill && !cfg.ForceCompactKill &&
 		cfg.CompactAfter <= 0 && len(cfg.Reshards) == 0 && !kills {
-		srv := amigo.NewServer(nil, amigo.WithObs(cfg.Obs))
+		srv = amigo.NewServer(nil, amigo.WithObs(cfg.Obs))
 		h = shard.Mount(srv.Handler(), srv.AdminHandler())
 	} else if f, err = NewShardedFleet(cfg); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	} else {
 		h = f.Handler()
 	}
 	if cfg.Chaos != nil {
 		h = cfg.Chaos.Middleware(h)
 	}
-	return h, f, nil
+	return h, f, srv, nil
 }
 
 // NewShardedFleet builds the shard servers, their sinks, and the
 // gateway.
 func NewShardedFleet(cfg ShardedConfig) (*ShardedFleet, error) {
-	n := cfg.shards()
+	n := max(cfg.Shards, 1)
 	epoch := 0
 	if cfg.WALDir == "" {
 		if len(cfg.Reshards) > 0 {
@@ -140,13 +148,13 @@ func NewShardedFleet(cfg ShardedConfig) (*ShardedFleet, error) {
 		// resharded, so the manifest — not the config — says which epoch
 		// and shard count are live. A fresh directory gets the epoch-0
 		// manifest written up front so cold recovery always has it.
-		m, ok, err := readWALManifest(cfg.WALDir)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
+		m, err := readWALManifest(cfg.WALDir)
+		if err == nil {
 			epoch, n = m.Epoch, m.Shards
-		} else if err := writeWALManifest(cfg.WALDir, walManifest{Epoch: 0, Shards: n}); err != nil {
+		} else if errors.Is(err, os.ErrNotExist) {
+			err = writeWALManifest(cfg.WALDir, walManifest{Epoch: 0, Shards: n})
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -155,38 +163,83 @@ func NewShardedFleet(cfg ShardedConfig) (*ShardedFleet, error) {
 			return nil, fmt.Errorf("fleet: reshard step to %d shards", step.Shards)
 		}
 	}
-	f := &ShardedFleet{
-		cfg:           cfg,
-		servers:       make([]*amigo.Server, n),
-		sinks:         make([]amigo.Sink, n),
-		wals:          make([]*walsink.Sink, n),
-		uploads:       make([]int, n),
-		epoch:         epoch,
-		compactPoints: map[int]int{},
+	f := &ShardedFleet{cfg: cfg, epoch: epoch, compactPoints: map[int]int{}}
+	shards, backends, err := f.openShards(epoch, n)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		if cfg.WALDir != "" {
-			wal, err := f.openWAL(epoch, i)
-			if err != nil {
-				f.Close()
-				return nil, err
-			}
-			f.wals[i] = wal
-			f.sinks[i] = wal
-		} else {
-			f.sinks[i] = amigo.NewMemorySink()
-		}
-		// Shard servers carry no registry of their own: the gateway and
-		// the WALs own the sharded deployment's metrics, and a replacement
-		// server after a kill must not re-register colliding gauges.
-		f.servers[i] = amigo.NewServer(nil, amigo.WithSink(f.sinks[i]))
-	}
-	backends := make([]http.Handler, n)
-	for i := 0; i < n; i++ {
-		backends[i] = f.backend(i, f.servers[i])
-	}
+	f.shards = shards
 	f.gw = shard.NewGateway(backends, shard.Options{Obs: cfg.Obs})
 	return f, nil
+}
+
+// openShards opens epoch's n shard sinks — WALs under WALDir, or memory
+// sinks without one — and starts a server over each: the one way an
+// epoch's shard set is opened, at construction and on a reshard. A WAL
+// that fails to open closes the ones already opened.
+func (f *ShardedFleet) openShards(epoch, n int) ([]shardRec, []http.Handler, error) {
+	shards, backends := make([]shardRec, n), make([]http.Handler, n)
+	for i := range shards {
+		if f.cfg.WALDir == "" {
+			shards[i].sink = amigo.NewMemorySink()
+		} else {
+			wal, err := walsink.Open(EpochWALDir(f.cfg.WALDir, epoch, i), walsink.Options{SegmentBytes: f.cfg.SegmentBytes,
+				Obs: f.cfg.Obs, Labels: walLabels(i, epoch), CompactCrash: f.compactCrashFn(i)})
+			if err != nil {
+				closeWALs(shards[:i])
+				return nil, nil, err
+			}
+			shards[i].sink = wal
+		}
+		shards[i].srv, backends[i] = f.startShard(i, shards[i].sink)
+	}
+	return shards, backends, nil
+}
+
+// walsOf returns the shards' WALs, nil for memory sinks.
+func walsOf(shards []shardRec) []*walsink.Sink {
+	wals := make([]*walsink.Sink, len(shards))
+	for i, s := range shards {
+		wals[i] = s.wal()
+	}
+	return wals
+}
+
+// closeWALs syncs and closes the shards' WALs. The first error wins.
+func closeWALs(shards []shardRec) error {
+	var first error
+	for _, s := range shards {
+		if wal := s.wal(); wal != nil {
+			if err := wal.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	return first
+}
+
+// startShard brings up a fresh server over sink as shard i, and the
+// gateway backend that serves it: the one way a shard server is built,
+// at construction, after a kill and on a reshard. The backend runs
+// afterUpload once an upload has succeeded, which is the interesting
+// moment for a kill — the ME believes its results are safe, and only
+// the WAL still has them. Shard servers carry no registry of their own:
+// the gateway and the WALs own the sharded deployment's metrics, and a
+// replacement server after a kill must not re-register colliding gauges.
+func (f *ShardedFleet) startShard(i int, sink amigo.Sink) (*amigo.Server, http.Handler) {
+	srv := amigo.NewServer(nil, amigo.WithSink(sink))
+	mounted := shard.Mount(srv.Handler(), srv.AdminHandler())
+	return srv, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || r.URL.Path != "/v3/results" {
+			mounted.ServeHTTP(w, r)
+			return
+		}
+		sw := &statusRecorder{ResponseWriter: w}
+		mounted.ServeHTTP(sw, r)
+		if sw.code < 300 {
+			f.afterUpload(i)
+		}
+	})
 }
 
 // Handler is the fleet-facing control plane: the gateway, unwrapped
@@ -205,14 +258,14 @@ func (f *ShardedFleet) Ring() *shard.Ring { return f.gw.Ring() }
 func (f *ShardedFleet) Server(i int) *amigo.Server {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.servers[i]
+	return f.shards[i].srv
 }
 
 // WAL returns shard i's WAL sink, or nil for in-memory deployments.
 func (f *ShardedFleet) WAL(i int) *walsink.Sink {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.wals[i]
+	return f.shards[i].wal()
 }
 
 // Kills reports how many shard kills have been performed.
@@ -227,7 +280,7 @@ func (f *ShardedFleet) Kills() int {
 func (f *ShardedFleet) Shards() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.servers)
+	return len(f.shards)
 }
 
 // Epoch reports the live WAL epoch (0 until the first reshard).
@@ -273,25 +326,6 @@ func (f *ShardedFleet) CompactErr() error {
 // of a run may have fired a reshard that is still swapping.
 func (f *ShardedFleet) WaitIdle() { f.wg.Wait() }
 
-// backend wraps a shard server's mounted handler with the upload
-// counter that drives the shard-kill fault: kills fire after a
-// successful upload response, which is the interesting moment — the ME
-// believes its results are safe, and only the WAL still has them.
-func (f *ShardedFleet) backend(i int, srv *amigo.Server) http.Handler {
-	mounted := shard.Mount(srv.Handler(), srv.AdminHandler())
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost || r.URL.Path != "/v3/results" {
-			mounted.ServeHTTP(w, r)
-			return
-		}
-		sw := &statusRecorder{ResponseWriter: w}
-		mounted.ServeHTTP(sw, r)
-		if sw.code < 300 {
-			f.afterUpload(i)
-		}
-	})
-}
-
 type statusRecorder struct {
 	http.ResponseWriter
 	code int
@@ -319,39 +353,43 @@ func (s *statusRecorder) Write(p []byte) (int, error) {
 // scheduled reshard fires (on its own goroutine; see maybeReshard).
 func (f *ShardedFleet) afterUpload(i int) {
 	f.mu.Lock()
-	f.uploads[i]++
+	f.shards[i].uploads++
 	f.total++
-	n := f.uploads[i]
+	n := f.shards[i].uploads
 	total := f.total
-	wal := f.wals[i]
+	wal := f.shards[i].wal()
 	force := f.cfg.ForceKill && f.cfg.ForceKillShard == i && !f.forced
 	if force {
 		f.forced = true
 	}
 	f.mu.Unlock()
 	if force || (f.cfg.Chaos != nil && f.cfg.Chaos.MaybeKillShard(i, n)) {
-		f.KillShard(i)
+		f.killShard(i, false)
 	}
 	f.maybeCompact(i, wal)
 	f.maybeReshard(total)
 }
 
-// KillShard simulates shard i's process dying: its server — registry,
-// task queues, ack cursors, idempotency keys, spool — is dropped
-// wholesale and a fresh server is brought up over the same sink. For a
-// WAL-backed shard that means every result drained to disk survives;
-// everything in memory is gone, and MEs rediscover the shard via
-// "unknown ME" responses and are scheduled anew (see Driver.runME).
+// killShard simulates shard i's process dying, at a compaction's crash
+// point or not: its server — registry, task queues, ack cursors,
+// idempotency keys, spool — is dropped wholesale and a fresh server is
+// brought up over the same sink. For a WAL-backed shard that means every
+// result drained to disk survives; everything in memory is gone, and MEs
+// rediscover the shard via "unknown ME" responses and are scheduled anew
+// (see Driver.runME).
 //
 // In-flight requests against the old server finish against it and
 // drain into the shared sink; new requests route to the replacement.
-func (f *ShardedFleet) KillShard(i int) {
+func (f *ShardedFleet) killShard(i int, compaction bool) {
 	f.mu.Lock()
-	fresh := amigo.NewServer(nil, amigo.WithSink(f.sinks[i]))
-	f.servers[i] = fresh
+	srv, backend := f.startShard(i, f.shards[i].sink)
+	f.shards[i].srv = srv
 	f.kills++
+	if compaction {
+		f.compactKills++
+	}
 	f.mu.Unlock()
-	f.gw.SetBackend(i, f.backend(i, fresh))
+	f.gw.SetBackend(i, backend)
 }
 
 // Close waits out any in-flight reshard, then syncs and closes every
@@ -360,14 +398,5 @@ func (f *ShardedFleet) Close() error {
 	f.wg.Wait()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var first error
-	for _, wal := range f.wals {
-		if wal == nil {
-			continue
-		}
-		if err := wal.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return closeWALs(f.shards)
 }

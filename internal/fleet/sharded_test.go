@@ -4,11 +4,35 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 
 	"roamsim/internal/amigo"
 	"roamsim/internal/chaos"
+	"roamsim/internal/walsink"
 )
+
+// TestWALSetNeedsItsManifest: the manifest is a WAL set's only index. A
+// root that holds a shard-0 WAL with a result in it but no
+// wal-manifest.json is no WAL set: resolving it and replaying it both
+// fail, naming the manifest.
+func TestWALSetNeedsItsManifest(t *testing.T) {
+	root := t.TempDir()
+	wal, err := walsink.Open(EpochWALDir(root, 0, 0), walsink.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal.Append([]amigo.Result{mkDNSResult("me-PAK-0", 1, "example.org")})
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if epoch, shards, err := LatestWALSet(root); err == nil || !strings.Contains(err.Error(), "wal-manifest.json") {
+		t.Errorf("LatestWALSet without a manifest: epoch %d, %d shards, %v; want an error naming wal-manifest.json", epoch, shards, err)
+	}
+	if rs, err := ReplayLatestWALs(root); err == nil || !strings.Contains(err.Error(), "wal-manifest.json") {
+		t.Errorf("ReplayLatestWALs without a manifest: %d results, %v; want an error naming wal-manifest.json", len(rs), err)
+	}
+}
 
 // TestMaybeCompactAllocFreeWhenNothingIsDue: the compaction check runs
 // inside every accepted upload, so while nothing is due — here with two
@@ -94,7 +118,7 @@ func TestHostChoosesTopology(t *testing.T) {
 		{"chaos shard kill", ShardedConfig{Chaos: chaos.NewInjector(1, chaos.Config{ShardKill: 0.5})}, true},
 		{"chaos compaction kill", ShardedConfig{Chaos: chaos.NewInjector(1, chaos.Config{CompactKill: 0.5})}, true},
 	} {
-		h, f, err := Host(tc.cfg)
+		h, f, srv, err := Host(tc.cfg)
 		if err != nil || h == nil {
 			t.Fatalf("%s: handler %v, %v", tc.name, h, err)
 		}
@@ -105,7 +129,7 @@ func TestHostChoosesTopology(t *testing.T) {
 			storms.Err5xx = 1
 			cfg := tc.cfg
 			cfg.Chaos = chaos.NewInjector(1, storms)
-			sh, sf, err := Host(cfg)
+			sh, sf, _, err := Host(cfg)
 			if err != nil || (sf != nil) != tc.sharded {
 				t.Fatalf("%s: stormed plane sharded %v, %v", tc.name, sf != nil, err)
 			}
@@ -115,8 +139,8 @@ func TestHostChoosesTopology(t *testing.T) {
 				t.Errorf("%s: a stormed lease got HTTP %d, %d faults recorded; want a 503 from the middleware", tc.name, rec.Code, len(cfg.Chaos.Events()))
 			}
 		}
-		if (f != nil) != tc.sharded {
-			t.Errorf("%s: sharded %v, want %v", tc.name, f != nil, tc.sharded)
+		if (f != nil) != tc.sharded || (srv == nil) != tc.sharded {
+			t.Errorf("%s: sharded %v, single server %v; want sharded %v", tc.name, f != nil, srv != nil, tc.sharded)
 		}
 		if f != nil {
 			if err := f.Close(); err != nil {
@@ -124,7 +148,7 @@ func TestHostChoosesTopology(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := Host(ShardedConfig{CompactAfter: 2}); err == nil {
+	if _, _, _, err := Host(ShardedConfig{CompactAfter: 2}); err == nil {
 		t.Error("compaction without a WAL was accepted")
 	}
 }

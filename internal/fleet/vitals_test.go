@@ -2,13 +2,10 @@ package fleet
 
 import (
 	"bytes"
-	"net/http/httptest"
 	"testing"
 
 	"roamsim/internal/amigo"
 	"roamsim/internal/chaos"
-	"roamsim/internal/shard"
-	"roamsim/internal/vclock"
 	"roamsim/internal/wire"
 )
 
@@ -16,46 +13,34 @@ import (
 // server on the ME's next lease, so after a campaign every ME's
 // Server.Vitals are the serial oracle's, bit for bit — over a clean real
 // run, a virtual-clock run under chaos.Light (retried and replayed
-// leases re-send them), and a 4-shard run (each ME's owning shard).
+// leases re-send them), and a 4-shard run (each ME's owning shard). Each
+// is a Scenario run through Scenario.Run.
 func TestFleetVitalsMatchOracle(t *testing.T) {
-	w, plan, o := testWorld(t), chaosTestPlan(), oracle(t)
+	plan, o := chaosTestPlan(), oracle(t)
 	// The lease frame carries each float as its IEEE-754 bits: equal
 	// frames are bit-identical vitals.
 	bits := func(v amigo.Vitals) []byte { return wire.AppendLeaseRequest(nil, wire.LeaseRequest{Vitals: v}) }
-	check := func(t *testing.T, serverOf func(me string) *amigo.Server) {
-		for _, sc := range plan.Schedules() {
-			want, _ := o.srv.Vitals(sc.Name)
-			got, ok := serverOf(sc.Name).Vitals(sc.Name)
-			if want.IsZero() || !ok || !bytes.Equal(bits(got), bits(want)) {
-				t.Errorf("%s: vitals %+v, want the oracle's %+v", sc.Name, got, want)
+	for _, c := range []struct {
+		name string
+		sc   Scenario
+	}{
+		{"real", Scenario{Workers: 4}},
+		{"virtual-chaos-light", Scenario{Workers: 4, Virtual: true, Realize: true, ChaosSeed: 7, Chaos: chaos.Light()}},
+		{"sharded", Scenario{Workers: 4, Plane: ShardedConfig{Shards: 4}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := runProof(t, proofRow{Scenario: c.sc})
+			for _, sc := range plan.Schedules() {
+				srv := r.srv
+				if f := r.Fleet; f != nil {
+					srv = f.Server(f.Ring().Shard(sc.Name))
+				}
+				want, _ := o.srv.Vitals(sc.Name)
+				got, ok := srv.Vitals(sc.Name)
+				if want.IsZero() || !ok || !bytes.Equal(bits(got), bits(want)) {
+					t.Errorf("%s: vitals %+v, want the oracle's %+v", sc.Name, got, want)
+				}
 			}
-		}
+		})
 	}
-	t.Run("real", func(t *testing.T) {
-		srv, hs := newControlServer(t)
-		d := &Driver{BaseURL: hs.URL, Seed: testSeed, Workers: 4, LeaseBatch: 4, StreamLabel: "chaos-eq", Heartbeat: true}
-		if _, err := d.Run(w, plan); err != nil {
-			t.Fatal(err)
-		}
-		check(t, func(string) *amigo.Server { return srv })
-	})
-	t.Run("virtual-chaos-light", func(t *testing.T) {
-		inj := chaos.NewInjector(7, chaos.Light())
-		srv := amigo.NewServer(nil)
-		hs := httptest.NewServer(inj.Middleware(shard.Mount(srv.Handler(), srv.AdminHandler())))
-		defer hs.Close()
-		d := &Driver{BaseURL: hs.URL, Seed: testSeed, Workers: 4, LeaseBatch: 4, StreamLabel: "chaos-eq", Heartbeat: true,
-			Chaos: inj, Clock: vclock.NewVirtual(), Realize: true}
-		if _, err := d.Run(w, plan); err != nil {
-			t.Fatal(err)
-		}
-		if len(inj.Events()) == 0 {
-			t.Fatal("chaos.Light injected no faults")
-		}
-		check(t, func(string) *amigo.Server { return srv })
-	})
-	t.Run("sharded", func(t *testing.T) {
-		f := runProof(t, proofRow{Scenario: Scenario{Workers: 4, Plane: ShardedConfig{Shards: 4}}}).Fleet
-		check(t, func(me string) *amigo.Server { return f.Server(f.Ring().Shard(me)) })
-	})
 }

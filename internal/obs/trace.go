@@ -6,7 +6,7 @@ import (
 )
 
 // Event is one recorded trace entry: a point event (watchdog kill,
-// chaos crash, retry give-up) or a span with a duration.
+// chaos crash, retry give-up).
 type Event struct {
 	// Seq is the global record sequence number (monotonic, starts at 1).
 	Seq uint64 `json:"seq"`
@@ -15,8 +15,6 @@ type Event struct {
 	Time time.Time `json:"time"`
 	// Name labels the event kind ("watchdog-kill", "retry-giveup", ...).
 	Name string `json:"name"`
-	// DurMs is the span duration in milliseconds (0 for point events).
-	DurMs float64 `json:"dur_ms,omitempty"`
 	// Attrs carries event attributes (ME name, op, fault kind, ...).
 	Attrs map[string]string `json:"attrs,omitempty"`
 }
@@ -43,17 +41,11 @@ func NewTrace(capacity int) *Trace {
 
 // Record appends a point event. No-op on a nil recorder.
 func (t *Trace) Record(name string, attrs ...Label) {
-	t.RecordSpan(name, 0, attrs...)
-}
-
-// RecordSpan appends an event carrying a duration. No-op on a nil
-// recorder.
-func (t *Trace) RecordSpan(name string, d time.Duration, attrs ...Label) {
 	if t == nil {
 		return
 	}
 	//lint:allow clockpurity trace timestamps are operator-facing wall time; they never enter a dataset (the TestFleetMetricsEquivalence rows of internal/fleet's proof table prove metrics/traces are determinism-neutral)
-	e := Event{Time: time.Now(), Name: name, DurMs: float64(d) / float64(time.Millisecond)}
+	e := Event{Time: time.Now(), Name: name}
 	if len(attrs) > 0 {
 		e.Attrs = make(map[string]string, len(attrs))
 		for _, a := range attrs {

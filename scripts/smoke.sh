@@ -7,7 +7,9 @@
 #
 #   tomo       roam-tomo prints one eSIM tunnel span for PAK and refuses an
 #              unknown -target before printing anything
-#   flags      roam-fleet refuses flag values that name nothing it knows
+#   flags      roam-fleet and amigo-server refuse flag values that name
+#              nothing they know or are out of range, and flags that only
+#              qualify a flag not given
 #   metrics    one server: the Prometheus exposition, amigo-me over the
 #              two v3 routes, a JSON schedule refused
 #   ahead      one server: amigo-me drains 40 tasks in one lease and two
@@ -85,16 +87,24 @@ check_tomo() {
 }
 
 check_flags() {
-    # Each is refused with a message and exit 1 before any campaign runs:
-    # no divide-by-zero panic, no silent default, no empty Table 4.
-    local args rc
-    for args in "-countries ,," "-configs ,," "-configs bogus" "-tools dns" "-kill-shard -3"; do
+    # Each is refused with a message and exit 1 before any campaign runs
+    # or any port is bound: no divide-by-zero panic, no silent default, no
+    # empty Table 4, no flag that qualifies a flag not given.
+    local cmd rc bin
+    for cmd in "roam-fleet -countries ,," "roam-fleet -configs ,," "roam-fleet -configs bogus" \
+        "roam-fleet -tools dns" "roam-fleet -kill-shard -3" "roam-fleet -mes -5" "roam-fleet -mes 0" \
+        "roam-fleet -lease -3" "roam-fleet -lease 0" "roam-fleet -reps -2" "roam-fleet -shards 0" \
+        "roam-fleet -workers -4" "roam-fleet -straggler -1s" "roam-fleet -reshard -1" \
+        "roam-fleet -wal-dir $TMP/unused -wal-segment-bytes -1" "roam-fleet -compact-after -1" \
+        "roam-fleet -reshard-after 5" "roam-fleet -wal-segment-bytes 100" "roam-fleet -chaos-seed 9" \
+        "amigo-server -shards -2" "amigo-server -shards 0" "amigo-server -compact-after -1"; do
+        bin=${cmd%% *}
         rc=0
-        # shellcheck disable=SC2086 # args is a flag and its value
-        "$TMP/roam-fleet" $args >"$TMP/refused.txt" 2>&1 || rc=$?
-        if [ "$rc" -ne 1 ] || grep -q panic "$TMP/refused.txt" || ! grep -q '^roam-fleet: ' "$TMP/refused.txt"; then
+        # shellcheck disable=SC2086 # the flags and their values, split
+        timeout 10 "$TMP/$bin" ${cmd#* } >"$TMP/refused.txt" 2>&1 || rc=$?
+        if [ "$rc" -ne 1 ] || grep -q panic "$TMP/refused.txt" || ! grep -q "^$bin: " "$TMP/refused.txt"; then
             cat "$TMP/refused.txt" >&2
-            fail "roam-fleet $args exited $rc, want a clean exit 1 with a message"
+            fail "$cmd exited $rc, want a clean exit 1 with a message"
         fi
     done
 }
